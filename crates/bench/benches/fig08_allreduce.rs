@@ -3,10 +3,10 @@
 //! (DESIGN.md ablation 4: the Sec. III-C.2 stage fusion).
 
 use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{ccoll, CollectiveConfig, Kernel, Mode, Variant};
+use hzccl::{Kernel, Mode, Variant};
 use hzccl_bench::{
-    banner, env_usize, mt_threads, net, ranks, scaled_rank_fields, timing_for, CollOp, Table,
+    allreduce_unfused, banner, env_usize, mt_threads, net, ranks, scaled_rank_fields, timing_for,
+    CollOp, Table,
 };
 use netsim::SimBuilder;
 
@@ -44,13 +44,9 @@ fn main() {
             let mode = Mode::MultiThread(mt);
             let timing = timing_for(Variant::Hzccl, mode, &fields[0][..n.min(1 << 21)], eb);
             let cluster = SimBuilder::new(nranks).net(net()).timing(timing);
-            let cfg = CollectiveConfig::new(eb, mode);
-            let opts = CollectiveOpts::hz(eb).with_mode(mode);
             let stats = cluster
                 .run(|comm| {
-                    let data = &fields[comm.rank()];
-                    let own = collectives::reduce_scatter(comm, data, &opts).expect("rs");
-                    ccoll::allgather(comm, &own, data.len(), &cfg).expect("ag");
+                    allreduce_unfused(comm, &fields[comm.rank()], eb, mode).expect("unfused");
                 })
                 .expect_clean()
                 .stats;

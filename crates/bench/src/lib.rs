@@ -167,6 +167,21 @@ pub fn run_collective(
     (report.stats.makespan, report.stats.total)
 }
 
+/// Ablation (DESIGN.md ablation 4): hZCCL Reduce_scatter followed by the
+/// *unfused* C-Coll-style Allgather — decompress at the stage boundary,
+/// recompress for gathering. Quantifies the fusion saving of Sec. III-C.2
+/// against the fused `collectives::allreduce`.
+pub fn allreduce_unfused(
+    comm: &mut netsim::Comm,
+    data: &[f32],
+    eb: f64,
+    mode: Mode,
+) -> hzccl::collectives::Result<Vec<f32>> {
+    use hzccl::collectives::{allgather, reduce_scatter, CollectiveOpts};
+    let own = reduce_scatter(comm, data, &CollectiveOpts::hz(eb).with_mode(mode))?;
+    allgather(comm, &own, data.len(), &CollectiveOpts::ccoll(eb).with_mode(mode))
+}
+
 /// Where metric snapshots go, if requested via `HZ_METRICS_OUT`.
 fn metrics_out_dir() -> Option<std::path::PathBuf> {
     std::env::var_os("HZ_METRICS_OUT").map(std::path::PathBuf::from)
@@ -275,6 +290,33 @@ mod tests {
     #[test]
     fn gbps_math() {
         assert!((gbps(2_000_000_000, 2.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// The Sec. III-C.2 fusion saving: the unfused ablation pays one more
+    /// decompress/recompress pair at the stage boundary — slower, and one
+    /// more quantization of error.
+    #[test]
+    fn fused_allreduce_beats_the_unfused_ablation_and_agrees_within_the_bound() {
+        use hzccl::collectives::{allreduce, CollectiveOpts};
+        use netsim::{SimBuilder, ThroughputModel};
+        let eb = 1e-3;
+        let field = |rank: usize| -> Vec<f32> {
+            (0..60_000).map(|i| ((i as f32) * 0.013).sin() * (rank + 1) as f32 * 1.7).collect()
+        };
+        let cluster = SimBuilder::new(6)
+            .timing(ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0)));
+        let fused = cluster
+            .run(|comm| allreduce(comm, &field(comm.rank()), &CollectiveOpts::hz(eb)).unwrap())
+            .expect_clean();
+        let unfused = cluster
+            .run(|comm| {
+                allreduce_unfused(comm, &field(comm.rank()), eb, Mode::SingleThread).unwrap()
+            })
+            .expect_clean();
+        assert!(fused.stats.makespan < unfused.stats.makespan);
+        for (a, b) in fused.outcomes[0].value.iter().zip(&unfused.outcomes[0].value) {
+            assert!(((a - b).abs() as f64) <= 2.0 * eb + 1e-9, "{a} vs {b}");
+        }
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!    its own data, asks the engine for a [`Decision`], and
 //! 2. broadcasts the winning [`Plan`] in its fixed 13-byte wire encoding
 //!    ([`Plan::encode`]) on the reserved [`TAG_PLAN`] tag, then
-//! 3. every rank dispatches to the chosen static implementation
-//!    ([`crate::mpi`] / [`crate::ccoll`] / [`crate::hz`] / [`crate::rd`] /
-//!    [`crate::hierarchy`]).
+//! 3. every rank runs the chosen plan: the ring schedule in the plan's
+//!    flavour (flat, segmented or [`crate::hierarchy`]'s two-tier), or
+//!    [`crate::rd`].
 //!
 //! The probe compression is charged to the virtual clock as
 //! [`OpKind::Other`] (label `auto:probe`) and the plan broadcast is a real
@@ -21,7 +21,8 @@
 //! timelines instead of being smuggled in for free.
 
 use crate::config::{CollectiveConfig, Mode};
-use crate::{ccoll, hierarchy, hz, mpi, rd};
+use crate::rd;
+use crate::ring::{self, Verb};
 use fzlight::{Config as FzConfig, ErrorBound, Result};
 use netsim::{Comm, OpKind, Topology};
 use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
@@ -66,17 +67,6 @@ fn mode_of(plan: &Plan) -> Mode {
 /// networks resilience was requested for.
 fn cfg_for(plan: &Plan, base: &CollectiveConfig) -> CollectiveConfig {
     CollectiveConfig { eb: base.eb, block_len: plan.block_len, mode: mode_of(plan), res: base.res }
-}
-
-/// The segment count a plan actually runs at: the resilient transport only
-/// covers the phase-serial schedules, so resilience forces `segments == 1`
-/// (the same rule as `CollectiveOpts::eff_segments`).
-fn eff_segments(plan: &Plan, cfg: &CollectiveConfig) -> usize {
-    if cfg.res.is_some() {
-        1
-    } else {
-        plan.segments
-    }
 }
 
 /// Probe-compress a sample of `data` at each candidate block length and
@@ -171,99 +161,72 @@ pub fn agree_on_plan(
     (plan, detail)
 }
 
-/// Execute an already-agreed `Allreduce` plan (the zero-overhead path for
-/// iterative workloads that decided once and reuse the plan; see
-/// [`Session`]). Every rank must pass the *same* plan. A hierarchical plan
+/// Execute an already-agreed plan (the zero-overhead path [`Session`]
+/// replays). Every rank must pass the *same* plan. A hierarchical plan
 /// needs the `topology` it was decided for; without one it falls back to
 /// the flat schedule of the same flavour (correct, just not
 /// topology-shaped).
-pub fn allreduce_planned(
+fn run_planned(
     comm: &mut Comm,
+    verb: Verb,
     data: &[f32],
     cfg: &CollectiveConfig,
     plan: &Plan,
     topology: Option<&Topology>,
 ) -> Result<Vec<f32>> {
     let pcfg = cfg_for(plan, cfg);
-    if plan.hierarchical {
-        if let Some(topo) = topology.filter(|t| t.nranks() == comm.size()) {
-            return hierarchy::allreduce_hier(comm, data, plan.flavor, topo, &pcfg);
-        }
-    }
-    let segs = eff_segments(plan, &pcfg);
+    let topo = topology.filter(|t| plan.hierarchical && t.nranks() == comm.size());
     // recursive-doubling schedules have no resilient framing: under a
     // resilience policy an rd plan degrades to the ring schedule of the
     // same flavour rather than running unprotected
-    let rd_ok = pcfg.res.is_none();
-    Ok(match (plan.flavor, plan.algo) {
-        (Flavor::Mpi, Algo::Rd) if rd_ok => rd::allreduce_rd(comm, data, pcfg.mode.threads()),
-        (Flavor::Mpi, _) => {
-            mpi::allreduce_impl(comm, data, pcfg.mode.threads(), segs, pcfg.res.as_ref())
+    if verb == Verb::Allreduce && plan.algo == Algo::Rd && topo.is_none() && pcfg.res.is_none() {
+        match plan.flavor {
+            Flavor::Mpi => return Ok(rd::allreduce_rd(comm, data, pcfg.mode.threads())),
+            Flavor::Hzccl => return rd::allreduce_rd_hz(comm, data, &pcfg),
+            Flavor::CColl => {}
         }
-        (Flavor::CColl, _) => ccoll::allreduce_impl(comm, data, &pcfg, segs)?,
-        (Flavor::Hzccl, Algo::Rd) if rd_ok => rd::allreduce_rd_hz(comm, data, &pcfg)?,
-        (Flavor::Hzccl, _) => hz::allreduce_impl(comm, data, &pcfg, segs)?,
-    })
+    }
+    ring::run(comm, verb, plan.flavor, data, &pcfg, plan.segments, topo)
 }
 
-/// Execute an already-agreed `Reduce_scatter` plan. Returns the own chunk.
-pub fn reduce_scatter_planned(
+/// The tuner's name for `verb`.
+fn op_of(verb: Verb) -> Op {
+    match verb {
+        Verb::Allreduce => Op::Allreduce,
+        Verb::ReduceScatter => Op::ReduceScatter,
+        Verb::Reduce { .. } => Op::Reduce,
+        Verb::Bcast { .. } => Op::Bcast,
+        Verb::Allgather { .. } => unreachable!("the tuner does not plan Allgather"),
+    }
+}
+
+/// Agree on a plan for `verb`, then run it. The decider is rank 0, or the
+/// root of a rooted verb (it holds the result or the data to probe, and
+/// with it the strongest interest in the plan). On a two-tier `topology`
+/// the Allreduce candidate pool additionally holds the hierarchical
+/// schedules, so the agreed plan may come back with [`Plan::hierarchical`]
+/// set.
+pub(crate) fn run(
     comm: &mut Comm,
+    verb: Verb,
     data: &[f32],
     cfg: &CollectiveConfig,
-    plan: &Plan,
-) -> Result<Vec<f32>> {
-    let pcfg = cfg_for(plan, cfg);
-    let segs = eff_segments(plan, &pcfg);
-    Ok(match plan.flavor {
-        Flavor::Mpi => {
-            mpi::reduce_scatter_impl(comm, data, pcfg.mode.threads(), segs, pcfg.res.as_ref())
-        }
-        Flavor::CColl => ccoll::reduce_scatter_impl(comm, data, &pcfg, segs)?,
-        Flavor::Hzccl => hz::reduce_scatter_impl(comm, data, &pcfg, segs)?,
-    })
+    engine: &Engine,
+    topology: Option<&Topology>,
+) -> Result<AutoOutcome<Vec<f32>>> {
+    let (decider, elems) = match verb {
+        Verb::Reduce { root } => (root, data.len()),
+        Verb::Bcast { root, total_len } => (root, total_len),
+        _ => (0, data.len()),
+    };
+    let (plan, detail) =
+        agree_on_plan(comm, engine, op_of(verb), elems, data, cfg, decider, topology);
+    let value = run_planned(comm, verb, data, cfg, &plan, topology)?;
+    Ok(AutoOutcome { value, plan, detail })
 }
 
-/// Execute an already-agreed `Reduce` plan.
-pub fn reduce_planned(
-    comm: &mut Comm,
-    data: &[f32],
-    root: usize,
-    cfg: &CollectiveConfig,
-    plan: &Plan,
-) -> Result<Option<Vec<f32>>> {
-    let pcfg = cfg_for(plan, cfg);
-    let segs = eff_segments(plan, &pcfg);
-    Ok(match plan.flavor {
-        Flavor::Mpi => {
-            mpi::reduce_impl(comm, data, root, pcfg.mode.threads(), segs, pcfg.res.as_ref())
-        }
-        Flavor::CColl => ccoll::reduce_impl(comm, data, root, &pcfg, segs)?,
-        Flavor::Hzccl => hz::reduce_impl(comm, data, root, &pcfg, segs)?,
-    })
-}
-
-/// Execute an already-agreed `Bcast` plan.
-pub fn bcast_planned(
-    comm: &mut Comm,
-    data: &[f32],
-    root: usize,
-    total_len: usize,
-    cfg: &CollectiveConfig,
-    plan: &Plan,
-) -> Result<Vec<f32>> {
-    let pcfg = cfg_for(plan, cfg);
-    let segs = eff_segments(plan, &pcfg);
-    Ok(match plan.flavor {
-        Flavor::Mpi => mpi::bcast_impl(comm, data, root, total_len, segs, pcfg.res.as_ref()),
-        Flavor::CColl => ccoll::bcast_impl(comm, data, root, total_len, &pcfg, segs)?,
-        Flavor::Hzccl => hz::bcast_impl(comm, data, root, total_len, &pcfg, segs)?,
-    })
-}
-
-/// Auto ring/rd `Allreduce(sum)`: rank 0 decides. On a two-tier `topology`
-/// the candidate pool additionally holds the hierarchical schedules, so the
-/// agreed plan may come back with [`Plan::hierarchical`] set.
+/// Auto ring/rd `Allreduce(sum)` (see [`run`] for who decides and how a
+/// `topology` widens the candidate pool).
 pub fn allreduce(
     comm: &mut Comm,
     data: &[f32],
@@ -271,43 +234,34 @@ pub fn allreduce(
     engine: &Engine,
     topology: Option<&Topology>,
 ) -> Result<AutoOutcome<Vec<f32>>> {
-    let (plan, detail) =
-        agree_on_plan(comm, engine, Op::Allreduce, data.len(), data, cfg, 0, topology);
-    let value = allreduce_planned(comm, data, cfg, &plan, topology)?;
-    Ok(AutoOutcome { value, plan, detail })
+    run(comm, Verb::Allreduce, data, cfg, engine, topology)
 }
 
-/// Auto ring `Reduce_scatter(sum)`: rank 0 decides. Returns the own chunk.
+/// Auto ring `Reduce_scatter(sum)`. Returns the own chunk.
 pub fn reduce_scatter(
     comm: &mut Comm,
     data: &[f32],
     cfg: &CollectiveConfig,
     engine: &Engine,
 ) -> Result<AutoOutcome<Vec<f32>>> {
-    let (plan, detail) =
-        agree_on_plan(comm, engine, Op::ReduceScatter, data.len(), data, cfg, 0, None);
-    let value = reduce_scatter_planned(comm, data, cfg, &plan)?;
-    Ok(AutoOutcome { value, plan, detail })
+    run(comm, Verb::ReduceScatter, data, cfg, engine, None)
 }
 
-/// Auto `Reduce(sum)` to `root`: the root decides (it holds the result, and
-/// with it the strongest interest in the plan). Returns `Some(sum)` on the
-/// root, `None` elsewhere.
+/// Auto `Reduce(sum)` to `root`: the sum on the root, an empty vector
+/// elsewhere.
 pub fn reduce(
     comm: &mut Comm,
     data: &[f32],
     root: usize,
     cfg: &CollectiveConfig,
     engine: &Engine,
-) -> Result<AutoOutcome<Option<Vec<f32>>>> {
-    let (plan, detail) = agree_on_plan(comm, engine, Op::Reduce, data.len(), data, cfg, root, None);
-    let value = reduce_planned(comm, data, root, cfg, &plan)?;
-    Ok(AutoOutcome { value, plan, detail })
+) -> Result<AutoOutcome<Vec<f32>>> {
+    run(comm, Verb::Reduce { root }, data, cfg, engine, None)
 }
 
-/// Auto long-message `Bcast` from `root`: the root decides (only it holds
-/// the data to probe). `data` is the root's full vector (ignored elsewhere);
-/// every rank receives the whole `total_len` vector back.
+/// Auto long-message `Bcast` from `root`. `data` is the root's full vector
+/// (ignored elsewhere); every rank receives the whole `total_len` vector
+/// back.
 pub fn bcast(
     comm: &mut Comm,
     data: &[f32],
@@ -316,9 +270,7 @@ pub fn bcast(
     cfg: &CollectiveConfig,
     engine: &Engine,
 ) -> Result<AutoOutcome<Vec<f32>>> {
-    let (plan, detail) = agree_on_plan(comm, engine, Op::Bcast, total_len, data, cfg, root, None);
-    let value = bcast_planned(comm, data, root, total_len, cfg, &plan)?;
-    Ok(AutoOutcome { value, plan, detail })
+    run(comm, Verb::Bcast { root, total_len }, data, cfg, engine, None)
 }
 
 /// Per-rank plan memo for iterative workloads: the first call for a scenario
@@ -343,6 +295,25 @@ impl Session {
         ScenarioSpec::new(op, elems, nranks, eb, 1, 1.0).bucket_key()
     }
 
+    /// Run `verb` with the bucket's memoized plan, agreeing on first use.
+    fn run(
+        &mut self,
+        comm: &mut Comm,
+        verb: Verb,
+        data: &[f32],
+        cfg: &CollectiveConfig,
+        engine: &Engine,
+    ) -> Result<AutoOutcome<Vec<f32>>> {
+        let key = Session::key(op_of(verb), data.len(), comm.size(), cfg.eb);
+        if let Some(&plan) = self.plans.get(&key) {
+            let value = run_planned(comm, verb, data, cfg, &plan, None)?;
+            return Ok(AutoOutcome { value, plan, detail: None });
+        }
+        let out = run(comm, verb, data, cfg, engine, None)?;
+        self.plans.insert(key, out.plan);
+        Ok(out)
+    }
+
     /// Memoized auto `Allreduce`: agreement on first use per bucket only.
     pub fn allreduce(
         &mut self,
@@ -351,14 +322,7 @@ impl Session {
         cfg: &CollectiveConfig,
         engine: &Engine,
     ) -> Result<AutoOutcome<Vec<f32>>> {
-        let key = Session::key(Op::Allreduce, data.len(), comm.size(), cfg.eb);
-        if let Some(&plan) = self.plans.get(&key) {
-            let value = allreduce_planned(comm, data, cfg, &plan, None)?;
-            return Ok(AutoOutcome { value, plan, detail: None });
-        }
-        let out = allreduce(comm, data, cfg, engine, None)?;
-        self.plans.insert(key, out.plan);
-        Ok(out)
+        self.run(comm, Verb::Allreduce, data, cfg, engine)
     }
 
     /// Memoized auto `Reduce_scatter`.
@@ -369,14 +333,7 @@ impl Session {
         cfg: &CollectiveConfig,
         engine: &Engine,
     ) -> Result<AutoOutcome<Vec<f32>>> {
-        let key = Session::key(Op::ReduceScatter, data.len(), comm.size(), cfg.eb);
-        if let Some(&plan) = self.plans.get(&key) {
-            let value = reduce_scatter_planned(comm, data, cfg, &plan)?;
-            return Ok(AutoOutcome { value, plan, detail: None });
-        }
-        let out = reduce_scatter(comm, data, cfg, engine)?;
-        self.plans.insert(key, out.plan);
-        Ok(out)
+        self.run(comm, Verb::ReduceScatter, data, cfg, engine)
     }
 }
 
@@ -518,18 +475,19 @@ mod tests {
         let exact = exact_sum(nranks, n);
         for (r, o) in outcomes.iter().enumerate() {
             assert_eq!(o.value.detail.is_some(), r == root, "only the root explains");
-            match (&o.value.value, r == root) {
-                (Some(sum), true) => {
-                    let max_err = sum
-                        .iter()
-                        .zip(&exact)
-                        .map(|(a, b)| (a - b).abs() as f64)
-                        .fold(0.0, f64::max);
-                    assert!(max_err <= nranks as f64 * eb + 1e-9, "err {max_err}");
-                }
-                (None, false) => {}
-                other => panic!("reduce value/root mismatch at rank {r}: {:?}", other.1),
+            if r != root {
+                assert!(o.value.value.is_empty(), "rank {r} must not hold the result");
+                continue;
             }
+            assert_eq!(o.value.value.len(), n);
+            let max_err = o
+                .value
+                .value
+                .iter()
+                .zip(&exact)
+                .map(|(a, b)| (a - b).abs() as f64)
+                .fold(0.0, f64::max);
+            assert!(max_err <= nranks as f64 * eb + 1e-9, "err {max_err}");
         }
 
         let cluster = SimBuilder::new(nranks).timing(modeled());

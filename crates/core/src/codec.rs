@@ -1,0 +1,530 @@
+//! The segment codec: what a ring step does to the bytes it moves.
+//!
+//! The paper's three frameworks (Table II) share one ring skeleton
+//! ([`crate::ring`]) and differ only in the per-step operator, which this
+//! module states as one trait with three implementations:
+//!
+//! | | [`RawCodec`] (MPI) | [`DocCodec`] (C-Coll [13]) | [`HzCodec`] (hZCCL) |
+//! |---|---|---|---|
+//! | accumulator | raw `f32`s | raw `f32`s | fZ-light stream |
+//! | own operand | slice of the input | slice of the input | compressed once (`hz:compress-all`, or just in time per segment) |
+//! | encode | pack (`mpi:pack`) | compress (`ccoll:compress`, CPR) | the stream's bytes — free |
+//! | fold | unpack + sum (`mpi:reduce`, CPT) | decompress + sum (DPR + CPT) | homomorphic sum (`hz:homomorphic-sum`, HPR) |
+//! | install | unpack | decompress (DPR) | decompress (`hz:*-decompress`, DPR) |
+//! | degraded arrival | same bytes | raw values, no DPR | recompress (`res:recompress`) |
+//!
+//! So a Reduce_scatter costs `(N-1)·CPT` plus full-size traffic raw,
+//! `(N-1)(CPR + DPR + CPT)` under decompression-operation-compression, and
+//! `N·CPR + (N-1)·HPR + 1·DPR` homomorphically (Sec. III-C.1). C-Coll's
+//! conventional compressor maps to [`ompszp`] (slower than fZ-light,
+//! especially multi-threaded — as the published SZx-class compressor trails
+//! hZCCL's co-designed stack). CPR-P2P [25], the baseline C-Coll itself
+//! improves on, is the DOC codec with every hop an independent transfer
+//! (`DocCodec::p2p`): it re-compresses what it forwards, so its Allgather
+//! pays `CPR + DPR` per hop where C-Coll pays `CPR + (N-1)·DPR` in total.
+//!
+//! All integer sums on the homomorphic path are exact and quantization is
+//! per element, so segment boundaries never change an output bit.
+
+use crate::chunks::{bytes_to_f32, f32_to_bytes};
+use crate::config::CollectiveConfig;
+use crate::resilient::PayloadKind;
+use fzlight::{compress_resolved, CompressedStream, Result};
+use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
+use netsim::{Comm, OpKind};
+use ompszp::OszpStream;
+use std::ops::Range;
+
+/// The per-step operator of a ring collective over `data`, this rank's
+/// input. Ranges are absolute element ranges of `data`. A codec holds no
+/// per-call state: the schedule that drives it owns every operand and
+/// accumulator, and with them their lifetime.
+pub(crate) trait SegCodec {
+    /// One segment's partial sum between reduce-scatter steps.
+    type Acc;
+
+    /// This rank's own contribution to a range, prepared for folding.
+    /// `None` throughout when the input slice itself is the operand.
+    type Operand: Clone;
+
+    /// How this codec's payloads are framed: raw payloads degrade by a
+    /// reliable resend of the same bytes, opaque ones via the fallbacks.
+    const WIRE: PayloadKind;
+
+    /// Segment boundaries fall on multiples of this (1 for raw traffic).
+    fn block_len(&self) -> usize;
+
+    /// True when a chunk, once encoded, travels the allgather as bytes and
+    /// is decoded at its destinations; false when every hop is an
+    /// independent transfer — decoded into the output buffer on arrival,
+    /// re-encoded from it to send (NIC staging, CPR-P2P).
+    fn forwards_verbatim(&self) -> bool;
+
+    /// Prepare the own operand of `rng`.
+    fn operand(
+        &self,
+        comm: &mut Comm,
+        data: &[f32],
+        rng: &Range<usize>,
+    ) -> Result<Option<Self::Operand>>;
+
+    /// Prepare the own operands of all `chunks` at once (the paper's
+    /// phase-serial schedule).
+    fn prime(
+        &self,
+        comm: &mut Comm,
+        data: &[f32],
+        chunks: impl Iterator<Item = Range<usize>>,
+    ) -> Result<Vec<Option<Self::Operand>>> {
+        chunks.map(|rng| self.operand(comm, data, &rng)).collect()
+    }
+
+    /// The accumulator a reduction of `rng` starts from: this rank's own
+    /// contribution alone.
+    fn seed(&self, data: &[f32], rng: &Range<usize>, operand: Option<Self::Operand>) -> Self::Acc;
+
+    /// Wire bytes of an accumulator.
+    fn encode(&self, comm: &mut Comm, acc: &Self::Acc) -> Result<Vec<u8>>;
+
+    /// Fold a received segment with this rank's own contribution to `rng`.
+    fn fold(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        data: &[f32],
+        rng: &Range<usize>,
+        operand: Option<&Self::Operand>,
+    ) -> Result<Self::Acc>;
+
+    /// Raw f32 bytes of an accumulator whose framed send ran out of retries.
+    fn degrade(&self, comm: &mut Comm, acc: &Self::Acc) -> Vec<u8>;
+
+    /// Settle a finished accumulator: its values land in `dst`, or — when
+    /// the accumulator already is wire bytes (the fused hZCCL hand-over: no
+    /// decompress/recompress at the stage boundary) — the bytes come back.
+    fn handoff(&self, acc: Self::Acc, dst: &mut [f32]) -> Option<Vec<u8>>;
+
+    /// Wire bytes of raw values.
+    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>>;
+
+    /// Decode a received segment into `dst`; its bytes come back for the
+    /// next hop.
+    fn install(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        dst: &mut [f32],
+    ) -> Result<Vec<u8>>;
+
+    /// Raw f32 bytes of a forwarded payload whose framed send ran out of
+    /// retries (the bytes in hand are the last good state).
+    fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8>;
+}
+
+/// The operand type of codecs that fold the input slice directly.
+type Never = std::convert::Infallible;
+
+/// Uncompressed traffic: the "Original Collectives (MPI)" baseline.
+pub(crate) struct RawCodec {
+    threads: usize,
+    /// Charge the f32↔bytes staging copies (`mpi:pack` / `mpi:unpack`).
+    /// Node-local exchange is shared memory, where the byte view of a
+    /// buffer is a reinterpretation and costs nothing.
+    staged: bool,
+    reduce_label: &'static str,
+}
+
+impl RawCodec {
+    /// The flat (and inter-node) MPI ring: NIC staging copies are charged.
+    pub(crate) fn mpi(threads: usize) -> RawCodec {
+        RawCodec { threads, staged: true, reduce_label: "mpi:reduce" }
+    }
+
+    /// The intra-node tier of the hierarchical schedule: the summation is
+    /// the only compute charge.
+    pub(crate) fn shared_memory(threads: usize) -> RawCodec {
+        RawCodec { threads, staged: false, reduce_label: "hier:reduce" }
+    }
+
+    fn unpack(&self, comm: &mut Comm, wire: &[u8]) -> Vec<f32> {
+        if self.staged {
+            comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || bytes_to_f32(wire))
+        } else {
+            bytes_to_f32(wire)
+        }
+    }
+}
+
+impl SegCodec for RawCodec {
+    type Acc = Vec<f32>;
+    type Operand = Never;
+    const WIRE: PayloadKind = PayloadKind::RawF32;
+
+    fn block_len(&self) -> usize {
+        1
+    }
+
+    fn forwards_verbatim(&self) -> bool {
+        false
+    }
+
+    fn operand(&self, _: &mut Comm, _: &[f32], _: &Range<usize>) -> Result<Option<Never>> {
+        Ok(None)
+    }
+
+    fn seed(&self, data: &[f32], rng: &Range<usize>, _: Option<Never>) -> Vec<f32> {
+        data[rng.clone()].to_vec()
+    }
+
+    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>) -> Result<Vec<u8>> {
+        self.pack(comm, acc)
+    }
+
+    fn fold(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        _: PayloadKind,
+        data: &[f32],
+        rng: &Range<usize>,
+        _: Option<&Never>,
+    ) -> Result<Vec<f32>> {
+        let mut acc = self.unpack(comm, &wire);
+        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.reduce_label, || {
+            reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
+        });
+        Ok(acc)
+    }
+
+    fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
+        f32_to_bytes(acc)
+    }
+
+    fn handoff(&self, acc: Vec<f32>, dst: &mut [f32]) -> Option<Vec<u8>> {
+        dst.copy_from_slice(&acc);
+        None
+    }
+
+    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>> {
+        Ok(if self.staged {
+            comm.compute_labeled(OpKind::Other, vals.len() * 4, "mpi:pack", || f32_to_bytes(vals))
+        } else {
+            f32_to_bytes(vals)
+        })
+    }
+
+    fn install(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        _: PayloadKind,
+        dst: &mut [f32],
+    ) -> Result<Vec<u8>> {
+        dst.copy_from_slice(&self.unpack(comm, &wire));
+        Ok(wire)
+    }
+
+    fn degrade_wire(&self, _: &mut Comm, wire: &[u8]) -> Vec<u8> {
+        wire.to_vec()
+    }
+}
+
+/// Decompression-operation-compression over ompSZp streams (C-Coll).
+pub(crate) struct DocCodec {
+    ocfg: ompszp::Config,
+    threads: usize,
+    /// `[compress, decompress, reduce]` step labels.
+    labels: [&'static str; 3],
+    verbatim: bool,
+}
+
+impl DocCodec {
+    pub(crate) fn ccoll(cfg: &CollectiveConfig) -> DocCodec {
+        DocCodec {
+            ocfg: ompszp::Config::new(ompszp::ErrorBound::Abs(cfg.eb))
+                .with_block_len(cfg.block_len)
+                .with_threads(cfg.mode.threads()),
+            threads: cfg.mode.threads(),
+            labels: ["ccoll:compress", "ccoll:decompress", "ccoll:reduce"],
+            verbatim: true,
+        }
+    }
+
+    /// CPR-P2P [25]: the same kernels, but a forwarded chunk is decompressed
+    /// and recompressed by every hop. Kept for the paper's comparison chain
+    /// (CPR-P2P → C-Coll → hZCCL), which only the tests walk.
+    #[cfg(test)]
+    pub(crate) fn p2p(cfg: &CollectiveConfig) -> DocCodec {
+        DocCodec {
+            labels: ["p2p:compress", "p2p:decompress", "p2p:reduce"],
+            verbatim: false,
+            ..DocCodec::ccoll(cfg)
+        }
+    }
+}
+
+impl SegCodec for DocCodec {
+    type Acc = Vec<f32>;
+    type Operand = Never;
+    const WIRE: PayloadKind = PayloadKind::Opaque;
+
+    fn block_len(&self) -> usize {
+        self.ocfg.block_len
+    }
+
+    fn forwards_verbatim(&self) -> bool {
+        self.verbatim
+    }
+
+    fn operand(&self, _: &mut Comm, _: &[f32], _: &Range<usize>) -> Result<Option<Never>> {
+        Ok(None)
+    }
+
+    fn seed(&self, data: &[f32], rng: &Range<usize>, _: Option<Never>) -> Vec<f32> {
+        data[rng.clone()].to_vec()
+    }
+
+    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>) -> Result<Vec<u8>> {
+        self.pack(comm, acc)
+    }
+
+    fn fold(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        data: &[f32],
+        rng: &Range<usize>,
+        _: Option<&Never>,
+    ) -> Result<Vec<f32>> {
+        let mut acc = match kind {
+            PayloadKind::Opaque => {
+                let stream = OszpStream::from_bytes(wire)?;
+                // fully decompress before any arithmetic: the DOC bottleneck
+                comm.compute_labeled(OpKind::Dpr, stream.n() * 4, self.labels[1], || {
+                    ompszp::decompress(&stream)
+                })?
+            }
+            // a degraded hop delivered raw f32s — no DPR needed
+            PayloadKind::RawF32 => bytes_to_f32(&wire),
+        };
+        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.labels[2], || {
+            reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
+        });
+        Ok(acc)
+    }
+
+    fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
+        // the raw accumulator is the last good state
+        f32_to_bytes(acc)
+    }
+
+    fn handoff(&self, acc: Vec<f32>, dst: &mut [f32]) -> Option<Vec<u8>> {
+        dst.copy_from_slice(&acc);
+        None
+    }
+
+    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>> {
+        let stream = comm.compute_labeled(OpKind::Cpr, vals.len() * 4, self.labels[0], || {
+            ompszp::compress(vals, &self.ocfg)
+        })?;
+        Ok(stream.as_bytes().to_vec())
+    }
+
+    fn install(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        dst: &mut [f32],
+    ) -> Result<Vec<u8>> {
+        match kind {
+            PayloadKind::Opaque => {
+                let stream = OszpStream::from_bytes(wire)?;
+                comm.compute_labeled(OpKind::Dpr, dst.len() * 4, self.labels[1], || {
+                    ompszp::decompress_into(&stream, dst)
+                })?;
+                Ok(stream.into_bytes())
+            }
+            PayloadKind::RawF32 => {
+                dst.copy_from_slice(&bytes_to_f32(&wire));
+                Ok(wire)
+            }
+        }
+    }
+
+    fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8> {
+        let stream = OszpStream::from_bytes(wire.to_vec()).expect("forwarded stream must parse");
+        let vals = comm
+            .compute_labeled(OpKind::Dpr, stream.n() * 4, "res:degrade-decompress", || {
+                ompszp::decompress(&stream)
+            })
+            .expect("forwarded stream must decompress");
+        f32_to_bytes(&vals)
+    }
+}
+
+/// Homomorphic reduction over fZ-light streams (hZCCL, Sec. III-C).
+pub(crate) struct HzCodec {
+    eb: f64,
+    block_len: usize,
+    threads: usize,
+    pack_label: &'static str,
+    install_label: &'static str,
+}
+
+impl HzCodec {
+    /// `pack_label` / `install_label` name the verb-specific CPR and DPR
+    /// steps (`hz:bcast-compress`, `hz:root-decompress`, …).
+    pub(crate) fn new(
+        cfg: &CollectiveConfig,
+        pack_label: &'static str,
+        install_label: &'static str,
+    ) -> HzCodec {
+        HzCodec {
+            eb: cfg.eb,
+            block_len: cfg.block_len,
+            threads: cfg.mode.threads(),
+            pack_label,
+            install_label,
+        }
+    }
+
+    /// The codec of the reducing verbs outside Reduce-to-root.
+    pub(crate) fn reducing(cfg: &CollectiveConfig) -> HzCodec {
+        HzCodec::new(cfg, "hz:compress-segment", "hz:final-decompress")
+    }
+
+    fn compress(
+        &self,
+        comm: &mut Comm,
+        vals: &[f32],
+        label: &'static str,
+    ) -> Result<CompressedStream> {
+        comm.compute_labeled(OpKind::Cpr, vals.len() * 4, label, || {
+            compress_resolved(vals, self.eb, self.block_len, self.threads)
+        })
+    }
+}
+
+impl SegCodec for HzCodec {
+    type Acc = CompressedStream;
+    type Operand = CompressedStream;
+    const WIRE: PayloadKind = PayloadKind::Opaque;
+
+    fn block_len(&self) -> usize {
+        self.block_len
+    }
+
+    fn forwards_verbatim(&self) -> bool {
+        true
+    }
+
+    fn operand(
+        &self,
+        comm: &mut Comm,
+        data: &[f32],
+        rng: &Range<usize>,
+    ) -> Result<Option<CompressedStream>> {
+        self.compress(comm, &data[rng.clone()], "hz:compress-segment").map(Some)
+    }
+
+    fn prime(
+        &self,
+        comm: &mut Comm,
+        data: &[f32],
+        chunks: impl Iterator<Item = Range<usize>>,
+    ) -> Result<Vec<Option<CompressedStream>>> {
+        // N·CPR, charged as one sweep over the full vector
+        comm.compute_labeled(OpKind::Cpr, data.len() * 4, "hz:compress-all", || {
+            chunks
+                .map(|c| {
+                    compress_resolved(&data[c], self.eb, self.block_len, self.threads).map(Some)
+                })
+                .collect()
+        })
+    }
+
+    fn seed(
+        &self,
+        _: &[f32],
+        _: &Range<usize>,
+        operand: Option<CompressedStream>,
+    ) -> CompressedStream {
+        operand.expect("hZCCL reduces compressed operands")
+    }
+
+    fn encode(&self, _: &mut Comm, acc: &CompressedStream) -> Result<Vec<u8>> {
+        Ok(acc.as_bytes().to_vec())
+    }
+
+    fn fold(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        _: &[f32],
+        rng: &Range<usize>,
+        operand: Option<&CompressedStream>,
+    ) -> Result<CompressedStream> {
+        let received = match kind {
+            PayloadKind::Opaque => CompressedStream::from_bytes(wire)?,
+            // a degraded hop delivered raw f32s: recompress (at most one
+            // extra quantization of error) so the homomorphic sum proceeds
+            PayloadKind::RawF32 => self.compress(comm, &bytes_to_f32(&wire), "res:recompress")?,
+        };
+        let operand = operand.expect("hZCCL reduces compressed operands");
+        // reduce two compressed segments directly, no decompression
+        comm.compute_labeled(OpKind::Hpr, rng.len() * 4, "hz:homomorphic-sum", || {
+            homomorphic_sum(&received, operand)
+        })
+    }
+
+    fn degrade(&self, comm: &mut Comm, acc: &CompressedStream) -> Vec<u8> {
+        let vals = comm
+            .compute_labeled(OpKind::Dpr, acc.n() * 4, "res:degrade-decompress", || {
+                fzlight::decompress(acc)
+            })
+            .expect("own partial-sum stream must decompress");
+        f32_to_bytes(&vals)
+    }
+
+    fn handoff(&self, acc: CompressedStream, _: &mut [f32]) -> Option<Vec<u8>> {
+        Some(acc.into_bytes())
+    }
+
+    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>> {
+        Ok(self.compress(comm, vals, self.pack_label)?.into_bytes())
+    }
+
+    fn install(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        dst: &mut [f32],
+    ) -> Result<Vec<u8>> {
+        match kind {
+            PayloadKind::Opaque => {
+                let stream = CompressedStream::from_bytes(wire)?;
+                comm.compute_labeled(OpKind::Dpr, dst.len() * 4, self.install_label, || {
+                    fzlight::decompress_into(&stream, dst)
+                })?;
+                Ok(stream.into_bytes())
+            }
+            // the segment arrived degraded — already raw, copy it in
+            PayloadKind::RawF32 => {
+                dst.copy_from_slice(&bytes_to_f32(&wire));
+                Ok(wire)
+            }
+        }
+    }
+
+    fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8> {
+        let stream =
+            CompressedStream::from_bytes(wire.to_vec()).expect("forwarded stream must parse");
+        self.degrade(comm, &stream)
+    }
+}

@@ -1,12 +1,6 @@
-//! The unified collectives front-end: one options builder, four verbs,
-//! every flavour.
-//!
-//! Historically each flavour module ([`crate::mpi`], [`crate::ccoll`],
-//! [`crate::hz`], [`crate::auto`]) exposed its own free functions with
-//! subtly different shapes — `mpi::reduce` returned `Option<Vec<f32>>`
-//! where `ccoll::reduce` returned `Result<Option<Vec<f32>>>`, `bcast`
-//! wanted an explicit `total_len`, and undersized inputs panicked inside
-//! `node_chunks`. This module is the single supported entry point:
+//! The unified collectives front-end: one options builder, five verbs,
+//! every flavour — all of them instantiations of the one ring schedule in
+//! `crate::ring`.
 //!
 //! | verb | signature | non-root behaviour |
 //! |---|---|---|
@@ -14,19 +8,20 @@
 //! | [`reduce_scatter`] | same | n/a (returns the own chunk) |
 //! | [`reduce`] | same (`opts.root`) | returns `Ok(vec![])` |
 //! | [`bcast`] | same (`opts.root`) | returns the full vector |
+//! | [`allgather`] | `(&mut Comm, own chunk, total_len, &CollectiveOpts)` | n/a |
 //!
 //! Conventions:
 //!
 //! * **Every rank passes a full-length buffer to [`bcast`]** (MPI
-//!   semantics); non-root contents are ignored. The old `total_len`
-//!   parameter is gone — the buffer length *is* the total length.
+//!   semantics); non-root contents are ignored — the buffer length *is*
+//!   the total length.
 //! * **Input-dependent panics became typed errors**: fewer elements than
 //!   ranks is [`Error::TooFewElements`], an out-of-range root is
 //!   [`Error::InvalidRoot`].
 //! * **Pipelining is an option, not an API fork**:
-//!   [`CollectiveOpts::with_segments`] selects the segmented pipelined ring
-//!   schedule (see [`crate::pipeline`]); `1` (the default) is the
-//!   phase-serial ring. Results are bit-identical either way. Under
+//!   [`CollectiveOpts::with_segments`] selects the segmented pipelined
+//!   schedule of the same ring (see [`crate::pipeline`]); `1` (the default)
+//!   is the paper's phase-serial ring. Results are bit-identical either way. Under
 //!   [`Variant::Auto`] the tuner-agreed plan's segment count overrides this
 //!   knob.
 //!
@@ -47,8 +42,8 @@
 use crate::auto;
 use crate::config::{CollectiveConfig, Mode, Variant};
 use crate::resilient::Resilience;
-use crate::survivable::{self, SvFlavor};
-use crate::{ccoll, hierarchy, hz, mpi};
+use crate::ring::{self, Verb};
+use crate::survivable;
 use netsim::{Comm, OpKind, Topology};
 use std::fmt;
 use tuner::Engine;
@@ -280,11 +275,11 @@ impl CollectiveOpts {
         self
     }
 
-    /// Route the serial schedules through the resilient transport
+    /// Route every hop through the resilient transport
     /// ([`crate::resilient`]): checksummed frames, NACK/retransmit, and
-    /// graceful degradation to raw f32 after `max_retries`. Forces the
-    /// phase-serial schedule (the segmented pipelined ring is not made
-    /// resilient). Composes with every flavour, [`Variant::Auto`]
+    /// graceful degradation to raw f32 after `max_retries`. Forces one
+    /// segment per step (a framed hop is one joint exchange and cannot
+    /// interleave segments). Composes with every flavour, [`Variant::Auto`]
     /// included — the tuner picks the plan and the chosen flavour runs it
     /// over the resilient transport.
     pub fn with_resilience(mut self, res: Resilience) -> CollectiveOpts {
@@ -387,16 +382,6 @@ impl CollectiveOpts {
         }
     }
 
-    /// The effective segment count: the resilient transport only covers the
-    /// phase-serial schedules, so resilience forces `segments == 1`.
-    fn eff_segments(&self) -> usize {
-        if self.resilience.is_some() {
-            1
-        } else {
-            self.segments
-        }
-    }
-
     fn engine_ref(&self) -> &Engine {
         self.engine.as_ref().expect("Variant::Auto options always carry an engine")
     }
@@ -431,133 +416,103 @@ fn check_fail_fast(opts: &CollectiveOpts) -> Result<()> {
     Ok(())
 }
 
+/// The argument checks every plain verb shares; yields the topology to run
+/// a hierarchical schedule over, if any.
+fn check(
+    comm: &Comm,
+    elems: usize,
+    opts: &CollectiveOpts,
+    root: Option<usize>,
+) -> Result<Option<Topology>> {
+    check_elems(comm, elems)?;
+    check_fail_fast(opts)?;
+    if let Some(root) = root {
+        check_root(comm, root)?;
+    }
+    opts.hier_topology(comm)
+}
+
+/// Run `verb` as the options say: [`Variant::Auto`] asks the tuner, a
+/// static flavour runs its ring.
+fn dispatch(
+    comm: &mut Comm,
+    verb: Verb,
+    data: &[f32],
+    opts: &CollectiveOpts,
+    topo: Option<&Topology>,
+) -> Result<Vec<f32>> {
+    let cfg = opts.cfg();
+    Ok(match opts.variant {
+        Variant::Auto => auto::run(comm, verb, data, &cfg, opts.engine_ref(), topo)?.value,
+        v => ring::run(comm, verb, v.flavor(), data, &cfg, opts.segments, topo)?,
+    })
+}
+
 /// `Allreduce(sum)`: every rank contributes `data`, every rank receives the
 /// (error-bounded, for compressed flavours) element-wise sum.
+///
+/// On a genuinely two-level [`CollectiveOpts::with_topology`] fabric the
+/// static flavours take the hierarchical schedule; Auto lets the tuner
+/// weigh it against the flat plans from the two-tier cost model.
 pub fn allreduce(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check_elems(comm, data.len())?;
-    check_fail_fast(opts)?;
-    let cfg = opts.cfg();
-    let topo = opts.hier_topology(comm)?;
-    if let Some(topo) = topo {
-        // Static flavours always take the hierarchical schedule on a
-        // two-level fabric; Auto lets the tuner weigh it against the flat
-        // plans from the two-tier cost model (below).
-        let flavor = match opts.variant {
-            Variant::Mpi => Some(tuner::Flavor::Mpi),
-            Variant::CColl => Some(tuner::Flavor::CColl),
-            Variant::Hzccl => Some(tuner::Flavor::Hzccl),
-            Variant::Auto => None,
-        };
-        if let Some(flavor) = flavor {
-            return Ok(hierarchy::allreduce_hier(comm, data, flavor, &topo, &cfg)?);
-        }
-    }
-    Ok(match opts.variant {
-        Variant::Mpi => mpi::allreduce_impl(
-            comm,
-            data,
-            cfg.mode.threads(),
-            opts.eff_segments(),
-            cfg.res.as_ref(),
-        ),
-        Variant::CColl => ccoll::allreduce_impl(comm, data, &cfg, opts.eff_segments())?,
-        Variant::Hzccl => hz::allreduce_impl(comm, data, &cfg, opts.eff_segments())?,
-        Variant::Auto => auto::allreduce(comm, data, &cfg, opts.engine_ref(), topo.as_ref())?.value,
-    })
+    let topo = check(comm, data.len(), opts, None)?;
+    dispatch(comm, Verb::Allreduce, data, opts, topo.as_ref())
 }
 
 /// `Reduce_scatter(sum)`: every rank receives its own reduced node chunk
 /// (chunk layout [`crate::chunks::node_chunks`]).
 pub fn reduce_scatter(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check_elems(comm, data.len())?;
-    check_fail_fast(opts)?;
-    opts.hier_topology(comm)?; // only Allreduce has a hierarchical schedule
-    let cfg = opts.cfg();
-    Ok(match opts.variant {
-        Variant::Mpi => mpi::reduce_scatter_impl(
-            comm,
-            data,
-            cfg.mode.threads(),
-            opts.eff_segments(),
-            cfg.res.as_ref(),
-        ),
-        Variant::CColl => ccoll::reduce_scatter_impl(comm, data, &cfg, opts.eff_segments())?,
-        Variant::Hzccl => hz::reduce_scatter_impl(comm, data, &cfg, opts.eff_segments())?,
-        Variant::Auto => auto::reduce_scatter(comm, data, &cfg, opts.engine_ref())?.value,
-    })
+    check(comm, data.len(), opts, None)?; // only Allreduce has a hierarchical schedule
+    dispatch(comm, Verb::ReduceScatter, data, opts, None)
 }
 
 /// `Reduce(sum)` to `opts.root`: the root receives the full sum, every
-/// other rank receives `Ok(vec![])` (no more `Option` vs `Result<Option>`
-/// split between flavours).
+/// other rank receives `Ok(vec![])`.
 pub fn reduce(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check_elems(comm, data.len())?;
-    check_fail_fast(opts)?;
-    check_root(comm, opts.root)?;
-    opts.hier_topology(comm)?; // only Allreduce has a hierarchical schedule
-    let cfg = opts.cfg();
-    let got = match opts.variant {
-        Variant::Mpi => mpi::reduce_impl(
-            comm,
-            data,
-            opts.root,
-            cfg.mode.threads(),
-            opts.eff_segments(),
-            cfg.res.as_ref(),
-        ),
-        Variant::CColl => ccoll::reduce_impl(comm, data, opts.root, &cfg, opts.eff_segments())?,
-        Variant::Hzccl => hz::reduce_impl(comm, data, opts.root, &cfg, opts.eff_segments())?,
-        Variant::Auto => auto::reduce(comm, data, opts.root, &cfg, opts.engine_ref())?.value,
-    };
-    Ok(got.unwrap_or_default())
+    check(comm, data.len(), opts, Some(opts.root))?;
+    dispatch(comm, Verb::Reduce { root: opts.root }, data, opts, None)
 }
 
 /// Long-message `Bcast` from `opts.root`: **every rank passes a full-length
 /// buffer** (MPI semantics — the length is the broadcast size; non-root
 /// contents are ignored) and receives the root's vector back.
 pub fn bcast(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check_elems(comm, data.len())?;
-    check_fail_fast(opts)?;
-    check_root(comm, opts.root)?;
-    opts.hier_topology(comm)?; // only Allreduce has a hierarchical schedule
-    let total_len = data.len();
+    check(comm, data.len(), opts, Some(opts.root))?;
     let payload: &[f32] = if comm.rank() == opts.root { data } else { &[] };
-    let cfg = opts.cfg();
-    Ok(match opts.variant {
-        Variant::Mpi => mpi::bcast_impl(
-            comm,
-            payload,
-            opts.root,
-            total_len,
-            opts.eff_segments(),
-            cfg.res.as_ref(),
-        ),
-        Variant::CColl => {
-            ccoll::bcast_impl(comm, payload, opts.root, total_len, &cfg, opts.eff_segments())?
-        }
-        Variant::Hzccl => {
-            hz::bcast_impl(comm, payload, opts.root, total_len, &cfg, opts.eff_segments())?
-        }
-        Variant::Auto => {
-            auto::bcast(comm, payload, opts.root, total_len, &cfg, opts.engine_ref())?.value
-        }
-    })
+    dispatch(comm, Verb::Bcast { root: opts.root, total_len: data.len() }, payload, opts, None)
 }
 
-/// Map the options' flavour onto the survivable ring's wire formats.
-/// [`Variant::Auto`] is refused: the tuner plans against a fixed
-/// membership, and a plan agreed at launch is meaningless after a repair.
-fn sv_flavor(opts: &CollectiveOpts) -> Result<SvFlavor> {
-    match opts.variant {
-        Variant::Mpi => Ok(SvFlavor::Mpi),
-        Variant::CColl => Ok(SvFlavor::Ccoll),
-        Variant::Hzccl => Ok(SvFlavor::Hz),
-        Variant::Auto => Err(Error::RecoveryUnsupported {
+/// Ring `Allgather`: rank `r` contributes `own` — node chunk `r`
+/// ([`crate::chunks::node_chunks`]) of a `total_len`-element vector — and
+/// every rank receives the concatenation. Compressed flavours compress the
+/// own chunk once and forward it compressed, so every *other* rank sees it
+/// within the error bound. The tuner does not plan this verb:
+/// [`Variant::Auto`] runs its hZCCL prior.
+///
+/// Panics if `own` is not exactly this rank's chunk.
+pub fn allgather(
+    comm: &mut Comm,
+    own: &[f32],
+    total_len: usize,
+    opts: &CollectiveOpts,
+) -> Result<Vec<f32>> {
+    check(comm, total_len, opts, None)?;
+    let (verb, flavor) = (Verb::Allgather { total_len }, opts.variant.flavor());
+    Ok(ring::run(comm, verb, flavor, own, &opts.cfg(), opts.segments, None)?)
+}
+
+/// The survivable ring's flavour. [`Variant::Auto`] is refused: the tuner
+/// plans against a fixed membership, and a plan agreed at launch is
+/// meaningless after a repair.
+fn sv_flavor(opts: &CollectiveOpts) -> Result<tuner::Flavor> {
+    if opts.variant == Variant::Auto {
+        return Err(Error::RecoveryUnsupported {
             variant: Variant::Auto,
             reason: "the tuner cannot plan across unknown future memberships; \
                      pick a static flavour for the shrinking policies",
-        }),
+        });
     }
+    Ok(opts.variant.flavor())
 }
 
 fn run_recoverable(

@@ -81,8 +81,10 @@ pub fn shrink_allreduce(survivors: usize, eb: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{CollectiveConfig, Mode};
+    use crate::ring::{self, Verb};
     use datasets::App;
     use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
+    use tuner::Flavor;
 
     #[test]
     fn bound_ordering_matches_workflow_quality() {
@@ -125,10 +127,11 @@ mod tests {
                 .run(|comm| {
                     let data = &fields[comm.rank()];
                     match which {
-                        0 => crate::hz::allreduce_impl(comm, data, &cfg, 1).expect("hz"),
-                        1 => crate::ccoll::allreduce_impl(comm, data, &cfg, 1).expect("ccoll"),
-                        _ => crate::p2p::allreduce(comm, data, &cfg).expect("p2p"),
+                        0 => ring::run(comm, Verb::Allreduce, Flavor::Hzccl, data, &cfg, 1, None),
+                        1 => ring::run(comm, Verb::Allreduce, Flavor::CColl, data, &cfg, 1, None),
+                        _ => ring::allreduce_p2p(comm, data, &cfg),
                     }
+                    .expect("allreduce")
                 })
                 .expect_clean()
                 .outcomes;

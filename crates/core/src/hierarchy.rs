@@ -12,7 +12,7 @@
 //!    reduced across the node. Node-local transport is shared-memory: the
 //!    f32↔bytes views are pointer reinterpretations, so (unlike the
 //!    inter-node MPI phase, which models NIC staging copies like the flat
-//!    [`crate::mpi`] ring) they carry no modeled compute cost — the only
+//!    raw ring) they carry no modeled compute cost — the only
 //!    node-local charges are the 120 Gb/s wire serialization and the raw
 //!    summation itself.
 //! 2. **Inter-node ring Allreduce** (tag base `h-ring`): the `nodes` ranks
@@ -42,15 +42,10 @@
 //! quantization per compressed hop), but not bit-identical to the flat
 //! schedule: the reduction tree associates sums differently.
 
-use crate::ccoll::oszp_config;
-use crate::chunks::{bytes_to_f32, f32_to_bytes, node_chunks};
-use crate::config::CollectiveConfig;
-use crate::pipeline::seg_tag;
-use fzlight::{compress_resolved, CompressedStream, Result};
-use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
-use netsim::{Comm, OpKind, Topology};
-use ompszp::OszpStream;
-use tuner::Flavor;
+use crate::codec::{RawCodec, SegCodec};
+use crate::ring::{self, Layout, Ring};
+use fzlight::Result;
+use netsim::{Comm, Topology};
 
 /// Tag base of the intra-node Reduce_scatter phase.
 pub(crate) const TAG_HRS: u64 = 8 << 32;
@@ -61,310 +56,59 @@ pub(crate) const TAG_HRING: u64 = 9 << 32;
 pub(crate) const TAG_HAG: u64 = 10 << 32;
 
 /// Hierarchical `Allreduce(sum)`: intra-node reduce-scatter, inter-node
-/// ring allreduce (compressed per `flavor`), intra-node allgather.
-/// `topo.nranks()` must equal the communicator size (the callers in
-/// [`crate::collectives`] and [`crate::auto`] enforce it).
-pub(crate) fn allreduce_hier(
+/// ring allreduce (in `codec`'s workflow), intra-node allgather — the ring
+/// schedule of [`crate::ring`] over two different rings. `topo.nranks()`
+/// must equal the communicator size (the callers in [`crate::collectives`]
+/// and [`crate::auto`] enforce it, and with it `E/ppn >= nodes`). The
+/// two-tier schedule is not framed: its hops ignore a resilience policy.
+pub(crate) fn allreduce<C: SegCodec>(
     comm: &mut Comm,
     data: &[f32],
-    flavor: Flavor,
     topo: &Topology,
-    cfg: &CollectiveConfig,
+    threads: usize,
+    codec: &C,
 ) -> Result<Vec<f32>> {
     debug_assert_eq!(topo.nranks(), comm.size(), "topology and communicator disagree");
-    let threads = cfg.mode.threads();
-    let own = intra_reduce_scatter(comm, data, topo, threads);
-    let reduced = match flavor {
-        Flavor::Mpi => inter_allreduce_raw(comm, &own, topo, threads),
-        Flavor::CColl => inter_allreduce_doc(comm, &own, topo, cfg)?,
-        Flavor::Hzccl => inter_allreduce_hz(comm, &own, topo, cfg)?,
-    };
-    Ok(intra_allgather(comm, &reduced, data.len(), topo))
-}
+    let (nodes, ppn) = (topo.nodes, topo.ppn);
+    let (node, li) = (topo.node_of(comm.rank()), topo.local_index(comm.rank()));
+    // the node's ppn ranks, at local index li +- 1 ...
+    let base = node * ppn;
+    let (right, left) = (base + (li + 1) % ppn, base + (li + ppn - 1) % ppn);
+    let mut node_ring = Ring::new(ppn, li, right, left, TAG_HRS, TAG_HAG, 0);
+    // ... and the ranks sharing this local index, on node +- 1; one tag
+    // base, allgather steps at ids nodes-1..2(nodes-1)
+    let (right, left) = (((node + 1) % nodes) * ppn + li, ((node + nodes - 1) % nodes) * ppn + li);
+    let mut leader_ring = Ring::new(nodes, node, right, left, TAG_HRING, TAG_HRING, nodes - 1);
 
-/// Ring neighbours inside the rank's node: `(right, left)` global ranks at
-/// local index `li ± 1` (mod `ppn`).
-fn intra_neighbours(topo: &Topology, rank: usize) -> (usize, usize) {
-    let ppn = topo.ppn;
-    let base = topo.node_of(rank) * ppn;
-    let li = topo.local_index(rank);
-    (base + (li + 1) % ppn, base + (li + ppn - 1) % ppn)
-}
-
-/// Ring neighbours across nodes at the rank's local index: `(right, left)`
-/// global ranks on node `node ± 1` (mod `nodes`).
-fn inter_neighbours(topo: &Topology, rank: usize) -> (usize, usize) {
-    let nodes = topo.nodes;
-    let node = topo.node_of(rank);
-    let li = topo.local_index(rank);
-    (((node + 1) % nodes) * topo.ppn + li, ((node + nodes - 1) % nodes) * topo.ppn + li)
-}
-
-/// Phase 1: raw ring Reduce_scatter over the node's `ppn` ranks. Returns
-/// node chunk `local_index(rank)` of `data`, summed across the node.
-///
-/// The f32↔bytes conversions are *not* charged as modeled compute:
-/// node-local exchange is shared-memory, where the byte view of an f32
-/// buffer is a reinterpretation, not a staging copy. The summation is the
-/// phase's only compute charge.
-fn intra_reduce_scatter(
-    comm: &mut Comm,
-    data: &[f32],
-    topo: &Topology,
-    threads: usize,
-) -> Vec<f32> {
-    let ppn = topo.ppn;
-    let li = topo.local_index(comm.rank());
-    let chunks = node_chunks(data.len(), ppn);
-    if ppn == 1 {
-        return data.to_vec();
-    }
-    let (right, left) = intra_neighbours(topo, comm.rank());
-    let mut acc: Vec<f32> = data[chunks[(li + ppn - 1) % ppn].clone()].to_vec();
-    for s in 0..ppn - 1 {
-        let payload = f32_to_bytes(&acc);
-        let got = comm.sendrecv(right, seg_tag(TAG_HRS, s, 0), payload, left);
-        let mut tmp = bytes_to_f32(&got);
-        let local_idx = (li + 2 * ppn - s - 2) % ppn;
-        let local = &data[chunks[local_idx].clone()];
-        comm.compute_labeled(OpKind::Cpt, tmp.len() * 4, "hier:reduce", || {
-            reduce_in_place(&mut tmp, local, ReduceOp::Sum, threads)
-        });
-        acc = tmp;
-    }
-    acc
-}
-
-/// Phase 3: raw ring Allgather over the node's `ppn` ranks. `own` is node
-/// chunk `local_index(rank)`; returns the full `total_len` vector. Like
-/// [`intra_reduce_scatter`], the byte views are shared-memory
-/// reinterpretations with no modeled compute cost.
-fn intra_allgather(comm: &mut Comm, own: &[f32], total_len: usize, topo: &Topology) -> Vec<f32> {
-    let ppn = topo.ppn;
-    let li = topo.local_index(comm.rank());
-    let chunks = node_chunks(total_len, ppn);
-    assert_eq!(own.len(), chunks[li].len(), "own chunk has the wrong length");
-    let mut out = vec![0f32; total_len];
-    out[chunks[li].clone()].copy_from_slice(own);
-    if ppn == 1 {
-        return out;
-    }
-    let (right, left) = intra_neighbours(topo, comm.rank());
-    for s in 0..ppn - 1 {
-        let send_idx = (li + ppn - s) % ppn;
-        let recv_idx = (li + 2 * ppn - s - 1) % ppn;
-        let payload = f32_to_bytes(&out[chunks[send_idx].clone()]);
-        let got = comm.sendrecv(right, seg_tag(TAG_HAG, s, 0), payload, left);
-        let vals = bytes_to_f32(&got);
-        out[chunks[recv_idx].clone()].copy_from_slice(&vals);
-    }
-    out
-}
-
-/// Phase 2, MPI flavour: raw ring Allreduce of `slice` across the `nodes`
-/// ranks sharing this rank's local index. Reduce-scatter steps use ring
-/// step ids `0..nodes-1`, allgather steps `nodes-1..2(nodes-1)` — one tag
-/// base, disjoint sub-spaces.
-fn inter_allreduce_raw(
-    comm: &mut Comm,
-    slice: &[f32],
-    topo: &Topology,
-    threads: usize,
-) -> Vec<f32> {
-    let nodes = topo.nodes;
-    if nodes == 1 {
-        return slice.to_vec();
-    }
-    let g = topo.node_of(comm.rank());
-    let (right, left) = inter_neighbours(topo, comm.rank());
-    let chunks = node_chunks(slice.len(), nodes);
-    let mut acc: Vec<f32> = slice[chunks[(g + nodes - 1) % nodes].clone()].to_vec();
-    for s in 0..nodes - 1 {
-        let payload =
-            comm.compute_labeled(OpKind::Other, acc.len() * 4, "mpi:pack", || f32_to_bytes(&acc));
-        let got = comm.sendrecv(right, seg_tag(TAG_HRING, s, 0), payload, left);
-        let mut tmp =
-            comm.compute_labeled(OpKind::Other, got.len(), "mpi:unpack", || bytes_to_f32(&got));
-        let local_idx = (g + 2 * nodes - s - 2) % nodes;
-        let local = &slice[chunks[local_idx].clone()];
-        comm.compute_labeled(OpKind::Cpt, tmp.len() * 4, "mpi:reduce", || {
-            reduce_in_place(&mut tmp, local, ReduceOp::Sum, threads)
-        });
-        acc = tmp;
-    }
-    let mut out = vec![0f32; slice.len()];
-    out[chunks[g].clone()].copy_from_slice(&acc);
-    for s in 0..nodes - 1 {
-        let send_idx = (g + nodes - s) % nodes;
-        let recv_idx = (g + 2 * nodes - s - 1) % nodes;
-        let payload =
-            comm.compute_labeled(OpKind::Other, chunks[send_idx].len() * 4, "mpi:pack", || {
-                f32_to_bytes(&out[chunks[send_idx].clone()])
-            });
-        let got = comm.sendrecv(right, seg_tag(TAG_HRING, nodes - 1 + s, 0), payload, left);
-        let vals =
-            comm.compute_labeled(OpKind::Other, got.len(), "mpi:unpack", || bytes_to_f32(&got));
-        out[chunks[recv_idx].clone()].copy_from_slice(&vals);
-    }
-    out
-}
-
-/// Phase 2, hZCCL flavour: the homomorphic ring Allreduce of `slice`
-/// across nodes — compress the slice's node-chunks once, homomorphic-sum
-/// compressed blocks every reduce-scatter step, forward streams verbatim
-/// through the allgather steps, decompress once at the end (the flat
-/// fused workflow of [`crate::hz`], confined to the slow tier).
-fn inter_allreduce_hz(
-    comm: &mut Comm,
-    slice: &[f32],
-    topo: &Topology,
-    cfg: &CollectiveConfig,
-) -> Result<Vec<f32>> {
-    let nodes = topo.nodes;
-    if nodes == 1 {
-        return Ok(slice.to_vec());
-    }
-    let threads = cfg.mode.threads();
-    let g = topo.node_of(comm.rank());
-    let (right, left) = inter_neighbours(topo, comm.rank());
-    let chunks = node_chunks(slice.len(), nodes);
-
-    let comp: Vec<CompressedStream> =
-        comm.compute_labeled(OpKind::Cpr, slice.len() * 4, "hz:compress-all", || {
-            chunks
-                .iter()
-                .map(|c| compress_resolved(&slice[c.clone()], cfg.eb, cfg.block_len, threads))
-                .collect::<Result<Vec<_>>>()
-        })?;
-
-    let mut send = comp[(g + nodes - 1) % nodes].clone();
-    for s in 0..nodes - 1 {
-        let send_idx = (g + 2 * nodes - s - 1) % nodes;
-        let got = comm.sendrecv_compressed(
-            right,
-            seg_tag(TAG_HRING, s, 0),
-            send.as_bytes().to_vec(),
-            chunks[send_idx].len() * 4,
-            left,
-        );
-        let received = CompressedStream::from_bytes(got)?;
-        let idx = (g + 2 * nodes - s - 2) % nodes;
-        send =
-            comm.compute_labeled(OpKind::Hpr, chunks[idx].len() * 4, "hz:homomorphic-sum", || {
-                homomorphic_sum(&received, &comp[idx])
-            })?;
-    }
-
-    // Allgather steps: forward the reduced streams verbatim, no
-    // recompression (the fused-workflow property, kept on the slow tier).
-    let mut slots: Vec<Option<Vec<u8>>> = vec![None; nodes];
-    slots[g] = Some(send.into_bytes());
-    for s in 0..nodes - 1 {
-        let send_idx = (g + nodes - s) % nodes;
-        let recv_idx = (g + 2 * nodes - s - 1) % nodes;
-        let payload = slots[send_idx].clone().expect("chunk to forward not yet received");
-        let got = comm.sendrecv_compressed(
-            right,
-            seg_tag(TAG_HRING, nodes - 1 + s, 0),
-            payload,
-            chunks[send_idx].len() * 4,
-            left,
-        );
-        slots[recv_idx] = Some(got);
-    }
-    let mut out = vec![0f32; slice.len()];
-    for (idx, bytes) in slots.into_iter().enumerate() {
-        let stream = CompressedStream::from_bytes(bytes.expect("ring left a hole"))?;
-        let dst = &mut out[chunks[idx].clone()];
-        comm.compute_labeled(OpKind::Dpr, dst.len() * 4, "hz:final-decompress", || {
-            fzlight::decompress_into(&stream, dst)
-        })?;
-    }
-    Ok(out)
-}
-
-/// Phase 2, C-Coll flavour: DOC ring Allreduce of `slice` across nodes —
-/// compress/decompress/reduce every reduce-scatter step, compress once and
-/// decompress per hop through the allgather steps.
-fn inter_allreduce_doc(
-    comm: &mut Comm,
-    slice: &[f32],
-    topo: &Topology,
-    cfg: &CollectiveConfig,
-) -> Result<Vec<f32>> {
-    let nodes = topo.nodes;
-    if nodes == 1 {
-        return Ok(slice.to_vec());
-    }
-    let threads = cfg.mode.threads();
-    let ocfg = oszp_config(cfg);
-    let g = topo.node_of(comm.rank());
-    let (right, left) = inter_neighbours(topo, comm.rank());
-    let chunks = node_chunks(slice.len(), nodes);
-
-    let mut acc: Vec<f32> = slice[chunks[(g + nodes - 1) % nodes].clone()].to_vec();
-    for s in 0..nodes - 1 {
-        let stream = comm.compute_labeled(OpKind::Cpr, acc.len() * 4, "ccoll:compress", || {
-            ompszp::compress(&acc, &ocfg)
-        })?;
-        let got = comm.sendrecv_compressed(
-            right,
-            seg_tag(TAG_HRING, s, 0),
-            stream.as_bytes().to_vec(),
-            acc.len() * 4,
-            left,
-        );
-        let received = OszpStream::from_bytes(got)?;
-        let mut tmp =
-            comm.compute_labeled(OpKind::Dpr, received.n() * 4, "ccoll:decompress", || {
-                ompszp::decompress(&received)
-            })?;
-        let local_idx = (g + 2 * nodes - s - 2) % nodes;
-        let local = &slice[chunks[local_idx].clone()];
-        comm.compute_labeled(OpKind::Cpt, tmp.len() * 4, "ccoll:reduce", || {
-            reduce_in_place(&mut tmp, local, ReduceOp::Sum, threads)
-        });
-        acc = tmp;
-    }
-
-    let mut out = vec![0f32; slice.len()];
-    out[chunks[g].clone()].copy_from_slice(&acc);
-    let own_stream = comm.compute_labeled(OpKind::Cpr, acc.len() * 4, "ccoll:compress", || {
-        ompszp::compress(&acc, &ocfg)
-    })?;
-    let mut slots: Vec<Option<Vec<u8>>> = vec![None; nodes];
-    slots[g] = Some(own_stream.as_bytes().to_vec());
-    for s in 0..nodes - 1 {
-        let send_idx = (g + nodes - s) % nodes;
-        let recv_idx = (g + 2 * nodes - s - 1) % nodes;
-        let payload = slots[send_idx].clone().expect("chunk to forward not yet received");
-        let got = comm.sendrecv_compressed(
-            right,
-            seg_tag(TAG_HRING, nodes - 1 + s, 0),
-            payload,
-            chunks[send_idx].len() * 4,
-            left,
-        );
-        slots[recv_idx] = Some(got);
-    }
-    for (idx, bytes) in slots.into_iter().enumerate() {
-        if idx == g {
-            continue; // own chunk stays raw, as in the flat C-Coll allgather
-        }
-        let stream = OszpStream::from_bytes(bytes.expect("ring left a hole"))?;
-        let dst = &mut out[chunks[idx].clone()];
-        comm.compute_labeled(OpKind::Dpr, dst.len() * 4, "ccoll:decompress", || {
-            ompszp::decompress_into(&stream, dst)
-        })?;
-    }
+    let shm = RawCodec::shared_memory(threads);
+    let lay = Layout::new(data.len(), ppn, 1, 1);
+    let own = ring::reduce_scatter(comm, &mut node_ring, &shm, data, &lay)?
+        .pop()
+        .expect("one segment per chunk");
+    let reduced = ring::allreduce(comm, &mut leader_ring, codec, &own, 1)?;
+    let mut out = vec![0f32; data.len()];
+    out[lay.chunk(li)].copy_from_slice(&reduced);
+    ring::allgather(comm, &mut node_ring, &shm, &lay, None, &mut out)?;
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Mode;
+    use crate::config::{CollectiveConfig, Mode};
     use crate::pipeline::decode_tag;
+    use crate::ring::Verb;
+    use tuner::Flavor;
+
+    fn allreduce_hier(
+        comm: &mut Comm,
+        data: &[f32],
+        flavor: Flavor,
+        topo: &Topology,
+        cfg: &CollectiveConfig,
+    ) -> Result<Vec<f32>> {
+        ring::run(comm, Verb::Allreduce, flavor, data, cfg, 1, Some(topo))
+    }
     use netsim::{ComputeTiming, Event, LinkTier, SimBuilder, ThroughputModel, TraceConfig};
 
     fn modeled() -> ComputeTiming {
@@ -484,7 +228,8 @@ mod tests {
             let stats = cluster
                 .run(|comm| {
                     let data = field(comm.rank(), n);
-                    crate::hz::allreduce_impl(comm, &data, &cfg, 1).expect("flat hz");
+                    ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None)
+                        .expect("flat hz");
                 })
                 .expect_clean()
                 .stats;

@@ -8,25 +8,31 @@
 //! * [`hzdyn`] — the dynamic homomorphic compression pipeline,
 //! * [`netsim`] — the virtual-time multi-node cluster substrate.
 //!
-//! Three collective flavours (Table II), each offering ring
-//! `Reduce_scatter`, `Allgather` and `Allreduce`:
+//! One ring schedule (Sec. III-C: `N-1` reduce-scatter steps, `N-1`
+//! allgather steps, gather-to-root, scatter-from-root) runs every
+//! collective; the flavours of Table II are the per-step segment codec
+//! swapped into it:
 //!
-//! | module | workflow | per-round cost (Reduce_scatter) |
+//! | [`Variant`] | codec | per-round cost (Reduce_scatter) |
 //! |---|---|---|
-//! | [`mpi`] | no compression | `CPT` + full-size wire traffic |
-//! | [`p2p`] | CPR-P2P [25] (prior work) | `CPR + DPR + CPT` per hop, in *every* stage |
-//! | [`ccoll`] | DOC (C-Coll [13]) | `CPR + DPR + CPT` + compressed traffic |
-//! | [`hz`] | homomorphic (hZCCL) | `HPR` only (+ `N·CPR` once, `1·DPR` at the end) |
+//! | `Mpi` | raw f32, no compression | `CPT` + full-size wire traffic |
+//! | `CColl` | DOC over [`ompszp`] (C-Coll [13]) | `CPR + DPR + CPT` + compressed traffic |
+//! | `Hzccl` | homomorphic over [`fzlight`] (hZCCL) | `HPR` only (+ `N·CPR` once, `1·DPR` at the end) |
 //!
-//! Every flavour also provides `Reduce`-to-root and long-message `Bcast`;
-//! [`rd`] adds a recursive-doubling Allreduce (with homomorphic reduction)
-//! for the latency-bound small-message regime, and [`error_bounds`] states
-//! the analytic worst-case error of each workflow.
+//! (CPR-P2P [25], the prior work C-Coll improves on — the DOC codec
+//! re-encoding on every hop, `CPR + DPR + CPT` in *every* stage — exists as
+//! a crate-private instantiation for the comparison tests.) The same
+//! schedule also runs segmented and pipelined
+//! ([`CollectiveOpts::with_segments`]), framed over the resilient transport
+//! ([`resilient`]), two-tier over a node ring and a leader ring
+//! ([`hierarchy`]), and — with its own recovery loop — over a shrinking
+//! membership ([`membership`]). [`rd`] adds a recursive-doubling Allreduce
+//! (with homomorphic reduction) for the latency-bound small-message regime,
+//! and [`error_bounds`] states the analytic worst-case error of each
+//! workflow.
 //!
 //! The supported entry point is the unified [`collectives`] API — one
-//! options builder ([`CollectiveOpts`]), four verbs, every flavour (plus
-//! the segmented pipelined ring schedule via
-//! [`CollectiveOpts::with_segments`]):
+//! options builder ([`CollectiveOpts`]), five verbs, every flavour:
 //!
 //! ```
 //! use hzccl::collectives::{self, CollectiveOpts};
@@ -45,17 +51,14 @@
 //! ```
 
 pub mod auto;
-pub mod ccoll;
 pub mod chunks;
+pub(crate) mod codec;
 pub mod collectives;
 pub mod config;
 pub mod error_bounds;
 pub mod hierarchy;
-pub mod hz;
 pub mod kernels;
 pub mod membership;
-pub mod mpi;
-pub mod p2p;
 pub mod pipeline;
 pub mod rd;
 pub mod resilient;

@@ -105,48 +105,40 @@ pub fn decode_tag(tag: u64) -> Option<TagInfo> {
     })
 }
 
-/// Split an absolute element `range` into at most `segments` contiguous
-/// sub-ranges whose boundaries fall on `block_len` multiples (relative to
-/// the range start), distributing blocks as evenly as possible.
-///
-/// The effective count is clamped to
-/// `min(segments, ceil(len / block_len), MAX_SEGMENTS)` and floored at 1 —
-/// a segment shorter than one compressor block would only add per-message
-/// latency, never overlap. Pass `block_len = 1` for uncompressed traffic.
-/// Deterministic in its inputs, so every rank derives the identical split.
-pub fn seg_ranges(range: Range<usize>, segments: usize, block_len: usize) -> Vec<Range<usize>> {
-    let len = range.len();
+/// How many segments a chunk of `len` elements splits into: the requested
+/// count clamped to `min(segments, ceil(len / block_len), MAX_SEGMENTS)` and
+/// floored at 1 — a segment shorter than one compressor block would only add
+/// per-message latency, never overlap.
+pub(crate) fn seg_count(len: usize, segments: usize, block_len: usize) -> usize {
     assert!(len > 0, "cannot segment an empty chunk");
-    let bl = block_len.max(1);
-    let nblocks = len.div_ceil(bl);
-    let k = segments.clamp(1, MAX_SEGMENTS).min(nblocks);
-    let base_blocks = nblocks / k;
-    let extra = nblocks % k; // the first `extra` segments carry one more block
-    let mut out = Vec::with_capacity(k);
-    let mut start = range.start;
-    for i in 0..k {
-        let blocks = base_blocks + usize::from(i < extra);
-        let end = (start + blocks * bl).min(range.end);
-        out.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, range.end, "segments must tile the chunk");
-    out
+    segments.clamp(1, MAX_SEGMENTS).min(len.div_ceil(block_len.max(1)))
 }
 
-/// The full segment plan of a ring collective over `total` elements:
-/// `plan[chunk][seg]` is the absolute element range of segment `seg` of node
-/// chunk `chunk` (chunk layout [`crate::chunks::node_chunks`], segment split
-/// [`seg_ranges`]). Deterministic, so every rank derives the identical plan.
-pub(crate) fn chunk_seg_plan(
-    total: usize,
-    nranks: usize,
+/// Segment `i` of [`seg_ranges`]`(range, segments, block_len)`, computed
+/// arithmetically so the ring never materialises a per-call segment table.
+pub(crate) fn seg_range(
+    range: &Range<usize>,
     segments: usize,
     block_len: usize,
-) -> Vec<Vec<Range<usize>>> {
-    crate::chunks::node_chunks(total, nranks)
-        .iter()
-        .map(|c| seg_ranges(c.clone(), segments, block_len))
+    i: usize,
+) -> Range<usize> {
+    let bl = block_len.max(1);
+    let nblocks = range.len().div_ceil(bl);
+    let k = seg_count(range.len(), segments, block_len);
+    // the first `nblocks % k` segments carry one more block
+    let first_block = |i: usize| i * (nblocks / k) + i.min(nblocks % k);
+    let start = range.start + first_block(i) * bl;
+    start..(range.start + first_block(i + 1) * bl).min(range.end)
+}
+
+/// Split an absolute element `range` into at most `segments` contiguous
+/// sub-ranges whose boundaries fall on `block_len` multiples (relative to
+/// the range start), distributing blocks as evenly as possible (count per
+/// [`seg_count`]). Pass `block_len = 1` for uncompressed traffic.
+/// Deterministic in its inputs, so every rank derives the identical split.
+pub fn seg_ranges(range: Range<usize>, segments: usize, block_len: usize) -> Vec<Range<usize>> {
+    (0..seg_count(range.len(), segments, block_len))
+        .map(|i| seg_range(&range, segments, block_len, i))
         .collect()
 }
 

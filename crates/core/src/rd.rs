@@ -180,7 +180,9 @@ pub fn allreduce_rd_hz(comm: &mut Comm, data: &[f32], cfg: &CollectiveConfig) ->
 mod tests {
     use super::*;
     use crate::config::Mode;
+    use crate::ring::Verb;
     use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
+    use tuner::Flavor;
 
     fn modeled() -> ComputeTiming {
         ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0))
@@ -271,7 +273,8 @@ mod tests {
         let ring = cluster
             .run(|comm| {
                 let data = field(comm.rank(), n);
-                crate::hz::allreduce_impl(comm, &data, &cfg, 1).expect("ring")
+                crate::ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None)
+                    .expect("ring")
             })
             .expect_clean()
             .outcomes;
@@ -298,7 +301,8 @@ mod tests {
             let s = cluster
                 .run(|comm| {
                     let data = field(comm.rank(), n);
-                    crate::hz::allreduce_impl(comm, &data, &cfg, 1).expect("ring");
+                    crate::ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None)
+                        .expect("ring");
                 })
                 .expect_clean()
                 .stats;

@@ -46,7 +46,7 @@
 //! pre-existing unframed `Comm` call, so fault-free runs are bit-identical
 //! to the unresilient build.
 
-use netsim::{Comm, NetConfig, OpKind};
+use netsim::{splitmix64, Comm, NetConfig, OpKind};
 
 /// Retry/timeout policy of the resilient transport. `Copy` so it can ride
 /// inside [`crate::CollectiveConfig`] without breaking its `Copy`-ness.
@@ -160,16 +160,6 @@ impl Resilience {
         let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // uniform in [0, 1)
         base * (1.0 + self.backoff_jitter * (unit - 0.5))
     }
-}
-
-/// SplitMix64 finalizer — the same mixer `netsim::faults` uses for its
-/// per-message drop decisions, kept local so the transport owns its own
-/// determinism story.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// What a data frame's payload contains, so a receiver knows how to
@@ -428,13 +418,13 @@ fn engine(
     result
 }
 
-/// Resilient `sendrecv`: exchange `payload` with the ring neighbours under
-/// the ARQ protocol. With `res == None` this is exactly
-/// [`Comm::sendrecv_compressed`] — bit-identical events, no framing.
+/// Framed `sendrecv`: exchange `payload` with the ring neighbours under the
+/// ARQ protocol, both directions driven by one engine (unframed rings post
+/// the plain [`Comm::send_compressed`] / [`Comm::recv`] pair themselves).
 #[allow(clippy::too_many_arguments)] // mirrors Comm::sendrecv_compressed plus the resilience trio
 pub(crate) fn sendrecv_resilient(
     comm: &mut Comm,
-    res: Option<&Resilience>,
+    res: &Resilience,
     to: usize,
     tag: u64,
     payload: Vec<u8>,
@@ -443,13 +433,8 @@ pub(crate) fn sendrecv_resilient(
     from: usize,
     mut fallback: impl FnMut(&mut Comm) -> Vec<u8>,
 ) -> (Vec<u8>, PayloadKind) {
-    match res {
-        None => (comm.sendrecv_compressed(to, tag, payload, logical_bytes, from), kind),
-        Some(res) => {
-            let out = OutHalf { to, payload, kind, logical_bytes, fallback: &mut fallback };
-            engine(comm, res, tag, Some(out), Some(from)).expect("incoming half yields a payload")
-        }
-    }
+    let out = OutHalf { to, payload, kind, logical_bytes, fallback: &mut fallback };
+    engine(comm, res, tag, Some(out), Some(from)).expect("incoming half yields a payload")
 }
 
 /// Resilient one-directional send (gather/scatter hops). With `res == None`
@@ -674,6 +659,42 @@ fn engine_checked(
     }
 }
 
+/// Pack per-segment wire bytes into one survivable group payload
+/// (`[u32 LE len][bytes]` per segment, ascending segment id).
+pub(crate) fn pack_sections(parts: &[Vec<u8>]) -> Vec<u8> {
+    let total: usize = parts.iter().map(|p| 4 + p.len()).sum();
+    let mut buf = Vec::with_capacity(total);
+    for p in parts {
+        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        buf.extend_from_slice(p);
+    }
+    buf
+}
+
+/// Split a group payload back into its `count` per-segment sections. Total
+/// on arbitrary wire bytes: a short buffer, a length field reaching past the
+/// end, or bytes left over after the last section are typed errors.
+pub fn split_sections(buf: &[u8], count: usize) -> fzlight::Result<Vec<&[u8]>> {
+    let mut out = Vec::with_capacity(count.min(buf.len() / 4));
+    let mut rest = buf;
+    for _ in 0..count {
+        let truncated = |need| fzlight::Error::Truncated { need, have: buf.len() };
+        let consumed = buf.len() - rest.len();
+        let (len, body) = rest.split_first_chunk::<4>().ok_or(truncated(consumed + 4))?;
+        let len = u32::from_le_bytes(*len) as usize;
+        if len > body.len() {
+            return Err(truncated(consumed.saturating_add(4).saturating_add(len)));
+        }
+        let (section, tail) = body.split_at(len);
+        out.push(section);
+        rest = tail;
+    }
+    if !rest.is_empty() {
+        return Err(fzlight::Error::Corrupt("section table"));
+    }
+    Ok(out)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -792,7 +813,7 @@ mod tests {
 
     #[test]
     fn ctrl_tag_cannot_collide_with_data_tags() {
-        for base in [crate::mpi::TAG_RS, crate::mpi::TAG_SCATTER] {
+        for base in [crate::ring::TAG_RS, crate::ring::TAG_SCATTER] {
             let t = crate::pipeline::seg_tag(base, 63, 4095);
             assert!(t < 1 << 62, "data tags stay far below bit 63");
             assert_ne!(ctrl_tag(t), t);

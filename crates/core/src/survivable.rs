@@ -40,31 +40,19 @@
 use std::collections::BTreeSet;
 use std::ops::Range;
 
-use fzlight::{compress_resolved, CompressedStream};
-use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
-use netsim::{Comm, OpKind};
-use ompszp::OszpStream;
+use netsim::Comm;
+use tuner::Flavor;
 
-use crate::ccoll::oszp_config;
-use crate::chunks::{bytes_to_f32, f32_to_bytes, node_chunks};
+use crate::chunks::node_chunks;
+use crate::codec::{DocCodec, HzCodec, RawCodec, SegCodec};
 use crate::collectives::{Error, Result};
 use crate::config::CollectiveConfig;
 use crate::membership::{agree, View};
-use crate::mpi::{TAG_AG, TAG_RS};
 use crate::pipeline::epoch_tag;
-use crate::resilient::{sv_abort, sv_exchange};
-
-/// Which wire format the survivable ring speaks (the non-adaptive
-/// flavours; the tuner cannot plan across unknown future memberships).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SvFlavor {
-    /// Raw little-endian f32 groups, bit-exact reduction order.
-    Mpi,
-    /// DOC per step: compress to send, decompress to fold (ompSZp).
-    Ccoll,
-    /// Homomorphic: cached compressed inputs, HPR folds, one final DPR.
-    Hz,
-}
+use crate::resilient::{
+    pack_sections, split_sections, sv_abort, sv_exchange, PayloadKind, Resilience,
+};
+use crate::ring::{TAG_AG, TAG_RS};
 
 /// A committed survivable collective: the value plus the membership it was
 /// computed over.
@@ -79,176 +67,60 @@ pub(crate) struct SvOutcome {
     pub epoch: u32,
 }
 
-/// Per-segment accumulator: raw values for the DOC-style flavours, a
-/// compressed stream for the homomorphic one.
-enum SegAcc {
-    Raw(Vec<f32>),
-    Stream(CompressedStream),
-}
-
-/// The flavour-specific encode/fold/install kernels, plus the hZCCL
-/// cross-epoch stream cache.
-struct Codec<'a> {
-    flavor: SvFlavor,
+/// What every attempt of one recoverable call shares: the codec, the
+/// input, the `n0` launch segments of the element space (immutable across
+/// epochs by construction), the transport policy, and this rank's prepared
+/// own operands — kept across epochs, so a repair recompresses nothing:
+/// only ownership changes hands.
+struct Job<'a, C: SegCodec> {
+    codec: C,
     data: &'a [f32],
-    cfg: &'a CollectiveConfig,
-    /// The `n0` launch segments of the element space — immutable across
-    /// epochs by construction.
     ranges: Vec<Range<usize>>,
-    /// hZCCL only: per-segment compressed own input, filled on first use
-    /// and reused by every later epoch (a repair recompresses nothing).
-    streams: Vec<Option<CompressedStream>>,
+    res: Option<Resilience>,
+    operands: Vec<Option<C::Operand>>,
 }
 
-impl<'a> Codec<'a> {
-    fn new(flavor: SvFlavor, data: &'a [f32], cfg: &'a CollectiveConfig, n0: usize) -> Codec<'a> {
-        let ranges = node_chunks(data.len(), n0);
-        let streams = (0..n0).map(|_| None).collect();
-        Codec { flavor, data, cfg, ranges, streams }
+impl<C: SegCodec> Job<'_, C> {
+    /// Uncompressed-equivalent bytes of a segment group.
+    fn logical(&self, group: &Range<usize>) -> usize {
+        group.clone().map(|seg| self.ranges[seg].len() * 4).sum()
     }
 
-    /// The compressed own input of `seg`, compressed once and cached for
-    /// every subsequent epoch.
-    fn own_stream(&mut self, comm: &mut Comm, seg: usize) -> Result<CompressedStream> {
-        if let Some(s) = &self.streams[seg] {
+    /// Make sure the own operand of launch segment `seg` is prepared.
+    fn prepare(&mut self, comm: &mut Comm, seg: usize) -> Result<()> {
+        if self.operands[seg].is_some() {
             comm.mark("rec:stream-cache-hit");
-            return Ok(s.clone());
-        }
-        let rng = self.ranges[seg].clone();
-        let threads = self.cfg.mode.threads();
-        let stream =
-            comm.compute_labeled(OpKind::Cpr, rng.len() * 4, "hz:compress-segment", || {
-                compress_resolved(&self.data[rng.clone()], self.cfg.eb, self.cfg.block_len, threads)
-            })?;
-        self.streams[seg] = Some(stream.clone());
-        Ok(stream)
-    }
-
-    /// This rank's own contribution to `seg`, in accumulator form.
-    fn own_acc(&mut self, comm: &mut Comm, seg: usize) -> Result<SegAcc> {
-        match self.flavor {
-            SvFlavor::Mpi | SvFlavor::Ccoll => {
-                Ok(SegAcc::Raw(self.data[self.ranges[seg].clone()].to_vec()))
-            }
-            SvFlavor::Hz => Ok(SegAcc::Stream(self.own_stream(comm, seg)?)),
-        }
-    }
-
-    /// Wire bytes of `acc` — used both for reduce-scatter sends and for the
-    /// owner's allgather injection (so every rank, owner included, installs
-    /// from the same bytes and the compressed flavours agree bitwise).
-    fn encode(&mut self, comm: &mut Comm, _seg: usize, acc: &SegAcc) -> Result<Vec<u8>> {
-        match (self.flavor, acc) {
-            (SvFlavor::Mpi, SegAcc::Raw(vals)) => {
-                Ok(comm.compute_labeled(OpKind::Other, vals.len() * 4, "mpi:pack", || {
-                    f32_to_bytes(vals)
-                }))
-            }
-            (SvFlavor::Ccoll, SegAcc::Raw(vals)) => {
-                let ocfg = oszp_config(self.cfg);
-                let stream =
-                    comm.compute_labeled(OpKind::Cpr, vals.len() * 4, "ccoll:compress", || {
-                        ompszp::compress(vals, &ocfg)
-                    })?;
-                Ok(stream.as_bytes().to_vec())
-            }
-            (SvFlavor::Hz, SegAcc::Stream(stream)) => Ok(stream.as_bytes().to_vec()),
-            _ => unreachable!("accumulator form always matches the flavour"),
-        }
-    }
-
-    /// Fold received wire bytes with this rank's own contribution to `seg`.
-    fn merge(&mut self, comm: &mut Comm, seg: usize, wire: &[u8]) -> Result<SegAcc> {
-        let rng = self.ranges[seg].clone();
-        let threads = self.cfg.mode.threads();
-        match self.flavor {
-            SvFlavor::Mpi => {
-                let mut tmp = comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || {
-                    bytes_to_f32(wire)
-                });
-                let local = &self.data[rng];
-                comm.compute_labeled(OpKind::Cpt, tmp.len() * 4, "mpi:reduce", || {
-                    reduce_in_place(&mut tmp, local, ReduceOp::Sum, threads)
-                });
-                Ok(SegAcc::Raw(tmp))
-            }
-            SvFlavor::Ccoll => {
-                let received = OszpStream::from_bytes(wire.to_vec())?;
-                let mut tmp = comm.compute_labeled(
-                    OpKind::Dpr,
-                    received.n() * 4,
-                    "ccoll:decompress",
-                    || ompszp::decompress(&received),
-                )?;
-                let local = &self.data[rng];
-                comm.compute_labeled(OpKind::Cpt, tmp.len() * 4, "ccoll:reduce", || {
-                    reduce_in_place(&mut tmp, local, ReduceOp::Sum, threads)
-                });
-                Ok(SegAcc::Raw(tmp))
-            }
-            SvFlavor::Hz => {
-                let received = CompressedStream::from_bytes(wire.to_vec())?;
-                let own = self.own_stream(comm, seg)?;
-                let sum =
-                    comm.compute_labeled(OpKind::Hpr, rng.len() * 4, "hz:homomorphic-sum", || {
-                        homomorphic_sum(&received, &own)
-                    })?;
-                Ok(SegAcc::Stream(sum))
-            }
-        }
-    }
-
-    /// Decode final wire bytes of `seg` into the output slice.
-    fn install(&mut self, comm: &mut Comm, seg: usize, wire: &[u8], out: &mut [f32]) -> Result<()> {
-        let rng = self.ranges[seg].clone();
-        let dst = &mut out[rng];
-        match self.flavor {
-            SvFlavor::Mpi => {
-                let vals = comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || {
-                    bytes_to_f32(wire)
-                });
-                dst.copy_from_slice(&vals);
-            }
-            SvFlavor::Ccoll => {
-                let stream = OszpStream::from_bytes(wire.to_vec())?;
-                comm.compute_labeled(OpKind::Dpr, dst.len() * 4, "ccoll:decompress", || {
-                    ompszp::decompress_into(&stream, dst)
-                })?;
-            }
-            SvFlavor::Hz => {
-                let stream = CompressedStream::from_bytes(wire.to_vec())?;
-                comm.compute_labeled(OpKind::Dpr, dst.len() * 4, "hz:final-decompress", || {
-                    fzlight::decompress_into(&stream, dst)
-                })?;
-            }
+        } else {
+            self.operands[seg] = self.codec.operand(comm, self.data, &self.ranges[seg])?;
         }
         Ok(())
     }
-}
 
-/// Pack per-segment wire bytes into one group payload.
-fn pack_sections(parts: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = parts.iter().map(|p| 4 + p.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in parts {
-        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        buf.extend_from_slice(p);
+    /// This rank's own contribution to `seg`, in accumulator form.
+    fn own(&mut self, comm: &mut Comm, seg: usize) -> Result<C::Acc> {
+        self.prepare(comm, seg)?;
+        Ok(self.codec.seed(self.data, &self.ranges[seg], self.operands[seg].clone()))
     }
-    buf
-}
 
-/// Split a group payload back into its `count` per-segment sections.
-fn split_sections(buf: &[u8], count: usize) -> Vec<&[u8]> {
-    let mut out = Vec::with_capacity(count);
-    let mut off = 0;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        out.push(&buf[off..off + len]);
-        off += len;
+    /// Fold received wire bytes with this rank's own contribution to `seg`.
+    fn merge(&mut self, comm: &mut Comm, seg: usize, wire: &[u8]) -> Result<C::Acc> {
+        self.prepare(comm, seg)?;
+        let (rng, own) = (&self.ranges[seg], self.operands[seg].as_ref());
+        Ok(self.codec.fold(comm, wire.to_vec(), PayloadKind::Opaque, self.data, rng, own)?)
     }
-    debug_assert_eq!(off, buf.len(), "sections must tile the group payload");
-    out
+
+    /// Decode final wire bytes of `seg` into the output; they come back
+    /// for forwarding.
+    fn install(
+        &self,
+        comm: &mut Comm,
+        seg: usize,
+        wire: Vec<u8>,
+        out: &mut [f32],
+    ) -> Result<Vec<u8>> {
+        let dst = &mut out[self.ranges[seg].clone()];
+        Ok(self.codec.install(comm, wire, PayloadKind::Opaque, dst)?)
+    }
 }
 
 /// How one attempt over a view ended.
@@ -261,10 +133,10 @@ enum AttemptEnd {
 
 /// One attempt of the survivable ring over `view`. `ag` selects the fused
 /// allreduce (reduce-scatter + allgather) or reduce-scatter alone.
-fn attempt(
+fn attempt<C: SegCodec>(
     comm: &mut Comm,
     view: &View,
-    codec: &mut Codec<'_>,
+    job: &mut Job<'_, C>,
     ag: bool,
     out: &mut [f32],
 ) -> Result<AttemptEnd> {
@@ -272,14 +144,14 @@ fn attempt(
     let m = view.len();
     let v = view.vrank(me).expect("only members run attempts");
     let groups = view.segment_groups();
-    let res = codec.cfg.res;
+    let res = job.res;
     if m == 1 {
         // sole survivor: the survivor sum is the own vector (roundtripped
         // through the flavour's wire format, like any other owner)
         for seg in groups[0].clone() {
-            let acc = codec.own_acc(comm, seg)?;
-            let bytes = codec.encode(comm, seg, &acc)?;
-            codec.install(comm, seg, &bytes, out)?;
+            let acc = job.own(comm, seg)?;
+            let bytes = job.codec.encode(comm, &acc)?;
+            job.install(comm, seg, bytes, out)?;
         }
         return Ok(AttemptEnd::Done);
     }
@@ -298,28 +170,25 @@ fn attempt(
     // Reduce-scatter over segment groups: the accumulator travels the ring
     // exactly as in the classic schedule, one group per step.
     let first = (v + m - 1) % m;
-    let mut acc: Vec<SegAcc> = {
-        let mut init = Vec::with_capacity(groups[first].len());
-        for seg in groups[first].clone() {
-            init.push(codec.own_acc(comm, seg)?);
-        }
-        init
-    };
+    let mut acc = Vec::with_capacity(groups[first].len());
+    for seg in groups[first].clone() {
+        acc.push(job.own(comm, seg)?);
+    }
     for s in 0..rs_steps {
         let send_g = (v + 2 * m - s - 1) % m;
         let recv_g = (v + 2 * m - s - 2) % m;
         let mut parts = Vec::with_capacity(acc.len());
-        for (a, seg) in acc.iter().zip(groups[send_g].clone()) {
-            parts.push(codec.encode(comm, seg, a)?);
+        for a in &acc {
+            parts.push(job.codec.encode(comm, a)?);
         }
         let payload = pack_sections(&parts);
-        let logical: usize = groups[send_g].clone().map(|seg| codec.ranges[seg].len() * 4).sum();
+        let logical = job.logical(&groups[send_g]);
         match sv_exchange(comm, res.as_ref(), right, left, tag_of(s), &payload, logical) {
             Ok(bytes) => {
-                let sections = split_sections(&bytes, groups[recv_g].len());
+                let sections = split_sections(&bytes, groups[recv_g].len())?;
                 let mut next = Vec::with_capacity(sections.len());
                 for (seg, sec) in groups[recv_g].clone().zip(sections) {
-                    next.push(codec.merge(comm, seg, sec)?);
+                    next.push(job.merge(comm, seg, sec)?);
                 }
                 acc = next;
             }
@@ -334,15 +203,11 @@ fn attempt(
 
     // The own group is finished: install it locally from its own wire bytes
     // (so all flavours agree bitwise across ranks)...
-    let own_parts: Vec<Vec<u8>> = {
-        let mut parts = Vec::with_capacity(acc.len());
-        for (a, seg) in acc.iter().zip(groups[v].clone()) {
-            let bytes = codec.encode(comm, seg, a)?;
-            codec.install(comm, seg, &bytes, out)?;
-            parts.push(bytes);
-        }
-        parts
-    };
+    let mut own_parts = Vec::with_capacity(acc.len());
+    for (a, seg) in acc.iter().zip(groups[v].clone()) {
+        let bytes = job.codec.encode(comm, a)?;
+        own_parts.push(job.install(comm, seg, bytes, out)?);
+    }
     if !ag {
         return Ok(AttemptEnd::Done);
     }
@@ -354,12 +219,12 @@ fn attempt(
     for s in 0..m - 1 {
         let k = rs_steps + s;
         let recv_g = (v + 2 * m - s - 1) % m;
-        let logical: usize = groups[carry_g].clone().map(|seg| codec.ranges[seg].len() * 4).sum();
+        let logical = job.logical(&groups[carry_g]);
         match sv_exchange(comm, res.as_ref(), right, left, tag_of(k), &carry, logical) {
             Ok(bytes) => {
-                let sections = split_sections(&bytes, groups[recv_g].len());
+                let sections = split_sections(&bytes, groups[recv_g].len())?;
                 for (seg, sec) in groups[recv_g].clone().zip(sections) {
-                    codec.install(comm, seg, sec, out)?;
+                    job.install(comm, seg, sec.to_vec(), out)?;
                 }
                 carry = bytes;
                 carry_g = recv_g;
@@ -382,32 +247,36 @@ fn attempt(
 pub(crate) fn run_survivable(
     comm: &mut Comm,
     data: &[f32],
-    flavor: SvFlavor,
+    flavor: Flavor,
     cfg: &CollectiveConfig,
     ag: bool,
 ) -> Result<SvOutcome> {
-    let n0 = comm.size();
     let was = comm.survivable();
     comm.set_survivable(true);
-    let result = recovery_loop(comm, data, flavor, cfg, ag, n0);
+    let result = match flavor {
+        Flavor::Mpi => recovery_loop(comm, data, RawCodec::mpi(cfg.mode.threads()), cfg, ag),
+        Flavor::CColl => recovery_loop(comm, data, DocCodec::ccoll(cfg), cfg, ag),
+        Flavor::Hzccl => recovery_loop(comm, data, HzCodec::reducing(cfg), cfg, ag),
+    };
     comm.set_survivable(was);
     result
 }
 
-fn recovery_loop(
+fn recovery_loop<C: SegCodec>(
     comm: &mut Comm,
     data: &[f32],
-    flavor: SvFlavor,
+    codec: C,
     cfg: &CollectiveConfig,
     ag: bool,
-    n0: usize,
 ) -> Result<SvOutcome> {
-    let me = comm.rank();
+    let (me, n0) = (comm.rank(), comm.size());
+    let ranges = node_chunks(data.len(), n0);
+    let operands = (0..n0).map(|_| None).collect();
+    let mut job = Job { codec, data, ranges, res: cfg.res, operands };
     let mut view = View::initial(n0);
-    let mut codec = Codec::new(flavor, data, cfg, n0);
     let mut out = vec![0f32; data.len()];
     loop {
-        let end = attempt(comm, &view, &mut codec, ag, &mut out)?;
+        let end = attempt(comm, &view, &mut job, ag, &mut out)?;
         let agreement = agree(comm, &view, BTreeSet::new());
         if agreement.suspects.is_empty() {
             // uniform quiet with nothing suspected: every member completed,
@@ -416,10 +285,10 @@ fn recovery_loop(
             comm.mark_value("rec:epoch", u64::from(view.epoch));
             comm.mark_value("rec:survivors", view.len() as u64);
             let value = if ag {
-                out.clone()
+                out
             } else {
                 let segs = view.segment_groups()[view.vrank(me).expect("member")].clone();
-                out[codec.ranges[segs.start].start..codec.ranges[segs.end - 1].end].to_vec()
+                out[job.ranges[segs.start].start..job.ranges[segs.end - 1].end].to_vec()
             };
             return Ok(SvOutcome { value, members: view.members.clone(), epoch: view.epoch });
         }

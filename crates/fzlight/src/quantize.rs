@@ -14,22 +14,11 @@
 
 use crate::error::{Error, Result};
 
-/// Quantize one value with the precomputed reciprocal `inv_2eb = 1 / (2*eb)`.
+/// Quantize one value with the precomputed reciprocal `inv_2eb = 1 / (2*eb)`
+/// — the per-element reference and the cold rescan path.
 ///
 /// Rejects non-finite inputs and quantization integers outside `i32` range
 /// (the stream stores 4-byte outliers and 32-bit delta magnitudes).
-#[deprecated(
-    since = "0.9.0",
-    note = "use the slice-level `quantize_block` — it hoists the error checks \
-            out of the hot loop and drops the per-call index plumbing"
-)]
-#[inline]
-pub fn quantize(v: f32, inv_2eb: f64, index: usize) -> Result<i32> {
-    quantize_one(v, inv_2eb, index)
-}
-
-/// Internal per-element quantizer shared by the deprecated [`quantize`] shim
-/// and the cold rescan path.
 #[inline]
 fn quantize_one(v: f32, inv_2eb: f64, index: usize) -> Result<i32> {
     if !v.is_finite() {
@@ -93,7 +82,6 @@ pub fn dequantize(q: i32, two_eb: f64) -> f32 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
@@ -103,7 +91,7 @@ mod tests {
         let inv = 1.0 / (2.0 * eb);
         for i in 0..10_000 {
             let v = (i as f32 * 0.01).sin() * 50.0;
-            let q = quantize(v, inv, i).unwrap();
+            let q = quantize_one(v, inv, i).unwrap();
             let v2 = dequantize(q, 2.0 * eb);
             assert!(((v - v2).abs() as f64) <= eb * (1.0 + 1e-9), "{v} -> {q} -> {v2}");
         }
@@ -112,15 +100,15 @@ mod tests {
     #[test]
     fn rounds_to_nearest() {
         let inv = 1.0 / 2.0; // eb = 1, bucket width 2
-        assert_eq!(quantize(0.9, inv, 0).unwrap(), 0);
-        assert_eq!(quantize(1.1, inv, 0).unwrap(), 1);
-        assert_eq!(quantize(-1.1, inv, 0).unwrap(), -1);
+        assert_eq!(quantize_one(0.9, inv, 0).unwrap(), 0);
+        assert_eq!(quantize_one(1.1, inv, 0).unwrap(), 1);
+        assert_eq!(quantize_one(-1.1, inv, 0).unwrap(), -1);
     }
 
     #[test]
     fn zero_maps_to_zero() {
-        assert_eq!(quantize(0.0, 5000.0, 0).unwrap(), 0);
-        assert_eq!(quantize(-0.0, 5000.0, 0).unwrap(), 0);
+        assert_eq!(quantize_one(0.0, 5000.0, 0).unwrap(), 0);
+        assert_eq!(quantize_one(-0.0, 5000.0, 0).unwrap(), 0);
         assert_eq!(dequantize(0, 2e-4), 0.0);
     }
 
@@ -128,15 +116,15 @@ mod tests {
     fn overflow_detected() {
         let inv = 1.0 / (2.0 * 1e-30);
         assert!(matches!(
-            quantize(1.0e9, inv, 3),
+            quantize_one(1.0e9, inv, 3),
             Err(Error::QuantizationOverflow { index: 3, .. })
         ));
     }
 
     #[test]
     fn non_finite_detected() {
-        assert!(quantize(f32::NAN, 1.0, 0).is_err());
-        assert!(quantize(f32::NEG_INFINITY, 1.0, 1).is_err());
+        assert!(quantize_one(f32::NAN, 1.0, 0).is_err());
+        assert!(quantize_one(f32::NEG_INFINITY, 1.0, 1).is_err());
     }
 
     #[test]

@@ -195,8 +195,11 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64 finalizer — a strong 64-bit mixing function.
-fn splitmix64(x: u64) -> u64 {
+/// SplitMix64 finalizer — a strong 64-bit mixing function, and the one
+/// mixer every seeded decision in the workspace hashes through (fault
+/// draws here, the resilient transport's backoff jitter, `hzc chaos`'s
+/// victim picker).
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -61,7 +61,7 @@ pub use breakdown::Breakdown;
 pub use comm::{Comm, PeerCrashed, RecvMsg};
 pub use config::{ComputeTiming, NetConfig, OpKind, ThroughputModel};
 pub use critpath::{CriticalPath, PathBuckets, PathElement, SpanKind, TagTime, TierTime};
-pub use faults::{FaultKind, FaultPlan, LinkFault};
+pub use faults::{splitmix64, FaultKind, FaultPlan, LinkFault};
 pub use json::Json;
 pub use metrics::Registry;
 pub use sim::{RankOutcome, RankPanic, RunReport, RunStats, SimBuilder, SimEngine};

@@ -3,10 +3,6 @@
 //! [`SimEngine`], and a typed [`RunReport`] carries everything one run
 //! produces — per-rank outcomes, aggregate stats, flight-recorder traces
 //! and rank panics.
-//!
-//! This replaced the historic `Cluster::{run, try_run, run_stats}` trio
-//! and its accumulating `with_*` chain; the deprecated wrappers are gone
-//! (DESIGN.md §10.3 keeps the migration table).
 
 use crate::breakdown::Breakdown;
 use crate::comm::Comm;

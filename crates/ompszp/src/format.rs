@@ -149,6 +149,11 @@ impl OszpStream {
         &self.bytes
     }
 
+    /// Consume into the wire bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.bytes
+    }
+
     /// Parsed header.
     pub fn header(&self) -> &OszpHeader {
         &self.header

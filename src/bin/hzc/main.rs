@@ -943,7 +943,7 @@ fn chaos_crash(
         let mut ctr = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(ri as u64 + 1);
         while dead.len() < want {
             ctr = ctr.wrapping_add(1);
-            let r = (splitmix(ctr) % ranks as u64) as usize;
+            let r = (netsim::splitmix64(ctr) % ranks as u64) as usize;
             if !dead.contains(&r) {
                 dead.push(r);
             }
@@ -955,7 +955,7 @@ fn chaos_crash(
         // even on tiny communicators
         let max_step = (2 * (ranks as u64 - 1) - 1).clamp(1, 6);
         for (i, &r) in dead.iter().enumerate() {
-            plan = plan.with_crash(r, 1 + splitmix(ctr ^ (i as u64 + 0x51)) % max_step);
+            plan = plan.with_crash(r, 1 + netsim::splitmix64(ctr ^ (i as u64 + 0x51)) % max_step);
         }
         let survivors: Vec<usize> = (0..ranks).filter(|r| !dead.contains(r)).collect();
         let m = survivors.len();
@@ -1059,14 +1059,6 @@ fn chaos_crash(
     } else {
         Err(format!("crash-recovery gate failed:\n  {}", failures.join("\n  ")))
     }
-}
-
-/// splitmix64 finalizer: the deterministic victim picker of the crash gate.
-fn splitmix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Exact f64 survivor sum — the accuracy oracle for the compressed flavours.

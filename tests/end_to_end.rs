@@ -115,7 +115,7 @@ fn reduce_scatter_then_allgather_equals_allreduce_for_hzccl() {
     let staged = cluster
         .run(|comm| {
             let own = collectives::reduce_scatter(comm, &fields[comm.rank()], &opts).expect("rs");
-            hzccl::mpi::allgather(comm, &own, n)
+            collectives::allgather(comm, &own, n, &CollectiveOpts::mpi()).expect("allgather")
         })
         .expect_clean()
         .outcomes;

@@ -1,0 +1,280 @@
+//! Bit-identity goldens for the ring schedules the bench suite does not
+//! reach. Each row of `ring_goldens.tsv` pins one run: the FNV-1a of every
+//! surviving rank's trace as the Chrome-trace exporter renders it (labels,
+//! byte counts, tags, timestamps), the makespan's bit pattern, and a digest
+//! of every rank's returned values. The table was generated before the
+//! per-flavour ring loops were folded into `hzccl`'s one ring schedule and is
+//! committed unchanged, so a refactor of that schedule that moves a single
+//! charge, label, tag or output bit fails here — under both engines (crashed
+//! runs: the event engine only).
+//!
+//! Regenerate (only when a schedule change is intended) with
+//! `cargo test --test ring_goldens -- --ignored --nocapture print_goldens`.
+
+use hzccl::chunks::node_chunks;
+use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
+use hzccl::{Mode, Resilience, Variant};
+use netsim::{
+    ComputeTiming, FaultPlan, RunReport, SimBuilder, SimEngine, ThroughputModel, Topology,
+    TraceConfig,
+};
+
+const GOLDENS: &str = include_str!("ring_goldens.tsv");
+const EB: f64 = 1e-4;
+const ELEMS: usize = 4001;
+const ROOT: usize = 1;
+
+#[derive(Clone, Copy, PartialEq)]
+enum Verb {
+    Allreduce,
+    ReduceScatter,
+    Reduce,
+    Bcast,
+    Allgather,
+}
+
+impl Verb {
+    const ALL: [Verb; 5] =
+        [Verb::Allreduce, Verb::ReduceScatter, Verb::Reduce, Verb::Bcast, Verb::Allgather];
+
+    fn name(self) -> &'static str {
+        match self {
+            Verb::Allreduce => "allreduce",
+            Verb::ReduceScatter => "reduce_scatter",
+            Verb::Reduce => "reduce",
+            Verb::Bcast => "bcast",
+            Verb::Allgather => "allgather",
+        }
+    }
+}
+
+/// One pinned run: what to call, on which virtual cluster.
+struct Case {
+    id: String,
+    verb: Verb,
+    opts: CollectiveOpts,
+    ranks: usize,
+    elems: usize,
+    faults: Option<FaultPlan>,
+    topology: Option<Topology>,
+    /// Run the recoverable verb instead of the plain one.
+    recoverable: bool,
+}
+
+const FLAVOURS: [Variant; 3] = [Variant::Mpi, Variant::CColl, Variant::Hzccl];
+
+fn opts_for(variant: Variant) -> CollectiveOpts {
+    CollectiveOpts::for_variant(variant, EB).with_mode(Mode::SingleThread).with_root(ROOT)
+}
+
+fn cases() -> Vec<Case> {
+    let plain = |id: String, verb, opts, ranks, elems| Case {
+        id,
+        verb,
+        opts,
+        ranks,
+        elems,
+        faults: None,
+        topology: None,
+        recoverable: false,
+    };
+    let mut out = Vec::new();
+    // every verb x flavour x schedule on the flat ring
+    for verb in Verb::ALL {
+        for variant in FLAVOURS {
+            for segments in [1usize, 4] {
+                for ranks in [3usize, 8] {
+                    let id = format!("{}/{}/r{ranks}/s{segments}", verb.name(), variant.name());
+                    let opts = opts_for(variant).with_segments(segments);
+                    out.push(plain(id, verb, opts, ranks, ELEMS));
+                }
+            }
+        }
+    }
+    for variant in FLAVOURS {
+        // chunks of 1, 1 and 2 compressor blocks: send and receive segment
+        // counts differ within a step
+        let id = format!("allreduce/{}/r3/s4/ragged", variant.name());
+        out.push(plain(id, Verb::Allreduce, opts_for(variant).with_segments(4), 3, 97));
+        // a lone rank: no ring steps, only the codec's own-chunk handling
+        for verb in [Verb::Allreduce, Verb::ReduceScatter] {
+            for segments in [1usize, 4] {
+                let id = format!("{}/{}/r1/s{segments}", verb.name(), variant.name());
+                let opts = opts_for(variant).with_segments(segments);
+                out.push(plain(id, verb, opts, 1, 256));
+            }
+        }
+    }
+    // the two-tier schedule: intra-node rings around the leader ring
+    for (nodes, ppn) in [(2usize, 2usize), (4, 2)] {
+        for variant in FLAVOURS {
+            let topo = Topology::paper(nodes, ppn);
+            let id = format!("allreduce/{}/{nodes}x{ppn}", variant.name());
+            let opts = opts_for(variant).with_topology(topo);
+            out.push(Case {
+                topology: Some(topo),
+                ..plain(id, Verb::Allreduce, opts, nodes * ppn, ELEMS)
+            });
+        }
+    }
+    // the framed transport under loss: retransmits, and (with a one-retry
+    // budget on a very lossy fabric) the raw-f32 degradation paths
+    for variant in FLAVOURS {
+        for verb in [Verb::Allreduce, Verb::ReduceScatter] {
+            let id = format!("{}/{}/r8/framed", verb.name(), variant.name());
+            let opts = opts_for(variant).with_resilience(Resilience::default());
+            out.push(Case {
+                faults: Some(FaultPlan::new(23).with_drop(0.05).with_corrupt(0.02)),
+                ..plain(id, verb, opts, 8, ELEMS)
+            });
+        }
+        for verb in [Verb::Allreduce, Verb::Reduce, Verb::Bcast] {
+            let id = format!("{}/{}/r8/degrading", verb.name(), variant.name());
+            let res = Resilience::default().with_max_retries(1);
+            let opts = opts_for(variant).with_resilience(res);
+            out.push(Case {
+                faults: Some(FaultPlan::new(5).with_drop(0.3).with_corrupt(0.1)),
+                ..plain(id, verb, opts, 8, ELEMS)
+            });
+        }
+    }
+    // the self-healing ring, fault-free and across one repair
+    for variant in FLAVOURS {
+        for verb in [Verb::Allreduce, Verb::ReduceScatter] {
+            for crash in [false, true] {
+                let tail = if crash { "crash" } else { "clean" };
+                let id = format!("{}/{}/r8/shrink-{tail}", verb.name(), variant.name());
+                let opts = opts_for(variant).with_recovery(RecoveryPolicy::Shrink);
+                out.push(Case {
+                    faults: crash.then(|| FaultPlan::new(17).with_crash(4, 1)),
+                    recoverable: true,
+                    ..plain(id, verb, opts, 8, ELEMS)
+                });
+            }
+        }
+    }
+    out
+}
+
+fn field(rank: usize, n: usize) -> Vec<f32> {
+    (0..n).map(|i| ((i as f32) * 0.013).sin() * (1.0 + 0.01 * rank as f32)).collect()
+}
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash = (*hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// `(trace digest, makespan bits, value digest)` of one run.
+fn digest(case: &Case, engine: SimEngine) -> (u64, u64, u64) {
+    let mut sim = SimBuilder::new(case.ranks)
+        .timing(ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0)))
+        .trace(TraceConfig::default())
+        .engine(engine);
+    if let Some(plan) = &case.faults {
+        sim = sim.faults(plan.clone());
+    }
+    if let Some(topo) = case.topology {
+        sim = sim.topology(topo);
+    }
+    let report: RunReport<Vec<f32>> = sim.run(|comm| {
+        let data = field(comm.rank(), case.elems);
+        let opts = &case.opts;
+        match (case.verb, case.recoverable) {
+            (Verb::Allreduce, false) => collectives::allreduce(comm, &data, opts),
+            (Verb::ReduceScatter, false) => collectives::reduce_scatter(comm, &data, opts),
+            (Verb::Reduce, false) => collectives::reduce(comm, &data, opts),
+            (Verb::Bcast, false) => collectives::bcast(comm, &data, opts),
+            (Verb::Allgather, false) => {
+                let own = &data[node_chunks(case.elems, comm.size())[comm.rank()].clone()];
+                collectives::allgather(comm, own, case.elems, opts)
+            }
+            (Verb::Allreduce, true) => {
+                collectives::allreduce_recoverable(comm, &data, opts).map(|p| p.value)
+            }
+            (Verb::ReduceScatter, true) => {
+                collectives::reduce_scatter_recoverable(comm, &data, opts).map(|p| p.value)
+            }
+            _ => unreachable!("only allreduce and reduce_scatter are recoverable"),
+        }
+        .expect("golden case runs")
+    });
+    let mut trace = FNV_OFFSET;
+    fnv1a(&mut trace, netsim::trace::chrome_trace(&report.traces).as_bytes());
+    let mut values = FNV_OFFSET;
+    for o in &report.outcomes {
+        fnv1a(&mut values, &(o.rank as u64).to_le_bytes());
+        fnv1a(&mut values, &(o.value.len() as u64).to_le_bytes());
+        for v in &o.value {
+            fnv1a(&mut values, &v.to_bits().to_le_bytes());
+        }
+    }
+    (trace, report.stats.makespan.to_bits(), values)
+}
+
+fn render(id: &str, (trace, makespan, values): (u64, u64, u64)) -> String {
+    format!("{id}\t{trace:016x}\t{makespan:016x}\t{values:016x}")
+}
+
+#[test]
+fn every_ring_schedule_matches_its_golden_under_both_engines() {
+    let cases = cases();
+    let rows: Vec<&str> = GOLDENS.lines().filter(|l| !l.starts_with('#')).collect();
+    assert_eq!(rows.len(), cases.len(), "one golden row per case");
+    let mut engines = vec![SimEngine::Threads];
+    if SimEngine::events_supported() {
+        engines.push(SimEngine::Events);
+    }
+    for (case, want) in cases.iter().zip(rows) {
+        for &engine in &engines {
+            // under the thread engine a crash notice reaches each blocked
+            // peer in OS-scheduler order, so only the event engine replays
+            // a crashed run's trace exactly
+            let crashes = case.faults.as_ref().is_some_and(|p| p.crash_step(4).is_some());
+            if crashes && engine == SimEngine::Threads {
+                continue;
+            }
+            let got = render(&case.id, digest(case, engine));
+            assert_eq!(got, want, "{} drifted under the {} engine", case.id, engine.name());
+        }
+    }
+}
+
+#[test]
+#[ignore = "prints the table this file checks; see the module docs"]
+fn print_goldens() {
+    for case in cases() {
+        println!("{}", render(&case.id, digest(&case, SimEngine::default())));
+    }
+}
+
+/// The committed `BENCH_results.json` is the quick suite's snapshot: every
+/// case line must come out byte for byte, not merely within `hzc bench
+/// --against`'s tolerances. The file predates the critical path's
+/// `recovery` bucket (it was not regenerated when that landed), so that one
+/// field — zero in every fail-fast case — is checked and then set aside.
+#[test]
+fn quick_suite_reproduces_the_committed_baseline_byte_for_byte() {
+    use hzccl_bench::snapshot::Snapshot;
+    use hzccl_bench::suite::{quick_cases, run_suite, SuiteConfig};
+
+    let case_lines = |text: &str| -> Vec<String> {
+        let lines = text.lines().filter(|l| l.starts_with("{\"id\":"));
+        lines.map(|l| l.trim_end_matches(',').to_string()).collect()
+    };
+    let cfg = SuiteConfig::default();
+    let results = run_suite(&quick_cases(), &cfg, |_| {});
+    let rendered = case_lines(&Snapshot::from_results("quick", &cfg, &results).render());
+    let baseline = case_lines(include_str!("../BENCH_results.json"));
+    assert_eq!(rendered.len(), quick_cases().len());
+    for line in rendered {
+        let id = line.split('"').nth(3).expect("case lines lead with their id").to_string();
+        assert!(line.contains(",\"recovery\":0,"), "{id}: a fail-fast run spent time in recovery");
+        let line = line.replace(",\"recovery\":0,", ",");
+        let want = baseline.iter().find(|l| l.split('"').nth(3) == Some(&id));
+        assert_eq!(Some(&line), want, "{id} drifted from BENCH_results.json");
+    }
+}
