@@ -5,6 +5,7 @@
 //! counts, checks the cost model's predicted optimum, and verifies the
 //! schedule is bit-identical to the phase-serial ring at every `S`.
 
+use costmodel::{predict, Algo, Flavor, Op};
 use datasets::App;
 use hzccl::collectives::{self, CollectiveOpts};
 use hzccl::{paper_model, Mode, Variant};
@@ -78,7 +79,7 @@ fn main() {
     // model-vs-simulation agreement for the hz ring
     let predicted = [1usize, 2, 4, 8, 16]
         .iter()
-        .map(|&s| (s, costmodel::allreduce_hzccl_pipelined(&scen, s)))
+        .map(|&s| (s, predict(&scen, Op::Allreduce, Flavor::Hzccl, Algo::Ring, s, None)))
         .collect::<Vec<_>>();
     println!("cost-model hz predictions:");
     for (s, t) in &predicted {

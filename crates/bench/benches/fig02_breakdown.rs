@@ -3,8 +3,7 @@
 //! modes, on 16 ranks — plus the hZCCL breakdowns for contrast.
 
 use datasets::App;
-use hzccl::Kernel;
-use hzccl_bench::{banner, env_usize, field_elems, run_collective, CollOp, Table};
+use hzccl_bench::{banner, env_usize, field_elems, run_collective, CollOp, Kernel, Table};
 
 fn main() {
     banner("FIG2", "Fig. 2 — Allreduce cost breakdown (C-Coll ST/MT), 16 ranks");

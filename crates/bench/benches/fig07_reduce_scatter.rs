@@ -2,8 +2,9 @@
 //! (Simulation Settings 1 and 2), both modes, across data sizes.
 
 use datasets::App;
-use hzccl::Kernel;
-use hzccl_bench::{banner, env_usize, ranks, run_collective, scaled_rank_fields, CollOp, Table};
+use hzccl_bench::{
+    banner, env_usize, ranks, run_collective, scaled_rank_fields, CollOp, Kernel, Table,
+};
 
 fn main() {
     banner("FIG7", "Fig. 7 — Reduce_scatter: hZCCL vs C-Coll, RTM datasets");

@@ -3,10 +3,10 @@
 //! (DESIGN.md ablation 4: the Sec. III-C.2 stage fusion).
 
 use datasets::App;
-use hzccl::{Kernel, Mode, Variant};
+use hzccl::{Mode, Variant};
 use hzccl_bench::{
     allreduce_unfused, banner, env_usize, mt_threads, net, ranks, scaled_rank_fields, timing_for,
-    CollOp, Table,
+    CollOp, Kernel, Table,
 };
 use netsim::SimBuilder;
 

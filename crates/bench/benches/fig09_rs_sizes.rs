@@ -3,8 +3,9 @@
 //! relative to the original MPI, as in the paper).
 
 use datasets::App;
-use hzccl::Kernel;
-use hzccl_bench::{banner, env_usize, ranks, run_collective, scaled_rank_fields, CollOp, Table};
+use hzccl_bench::{
+    banner, env_usize, ranks, run_collective, scaled_rank_fields, CollOp, Kernel, Table,
+};
 
 fn main() {
     banner("FIG9", "Fig. 9 — Reduce_scatter vs MPI/C-Coll across data sizes");

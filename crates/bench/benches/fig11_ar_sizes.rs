@@ -2,8 +2,9 @@
 //! on a fixed rank count (speedups relative to the original MPI).
 
 use datasets::App;
-use hzccl::Kernel;
-use hzccl_bench::{banner, env_usize, ranks, run_collective, scaled_rank_fields, CollOp, Table};
+use hzccl_bench::{
+    banner, env_usize, ranks, run_collective, scaled_rank_fields, CollOp, Kernel, Table,
+};
 
 fn main() {
     banner("FIG11", "Fig. 11 — Allreduce vs MPI/C-Coll across data sizes");

@@ -2,9 +2,8 @@
 //! (2 → `HZ_MAX_RANKS`, default 512), speedups relative to the original MPI.
 
 use datasets::App;
-use hzccl::Kernel;
 use hzccl_bench::{
-    banner, env_usize, node_msg_elems, run_collective, scaled_rank_fields, CollOp, Table,
+    banner, env_usize, node_msg_elems, run_collective, scaled_rank_fields, CollOp, Kernel, Table,
 };
 
 fn main() {

@@ -1,9 +1,9 @@
-//! PROJ — paper-scale projection: evaluate the Sec. III-C closed-form cost
-//! equations at the paper's full configuration (646 MB messages, 2-512
+//! PROJ — paper-scale projection: evaluate the Sec. III-C cost model
+//! (`costmodel::predict`) at the paper's full configuration (646 MB messages, 2-512
 //! Broadwell nodes, Omni-Path) with the paper-calibrated throughputs, and
 //! print the projected Allreduce speedups over MPI.
 
-use costmodel::{allreduce_ccoll, allreduce_hzccl, allreduce_mpi, Scenario};
+use costmodel::{predict, Algo, Op, Scenario};
 use hzccl::{paper_model, Mode, Variant};
 use hzccl_bench::{banner, Table};
 use netsim::NetConfig;
@@ -30,16 +30,11 @@ fn main() {
             net: NetConfig::default(),
             thr: paper_model(Variant::Mpi, Mode::SingleThread),
         };
-        let t_mpi = allreduce_mpi(&base);
         let t = |variant: Variant, mode: Mode| -> f64 {
             let s = Scenario { thr: paper_model(variant, mode), ..base };
-            match variant {
-                Variant::CColl => allreduce_ccoll(&s),
-                // Auto dispatches to a static flavour; at this size it is hz.
-                Variant::Hzccl | Variant::Auto => allreduce_hzccl(&s),
-                Variant::Mpi => allreduce_mpi(&s),
-            }
+            predict(&s, Op::Allreduce, variant.flavor(), Algo::Ring, 1, None)
         };
+        let t_mpi = t(Variant::Mpi, Mode::SingleThread);
         let cell = |v: Variant, m: Mode| {
             let x = t(v, m);
             format!("{:.2}s {:.2}x", x, t_mpi / x)

@@ -5,8 +5,7 @@
 
 use datasets::{App, Quality};
 use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::Kernel;
-use hzccl_bench::{banner, env_usize, run_collective, CollOp, Table};
+use hzccl_bench::{banner, env_usize, run_collective, CollOp, Kernel, Table};
 
 /// Per-rank observation: the shared scene plus rank-seeded sensor noise.
 fn observation(base: &[f32], rank: usize) -> Vec<f32> {

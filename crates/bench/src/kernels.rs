@@ -2,8 +2,8 @@
 //! a single dispatcher so benches sweep kernels exactly like the paper's
 //! `different_sizes.sh` / `different_nodes.sh` scripts.
 
-use crate::collectives::{self, CollectiveOpts, Result};
-use crate::config::{Mode, Variant};
+use hzccl::collectives::{self, CollectiveOpts, Result};
+use hzccl::{Mode, Variant};
 use netsim::Comm;
 
 /// Kernel ids as used by the paper's artifact outputs.

@@ -23,8 +23,11 @@ use netsim::{ComputeTiming, NetConfig};
 use std::time::Instant;
 
 pub mod kernel_throughput;
+mod kernels;
 pub mod snapshot;
 pub mod suite;
+
+pub use kernels::Kernel;
 
 /// Read a `usize` env knob.
 pub fn env_usize(name: &str, default: usize) -> usize {
@@ -137,7 +140,7 @@ fn calibration_sample(field: &[f32]) -> &[f32] {
 /// `HZ_METRICS_OUT/BENCH_<name>.json` after every run (the file is
 /// overwritten, so the last snapshot of a sweep accumulates everything).
 pub fn run_collective(
-    kernel: hzccl::Kernel,
+    kernel: Kernel,
     op: CollOp,
     fields: &[Vec<f32>],
     eb: f64,

@@ -130,7 +130,7 @@ pub struct CaseResult {
 /// The canonical paper-calibrated sweep backing `BENCH_results.json`:
 /// {allreduce, reduce_scatter} × {8, 64} ranks × {16, 256, 1024} KiB ×
 /// ({mpi, ccoll, hz} × {serial, S=8} + auto), then the two-tier topology
-/// cases ([`hierarchical_cases`]), plus one faulted resilient case.
+/// cases (`hierarchical_cases`), plus one faulted resilient case.
 /// 97 cases. New case families are appended *before* the faulted closer so
 /// pre-existing snapshot lines stay byte-identical across suite growth.
 pub fn canonical_cases() -> Vec<CaseSpec> {

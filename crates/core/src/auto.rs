@@ -225,7 +225,7 @@ pub(crate) fn run(
     Ok(AutoOutcome { value, plan, detail })
 }
 
-/// Auto ring/rd `Allreduce(sum)` (see [`run`] for who decides and how a
+/// Auto ring/rd `Allreduce(sum)` (see `run` for who decides and how a
 /// `topology` widens the candidate pool).
 pub fn allreduce(
     comm: &mut Comm,

@@ -140,7 +140,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RecoveryPolicy {
     /// Today's behaviour: a peer crash panics the observing rank (the
-    /// simulator reports a [`netsim::RankFate::Panicked`] cascade). The
+    /// simulator reports a [`netsim::RankPanic`] cascade). The
     /// only policy the plain verbs accept.
     #[default]
     FailFast,

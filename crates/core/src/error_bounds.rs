@@ -1,6 +1,6 @@
 //! Worst-case error-propagation bounds for every collective workflow.
 //!
-//! The C-Coll paper [13] proves that error-bounded-lossy-accelerated
+//! The C-Coll paper \[13\] proves that error-bounded-lossy-accelerated
 //! collectives keep point-wise error under analytic control; hZCCL inherits
 //! and *tightens* those bounds because the homomorphic path never
 //! re-quantizes (Sec. III-B.4: "our hZ-dynamic does not introduce additional

@@ -33,7 +33,7 @@
 //! The wire volume per rank drops from `2(N-1)/N · E` flat-ring bytes on
 //! the slow tier to `2(nodes-1)/nodes · E/ppn` (compressed), at the cost
 //! of `2(ppn-1)/ppn · E` raw bytes on the fast tier — the trade
-//! [`costmodel::allreduce_hier_hzccl`] prices and the tuner's
+//! `costmodel::predict` prices when given a topology and the tuner's
 //! `hierarchical` plan dimension exploits. Only Allreduce has a
 //! hierarchical schedule; the other verbs fall back to their flat rings
 //! when a topology is attached.

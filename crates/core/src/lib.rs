@@ -16,10 +16,10 @@
 //! | [`Variant`] | codec | per-round cost (Reduce_scatter) |
 //! |---|---|---|
 //! | `Mpi` | raw f32, no compression | `CPT` + full-size wire traffic |
-//! | `CColl` | DOC over [`ompszp`] (C-Coll [13]) | `CPR + DPR + CPT` + compressed traffic |
+//! | `CColl` | DOC over [`ompszp`] (C-Coll \[13\]) | `CPR + DPR + CPT` + compressed traffic |
 //! | `Hzccl` | homomorphic over [`fzlight`] (hZCCL) | `HPR` only (+ `N·CPR` once, `1·DPR` at the end) |
 //!
-//! (CPR-P2P [25], the prior work C-Coll improves on — the DOC codec
+//! (CPR-P2P \[25\], the prior work C-Coll improves on — the DOC codec
 //! re-encoding on every hop, `CPR + DPR + CPT` in *every* stage — exists as
 //! a crate-private instantiation for the comparison tests.) The same
 //! schedule also runs segmented and pipelined
@@ -57,7 +57,6 @@ pub mod collectives;
 pub mod config;
 pub mod error_bounds;
 pub mod hierarchy;
-pub mod kernels;
 pub mod membership;
 pub mod pipeline;
 pub mod rd;
@@ -67,7 +66,6 @@ pub(crate) mod survivable;
 
 pub use collectives::{CollectiveOpts, PartialResult, RecoveryPolicy};
 pub use config::{calibrate_doc, calibrate_hz, paper_model, CollectiveConfig, Mode, Variant};
-pub use kernels::Kernel;
 pub use membership::View;
 pub use pipeline::{decode_tag, TagInfo};
 pub use resilient::{PayloadKind, Resilience};

@@ -12,8 +12,8 @@
 //! ## The agreement round
 //!
 //! After every attempt — completed or aborted — all believed-live ranks
-//! meet at [`agree`], a full-exchange gossip over the reliable channel
-//! (tag base [`TAG_AGREE`], one step per round, epoch-salted). Each round
+//! meet at `agree`, a full-exchange gossip over the reliable channel
+//! (tag base `TAG_AGREE`, one step per round, epoch-salted). Each round
 //! a rank broadcasts its suspect set plus a *changed* flag saying whether
 //! that set grew last round; it stops as soon as a round is fully quiet
 //! (its own flag false, every received flag false, and nothing learned

@@ -3,14 +3,14 @@
 //! A phase-serial ring step moves one whole node-chunk and only then runs
 //! the compute that consumes it (HPR / DOC / CPT). The pipelined schedule
 //! splits every chunk into `S` *segments* and interleaves, so segment `s`'s
-//! compute overlaps segment `s+1`'s wire time — the closed form lives in
-//! [`costmodel::pipelined_step`]. This module owns the two pieces every
+//! compute overlaps segment `s+1`'s wire time — the closed form is
+//! `costmodel::pipelined_step`. This module owns the two pieces every
 //! flavour shares:
 //!
 //! * [`seg_ranges`] — the deterministic, block-aligned segment split that
 //!   all ranks must agree on (a rank segmenting differently from its
 //!   neighbour deadlocks on mismatched tags);
-//! * [`seg_tag`] — the tag sub-space `base + step·4096 + seg`, keeping each
+//! * `seg_tag` — the tag sub-space `base + step·4096 + seg`, keeping each
 //!   `(step, segment)` pair's messages disjoint.
 
 use std::ops::Range;
@@ -20,9 +20,10 @@ use std::ops::Range;
 /// [`MAX_SEGMENTS`]) and `2^32 / 4096 = 2^20` steps per tag base.
 pub(crate) const SEG_TAG_STRIDE: u64 = 4096;
 
-/// Hard cap on the segment count, mirroring `costmodel::MAX_SEGMENTS`:
-/// past this, per-segment latency `S·α` swamps any overlap gain.
-pub const MAX_SEGMENTS: usize = 64;
+/// Hard cap on the segment count — the cost model's, so the schedule never
+/// runs a count the tuner cannot price: past this, per-segment latency `S·α`
+/// swamps any overlap gain.
+pub use tuner::MAX_SEGMENTS;
 
 /// The wire tag of segment `seg` of ring step `step` under `base`
 /// (`TAG_RS`, `TAG_AG`, …).
@@ -51,7 +52,7 @@ pub(crate) fn epoch_tag(base: u64, step: usize, seg: usize, epoch: u32) -> u64 {
 }
 
 /// Decoded coordinates of a collective wire tag (the inverse of
-/// [`seg_tag`] plus the phase base and the resilient transport's
+/// `seg_tag` plus the phase base and the resilient transport's
 /// control-channel bit). Powers the per-phase/step/segment views of
 /// `netsim::CriticalPath::by_tag` in `hzc sim --critical-path` and
 /// `hzc bench`.
@@ -134,7 +135,7 @@ pub(crate) fn seg_range(
 /// Split an absolute element `range` into at most `segments` contiguous
 /// sub-ranges whose boundaries fall on `block_len` multiples (relative to
 /// the range start), distributing blocks as evenly as possible (count per
-/// [`seg_count`]). Pass `block_len = 1` for uncompressed traffic.
+/// `seg_count`). Pass `block_len = 1` for uncompressed traffic.
 /// Deterministic in its inputs, so every rank derives the identical split.
 pub fn seg_ranges(range: Range<usize>, segments: usize, block_len: usize) -> Vec<Range<usize>> {
     (0..seg_count(range.len(), segments, block_len))

@@ -1,5 +1,5 @@
 //! Recursive-doubling `Allreduce` — the small-message algorithm MPICH pairs
-//! with the ring [8]. Extension beyond the paper's evaluation: the
+//! with the ring \[8\]. Extension beyond the paper's evaluation: the
 //! homomorphic variant shows the co-design also composes with
 //! latency-optimal algorithms (log2(N) rounds of full-vector exchange, each
 //! reduced directly on compressed data).

@@ -322,9 +322,27 @@ struct OutHalf<'a> {
     payload: Vec<u8>,
     kind: PayloadKind,
     logical_bytes: usize,
-    /// Produces the raw-f32 replacement of an opaque payload when the
-    /// transfer degrades. Only invoked for [`PayloadKind::Opaque`].
-    fallback: &'a mut dyn FnMut(&mut Comm) -> Vec<u8>,
+    exhausted: Exhausted<'a>,
+}
+
+/// What a sender out of retries does — on the reliable channel either way.
+enum Exhausted<'a> {
+    /// Degrade (`res:degraded-segment`): an [`PayloadKind::Opaque`] payload
+    /// is replaced by the raw f32s this produces, a raw one goes as it is.
+    Degrade(&'a mut dyn FnMut(&mut Comm) -> Vec<u8>),
+    /// Send the same bytes again (`rec:reliable-resend`).
+    Resend,
+}
+
+/// Why an exchange stopped before delivering its payload. Only survivable
+/// schedules ever see one: without survivable mode [`Comm::recv_checked`]
+/// panics on a crash notice itself, and nobody else aborts in band.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Interrupt {
+    /// A crash notice for this rank arrived on the awaited channel.
+    Dead(usize),
+    /// The predecessor sent [`SV_ABORT`] instead of data.
+    Aborted,
 }
 
 /// The framed stop-and-wait engine. Runs the outgoing transfer (`out`),
@@ -335,15 +353,23 @@ struct OutHalf<'a> {
 /// than withholding them, so every blocking receive here is matched by a
 /// message that provably arrives; and every data attempt is answered by
 /// exactly one control frame (strict alternation), so neither side can wait
-/// on a frame the other will never send. Degraded resends travel the
-/// reliable channel and therefore always terminate the retry loop.
+/// on a frame the other will never send. Resends after the last retry travel
+/// the reliable channel and therefore always terminate the retry loop.
+///
+/// Both halves run to completion even when the other one is interrupted — a
+/// rank that has observed a death keeps serving its live peer (ACKing its
+/// data, or retransmitting until ACKed) before returning, so no survivor is
+/// left waiting on a rank that silently walked away. Only then is the
+/// interrupt reported (the incoming half's first). A message on the data tag
+/// too short to be a frame is the in-band [`SV_ABORT`]; it is not ACKed —
+/// the aborting sender is no longer listening.
 fn engine(
     comm: &mut Comm,
     res: &Resilience,
     tag: u64,
     mut out: Option<OutHalf<'_>>,
     from: Option<usize>,
-) -> Option<(Vec<u8>, PayloadKind)> {
+) -> Result<Option<(Vec<u8>, PayloadKind)>, Interrupt> {
     let ctrl = ctrl_tag(tag);
     let mut attempts: u32 = 0;
     if let Some(o) = &mut out {
@@ -351,52 +377,74 @@ fn engine(
         let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
         comm.send_compressed(o.to, tag, frame, o.logical_bytes);
     }
-    let mut result = None;
+    let mut incoming = Ok(None);
+    let mut out_dead = None;
     let mut in_done = from.is_none();
     let mut out_done = out.is_none();
     while !(in_done && out_done) {
         if !in_done {
             let src = from.expect("in half active");
-            let got = comm.recv_msg(src, tag);
-            let frame = if got.dropped {
-                // the receiver only learns of the loss when its timeout
-                // fires; charge that wait before NACKing
-                comm.advance_labeled(OpKind::Other, res.timeout_s, "res:timeout-wait");
-                comm.mark("res:timeout");
-                None
-            } else {
-                decode_frame(&got.payload)
-                    .ok()
-                    .and_then(|f| payload_kind(f.kind).map(|k| (f.seq, f.payload, k)))
-            };
-            match frame {
-                Some((seq, payload, kind)) => {
-                    comm.send_reliable(src, ctrl, encode_frame(KIND_ACK, seq, ctrl, &[]), 0);
-                    result = Some((payload, kind));
+            match comm.recv_checked(src, tag) {
+                Err(crash) => {
+                    incoming = Err(Interrupt::Dead(crash.rank));
                     in_done = true;
                 }
-                None => {
-                    comm.send_reliable(src, ctrl, encode_frame(KIND_NACK, attempts, ctrl, &[]), 0);
+                Ok(got) if !got.dropped && got.payload.len() < HEADER_LEN => {
+                    debug_assert_eq!(got.payload, [SV_ABORT]);
+                    incoming = Err(Interrupt::Aborted);
+                    in_done = true;
+                }
+                Ok(got) => {
+                    let frame = if got.dropped {
+                        // the receiver only learns of the loss when its
+                        // timeout fires; charge that wait before NACKing
+                        comm.advance_labeled(OpKind::Other, res.timeout_s, "res:timeout-wait");
+                        comm.mark("res:timeout");
+                        None
+                    } else {
+                        decode_frame(&got.payload)
+                            .ok()
+                            .and_then(|f| payload_kind(f.kind).map(|k| (f.seq, f.payload, k)))
+                    };
+                    let (kind, seq) = match frame {
+                        Some((seq, payload, kind)) => {
+                            incoming = Ok(Some((payload, kind)));
+                            in_done = true;
+                            (KIND_ACK, seq)
+                        }
+                        None => (KIND_NACK, attempts),
+                    };
+                    comm.send_reliable(src, ctrl, encode_frame(kind, seq, ctrl, &[]), 0);
                 }
             }
         }
         if !out_done {
             let o = out.as_mut().expect("out half active");
-            let got = comm.recv_msg(o.to, ctrl);
-            assert!(!got.dropped, "control frames travel the reliable channel");
-            let frame =
-                decode_frame(&got.payload).expect("control frame corrupted on reliable channel");
+            let frame = match comm.recv_checked(o.to, ctrl) {
+                Err(crash) => {
+                    out_dead = Some(Interrupt::Dead(crash.rank));
+                    out_done = true;
+                    continue;
+                }
+                Ok(got) => {
+                    assert!(!got.dropped, "control frames travel the reliable channel");
+                    decode_frame(&got.payload).expect("control frame corrupted on reliable channel")
+                }
+            };
             if frame.kind == KIND_ACK {
                 out_done = true;
-                continue;
-            }
-            if attempts > res.max_retries {
-                // out of retries: degrade to raw f32 on the reliable
-                // channel — guaranteed valid, so this NACK was the last
-                comm.mark("res:degraded-segment");
-                if o.kind == PayloadKind::Opaque {
-                    o.payload = (o.fallback)(comm);
-                    o.kind = PayloadKind::RawF32;
+            } else if attempts > res.max_retries {
+                // out of retries: the reliable channel carries the frame —
+                // guaranteed valid, so this NACK was the last
+                match &mut o.exhausted {
+                    Exhausted::Degrade(fallback) => {
+                        comm.mark("res:degraded-segment");
+                        if o.kind == PayloadKind::Opaque {
+                            o.payload = fallback(comm);
+                            o.kind = PayloadKind::RawF32;
+                        }
+                    }
+                    Exhausted::Resend => comm.mark("rec:reliable-resend"),
                 }
                 attempts += 1;
                 let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
@@ -415,7 +463,17 @@ fn engine(
             }
         }
     }
-    result
+    let received = incoming?;
+    out_dead.map_or(Ok(received), Err)
+}
+
+/// The edge of the fail-fast wrappers: an interrupt is the crash cascade
+/// a plain receive raises.
+fn fail_fast(comm: &Comm, interrupt: Interrupt) -> ! {
+    match interrupt {
+        Interrupt::Dead(rank) => panic!("rank {} observed crash of rank {rank}", comm.rank()),
+        Interrupt::Aborted => unreachable!("only survivable schedules abort in band"),
+    }
 }
 
 /// Framed `sendrecv`: exchange `payload` with the ring neighbours under the
@@ -433,8 +491,11 @@ pub(crate) fn sendrecv_resilient(
     from: usize,
     mut fallback: impl FnMut(&mut Comm) -> Vec<u8>,
 ) -> (Vec<u8>, PayloadKind) {
-    let out = OutHalf { to, payload, kind, logical_bytes, fallback: &mut fallback };
-    engine(comm, res, tag, Some(out), Some(from)).expect("incoming half yields a payload")
+    let out =
+        OutHalf { to, payload, kind, logical_bytes, exhausted: Exhausted::Degrade(&mut fallback) };
+    engine(comm, res, tag, Some(out), Some(from))
+        .unwrap_or_else(|i| fail_fast(comm, i))
+        .expect("incoming half yields a payload")
 }
 
 /// Resilient one-directional send (gather/scatter hops). With `res == None`
@@ -453,8 +514,14 @@ pub(crate) fn send_resilient(
     match res {
         None => comm.send_compressed(to, tag, payload, logical_bytes),
         Some(res) => {
-            let out = OutHalf { to, payload, kind, logical_bytes, fallback: &mut fallback };
-            engine(comm, res, tag, Some(out), None);
+            let out = OutHalf {
+                to,
+                payload,
+                kind,
+                logical_bytes,
+                exhausted: Exhausted::Degrade(&mut fallback),
+            };
+            engine(comm, res, tag, Some(out), None).unwrap_or_else(|i| fail_fast(comm, i));
         }
     }
 }
@@ -470,9 +537,9 @@ pub(crate) fn recv_resilient(
 ) -> (Vec<u8>, PayloadKind) {
     match res {
         None => (comm.recv(from, tag), PayloadKind::Opaque),
-        Some(res) => {
-            engine(comm, res, tag, None, Some(from)).expect("incoming half yields a payload")
-        }
+        Some(res) => engine(comm, res, tag, None, Some(from))
+            .unwrap_or_else(|i| fail_fast(comm, i))
+            .expect("incoming half yields a payload"),
     }
 }
 
@@ -487,15 +554,6 @@ pub(crate) const SV_DATA: u8 = 0;
 /// agreement barrier instead of sending the scheduled data.
 pub(crate) const SV_ABORT: u8 = 1;
 
-/// Why a survivable exchange stopped before delivering its payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Interrupt {
-    /// A crash notice for this rank arrived on the awaited channel.
-    Dead(usize),
-    /// The predecessor sent [`SV_ABORT`] instead of data.
-    Aborted,
-}
-
 /// Send the one-byte in-band abort to `to` on `tag` — the tag of the data
 /// the receiver will next await from this rank, so the abort is consumed at
 /// a deterministic point of its schedule. Travels the reliable channel
@@ -505,16 +563,11 @@ pub(crate) fn sv_abort(comm: &mut Comm, to: usize, tag: u64) {
     comm.send_reliable(to, tag, vec![SV_ABORT], 0);
 }
 
-///// Survivable ring exchange: send `payload` to `to` and receive the
+/// Survivable ring exchange: send `payload` to `to` and receive the
 /// counterpart from `from` on the same `tag`, tolerating peer death and
-/// in-band aborts.
-///
-/// Unlike the fail-fast wrappers above, both halves run to completion even
-/// when the other half fails — a rank that has observed a death keeps
-/// serving its live peer (ACKing its data, or retransmitting until ACKed)
-/// before returning, so no survivor is ever left waiting on a rank that
-/// silently walked away. Only then is the interrupt reported, and the
-/// caller escalates it into the abort ripple (`crate::survivable`).
+/// in-band aborts: an [`Interrupt`] comes back once both directions have
+/// settled (see [`engine`]), and the caller escalates it into the abort
+/// ripple (`crate::survivable`).
 ///
 /// Retry exhaustion under recovery resends the *same* bytes on the
 /// reliable channel instead of degrading to raw f32: survivable group
@@ -529,133 +582,31 @@ pub(crate) fn sv_exchange(
     payload: &[u8],
     logical_bytes: usize,
 ) -> Result<Vec<u8>, Interrupt> {
-    match res {
+    let mut framed = Vec::with_capacity(1 + payload.len());
+    framed.push(SV_DATA);
+    framed.extend_from_slice(payload);
+    let got = match res {
         None => {
-            let mut framed = Vec::with_capacity(1 + payload.len());
-            framed.push(SV_DATA);
-            framed.extend_from_slice(payload);
             comm.send_compressed(to, tag, framed, logical_bytes);
             let got = comm.recv_checked(from, tag).map_err(|c| Interrupt::Dead(c.rank))?;
             assert!(
                 !got.dropped,
                 "survivable exchanges need the resilient transport on lossy fabrics"
             );
-            match got.payload.first() {
-                Some(&SV_ABORT) => Err(Interrupt::Aborted),
-                Some(&SV_DATA) => Ok(got.payload[1..].to_vec()),
-                _ => unreachable!("survivable payloads always carry a kind prefix"),
-            }
+            got.payload
         }
-        Some(res) => engine_checked(comm, res, tag, to, from, payload, logical_bytes),
-    }
-}
-
-/// The checked stop-and-wait engine behind [`sv_exchange`] with resilience
-/// on. Mirrors [`engine`] frame-for-frame on the happy path (same timeout
-/// charge, same NACK/backoff/retransmit schedule), with three changes:
-/// every blocking receive goes through [`Comm::recv_checked`] so a peer's
-/// crash surfaces as [`Interrupt::Dead`] instead of a panic; a sub-header
-/// message on the data tag is the in-band [`SV_ABORT`] (returned without
-/// ACKing — the aborting sender is no longer listening); and exhaustion
-/// resends the original bytes reliably rather than degrading to raw f32.
-fn engine_checked(
-    comm: &mut Comm,
-    res: &Resilience,
-    tag: u64,
-    to: usize,
-    from: usize,
-    payload: &[u8],
-    logical_bytes: usize,
-) -> Result<Vec<u8>, Interrupt> {
-    let ctrl = ctrl_tag(tag);
-    let mut sv_payload = Vec::with_capacity(1 + payload.len());
-    sv_payload.push(SV_DATA);
-    sv_payload.extend_from_slice(payload);
-    let mut attempts: u32 = 1;
-    let frame = encode_frame(KIND_DATA_OPAQUE, attempts, tag, &sv_payload);
-    comm.send_compressed(to, tag, frame, logical_bytes);
-    let mut incoming: Option<Result<Vec<u8>, Interrupt>> = None;
-    let mut out_dead: Option<Interrupt> = None;
-    let mut out_done = false;
-    while !(incoming.is_some() && out_done) {
-        if incoming.is_none() {
-            match comm.recv_checked(from, tag) {
-                Err(crash) => incoming = Some(Err(Interrupt::Dead(crash.rank))),
-                Ok(got) if !got.dropped && got.payload.len() < HEADER_LEN => {
-                    debug_assert_eq!(got.payload, [SV_ABORT]);
-                    incoming = Some(Err(Interrupt::Aborted));
-                }
-                Ok(got) => {
-                    let frame = if got.dropped {
-                        comm.advance_labeled(OpKind::Other, res.timeout_s, "res:timeout-wait");
-                        comm.mark("res:timeout");
-                        None
-                    } else {
-                        decode_frame(&got.payload).ok()
-                    };
-                    match frame {
-                        Some(f) => {
-                            comm.send_reliable(
-                                from,
-                                ctrl,
-                                encode_frame(KIND_ACK, f.seq, ctrl, &[]),
-                                0,
-                            );
-                            debug_assert_eq!(f.payload.first(), Some(&SV_DATA));
-                            incoming = Some(Ok(f.payload[1..].to_vec()));
-                        }
-                        None => comm.send_reliable(
-                            from,
-                            ctrl,
-                            encode_frame(KIND_NACK, attempts, ctrl, &[]),
-                            0,
-                        ),
-                    }
-                }
-            }
+        Some(res) => {
+            let (kind, exhausted) = (PayloadKind::Opaque, Exhausted::Resend);
+            let out = OutHalf { to, payload: framed, kind, logical_bytes, exhausted };
+            engine(comm, res, tag, Some(out), Some(from))?
+                .expect("incoming half yields a payload")
+                .0
         }
-        if !out_done {
-            match comm.recv_checked(to, ctrl) {
-                Err(crash) => {
-                    out_dead = Some(Interrupt::Dead(crash.rank));
-                    out_done = true;
-                }
-                Ok(got) => {
-                    assert!(!got.dropped, "control frames travel the reliable channel");
-                    let frame = decode_frame(&got.payload)
-                        .expect("control frame corrupted on reliable channel");
-                    if frame.kind == KIND_ACK {
-                        out_done = true;
-                        continue;
-                    }
-                    if attempts > res.max_retries {
-                        // out of retries to a live peer: the reliable channel
-                        // carries the same bytes — no format change for the
-                        // group codec to cope with
-                        comm.mark("rec:reliable-resend");
-                        attempts += 1;
-                        let frame = encode_frame(KIND_DATA_OPAQUE, attempts, tag, &sv_payload);
-                        comm.send_reliable(to, tag, frame, 0);
-                    } else {
-                        let backoff = res.backoff_jittered(attempts, tag);
-                        attempts += 1;
-                        if backoff > 0.0 {
-                            comm.advance_labeled(OpKind::Other, backoff, "res:backoff");
-                        }
-                        comm.mark("res:retransmit");
-                        let frame = encode_frame(KIND_DATA_OPAQUE, attempts, tag, &sv_payload);
-                        comm.send_compressed(to, tag, frame, 0);
-                    }
-                }
-            }
-        }
-    }
-    match incoming.expect("incoming half resolved") {
-        Err(i) => Err(i),
-        Ok(bytes) => match out_dead {
-            Some(i) => Err(i),
-            None => Ok(bytes),
-        },
+    };
+    match got.first() {
+        Some(&SV_ABORT) => Err(Interrupt::Aborted),
+        Some(&SV_DATA) => Ok(got[1..].to_vec()),
+        _ => unreachable!("survivable payloads always carry a kind prefix"),
     }
 }
 

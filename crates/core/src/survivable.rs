@@ -13,7 +13,7 @@
 //! followed by `m-1` store-and-forward allgather steps (send `(v-s) mod m`,
 //! receive `(v-s-1) mod m`). At epoch 0 every group is a singleton and the
 //! schedule degenerates to the exact one-chunk-per-rank layout of
-//! [`crate::mpi`]. A repair therefore only moves whole segments between
+//! the flat ring ([`crate::ring`]). A repair therefore only moves whole segments between
 //! owners — and on the hZCCL path the per-segment compressed input streams
 //! are cached across epochs, so a re-attempt decompresses/recompresses
 //! nothing: only ownership changes hands.

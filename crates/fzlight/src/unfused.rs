@@ -4,7 +4,7 @@
 //! number of memory accesses compared to the unfused version". This module
 //! implements the unfused version — three separate passes with a full-size
 //! intermediate integer array, as in cuSZp's staged GPU pipeline — producing
-//! **byte-identical streams** to [`crate::compress`], so the ablation bench
+//! **byte-identical streams** to [`crate::compress()`], so the ablation bench
 //! isolates exactly the memory-traffic effect.
 
 use crate::chunk::{chunk_spans, effective_chunks};
@@ -17,7 +17,7 @@ use crate::stream::CompressedStream;
 
 /// Compress with separate quantize / predict / encode passes.
 ///
-/// The output is byte-identical to [`crate::compress`] with the same
+/// The output is byte-identical to [`crate::compress()`] with the same
 /// configuration; only the memory-access pattern (and therefore throughput)
 /// differs.
 pub fn compress_unfused(data: &[f32], cfg: &Config) -> Result<CompressedStream> {

@@ -1,7 +1,7 @@
 //! The *static* homomorphic compression pipeline (Fig. 4, left side) —
 //! ablation baseline.
 //!
-//! The static approach (as in HoSZp [30]) always performs "partial"
+//! The static approach (as in HoSZp \[30\]) always performs "partial"
 //! decompression and recompression: every block pair is inverse fixed-length
 //! decoded into integer deltas, reduced, and re-encoded — even when both
 //! blocks are constant. It produces byte-identical output to the dynamic

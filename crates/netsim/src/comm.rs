@@ -483,42 +483,24 @@ impl Comm {
         got.payload
     }
 
-    /// [`Comm::recv`] that surfaces transit loss instead of panicking: the
-    /// building block of the resilient transport. Accounting is identical to
-    /// `recv` — the clock still advances to the (would-be) arrival and the
-    /// wait is charged to the `MPI` bucket, modelling a receiver that blocks
-    /// until its loss-detection timeout fires.
+    /// [`Comm::recv`] that surfaces transit loss instead of panicking.
+    /// Accounting is identical to `recv` — the clock still advances to the
+    /// (would-be) arrival and the wait is charged to the `MPI` bucket,
+    /// modelling a receiver that blocks until its loss-detection timeout
+    /// fires. An observed crash panics: [`Comm::recv_checked`] is the
+    /// variant that reports it.
     pub fn recv_msg(&mut self, from: usize, tag: u64) -> RecvMsg {
-        let key = (from, tag);
-        let msg = loop {
-            if let Some(q) = self.pending.get_mut(&key) {
-                if let Some(m) = q.pop_front() {
-                    break m;
-                }
-            }
-            let m = self.endpoint.recv_next();
-            if m.status == MsgStatus::CrashNotice {
-                panic!("rank {} observed crash of rank {}", self.rank, m.from);
-            }
-            if m.from == from && m.tag == tag {
-                break m;
-            }
-            self.pending.entry((m.from, m.tag)).or_default().push_back(m);
-        };
-        let t = self.clock;
-        let wait = (msg.arrival - self.clock).max(0.0);
-        if wait > 0.0 {
-            self.breakdown.mpi += wait;
-            self.clock = msg.arrival;
-        }
-        let wire_bytes = msg.payload.len();
-        self.record(|| Event::Recv { t, from, tag, wire_bytes, wait_secs: wait });
-        RecvMsg { payload: msg.payload, dropped: msg.status == MsgStatus::Dropped }
+        self.recv_checked(from, tag).unwrap_or_else(|crash| {
+            panic!("rank {} observed crash of rank {}", self.rank, crash.rank)
+        })
     }
 
-    /// [`Comm::recv_msg`] for survivable mode: a crash of the awaited peer
-    /// surfaces as `Err(PeerCrashed)` instead of a panic, so the caller can
-    /// repair and continue.
+    /// The one drain-and-match receive, and the building block of the
+    /// resilient transport: transit loss is surfaced ([`RecvMsg::dropped`])
+    /// and, in survivable mode, a crash of the awaited peer comes back as
+    /// `Err(PeerCrashed)` instead of a panic, so the caller can repair and
+    /// continue. Outside survivable mode *any* crash notice panics, as it
+    /// always has.
     ///
     /// Determinism contract (the engine-equivalence property relies on it):
     /// the result depends only on this rank's program order and on `from`'s
@@ -529,10 +511,6 @@ impl Comm {
     /// membership round). A crash notice *from* `from` yields `Err`; since
     /// both engines deliver each sender's messages in send order, everything
     /// `from` sent before dying is matched first, on both engines.
-    ///
-    /// Only meaningful in survivable mode; outside it the notice-tolerant
-    /// branch is unreachable (notices panic in `recv_msg`-style paths first)
-    /// but the method still behaves like a fallible `recv_msg`.
     pub fn recv_checked(&mut self, from: usize, tag: u64) -> Result<RecvMsg, PeerCrashed> {
         let key = (from, tag);
         let msg = loop {
@@ -547,6 +525,9 @@ impl Comm {
             }
             let m = self.endpoint.recv_next();
             if m.status == MsgStatus::CrashNotice {
+                if !self.survivable {
+                    panic!("rank {} observed crash of rank {}", self.rank, m.from);
+                }
                 self.dead.insert(m.from);
                 if m.from == from {
                     return Err(PeerCrashed { rank: from });

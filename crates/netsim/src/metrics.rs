@@ -4,7 +4,7 @@
 //!
 //! [`Registry::record_report`] derives the standard metric set of a
 //! simulated collective from a [`RunReport`]: per-[`OpKind`] virtual-second
-//! totals (always available from the outcomes' [`Breakdown`]s) plus — when
+//! totals (always available from the outcomes' [`crate::Breakdown`]s) plus — when
 //! the run was traced via [`crate::SimBuilder::trace`] — message wire-size,
 //! per-step achieved-compression-ratio and recv-wait distributions.
 

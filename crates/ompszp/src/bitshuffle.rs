@@ -8,7 +8,7 @@
 //! The production [`encode_planes`]/[`decode_planes`] pair is *bit-parallel*:
 //! instead of shifting one bit per iteration, eight elements' bytes of a
 //! byte-plane are packed into one `u64` and an 8x8 bit-matrix transpose
-//! ([`transpose8`]) yields eight plane bytes at once (the symmetric transpose
+//! (`transpose8`) yields eight plane bytes at once (the symmetric transpose
 //! scatters them back on decode). The original bit-granular loops are
 //! retained as [`encode_planes_scalar`]/[`decode_planes_scalar`] — the
 //! verified reference the fast path is property-tested against, and the

@@ -27,7 +27,7 @@
 //! that stems from cuSZp implementation details; here the NRMSE columns come
 //! out equal, which EXPERIMENTS.md records as a deviation.)
 //!
-//! The public API mirrors `fzlight`: [`compress`], [`decompress`],
+//! The public API mirrors `fzlight`: [`compress()`], [`decompress()`],
 //! [`OszpStream`].
 
 pub mod bitshuffle;

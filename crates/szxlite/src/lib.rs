@@ -1,7 +1,7 @@
 //! # szxlite — an SZx-style prediction-free error-bounded compressor
 //!
 //! The paper's Sec. III-B.1 surveys the high-speed CPU pipelines and singles
-//! out SZx [11] as "the fastest CPU compressor", whose *constant-block
+//! out SZx \[11\] as "the fastest CPU compressor", whose *constant-block
 //! design* "may severely degrade data reconstruction quality" — the
 //! observation that motivated cuSZp and, in turn, fZ-light. This crate
 //! implements that design point so the trade-off can be measured instead of
@@ -14,7 +14,7 @@
 //!   error bound (`max - min <= 2*eb`) is collapsed to a single mean value.
 //!   The point-wise bound still holds, but every value in the block
 //!   reconstructs to the *same* number — the blocky-artifact quality issue
-//!   cuSZp [14] demonstrated.
+//!   cuSZp \[14\] demonstrated.
 //! * **Byte-aligned storage**: non-constant blocks store each quantization
 //!   integer in the minimum whole number of bytes for the block — no
 //!   bit-granular packing, which is what makes the design so fast.

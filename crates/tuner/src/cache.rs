@@ -127,9 +127,15 @@ impl TuningCache {
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("cache entry '{key}': missing '{name}'"))
             };
-            let flavor = Flavor::parse(str_field("flavor")?)
+            let name = str_field("flavor")?;
+            let flavor = [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl]
+                .into_iter()
+                .find(|f| f.name() == name)
                 .ok_or_else(|| format!("cache entry '{key}': bad flavor"))?;
-            let algo = Algo::parse(str_field("algo")?)
+            let name = str_field("algo")?;
+            let algo = [Algo::Ring, Algo::Rd]
+                .into_iter()
+                .find(|a| a.name() == name)
                 .ok_or_else(|| format!("cache entry '{key}': bad algo"))?;
             let mode = match str_field("mode")? {
                 "st" => ThreadMode::St,

@@ -183,57 +183,10 @@ impl Engine {
             net: self.calib.net(),
             thr: self.calib.model(plan.flavor, plan.mode),
         };
-        if plan.hierarchical {
-            // two-tier closed forms; a hierarchical plan without a topology
-            // cannot happen via candidates(), but price it as flat to keep
-            // predict() total
-            if let Some(topo) = spec.two_tier_topology() {
-                return match plan.flavor {
-                    Flavor::Mpi => costmodel::allreduce_hier_mpi(&s, topo),
-                    Flavor::CColl => costmodel::allreduce_hier_ccoll(&s, topo),
-                    Flavor::Hzccl => costmodel::allreduce_hier_hzccl(&s, topo),
-                };
-            }
-        }
-        let seg = plan.segments.max(1);
-        if seg > 1 && plan.algo == Algo::Ring {
-            // pipelined closed forms: T_step = S·α + (W+C)/S + (S-1)/S·max(W,C)
-            return match (spec.op, plan.flavor) {
-                (Op::Allreduce, Flavor::Mpi) => costmodel::allreduce_mpi_pipelined(&s, seg),
-                (Op::Allreduce, Flavor::CColl) => costmodel::allreduce_ccoll_pipelined(&s, seg),
-                (Op::Allreduce, Flavor::Hzccl) => costmodel::allreduce_hzccl_pipelined(&s, seg),
-                (Op::ReduceScatter, Flavor::Mpi) => {
-                    costmodel::reduce_scatter_mpi_pipelined(&s, seg)
-                }
-                (Op::ReduceScatter, Flavor::CColl) => {
-                    costmodel::reduce_scatter_ccoll_pipelined(&s, seg)
-                }
-                (Op::ReduceScatter, Flavor::Hzccl) => {
-                    costmodel::reduce_scatter_hzccl_pipelined(&s, seg)
-                }
-                (Op::Reduce, Flavor::Mpi) => costmodel::reduce_mpi_pipelined(&s, seg),
-                (Op::Reduce, Flavor::CColl) => costmodel::reduce_ccoll_pipelined(&s, seg),
-                (Op::Reduce, Flavor::Hzccl) => costmodel::reduce_hzccl_pipelined(&s, seg),
-                (Op::Bcast, Flavor::Mpi) => costmodel::bcast_mpi_pipelined(&s, seg),
-                (Op::Bcast, _) => costmodel::bcast_compressed_pipelined(&s, seg),
-            };
-        }
-        match (spec.op, plan.flavor, plan.algo) {
-            (Op::Allreduce, Flavor::Mpi, Algo::Ring) => costmodel::allreduce_mpi(&s),
-            (Op::Allreduce, Flavor::CColl, _) => costmodel::allreduce_ccoll(&s),
-            (Op::Allreduce, Flavor::Hzccl, Algo::Ring) => costmodel::allreduce_hzccl(&s),
-            (Op::Allreduce, Flavor::Mpi, Algo::Rd) => costmodel::allreduce_rd_mpi(&s),
-            (Op::Allreduce, Flavor::Hzccl, Algo::Rd) => costmodel::allreduce_rd_hzccl(&s),
-            (Op::ReduceScatter, Flavor::Mpi, _) => costmodel::reduce_scatter_mpi(&s),
-            (Op::ReduceScatter, Flavor::CColl, _) => costmodel::reduce_scatter_ccoll(&s),
-            (Op::ReduceScatter, Flavor::Hzccl, _) => costmodel::reduce_scatter_hzccl(&s),
-            (Op::Reduce, Flavor::Mpi, _) => costmodel::reduce_mpi(&s),
-            (Op::Reduce, Flavor::CColl, _) => costmodel::reduce_ccoll(&s),
-            (Op::Reduce, Flavor::Hzccl, _) => costmodel::reduce_hzccl(&s),
-            (Op::Bcast, Flavor::Mpi, _) => costmodel::bcast_mpi(&s),
-            (Op::Bcast, Flavor::CColl, _) => costmodel::bcast_ccoll(&s),
-            (Op::Bcast, Flavor::Hzccl, _) => costmodel::bcast_hzccl(&s),
-        }
+        // a hierarchical plan without a two-tier topology cannot come out of
+        // candidates(); it is priced as the flat schedule it would run as
+        let topology = spec.two_tier_topology().filter(|_| plan.hierarchical);
+        costmodel::predict(&s, spec.op, plan.flavor, plan.algo, plan.segments, topology)
     }
 
     /// Rank `plans` by prediction, best first; ties break on the plan's

@@ -4,8 +4,8 @@
 //! compress-operate-decompress C-Coll) only holds in the right regime: large,
 //! compressible messages. Elsewhere — tiny latency-bound vectors,
 //! incompressible data, slow compressors — a different flavour wins. This
-//! crate turns the closed-form cost equations of `costmodel` into an online
-//! decision system so callers never have to pick by hand:
+//! crate turns the cost analysis of `costmodel` into an online decision
+//! system so callers never have to pick by hand:
 //!
 //! * [`plan`] — the vocabulary: [`Op`], [`Plan`] (flavour x algorithm x
 //!   thread mode x block length, wire-encodable so one rank can decide and
@@ -23,8 +23,10 @@
 //!   [`netsim::Json`].
 //!
 //! Layering: `tuner` sits *below* the collective crate (`hzccl` depends on
-//! it, not vice versa), so the types here mirror `hzccl::Variant` /
-//! `hzccl::Mode` as [`Flavor`] / [`ThreadMode`] rather than importing them.
+//! it, not vice versa), so `hzccl::Variant` / `hzccl::Mode` are mirrored as
+//! [`Flavor`] / [`ThreadMode`] rather than imported. [`Op`], [`Flavor`] and
+//! [`Algo`] — what `costmodel::predict` prices — and its segment cap
+//! [`MAX_SEGMENTS`] are `costmodel`'s, re-exported here.
 
 pub mod cache;
 pub mod calibration;
@@ -33,5 +35,6 @@ pub mod plan;
 
 pub use cache::{CacheEntry, TuningCache};
 pub use calibration::{paper_prior, Calibration};
+pub use costmodel::MAX_SEGMENTS;
 pub use engine::{Decision, DecisionSource, Engine, Prediction};
 pub use plan::{Algo, Flavor, Op, Plan, ScenarioSpec, ThreadMode};

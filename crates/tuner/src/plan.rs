@@ -6,106 +6,7 @@
 //! front-end can have one rank decide and broadcast the result — every rank
 //! of a collective must execute the *same* plan or the exchange deadlocks.
 
-/// Which collective operation a scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Op {
-    /// Ring `Allreduce(sum)` (or recursive doubling, per plan).
-    Allreduce,
-    /// Ring `Reduce_scatter(sum)`.
-    ReduceScatter,
-    /// `Reduce(sum)` to a root.
-    Reduce,
-    /// Long-message `Bcast` from a root.
-    Bcast,
-}
-
-impl Op {
-    /// Stable lowercase name (cache keys, CLI).
-    pub fn name(self) -> &'static str {
-        match self {
-            Op::Allreduce => "allreduce",
-            Op::ReduceScatter => "reduce_scatter",
-            Op::Reduce => "reduce",
-            Op::Bcast => "bcast",
-        }
-    }
-
-    /// Parse the stable name back.
-    pub fn parse(name: &str) -> Option<Op> {
-        Some(match name {
-            "allreduce" => Op::Allreduce,
-            "reduce_scatter" => Op::ReduceScatter,
-            "reduce" => Op::Reduce,
-            "bcast" => Op::Bcast,
-            _ => return None,
-        })
-    }
-
-    /// All ops, in stable order.
-    pub const ALL: [Op; 4] = [Op::Allreduce, Op::ReduceScatter, Op::Reduce, Op::Bcast];
-}
-
-/// Collective framework flavour (paper Table II; mirrors `hzccl::Variant`
-/// minus the auto-selector itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Flavor {
-    /// Plain MPI, no compression.
-    Mpi,
-    /// C-Coll: compress-operate-decompress on every hop.
-    CColl,
-    /// hZCCL: homomorphic reduction on compressed data.
-    Hzccl,
-}
-
-impl Flavor {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Flavor::Mpi => "mpi",
-            Flavor::CColl => "ccoll",
-            Flavor::Hzccl => "hz",
-        }
-    }
-
-    /// Parse the stable name back.
-    pub fn parse(name: &str) -> Option<Flavor> {
-        Some(match name {
-            "mpi" => Flavor::Mpi,
-            "ccoll" => Flavor::CColl,
-            "hz" => Flavor::Hzccl,
-            _ => return None,
-        })
-    }
-}
-
-/// Ring vs recursive-doubling topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Algo {
-    /// Bandwidth-optimal ring (2(N-1) chunk rounds).
-    Ring,
-    /// Latency-optimal recursive doubling (ceil(log2 N) full-vector rounds);
-    /// only implemented for `Allreduce`.
-    Rd,
-}
-
-impl Algo {
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algo::Ring => "ring",
-            Algo::Rd => "rd",
-        }
-    }
-
-    /// Parse the stable name back.
-    pub fn parse(name: &str) -> Option<Algo> {
-        Some(match name {
-            "ring" => Algo::Ring,
-            "rd" => Algo::Rd,
-            _ => return None,
-        })
-    }
-}
+pub use costmodel::{Algo, Flavor, Op};
 
 /// Single- vs multi-thread compression mode (mirrors `hzccl::Mode` without
 /// depending on the collective crate — the tuner sits *below* it).
@@ -458,13 +359,5 @@ mod tests {
         assert_eq!(spec.ratio_for(999), 6.0, "unknown block falls back to first");
         spec.ratios.clear();
         assert_eq!(spec.ratio_for(32), 1.0, "no estimate means incompressible");
-    }
-
-    #[test]
-    fn op_names_roundtrip() {
-        for op in Op::ALL {
-            assert_eq!(Op::parse(op.name()), Some(op));
-        }
-        assert_eq!(Op::parse("gathermax"), None);
     }
 }

@@ -738,7 +738,7 @@ fn run_auto(
 /// `hzc chaos`: soak the resilient collectives under injected faults. For
 /// every drop rate × variant × op the sweep runs a fault-free baseline on
 /// the stock (unframed) path, then the same collective under a seeded
-/// [`FaultPlan`] with the resilient transport enabled, and checks the
+/// [`netsim::FaultPlan`] with the resilient transport enabled, and checks the
 /// results agree — bit-for-bit for `mpi` (retransmission is exact on raw
 /// floats), within the compression error budget for `ccoll`/`hz` (a
 /// degraded segment may re-quantize once). Retransmit/timeout/degraded

@@ -3,7 +3,8 @@
 
 use datasets::App;
 use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{Kernel, Mode};
+use hzccl::Mode;
+use hzccl_bench::Kernel;
 use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
 
 fn modeled() -> ComputeTiming {

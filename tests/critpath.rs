@@ -132,8 +132,8 @@ fn path_tiles_the_makespan_on_recursive_doubling() {
 /// Serial MPI ring, uniform chunks: the path's communication composition is
 /// the textbook α–β form — an Allreduce crosses the wire `2(N-1)` times,
 /// each hop paying one injection α and one chunk serialization. This is the
-/// closed form `costmodel::allreduce_mpi` integrates, so the analyzer and
-/// the cost model must agree on the α/β split exactly.
+/// closed form `costmodel::predict` integrates for the raw ring, so the
+/// analyzer and the cost model must agree on the α/β split exactly.
 #[test]
 fn serial_mpi_ring_reproduces_the_alpha_beta_closed_form() {
     let nranks = 4;
@@ -173,7 +173,8 @@ fn serial_mpi_ring_reproduces_the_alpha_beta_closed_form() {
         net,
         thr: hzccl::paper_model(Variant::Mpi, Mode::SingleThread),
     };
-    let model = costmodel::allreduce_mpi(&scen);
+    let (op, flavor) = (costmodel::Op::Allreduce, costmodel::Flavor::Mpi);
+    let model = costmodel::predict(&scen, op, flavor, costmodel::Algo::Ring, 1, None);
     assert!(
         (model / cp.length) < 2.0 && (cp.length / model) < 2.0,
         "model {model} vs path {}",

@@ -5,7 +5,7 @@
 use datasets::{App, Quality};
 use fzlight::{Config, ErrorBound};
 use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::Kernel;
+use hzccl_bench::Kernel;
 use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
 
 fn q_ulp(data: &[f32]) -> f64 {
@@ -198,8 +198,10 @@ fn costmodel_and_simulation_agree_on_the_winner() {
         net: netsim::NetConfig::default(),
         thr,
     };
-    let m_mpi = costmodel::allreduce_mpi(&scen);
-    let m_hz = costmodel::allreduce_hzccl(&scen);
+    let model = |flavor| {
+        costmodel::predict(&scen, costmodel::Op::Allreduce, flavor, costmodel::Algo::Ring, 1, None)
+    };
+    let (m_mpi, m_hz) = (model(costmodel::Flavor::Mpi), model(costmodel::Flavor::Hzccl));
 
     assert!(t_hz < t_mpi, "simulation: hz {t_hz} vs mpi {t_mpi}");
     assert!(m_hz < m_mpi, "model: hz {m_hz} vs mpi {m_mpi}");
