@@ -61,35 +61,37 @@ impl RdPlan {
     }
 }
 
-/// Recursive-doubling `Allreduce(sum)` on raw values (MPI baseline).
-pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f32> {
-    let n = comm.size();
+/// Fold, double, unfold, over an accumulator `A` and the three things a
+/// flavour does with it: `pack` it into wire bytes, `merge` received wire
+/// bytes into it (or, with no accumulator, adopt them as one), and `finish`
+/// it into values. Every message is one whole accumulator standing for
+/// `bytes` raw bytes.
+fn schedule<A>(
+    comm: &mut Comm,
+    mut acc: A,
+    bytes: usize,
+    pack: impl Fn(&mut Comm, &A) -> Vec<u8>,
+    merge: impl Fn(&mut Comm, Option<A>, Vec<u8>) -> Result<A>,
+    finish: impl Fn(&mut Comm, A) -> Result<Vec<f32>>,
+) -> Result<Vec<f32>> {
     let r = comm.rank();
-    let mut acc = data.to_vec();
-    if n == 1 {
-        return acc;
+    if comm.size() == 1 {
+        return finish(comm, acc);
     }
-    let plan = RdPlan::new(n);
+    let plan = RdPlan::new(comm.size());
 
-    // fold: even partners send their vector to the odd ones
+    // fold: even partners send their vector to the odd ones and wait for
+    // the result
     if r < 2 * plan.rem {
         if r.is_multiple_of(2) {
-            let payload = comm.compute_labeled(OpKind::Other, acc.len() * 4, "rd:pack", || {
-                crate::chunks::f32_to_bytes(&acc)
-            });
-            comm.send(r + 1, TAG_FOLD, payload);
+            let payload = pack(comm, &acc);
+            comm.send_compressed(r + 1, TAG_FOLD, payload, bytes);
             let got = comm.recv(r + 1, TAG_FOLD + 1);
-            return comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
-                crate::chunks::bytes_to_f32(&got)
-            });
+            let result = merge(comm, None, got)?;
+            return finish(comm, result);
         }
         let got = comm.recv(r - 1, TAG_FOLD);
-        let vals = comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
-            crate::chunks::bytes_to_f32(&got)
-        });
-        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, "rd:reduce", || {
-            reduce_in_place(&mut acc, &vals, ReduceOp::Sum, cpt_threads)
-        });
+        acc = merge(comm, Some(acc), got)?;
     }
     let core = plan.core_id(r).expect("folded ranks returned above");
 
@@ -97,27 +99,39 @@ pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f3
     let mut mask = 1usize;
     while mask < plan.pow2 {
         let peer = plan.core_to_rank(core ^ mask);
-        let payload = comm.compute_labeled(OpKind::Other, acc.len() * 4, "rd:pack", || {
-            crate::chunks::f32_to_bytes(&acc)
-        });
-        let got = comm.sendrecv(peer, TAG_RD + mask as u64, payload, peer);
-        let vals = comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
-            crate::chunks::bytes_to_f32(&got)
-        });
-        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, "rd:reduce", || {
-            reduce_in_place(&mut acc, &vals, ReduceOp::Sum, cpt_threads)
-        });
+        let payload = pack(comm, &acc);
+        let got = comm.sendrecv_compressed(peer, TAG_RD + mask as u64, payload, bytes, peer);
+        acc = merge(comm, Some(acc), got)?;
         mask <<= 1;
     }
 
     // unfold: odd partners return the result to the even ones
     if r < 2 * plan.rem {
-        let payload = comm.compute_labeled(OpKind::Other, acc.len() * 4, "rd:pack", || {
-            crate::chunks::f32_to_bytes(&acc)
-        });
-        comm.send(r - 1, TAG_FOLD + 1, payload);
+        let payload = pack(comm, &acc);
+        comm.send_compressed(r - 1, TAG_FOLD + 1, payload, bytes);
     }
-    acc
+    finish(comm, acc)
+}
+
+/// Recursive-doubling `Allreduce(sum)` on raw values (MPI baseline).
+pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f32> {
+    let pack = |comm: &mut Comm, acc: &Vec<f32>| {
+        comm.compute_labeled(OpKind::Other, acc.len() * 4, "rd:pack", || {
+            crate::chunks::f32_to_bytes(acc)
+        })
+    };
+    let merge = |comm: &mut Comm, acc: Option<Vec<f32>>, got: Vec<u8>| {
+        let vals = comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
+            crate::chunks::bytes_to_f32(&got)
+        });
+        let Some(mut acc) = acc else { return Ok(vals) };
+        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, "rd:reduce", || {
+            reduce_in_place(&mut acc, &vals, ReduceOp::Sum, cpt_threads)
+        });
+        Ok(acc)
+    };
+    schedule(comm, data.to_vec(), data.len() * 4, pack, merge, |_, acc| Ok(acc))
+        .expect("raw values always unpack")
 }
 
 /// Recursive-doubling `Allreduce(sum)` with homomorphic reduction: each rank
@@ -125,55 +139,21 @@ pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f3
 /// reduces them with `hZ-dynamic`, and each rank decompresses once at the
 /// end — `1·CPR + log2(N)·HPR + 1·DPR` per rank.
 pub fn allreduce_rd_hz(comm: &mut Comm, data: &[f32], cfg: &CollectiveConfig) -> Result<Vec<f32>> {
-    let n = comm.size();
-    let r = comm.rank();
-    let threads = cfg.mode.threads();
     let bytes = data.len() * 4;
-    let mut acc = comm.compute_labeled(OpKind::Cpr, bytes, "rd:compress", || {
-        compress_resolved(data, cfg.eb, cfg.block_len, threads)
+    let acc = comm.compute_labeled(OpKind::Cpr, bytes, "rd:compress", || {
+        compress_resolved(data, cfg.eb, cfg.block_len, cfg.mode.threads())
     })?;
-    if n == 1 {
-        return comm.compute_labeled(OpKind::Dpr, bytes, "rd:decompress", || decompress(&acc));
-    }
-    let plan = RdPlan::new(n);
-
-    if r < 2 * plan.rem {
-        if r.is_multiple_of(2) {
-            comm.send_compressed(r + 1, TAG_FOLD, acc.into_bytes(), bytes);
-            let got = comm.recv(r + 1, TAG_FOLD + 1);
-            let stream = CompressedStream::from_bytes(got)?;
-            return comm
-                .compute_labeled(OpKind::Dpr, bytes, "rd:decompress", || decompress(&stream));
-        }
-        let got = comm.recv(r - 1, TAG_FOLD);
-        let stream = CompressedStream::from_bytes(got)?;
-        acc = comm.compute_labeled(OpKind::Hpr, bytes, "rd:homomorphic-sum", || {
-            homomorphic_sum(&acc, &stream)
-        })?;
-    }
-    let core = plan.core_id(r).expect("folded ranks returned above");
-
-    let mut mask = 1usize;
-    while mask < plan.pow2 {
-        let peer = plan.core_to_rank(core ^ mask);
-        let got = comm.sendrecv_compressed(
-            peer,
-            TAG_RD + mask as u64,
-            acc.as_bytes().to_vec(),
-            bytes,
-            peer,
-        );
-        let stream = CompressedStream::from_bytes(got)?;
-        acc = comm.compute_labeled(OpKind::Hpr, bytes, "rd:homomorphic-sum", || {
-            homomorphic_sum(&acc, &stream)
-        })?;
-        mask <<= 1;
-    }
-
-    if r < 2 * plan.rem {
-        comm.send_compressed(r - 1, TAG_FOLD + 1, acc.as_bytes().to_vec(), bytes);
-    }
-    comm.compute_labeled(OpKind::Dpr, bytes, "rd:decompress", || decompress(&acc))
+    let pack = |_: &mut Comm, acc: &CompressedStream| acc.as_bytes().to_vec();
+    let merge = |comm: &mut Comm, acc: Option<CompressedStream>, got: Vec<u8>| {
+        let other = CompressedStream::from_bytes(got)?;
+        let Some(acc) = acc else { return Ok(other) };
+        comm.compute_labeled(OpKind::Hpr, bytes, "rd:homomorphic-sum", || {
+            homomorphic_sum(&acc, &other)
+        })
+    };
+    schedule(comm, acc, bytes, pack, merge, |comm, acc| {
+        comm.compute_labeled(OpKind::Dpr, bytes, "rd:decompress", || decompress(&acc))
+    })
 }
 
 #[cfg(test)]

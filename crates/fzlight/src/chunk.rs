@@ -1,10 +1,14 @@
 //! Thread-chunk partitioning (the "multi-layered partitioning" of
-//! Sec. III-B.2).
+//! Sec. III-B.2) and the codec layer's one fork-join.
 //!
 //! The input of `n` elements is split into `nchunks` contiguous ranges of
 //! `n / nchunks` elements each; the final chunk additionally absorbs the
 //! `n % nchunks` remainder, exactly as the paper assigns the last `D % N`
-//! points to thread `N-1`.
+//! points to thread `N-1`. Chunks are independent behind the header's offset
+//! table, so every compress, decompress and homomorphic entry point is the
+//! same shape: cut the work into jobs, [`fork_join`] them, assemble.
+
+use std::sync::OnceLock;
 
 /// The element range a single thread-chunk covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +66,56 @@ pub fn split_mut<'a, T>(mut data: &'a mut [T], spans: &[ChunkSpan]) -> Vec<&'a m
     out
 }
 
-/// Number of small blocks needed to cover `len` elements with blocks of
-/// `block_len`.
-pub fn block_count(len: usize, block_len: usize) -> usize {
-    len.div_ceil(block_len)
+/// Lengths of the small blocks covering `len` elements: `block_len` each,
+/// the last one shorter.
+pub fn block_lens(len: usize, block_len: usize) -> impl Iterator<Item = usize> {
+    (0..len).step_by(block_len).map(move |start| block_len.min(len - start))
+}
+
+/// Deal `items` round-robin into `hands` hands: hand `h` gets items
+/// `h, h + hands, h + 2·hands, …` in order — the block-cyclic ownership of
+/// `ompSZp`'s thread groups, and how [`fork_join`] shares jobs among workers.
+pub fn deal<T>(items: impl Iterator<Item = T>, hands: usize) -> Vec<Vec<T>> {
+    let each = items.size_hint().0.div_ceil(hands.max(1));
+    let mut dealt: Vec<Vec<T>> = (0..hands).map(|_| Vec::with_capacity(each)).collect();
+    for (i, item) in items.enumerate() {
+        dealt[i % hands].push(item);
+    }
+    dealt
+}
+
+/// Run `run(i, job)` for every job and return the results in job order.
+///
+/// One job (or any number on a one-core host) runs on the calling thread — a
+/// single-thread-mode codec call inside a collective hop must not pay for a
+/// thread. More run on scoped workers, never more of them than the host has
+/// cores: a stream header received from the wire chooses the job count, and
+/// it must not be able to ask the OS for more threads than it will give.
+pub fn fork_join<J: Send, R: Send, I>(jobs: I, run: impl Fn(usize, J) -> R + Sync) -> Vec<R>
+where
+    I: IntoIterator<Item = J>,
+    I::IntoIter: ExactSizeIterator,
+{
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        || *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
+    let jobs = jobs.into_iter().enumerate();
+    let total = jobs.len();
+    let workers = if total > 1 { total.min(cores()) } else { 1 };
+    if workers == 1 {
+        return jobs.map(|(i, job)| run(i, job)).collect();
+    }
+    let run = &run;
+    let mut done: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = deal(jobs, workers)
+            .into_iter()
+            .map(|hand| {
+                s.spawn(move || hand.into_iter().map(|(i, job)| run(i, job)).collect::<Vec<R>>())
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("codec worker panicked").into_iter()).collect()
+    });
+    (0..total).map(|i| done[i % workers].next().expect("one result per job")).collect()
 }
 
 #[cfg(test)]
@@ -122,10 +172,29 @@ mod tests {
     }
 
     #[test]
-    fn block_count_rounds_up() {
-        assert_eq!(block_count(0, 32), 0);
-        assert_eq!(block_count(1, 32), 1);
-        assert_eq!(block_count(32, 32), 1);
-        assert_eq!(block_count(33, 32), 2);
+    fn block_lens_cover_the_chunk() {
+        assert_eq!(block_lens(0, 32).count(), 0);
+        assert_eq!(block_lens(32, 32).collect::<Vec<_>>(), [32]);
+        assert_eq!(block_lens(70, 32).collect::<Vec<_>>(), [32, 32, 6]);
+    }
+
+    #[test]
+    fn deal_is_block_cyclic() {
+        assert_eq!(deal(0..7, 3), [vec![0, 3, 6], vec![1, 4], vec![2, 5]]);
+        assert_eq!(deal(0..0, 2), [vec![], vec![]]);
+    }
+
+    #[test]
+    fn fork_join_keeps_job_order_for_any_job_count() {
+        for k in [0usize, 1, 2, 3, 8, 1000] {
+            let mut cells = vec![0usize; k];
+            // jobs may own disjoint mutable borrows
+            let out = fork_join(cells.iter_mut(), |i, cell| {
+                *cell = i + 1;
+                i * i
+            });
+            assert_eq!(out, (0..k).map(|i| i * i).collect::<Vec<_>>());
+            assert!(cells.iter().enumerate().all(|(i, &c)| c == i + 1));
+        }
     }
 }

@@ -1,11 +1,10 @@
 //! Parallel fused compression (quantization + prediction + encoding in one
 //! pass over contiguous memory, Sec. III-B.2).
 
-use crate::chunk::{chunk_spans, effective_chunks, ChunkSpan};
+use crate::chunk::{chunk_spans, effective_chunks, fork_join};
 use crate::codec;
 use crate::config::{Config, MAX_BLOCK_LEN};
 use crate::error::Result;
-use crate::header::Header;
 use crate::quantize::quantize_block;
 use crate::stream::CompressedStream;
 
@@ -30,78 +29,31 @@ pub fn compress_resolved(
     block_len: usize,
     threads: usize,
 ) -> Result<CompressedStream> {
-    let n = data.len();
-    let nchunks = effective_chunks(n, threads);
-    let spans = chunk_spans(n, nchunks);
     let inv_2eb = 1.0 / (2.0 * eb_abs);
-
-    let parts: Vec<Result<Vec<u8>>> = if nchunks <= 1 {
-        spans
-            .iter()
-            .map(|span| {
-                let mut out = chunk_buffer(span.len, block_len);
-                compress_chunk(slice_of(data, span), span.start, block_len, inv_2eb, &mut out)
-                    .map(|()| out)
-            })
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = spans
-                .iter()
-                .map(|span| {
-                    let span = *span;
-                    s.spawn(move || {
-                        let mut out = chunk_buffer(span.len, block_len);
-                        compress_chunk(
-                            slice_of(data, &span),
-                            span.start,
-                            block_len,
-                            inv_2eb,
-                            &mut out,
-                        )
-                        .map(|()| out)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("compressor thread panicked")).collect()
-        })
-    };
-
-    let mut offsets = Vec::with_capacity(nchunks + 1);
-    offsets.push(0u64);
-    let mut body_len = 0usize;
-    let mut chunks = Vec::with_capacity(nchunks);
-    for part in parts {
-        let part = part?;
-        body_len += part.len();
-        offsets.push(body_len as u64);
-        chunks.push(part);
-    }
-
-    let mut body = Vec::with_capacity(body_len);
-    for c in &chunks {
-        body.extend_from_slice(c);
-    }
-
-    let header = Header {
-        n: n as u64,
-        eb: eb_abs,
-        block_len: block_len as u32,
-        nchunks: nchunks as u32,
-        offsets,
-    };
-    Ok(CompressedStream::from_parts(header, &body))
+    compress_chunks(data, eb_abs, block_len, threads, |chunk, base, out| {
+        compress_chunk(chunk, base, block_len, inv_2eb, out)
+    })
 }
 
-fn slice_of<'a>(data: &'a [f32], span: &ChunkSpan) -> &'a [f32] {
-    &data[span.start..span.start + span.len]
-}
-
-/// Initial capacity guess for a chunk's compressed bytes: outlier + one code
-/// byte per block + a quarter of the raw size (ratio 4 heuristic; `Vec` growth
-/// handles low-compressibility data).
-fn chunk_buffer(len: usize, block_len: usize) -> Vec<u8> {
-    Vec::with_capacity(4 + len.div_ceil(block_len) + len)
+/// The compress driver: cut `data` into thread-chunks, run `kernel(chunk,
+/// index of its first element, out)` on each, assemble the stream.
+pub(crate) fn compress_chunks(
+    data: &[f32],
+    eb_abs: f64,
+    block_len: usize,
+    threads: usize,
+    kernel: impl Fn(&[f32], usize, &mut Vec<u8>) -> Result<()> + Sync,
+) -> Result<CompressedStream> {
+    let n = data.len();
+    let chunks = fork_join(chunk_spans(n, effective_chunks(n, threads)), |_, span| {
+        // Capacity guess: outlier + one code byte per block + a quarter of
+        // the raw size (ratio 4 heuristic; `Vec` growth handles
+        // low-compressibility data).
+        let mut out = Vec::with_capacity(4 + span.len.div_ceil(block_len) + span.len);
+        kernel(&data[span.start..span.start + span.len], span.start, &mut out).map(|()| out)
+    });
+    let chunks = chunks.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok(CompressedStream::from_chunks(n, eb_abs, block_len, &chunks))
 }
 
 /// Fused quantization + prediction + encoding of one thread-chunk.
@@ -179,7 +131,7 @@ mod tests {
         // all-zero data: per chunk 4-byte outlier + 64 one-byte constant blocks
         let expected_body = 2 * (4 + 64);
         assert_eq!(s.header().body_len(), expected_body);
-        assert_eq!(s.compressed_size(), crate::header::Header::serialized_len(2) + expected_body);
+        assert_eq!(s.compressed_size(), crate::Header::serialized_len(2) + expected_body);
     }
 
     #[test]

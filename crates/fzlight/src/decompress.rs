@@ -1,7 +1,7 @@
 //! Parallel decompression: each thread-chunk decodes independently into its
 //! disjoint output range, driven by the header's offset table.
 
-use crate::chunk::{chunk_spans, split_mut};
+use crate::chunk::{chunk_spans, fork_join, split_mut};
 use crate::codec;
 use crate::config::MAX_BLOCK_LEN;
 use crate::error::{Error, Result};
@@ -9,8 +9,8 @@ use crate::stream::CompressedStream;
 
 /// Decompress a stream into a freshly allocated vector.
 ///
-/// Parallelism matches the stream's chunk layout (one thread per chunk when
-/// the stream has more than one chunk).
+/// Parallelism follows the stream's chunk layout (see
+/// [`fork_join`]).
 pub fn decompress(stream: &CompressedStream) -> Result<Vec<f32>> {
     let mut out = vec![0f32; stream.n()];
     decompress_into(stream, &mut out)?;
@@ -23,35 +23,11 @@ pub fn decompress_into(stream: &CompressedStream, out: &mut [f32]) -> Result<()>
     if out.len() != stream.n() {
         return Err(Error::Mismatch("output buffer length != stream element count"));
     }
-    let n = stream.n();
-    if n == 0 {
-        return Ok(());
-    }
-    let nchunks = stream.nchunks();
-    let block_len = stream.block_len();
-    let two_eb = 2.0 * stream.eb();
-    let spans = chunk_spans(n, nchunks);
-    let parts = split_mut(out, &spans);
-
-    if nchunks <= 1 {
-        for (ci, part) in parts.into_iter().enumerate() {
-            decompress_chunk(stream.chunk_payload(ci), block_len, two_eb, part)?;
-        }
-        Ok(())
-    } else {
-        let results: Vec<Result<()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .enumerate()
-                .map(|(ci, part)| {
-                    let payload = stream.chunk_payload(ci);
-                    s.spawn(move || decompress_chunk(payload, block_len, two_eb, part))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("decompressor thread panicked")).collect()
-        });
-        results.into_iter().collect()
-    }
+    let (block_len, two_eb) = (stream.block_len(), 2.0 * stream.eb());
+    let parts = split_mut(out, &chunk_spans(stream.n(), stream.nchunks()));
+    fork_join(parts, |ci, part| decompress_chunk(stream.chunk_payload(ci), block_len, two_eb, part))
+        .into_iter()
+        .collect()
 }
 
 /// Decompress only the elements in `range`, without touching the rest of the
@@ -154,7 +130,7 @@ mod tests {
         // Stomp on the first block's code byte of chunk 0: it sits right
         // after the header and the chunk's 4-byte outlier. 33 is an invalid
         // code length, so decoding must fail cleanly, not panic or read OOB.
-        let at = crate::header::Header::serialized_len(nchunks) + 4;
+        let at = crate::Header::serialized_len(nchunks) + 4;
         bytes[at] = 33;
         let s2 = crate::stream::CompressedStream::from_bytes(bytes).unwrap();
         assert!(decompress(&s2).is_err());

@@ -1,14 +1,34 @@
 //! Stream header: parameters plus the per-chunk offset table that enables
-//! parallel decompression and chunk-aligned homomorphic operation.
+//! parallel decompression and chunk-aligned homomorphic operation. One
+//! header format serves every stream family of the workspace; a [`Layout`]
+//! tells them apart.
 
 use crate::error::{Error, Result};
 
-/// Stream magic bytes.
-pub const MAGIC: [u8; 4] = *b"FZL1";
 /// Stream format version.
 pub const VERSION: u32 = 1;
 
-/// Parsed fZ-light stream header.
+/// What tells one stream family from another on the wire.
+pub trait Layout {
+    /// Stream magic bytes.
+    const MAGIC: [u8; 4];
+    /// The most independently decodable parts a stream of `n` elements can
+    /// be cut into; a header that claims more is corrupt.
+    fn max_parts(n: u64, block_len: u32) -> u64;
+}
+
+/// fZ-light's layout: contiguous thread-chunks of at least one element.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fzl;
+
+impl Layout for Fzl {
+    const MAGIC: [u8; 4] = *b"FZL1";
+    fn max_parts(n: u64, _block_len: u32) -> u64 {
+        n
+    }
+}
+
+/// Parsed stream header.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Header {
     /// Element count of the original `f32` data.
@@ -17,11 +37,12 @@ pub struct Header {
     pub eb: f64,
     /// Small-block length.
     pub block_len: u32,
-    /// Thread-chunk count.
+    /// Count of independently decodable parts: fZ-light's thread-chunks,
+    /// ompSZp's thread groups.
     pub nchunks: u32,
     /// `nchunks + 1` byte offsets into the body; chunk `i` occupies
-    /// `offsets[i]..offsets[i+1]`. Empty streams (`n == 0`) store `[0]`... no:
-    /// they store a single `0` terminator only when `nchunks == 0`.
+    /// `offsets[i]..offsets[i+1]`. An empty stream (`n == 0`, `nchunks == 0`)
+    /// stores the single terminator `[0]`.
     pub offsets: Vec<u64>,
 }
 
@@ -45,8 +66,8 @@ impl Header {
     }
 
     /// Append the serialized header to `out`.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&MAGIC);
+    pub fn write_to<L: Layout>(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&L::MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.n.to_le_bytes());
         out.extend_from_slice(&self.eb.to_le_bytes());
@@ -59,11 +80,11 @@ impl Header {
 
     /// Parse a header from the front of `bytes`; returns the header and the
     /// byte offset where the body starts.
-    pub fn parse(bytes: &[u8]) -> Result<(Header, usize)> {
+    pub fn parse<L: Layout>(bytes: &[u8]) -> Result<(Header, usize)> {
         if bytes.len() < FIXED {
             return Err(Error::Truncated { need: FIXED, have: bytes.len() });
         }
-        if bytes[0..4] != MAGIC {
+        if bytes[0..4] != L::MAGIC {
             return Err(Error::Corrupt("bad magic"));
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
@@ -83,28 +104,22 @@ impl Header {
         if n > 0 && nchunks == 0 {
             return Err(Error::Corrupt("non-empty stream with zero chunks"));
         }
-        if nchunks as u64 > n {
-            return Err(Error::Corrupt("more chunks than elements"));
+        if nchunks as u64 > L::max_parts(n, block_len) {
+            return Err(Error::Corrupt("more chunks than the elements can fill"));
         }
-        let table = (nchunks as usize + 1) * 8;
-        let need = FIXED + table;
+        let need = Header::serialized_len(nchunks as usize);
         if bytes.len() < need {
             return Err(Error::Truncated { need, have: bytes.len() });
         }
-        let mut offsets = Vec::with_capacity(nchunks as usize + 1);
-        let mut prev = 0u64;
-        for k in 0..=nchunks as usize {
-            let at = FIXED + k * 8;
-            let o = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            if k == 0 {
-                if o != 0 {
-                    return Err(Error::Corrupt("first offset must be zero"));
-                }
-            } else if o < prev {
-                return Err(Error::Corrupt("offsets not monotone"));
-            }
-            prev = o;
-            offsets.push(o);
+        let offsets: Vec<u64> = bytes[FIXED..need]
+            .chunks_exact(8)
+            .map(|o| u64::from_le_bytes(o.try_into().unwrap()))
+            .collect();
+        if offsets[0] != 0 {
+            return Err(Error::Corrupt("first offset must be zero"));
+        }
+        if offsets.windows(2).any(|w| w[1] < w[0]) {
+            return Err(Error::Corrupt("offsets not monotone"));
         }
         Ok((Header { n, eb, block_len, nchunks, offsets }, need))
     }
@@ -140,9 +155,9 @@ mod tests {
     fn roundtrip() {
         let h = sample();
         let mut buf = Vec::new();
-        h.write_to(&mut buf);
+        h.write_to::<Fzl>(&mut buf);
         assert_eq!(buf.len(), Header::serialized_len(2));
-        let (h2, body) = Header::parse(&buf).unwrap();
+        let (h2, body) = Header::parse::<Fzl>(&buf).unwrap();
         assert_eq!(h, h2);
         assert_eq!(body, buf.len());
         assert_eq!(h2.body_len(), 77);
@@ -152,25 +167,25 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         let mut buf = Vec::new();
-        sample().write_to(&mut buf);
+        sample().write_to::<Fzl>(&mut buf);
         buf[0] = b'X';
-        assert!(matches!(Header::parse(&buf), Err(Error::Corrupt("bad magic"))));
+        assert!(matches!(Header::parse::<Fzl>(&buf), Err(Error::Corrupt("bad magic"))));
     }
 
     #[test]
     fn bad_version_rejected() {
         let mut buf = Vec::new();
-        sample().write_to(&mut buf);
+        sample().write_to::<Fzl>(&mut buf);
         buf[4] = 9;
-        assert!(Header::parse(&buf).is_err());
+        assert!(Header::parse::<Fzl>(&buf).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
         let mut buf = Vec::new();
-        sample().write_to(&mut buf);
+        sample().write_to::<Fzl>(&mut buf);
         for cut in 0..buf.len() {
-            assert!(Header::parse(&buf[..cut]).is_err(), "cut {cut}");
+            assert!(Header::parse::<Fzl>(&buf[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -179,8 +194,8 @@ mod tests {
         let mut h = sample();
         h.offsets = vec![0, 50, 40];
         let mut buf = Vec::new();
-        h.write_to(&mut buf);
-        assert!(Header::parse(&buf).is_err());
+        h.write_to::<Fzl>(&mut buf);
+        assert!(Header::parse::<Fzl>(&buf).is_err());
     }
 
     #[test]
@@ -188,8 +203,8 @@ mod tests {
         let mut h = sample();
         h.offsets = vec![1, 50, 60];
         let mut buf = Vec::new();
-        h.write_to(&mut buf);
-        assert!(Header::parse(&buf).is_err());
+        h.write_to::<Fzl>(&mut buf);
+        assert!(Header::parse::<Fzl>(&buf).is_err());
     }
 
     #[test]
@@ -214,7 +229,7 @@ mod tests {
     fn more_chunks_than_elements_rejected() {
         let h = Header { n: 1, eb: 1e-4, block_len: 32, nchunks: 2, offsets: vec![0, 1, 2] };
         let mut buf = Vec::new();
-        h.write_to(&mut buf);
-        assert!(Header::parse(&buf).is_err());
+        h.write_to::<Fzl>(&mut buf);
+        assert!(Header::parse::<Fzl>(&buf).is_err());
     }
 }

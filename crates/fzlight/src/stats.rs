@@ -2,7 +2,7 @@
 //! code-length distribution — the statistic that decides which hZ-dynamic
 //! pipeline a block pair will take and what the compression ratio will be.
 
-use crate::chunk::chunk_spans;
+use crate::chunk::{block_lens, chunk_spans};
 use crate::codec;
 use crate::error::{Error, Result};
 use crate::stream::CompressedStream;
@@ -44,10 +44,7 @@ impl StreamStats {
             }
             stats.chunk_bytes.push(payload.len());
             let mut pos = 4usize;
-            let mut remaining = span.len;
-            while remaining > 0 {
-                let len = remaining.min(block_len);
-                remaining -= len;
+            for len in block_lens(span.len, block_len) {
                 let c = codec::peek_code(&payload[pos..])?;
                 pos += codec::skip_block(&payload[pos..], len)?;
                 stats.blocks += 1;

@@ -2,40 +2,52 @@
 //! wire or operated on homomorphically.
 
 use crate::error::{Error, Result};
-use crate::header::Header;
+use crate::header::{Fzl, Header, Layout};
+use std::marker::PhantomData;
 
-/// An owned, self-describing fZ-light compressed stream.
+/// An owned, self-describing compressed stream of the family `L`.
 ///
 /// The in-memory representation is exactly the wire representation
-/// ([`CompressedStream::as_bytes`]), so sending a stream through a
-/// communication layer and re-materializing it on the other side
-/// ([`CompressedStream::from_bytes`]) costs one header parse and no copies of
-/// the body.
+/// ([`Stream::as_bytes`]), so sending a stream through a communication layer
+/// and re-materializing it on the other side ([`Stream::from_bytes`]) costs
+/// one header parse and no copies of the body.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompressedStream {
+pub struct Stream<L> {
     bytes: Vec<u8>,
     header: Header,
     body_start: usize,
+    layout: PhantomData<L>,
 }
 
-impl CompressedStream {
-    /// Assemble a stream from a header and the concatenated chunk payloads.
+/// An fZ-light stream — the only family the homomorphic operators accept.
+pub type CompressedStream = Stream<Fzl>;
+
+impl<L: Layout> Stream<L> {
+    /// Assemble a stream from its chunk payloads, in chunk order: the offset
+    /// table is their running length, and header and payloads are written
+    /// straight into the wire buffer.
     ///
-    /// Used by the compressor and by homomorphic operators; the header's
-    /// offset table must describe `body` exactly.
-    pub fn from_parts(header: Header, body: &[u8]) -> Self {
-        debug_assert_eq!(header.body_len(), body.len());
-        let body_start = Header::serialized_len(header.nchunks as usize);
-        let mut bytes = Vec::with_capacity(body_start + body.len());
-        header.write_to(&mut bytes);
+    /// Used by the compressors and by the homomorphic operators.
+    pub fn from_chunks(n: usize, eb: f64, block_len: usize, chunks: &[Vec<u8>]) -> Self {
+        let mut offsets = Vec::with_capacity(chunks.len() + 1);
+        offsets.push(0u64);
+        offsets.extend(chunks.iter().scan(0u64, |end, c| {
+            *end += c.len() as u64;
+            Some(*end)
+        }));
+        let nchunks = chunks.len() as u32;
+        let header = Header { n: n as u64, eb, block_len: block_len as u32, nchunks, offsets };
+        let body_start = Header::serialized_len(chunks.len());
+        let mut bytes = Vec::with_capacity(body_start + header.body_len());
+        header.write_to::<L>(&mut bytes);
         debug_assert_eq!(bytes.len(), body_start);
-        bytes.extend_from_slice(body);
-        CompressedStream { bytes, header, body_start }
+        chunks.iter().for_each(|c| bytes.extend_from_slice(c));
+        Stream { bytes, header, body_start, layout: PhantomData }
     }
 
     /// Parse a stream from raw bytes (e.g. received from the network).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
-        let (header, body_start) = Header::parse(&bytes)?;
+        let (header, body_start) = Header::parse::<L>(&bytes)?;
         let need = body_start + header.body_len();
         if bytes.len() < need {
             return Err(Error::Truncated { need, have: bytes.len() });
@@ -43,7 +55,7 @@ impl CompressedStream {
         if bytes.len() > need {
             return Err(Error::Corrupt("trailing bytes after body"));
         }
-        Ok(CompressedStream { bytes, header, body_start })
+        Ok(Stream { bytes, header, body_start, layout: PhantomData })
     }
 
     /// The full wire representation (header + body).
@@ -71,7 +83,7 @@ impl CompressedStream {
         self.header.eb
     }
 
-    /// Thread-chunk count.
+    /// Chunk count (fZ-light thread-chunks, ompSZp thread groups).
     pub fn nchunks(&self) -> usize {
         self.header.nchunks as usize
     }

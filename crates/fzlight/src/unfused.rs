@@ -7,11 +7,10 @@
 //! **byte-identical streams** to [`crate::compress()`], so the ablation bench
 //! isolates exactly the memory-traffic effect.
 
-use crate::chunk::{chunk_spans, effective_chunks};
 use crate::codec;
+use crate::compress::compress_chunks;
 use crate::config::Config;
 use crate::error::Result;
-use crate::header::Header;
 use crate::quantize::quantize_block;
 use crate::stream::CompressedStream;
 
@@ -23,58 +22,22 @@ use crate::stream::CompressedStream;
 pub fn compress_unfused(data: &[f32], cfg: &Config) -> Result<CompressedStream> {
     cfg.validate()?;
     let eb = cfg.eb.resolve(data)?;
-    let n = data.len();
-    let nchunks = effective_chunks(n, cfg.threads);
-    let spans = chunk_spans(n, nchunks);
     let inv_2eb = 1.0 / (2.0 * eb);
-    let block_len = cfg.block_len;
-
-    let run_chunk = |start: usize, len: usize| -> Result<Vec<u8>> {
-        let chunk = &data[start..start + len];
+    compress_chunks(data, eb, cfg.block_len, cfg.threads, |chunk, base, out| {
         // Pass 1: quantize everything into an intermediate array.
-        let mut qi = vec![0i32; len];
-        quantize_block(chunk, inv_2eb, start, &mut qi)?;
+        let mut qi = vec![0i32; chunk.len()];
+        quantize_block(chunk, inv_2eb, base, &mut qi)?;
         let mut q: Vec<i64> = qi.iter().map(|&x| x as i64).collect();
         // Pass 2: delta-predict in place (reverse order keeps predecessors).
         let outlier = q[0] as i32;
-        for k in (1..len).rev() {
+        for k in (1..q.len()).rev() {
             q[k] -= q[k - 1];
         }
         q[0] = 0;
         // Pass 3: fixed-length encode block by block.
-        let mut out = Vec::with_capacity(4 + len.div_ceil(block_len) + len);
         out.extend_from_slice(&outlier.to_le_bytes());
-        for block in q.chunks(block_len) {
-            codec::encode_deltas(block, &mut out)?;
-        }
-        Ok(out)
-    };
-
-    let parts: Vec<Result<Vec<u8>>> = if nchunks <= 1 {
-        spans.iter().map(|s| run_chunk(s.start, s.len)).collect()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = spans
-                .iter()
-                .map(|span| {
-                    let (start, len) = (span.start, span.len);
-                    scope.spawn(move || run_chunk(start, len))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("unfused thread panicked")).collect()
-        })
-    };
-
-    let mut offsets = Vec::with_capacity(nchunks + 1);
-    offsets.push(0u64);
-    let mut body = Vec::new();
-    for part in parts {
-        body.extend_from_slice(&part?);
-        offsets.push(body.len() as u64);
-    }
-    let header =
-        Header { n: n as u64, eb, block_len: block_len as u32, nchunks: nchunks as u32, offsets };
-    Ok(CompressedStream::from_parts(header, &body))
+        q.chunks(cfg.block_len).try_for_each(|block| codec::encode_deltas(block, out).map(drop))
+    })
 }
 
 #[cfg(test)]

@@ -30,7 +30,8 @@
 //! # let _ = decompress(&total).unwrap();
 //! ```
 
-use fzlight::chunk::{chunk_spans, ChunkSpan};
+use crate::walk::{drive, emit};
+use fzlight::chunk::{block_lens, chunk_spans, ChunkSpan};
 use fzlight::codec;
 use fzlight::config::MAX_BLOCK_LEN;
 use fzlight::error::{Error, Result};
@@ -85,10 +86,7 @@ impl Accumulator {
             self.outliers[ci] += i32::from_le_bytes(payload[0..4].try_into().unwrap()) as i64;
             let mut pos = 4usize;
             let mut at = span.start;
-            let mut remaining = span.len;
-            while remaining > 0 {
-                let len = remaining.min(block_len);
-                remaining -= len;
+            for len in block_lens(span.len, block_len) {
                 let c = codec::peek_code(&payload[pos..])?;
                 if c == 0 {
                     // pipeline ①: nothing to add
@@ -115,22 +113,18 @@ impl Accumulator {
     /// pushed and `finish` called again).
     pub fn finish(&self) -> Result<CompressedStream> {
         let block_len = self.header.block_len as usize;
-        let nchunks = self.spans.len();
-        let mut offsets = Vec::with_capacity(nchunks + 1);
-        offsets.push(0u64);
-        let mut body = Vec::with_capacity(self.deltas.len() / 2 + 16 * nchunks);
-        for (ci, span) in self.spans.iter().enumerate() {
-            let o32 = i32::try_from(self.outliers[ci])
-                .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-            body.extend_from_slice(&o32.to_le_bytes());
-            for block in self.deltas[span.start..span.start + span.len].chunks(block_len) {
-                codec::encode_deltas(block, &mut body)
-                    .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-            }
-            offsets.push(body.len() as u64);
-        }
-        let header = Header { offsets, ..self.header.clone() };
-        Ok(CompressedStream::from_parts(header, &body))
+        let encoded = drive(
+            &self.header,
+            [],
+            |ci, []| self.outliers[ci],
+            |w| {
+                let span = self.spans[w.ci];
+                self.deltas[span.start..span.start + span.len]
+                    .chunks(block_len)
+                    .try_for_each(|block| emit(block, w.ci, &mut w.out))
+            },
+        )?;
+        Ok(encoded.0)
     }
 }
 

@@ -8,6 +8,7 @@
 //! *worse* NRMSE for DOC than for hZ-dynamic.
 
 use crate::op::ReduceOp;
+use fzlight::chunk::fork_join;
 use fzlight::error::Result;
 use fzlight::stream::CompressedStream;
 use fzlight::{compress_resolved, decompress};
@@ -34,23 +35,18 @@ pub fn doc_reduce(
 /// `threads` chunks (the CPT kernel the collectives charge to `Cpt`).
 pub fn reduce_in_place(acc: &mut [f32], other: &[f32], op: ReduceOp, threads: usize) {
     assert_eq!(acc.len(), other.len(), "operand lengths must match");
-    let threads = threads.max(1);
-    if threads == 1 || acc.len() < 4096 {
-        for (x, &y) in acc.iter_mut().zip(other) {
-            *x = op.apply_f32(*x, y);
-        }
-        return;
+    // short vectors are not worth a fork
+    let threads = if acc.len() < 4096 { 1 } else { threads.max(1) };
+    let chunk = acc.len().div_ceil(threads).max(1);
+    fork_join(acc.chunks_mut(chunk).zip(other.chunks(chunk)), |_, (xs, ys)| reduce(xs, ys, op));
+}
+
+/// `xs[i] = op(xs[i], ys[i])`. Its own function so the two slices arrive as
+/// non-aliasing arguments and the loop vectorizes.
+fn reduce(xs: &mut [f32], ys: &[f32], op: ReduceOp) {
+    for (x, &y) in xs.iter_mut().zip(ys) {
+        *x = op.apply_f32(*x, y);
     }
-    let chunk = acc.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (xs, ys) in acc.chunks_mut(chunk).zip(other.chunks(chunk)) {
-            s.spawn(move || {
-                for (x, &y) in xs.iter_mut().zip(ys) {
-                    *x = op.apply_f32(*x, y);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]

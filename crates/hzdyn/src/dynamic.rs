@@ -1,17 +1,20 @@
 //! The dynamic homomorphic compression pipeline (Fig. 4, right side).
 //!
-//! Per chunk: add the outliers, then walk the two block sequences in
+//! Per chunk: combine the outliers, then walk the two block sequences in
 //! lockstep, dispatching each pair through the lightest applicable pipeline.
-//! Work parallelizes over thread-chunks exactly like compression does, so the
-//! multi-thread mode of the collectives gets homomorphic speedups too.
+//! There is one kernel, over integer coefficients: it computes
+//! `alpha·A + beta·B`, and [`homomorphic_sum`] and [`ReduceOp::Diff`] are its
+//! `(1, 1)` and `(1, −1)`. The chunk walk around it is `crate::walk`'s, so
+//! work parallelizes over thread-chunks exactly like compression does and
+//! the multi-thread mode of the collectives gets homomorphic speedups too.
 
 use crate::op::ReduceOp;
 use crate::stats::PipelineStats;
-use fzlight::chunk::chunk_spans;
+use crate::walk::{drive, emit, Cursor, Walk};
+use fzlight::chunk::block_lens;
 use fzlight::codec;
 use fzlight::config::MAX_BLOCK_LEN;
-use fzlight::error::{Error, Result};
-use fzlight::header::Header;
+use fzlight::error::Result;
 use fzlight::stream::CompressedStream;
 
 /// Homomorphic element-wise sum of two compatible streams.
@@ -25,7 +28,7 @@ pub fn homomorphic_sum_with_stats(
     a: &CompressedStream,
     b: &CompressedStream,
 ) -> Result<(CompressedStream, PipelineStats)> {
-    op_impl(a, b, ReduceOp::Sum)
+    combine(a, 1, b, 1, true)
 }
 
 /// Homomorphic binary reduction of two compatible streams.
@@ -34,60 +37,63 @@ pub fn homomorphic_op(
     b: &CompressedStream,
     op: ReduceOp,
 ) -> Result<CompressedStream> {
-    op_impl(a, b, op).map(|(s, _)| s)
+    let (alpha, beta) = op.coefficients();
+    homomorphic_axpby(a, alpha, b, beta)
 }
 
-fn op_impl(
+/// Homomorphic linear combination `alpha*A + beta*B` with integer
+/// coefficients, computed directly on the compressed streams.
+///
+/// Generalizes [`homomorphic_sum`] (`1,1`), [`homomorphic_op`] with `Diff`
+/// (`1,-1`) and [`homomorphic_scale`]: any operation linear on the
+/// quantization integers composes with the delta encoding. The dynamic
+/// pipeline heuristic still applies — a constant block contributes nothing,
+/// so single-sided blocks reduce to a scale (or a copy when the coefficient
+/// is 1).
+pub fn homomorphic_axpby(
     a: &CompressedStream,
+    alpha: i32,
     b: &CompressedStream,
-    op: ReduceOp,
-) -> Result<(CompressedStream, PipelineStats)> {
-    a.header().check_compatible(b.header())?;
-    let n = a.n();
-    let nchunks = a.nchunks();
-    let block_len = a.block_len();
-    let spans = chunk_spans(n, nchunks);
+    beta: i32,
+) -> Result<CompressedStream> {
+    combine(a, alpha, b, beta, true).map(|(s, _)| s)
+}
 
-    let parts: Vec<Result<(Vec<u8>, PipelineStats)>> = if nchunks <= 1 {
-        spans
-            .iter()
-            .enumerate()
-            .map(|(ci, span)| {
-                hz_chunk(a.chunk_payload(ci), b.chunk_payload(ci), ci, span.len, block_len, op)
+/// Homomorphic integer scaling: multiply every reconstructed value by `k`
+/// without decompressing (`decompress(scale(A, k)) == k * q_A` on the
+/// quantization integers).
+pub fn homomorphic_scale(a: &CompressedStream, k: i32) -> Result<CompressedStream> {
+    let k = k as i64;
+    let scaled = drive(
+        a.header(),
+        [a],
+        |_, [o]| o * k,
+        |w| {
+            let mut scratch = [0i64; MAX_BLOCK_LEN];
+            block_lens(w.len, w.block_len).try_for_each(|len| {
+                scale_block(&mut w.ops[0], k, len, &mut scratch, w.ci, &mut w.out)
             })
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = spans
-                .iter()
-                .enumerate()
-                .map(|(ci, span)| {
-                    let (pa, pb, len) = (a.chunk_payload(ci), b.chunk_payload(ci), span.len);
-                    s.spawn(move || hz_chunk(pa, pb, ci, len, block_len, op))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("hz thread panicked")).collect()
-        })
-    };
+        },
+    )?;
+    Ok(scaled.0)
+}
 
-    let mut stats = PipelineStats::default();
-    let mut offsets = Vec::with_capacity(nchunks + 1);
-    offsets.push(0u64);
-    let mut body = Vec::new();
-    for part in parts {
-        let (bytes, st) = part?;
-        stats += st;
-        body.extend_from_slice(&bytes);
-        offsets.push(body.len() as u64);
-    }
-    let header = Header {
-        n: n as u64,
-        eb: a.eb(),
-        block_len: block_len as u32,
-        nchunks: nchunks as u32,
-        offsets,
-    };
-    Ok((CompressedStream::from_parts(header, &body), stats))
+/// `alpha·A + beta·B` over `crate::walk`: through the dynamic dispatch,
+/// or — the static ablation — with every block pair forced down pipeline ④.
+pub(crate) fn combine(
+    a: &CompressedStream,
+    alpha: i32,
+    b: &CompressedStream,
+    beta: i32,
+    dispatch: bool,
+) -> Result<(CompressedStream, PipelineStats)> {
+    let (alpha, beta) = (alpha as i64, beta as i64);
+    drive(
+        a.header(),
+        [a, b],
+        |_, [oa, ob]| alpha * oa + beta * ob,
+        |w| combine_blocks(w, alpha, beta, dispatch),
+    )
 }
 
 /// Elements per pipeline-④ tile: a 16 KiB i64 arena, sized so the arena plus
@@ -113,104 +119,91 @@ impl Tile {
 
     /// Re-encode the pending blocks into `out`.
     fn flush(&mut self, ci: usize, out: &mut Vec<u8>) -> Result<()> {
-        if self.fill == 0 {
-            return Ok(());
-        }
         let mut off = 0usize;
-        for &len in &self.pending {
-            codec::encode_deltas(&self.ta[off..off + len], out)
-                .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
+        for len in self.pending.drain(..) {
+            emit(&self.ta[off..off + len], ci, out)?;
             off += len;
         }
-        self.pending.clear();
         self.fill = 0;
         Ok(())
     }
 }
 
-/// Process one chunk pair homomorphically (cache-blocked fast path; the
-/// original block-at-a-time walk is retained in [`crate::reference`]).
-fn hz_chunk(
-    pa: &[u8],
-    pb: &[u8],
+/// The result block when the other operand's block is constant (pipelines ②
+/// and ③, and all of [`homomorphic_scale`]): `k` times `src`'s next block —
+/// a verbatim copy when `k == 1`, and a constant block stays constant.
+fn scale_block(
+    src: &mut Cursor<'_>,
+    k: i64,
+    len: usize,
+    scratch: &mut [i64; MAX_BLOCK_LEN],
     ci: usize,
-    chunk_len: usize,
-    block_len: usize,
-    op: ReduceOp,
-) -> Result<(Vec<u8>, PipelineStats)> {
-    if pa.len() < 4 || pb.len() < 4 {
-        return Err(Error::Truncated { need: 4, have: pa.len().min(pb.len()) });
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    if k == 1 || codec::peek_code(src.rest())? == 0 {
+        src.pos += codec::copy_block(src.rest(), len, out)?;
+        return Ok(());
     }
-    let oa = i32::from_le_bytes(pa[0..4].try_into().unwrap()) as i64;
-    let ob = i32::from_le_bytes(pb[0..4].try_into().unwrap()) as i64;
-    let o = op.apply(oa, ob);
-    let o32 = i32::try_from(o).map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
+    src.pos += codec::decode_block(src.rest(), &mut scratch[..len])?;
+    scratch[..len].iter_mut().for_each(|d| *d *= k);
+    emit(&scratch[..len], ci, out)
+}
 
-    let mut out = Vec::with_capacity(pa.len().max(pb.len()) + 16);
-    out.extend_from_slice(&o32.to_le_bytes());
-    let mut stats = PipelineStats::default();
-
-    let mut posa = 4usize;
-    let mut posb = 4usize;
-    let mut db = [0i64; MAX_BLOCK_LEN];
+/// The dynamic kernel: one chunk pair, block by block (cache-blocked fast
+/// path; the original block-at-a-time walk is retained in
+/// [`crate::reference`]).
+fn combine_blocks(w: &mut Walk<'_, 2>, alpha: i64, beta: i64, dispatch: bool) -> Result<()> {
+    let Walk { ci, len, block_len, ops: [a, b], out, stats } = w;
+    let ci = *ci;
+    let mut scratch = [0i64; MAX_BLOCK_LEN];
     let mut tile = Tile::new();
-    let mut remaining = chunk_len;
-    while remaining > 0 {
-        let len = remaining.min(block_len);
-        remaining -= len;
-        let ca = codec::peek_code(&pa[posa..])?;
-        let cb = codec::peek_code(&pb[posb..])?;
+    for len in block_lens(*len, *block_len) {
+        let ca = codec::peek_code(a.rest())?;
+        let cb = codec::peek_code(b.rest())?;
         match (ca, cb) {
-            (0, 0) => {
-                // ① both constant: result deltas are all zero for Sum/Diff.
-                tile.flush(ci, &mut out)?;
+            (0, 0) if dispatch => {
+                // ① both constant: every result delta is zero.
+                tile.flush(ci, out)?;
                 out.push(0);
-                posa += 1;
-                posb += 1;
+                a.pos += 1;
+                b.pos += 1;
                 stats.p1 += 1;
             }
-            (0, _) if op.left_identity_copies() => {
-                // ② left constant: 0 + b = b, copy B verbatim.
-                tile.flush(ci, &mut out)?;
-                posa += 1;
-                posb += codec::copy_block(&pb[posb..], len, &mut out)?;
+            (0, _) if dispatch => {
+                // ② left constant: the result is beta·B (0 + b = b copies B
+                // verbatim; 0 - b needs a negation pass over B's deltas).
+                tile.flush(ci, out)?;
+                a.pos += 1;
+                scale_block(b, beta, len, &mut scratch, ci, out)?;
                 stats.p2 += 1;
             }
-            (0, _) => {
-                // ② for Diff: 0 - b needs a negation pass over B's deltas.
-                tile.flush(ci, &mut out)?;
-                posa += 1;
-                posb += codec::decode_block(&pb[posb..], &mut db[..len])?;
-                for d in &mut db[..len] {
-                    *d = -*d;
-                }
-                codec::encode_deltas(&db[..len], &mut out)
-                    .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-                stats.p2 += 1;
-            }
-            (_, 0) => {
-                // ③ right constant: a ∘ 0 = a for both Sum and Diff.
-                tile.flush(ci, &mut out)?;
-                posb += 1;
-                posa += codec::copy_block(&pa[posa..], len, &mut out)?;
+            (_, 0) if dispatch => {
+                // ③ right constant: the result is alpha·A.
+                tile.flush(ci, out)?;
+                b.pos += 1;
+                scale_block(a, alpha, len, &mut scratch, ci, out)?;
                 stats.p3 += 1;
             }
-            (_, _) => {
+            _ => {
                 // ④ both non-constant: IFE A into the tile arena, fuse B's
                 // decode with the integer op, and FE at flush over a
                 // contiguous L1-resident run instead of one 64-element block
                 // at a time.
                 if tile.fill + len > TILE_ELEMS {
-                    tile.flush(ci, &mut out)?;
+                    tile.flush(ci, out)?;
                 }
-                let f = tile.fill;
-                posa += codec::decode_block(&pa[posa..], &mut tile.ta[f..f + len])?;
-                posb += match op {
-                    ReduceOp::Sum => {
-                        codec::decode_block_add(&pb[posb..], &mut tile.ta[f..f + len])?
-                    }
-                    ReduceOp::Diff => {
-                        codec::decode_block_sub(&pb[posb..], &mut tile.ta[f..f + len])?
+                let slot = &mut tile.ta[tile.fill..tile.fill + len];
+                a.pos += codec::decode_block(a.rest(), slot)?;
+                if alpha != 1 {
+                    slot.iter_mut().for_each(|d| *d *= alpha);
+                }
+                b.pos += match beta {
+                    1 => codec::decode_block_add(b.rest(), slot)?,
+                    -1 => codec::decode_block_sub(b.rest(), slot)?,
+                    _ => {
+                        let used = codec::decode_block(b.rest(), &mut scratch[..len])?;
+                        slot.iter_mut().zip(&scratch).for_each(|(d, s)| *d += beta * s);
+                        used
                     }
                 };
                 tile.pending.push(len);
@@ -219,163 +212,13 @@ fn hz_chunk(
             }
         }
     }
-    tile.flush(ci, &mut out)?;
-    if posa != pa.len() || posb != pb.len() {
-        return Err(Error::Corrupt("chunk payload longer than its blocks"));
-    }
-    Ok((out, stats))
-}
-
-/// Homomorphic linear combination `alpha*A + beta*B` with integer
-/// coefficients, computed directly on the compressed streams.
-///
-/// Generalizes [`homomorphic_sum`] (`1,1`), [`homomorphic_op`] with `Diff`
-/// (`1,-1`) and [`homomorphic_scale`]: any operation linear on the
-/// quantization integers composes with the delta encoding. The dynamic
-/// pipeline heuristic still applies — a constant block contributes nothing,
-/// so single-sided blocks reduce to a scale (or a copy when the coefficient
-/// is 1).
-pub fn homomorphic_axpby(
-    a: &CompressedStream,
-    alpha: i32,
-    b: &CompressedStream,
-    beta: i32,
-) -> Result<CompressedStream> {
-    a.header().check_compatible(b.header())?;
-    let n = a.n();
-    let nchunks = a.nchunks();
-    let block_len = a.block_len();
-    let spans = chunk_spans(n, nchunks);
-    let (alpha, beta) = (alpha as i64, beta as i64);
-
-    let mut offsets = Vec::with_capacity(nchunks + 1);
-    offsets.push(0u64);
-    let mut body = Vec::new();
-    let mut da = [0i64; MAX_BLOCK_LEN];
-    let mut db = [0i64; MAX_BLOCK_LEN];
-    for (ci, span) in spans.iter().enumerate() {
-        let pa = a.chunk_payload(ci);
-        let pb = b.chunk_payload(ci);
-        if pa.len() < 4 || pb.len() < 4 {
-            return Err(Error::Truncated { need: 4, have: pa.len().min(pb.len()) });
-        }
-        let oa = i32::from_le_bytes(pa[0..4].try_into().unwrap()) as i64;
-        let ob = i32::from_le_bytes(pb[0..4].try_into().unwrap()) as i64;
-        let o32 = i32::try_from(alpha * oa + beta * ob)
-            .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-        body.extend_from_slice(&o32.to_le_bytes());
-
-        let mut posa = 4usize;
-        let mut posb = 4usize;
-        let mut remaining = span.len;
-        while remaining > 0 {
-            let len = remaining.min(block_len);
-            remaining -= len;
-            let ca = codec::peek_code(&pa[posa..])?;
-            let cb = codec::peek_code(&pb[posb..])?;
-            match (ca, cb) {
-                (0, 0) => {
-                    body.push(0);
-                    posa += 1;
-                    posb += 1;
-                }
-                (0, _) if beta == 1 => {
-                    posa += 1;
-                    posb += codec::copy_block(&pb[posb..], len, &mut body)?;
-                }
-                (_, 0) if alpha == 1 => {
-                    posb += 1;
-                    posa += codec::copy_block(&pa[posa..], len, &mut body)?;
-                }
-                _ => {
-                    posa += codec::decode_block(&pa[posa..], &mut da[..len])?;
-                    posb += codec::decode_block(&pb[posb..], &mut db[..len])?;
-                    for k in 0..len {
-                        da[k] = alpha * da[k] + beta * db[k];
-                    }
-                    codec::encode_deltas(&da[..len], &mut body)
-                        .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-                }
-            }
-        }
-        if posa != pa.len() || posb != pb.len() {
-            return Err(Error::Corrupt("chunk payload longer than its blocks"));
-        }
-        offsets.push(body.len() as u64);
-    }
-    let header = Header {
-        n: n as u64,
-        eb: a.eb(),
-        block_len: block_len as u32,
-        nchunks: nchunks as u32,
-        offsets,
-    };
-    Ok(CompressedStream::from_parts(header, &body))
-}
-
-/// Homomorphic integer scaling: multiply every reconstructed value by `k`
-/// without decompressing (`decompress(scale(A, k)) == k * q_A` on the
-/// quantization integers).
-pub fn homomorphic_scale(a: &CompressedStream, k: i32) -> Result<CompressedStream> {
-    let n = a.n();
-    let nchunks = a.nchunks();
-    let block_len = a.block_len();
-    let spans = chunk_spans(n, nchunks);
-    let k = k as i64;
-
-    let mut offsets = Vec::with_capacity(nchunks + 1);
-    offsets.push(0u64);
-    let mut body = Vec::new();
-    for (ci, span) in spans.iter().enumerate() {
-        let pa = a.chunk_payload(ci);
-        if pa.len() < 4 {
-            return Err(Error::Truncated { need: 4, have: pa.len() });
-        }
-        let oa = i32::from_le_bytes(pa[0..4].try_into().unwrap()) as i64;
-        let o32 = i32::try_from(oa * k).map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-        body.extend_from_slice(&o32.to_le_bytes());
-
-        let mut pos = 4usize;
-        let mut deltas = [0i64; MAX_BLOCK_LEN];
-        let mut remaining = span.len;
-        while remaining > 0 {
-            let len = remaining.min(block_len);
-            remaining -= len;
-            let c = codec::peek_code(&pa[pos..])?;
-            if c == 0 || k == 0 {
-                // constant stays constant; scaling by zero zeroes everything
-                pos += codec::skip_block(&pa[pos..], len)?;
-                body.push(0);
-            } else if k == 1 {
-                pos += codec::copy_block(&pa[pos..], len, &mut body)?;
-            } else {
-                pos += codec::decode_block(&pa[pos..], &mut deltas[..len])?;
-                for d in &mut deltas[..len] {
-                    *d *= k;
-                }
-                codec::encode_deltas(&deltas[..len], &mut body)
-                    .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-            }
-        }
-        if pos != pa.len() {
-            return Err(Error::Corrupt("chunk payload longer than its blocks"));
-        }
-        offsets.push(body.len() as u64);
-    }
-    let header = Header {
-        n: n as u64,
-        eb: a.eb(),
-        block_len: block_len as u32,
-        nchunks: nchunks as u32,
-        offsets,
-    };
-    Ok(CompressedStream::from_parts(header, &body))
+    tile.flush(ci, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fzlight::{compress, decompress, Config, ErrorBound};
+    use fzlight::{compress, decompress, Config, Error, ErrorBound};
 
     #[test]
     fn outlier_overflow_is_detected() {

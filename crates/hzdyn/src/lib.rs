@@ -23,9 +23,18 @@
 //! introduced, and the operation is associative and commutative — summing
 //! many streams in any order yields byte-identical outputs.
 //!
+//! There is one kernel and one chunk walk. The kernel computes
+//! `alpha·A + beta·B` for integer coefficients ([`homomorphic_axpby`]);
+//! [`ReduceOp::Sum`] and [`ReduceOp::Diff`] are its `(1, 1)` and `(1, −1)`,
+//! where ② and ③ are verbatim copies and ④ fuses B's decode with the add or
+//! subtract. The walk around it — compatibility check, outlier prologue with
+//! its overflow check, one job per chunk, trailing-bytes check, assembly —
+//! also carries [`homomorphic_scale`], the scalar [`mod@reference`] and
+//! [`Accumulator::finish`], each with its own per-block kernel.
+//!
 //! The crate also provides, for the paper's comparisons:
-//! * [`homomorphic_sum_static`] — the *static* pipeline (always ④) used as an
-//!   ablation baseline;
+//! * [`homomorphic_sum_static`] — the *static* pipeline (always ④: the same
+//!   walk with the dispatch disabled) used as an ablation baseline;
 //! * [`doc_reduce`] — the traditional decompression-operation-compression
 //!   workflow (`fZ-light (DOC)` in Table VI).
 //!
@@ -52,6 +61,7 @@ pub mod op;
 pub mod reference;
 pub mod static_pipeline;
 pub mod stats;
+mod walk;
 
 pub use accumulate::Accumulator;
 pub use doc::doc_reduce;

@@ -3,7 +3,8 @@
 //! The paper demonstrates `sum` and notes the principles apply to other
 //! reduction operations; any operation that is *linear on the quantization
 //! integers* composes with the delta encoding. `Sum` and `Diff` are provided
-//! here, and [`crate::homomorphic_scale`] covers integer scaling.
+//! here — both are coefficient pairs of [`crate::homomorphic_axpby`] — and
+//! [`crate::homomorphic_scale`] covers integer scaling.
 
 /// A binary reduction applied on quantization integers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -15,12 +16,13 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Apply the operation to two integers (deltas or outliers).
+    /// The operation as integer coefficients `(alpha, beta)` of
+    /// `alpha·a + beta·b` — how the one homomorphic kernel runs it.
     #[inline]
-    pub fn apply(self, a: i64, b: i64) -> i64 {
+    pub fn coefficients(self) -> (i32, i32) {
         match self {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Diff => a - b,
+            ReduceOp::Sum => (1, 1),
+            ReduceOp::Diff => (1, -1),
         }
     }
 
@@ -32,14 +34,6 @@ impl ReduceOp {
             ReduceOp::Diff => a - b,
         }
     }
-
-    /// Whether a constant (all-zero-delta) *left* block lets the result be a
-    /// verbatim copy of the right block. True for `Sum` (0 + b = b); false
-    /// for `Diff`, where `0 - b` needs a negation pass.
-    #[inline]
-    pub fn left_identity_copies(self) -> bool {
-        matches!(self, ReduceOp::Sum)
-    }
 }
 
 #[cfg(test)]
@@ -47,16 +41,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn apply_matches_semantics() {
-        assert_eq!(ReduceOp::Sum.apply(3, 4), 7);
-        assert_eq!(ReduceOp::Diff.apply(3, 4), -1);
-        assert_eq!(ReduceOp::Sum.apply_f32(1.5, 2.5), 4.0);
+    fn coefficients_and_float_semantics_agree() {
+        for op in [ReduceOp::Sum, ReduceOp::Diff] {
+            let (alpha, beta) = op.coefficients();
+            assert_eq!(op.apply_f32(1.5, 2.5), alpha as f32 * 1.5 + beta as f32 * 2.5);
+        }
         assert_eq!(ReduceOp::Diff.apply_f32(1.5, 2.5), -1.0);
-    }
-
-    #[test]
-    fn identity_copy_rules() {
-        assert!(ReduceOp::Sum.left_identity_copies());
-        assert!(!ReduceOp::Diff.left_identity_copies());
     }
 }

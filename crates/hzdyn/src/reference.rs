@@ -13,14 +13,14 @@
 //!    against this implementation, so the reported ratio reflects real kernel
 //!    work, not harness overhead.
 //!
-//! Parallelization over thread-chunks is identical to the fast path; only the
-//! per-block kernels differ.
+//! The chunk walk around the kernel is the fast path's (`crate::walk`);
+//! only the per-block kernels differ.
 
-use fzlight::chunk::chunk_spans;
+use crate::walk::{drive, Walk};
+use fzlight::chunk::block_lens;
 use fzlight::codec;
 use fzlight::config::MAX_BLOCK_LEN;
 use fzlight::error::{Error, Result};
-use fzlight::header::Header;
 use fzlight::stream::CompressedStream;
 
 /// Homomorphic element-wise sum via the scalar reference kernels.
@@ -30,109 +30,44 @@ pub fn homomorphic_sum_scalar(
     a: &CompressedStream,
     b: &CompressedStream,
 ) -> Result<CompressedStream> {
-    a.header().check_compatible(b.header())?;
-    let n = a.n();
-    let nchunks = a.nchunks();
-    let block_len = a.block_len();
-    let spans = chunk_spans(n, nchunks);
-
-    let parts: Vec<Result<Vec<u8>>> = if nchunks <= 1 {
-        spans
-            .iter()
-            .enumerate()
-            .map(|(ci, span)| {
-                hz_chunk_scalar(a.chunk_payload(ci), b.chunk_payload(ci), ci, span.len, block_len)
-            })
-            .collect()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = spans
-                .iter()
-                .enumerate()
-                .map(|(ci, span)| {
-                    let (pa, pb, len) = (a.chunk_payload(ci), b.chunk_payload(ci), span.len);
-                    s.spawn(move || hz_chunk_scalar(pa, pb, ci, len, block_len))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("hz scalar thread panicked")).collect()
-        })
-    };
-
-    let mut offsets = Vec::with_capacity(nchunks + 1);
-    offsets.push(0u64);
-    let mut body = Vec::new();
-    for part in parts {
-        body.extend_from_slice(&part?);
-        offsets.push(body.len() as u64);
-    }
-    let header = Header {
-        n: n as u64,
-        eb: a.eb(),
-        block_len: block_len as u32,
-        nchunks: nchunks as u32,
-        offsets,
-    };
-    Ok(CompressedStream::from_parts(header, &body))
+    drive(a.header(), [a, b], |_, [oa, ob]| oa + ob, hz_chunk_scalar).map(|(s, _)| s)
 }
 
 /// The original per-block chunk walk: dynamic pipeline dispatch with scalar
 /// decode → add → scalar encode on pipeline ④.
-fn hz_chunk_scalar(
-    pa: &[u8],
-    pb: &[u8],
-    ci: usize,
-    chunk_len: usize,
-    block_len: usize,
-) -> Result<Vec<u8>> {
-    if pa.len() < 4 || pb.len() < 4 {
-        return Err(Error::Truncated { need: 4, have: pa.len().min(pb.len()) });
-    }
-    let oa = i32::from_le_bytes(pa[0..4].try_into().unwrap()) as i64;
-    let ob = i32::from_le_bytes(pb[0..4].try_into().unwrap()) as i64;
-    let o32 = i32::try_from(oa + ob).map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-
-    let mut out = Vec::with_capacity(pa.len().max(pb.len()) + 16);
-    out.extend_from_slice(&o32.to_le_bytes());
-
-    let mut posa = 4usize;
-    let mut posb = 4usize;
+fn hz_chunk_scalar(w: &mut Walk<'_, 2>) -> Result<()> {
+    let Walk { ci, len, block_len, ops: [a, b], out, .. } = w;
     let mut da = [0i64; MAX_BLOCK_LEN];
     let mut db = [0i64; MAX_BLOCK_LEN];
-    let mut remaining = chunk_len;
-    while remaining > 0 {
-        let len = remaining.min(block_len);
-        remaining -= len;
-        let ca = codec::peek_code(&pa[posa..])?;
-        let cb = codec::peek_code(&pb[posb..])?;
+    for len in block_lens(*len, *block_len) {
+        let ca = codec::peek_code(a.rest())?;
+        let cb = codec::peek_code(b.rest())?;
         match (ca, cb) {
             (0, 0) => {
                 out.push(0);
-                posa += 1;
-                posb += 1;
+                a.pos += 1;
+                b.pos += 1;
             }
             (0, _) => {
-                posa += 1;
-                posb += codec::copy_block(&pb[posb..], len, &mut out)?;
+                a.pos += 1;
+                b.pos += codec::copy_block(b.rest(), len, out)?;
             }
             (_, 0) => {
-                posb += 1;
-                posa += codec::copy_block(&pa[posa..], len, &mut out)?;
+                b.pos += 1;
+                a.pos += codec::copy_block(a.rest(), len, out)?;
             }
             (_, _) => {
-                posa += codec::decode_block_scalar(&pa[posa..], &mut da[..len])?;
-                posb += codec::decode_block_scalar(&pb[posb..], &mut db[..len])?;
+                a.pos += codec::decode_block_scalar(a.rest(), &mut da[..len])?;
+                b.pos += codec::decode_block_scalar(b.rest(), &mut db[..len])?;
                 for k in 0..len {
                     da[k] += db[k];
                 }
-                codec::encode_deltas_scalar(&da[..len], &mut out)
-                    .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
+                codec::encode_deltas_scalar(&da[..len], out)
+                    .map_err(|_| Error::HomomorphicOverflow { chunk: *ci })?;
             }
         }
     }
-    if posa != pa.len() || posb != pb.len() {
-        return Err(Error::Corrupt("chunk payload longer than its blocks"));
-    }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

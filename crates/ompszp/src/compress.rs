@@ -8,9 +8,19 @@
 //! again to bit-shuffle-encode them.
 
 use crate::bitshuffle;
-use crate::format::{OszpHeader, OszpStream, ZERO_BLOCK};
+use crate::format::{OszpStream, ZERO_BLOCK};
+use fzlight::chunk::{deal, fork_join};
 use fzlight::config::{Config, MAX_BLOCK_LEN};
 use fzlight::error::Result;
+
+/// What pass 1 leaves per block besides its deltas.
+#[derive(Clone, Copy, Default)]
+struct BlockHead {
+    /// First quantization integer of the block.
+    outlier: i32,
+    /// [`ZERO_BLOCK`], or the bit width of the largest delta magnitude.
+    code: u8,
+}
 
 /// Compress `data` with cuSZp's parallelism strategy.
 pub fn compress(data: &[f32], cfg: &Config) -> Result<OszpStream> {
@@ -18,180 +28,87 @@ pub fn compress(data: &[f32], cfg: &Config) -> Result<OszpStream> {
     let eb = cfg.eb.resolve(data)?;
     let n = data.len();
     let block_len = cfg.block_len;
-    if n == 0 {
-        let header =
-            OszpHeader { n: 0, eb, block_len: block_len as u32, ngroups: 0, offsets: vec![0] };
-        return Ok(OszpStream::from_parts(header, &[]));
-    }
     let nblocks = n.div_ceil(block_len);
     let ngroups = cfg.threads.max(1).min(nblocks);
     let inv_2eb = 1.0 / (2.0 * eb);
 
     // ---- Pass 1: block-wise quantization + prediction (strided ownership).
     // Full-size intermediate arrays, exactly the memory cost the fused
-    // fZ-light pipeline avoids.
+    // fZ-light pipeline avoids. Group `t` is dealt blocks `t, t+T, t+2T, …`
+    // and hops between those distant regions.
     let mut deltas = vec![0i64; n];
-    let mut outliers = vec![0i32; nblocks];
-    let mut codes = vec![0u8; nblocks];
+    let mut heads = vec![BlockHead::default(); nblocks];
+    let blocks = data.chunks(block_len).zip(deltas.chunks_mut(block_len)).zip(&mut heads);
+    fork_join(deal(blocks.enumerate(), ngroups), |_, owned| {
+        owned.into_iter().try_for_each(|(bi, ((block, deltas), head))| {
+            *head = quantize_predict_block(block, bi * block_len, inv_2eb, deltas)?;
+            Ok(())
+        })
+    })
+    .into_iter()
+    .collect::<Result<()>>()?;
 
-    {
-        // Threads own disjoint block-cyclic index sets; hand each thread raw
-        // access to the shared scratch arrays.
-        let deltas_ptr = SendPtr(deltas.as_mut_ptr());
-        let outliers_ptr = SendPtr(outliers.as_mut_ptr());
-        let codes_ptr = SendPtr(codes.as_mut_ptr());
-        let results: Vec<Result<()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..ngroups)
-                .map(|t| {
-                    let (dp, op, cp) = (deltas_ptr, outliers_ptr, codes_ptr);
-                    s.spawn(move || -> Result<()> {
-                        let mut bi = t;
-                        while bi < nblocks {
-                            let start = bi * block_len;
-                            let len = block_len.min(n - start);
-                            let block = &data[start..start + len];
-                            // SAFETY: block `bi` is owned by exactly one
-                            // thread (block-cyclic partition), so these
-                            // writes target disjoint ranges/cells.
-                            unsafe {
-                                quantize_predict_block(
-                                    block,
-                                    start,
-                                    inv_2eb,
-                                    dp.get().add(start),
-                                    op.get().add(bi),
-                                    cp.get().add(bi),
-                                )?;
-                            }
-                            bi += ngroups;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("ompszp pass-1 panicked")).collect()
-        });
-        for r in results {
-            r?;
-        }
-    }
-
-    // ---- Global synchronization: record sizes -> group offsets.
-    let record_size = |bi: usize| -> usize {
-        let c = codes[bi];
-        if c == ZERO_BLOCK {
-            1
-        } else {
-            let start = bi * block_len;
-            let len = block_len.min(n - start);
-            let body = if c == 0 {
-                0
-            } else {
-                bitshuffle::plane_bytes(len) + bitshuffle::planes_size(c, len)
-            };
-            1 + 4 + body
-        }
-    };
+    // ---- Global synchronization: record sizes -> group sizes (the GPU
+    // prefix-sum/sync stage; the offset table is their running sum).
     let mut group_sizes = vec![0usize; ngroups];
-    for bi in 0..nblocks {
-        group_sizes[bi % ngroups] += record_size(bi);
-    }
-    let mut offsets = Vec::with_capacity(ngroups + 1);
-    offsets.push(0u64);
-    let mut acc = 0u64;
-    for &gs in &group_sizes {
-        acc += gs as u64;
-        offsets.push(acc);
+    for (bi, head) in heads.iter().enumerate() {
+        let len = block_len.min(n - bi * block_len);
+        group_sizes[bi % ngroups] += match head.code {
+            ZERO_BLOCK => 1,
+            0 => 1 + 4,
+            c => 1 + 4 + bitshuffle::plane_bytes(len) + bitshuffle::planes_size(c, len),
+        };
     }
 
     // ---- Pass 2: encode owned blocks into per-group buffers.
-    let groups: Vec<Vec<u8>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..ngroups)
-            .map(|t| {
-                let deltas = &deltas;
-                let outliers = &outliers;
-                let codes = &codes;
-                let size = group_sizes[t];
-                s.spawn(move || {
-                    let mut out = Vec::with_capacity(size);
-                    let mut mags = [0u32; MAX_BLOCK_LEN];
-                    let mut bi = t;
-                    while bi < nblocks {
-                        let start = bi * block_len;
-                        let len = block_len.min(n - start);
-                        let c = codes[bi];
-                        out.push(c);
-                        if c != ZERO_BLOCK {
-                            out.extend_from_slice(&outliers[bi].to_le_bytes());
-                            if c > 0 {
-                                let mut signs = 0u64;
-                                for (k, &d) in deltas[start..start + len].iter().enumerate() {
-                                    mags[k] = d.unsigned_abs() as u32;
-                                    signs |= u64::from(d < 0) << k;
-                                }
-                                for b in 0..bitshuffle::plane_bytes(len) {
-                                    out.push(((signs >> (8 * b)) & 0xFF) as u8);
-                                }
-                                bitshuffle::encode_planes(&mags[..len], c, &mut out);
-                            }
-                        }
-                        bi += ngroups;
-                    }
-                    debug_assert_eq!(out.len(), size);
-                    out
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("ompszp pass-2 panicked")).collect()
+    let groups = fork_join(group_sizes, |t, size| {
+        let mut out = Vec::with_capacity(size);
+        let mut mags = [0u32; MAX_BLOCK_LEN];
+        for bi in (t..nblocks).step_by(ngroups) {
+            let block = &deltas[bi * block_len..n.min((bi + 1) * block_len)];
+            let BlockHead { outlier, code } = heads[bi];
+            out.push(code);
+            if code == ZERO_BLOCK {
+                continue;
+            }
+            out.extend_from_slice(&outlier.to_le_bytes());
+            if code > 0 {
+                let mut signs = 0u64;
+                for (k, &d) in block.iter().enumerate() {
+                    mags[k] = d.unsigned_abs() as u32;
+                    signs |= u64::from(d < 0) << k;
+                }
+                let sb = bitshuffle::plane_bytes(block.len());
+                out.extend_from_slice(&signs.to_le_bytes()[..sb]);
+                bitshuffle::encode_planes(&mags[..block.len()], code, &mut out);
+            }
+        }
+        debug_assert_eq!(out.len(), size);
+        out
     });
-
-    let mut body = Vec::with_capacity(acc as usize);
-    for g in &groups {
-        body.extend_from_slice(g);
-    }
-    let header = OszpHeader {
-        n: n as u64,
-        eb,
-        block_len: block_len as u32,
-        ngroups: ngroups as u32,
-        offsets,
-    };
-    Ok(OszpStream::from_parts(header, &body))
+    Ok(OszpStream::from_chunks(n, eb, block_len, &groups))
 }
 
 /// Quantize one block (round-to-nearest, same rule as fZ-light so the
 /// quality comparison isolates the format, not the quantizer) and
-/// delta-predict it; writes the block's deltas, outlier and code byte
-/// through raw pointers.
-///
-/// # Safety
-/// `deltas_out` must be valid for `block.len()` writes and `outlier_out` /
-/// `code_out` for one write each, with no other thread touching those cells.
-unsafe fn quantize_predict_block(
+/// delta-predict it into `deltas`; returns the block's outlier and code.
+fn quantize_predict_block(
     block: &[f32],
     base: usize,
     inv_2eb: f64,
-    deltas_out: *mut i64,
-    outlier_out: *mut i32,
-    code_out: *mut u8,
-) -> Result<()> {
+    deltas: &mut [i64],
+) -> Result<BlockHead> {
     let mut qbuf = [0i32; MAX_BLOCK_LEN];
     let qb = &mut qbuf[..block.len()];
     fzlight::quantize::quantize_block(block, inv_2eb, base, qb)?;
-    let mut q_prev = 0i64;
+    let mut q_prev = qb[0] as i64;
     let mut all_zero = true;
     let mut max_mag = 0u64;
-    for (k, &qi) in qb.iter().enumerate() {
+    for (d, &qi) in deltas.iter_mut().zip(qb.iter()) {
         let q = qi as i64;
         all_zero &= q == 0;
-        if k == 0 {
-            unsafe { outlier_out.write(qi) };
-            unsafe { deltas_out.write(0) };
-        } else {
-            let d = q - q_prev;
-            unsafe { deltas_out.add(k).write(d) };
-            max_mag = max_mag.max(d.unsigned_abs());
-        }
+        *d = q - q_prev;
+        max_mag = max_mag.max(d.unsigned_abs());
         q_prev = q;
     }
     let code = if all_zero {
@@ -200,23 +117,8 @@ unsafe fn quantize_predict_block(
         debug_assert!(max_mag <= u32::MAX as u64);
         (64 - max_mag.leading_zeros()) as u8
     };
-    unsafe { code_out.write(code) };
-    Ok(())
+    Ok(BlockHead { outlier: qb[0], code })
 }
-
-/// A raw pointer that may cross thread boundaries; safety is argued at each
-/// use site (disjoint block-cyclic ownership).
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-impl<T> SendPtr<T> {
-    /// Fetch the pointer (method call forces whole-struct closure capture,
-    /// keeping the `Send`/`Sync` impls in effect).
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -238,7 +140,7 @@ mod tests {
     fn group_count_clamped_to_blocks() {
         let data = vec![1.0f32; 40]; // 2 blocks of 32
         let s = compress(&data, &Config::new(ErrorBound::Abs(1e-3)).with_threads(8)).unwrap();
-        assert_eq!(s.header().ngroups, 2);
+        assert_eq!(s.nchunks(), 2);
     }
 
     #[test]

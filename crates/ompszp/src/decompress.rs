@@ -4,6 +4,7 @@
 
 use crate::bitshuffle;
 use crate::format::{OszpStream, ZERO_BLOCK};
+use fzlight::chunk::{deal, fork_join};
 use fzlight::config::MAX_BLOCK_LEN;
 use fzlight::error::{Error, Result};
 
@@ -19,59 +20,34 @@ pub fn decompress_into(stream: &OszpStream, out: &mut [f32]) -> Result<()> {
     if out.len() != stream.n() {
         return Err(Error::Mismatch("output buffer length != stream element count"));
     }
-    let n = stream.n();
-    if n == 0 {
-        return Ok(());
-    }
-    let h = stream.header();
-    let block_len = h.block_len as usize;
-    let ngroups = h.ngroups as usize;
-    let nblocks = n.div_ceil(block_len);
-    let two_eb = 2.0 * h.eb;
-
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let results: Vec<Result<()>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..ngroups)
-            .map(|t| {
-                let payload = stream.group_payload(t);
-                let p = out_ptr;
-                s.spawn(move || -> Result<()> {
-                    let mut pos = 0usize;
-                    let mut mags = [0u32; MAX_BLOCK_LEN];
-                    let mut bi = t;
-                    while bi < nblocks {
-                        let start = bi * block_len;
-                        let len = block_len.min(n - start);
-                        // SAFETY: block `bi` is owned by exactly one thread;
-                        // writes target the disjoint range [start, start+len).
-                        let dst =
-                            unsafe { std::slice::from_raw_parts_mut(p.get().add(start), len) };
-                        pos += decode_record(&payload[pos..], len, two_eb, &mut mags, dst)?;
-                        bi += ngroups;
-                    }
-                    if pos != payload.len() {
-                        return Err(Error::Corrupt("group payload longer than its blocks"));
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("ompszp decode panicked")).collect()
-    });
-    for r in results {
-        r?;
-    }
-    Ok(())
+    let two_eb = 2.0 * stream.eb();
+    // group `t` is dealt output blocks `t, t+T, t+2T, …`, the order its
+    // records are stored in
+    let owned = deal(out.chunks_mut(stream.block_len()), stream.nchunks());
+    fork_join(owned, |t, blocks| {
+        let payload = stream.chunk_payload(t);
+        let mut pos = 0usize;
+        let mut mags = [0u32; MAX_BLOCK_LEN];
+        for dst in blocks {
+            pos += decode_record(&payload[pos..], two_eb, &mut mags, dst)?;
+        }
+        if pos != payload.len() {
+            return Err(Error::Corrupt("group payload longer than its blocks"));
+        }
+        Ok(())
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Decode one block record into `dst`; returns bytes consumed.
 fn decode_record(
     input: &[u8],
-    len: usize,
     two_eb: f64,
     mags: &mut [u32; MAX_BLOCK_LEN],
     dst: &mut [f32],
 ) -> Result<usize> {
+    let len = dst.len();
     let Some(&marker) = input.first() else {
         return Err(Error::Truncated { need: 1, have: 0 });
     };
@@ -114,20 +90,6 @@ fn decode_record(
     Ok(total)
 }
 
-/// Raw pointer wrapper for disjoint strided writes; see use-site safety
-/// comments.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-impl<T> SendPtr<T> {
-    /// Fetch the pointer (method call forces whole-struct closure capture,
-    /// keeping the `Send`/`Sync` impls in effect).
-    fn get(self) -> *mut T {
-        self.0
-    }
-}
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,9 +117,9 @@ mod tests {
     fn corrupt_marker_detected() {
         let data: Vec<f32> = (0..128).map(|i| (i as f32).sin()).collect();
         let s = crate::compress(&data, &Config::new(ErrorBound::Abs(1e-3))).unwrap();
-        let ngroups = s.header().ngroups as usize;
+        let ngroups = s.nchunks();
         let mut bytes = s.as_bytes().to_vec();
-        let body_start = crate::format::OszpHeader::serialized_len(ngroups);
+        let body_start = fzlight::Header::serialized_len(ngroups);
         bytes[body_start] = 40; // invalid code length (not 0xFF, > 32)
         let bad = OszpStream::from_bytes(bytes).unwrap();
         assert!(decompress(&bad).is_err());

@@ -18,199 +18,87 @@
 //!       planes c*ceil(L/8)  bit-shuffled magnitude planes
 //! ```
 
-use fzlight::error::{Error, Result};
+use fzlight::header::Layout;
+use fzlight::stream::Stream;
 
 /// Marker byte for an elided all-zero block.
 pub const ZERO_BLOCK: u8 = 0xFF;
-/// Stream magic bytes.
-pub const MAGIC: [u8; 4] = *b"OSZP";
-/// Stream format version.
-pub const VERSION: u32 = 1;
 
-const FIXED: usize = 4 + 4 + 8 + 8 + 4 + 4;
+/// ompSZp's layout: thread groups that own whole blocks block-cyclically, so
+/// a stream holds at most one group per block.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Oszp;
 
-/// Parsed ompSZp header.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OszpHeader {
-    /// Element count of the original data.
-    pub n: u64,
-    /// Absolute error bound.
-    pub eb: f64,
-    /// Block length.
-    pub block_len: u32,
-    /// Thread-group count.
-    pub ngroups: u32,
-    /// `ngroups + 1` byte offsets into the body.
-    pub offsets: Vec<u64>,
-}
-
-impl OszpHeader {
-    /// Serialized header size for a given group count.
-    pub fn serialized_len(ngroups: usize) -> usize {
-        FIXED + (ngroups + 1) * 8
-    }
-
-    /// Total body length in bytes.
-    pub fn body_len(&self) -> usize {
-        self.offsets.last().copied().unwrap_or(0) as usize
-    }
-
-    /// Append the serialized header to `out`.
-    pub fn write_to(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.n.to_le_bytes());
-        out.extend_from_slice(&self.eb.to_le_bytes());
-        out.extend_from_slice(&self.block_len.to_le_bytes());
-        out.extend_from_slice(&self.ngroups.to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
-    }
-
-    /// Parse a header from the front of `bytes`; returns the header and the
-    /// body start offset.
-    pub fn parse(bytes: &[u8]) -> Result<(OszpHeader, usize)> {
-        if bytes.len() < FIXED {
-            return Err(Error::Truncated { need: FIXED, have: bytes.len() });
-        }
-        if bytes[0..4] != MAGIC {
-            return Err(Error::Corrupt("bad magic"));
-        }
-        if u32::from_le_bytes(bytes[4..8].try_into().unwrap()) != VERSION {
-            return Err(Error::Corrupt("unsupported version"));
-        }
-        let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-        let eb = f64::from_le_bytes(bytes[16..24].try_into().unwrap());
-        let block_len = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-        let ngroups = u32::from_le_bytes(bytes[28..32].try_into().unwrap());
-        if !(eb.is_finite() && eb > 0.0) {
-            return Err(Error::Corrupt("non-positive error bound"));
-        }
-        if block_len == 0 || block_len as usize > fzlight::config::MAX_BLOCK_LEN {
-            return Err(Error::Corrupt("invalid block length"));
-        }
-        if n > 0 && ngroups == 0 {
-            return Err(Error::Corrupt("non-empty stream with zero groups"));
-        }
-        let need = FIXED + (ngroups as usize + 1) * 8;
-        if bytes.len() < need {
-            return Err(Error::Truncated { need, have: bytes.len() });
-        }
-        let mut offsets = Vec::with_capacity(ngroups as usize + 1);
-        let mut prev = 0u64;
-        for k in 0..=ngroups as usize {
-            let at = FIXED + k * 8;
-            let o = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
-            if (k == 0 && o != 0) || o < prev {
-                return Err(Error::Corrupt("bad offset table"));
-            }
-            prev = o;
-            offsets.push(o);
-        }
-        Ok((OszpHeader { n, eb, block_len, ngroups, offsets }, need))
+impl Layout for Oszp {
+    const MAGIC: [u8; 4] = *b"OSZP";
+    fn max_parts(n: u64, block_len: u32) -> u64 {
+        n.div_ceil(block_len as u64)
     }
 }
 
-/// An owned ompSZp compressed stream (wire representation in memory).
-#[derive(Debug, Clone, PartialEq)]
-pub struct OszpStream {
-    bytes: Vec<u8>,
-    header: OszpHeader,
-    body_start: usize,
-}
-
-impl OszpStream {
-    /// Assemble a stream from a header and its body.
-    pub fn from_parts(header: OszpHeader, body: &[u8]) -> Self {
-        debug_assert_eq!(header.body_len(), body.len());
-        let body_start = OszpHeader::serialized_len(header.ngroups as usize);
-        let mut bytes = Vec::with_capacity(body_start + body.len());
-        header.write_to(&mut bytes);
-        bytes.extend_from_slice(body);
-        OszpStream { bytes, header, body_start }
-    }
-
-    /// Parse a stream from raw bytes.
-    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
-        let (header, body_start) = OszpHeader::parse(&bytes)?;
-        let need = body_start + header.body_len();
-        if bytes.len() < need {
-            return Err(Error::Truncated { need, have: bytes.len() });
-        }
-        if bytes.len() > need {
-            return Err(Error::Corrupt("trailing bytes after body"));
-        }
-        Ok(OszpStream { bytes, header, body_start })
-    }
-
-    /// Full wire bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Consume into the wire bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
-
-    /// Parsed header.
-    pub fn header(&self) -> &OszpHeader {
-        &self.header
-    }
-
-    /// Element count.
-    pub fn n(&self) -> usize {
-        self.header.n as usize
-    }
-
-    /// Payload of thread group `g`.
-    pub fn group_payload(&self, g: usize) -> &[u8] {
-        let r = self.header.offsets[g] as usize..self.header.offsets[g + 1] as usize;
-        &self.bytes[self.body_start + r.start..self.body_start + r.end]
-    }
-
-    /// Total compressed size (header + body).
-    pub fn compressed_size(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Compression ratio `original / compressed`.
-    pub fn ratio(&self) -> f64 {
-        if self.bytes.is_empty() {
-            return 0.0;
-        }
-        (self.n() * 4) as f64 / self.compressed_size() as f64
-    }
-}
+/// An owned ompSZp compressed stream (wire representation in memory): the
+/// container and header parser of `fzlight` under ompSZp's magic, and a
+/// distinct type, so it cannot reach the homomorphic operators.
+pub type OszpStream = Stream<Oszp>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fzlight::header::{Fzl, Header};
+    use fzlight::Error;
 
-    #[test]
-    fn header_roundtrip_and_rejections() {
-        let h = OszpHeader { n: 64, eb: 1e-4, block_len: 32, ngroups: 2, offsets: vec![0, 9, 20] };
-        let mut buf = Vec::new();
-        h.write_to(&mut buf);
-        let (h2, start) = OszpHeader::parse(&buf).unwrap();
-        assert_eq!(h, h2);
-        assert_eq!(start, OszpHeader::serialized_len(2));
+    /// The hostile-header table, over both stream families: every row is a
+    /// header the one shared parser must refuse with a typed error.
+    fn hostile_headers<L: Layout>(foreign_magic: [u8; 4]) {
+        let valid = Header { n: 64, eb: 1e-4, block_len: 32, nchunks: 2, offsets: vec![0, 9, 20] };
+        let bytes = |h: &Header| {
+            let mut buf = Vec::new();
+            h.write_to::<L>(&mut buf);
+            buf
+        };
+        let buf = bytes(&valid);
+        let (back, start) = Header::parse::<L>(&buf).unwrap();
+        assert_eq!((back, start), (valid.clone(), Header::serialized_len(2)));
 
-        let mut bad = buf.clone();
-        bad[0] = b'Z';
-        assert!(OszpHeader::parse(&bad).is_err());
+        let corrupt = |buf: &[u8]| matches!(Header::parse::<L>(buf), Err(Error::Corrupt(_)));
+        let poked = |at: usize, with: &[u8]| {
+            let mut bad = buf.clone();
+            bad[at..at + with.len()].copy_from_slice(with);
+            bad
+        };
+        assert!(corrupt(&poked(0, &foreign_magic)), "the other family's magic");
+        assert!(corrupt(&poked(4, &9u32.to_le_bytes())), "unknown version");
+        assert!(corrupt(&poked(16, &0f64.to_le_bytes())), "zero error bound");
+        assert!(corrupt(&poked(16, &f64::NAN.to_le_bytes())), "NaN error bound");
+        assert!(corrupt(&poked(24, &0u32.to_le_bytes())), "zero block length");
+        assert!(corrupt(&poked(24, &65u32.to_le_bytes())), "block length over the maximum");
+        assert!(corrupt(&poked(28, &0u32.to_le_bytes())), "elements but no chunks");
+        assert!(corrupt(&bytes(&Header { offsets: vec![1, 9, 20], ..valid.clone() })));
+        assert!(corrupt(&bytes(&Header { offsets: vec![0, 30, 20], ..valid.clone() })));
+        // more parts than the layout can fill, with the table to match: the
+        // count is refused before anything is sized from it
+        let parts = L::max_parts(valid.n, valid.block_len) as u32 + 1;
+        let crowded = Header { nchunks: parts, offsets: vec![0; parts as usize + 1], ..valid };
+        assert!(corrupt(&bytes(&crowded)));
         for cut in 0..buf.len() {
-            assert!(OszpHeader::parse(&buf[..cut]).is_err());
+            let got = Header::parse::<L>(&buf[..cut]);
+            assert!(matches!(got, Err(Error::Truncated { .. })), "cut {cut}: {got:?}");
         }
     }
 
     #[test]
+    fn the_shared_parser_refuses_hostile_headers_under_both_magics() {
+        hostile_headers::<Fzl>(Oszp::MAGIC);
+        hostile_headers::<Oszp>(Fzl::MAGIC);
+    }
+
+    #[test]
     fn stream_rejects_trailing_and_truncated() {
-        let h = OszpHeader { n: 0, eb: 1e-4, block_len: 32, ngroups: 0, offsets: vec![0] };
-        let s = OszpStream::from_parts(h, &[]);
-        let mut b = s.as_bytes().to_vec();
-        b.push(7);
-        assert!(OszpStream::from_bytes(b).is_err());
+        let s = OszpStream::from_chunks(64, 1e-4, 32, &[vec![ZERO_BLOCK], vec![ZERO_BLOCK]]);
+        let mut longer = s.as_bytes().to_vec();
+        longer.push(7);
+        assert!(matches!(OszpStream::from_bytes(longer), Err(Error::Corrupt(_))));
+        let shorter = s.as_bytes()[..s.compressed_size() - 1].to_vec();
+        assert!(matches!(OszpStream::from_bytes(shorter), Err(Error::Truncated { .. })));
     }
 }

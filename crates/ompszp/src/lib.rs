@@ -8,7 +8,9 @@
 //! * **Single-layer block partitioning** — the input is one flat sequence of
 //!   small blocks; threads own blocks *block-cyclically* (thread `t` owns
 //!   blocks `t, t+T, t+2T, …`), hopping between distant memory regions
-//!   instead of working on contiguous chunks.
+//!   instead of working on contiguous chunks. Ownership is expressed by
+//!   dealing each thread its blocks as disjoint `chunks_mut` slices
+//!   (`fzlight::chunk::deal`), so the strided writes need no raw pointers.
 //! * **One outlier per small block** — every non-elided block stores its
 //!   first quantization integer (4 bytes per 32 values), which is where
 //!   `fZ-light`'s per-chunk outlier wins its compression-ratio edge.
@@ -17,7 +19,10 @@
 //!   fZ-light on datasets dominated by zero regions, cf. Table III Sim. 1).
 //! * **Unfused, globally-synchronized passes** — quantization+prediction
 //!   writes a full-size intermediate delta array, a synchronization computes
-//!   output offsets (the GPU global sync), and a second sweep encodes.
+//!   output sizes (the GPU global sync), and a second sweep encodes. Both
+//!   sweeps go through the codec layer's one fork-join
+//!   (`fzlight::chunk::fork_join`), so a single-thread call runs inline and
+//!   `T > 1` keeps the two forks with the synchronization between them.
 //! * **Bit-shuffle encoding** — magnitudes are stored as `c` one-bit planes
 //!   (bit-granular shuffles), versus fZ-light's byte-plane + residual scheme.
 //!
@@ -28,7 +33,8 @@
 //! out equal, which EXPERIMENTS.md records as a deviation.)
 //!
 //! The public API mirrors `fzlight`: [`compress()`], [`decompress()`],
-//! [`OszpStream`].
+//! [`OszpStream`] — `fzlight`'s stream container and header under ompSZp's
+//! own magic, a distinct type the homomorphic operators do not accept.
 
 pub mod bitshuffle;
 pub mod compress;
@@ -37,7 +43,7 @@ pub mod format;
 
 pub use compress::compress;
 pub use decompress::{decompress, decompress_into};
-pub use format::{OszpHeader, OszpStream};
+pub use format::OszpStream;
 
 // Shared error taxonomy with fzlight keeps call sites uniform.
 pub use fzlight::error::{Error, Result};

@@ -146,26 +146,14 @@ impl TuningCache {
             if block_len == 0 {
                 return Err(format!("cache entry '{key}': zero block_len"));
             }
-            // schema v1 entries predate segmentation: default to the
-            // phase-serial 1-segment plan they actually measured
-            let segments = match v.get("segments") {
-                None => 1,
-                Some(s) => {
-                    let s =
-                        s.as_f64().ok_or_else(|| format!("cache entry '{key}': bad 'segments'"))?
-                            as usize;
-                    if s == 0 {
-                        return Err(format!("cache entry '{key}': zero segments"));
-                    }
-                    s
-                }
-            };
-            // schema v1/v2 entries predate the hierarchical schedule: they
-            // measured the flat path
+            let segments = num_field("segments")? as usize;
+            if segments == 0 {
+                return Err(format!("cache entry '{key}': zero segments"));
+            }
             let hierarchical = match v.get("hierarchical") {
-                None => false,
                 Some(Json::Bool(b)) => *b,
                 Some(_) => return Err(format!("cache entry '{key}': bad 'hierarchical'")),
+                None => return Err(format!("cache entry '{key}': missing 'hierarchical'")),
             };
             entries.insert(
                 key.clone(),
@@ -245,23 +233,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_entries_without_segments_load_as_serial() {
-        // a cache file written before the segment dimension existed
-        let v1 = "{\"allreduce:b18:r8:e-4\":{\"flavor\":\"hz\",\"algo\":\"ring\",\"mode\":\"st\",\
-                  \"threads\":1,\"block_len\":32,\"measured_secs\":0.002,\"model_secs\":0.0018,\
-                  \"samples\":3}}";
-        let cache = TuningCache::from_json(&Json::parse(v1).unwrap()).unwrap();
-        let e = cache.get("allreduce:b18:r8:e-4").unwrap();
-        assert_eq!(e.plan.segments, 1, "v1 entries measured the phase-serial path");
-        assert_eq!(e.samples, 3);
-        // and re-rendering writes the v2 shape (explicit segments field)
-        assert!(cache.to_json().render().contains("\"segments\":1"));
-    }
-
-    #[test]
     fn from_json_rejects_malformed_entries() {
         let doc = Json::parse("{\"k\":{\"flavor\":\"warp\",\"algo\":\"ring\",\"mode\":\"st\",\"threads\":1,\"block_len\":32,\"measured_secs\":1,\"model_secs\":1,\"samples\":1}}").unwrap();
         assert!(TuningCache::from_json(&doc).is_err());
         assert!(TuningCache::from_json(&Json::parse("[1,2]").unwrap()).is_err());
+        // entries written before the segment and hierarchy dimensions existed
+        let entry = "\"flavor\":\"hz\",\"algo\":\"ring\",\"mode\":\"st\",\"threads\":1,\
+                     \"block_len\":32,\"measured_secs\":1,\"model_secs\":1,\"samples\":1";
+        for (fields, missing) in [("", "'segments'"), (",\"segments\":1", "'hierarchical'")] {
+            let doc = Json::parse(&format!("{{\"k\":{{{entry}{fields}}}}}")).unwrap();
+            let err = TuningCache::from_json(&doc).unwrap_err();
+            assert!(err.contains("missing") && err.contains(missing), "{err}");
+        }
     }
 }

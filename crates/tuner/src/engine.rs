@@ -287,9 +287,7 @@ impl Engine {
 
     /// Serialize engine state (calibration + cache + knobs) to JSON.
     ///
-    /// Schema version 3: adds per-cache-entry `hierarchical`. Version 2
-    /// added `segment_candidates` and per-cache-entry `segments`; v1 and v2
-    /// documents are still accepted by [`Engine::from_json`].
+    /// Schema version 3, the only one [`Engine::from_json`] accepts.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("version", Json::Num(3.0)),
@@ -316,13 +314,10 @@ impl Engine {
         ])
     }
 
-    /// Parse [`Engine::to_json`]'s output back. Accepts the current v3
-    /// schema and migrates v1/v2 documents: v1 caches (pre-segmentation)
-    /// hold serial plans and gain the default segment-candidate grid, v2
-    /// caches (pre-hierarchy) load every entry as a flat plan.
+    /// Parse [`Engine::to_json`]'s output back.
     pub fn from_json(doc: &Json) -> Result<Engine, String> {
         let version = doc.get("version").and_then(Json::as_f64).unwrap_or(0.0);
-        if version != 1.0 && version != 2.0 && version != 3.0 {
+        if version != 3.0 {
             return Err(format!("unsupported tuner state version {version}"));
         }
         let small_message_bytes =
@@ -351,23 +346,17 @@ impl Engine {
         if mode_candidates.is_empty() {
             return Err("tuner state: empty mode_candidates".into());
         }
-        let segment_candidates: Vec<usize> = match doc.get("segment_candidates") {
-            Some(v) => {
-                let segs: Vec<usize> = v
-                    .as_arr()
-                    .ok_or("tuner state: segment_candidates must be an array")?
-                    .iter()
-                    .filter_map(|v| v.as_f64().map(|s| s as usize))
-                    .filter(|&s| s > 0)
-                    .collect();
-                if segs.is_empty() {
-                    return Err("tuner state: empty segment_candidates".into());
-                }
-                segs
-            }
-            // v1 migration: pre-segmentation states gain the default grid
-            None => Engine::paper().segment_candidates,
-        };
+        let segment_candidates: Vec<usize> = doc
+            .get("segment_candidates")
+            .and_then(Json::as_arr)
+            .ok_or("tuner state: missing segment_candidates")?
+            .iter()
+            .filter_map(|v| v.as_f64().map(|s| s as usize))
+            .filter(|&s| s > 0)
+            .collect();
+        if segment_candidates.is_empty() {
+            return Err("tuner state: empty segment_candidates".into());
+        }
         let calib = Calibration::from_json(
             doc.get("calibration").ok_or("tuner state: missing calibration")?,
         )?;
@@ -578,31 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_engine_state_migrates_with_default_segment_grid() {
-        // a v3 document stripped back to the v1 shape: version 1, no
-        // segment_candidates, cache entries without segments/hierarchical
-        let mut engine = Engine::paper();
-        let s = spec(1 << 18, 8, 6.5);
-        engine.observe_measurement(
-            &s,
-            &Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32),
-            0.002,
-        );
-        let v3 = engine.to_json().render();
-        let v1 = v3
-            .replacen("\"version\":3", "\"version\":1", 1)
-            .replace("\"segment_candidates\":[1,2,4,8],", "")
-            .replace(",\"segments\":1", "")
-            .replace(",\"hierarchical\":false", "");
-        assert_ne!(v1, v3, "the v1 fixture must actually differ");
-        let back = Engine::from_json(&Json::parse(&v1).unwrap()).unwrap();
-        assert_eq!(back.segment_candidates, Engine::paper().segment_candidates);
-        assert_eq!(back.cache, engine.cache, "v1 cache entries load as serial flat plans");
-        // and the migrated engine re-saves as v3
-        assert!(back.to_json().render().contains("\"version\":3"));
-    }
-
-    #[test]
     fn engine_state_roundtrips_through_json() {
         let mut engine = Engine::paper();
         engine.block_candidates = vec![32, 128];
@@ -619,7 +583,11 @@ mod tests {
     #[test]
     fn load_rejects_missing_and_bad_files() {
         assert!(Engine::load(std::path::Path::new("/nonexistent/tuner.json")).is_err());
-        let doc = Json::parse("{\"version\":99}").unwrap();
-        assert!(Engine::from_json(&doc).is_err());
+        let current = Engine::paper().to_json().render();
+        for version in ["1", "2", "99"] {
+            let old = current.replacen("\"version\":3", &format!("\"version\":{version}"), 1);
+            let err = Engine::from_json(&Json::parse(&old).unwrap()).unwrap_err();
+            assert!(err.contains("unsupported tuner state version"), "{err}");
+        }
     }
 }

@@ -97,13 +97,11 @@ impl Plan {
         base
     }
 
-    /// Wire encoding v3 (for the one-rank-decides broadcast):
+    /// Wire encoding (for the one-rank-decides broadcast):
     /// `[flavor, algo, mt, threads, block_len·LE4, segments·LE4]` plus a
-    /// trailing `1` byte **only for hierarchical plans** — flat plans keep
-    /// the 12-byte v2 form, so every pre-topology trace and bench number
-    /// stays bit-identical. v1 encodings were 8 bytes without the segment
-    /// word; [`Plan::decode`] accepts all three (hierarchical = false,
-    /// segments = 1 where absent).
+    /// trailing `1` byte **only for hierarchical plans** — flat plans stay
+    /// 12 bytes, so every pre-topology trace and bench number stays
+    /// bit-identical.
     pub fn encode(&self) -> Vec<u8> {
         let flavor = match self.flavor {
             Flavor::Mpi => 0u8,
@@ -128,12 +126,10 @@ impl Plan {
         out
     }
 
-    /// Decode [`Plan::encode`]'s output — 13-byte v3, 12-byte v2 (which
-    /// predates the hierarchy byte and means `hierarchical = false`), or the
-    /// legacy 8-byte v1 layout (pre-segmentation, `segments = 1`); `None` on
-    /// malformed bytes.
+    /// Decode [`Plan::encode`]'s output — 12 bytes for a flat plan, 13 for a
+    /// hierarchical one; `None` on malformed bytes.
     pub fn decode(bytes: &[u8]) -> Option<Plan> {
-        if bytes.len() != 13 && bytes.len() != 12 && bytes.len() != 8 {
+        if bytes.len() != 13 && bytes.len() != 12 {
             return None;
         }
         let flavor = match bytes[0] {
@@ -156,11 +152,7 @@ impl Plan {
         if block_len == 0 {
             return None;
         }
-        let segments = if bytes.len() >= 12 {
-            u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize
-        } else {
-            1
-        };
+        let segments = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]) as usize;
         if segments == 0 {
             return None;
         }
@@ -286,30 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn plan_decode_accepts_legacy_v1_and_v2_bytes() {
-        // the pre-segmentation 8-byte layout decodes with segments = 1
-        let v1 = [2u8, 0, 0, 1, 32, 0, 0, 0];
-        assert_eq!(
-            Plan::decode(&v1),
-            Some(Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32))
-        );
-        // the pre-hierarchy 12-byte layout decodes as a flat plan
-        let v2 = [2u8, 0, 0, 1, 32, 0, 0, 0, 4, 0, 0, 0];
-        assert_eq!(
-            Plan::decode(&v2),
-            Some(Plan {
-                segments: 4,
-                ..Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32)
-            })
-        );
-    }
-
-    #[test]
     fn plan_decode_rejects_garbage() {
         assert_eq!(Plan::decode(&[]), None);
-        assert_eq!(Plan::decode(&[9, 0, 0, 1, 32, 0, 0, 0]), None, "bad flavor");
-        assert_eq!(Plan::decode(&[0, 7, 0, 1, 32, 0, 0, 0]), None, "bad algo");
-        assert_eq!(Plan::decode(&[0, 0, 0, 1, 0, 0, 0, 0]), None, "zero block");
+        assert_eq!(Plan::decode(&[2, 0, 0, 1, 32, 0, 0, 0]), None, "the 8-byte pre-segment form");
+        assert_eq!(Plan::decode(&[9, 0, 0, 1, 32, 0, 0, 0, 1, 0, 0, 0]), None, "bad flavor");
+        assert_eq!(Plan::decode(&[0, 7, 0, 1, 32, 0, 0, 0, 1, 0, 0, 0]), None, "bad algo");
+        assert_eq!(Plan::decode(&[0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0]), None, "zero block");
         assert_eq!(Plan::decode(&[0, 0, 0, 1, 32, 0, 0, 0, 0, 0, 0, 0]), None, "zero segments");
         assert_eq!(Plan::decode(&[0, 0, 0, 1, 32, 0, 0, 0, 4, 0]), None, "odd length");
         assert_eq!(

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
-# Per-crate size trend (ROADMAP item 5): total Rust lines, non-test lines
-# (everything up to a file's first `#[cfg(test)]`) and `pub` items. Run from
-# anywhere; pass a different checkout root as $1 to compare two trees.
+# Per-crate size trend (ROADMAP items 5 and 3c): total Rust lines, and over
+# the non-test lines (everything up to a file's first `#[cfg(test)]`) the
+# line count, `pub` items, `unsafe` occurrences and thread-spawning sites
+# (`thread::scope` / `thread::spawn`), so a new one of either is noticed.
+# Run from anywhere; pass a different checkout root as $1 to compare two trees.
 set -euo pipefail
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
-printf '%-12s %8s %9s %6s\n' crate total non-test pub
+printf '%-12s %8s %9s %6s %7s %6s\n' crate total non-test pub unsafe spawn
 for dir in "$root"/crates/*/; do
     files=$(find "$dir" -name '*.rs' | sort)
     [ -n "$files" ] || continue
@@ -15,8 +17,11 @@ for dir in "$root"/crates/*/; do
         !in_tests {
             code++
             if ($0 ~ /^[[:space:]]*pub (fn|struct|enum|trait|const|static|type|mod|use|unsafe fn|async fn)[[:space:]]/) pubs++
+            line = $0
+            unsafes += gsub(/(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/, "", line)
+            if ($0 ~ /thread::(scope|spawn)/) spawns++
         }
         /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
-        END { printf "%-12s %8d %9d %6d\n", crate, total, code, pubs }
+        END { printf "%-12s %8d %9d %6d %7d %6d\n", crate, total, code, pubs, unsafes, spawns }
     ' $files
 done

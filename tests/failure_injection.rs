@@ -102,6 +102,42 @@ fn ompszp_corruption_never_panics() {
     }
 }
 
+/// A wire header chooses how many chunks a decoder walks in parallel; it
+/// must not thereby choose how many OS threads it starts (`thread::scope`
+/// panics when the OS refuses one). A stream that really has 50 000 chunks
+/// or groups decodes to its values on however many cores there are, and a
+/// forged group count the blocks cannot fill is refused in the header.
+#[test]
+fn a_wire_header_cannot_ask_for_unbounded_workers() {
+    const PARTS: usize = 50_000;
+    let data = App::CesmAtm.generate(2 * PARTS, 4);
+    // one-element blocks, so ompSZp too can be cut 50 000 ways
+    let narrow = Config::new(ErrorBound::Abs(1e-3)).with_block_len(1);
+    let wide = narrow.clone().with_threads(PARTS);
+
+    let stream = compress(&data, &wide).unwrap();
+    assert_eq!(stream.nchunks(), PARTS);
+    let received = CompressedStream::from_bytes(stream.into_bytes()).unwrap();
+    let expect = fzlight::decompress(&compress(&data, &narrow).unwrap()).unwrap();
+    assert_eq!(fzlight::decompress(&received).unwrap(), expect);
+    let doubled = hzdyn::homomorphic_sum(&received, &received).unwrap();
+    assert_eq!(doubled.nchunks(), PARTS);
+
+    let stream = ompszp::compress(&data, &wide).unwrap();
+    assert_eq!(stream.nchunks(), PARTS);
+    let received = ompszp::OszpStream::from_bytes(stream.as_bytes().to_vec()).unwrap();
+    assert_eq!(ompszp::decompress(&received).unwrap(), expect);
+
+    // 64 elements in two blocks, 50 000 groups claimed, offset table and all
+    let mut forged = ompszp::compress(&data[..64], &Config::new(ErrorBound::Abs(1e-3)))
+        .unwrap()
+        .as_bytes()[..32]
+        .to_vec();
+    forged[28..32].copy_from_slice(&(PARTS as u32).to_le_bytes());
+    forged.resize(32 + 8 * (PARTS + 1), 0);
+    assert!(matches!(poke_oszp(forged), Err(fzlight::Error::Corrupt(_))));
+}
+
 /// Parse-then-decompress one mutated codec byte string.
 type Poke = fn(Vec<u8>) -> fzlight::Result<()>;
 

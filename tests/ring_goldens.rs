@@ -31,6 +31,8 @@ enum Verb {
     Reduce,
     Bcast,
     Allgather,
+    /// Recursive-doubling allreduce (`hzccl::rd`), outside `collectives`.
+    Rd(Variant),
 }
 
 impl Verb {
@@ -44,6 +46,7 @@ impl Verb {
             Verb::Reduce => "reduce",
             Verb::Bcast => "bcast",
             Verb::Allgather => "allgather",
+            Verb::Rd(_) => "rd",
         }
     }
 }
@@ -153,6 +156,13 @@ fn cases() -> Vec<Case> {
             }
         }
     }
+    // recursive doubling: a count that folds and a power of two
+    for variant in [Variant::Mpi, Variant::Hzccl] {
+        for ranks in [5usize, 8] {
+            let id = format!("rd/{}/r{ranks}", variant.name());
+            out.push(plain(id, Verb::Rd(variant), opts_for(variant), ranks, ELEMS));
+        }
+    }
     out
 }
 
@@ -197,6 +207,11 @@ fn digest(case: &Case, engine: SimEngine) -> (u64, u64, u64) {
             }
             (Verb::ReduceScatter, true) => {
                 collectives::reduce_scatter_recoverable(comm, &data, opts).map(|p| p.value)
+            }
+            (Verb::Rd(Variant::Mpi), false) => Ok(hzccl::rd::allreduce_rd(comm, &data, 1)),
+            (Verb::Rd(_), false) => {
+                let cfg = hzccl::CollectiveConfig::new(EB, Mode::SingleThread);
+                Ok(hzccl::rd::allreduce_rd_hz(comm, &data, &cfg).expect("rd runs"))
             }
             _ => unreachable!("only allreduce and reduce_scatter are recoverable"),
         }
