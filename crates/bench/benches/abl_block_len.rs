@@ -6,13 +6,14 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 
 fn main() {
-    banner("ABL3", "ablation — small-block length sweep");
-    let n = field_elems();
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("ABL3", "ablation — small-block length sweep"));
+    let n = knobs.field_elems();
     let bytes = n * 4;
-    let threads = mt_threads();
+    let threads = knobs.threads;
     for app in [App::Hurricane, App::SimSet2] {
         println!("--- {} (REL 1e-3) ---", app.name());
         let data = app.generate(n, 0);

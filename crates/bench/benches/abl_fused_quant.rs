@@ -4,13 +4,14 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 
 fn main() {
-    banner("ABL2", "ablation — fused vs unfused quantization+prediction");
-    let n = field_elems();
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("ABL2", "ablation — fused vs unfused quantization+prediction"));
+    let n = knobs.field_elems();
     let bytes = n * 4;
-    let threads = mt_threads();
+    let threads = knobs.threads;
     let table =
         Table::new(&[("App", 12), ("Fused GB/s", 11), ("Unfused GB/s", 12), ("Fused/Unfused", 13)]);
     for app in App::ALL {

@@ -1,61 +1,6 @@
-//! ABL4 — ablation: network-model sensitivity. The collective results hinge
-//! on the ratio of compression throughput to effective wire throughput; this
-//! sweep runs the Allreduce comparison under three fabrics (calibrated
-//! effective goodput, idealized 100 Gbps line rate, and a slow 10x-congested
-//! fabric) to expose where the compression-acceleration crossover sits.
-
-use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{paper_model, Mode, Variant};
-use hzccl_bench::{banner, env_usize, scaled_rank_fields, Table};
-use netsim::{ComputeTiming, NetConfig, SimBuilder};
+//! ABL4 — declared in `hzccl_bench::figure::all` (target `abl_net_sensitivity`), rendered
+//! by `hzccl_bench::figure::render`.
 
 fn main() {
-    banner("ABL4", "ablation — network-model sensitivity of the Allreduce comparison");
-    let nranks = env_usize("HZ_RANKS", 16);
-    let n = env_usize("HZ_NODE_MSG_MB", 4) * (1 << 20) / 4;
-    let eb = 1e-4;
-    let base = App::SimSet1.generate(n, 0);
-    let fields = scaled_rank_fields(&base, nranks);
-    let mode = Mode::MultiThread(18);
-
-    let nets: [(&str, NetConfig); 3] = [
-        ("effective goodput (default)", NetConfig::default()),
-        ("100 Gbps line rate", NetConfig::opa_line_rate()),
-        (
-            "congested fabric (10x slower)",
-            NetConfig { latency_s: 3e-6, bandwidth_gbps: 1.2, congestion: 0.3 },
-        ),
-    ];
-    let table =
-        Table::new(&[("Fabric", 30), ("MPI (ms)", 10), ("C-Coll MT", 12), ("hZCCL MT", 12)]);
-    for (label, net) in nets {
-        let run = |which: usize| -> f64 {
-            let variant = [Variant::Mpi, Variant::CColl, Variant::Hzccl][which];
-            let opts = CollectiveOpts::for_variant(variant, eb).with_mode(mode);
-            let timing = ComputeTiming::Modeled(paper_model(variant, mode));
-            let cluster = SimBuilder::new(nranks).net(net).timing(timing);
-            let stats = cluster
-                .run(|comm| {
-                    let data = &fields[comm.rank()];
-                    collectives::allreduce(comm, data, &opts).expect("allreduce");
-                })
-                .expect_clean()
-                .stats;
-            stats.makespan
-        };
-        let t_mpi = run(0);
-        let t_cc = run(1);
-        let t_hz = run(2);
-        table.row(&[
-            label.into(),
-            format!("{:.2}", t_mpi * 1e3),
-            format!("{:.2}ms {:.2}x", t_cc * 1e3, t_mpi / t_cc),
-            format!("{:.2}ms {:.2}x", t_hz * 1e3, t_mpi / t_hz),
-        ]);
-    }
-    println!("\nExpected shape: the slower the effective fabric, the bigger the");
-    println!("compression win; on an ideal uncongested line rate the advantage");
-    println!("narrows (and can invert for fast networks + slow compressors) —");
-    println!("the crossover the costmodel crate expresses in closed form.");
+    hzccl_bench::figure::main("abl_net_sensitivity");
 }

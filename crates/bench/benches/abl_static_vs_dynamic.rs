@@ -5,13 +5,14 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 
 fn main() {
-    banner("ABL1", "ablation — dynamic vs static homomorphic pipeline");
-    let n = field_elems();
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("ABL1", "ablation — dynamic vs static homomorphic pipeline"));
+    let n = knobs.field_elems();
     let bytes = 2 * n * 4;
-    let threads = mt_threads();
+    let threads = knobs.threads;
     let table = Table::new(&[
         ("App", 12),
         ("Dynamic GB/s", 12),

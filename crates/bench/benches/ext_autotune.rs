@@ -1,148 +1,6 @@
-//! EXT3 — extension: the autotuner across the message-size sweep. A static
-//! flavour choice is only right in one regime: recursive doubling wins tiny
-//! messages, the homomorphic ring wins large compressible ones, and plain
-//! MPI wins when data stops compressing. `Variant::Auto` should track the
-//! best static flavour at *every* point once `hzc tune`-style measurements
-//! populate its cache — and stay close even cold, on the analytical model
-//! alone.
-//!
-//! Two passes per size: (1) measure every static candidate and feed the
-//! tuner (`Engine::observe_run`, exactly what `hzc tune` does), (2) run the
-//! auto front-end and compare its makespan against the best and worst
-//! static.
-
-use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{auto, CollectiveConfig, Mode};
-use hzccl_bench::{banner, env_usize, Table};
-use netsim::{ComputeTiming, NetConfig, SimBuilder, TraceConfig};
-use tuner::{Engine, Op, Plan, ScenarioSpec, ThreadMode};
-
-/// Execute one static allreduce plan; returns the cluster outcomes.
-fn run_static(
-    nranks: usize,
-    fields: &[Vec<f32>],
-    plan: &Plan,
-    eb: f64,
-    timing: ComputeTiming,
-) -> (f64, netsim::RunReport<()>) {
-    use tuner::{Algo, Flavor};
-    let mode = match plan.mode {
-        ThreadMode::St => Mode::SingleThread,
-        ThreadMode::Mt(k) => Mode::MultiThread(k),
-    };
-    let cluster = SimBuilder::new(nranks)
-        .net(NetConfig::default())
-        .timing(timing)
-        .trace(TraceConfig::default());
-    let report = cluster
-        .run(|comm| {
-            let data = &fields[comm.rank()];
-            match (plan.flavor, plan.algo) {
-                (Flavor::Mpi, Algo::Rd) => {
-                    hzccl::rd::allreduce_rd(comm, data, mode.threads());
-                }
-                (Flavor::Hzccl, Algo::Rd) => {
-                    let cfg = CollectiveConfig { eb, block_len: plan.block_len, mode, res: None };
-                    hzccl::rd::allreduce_rd_hz(comm, data, &cfg).expect("hz rd");
-                }
-                (flavor, _) => {
-                    let variant = match flavor {
-                        Flavor::Mpi => hzccl::Variant::Mpi,
-                        Flavor::CColl => hzccl::Variant::CColl,
-                        Flavor::Hzccl => hzccl::Variant::Hzccl,
-                    };
-                    // honour the full plan, including its segment count
-                    let opts = CollectiveOpts::for_variant(variant, eb)
-                        .with_mode(mode)
-                        .with_block_len(plan.block_len)
-                        .with_segments(plan.segments);
-                    collectives::allreduce(comm, data, &opts).expect("static plan");
-                }
-            }
-        })
-        .expect_clean();
-    (report.stats.makespan, report)
-}
+//! EXT3 — declared in `hzccl_bench::figure::all` (target `ext_autotune`), rendered
+//! by `hzccl_bench::figure::render`.
 
 fn main() {
-    banner("EXT3", "extension — autotuned Allreduce vs every static flavour");
-    let nranks = env_usize("HZ_RANKS", 16);
-    let eb = 1e-4;
-    let cfg = CollectiveConfig::new(eb, Mode::SingleThread);
-    let mut engine = Engine::paper();
-
-    println!("{nranks} ranks, paper ST calibration, sim2 data; tune pass feeds the cache\n");
-    let table = Table::new(&[
-        ("Size/rank", 10),
-        ("best static (ms)", 16),
-        ("worst static (ms)", 17),
-        ("auto (ms)", 10),
-        ("auto runs", 16),
-        ("vs best", 8),
-    ]);
-
-    for kb in [1usize, 16, 64, 256, 1024, 4096] {
-        let elems = (kb * 1024 / 4).max(nranks);
-        let base = App::SimSet2.generate(elems, 7);
-        let fields: Vec<Vec<f32>> = (0..nranks)
-            .map(|r| {
-                let k = 1.0 + 0.001 * r as f32;
-                base.iter().map(|&v| v * k).collect()
-            })
-            .collect();
-
-        // ratio probe, as `hzc tune` does offline
-        let sample = &base[..base.len().min(auto::PROBE_ELEMS)];
-        let fz = fzlight::Config::new(fzlight::ErrorBound::Abs(eb));
-        let ratio = fzlight::compress(sample, &fz)
-            .map(|s| (sample.len() * 4) as f64 / s.compressed_size().max(1) as f64)
-            .unwrap_or(1.0)
-            .max(1.0);
-        let spec = ScenarioSpec::new(Op::Allreduce, elems, nranks, eb, 32, ratio);
-
-        // pass 1: every static candidate, measured and absorbed
-        let mut best = f64::INFINITY;
-        let mut worst = 0f64;
-        for plan in engine.candidates(&spec) {
-            let timing = ComputeTiming::Modeled(engine.calib.model(plan.flavor, plan.mode));
-            let (makespan, report) = run_static(nranks, &fields, &plan, eb, timing);
-            engine.observe_run(&spec, &plan, &report);
-            best = best.min(makespan);
-            worst = worst.max(makespan);
-        }
-
-        // pass 2: the auto front-end in the iterative-workload regime — one
-        // cold call pays probe + plan agreement, then the clock resets and
-        // the warm (memoized) call is what gets timed, exactly how a solver
-        // loop would amortize the decision.
-        let decision = engine.decide(&spec);
-        let timing =
-            ComputeTiming::Modeled(engine.calib.model(decision.plan.flavor, decision.plan.mode));
-        let cluster = SimBuilder::new(nranks).net(NetConfig::default()).timing(timing);
-        let stats = cluster
-            .run(|comm| {
-                let mut session = auto::Session::new();
-                session.allreduce(comm, &fields[comm.rank()], &cfg, &engine).expect("auto cold");
-                comm.reset_clock();
-                session.allreduce(comm, &fields[comm.rank()], &cfg, &engine).expect("auto warm");
-            })
-            .expect_clean()
-            .stats;
-        let t_auto = stats.makespan;
-
-        table.row(&[
-            format!("{kb} KB"),
-            format!("{:.3}", best * 1e3),
-            format!("{:.3}", worst * 1e3),
-            format!("{:.3}", t_auto * 1e3),
-            decision.plan.label(),
-            format!("{:+.1}%", (t_auto / best - 1.0) * 100.0),
-        ]);
-    }
-
-    println!("\nExpected shape: 'auto runs' flips from rd at small sizes to the");
-    println!("homomorphic ring at large ones, and 'vs best' stays within a few");
-    println!("percent everywhere — the tuner never pays the worst-static cost a");
-    println!("fixed flavour choice would hit on the wrong side of a crossover.");
+    hzccl_bench::figure::main("ext_autotune");
 }

@@ -1,54 +1,6 @@
-//! EXT1 — extension beyond the paper's figures: `Reduce`-to-root and
-//! long-message `Bcast` in all three flavours (the paper's framework claims
-//! all collective computation operations; these are the next two most used).
-
-use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{paper_model, Mode, Variant};
-use hzccl_bench::{banner, env_usize, scaled_rank_fields, Table};
-use netsim::{ComputeTiming, SimBuilder};
+//! EXT1 — declared in `hzccl_bench::figure::all` (target `ext_reduce_bcast`), rendered
+//! by `hzccl_bench::figure::render`.
 
 fn main() {
-    banner("EXT1", "extension — Reduce-to-root and Bcast across flavours");
-    let nranks = env_usize("HZ_RANKS", 16);
-    let n = env_usize("HZ_NODE_MSG_MB", 4) * (1 << 20) / 4;
-    let eb = 1e-4;
-    let base = App::SimSet1.generate(n, 0);
-    let fields = scaled_rank_fields(&base, nranks);
-    let mode = Mode::MultiThread(18);
-
-    let timing = |v: Variant| ComputeTiming::Modeled(paper_model(v, mode));
-    let run = |which: usize, op: usize| -> f64 {
-        let variant = [Variant::Mpi, Variant::CColl, Variant::Hzccl][which];
-        let opts = CollectiveOpts::for_variant(variant, eb).with_mode(mode);
-        let cluster = SimBuilder::new(nranks).timing(timing(variant));
-        let stats = cluster
-            .run(|comm| {
-                let data = &fields[comm.rank()];
-                if op == 0 {
-                    collectives::reduce(comm, data, &opts).expect("reduce");
-                } else {
-                    // the unified API takes a full-length buffer on every rank
-                    collectives::bcast(comm, data, &opts).expect("bcast");
-                }
-            })
-            .expect_clean()
-            .stats;
-        stats.makespan
-    };
-
-    for (op, name) in [(0usize, "Reduce(sum) to root"), (1, "Bcast")] {
-        println!("--- {name} ({nranks} ranks, {} MB/rank) ---", (n * 4) >> 20);
-        let table = Table::new(&[("Flavour", 10), ("time (ms)", 10), ("speedup vs MPI", 14)]);
-        let t_mpi = run(0, op);
-        table.row(&["MPI".into(), format!("{:.2}", t_mpi * 1e3), "1.00x".into()]);
-        for (which, label) in [(1usize, "C-Coll"), (2, "hZCCL")] {
-            let t = run(which, op);
-            table.row(&[label.into(), format!("{:.2}", t * 1e3), format!("{:.2}x", t_mpi / t)]);
-        }
-        println!();
-    }
-    println!("Expected shape: hZCCL >= C-Coll > MPI for Reduce (homomorphic rounds");
-    println!("+ no gather recompression); for Bcast both compressed flavours");
-    println!("collapse to 'compress once, ship compressed' and tie near ratio x.");
+    hzccl_bench::figure::main("ext_reduce_bcast");
 }

@@ -1,67 +1,6 @@
-//! EXT2 — extension: ring vs recursive-doubling Allreduce crossover. MPICH
-//! switches algorithms by message size; this sweep shows the same crossover
-//! holds for the homomorphic variants (recursive doubling wins the
-//! latency-bound small-message regime, the ring wins bandwidth-bound large
-//! messages).
-
-use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{paper_model, rd, CollectiveConfig, Mode, Variant};
-use hzccl_bench::{banner, env_usize, Table};
-use netsim::{ComputeTiming, SimBuilder};
+//! EXT2 — declared in `hzccl_bench::figure::all` (target `ext_ring_vs_rd`), rendered
+//! by `hzccl_bench::figure::render`.
 
 fn main() {
-    banner("EXT2", "extension — ring vs recursive-doubling Allreduce crossover");
-    let nranks = env_usize("HZ_RANKS", 32);
-    let eb = 1e-4;
-    let mode = Mode::MultiThread(18);
-    let cfg = CollectiveConfig::new(eb, mode);
-    let ring_opts = CollectiveOpts::hz(eb).with_mode(mode);
-    let timing = ComputeTiming::Modeled(paper_model(Variant::Hzccl, mode));
-
-    println!("{nranks} ranks, hZCCL compression, RTM data\n");
-    let table = Table::new(&[
-        ("Size/rank", 10),
-        ("ring hZ (ms)", 12),
-        ("rec-dbl hZ (ms)", 15),
-        ("winner", 8),
-    ]);
-    for kb in [1usize, 16, 256, 4096, 16384] {
-        let n = (kb * 1024 / 4).max(nranks); // ring needs n >= nranks
-                                             // independent per-rank fields: partial sums grow like sqrt(k), the
-                                             // realistic regime for ensemble/shot accumulation
-        let fields: Vec<Vec<f32>> =
-            (0..nranks).map(|r| App::SimSet1.generate(n, r as u64)).collect();
-        let run = |ring: bool| -> f64 {
-            let cluster = SimBuilder::new(nranks).timing(timing);
-            let stats = cluster
-                .run(|comm| {
-                    let data = &fields[comm.rank()];
-                    if ring {
-                        collectives::allreduce(comm, data, &ring_opts).expect("ring");
-                    } else {
-                        rd::allreduce_rd_hz(comm, data, &cfg).expect("rd");
-                    }
-                })
-                .expect_clean()
-                .stats;
-            stats.makespan
-        };
-        let t_ring = run(true);
-        let t_rd = run(false);
-        table.row(&[
-            format!("{kb} KB"),
-            format!("{:.3}", t_ring * 1e3),
-            format!("{:.3}", t_rd * 1e3),
-            if t_rd < t_ring { "rec-dbl".into() } else { "ring".into() },
-        ]);
-    }
-    println!("\nExpected shape: recursive doubling wins the latency-bound small-");
-    println!("message regime outright. For large messages the classic ring");
-    println!("advantage (2S vs log2(N)*S on the wire) is partly eroded by a");
-    println!("compression effect the uncompressed analysis misses: the ring's");
-    println!("Allgather ships fully-accumulated chunks whose deltas are ~sqrt(N)");
-    println!("larger and compress worse, while recursive doubling ships mostly");
-    println!("low-order partial sums — so the crossover moves to much larger");
-    println!("messages than MPICH's uncompressed switch point.");
+    hzccl_bench::figure::main("ext_ring_vs_rd");
 }

@@ -3,15 +3,16 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 
 const RELS: [f64; 2] = [1e-3, 1e-4];
 
 fn main() {
-    banner("FIG6", "Fig. 6 — compression/decompression throughput (GB/s)");
-    let n = field_elems();
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("FIG6", "Fig. 6 — compression/decompression throughput (GB/s)"));
+    let n = knobs.field_elems();
     let bytes = n * 4;
-    let threads = mt_threads();
+    let threads = knobs.threads;
     println!("threads = {threads}\n");
     let table = Table::new(&[
         ("App", 12),

@@ -1,64 +1,6 @@
-//! FIG13 — Fig. 13: visual comparison of the final stacking image produced
-//! by uncompressed MPI vs the hZCCL-accelerated Allreduce. Writes PGM images
-//! to `target/fig13/` and prints the numerical quality metrics.
-
-use datasets::{save_pgm, App, Quality};
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl_bench::{banner, env_usize};
-use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
-use std::path::Path;
-
-fn observation(base: &[f32], rank: usize) -> Vec<f32> {
-    let mut h = (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD;
-    base.iter()
-        .map(|&v| {
-            h ^= h >> 33;
-            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-            h ^= h >> 33;
-            let noise = ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.3;
-            v + noise
-        })
-        .collect()
-}
+//! FIG13 — declared in `hzccl_bench::figure::all` (target `fig13_stacking_image`), rendered
+//! by `hzccl_bench::figure::render`.
 
 fn main() {
-    banner("FIG13", "Fig. 13 — stacking-image visualization (PGM output)");
-    let nranks = env_usize("HZ_RANKS", 32);
-    let side = env_usize("HZ_IMG_SIDE", 512);
-    let n = side * side;
-    let eb = 1e-4;
-
-    let base = App::Hurricane.generate(n, 42);
-    let fields: Vec<Vec<f32>> = (0..nranks).map(|r| observation(&base, r)).collect();
-    let exact: Vec<f32> = (0..n).map(|i| fields.iter().map(|f| f[i]).sum::<f32>()).collect();
-
-    let timing = ComputeTiming::Modeled(ThroughputModel::new(2.0, 4.0, 20.0, 10.0, 20.0));
-    let cluster = SimBuilder::new(nranks).timing(timing);
-    let opts = CollectiveOpts::hz(eb);
-    let outcomes = cluster
-        .run(|comm| {
-            collectives::allreduce(comm, &fields[comm.rank()], &opts).expect("stacking allreduce")
-        })
-        .expect_clean()
-        .outcomes;
-    let stacked = &outcomes[0].value;
-
-    let dir = Path::new("target/fig13");
-    std::fs::create_dir_all(dir).expect("mkdir");
-    save_pgm(&dir.join("stack_mpi.pgm"), &exact, side, side).expect("write exact");
-    save_pgm(&dir.join("stack_hzccl.pgm"), stacked, side, side).expect("write hzccl");
-
-    let q = Quality::compare(&exact, stacked);
-    println!("wrote {}/stack_mpi.pgm and stack_hzccl.pgm ({side}x{side})", dir.display());
-    println!(
-        "PSNR = {:.2} dB, NRMSE = {:.1e}, max abs err = {:.2e}",
-        q.psnr, q.nrmse, q.max_abs_err
-    );
-    println!(
-        "max abs err vs theoretical bound N*eb = {:.2e}: {}",
-        nranks as f64 * eb,
-        if q.max_abs_err <= nranks as f64 * eb * 1.01 { "WITHIN BOUND" } else { "EXCEEDED" }
-    );
-    println!("\nExpected (paper Fig. 13 + Sec. IV-E): no visual difference between");
-    println!("the two images; paper reports PSNR 62.00 / NRMSE 8.0e-4.");
+    hzccl_bench::figure::main("fig13_stacking_image");
 }

@@ -5,11 +5,12 @@
 
 use costmodel::{predict, Algo, Op, Scenario};
 use hzccl::{paper_model, Mode, Variant};
-use hzccl_bench::{banner, Table};
+use hzccl_bench::{Knobs, Table};
 use netsim::NetConfig;
 
 fn main() {
-    banner("PROJ", "paper-scale projection (646 MB, closed-form cost model)");
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("PROJ", "paper-scale projection (646 MB, closed-form cost model)"));
     let message_bytes = 646 << 20;
     let ratio = 7.18; // paper Table III, RTM-class data at 1e-4
     println!("message 646 MB/rank, compression ratio {ratio}, effective-goodput net model\n");

@@ -4,15 +4,16 @@
 
 use datasets::{mean_std, App, Quality};
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, mt_threads, Table};
+use hzccl_bench::{Knobs, Table};
 
 const RELS: [f64; 4] = [1e-1, 1e-2, 1e-3, 1e-4];
 const FIELDS_PER_APP: u64 = 2;
 
 fn main() {
-    banner("TAB3", "Table III — ratio & NRMSE, fZ-light vs ompSZp");
-    let n = field_elems();
-    let threads = mt_threads();
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("TAB3", "Table III — ratio & NRMSE, fZ-light vs ompSZp"));
+    let n = knobs.field_elems();
+    let threads = knobs.threads;
     let table = Table::new(&[
         ("App", 12),
         ("REL", 6),

@@ -3,12 +3,13 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, env_usize, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 
 fn main() {
-    banner("TAB4", "Table IV — memory-bandwidth efficiency vs STREAM peak");
-    let threads = mt_threads();
-    let stream_n = env_usize("HZ_STREAM_ELEMS", 1 << 24); // 128 MiB per array
+    let knobs = Knobs::from_env();
+    print!("{}", knobs.banner("TAB4", "Table IV — memory-bandwidth efficiency vs STREAM peak"));
+    let threads = knobs.threads;
+    let stream_n = knobs.stream_elems; // 128 MiB per array
     println!("running STREAM with {} MiB arrays on {threads} threads...", (stream_n * 8) >> 20);
     let peak = streambench::run(stream_n, threads, 3);
     println!(
@@ -20,7 +21,7 @@ fn main() {
         peak.peak()
     );
 
-    let n = field_elems();
+    let n = knobs.field_elems();
     let bytes = n * 4;
     let table = Table::new(&[
         ("App", 12),

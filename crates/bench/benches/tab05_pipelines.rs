@@ -5,13 +5,17 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 use hzdyn::ReduceOp;
 
 fn main() {
-    banner("TAB5", "Table V — dynamic pipeline selection & throughput (REL 1e-3)");
-    let n = field_elems();
-    let threads = mt_threads();
+    let knobs = Knobs::from_env();
+    print!(
+        "{}",
+        knobs.banner("TAB5", "Table V — dynamic pipeline selection & throughput (REL 1e-3)")
+    );
+    let n = knobs.field_elems();
+    let threads = knobs.threads;
     // "overall" throughput convention: two uncompressed inputs processed
     let bytes = 2 * n * 4;
     let table = Table::new(&[

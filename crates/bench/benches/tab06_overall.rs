@@ -4,16 +4,20 @@
 
 use datasets::{App, Quality};
 use fzlight::{Config, ErrorBound};
-use hzccl_bench::{banner, field_elems, gbps, mt_threads, time_best, Table};
+use hzccl_bench::{gbps, time_best, Knobs, Table};
 use hzdyn::ReduceOp;
 
 const RELS: [f64; 4] = [1e-1, 1e-2, 1e-3, 1e-4];
 
 fn main() {
-    banner("TAB6", "Table VI — hZ-dynamic vs fZ-light (DOC) overall performance");
-    let n = field_elems();
+    let knobs = Knobs::from_env();
+    print!(
+        "{}",
+        knobs.banner("TAB6", "Table VI — hZ-dynamic vs fZ-light (DOC) overall performance")
+    );
+    let n = knobs.field_elems();
     let bytes = 2 * n * 4; // two inputs processed per reduce
-    let threads = mt_threads();
+    let threads = knobs.threads;
     let table = Table::new(&[
         ("App", 12),
         ("REL", 6),

@@ -40,11 +40,11 @@ use std::hint::black_box;
 /// Snapshot format version written into `BENCH_kernels.json`.
 pub const SNAPSHOT_SCHEMA_VERSION: u64 = 1;
 /// Canonical input size (elements) for the bit-stable snapshot.
-pub const CANONICAL_ELEMS: usize = 1 << 16;
+pub(crate) const CANONICAL_ELEMS: usize = 1 << 16;
 /// Canonical field seed for the bit-stable snapshot.
-pub const CANONICAL_SEED: u64 = 42;
+pub(crate) const CANONICAL_SEED: u64 = 42;
 /// Canonical absolute error bound for the bit-stable snapshot.
-pub const CANONICAL_EB: f64 = 1e-3;
+pub(crate) const CANONICAL_EB: f64 = 1e-3;
 
 /// Block length used for the shuffle/codec kernels (the fZ-light default).
 const BLOCK: usize = 32;

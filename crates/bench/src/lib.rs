@@ -1,16 +1,22 @@
-//! Shared harness utilities for the table/figure benches.
+//! The benchmark harness: one scenario runner ([`suite::run_case`]) under
+//! every harness, the paper's collective figures as declarations
+//! ([`figure`]) rendered over it, the deterministic `hzc bench` suite and its
+//! snapshots, and the kernel-throughput harness.
 //!
-//! Every bench target honours the same environment knobs:
+//! Every bench target honours the same environment knobs, each read in one
+//! place ([`Knobs::from_env`]):
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
-//! | `HZ_SIZE_MB` | 16 | field size for compressor experiments |
-//! | `HZ_RANKS` | 64 | rank count for fixed-node collective experiments |
-//! | `HZ_MAX_RANKS` | 512 | cap for the scalability sweeps |
+//! | `HZ_SIZE_MB` | 16 | field size for compressor experiments (and FIG2's message) |
+//! | `HZ_RANKS` | 64 | rank count of fixed-node collective figures (FIG7–9, FIG11, TAB7); FIG2, EXT1, EXT3, EXT4 and ABL4 default to 16, EXT2 and FIG13 to 32 |
+//! | `HZ_MAX_RANKS` | 512 | cap of the node-count sweeps (FIG10, FIG12) |
 //! | `HZ_THREADS` | host cores | multi-thread mode thread count |
-//! | `HZ_NODE_MSG_MB` | 8 | per-rank message of the scalability sweeps |
+//! | `HZ_NODE_MSG_MB` | 8 | per-rank message of the node-count sweeps; the size sweeps (FIG7–9, FIG11) scale a base that defaults to 4, as do EXT1, EXT4 and ABL4 |
+//! | `HZ_IMG_SIDE` | 1024 | stacked image side of TAB7; FIG13 defaults to 512 |
+//! | `HZ_STREAM_ELEMS` | 2^24 | STREAM array length of TAB4 |
 //! | `HZ_PAPER_MODEL` | off | use paper-calibrated throughputs instead of host calibration |
-//! | `HZ_METRICS_OUT` | off | directory receiving a `BENCH_<name>.json` metrics snapshot; also enables flight-recorder tracing in [`run_collective`] |
+//! | `HZ_METRICS_OUT` | off | directory receiving a figure's accumulated `BENCH_<target>.json` metrics snapshot |
 //!
 //! Collective benches always use [`netsim::ComputeTiming::Modeled`]: the
 //! data path runs for real (ratios, pipeline mixes and correctness are
@@ -18,156 +24,104 @@
 //! this host without thread oversubscription — or from the paper's
 //! calibration when `HZ_PAPER_MODEL=1`.
 
-use hzccl::{CollectiveConfig, Mode, Variant};
-use netsim::{ComputeTiming, NetConfig};
+use hzccl::{CollectiveConfig, Mode};
+use std::io::Write;
+use std::path::PathBuf;
 use std::time::Instant;
+use tuner::Flavor;
 
+pub mod figure;
 pub mod kernel_throughput;
 mod kernels;
 pub mod snapshot;
 pub mod suite;
 
-pub use kernels::Kernel;
+pub use kernels::kernels;
 
 /// Read a `usize` env knob.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+fn env_usize(name: &str) -> Option<usize> {
+    std::env::var(name).ok().and_then(|v| v.parse().ok())
 }
 
-/// Read a boolean env knob (`1`, `true`, `yes`).
-pub fn env_flag(name: &str) -> bool {
-    matches!(
-        std::env::var(name).unwrap_or_default().to_ascii_lowercase().as_str(),
-        "1" | "true" | "yes"
-    )
+/// The environment knobs of the bench targets, as read by
+/// [`Knobs::from_env`]. A `None` is "unset": the harness default applies
+/// unless the figure at hand declares its own.
+#[derive(Debug, Clone)]
+pub struct Knobs {
+    /// `HZ_SIZE_MB`.
+    pub size_mb: usize,
+    /// `HZ_RANKS`.
+    pub ranks: Option<usize>,
+    /// `HZ_MAX_RANKS`.
+    pub max_ranks: usize,
+    /// `HZ_THREADS`.
+    pub threads: usize,
+    /// `HZ_NODE_MSG_MB`.
+    pub node_msg_mb: Option<usize>,
+    /// `HZ_IMG_SIDE`.
+    pub img_side: Option<usize>,
+    /// `HZ_STREAM_ELEMS`.
+    pub stream_elems: usize,
+    /// `HZ_PAPER_MODEL` (`1`, `true`, `yes`).
+    pub paper_model: bool,
+    /// `HZ_METRICS_OUT`.
+    pub metrics_out: Option<PathBuf>,
 }
 
-/// Field size (elements) for compressor experiments.
-pub fn field_elems() -> usize {
-    env_usize("HZ_SIZE_MB", 16) * (1 << 20) / 4
+impl Knobs {
+    /// Read every knob from the environment.
+    pub fn from_env() -> Knobs {
+        let cores = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(2);
+        let paper = std::env::var("HZ_PAPER_MODEL").unwrap_or_default().to_ascii_lowercase();
+        Knobs {
+            size_mb: env_usize("HZ_SIZE_MB").unwrap_or(16),
+            ranks: env_usize("HZ_RANKS"),
+            max_ranks: env_usize("HZ_MAX_RANKS").unwrap_or(512),
+            threads: env_usize("HZ_THREADS").unwrap_or(cores),
+            node_msg_mb: env_usize("HZ_NODE_MSG_MB"),
+            img_side: env_usize("HZ_IMG_SIDE"),
+            stream_elems: env_usize("HZ_STREAM_ELEMS").unwrap_or(1 << 24),
+            paper_model: matches!(paper.as_str(), "1" | "true" | "yes"),
+            metrics_out: std::env::var_os("HZ_METRICS_OUT").map(PathBuf::from),
+        }
+    }
+
+    /// Field size (elements) for compressor experiments.
+    pub fn field_elems(&self) -> usize {
+        self.size_mb * (1 << 20) / 4
+    }
+
+    /// The standard bench banner.
+    pub fn banner(&self, id: &str, what: &str) -> String {
+        format!(
+            "\n=== {id}: {what} ===\n(HZ_SIZE_MB={} HZ_RANKS={} HZ_THREADS={} HZ_PAPER_MODEL={})\n\n",
+            self.size_mb,
+            self.ranks.unwrap_or(64),
+            self.threads,
+            self.paper_model as u8
+        )
+    }
 }
 
-/// Rank count for fixed-node collective experiments.
-pub fn ranks() -> usize {
-    env_usize("HZ_RANKS", 64)
-}
-
-/// Thread count of the multi-thread mode.
-pub fn mt_threads() -> usize {
-    env_usize("HZ_THREADS", std::thread::available_parallelism().map(|t| t.get()).unwrap_or(2))
-}
-
-/// Per-rank message elements for the node-count sweeps.
-pub fn node_msg_elems() -> usize {
-    env_usize("HZ_NODE_MSG_MB", 8) * (1 << 20) / 4
-}
-
-/// The network model used by all collective benches (effective-goodput
-/// calibration; see `netsim::NetConfig` docs).
-pub fn net() -> NetConfig {
-    NetConfig::default()
-}
-
-/// Compute-timing model for a collective variant: paper calibration when
-/// `HZ_PAPER_MODEL=1`, otherwise throughputs measured on this host from the
-/// real kernels over `sample`.
-///
-/// Host calibrations are memoized per `(variant, mode)` for the lifetime of
-/// the bench process, so every point of a sweep is timed against the same
-/// model (and the measurement cost is paid once).
-pub fn timing_for(variant: Variant, mode: Mode, sample: &[f32], eb: f64) -> ComputeTiming {
+/// Throughputs of `flavor` in `mode` measured on this host from the real
+/// kernels over (a capped prefix of) `field`. Memoized per `(flavor,
+/// threads)` for the lifetime of the process, so every point of a sweep is
+/// timed against the same model and the measurement cost is paid once.
+fn host_model(flavor: Flavor, mode: Mode, field: &[f32], eb: f64) -> netsim::ThroughputModel {
     use std::collections::HashMap;
     use std::sync::Mutex;
 
+    static CACHE: Mutex<Option<HashMap<(Flavor, usize), netsim::ThroughputModel>>> =
+        Mutex::new(None);
     let cfg = CollectiveConfig::new(eb, mode);
-    if env_flag("HZ_PAPER_MODEL") {
-        return ComputeTiming::Modeled(hzccl::paper_model(variant, mode));
-    }
-    static CACHE: Mutex<Option<HashMap<(u8, usize), netsim::ThroughputModel>>> = Mutex::new(None);
-    let key = (
-        match variant {
-            Variant::Mpi => 0u8,
-            Variant::CColl => 1,
-            Variant::Hzccl => 2,
-            Variant::Auto => 3,
-        },
-        mode.threads(),
-    );
+    let sample = &field[..field.len().min(1 << 21)];
     let mut guard = CACHE.lock().expect("calibration cache poisoned");
     let cache = guard.get_or_insert_with(HashMap::new);
-    let model = *cache.entry(key).or_insert_with(|| match variant {
-        Variant::CColl => hzccl::calibrate_doc(sample, &cfg),
-        // MPI only exercises Cpt/Other; the hz calibration covers those.
-        // Auto may dispatch to any flavour — time it against the hz table
-        // (the conservative choice for its headline path).
-        Variant::Mpi | Variant::Hzccl | Variant::Auto => hzccl::calibrate_hz(sample, &cfg),
-    });
-    ComputeTiming::Modeled(model)
-}
-
-/// Which collective a bench sweep runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollOp {
-    /// Ring `Reduce_scatter(sum)`.
-    ReduceScatter,
-    /// Ring `Allreduce(sum)`.
-    Allreduce,
-}
-
-/// Derive per-rank input fields from one base field (each rank holds a
-/// slightly rescaled copy — same compressibility profile, distinct values,
-/// zero regions preserved).
-pub fn scaled_rank_fields(base: &[f32], nranks: usize) -> Vec<Vec<f32>> {
-    (0..nranks)
-        .map(|r| {
-            let k = 1.0 + 0.001 * r as f32;
-            base.iter().map(|&v| v * k).collect()
-        })
-        .collect()
-}
-
-/// Cap the calibration sample so host calibration stays cheap.
-fn calibration_sample(field: &[f32]) -> &[f32] {
-    &field[..field.len().min(1 << 21)]
-}
-
-/// Run one collective kernel over a simulated cluster (modeled timing, real
-/// data) and return `(makespan_seconds, aggregated_breakdown)`.
-///
-/// When `HZ_METRICS_OUT` names a directory, the cluster additionally runs
-/// with the flight recorder enabled; per-rank traces are folded into a
-/// process-global [`netsim::Registry`] and flushed to
-/// `HZ_METRICS_OUT/BENCH_<name>.json` after every run (the file is
-/// overwritten, so the last snapshot of a sweep accumulates everything).
-pub fn run_collective(
-    kernel: Kernel,
-    op: CollOp,
-    fields: &[Vec<f32>],
-    eb: f64,
-) -> (f64, netsim::Breakdown) {
-    let nranks = fields.len();
-    let mt = mt_threads();
-    let mode = kernel.mode(mt).unwrap_or(Mode::SingleThread);
-    let timing = timing_for(kernel.variant(), mode, calibration_sample(&fields[0]), eb);
-    let mut cluster = netsim::SimBuilder::new(nranks).net(net()).timing(timing);
-    if metrics_out_dir().is_some() {
-        cluster = cluster.trace(netsim::TraceConfig::default());
-    }
-    let report = cluster
-        .run(|comm| {
-            let data = &fields[comm.rank()];
-            match op {
-                CollOp::Allreduce => {
-                    kernel.allreduce(comm, data, eb, mt).expect("kernel allreduce");
-                }
-                CollOp::ReduceScatter => {
-                    kernel.reduce_scatter(comm, data, eb, mt).expect("kernel reduce_scatter");
-                }
-            }
-        })
-        .expect_clean();
-    record_metrics(&report);
-    (report.stats.makespan, report.stats.total)
+    *cache.entry((flavor, mode.threads())).or_insert_with(|| match flavor {
+        Flavor::CColl => hzccl::calibrate_doc(sample, &cfg),
+        // MPI only exercises Cpt/Other; the hz calibration covers those
+        Flavor::Mpi | Flavor::Hzccl => hzccl::calibrate_hz(sample, &cfg),
+    })
 }
 
 /// Ablation (DESIGN.md ablation 4): hZCCL Reduce_scatter followed by the
@@ -183,47 +137,6 @@ pub fn allreduce_unfused(
     use hzccl::collectives::{allgather, reduce_scatter, CollectiveOpts};
     let own = reduce_scatter(comm, data, &CollectiveOpts::hz(eb).with_mode(mode))?;
     allgather(comm, &own, data.len(), &CollectiveOpts::ccoll(eb).with_mode(mode))
-}
-
-/// Where metric snapshots go, if requested via `HZ_METRICS_OUT`.
-fn metrics_out_dir() -> Option<std::path::PathBuf> {
-    std::env::var_os("HZ_METRICS_OUT").map(std::path::PathBuf::from)
-}
-
-/// The process-global metrics registry fed by [`run_collective`].
-fn global_registry() -> &'static std::sync::Mutex<netsim::Registry> {
-    use std::sync::{Mutex, OnceLock};
-    static REGISTRY: OnceLock<Mutex<netsim::Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(netsim::Registry::new()))
-}
-
-/// Bench name for the metrics file: the executable stem with cargo's
-/// trailing `-<hash>` disambiguator stripped.
-fn bench_name() -> String {
-    let exe = std::env::current_exe().ok();
-    let stem =
-        exe.as_deref().and_then(|p| p.file_stem()).and_then(|s| s.to_str()).unwrap_or("bench");
-    match stem.rsplit_once('-') {
-        Some((base, hash)) if hash.len() == 16 && hash.bytes().all(|b| b.is_ascii_hexdigit()) => {
-            base.to_string()
-        }
-        _ => stem.to_string(),
-    }
-}
-
-/// Fold one run's report into the global registry and (re)write the
-/// `BENCH_<name>.json` snapshot. No-op unless `HZ_METRICS_OUT` is set.
-pub fn record_metrics<R>(report: &netsim::RunReport<R>) {
-    let Some(dir) = metrics_out_dir() else {
-        return;
-    };
-    let mut guard = global_registry().lock().expect("metrics registry poisoned");
-    guard.record_report(report);
-    let path = dir.join(format!("BENCH_{}.json", bench_name()));
-    let _ = std::fs::create_dir_all(&dir);
-    if let Err(e) = std::fs::write(&path, guard.to_json().render()) {
-        eprintln!("warning: could not write metrics snapshot {}: {e}", path.display());
-    }
 }
 
 /// Best-of-`k` wall time of `f`, in seconds.
@@ -248,36 +161,32 @@ pub struct Table {
 }
 
 impl Table {
-    /// Start a table and print its header row.
+    /// Start a table on stdout and print its header row.
     pub fn new(columns: &[(&str, usize)]) -> Table {
-        let widths: Vec<usize> = columns.iter().map(|c| c.1).collect();
-        let header: Vec<String> = columns.iter().map(|(name, w)| format!("{name:<w$}")).collect();
-        println!("{}", header.join(" | "));
-        println!("{}", "-".repeat(widths.iter().sum::<usize>() + 3 * (widths.len() - 1)));
-        Table { widths }
+        Table::start(&mut std::io::stdout(), columns).expect("stdout")
     }
 
-    /// Print one row; `cells` must match the header arity.
+    /// Print one row to stdout; `cells` must match the header arity.
     pub fn row(&self, cells: &[String]) {
+        self.write_row(&mut std::io::stdout(), cells).expect("stdout")
+    }
+
+    /// Start a table on `out`: header row and rule.
+    pub(crate) fn start(out: &mut dyn Write, columns: &[(&str, usize)]) -> std::io::Result<Table> {
+        let widths: Vec<usize> = columns.iter().map(|c| c.1).collect();
+        let header: Vec<String> = columns.iter().map(|(name, w)| format!("{name:<w$}")).collect();
+        writeln!(out, "{}", header.join(" | "))?;
+        writeln!(out, "{}", "-".repeat(widths.iter().sum::<usize>() + 3 * (widths.len() - 1)))?;
+        Ok(Table { widths })
+    }
+
+    /// Write one row to `out`; `cells` must match the header arity.
+    pub(crate) fn write_row(&self, out: &mut dyn Write, cells: &[String]) -> std::io::Result<()> {
         assert_eq!(cells.len(), self.widths.len(), "row arity mismatch");
         let padded: Vec<String> =
             cells.iter().zip(&self.widths).map(|(c, w)| format!("{c:<w$}")).collect();
-        println!("{}", padded.join(" | "));
+        writeln!(out, "{}", padded.join(" | "))
     }
-}
-
-/// Print the standard bench banner.
-pub fn banner(id: &str, what: &str) {
-    println!();
-    println!("=== {id}: {what} ===");
-    println!(
-        "(HZ_SIZE_MB={} HZ_RANKS={} HZ_THREADS={} HZ_PAPER_MODEL={})",
-        env_usize("HZ_SIZE_MB", 16),
-        ranks(),
-        mt_threads(),
-        env_flag("HZ_PAPER_MODEL") as u8
-    );
-    println!();
 }
 
 #[cfg(test)]
@@ -285,9 +194,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_parsing_defaults() {
-        assert_eq!(env_usize("HZ_DOES_NOT_EXIST_XYZ", 7), 7);
-        assert!(!env_flag("HZ_DOES_NOT_EXIST_XYZ"));
+    fn unset_knobs_take_the_documented_defaults() {
+        assert_eq!(env_usize("HZ_DOES_NOT_EXIST_XYZ"), None);
+        let k = Knobs { size_mb: 2, ranks: None, ..Knobs::from_env() };
+        assert_eq!(k.field_elems(), 1 << 19);
+        assert!(k.banner("X", "y").contains("HZ_SIZE_MB=2 HZ_RANKS=64 "));
     }
 
     #[test]
@@ -301,7 +212,7 @@ mod tests {
     #[test]
     fn fused_allreduce_beats_the_unfused_ablation_and_agrees_within_the_bound() {
         use hzccl::collectives::{allreduce, CollectiveOpts};
-        use netsim::{SimBuilder, ThroughputModel};
+        use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
         let eb = 1e-3;
         let field = |rank: usize| -> Vec<f32> {
             (0..60_000).map(|i| ((i as f32) * 0.013).sin() * (rank + 1) as f32 * 1.7).collect()

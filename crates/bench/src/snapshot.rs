@@ -307,31 +307,16 @@ pub fn diff(old: &Snapshot, new: &Snapshot, tol_time: f64, tol_bytes: f64) -> Di
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::suite::{run_suite, CaseSpec, SuiteConfig};
-    use crate::CollOp;
+    use crate::suite::{run_suite, CaseSpec, Runner, SuiteConfig};
     use hzccl::Variant;
+    use tuner::Op;
 
     fn tiny_results() -> (SuiteConfig, Vec<crate::suite::CaseResult>) {
         let cfg = SuiteConfig::default();
+        let rs = CaseSpec::new(Op::ReduceScatter, Runner::Variant(Variant::Hzccl), 4, 4);
         let cases = vec![
-            CaseSpec {
-                op: CollOp::Allreduce,
-                variant: Variant::Mpi,
-                ranks: 4,
-                kb: 4,
-                segments: 1,
-                faulted: false,
-                topology: None,
-            },
-            CaseSpec {
-                op: CollOp::ReduceScatter,
-                variant: Variant::Hzccl,
-                ranks: 4,
-                kb: 4,
-                segments: 2,
-                faulted: false,
-                topology: None,
-            },
+            CaseSpec::new(Op::Allreduce, Runner::Variant(Variant::Mpi), 4, 4),
+            CaseSpec { segments: 2, ..rs },
         ];
         let results = run_suite(&cases, &cfg, |_| {});
         (cfg, results)

@@ -1,23 +1,61 @@
-//! The deterministic `hzc bench` suite.
+//! The one scenario runner, and the deterministic `hzc bench` suite over it.
 //!
-//! Every case runs entirely on the virtual clock with paper-calibrated
-//! compute models ([`hzccl::paper_model`]), seeded synthetic fields, and the
+//! A [`CaseSpec`] names *what* simulated collective runs, a [`SuiteConfig`]
+//! *how*, and [`run_case`] is the only code outside `crates/core` and the
+//! tests that sets one up and runs it: `hzc sim`, `chaos`, `tune`, `bench`
+//! and the figure benches ([`crate::figure`]) are all "parse → spec(s) →
+//! `run_case` → print". The oracles over a case's inputs
+//! ([`survivor_sum`], [`mpi_survivor_sum`]) and the tuner sweep
+//! ([`tune_case`]) live next to it.
+//!
+//! Under the default config every case runs entirely on the virtual clock
+//! with paper-calibrated compute models, seeded synthetic fields, and the
 //! default network model — so two runs of the same suite on any host produce
 //! bit-identical numbers. That determinism is what makes the snapshot diff
-//! ([`crate::snapshot`]) a regression gate instead of a noise detector.
-//!
-//! A case is a point in `(op, variant, ranks, KiB/rank, segments, faulted)`
-//! space; [`canonical_cases`] is the checked-in baseline sweep (the
+//! ([`crate::snapshot`]) a regression gate instead of a noise detector:
+//! [`canonical_cases`] is the checked-in baseline sweep (the
 //! `BENCH_results.json` at the repo root), [`quick_cases`] a strict subset
 //! for CI smoke, and [`build_cases`] the CLI's constructive override.
 
-use crate::{scaled_rank_fields, CollOp};
-use hzccl::{Mode, Resilience, Variant};
+use hzccl::collectives::{self, CollectiveOpts, PartialResult, RecoveryPolicy};
+use hzccl::{auto, CollectiveConfig, Mode, Resilience, Variant};
 use netsim::{
-    ComputeTiming, CriticalPath, FaultPlan, NetConfig, SimBuilder, SimEngine, Topology, TraceConfig,
+    ComputeTiming, CriticalPath, FaultPlan, NetConfig, Registry, RunReport, SimBuilder, SimEngine,
+    ThroughputModel, Topology, TraceConfig,
 };
+use std::sync::{Arc, Mutex};
+use tuner::{Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
 
-/// Shared inputs of every case in a suite run.
+/// Where a case's per-kernel virtual time comes from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Timing {
+    /// The paper's Broadwell-socket throughputs ([`tuner::paper_prior`]):
+    /// host-independent, so every number is bit-reproducible.
+    Paper,
+    /// Throughputs measured once per `(flavour, threads)` on this host from
+    /// the real kernels over the case's own data.
+    Host,
+    /// An explicit table — a tuner sweep times each candidate with its
+    /// engine's current calibration.
+    Model(ThroughputModel),
+}
+
+/// How the per-rank input fields derive from the app's generator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fields {
+    /// One base field (`seed`), rank `r` holding it rescaled by
+    /// `1 + 0.001 r`: same compressibility profile, distinct values, zero
+    /// regions preserved.
+    Scaled,
+    /// Rank `r` holds the independent field `seed + r` (partial sums grow
+    /// like `sqrt(k)`, the ensemble / shot-accumulation regime).
+    PerRank,
+    /// One base scene (`seed`) plus rank-seeded sensor noise: the
+    /// observations of the image-stacking use case (Table VII).
+    Stacking,
+}
+
+/// Shared inputs of every case in a suite run: *how* a [`CaseSpec`] runs.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
     /// Seed for the synthetic field generator and the fault plan.
@@ -26,12 +64,18 @@ pub struct SuiteConfig {
     pub eb: f64,
     /// Synthetic application generating the per-rank fields.
     pub app: datasets::App,
+    /// How the ranks' fields derive from it.
+    pub fields: Fields,
     /// Network model (defaults to the paper calibration).
     pub net: NetConfig,
     /// Execution engine driving the virtual cluster. Both engines produce
     /// byte-identical suite results; the knob exists so CI can pin exactly
     /// that (`hzc bench --engine`).
     pub engine: SimEngine,
+    /// Compute-timing source.
+    pub timing: Timing,
+    /// The decision engine [`Variant::Auto`] cases consult.
+    pub tuner: Engine,
 }
 
 impl Default for SuiteConfig {
@@ -40,70 +84,146 @@ impl Default for SuiteConfig {
             seed: 0,
             eb: 1e-4,
             app: datasets::App::SimSet2,
+            fields: Fields::Scaled,
             net: NetConfig::default(),
             engine: SimEngine::default(),
+            timing: Timing::Paper,
+            tuner: Engine::paper(),
         }
     }
 }
 
-/// One point of the bench sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Who runs a case's collective.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Runner {
+    /// A flavour of the unified front-end; [`Variant::Auto`] asks the
+    /// suite's tuner.
+    Variant(Variant),
+    /// One static tuner plan, executed verbatim ([`auto::run_planned`]) —
+    /// also the only way to reach recursive doubling.
+    Plan(Plan),
+    /// The Sec. III-C.2 fusion ablation ([`crate::allreduce_unfused`]).
+    Unfused,
+}
+
+impl Runner {
+    /// The serial recursive-doubling plan of `flavor` in `mode`.
+    pub fn rd(flavor: Flavor, mode: Mode) -> Runner {
+        Runner::Plan(Plan::serial(flavor, tuner::Algo::Rd, mode.into(), fzlight::DEFAULT_BLOCK_LEN))
+    }
+
+    /// Stable name: the variant's, the plan's label, or `hz-unfused`.
+    pub(crate) fn name(&self) -> String {
+        match self {
+            Runner::Variant(v) => v.name().to_string(),
+            Runner::Plan(p) => p.label(),
+            Runner::Unfused => "hz-unfused".to_string(),
+        }
+    }
+}
+
+/// One simulated collective: *what* runs. Every harness — `hzc sim`, `chaos`,
+/// `tune`, `bench`, the figure benches — describes its runs as these and
+/// hands them to [`run_case`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
-    /// Which collective the case runs.
-    pub op: CollOp,
-    /// Which flavour runs it.
-    pub variant: Variant,
+    /// Which collective the case runs (rooted ops at rank 0).
+    pub op: Op,
+    /// Who runs it.
+    pub runner: Runner,
     /// Rank count of the virtual cluster.
     pub ranks: usize,
-    /// Per-rank field size in KiB.
-    pub kb: usize,
-    /// Pipeline segment count (1 = phase-serial).
+    /// Per-rank field length in `f32`s (raised to one element per rank at
+    /// run time — the ring's minimum).
+    pub elems: usize,
+    /// Pipeline segment count (1 = phase-serial); a plan brings its own.
     pub segments: usize,
-    /// Runs under a seeded fault plan with the resilient transport on.
-    pub faulted: bool,
-    /// `(nodes, ranks-per-node)` of a paper two-tier fabric
-    /// ([`Topology::paper`]): the cluster and the collective both see it, so
-    /// hierarchical schedules engage. `None` = the flat single-tier network
-    /// (every pre-existing case, whose numbers must stay bit-identical).
-    pub topology: Option<(usize, usize)>,
+    /// Compression thread mode; a plan brings its own.
+    pub mode: Mode,
+    /// Two-tier fabric: the cluster and the collective both see it, so
+    /// hierarchical schedules engage. `None` = the flat single-tier network.
+    pub topology: Option<Topology>,
+    /// Injected faults, drawn from the suite's seed.
+    pub faults: Option<FaultPlan>,
+    /// Resilient (framed ARQ) transport policy.
+    pub resilience: Option<Resilience>,
+    /// What happens when a rank dies; anything but `FailFast` runs the
+    /// recoverable verb and tolerates rank panics in the report.
+    pub recovery: RecoveryPolicy,
 }
 
 impl CaseSpec {
+    /// A fault-free, flat, phase-serial, single-thread case of `kb` KiB per
+    /// rank; refine with struct-update syntax.
+    pub fn new(op: Op, runner: Runner, ranks: usize, kb: usize) -> CaseSpec {
+        CaseSpec {
+            op,
+            runner,
+            ranks,
+            elems: (kb << 10) / 4,
+            segments: 1,
+            mode: Mode::SingleThread,
+            topology: None,
+            faults: None,
+            resilience: None,
+            recovery: RecoveryPolicy::FailFast,
+        }
+    }
+
     /// Stable case identity — the diff key of the snapshot format.
     pub fn id(&self) -> String {
         let mut id = format!(
             "{}/{}/r{}/kb{}/s{}",
-            self.op_name(),
-            self.variant.name(),
+            self.op.name(),
+            self.runner.name(),
             self.ranks,
-            self.kb,
+            (self.elems * 4) >> 10,
             self.segments
         );
-        if let Some((nodes, ppn)) = self.topology {
-            id.push_str(&format!("/t{nodes}x{ppn}"));
+        if let Some(t) = self.topology {
+            id.push_str(&format!("/t{}x{}", t.nodes, t.ppn));
         }
-        if self.faulted {
+        if self.faults.is_some() {
             id.push_str("-faulted");
         }
         id
     }
 
-    /// Stable op name used in ids and snapshots.
-    pub fn op_name(&self) -> &'static str {
-        match self.op {
-            CollOp::Allreduce => "allreduce",
-            CollOp::ReduceScatter => "reduce_scatter",
+    /// The front-end options of this case run in flavour `variant`.
+    fn opts(&self, variant: Variant, cfg: &SuiteConfig) -> CollectiveOpts {
+        let mut opts = CollectiveOpts::for_variant(variant, cfg.eb)
+            .with_mode(self.mode)
+            .with_segments(self.segments)
+            .with_recovery(self.recovery);
+        if let Some(res) = self.resilience {
+            opts = opts.with_resilience(res);
         }
+        if let Some(t) = self.topology {
+            opts = opts.with_topology(t);
+        }
+        opts
     }
 
-    /// Which variant's paper throughput table times the case (auto borrows
-    /// the hz table — its headline dispatch target).
-    fn timing_variant(&self) -> Variant {
-        match self.variant {
-            Variant::Auto => Variant::Hzccl,
-            v => v,
+    /// Whose throughput table times the case, in which thread mode (auto
+    /// and the ablation borrow the hz table — their headline path).
+    fn timed_as(&self) -> (Flavor, Mode) {
+        match self.runner {
+            Runner::Variant(v) => (v.flavor(), self.mode),
+            Runner::Plan(p) => (p.flavor, p.mode.into()),
+            Runner::Unfused => (Flavor::Hzccl, self.mode),
         }
     }
+}
+
+/// What one rank of a case delivered.
+#[derive(Debug, Clone)]
+pub struct RankOut {
+    /// The value, whose contributions it aggregates, and the membership
+    /// epoch that committed (everyone and 0 unless a recovery policy ran).
+    pub result: PartialResult,
+    /// On the decider rank of a [`Variant::Auto`] case: the scenario it
+    /// probed and the engine's ranked decision.
+    pub detail: Option<(ScenarioSpec, Decision)>,
 }
 
 /// The measured outcome of one case.
@@ -127,6 +247,18 @@ pub struct CaseResult {
     pub latency_p99: f64,
 }
 
+/// Everything [`run_case`] produces: the analysis, the raw report it was
+/// derived from, and the metrics registry folded from the report's traces.
+#[derive(Debug, Clone)]
+pub struct CaseRun {
+    /// The analyzed outcome (what `hzc bench` snapshots).
+    pub result: CaseResult,
+    /// Per-rank values, fates, stats and flight-recorder traces.
+    pub report: RunReport<RankOut>,
+    /// Counters, gauges and histograms of the run.
+    pub registry: Registry,
+}
+
 /// The canonical paper-calibrated sweep backing `BENCH_results.json`:
 /// {allreduce, reduce_scatter} × {8, 64} ranks × {16, 256, 1024} KiB ×
 /// ({mpi, ccoll, hz} × {serial, S=8} + auto), then the two-tier topology
@@ -134,14 +266,8 @@ pub struct CaseResult {
 /// 97 cases. New case families are appended *before* the faulted closer so
 /// pre-existing snapshot lines stay byte-identical across suite growth.
 pub fn canonical_cases() -> Vec<CaseSpec> {
-    let mut cases = build_cases(
-        &[CollOp::Allreduce, CollOp::ReduceScatter],
-        &[Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto],
-        &[8, 64],
-        &[16, 256, 1024],
-        &[1, 8],
-        false,
-    );
+    let mut cases =
+        build_cases(&SWEEP_OPS, &SWEEP_VARIANTS, &[8, 64], &[16, 256, 1024], &[1, 8], false);
     cases.extend(hierarchical_cases(false));
     cases.push(fault_case());
     cases
@@ -152,18 +278,14 @@ pub fn canonical_cases() -> Vec<CaseSpec> {
 /// [`canonical_cases`] by id, so `--against` the canonical baseline
 /// compares every quick case.
 pub fn quick_cases() -> Vec<CaseSpec> {
-    let mut cases = build_cases(
-        &[CollOp::Allreduce, CollOp::ReduceScatter],
-        &[Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto],
-        &[8],
-        &[16, 256],
-        &[1, 8],
-        false,
-    );
+    let mut cases = build_cases(&SWEEP_OPS, &SWEEP_VARIANTS, &[8], &[16, 256], &[1, 8], false);
     cases.extend(hierarchical_cases(true));
     cases.push(fault_case());
     cases
 }
+
+const SWEEP_OPS: [Op; 2] = [Op::Allreduce, Op::ReduceScatter];
+const SWEEP_VARIANTS: [Variant; 4] = [Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto];
 
 /// The `--scale` family: the regime the event-driven engine exists for.
 /// Ring allreduce at {512, 2048, 4096} ranks — far past what a
@@ -177,15 +299,7 @@ pub fn scale_cases() -> Vec<CaseSpec> {
     let mut out = Vec::new();
     for ranks in [512usize, 2048, 4096] {
         for variant in [Variant::Mpi, Variant::Hzccl] {
-            out.push(CaseSpec {
-                op: CollOp::Allreduce,
-                variant,
-                ranks,
-                kb: 4,
-                segments: 1,
-                faulted: false,
-                topology: None,
-            });
+            out.push(CaseSpec::new(Op::Allreduce, Runner::Variant(variant), ranks, 4));
         }
     }
     out
@@ -198,13 +312,8 @@ pub fn scale_cases() -> Vec<CaseSpec> {
 /// schedule beats the flat hz ring — the headline win this suite pins).
 fn hierarchical_cases(quick: bool) -> Vec<CaseSpec> {
     let mk = |variant, nodes: usize, ppn: usize, kb| CaseSpec {
-        op: CollOp::Allreduce,
-        variant,
-        ranks: nodes * ppn,
-        kb,
-        segments: 1,
-        faulted: false,
-        topology: Some((nodes, ppn)),
+        topology: Some(Topology::paper(nodes, ppn)),
+        ..CaseSpec::new(Op::Allreduce, Runner::Variant(variant), nodes * ppn, kb)
     };
     let mut out = Vec::new();
     for kb in [16, 256] {
@@ -214,7 +323,7 @@ fn hierarchical_cases(quick: bool) -> Vec<CaseSpec> {
     }
     if !quick {
         for kb in [256, 1024] {
-            for v in [Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto] {
+            for v in SWEEP_VARIANTS {
                 out.push(mk(v, 8, 8, kb));
             }
         }
@@ -226,13 +335,9 @@ fn hierarchical_cases(quick: bool) -> Vec<CaseSpec> {
 /// serial, drop 2% + corrupt 1%, resilient transport on.
 fn fault_case() -> CaseSpec {
     CaseSpec {
-        op: CollOp::Allreduce,
-        variant: Variant::Hzccl,
-        ranks: 8,
-        kb: 64,
-        segments: 1,
-        faulted: true,
-        topology: None,
+        faults: Some(FaultPlan::new(0).with_drop(0.02).with_corrupt(0.01)),
+        resilience: Some(Resilience::default()),
+        ..CaseSpec::new(Op::Allreduce, Runner::Variant(Variant::Hzccl), 8, 64)
     }
 }
 
@@ -244,7 +349,7 @@ fn fault_case() -> CaseSpec {
 /// 64 KiB, serial, drop 2% + corrupt 1%, resilient transport) is appended
 /// if `hz` and `allreduce` are in the sweep.
 pub fn build_cases(
-    ops: &[CollOp],
+    ops: &[Op],
     variants: &[Variant],
     ranks_list: &[usize],
     sizes_kb: &[usize],
@@ -256,115 +361,176 @@ pub fn build_cases(
         for &variant in variants {
             for &ranks in ranks_list {
                 for &kb in sizes_kb {
-                    if variant == Variant::Auto {
-                        out.push(CaseSpec {
-                            op,
-                            variant,
-                            ranks,
-                            kb,
-                            segments: 1,
-                            faulted: false,
-                            topology: None,
-                        });
-                        continue;
-                    }
-                    for &segments in segments_list {
-                        out.push(CaseSpec {
-                            op,
-                            variant,
-                            ranks,
-                            kb,
-                            segments,
-                            faulted: false,
-                            topology: None,
-                        });
+                    let auto = variant == Variant::Auto;
+                    for &segments in if auto { &[1][..] } else { segments_list } {
+                        let case = CaseSpec::new(op, Runner::Variant(variant), ranks, kb);
+                        out.push(CaseSpec { segments, ..case });
                     }
                 }
             }
         }
     }
-    if include_fault && ops.contains(&CollOp::Allreduce) && variants.contains(&Variant::Hzccl) {
+    if include_fault && ops.contains(&Op::Allreduce) && variants.contains(&Variant::Hzccl) {
         out.push(fault_case());
     }
     out
 }
 
-/// Run one case on the virtual cluster and analyze it.
-pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseResult {
-    let elems = ((spec.kb << 10) / 4).max(spec.ranks);
-    let base = cfg.app.generate(elems, cfg.seed);
-    let fields = scaled_rank_fields(&base, spec.ranks);
+/// Per-rank observation of the stacking use case: the shared scene plus
+/// rank-seeded sensor noise.
+fn observation(base: &[f32], rank: usize) -> Vec<f32> {
+    let mut h = (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xABCD;
+    base.iter()
+        .map(|&v| {
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+            h ^= h >> 33;
+            let noise = ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 0.3;
+            v + noise
+        })
+        .collect()
+}
 
-    let timing =
-        ComputeTiming::Modeled(hzccl::paper_model(spec.timing_variant(), Mode::SingleThread));
-    let topo = spec.topology.map(|(nodes, ppn)| Topology::paper(nodes, ppn));
+/// One field per rank, shared between a run and whoever reads its inputs.
+type RankFields = Arc<Vec<Vec<f32>>>;
+
+/// The per-rank input fields of a case — the one generator every harness
+/// (and every oracle over a case's inputs) reads. The last set is memoized,
+/// so the kernels of one figure row, or a run and its oracle, share it.
+pub fn rank_fields(spec: &CaseSpec, cfg: &SuiteConfig) -> RankFields {
+    type Key = (datasets::App, u64, Fields, usize, usize);
+    static LAST: Mutex<Option<(Key, RankFields)>> = Mutex::new(None);
+    let elems = spec.elems.max(spec.ranks);
+    let key = (cfg.app, cfg.seed, cfg.fields, elems, spec.ranks);
+    let memo = || LAST.lock().expect("field memo poisoned");
+    if let Some((_, fields)) = memo().as_ref().filter(|(k, _)| *k == key) {
+        return fields.clone();
+    }
+    *memo() = None; // release the previous set before building the next
+    let base = match cfg.fields {
+        Fields::PerRank => Vec::new(),
+        _ => cfg.app.generate(elems, cfg.seed),
+    };
+    let field = |r: usize| -> Vec<f32> {
+        match cfg.fields {
+            Fields::Scaled => base.iter().map(|&v| v * (1.0 + 0.001 * r as f32)).collect(),
+            Fields::PerRank => cfg.app.generate(elems, cfg.seed + r as u64),
+            Fields::Stacking => observation(&base, r),
+        }
+    };
+    let fields: Vec<Vec<f32>> = (0..spec.ranks).map(field).collect();
+    let fields = Arc::new(fields);
+    *memo() = Some((key, fields.clone()));
+    fields
+}
+
+/// Exact f64 sum over the `survivors`' fields — the accuracy oracle of the
+/// compressed flavours under the shrinking recovery policies.
+pub fn survivor_sum(fields: &[Vec<f32>], survivors: &[usize]) -> Vec<f64> {
+    let mut acc = vec![0f64; fields[0].len()];
+    for &r in survivors {
+        for (a, &b) in acc.iter_mut().zip(&fields[r]) {
+            *a += f64::from(b);
+        }
+    }
+    acc
+}
+
+/// The survivable `mpi` ring's reduction order, replicated: the accumulator
+/// of segment group `g` originates at virtual rank `(g+1) % m` and folds one
+/// member per hop until the owner adds its own share last. f32 addition is
+/// bitwise commutative, so this left fold is the bit-exact expectation.
+pub fn mpi_survivor_sum(fields: &[Vec<f32>], survivors: &[usize]) -> Vec<f32> {
+    let (n0, n, m) = (fields.len(), fields[0].len(), survivors.len());
+    let ranges = hzccl::chunks::node_chunks(n, n0);
+    let groups = hzccl::chunks::node_chunks(n0, m);
+    let mut out = vec![0f32; n];
+    for (g, segs) in groups.iter().enumerate() {
+        for seg in segs.clone() {
+            for i in ranges[seg].clone() {
+                let mut acc = fields[survivors[(g + 1) % m]][i];
+                for k in 2..=m {
+                    acc += fields[survivors[(g + k) % m]][i];
+                }
+                out[i] = acc;
+            }
+        }
+    }
+    out
+}
+
+/// Set up and run one simulated collective — the only place in the workspace
+/// outside `crates/core` and the tests that builds a virtual cluster — and
+/// analyze it. Always traced: the critical path, the wire totals and the
+/// registry all come from the flight recorder, which costs no virtual time.
+pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
+    let fields = rank_fields(spec, cfg);
+    let (flavor, mode) = spec.timed_as();
+    let timing = ComputeTiming::Modeled(match cfg.timing {
+        Timing::Paper => tuner::paper_prior(flavor, mode.threads() > 1),
+        Timing::Host => crate::host_model(flavor, mode, &fields[0], cfg.eb),
+        Timing::Model(model) => model,
+    });
     let mut cluster = SimBuilder::new(spec.ranks)
         .net(cfg.net)
         .timing(timing)
         .trace(TraceConfig::default())
         .engine(cfg.engine);
-    if spec.faulted {
-        cluster = cluster.faults(FaultPlan::new(cfg.seed).with_drop(0.02).with_corrupt(0.01));
+    if let Some(plan) = &spec.faults {
+        cluster = cluster.faults(plan.clone().with_seed(cfg.seed));
     }
-    if let Some(t) = topo {
+    if let Some(t) = spec.topology {
         cluster = cluster.topology(t);
     }
 
-    let mut opts = hzccl::collectives::CollectiveOpts::for_variant(spec.variant, cfg.eb)
-        .with_mode(Mode::SingleThread)
-        .with_segments(spec.segments);
-    if spec.faulted {
-        opts = opts.with_resilience(Resilience::default());
-    }
-    if let Some(t) = topo {
-        opts = opts.with_topology(t);
-    }
-    let op = spec.op;
-    let report = cluster
-        .run(|comm| {
-            let data = &fields[comm.rank()];
-            match op {
-                CollOp::Allreduce => {
-                    hzccl::collectives::allreduce(comm, data, &opts).expect("bench allreduce");
-                }
-                CollOp::ReduceScatter => {
-                    hzccl::collectives::reduce_scatter(comm, data, &opts).expect("bench rs");
-                }
+    let ccfg =
+        CollectiveConfig { res: spec.resilience, ..CollectiveConfig::new(cfg.eb, spec.mode) };
+    let (op, topo) = (spec.op, spec.topology.as_ref());
+    let fail_fast = spec.recovery == RecoveryPolicy::FailFast;
+    let report = cluster.run(|comm| {
+        let data = &fields[comm.rank()];
+        let (value, detail) = match &spec.runner {
+            Runner::Plan(plan) => {
+                (auto::run_planned(comm, op, 0, data, &ccfg, plan, topo).expect("plan"), None)
             }
-        })
-        .expect_clean();
+            Runner::Unfused => {
+                (crate::allreduce_unfused(comm, data, cfg.eb, spec.mode).expect("unfused"), None)
+            }
+            Runner::Variant(Variant::Auto) if fail_fast => {
+                let out = auto::run(comm, op, 0, data, &ccfg, &cfg.tuner, topo).expect("auto");
+                (out.value, out.detail)
+            }
+            Runner::Variant(v) => {
+                let opts = spec.opts(*v, cfg);
+                let result = collectives::run_recoverable(comm, op, data, &opts).expect("case");
+                return RankOut { result, detail: None };
+            }
+        };
+        let contributors = (0..comm.size()).collect();
+        RankOut { result: PartialResult { value, contributors, epoch: 0 }, detail }
+    });
+    // seeded deaths are the point of a recovery case; anywhere else a rank
+    // panic is a bug
+    let report = if fail_fast { report.expect_clean() } else { report };
 
-    let virtual_secs = report.stats.makespan;
-    let breakdown = report.stats.total;
-    let mut registry = netsim::Registry::new();
+    let mut registry = Registry::new();
     registry.record_report(&report);
     let (latency_p50, latency_p99) = registry
         .histogram("hz_collective_latency_seconds")
         .map(|h| (h.quantile(0.5), h.quantile(0.99)))
         .unwrap_or((0.0, 0.0));
-
-    let mut wire_bytes = 0u64;
-    let mut logical_bytes = 0u64;
-    for t in &report.traces {
-        for ev in &t.events {
-            if let netsim::Event::Send { wire_bytes: w, logical_bytes: l, .. } = *ev {
-                wire_bytes += w as u64;
-                logical_bytes += l as u64;
-            }
-        }
-    }
-    let critpath = CriticalPath::analyze_with_topology(&report.traces, &cfg.net, topo.as_ref());
-
-    CaseResult {
+    let critpath = CriticalPath::analyze_with_topology(&report.traces, &cfg.net, topo);
+    let result = CaseResult {
         spec: spec.clone(),
-        virtual_secs,
-        wire_bytes,
-        logical_bytes,
-        breakdown,
+        virtual_secs: report.stats.makespan,
+        wire_bytes: registry.counter("hz_wire_bytes_total").unwrap_or(0),
+        logical_bytes: registry.counter("hz_logical_bytes_total").unwrap_or(0),
+        breakdown: report.stats.total,
         critpath,
         latency_p50,
         latency_p99,
-    }
+    };
+    CaseRun { result, report, registry }
 }
 
 /// Run every case, invoking `progress` after each one (the CLI's live
@@ -376,11 +542,38 @@ pub fn run_suite(
 ) -> Vec<CaseResult> {
     let mut out = Vec::with_capacity(cases.len());
     for spec in cases {
-        let result = run_case(spec, cfg);
+        let result = run_case(spec, cfg).result;
         progress(&result);
         out.push(result);
     }
     out
+}
+
+/// One point of a tuner sweep (`hzc tune`, EXT3): probe the case's data
+/// offline, run every candidate static plan of `engine` for it — each timed
+/// by the engine's current calibration — and feed every run back
+/// ([`Engine::observe_run`]). `each` sees `(scenario, plan, measured,
+/// model)` per candidate; returns the scenario.
+pub fn tune_case(
+    engine: &mut Engine,
+    spec: &CaseSpec,
+    cfg: &SuiteConfig,
+    mut each: impl FnMut(&ScenarioSpec, &Plan, f64, f64),
+) -> ScenarioSpec {
+    let base = &rank_fields(spec, cfg)[0];
+    let ratios = auto::probe_ratios(None, base, cfg.eb, &engine.block_candidates, 1);
+    let (op, nranks, topology) = (spec.op, spec.ranks, spec.topology);
+    let elems = spec.elems.max(nranks);
+    let scenario = ScenarioSpec { op, elems, nranks, eb: cfg.eb, ratios, topology };
+    for plan in engine.candidates(&scenario) {
+        let timing = Timing::Model(engine.calib.model(plan.flavor, plan.mode));
+        let case = CaseSpec { runner: Runner::Plan(plan), ..spec.clone() };
+        let run = run_case(&case, &SuiteConfig { timing, ..cfg.clone() });
+        let model = engine.predict(&scenario, &plan);
+        let measured = engine.observe_run(&scenario, &plan, &run.report);
+        each(&scenario, &plan, measured, model);
+    }
+    scenario
 }
 
 #[cfg(test)]
@@ -405,8 +598,8 @@ mod tests {
         assert_eq!(quick_cases().len(), 2 * 7 * 2 + 4 + 1);
         // the faulted closer stays last, so pre-topology snapshot lines
         // (including the final-line comma) never move
-        assert!(canonical_cases().last().unwrap().faulted);
-        assert!(quick_cases().last().unwrap().faulted);
+        assert!(canonical_cases().last().unwrap().faults.is_some());
+        assert!(quick_cases().last().unwrap().faults.is_some());
     }
 
     #[test]
@@ -433,17 +626,10 @@ mod tests {
     #[test]
     fn run_case_is_deterministic_and_self_consistent() {
         let cfg = SuiteConfig::default();
-        let spec = CaseSpec {
-            op: CollOp::Allreduce,
-            variant: Variant::Hzccl,
-            ranks: 4,
-            kb: 8,
-            segments: 2,
-            faulted: false,
-            topology: None,
-        };
-        let a = run_case(&spec, &cfg);
-        let b = run_case(&spec, &cfg);
+        let hz = Runner::Variant(Variant::Hzccl);
+        let spec = CaseSpec { segments: 2, ..CaseSpec::new(Op::Allreduce, hz, 4, 8) };
+        let a = run_case(&spec, &cfg).result;
+        let b = run_case(&spec, &cfg).result;
         assert_eq!(a.virtual_secs.to_bits(), b.virtual_secs.to_bits(), "bit-stable time");
         assert_eq!(a.wire_bytes, b.wire_bytes);
         assert!(a.wire_bytes > 0 && a.logical_bytes >= a.wire_bytes);
@@ -458,15 +644,10 @@ mod tests {
         use netsim::LinkTier;
         let cfg = SuiteConfig::default();
         let spec = CaseSpec {
-            op: CollOp::Allreduce,
-            variant: Variant::Hzccl,
-            ranks: 8,
-            kb: 16,
-            segments: 1,
-            faulted: false,
-            topology: Some((4, 2)),
+            topology: Some(Topology::paper(4, 2)),
+            ..CaseSpec::new(Op::Allreduce, Runner::Variant(Variant::Hzccl), 8, 16)
         };
-        let r = run_case(&spec, &cfg);
+        let r = run_case(&spec, &cfg).result;
         let intra = r.critpath.by_tier[LinkTier::Intra.index()];
         let inter = r.critpath.by_tier[LinkTier::Inter.index()];
         assert!(intra.hops > 0 && inter.hops > 0, "path crosses both tiers");

@@ -10,7 +10,7 @@
 //! 1. a fixed **decider** rank (rank 0, or the root for rooted ops) probes
 //!    its own data, asks the engine for a [`Decision`], and
 //! 2. broadcasts the winning [`Plan`] in its fixed 13-byte wire encoding
-//!    ([`Plan::encode`]) on the reserved [`TAG_PLAN`] tag, then
+//!    ([`Plan::encode`]) on a reserved tag, then
 //! 3. every rank runs the chosen plan: the ring schedule in the plan's
 //!    flavour (flat, segmented or [`crate::hierarchy`]'s two-tier), or
 //!    [`crate::rd`].
@@ -20,21 +20,21 @@
 //! simulated message, so auto's overhead is visible in breakdowns and
 //! timelines instead of being smuggled in for free.
 
-use crate::config::{CollectiveConfig, Mode};
+use crate::config::CollectiveConfig;
 use crate::rd;
 use crate::ring::{self, Verb};
 use fzlight::{Config as FzConfig, ErrorBound, Result};
 use netsim::{Comm, OpKind, Topology};
-use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
+use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
 
 /// Reserved tag namespace for the plan broadcast (ring uses `0/1<<32`,
 /// gather/scatter `2..=4 <<32`, rd `5/6<<32`).
-pub const TAG_PLAN: u64 = 7 << 32;
+const TAG_PLAN: u64 = 7 << 32;
 
 /// Elements probe-compressed to estimate the scenario's compression ratio.
 /// 16 Ki `f32` (64 KiB) keeps the probe ~1% of a megabyte-class message
 /// while spanning thousands of compressor blocks.
-pub const PROBE_ELEMS: usize = 1 << 14;
+const PROBE_ELEMS: usize = 1 << 14;
 
 /// What an auto collective returns: the reduced/broadcast value plus the
 /// plan every rank agreed on — and, on the decider rank only, the scenario
@@ -42,21 +42,13 @@ pub const PROBE_ELEMS: usize = 1 << 14;
 /// output and for feeding measurements back via
 /// [`tuner::Engine::observe_measurement`]).
 #[derive(Debug, Clone)]
-pub struct AutoOutcome<T> {
+pub struct AutoOutcome {
     /// The collective's result (same shape as the static flavour returns).
-    pub value: T,
+    pub value: Vec<f32>,
     /// The plan all ranks executed.
     pub plan: Plan,
     /// Decider-rank extras: `(scenario, decision)`; `None` elsewhere.
     pub detail: Option<(ScenarioSpec, Decision)>,
-}
-
-/// The [`Mode`] a plan's thread mode maps to.
-fn mode_of(plan: &Plan) -> Mode {
-    match plan.mode {
-        ThreadMode::St => Mode::SingleThread,
-        ThreadMode::Mt(k) => Mode::MultiThread(k),
-    }
 }
 
 /// The per-call config the plan implies: caller's error bound and resilient
@@ -66,16 +58,23 @@ fn mode_of(plan: &Plan) -> Mode {
 /// behind the caller's back and leave frames unprotected on the very
 /// networks resilience was requested for.
 fn cfg_for(plan: &Plan, base: &CollectiveConfig) -> CollectiveConfig {
-    CollectiveConfig { eb: base.eb, block_len: plan.block_len, mode: mode_of(plan), res: base.res }
+    CollectiveConfig {
+        eb: base.eb,
+        block_len: plan.block_len,
+        mode: plan.mode.into(),
+        res: base.res,
+    }
 }
 
-/// Probe-compress a sample of `data` at each candidate block length and
-/// return `(block_len, ratio)` estimates. Empty data (non-root ranks of a
-/// bcast never call this) or failing compression degrade to ratio 1.0 —
-/// "incompressible" is the safe direction, it can only steer the engine
-/// toward plain MPI.
-fn probe_ratios(
-    comm: &mut Comm,
+/// The one ratio probe: compress the first 16 Ki elements of `data` at each
+/// candidate block length and return `(block_len, ratio)` estimates. With a
+/// `comm` every compression is charged to that rank's virtual clock
+/// (`auto:probe`); `None` is the offline probe of `hzc tune`. Empty data
+/// (non-root ranks of a bcast never call this) or failing compression
+/// degrade to ratio 1.0 — "incompressible" is the safe direction, it can
+/// only steer the engine toward plain MPI.
+pub fn probe_ratios(
+    mut comm: Option<&mut Comm>,
     data: &[f32],
     eb: f64,
     blocks: &[usize],
@@ -90,44 +89,32 @@ fn probe_ratios(
         .iter()
         .map(|&b| {
             let fz = FzConfig::new(ErrorBound::Abs(eb)).with_block_len(b).with_threads(threads);
-            let ratio = comm.compute_labeled(OpKind::Other, logical, "auto:probe", || {
+            let probe = || {
                 fzlight::compress(sample, &fz)
                     .map(|s| logical as f64 / s.compressed_size().max(1) as f64)
                     .unwrap_or(1.0)
-            });
+            };
+            let ratio = match comm.as_deref_mut() {
+                Some(comm) => comm.compute_labeled(OpKind::Other, logical, "auto:probe", probe),
+                None => probe(),
+            };
             (b, ratio.max(1.0))
         })
         .collect()
 }
 
-/// Build the scenario the engine is asked about, probing `data` for its
-/// compressibility at every candidate block length. A `topology` puts the
-/// scenario in its own cache bucket and lets the engine offer hierarchical
-/// candidates.
-pub fn scenario(
+/// Decide on `decider` — which probes its `data` into the scenario the
+/// engine is asked about (a `topology` puts it in its own cache bucket and
+/// lets the engine offer hierarchical candidates) — broadcast the encoded
+/// plan (12 bytes, 13 for hierarchical plans) down a binomial tree
+/// (`ceil(log2 N)` latency rounds instead of the linear `N-1` a naive
+/// send-to-all would cost — at 64 ranks that is 6 alpha charges, not 63),
+/// decode everywhere. Returns the agreed plan plus the decider's
+/// `(scenario, decision)`.
+fn agree_on_plan(
     comm: &mut Comm,
     engine: &Engine,
     op: Op,
-    elems: usize,
-    data: &[f32],
-    cfg: &CollectiveConfig,
-    topology: Option<&Topology>,
-) -> ScenarioSpec {
-    let ratios = probe_ratios(comm, data, cfg.eb, &engine.block_candidates, cfg.mode.threads());
-    ScenarioSpec { op, elems, nranks: comm.size(), eb: cfg.eb, ratios, topology: topology.copied() }
-}
-
-/// Decide on `decider`, broadcast the encoded plan (12 bytes, 13 for
-/// hierarchical plans) down a binomial tree (`ceil(log2 N)` latency rounds
-/// instead of the linear `N-1` a naive send-to-all would cost — at 64 ranks
-/// that is 6 alpha charges, not 63), decode everywhere. Returns the agreed
-/// plan plus the decider's `(scenario, decision)`.
-#[allow(clippy::too_many_arguments)] // the scenario probe's inputs plus decider + topology
-pub fn agree_on_plan(
-    comm: &mut Comm,
-    engine: &Engine,
-    op: Op,
-    elems: usize,
     data: &[f32],
     cfg: &CollectiveConfig,
     decider: usize,
@@ -138,7 +125,10 @@ pub fn agree_on_plan(
     // Position in the tree, relative to the decider (which sits at 0).
     let rel = (r + n - decider) % n;
     let (wire, detail) = if rel == 0 {
-        let spec = scenario(comm, engine, op, elems, data, cfg, topology);
+        let (blocks, threads) = (&engine.block_candidates, cfg.mode.threads());
+        let ratios = probe_ratios(Some(comm), data, cfg.eb, blocks, threads);
+        let (elems, nranks, topology) = (data.len(), n, topology.copied());
+        let spec = ScenarioSpec { op, elems, nranks, eb: cfg.eb, ratios, topology };
         let decision = engine.decide(&spec);
         (decision.plan.encode(), Some((spec, decision)))
     } else {
@@ -161,14 +151,18 @@ pub fn agree_on_plan(
     (plan, detail)
 }
 
-/// Execute an already-agreed plan (the zero-overhead path [`Session`]
-/// replays). Every rank must pass the *same* plan. A hierarchical plan
-/// needs the `topology` it was decided for; without one it falls back to
-/// the flat schedule of the same flavour (correct, just not
-/// topology-shaped).
-fn run_planned(
+/// The one plan executor: run `op` (rooted at `root`; every rank passes a
+/// full-length `data`, a Bcast reads only the root's) exactly as `plan`
+/// says. Every rank must pass the *same* plan — this is what an auto
+/// collective runs once the plan is agreed, what a [`Session`] replays with
+/// zero overhead, and how a tuner sweep measures a candidate. A
+/// hierarchical plan needs the `topology` it was decided for; without one
+/// it falls back to the flat schedule of the same flavour (correct, just
+/// not topology-shaped).
+pub fn run_planned(
     comm: &mut Comm,
-    verb: Verb,
+    op: Op,
+    root: usize,
     data: &[f32],
     cfg: &CollectiveConfig,
     plan: &Plan,
@@ -179,98 +173,38 @@ fn run_planned(
     // recursive-doubling schedules have no resilient framing: under a
     // resilience policy an rd plan degrades to the ring schedule of the
     // same flavour rather than running unprotected
-    if verb == Verb::Allreduce && plan.algo == Algo::Rd && topo.is_none() && pcfg.res.is_none() {
+    if op == Op::Allreduce && plan.algo == Algo::Rd && topo.is_none() && pcfg.res.is_none() {
         match plan.flavor {
             Flavor::Mpi => return Ok(rd::allreduce_rd(comm, data, pcfg.mode.threads())),
             Flavor::Hzccl => return rd::allreduce_rd_hz(comm, data, &pcfg),
             Flavor::CColl => {}
         }
     }
+    let verb = Verb::of(op, root, data.len());
     ring::run(comm, verb, plan.flavor, data, &pcfg, plan.segments, topo)
 }
 
-/// The tuner's name for `verb`.
-fn op_of(verb: Verb) -> Op {
-    match verb {
-        Verb::Allreduce => Op::Allreduce,
-        Verb::ReduceScatter => Op::ReduceScatter,
-        Verb::Reduce { .. } => Op::Reduce,
-        Verb::Bcast { .. } => Op::Bcast,
-        Verb::Allgather { .. } => unreachable!("the tuner does not plan Allgather"),
-    }
-}
-
-/// Agree on a plan for `verb`, then run it. The decider is rank 0, or the
-/// root of a rooted verb (it holds the result or the data to probe, and
-/// with it the strongest interest in the plan). On a two-tier `topology`
-/// the Allreduce candidate pool additionally holds the hierarchical
-/// schedules, so the agreed plan may come back with [`Plan::hierarchical`]
-/// set.
-pub(crate) fn run(
+/// The auto collective: agree on a plan for `op`, then run it
+/// ([`run_planned`]). The decider is rank 0, or `root` for a rooted op (it
+/// holds the result or the data to probe, and with it the strongest
+/// interest in the plan). On a two-tier `topology` the Allreduce candidate
+/// pool additionally holds the hierarchical schedules, so the agreed plan
+/// may come back with [`Plan::hierarchical`] set; the other ops have flat
+/// schedules only and ignore it.
+pub fn run(
     comm: &mut Comm,
-    verb: Verb,
+    op: Op,
+    root: usize,
     data: &[f32],
     cfg: &CollectiveConfig,
     engine: &Engine,
     topology: Option<&Topology>,
-) -> Result<AutoOutcome<Vec<f32>>> {
-    let (decider, elems) = match verb {
-        Verb::Reduce { root } => (root, data.len()),
-        Verb::Bcast { root, total_len } => (root, total_len),
-        _ => (0, data.len()),
-    };
-    let (plan, detail) =
-        agree_on_plan(comm, engine, op_of(verb), elems, data, cfg, decider, topology);
-    let value = run_planned(comm, verb, data, cfg, &plan, topology)?;
+) -> Result<AutoOutcome> {
+    let decider = if matches!(op, Op::Reduce | Op::Bcast) { root } else { 0 };
+    let topology = topology.filter(|_| op == Op::Allreduce);
+    let (plan, detail) = agree_on_plan(comm, engine, op, data, cfg, decider, topology);
+    let value = run_planned(comm, op, root, data, cfg, &plan, topology)?;
     Ok(AutoOutcome { value, plan, detail })
-}
-
-/// Auto ring/rd `Allreduce(sum)` (see `run` for who decides and how a
-/// `topology` widens the candidate pool).
-pub fn allreduce(
-    comm: &mut Comm,
-    data: &[f32],
-    cfg: &CollectiveConfig,
-    engine: &Engine,
-    topology: Option<&Topology>,
-) -> Result<AutoOutcome<Vec<f32>>> {
-    run(comm, Verb::Allreduce, data, cfg, engine, topology)
-}
-
-/// Auto ring `Reduce_scatter(sum)`. Returns the own chunk.
-pub fn reduce_scatter(
-    comm: &mut Comm,
-    data: &[f32],
-    cfg: &CollectiveConfig,
-    engine: &Engine,
-) -> Result<AutoOutcome<Vec<f32>>> {
-    run(comm, Verb::ReduceScatter, data, cfg, engine, None)
-}
-
-/// Auto `Reduce(sum)` to `root`: the sum on the root, an empty vector
-/// elsewhere.
-pub fn reduce(
-    comm: &mut Comm,
-    data: &[f32],
-    root: usize,
-    cfg: &CollectiveConfig,
-    engine: &Engine,
-) -> Result<AutoOutcome<Vec<f32>>> {
-    run(comm, Verb::Reduce { root }, data, cfg, engine, None)
-}
-
-/// Auto long-message `Bcast` from `root`. `data` is the root's full vector
-/// (ignored elsewhere); every rank receives the whole `total_len` vector
-/// back.
-pub fn bcast(
-    comm: &mut Comm,
-    data: &[f32],
-    root: usize,
-    total_len: usize,
-    cfg: &CollectiveConfig,
-    engine: &Engine,
-) -> Result<AutoOutcome<Vec<f32>>> {
-    run(comm, Verb::Bcast { root, total_len }, data, cfg, engine, None)
 }
 
 /// Per-rank plan memo for iterative workloads: the first call for a scenario
@@ -290,56 +224,33 @@ impl Session {
         Session::default()
     }
 
-    /// Bucket key for a call shape (rank-identical by construction).
-    fn key(op: Op, elems: usize, nranks: usize, eb: f64) -> String {
-        ScenarioSpec::new(op, elems, nranks, eb, 1, 1.0).bucket_key()
-    }
-
-    /// Run `verb` with the bucket's memoized plan, agreeing on first use.
-    fn run(
+    /// Memoized [`run`]: `op` with the bucket's plan, agreeing on first use
+    /// only (flat fabric).
+    pub fn run(
         &mut self,
         comm: &mut Comm,
-        verb: Verb,
+        op: Op,
+        root: usize,
         data: &[f32],
         cfg: &CollectiveConfig,
         engine: &Engine,
-    ) -> Result<AutoOutcome<Vec<f32>>> {
-        let key = Session::key(op_of(verb), data.len(), comm.size(), cfg.eb);
+    ) -> Result<AutoOutcome> {
+        // rank-identical by construction
+        let key = ScenarioSpec::new(op, data.len(), comm.size(), cfg.eb, 1, 1.0).bucket_key();
         if let Some(&plan) = self.plans.get(&key) {
-            let value = run_planned(comm, verb, data, cfg, &plan, None)?;
+            let value = run_planned(comm, op, root, data, cfg, &plan, None)?;
             return Ok(AutoOutcome { value, plan, detail: None });
         }
-        let out = run(comm, verb, data, cfg, engine, None)?;
+        let out = run(comm, op, root, data, cfg, engine, None)?;
         self.plans.insert(key, out.plan);
         Ok(out)
-    }
-
-    /// Memoized auto `Allreduce`: agreement on first use per bucket only.
-    pub fn allreduce(
-        &mut self,
-        comm: &mut Comm,
-        data: &[f32],
-        cfg: &CollectiveConfig,
-        engine: &Engine,
-    ) -> Result<AutoOutcome<Vec<f32>>> {
-        self.run(comm, Verb::Allreduce, data, cfg, engine)
-    }
-
-    /// Memoized auto `Reduce_scatter`.
-    pub fn reduce_scatter(
-        &mut self,
-        comm: &mut Comm,
-        data: &[f32],
-        cfg: &CollectiveConfig,
-        engine: &Engine,
-    ) -> Result<AutoOutcome<Vec<f32>>> {
-        self.run(comm, Verb::ReduceScatter, data, cfg, engine)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Mode;
     use netsim::{ComputeTiming, SimBuilder};
     use tuner::DecisionSource;
 
@@ -376,7 +287,7 @@ mod tests {
         let outcomes = cluster
             .run(|comm| {
                 let data = field(comm.rank(), n);
-                allreduce(comm, &data, &cfg, &eng, None).expect("auto allreduce")
+                run(comm, Op::Allreduce, 0, &data, &cfg, &eng, None).expect("auto allreduce")
             })
             .expect_clean()
             .outcomes;
@@ -408,7 +319,7 @@ mod tests {
         let outcomes = cluster
             .run(|comm| {
                 let data = field(comm.rank(), 256); // 1 KiB << small_message_bytes
-                allreduce(comm, &data, &cfg, &eng, None).expect("auto allreduce")
+                run(comm, Op::Allreduce, 0, &data, &cfg, &eng, None).expect("auto allreduce")
             })
             .expect_clean()
             .outcomes;
@@ -431,7 +342,7 @@ mod tests {
         let outcomes = cluster
             .run(|comm| {
                 let data = field(comm.rank(), n);
-                allreduce(comm, &data, &cfg, &eng, Some(&topo)).expect("auto allreduce")
+                run(comm, Op::Allreduce, 0, &data, &cfg, &eng, Some(&topo)).expect("auto allreduce")
             })
             .expect_clean()
             .outcomes;
@@ -468,7 +379,7 @@ mod tests {
         let outcomes = cluster
             .run(|comm| {
                 let data = field(comm.rank(), n);
-                reduce(comm, &data, root, &cfg, &eng).expect("auto reduce")
+                run(comm, Op::Reduce, root, &data, &cfg, &eng, None).expect("auto reduce")
             })
             .expect_clean()
             .outcomes;
@@ -493,8 +404,9 @@ mod tests {
         let cluster = SimBuilder::new(nranks).timing(modeled());
         let outcomes = cluster
             .run(|comm| {
-                let data = if comm.rank() == root { field(root, n) } else { Vec::new() };
-                bcast(comm, &data, root, n, &cfg, &eng).expect("auto bcast")
+                // MPI semantics: a full-length buffer everywhere, read on the root only
+                let data = if comm.rank() == root { field(root, n) } else { vec![f32::NAN; n] };
+                run(comm, Op::Bcast, root, &data, &cfg, &eng, None).expect("auto bcast")
             })
             .expect_clean()
             .outcomes;
@@ -522,10 +434,10 @@ mod tests {
             .run(|comm| {
                 let data = field(comm.rank(), n);
                 let mut session = Session::new();
-                let cold = session.allreduce(comm, &data, &cfg, &eng).expect("cold");
+                let cold = session.run(comm, Op::Allreduce, 0, &data, &cfg, &eng).expect("cold");
                 let cold_elapsed = comm.elapsed();
                 comm.reset_clock();
-                let warm = session.allreduce(comm, &data, &cfg, &eng).expect("warm");
+                let warm = session.run(comm, Op::Allreduce, 0, &data, &cfg, &eng).expect("warm");
                 (cold, cold_elapsed, warm, comm.elapsed())
             })
             .expect_clean()
@@ -563,7 +475,9 @@ mod tests {
             let report = cluster
                 .run(|comm| {
                     let data = field(comm.rank(), n);
-                    allreduce(comm, &data, &cfg, &eng, None).expect("auto allreduce").value
+                    run(comm, Op::Allreduce, 0, &data, &cfg, &eng, None)
+                        .expect("auto allreduce")
+                        .value
                 })
                 .expect_clean();
             (report.stats.makespan, report.outcomes[0].value.clone())
@@ -589,7 +503,8 @@ mod tests {
         let outcomes = cluster
             .run(|comm| {
                 let data = field(comm.rank(), n);
-                reduce_scatter(comm, &data, &cfg, &eng).expect("auto reduce_scatter")
+                run(comm, Op::ReduceScatter, 0, &data, &cfg, &eng, None)
+                    .expect("auto reduce_scatter")
             })
             .expect_clean()
             .outcomes;

@@ -10,6 +10,10 @@
 //! | [`bcast`] | same (`opts.root`) | returns the full vector |
 //! | [`allgather`] | `(&mut Comm, own chunk, total_len, &CollectiveOpts)` | n/a |
 //!
+//! The first four are [`run`] at a fixed [`tuner::Op`] — the entry point of
+//! callers that hold the collective as a value (a CLI flag, a bench sweep) —
+//! and [`run_recoverable`] is its crash-recovering twin.
+//!
 //! Conventions:
 //!
 //! * **Every rank passes a full-length buffer to [`bcast`]** (MPI
@@ -46,7 +50,7 @@ use crate::ring::{self, Verb};
 use crate::survivable;
 use netsim::{Comm, OpKind, Topology};
 use std::fmt;
-use tuner::Engine;
+use tuner::{Engine, Op};
 
 /// What can go wrong in a collective call.
 #[derive(Debug)]
@@ -325,39 +329,9 @@ impl CollectiveOpts {
         self.eb
     }
 
-    /// Thread mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Pipeline segment count (pre-clamp).
-    pub fn segments(&self) -> usize {
-        self.segments
-    }
-
-    /// Root rank of the rooted verbs.
-    pub fn root(&self) -> usize {
-        self.root
-    }
-
-    /// The [`Variant::Auto`] engine, when one is attached.
-    pub fn engine(&self) -> Option<&Engine> {
-        self.engine.as_ref()
-    }
-
-    /// The resilient-transport policy, when one is attached.
-    pub fn resilience(&self) -> Option<&Resilience> {
-        self.resilience.as_ref()
-    }
-
     /// The crash-recovery policy of this call.
     pub fn recovery(&self) -> RecoveryPolicy {
         self.recovery
-    }
-
-    /// The attached fabric shape, when one is attached.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
     }
 
     /// The topology to run a hierarchical schedule over: `Ok(Some(_))` when
@@ -432,19 +406,22 @@ fn check(
     opts.hier_topology(comm)
 }
 
-/// Run `verb` as the options say: [`Variant::Auto`] asks the tuner, a
-/// static flavour runs its ring.
-fn dispatch(
-    comm: &mut Comm,
-    verb: Verb,
-    data: &[f32],
-    opts: &CollectiveOpts,
-    topo: Option<&Topology>,
-) -> Result<Vec<f32>> {
-    let cfg = opts.cfg();
+/// Run `op` as the options say — the one entry point under the four verb
+/// functions below, for callers that hold the collective as a value
+/// ([`tuner::Op`]): [`Variant::Auto`] asks the tuner ([`auto::run`]), a
+/// static flavour runs its ring. Rooted ops use `opts.root`; every rank
+/// passes a full-length buffer.
+pub fn run(comm: &mut Comm, op: Op, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
+    let root = matches!(op, Op::Reduce | Op::Bcast).then_some(opts.root);
+    // only Allreduce has a hierarchical schedule
+    let topo = check(comm, data.len(), opts, root)?.filter(|_| op == Op::Allreduce);
+    let (cfg, topo) = (opts.cfg(), topo.as_ref());
     Ok(match opts.variant {
-        Variant::Auto => auto::run(comm, verb, data, &cfg, opts.engine_ref(), topo)?.value,
-        v => ring::run(comm, verb, v.flavor(), data, &cfg, opts.segments, topo)?,
+        Variant::Auto => auto::run(comm, op, opts.root, data, &cfg, opts.engine_ref(), topo)?.value,
+        v => {
+            let verb = Verb::of(op, opts.root, data.len());
+            ring::run(comm, verb, v.flavor(), data, &cfg, opts.segments, topo)?
+        }
     })
 }
 
@@ -455,31 +432,26 @@ fn dispatch(
 /// static flavours take the hierarchical schedule; Auto lets the tuner
 /// weigh it against the flat plans from the two-tier cost model.
 pub fn allreduce(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    let topo = check(comm, data.len(), opts, None)?;
-    dispatch(comm, Verb::Allreduce, data, opts, topo.as_ref())
+    run(comm, Op::Allreduce, data, opts)
 }
 
 /// `Reduce_scatter(sum)`: every rank receives its own reduced node chunk
 /// (chunk layout [`crate::chunks::node_chunks`]).
 pub fn reduce_scatter(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check(comm, data.len(), opts, None)?; // only Allreduce has a hierarchical schedule
-    dispatch(comm, Verb::ReduceScatter, data, opts, None)
+    run(comm, Op::ReduceScatter, data, opts)
 }
 
 /// `Reduce(sum)` to `opts.root`: the root receives the full sum, every
 /// other rank receives `Ok(vec![])`.
 pub fn reduce(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check(comm, data.len(), opts, Some(opts.root))?;
-    dispatch(comm, Verb::Reduce { root: opts.root }, data, opts, None)
+    run(comm, Op::Reduce, data, opts)
 }
 
 /// Long-message `Bcast` from `opts.root`: **every rank passes a full-length
 /// buffer** (MPI semantics — the length is the broadcast size; non-root
 /// contents are ignored) and receives the root's vector back.
 pub fn bcast(comm: &mut Comm, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
-    check(comm, data.len(), opts, Some(opts.root))?;
-    let payload: &[f32] = if comm.rank() == opts.root { data } else { &[] };
-    dispatch(comm, Verb::Bcast { root: opts.root, total_len: data.len() }, payload, opts, None)
+    run(comm, Op::Bcast, data, opts)
 }
 
 /// Ring `Allgather`: rank `r` contributes `own` — node chunk `r`
@@ -515,20 +487,35 @@ fn sv_flavor(opts: &CollectiveOpts) -> Result<tuner::Flavor> {
     Ok(opts.variant.flavor())
 }
 
-fn run_recoverable(
+/// [`run`] with crash recovery — the one entry point under
+/// [`allreduce_recoverable`] and [`reduce_scatter_recoverable`]: a rank
+/// dying mid-flight is handled per `opts.recovery()` and the result says
+/// whose data it aggregates. Under [`RecoveryPolicy::FailFast`] every op is
+/// the plain verb with the full communicator stamped on; the shrinking
+/// policies exist for `Allreduce` and `Reduce_scatter` only.
+pub fn run_recoverable(
     comm: &mut Comm,
+    op: Op,
     data: &[f32],
     opts: &CollectiveOpts,
-    ag: bool,
 ) -> Result<PartialResult> {
     check_elems(comm, data.len())?;
     if opts.recovery == RecoveryPolicy::FailFast {
         // fail-fast recoverable calls are the plain verbs with the full
         // communicator stamped on — bit-identical schedules and traffic
-        let value =
-            if ag { allreduce(comm, data, opts)? } else { reduce_scatter(comm, data, opts)? };
+        let value = run(comm, op, data, opts)?;
         return Ok(PartialResult { value, contributors: (0..comm.size()).collect(), epoch: 0 });
     }
+    let ag = match op {
+        Op::Allreduce => true,
+        Op::ReduceScatter => false,
+        Op::Reduce | Op::Bcast => {
+            return Err(Error::RecoveryUnsupported {
+                variant: opts.variant,
+                reason: "only allreduce and reduce_scatter have a survivable schedule",
+            })
+        }
+    };
     let flavor = sv_flavor(opts)?;
     if opts.hier_topology(comm)?.is_some() {
         return Err(Error::RecoveryUnsupported {
@@ -568,7 +555,7 @@ pub fn allreduce_recoverable(
     data: &[f32],
     opts: &CollectiveOpts,
 ) -> Result<PartialResult> {
-    run_recoverable(comm, data, opts, true)
+    run_recoverable(comm, Op::Allreduce, data, opts)
 }
 
 /// `Reduce_scatter(sum)` with crash recovery (see [`allreduce_recoverable`]).
@@ -584,7 +571,7 @@ pub fn reduce_scatter_recoverable(
     data: &[f32],
     opts: &CollectiveOpts,
 ) -> Result<PartialResult> {
-    run_recoverable(comm, data, opts, false)
+    run_recoverable(comm, Op::ReduceScatter, data, opts)
 }
 
 #[cfg(test)]
@@ -778,14 +765,14 @@ mod tests {
             .with_block_len(64)
             .with_root(3);
         assert_eq!(opts.variant(), Variant::Hzccl);
-        assert_eq!(opts.segments(), 8);
-        assert_eq!(opts.mode(), Mode::MultiThread(18));
-        assert_eq!(opts.root(), 3);
-        assert!(opts.engine().is_none());
-        assert!(CollectiveOpts::auto(1e-4).engine().is_some());
+        assert_eq!(opts.segments, 8);
+        assert_eq!(opts.mode, Mode::MultiThread(18));
+        assert_eq!(opts.root, 3);
+        assert!(opts.engine.is_none());
+        assert!(CollectiveOpts::auto(1e-4).engine.is_some());
         // zero segments degrades to the serial schedule, threads=1 to ST
-        assert_eq!(CollectiveOpts::mpi().with_segments(0).segments(), 1);
-        assert_eq!(CollectiveOpts::mpi().with_threads(1).mode(), Mode::SingleThread);
+        assert_eq!(CollectiveOpts::mpi().with_segments(0).segments, 1);
+        assert_eq!(CollectiveOpts::mpi().with_threads(1).mode, Mode::SingleThread);
     }
 
     #[test]

@@ -24,6 +24,26 @@ impl Mode {
     }
 }
 
+/// The tuner's spelling of the same thing ([`tuner::ThreadMode`] sits below
+/// this crate and cannot name [`Mode`]).
+impl From<tuner::ThreadMode> for Mode {
+    fn from(mode: tuner::ThreadMode) -> Mode {
+        match mode {
+            tuner::ThreadMode::St => Mode::SingleThread,
+            tuner::ThreadMode::Mt(k) => Mode::MultiThread(k),
+        }
+    }
+}
+
+impl From<Mode> for tuner::ThreadMode {
+    fn from(mode: Mode) -> tuner::ThreadMode {
+        match mode {
+            Mode::SingleThread => tuner::ThreadMode::St,
+            Mode::MultiThread(k) => tuner::ThreadMode::Mt(k),
+        }
+    }
+}
+
 /// Which collective framework a timing model describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {

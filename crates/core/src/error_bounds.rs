@@ -57,12 +57,6 @@ pub fn p2p_allreduce(nranks: usize, eb: f64) -> f64 {
     (3 * nranks - 2) as f64 * eb
 }
 
-/// Worst-case point-wise error of a homomorphic accumulation of `k` streams
-/// (`k*eb` — quantization only, sums exact).
-pub fn homomorphic_accumulation(k: usize, eb: f64) -> f64 {
-    k as f64 * eb
-}
-
 /// Worst-case point-wise error of a Shrink-policy recoverable collective
 /// that committed with `survivors` members, for the compressed flavours
 /// (`(2m+2)*eb`). The survivable schedule's wire codec quantizes each of

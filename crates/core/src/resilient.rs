@@ -118,19 +118,6 @@ impl Resilience {
         self
     }
 
-    /// Override the loss-detection timeout (seconds).
-    pub fn with_timeout(mut self, secs: f64) -> Self {
-        self.timeout_s = secs.max(0.0);
-        self
-    }
-
-    /// Override the backoff base and ceiling (seconds).
-    pub fn with_backoff(mut self, base_s: f64, max_s: f64) -> Self {
-        self.backoff_base_s = base_s.max(0.0);
-        self.backoff_max_s = max_s.max(base_s.max(0.0));
-        self
-    }
-
     /// Enable seeded backoff jitter: `frac` is the total spread (clamped to
     /// `[0, 1]`, so the wait stays within ±50% of the deterministic
     /// schedule), `seed` makes it reproducible. `frac = 0.0` restores the

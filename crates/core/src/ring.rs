@@ -33,7 +33,7 @@ use crate::resilient::{
 use fzlight::Result;
 use netsim::{Comm, Topology};
 use std::ops::Range;
-use tuner::Flavor;
+use tuner::{Flavor, Op};
 
 /// Tag bases keep the message spaces of different phases disjoint.
 pub(crate) const TAG_RS: u64 = 1 << 32;
@@ -61,6 +61,19 @@ pub(crate) enum Verb {
     /// The input is this rank's chunk of a `total_len`-element vector;
     /// everyone receives the concatenation.
     Allgather { total_len: usize },
+}
+
+impl Verb {
+    /// The verb the tuner's `op` names, rooted at `root` over `len`-element
+    /// vectors (the tuner does not plan Allgather).
+    pub(crate) fn of(op: Op, root: usize, len: usize) -> Verb {
+        match op {
+            Op::Allreduce => Verb::Allreduce,
+            Op::ReduceScatter => Verb::ReduceScatter,
+            Op::Reduce => Verb::Reduce { root },
+            Op::Bcast => Verb::Bcast { root, total_len: len },
+        }
+    }
 }
 
 /// One rank's view of a ring: its size and my position in it, my

@@ -45,6 +45,16 @@ impl App {
         }
     }
 
+    /// Parse a command-line app token: `sim1`, `sim2`, `nyx`, `cesm` or
+    /// `hurricane`.
+    pub fn parse(token: &str) -> Result<App, String> {
+        const TOKENS: [&str; 5] = ["sim1", "sim2", "nyx", "cesm", "hurricane"];
+        match TOKENS.iter().position(|t| *t == token) {
+            Some(i) => Ok(App::ALL[i]),
+            None => Err(format!("unknown app '{token}' ({})", TOKENS.join("|"))),
+        }
+    }
+
     /// Generate a field of `n` values; `seed` selects the field/snapshot
     /// (Table I datasets have many fields — pass different seeds to emulate
     /// different fields of the same application).
@@ -236,6 +246,15 @@ fn hurricane(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_names_every_app_and_lists_the_tokens_on_error() {
+        let tokens = ["sim1", "sim2", "nyx", "cesm", "hurricane"];
+        for (token, app) in tokens.iter().zip(App::ALL) {
+            assert_eq!(App::parse(token), Ok(app));
+        }
+        assert!(App::parse("NYX").unwrap_err().contains("sim1|sim2|nyx|cesm|hurricane"));
+    }
 
     #[test]
     fn generators_are_deterministic() {

@@ -70,12 +70,7 @@ pub fn fbm3(seed: u64, x: f32, y: f32, z: f32, octaves: u32) -> f32 {
     acc
 }
 
-/// Convenience 2-D wrappers (z fixed at a seed-derived offset).
-pub fn value_noise2(seed: u64, x: f32, y: f32) -> f32 {
-    value_noise3(seed, x, y, 0.137)
-}
-
-/// 2-D fBm.
+/// 2-D fBm (z fixed at a constant offset).
 pub fn fbm2(seed: u64, x: f32, y: f32, octaves: u32) -> f32 {
     fbm3(seed, x, y, 0.137, octaves)
 }

@@ -294,14 +294,9 @@ impl Comm {
         self.survivable
     }
 
-    /// Whether this rank has observed `rank`'s crash (survivable mode only;
-    /// a subset of the truly-dead ranks — a crash is observed only when its
-    /// notice is consumed by this rank's own receive sequence).
-    pub fn is_dead(&self, rank: usize) -> bool {
-        self.dead.contains(&rank)
-    }
-
-    /// The ranks this rank has observed to be dead, ascending.
+    /// The ranks this rank has observed to be dead, ascending (survivable
+    /// mode only; a subset of the truly-dead ranks — a crash is observed only
+    /// when its notice is consumed by this rank's own receive sequence).
     pub fn known_dead(&self) -> Vec<usize> {
         self.dead.iter().copied().collect()
     }

@@ -100,6 +100,12 @@ impl FaultPlan {
         }
     }
 
+    /// The same faults drawn from another seed.
+    pub fn with_seed(mut self, seed: u64) -> FaultPlan {
+        self.seed = seed;
+        self
+    }
+
     /// Message drop probability on every link.
     pub fn with_drop(mut self, p: f64) -> FaultPlan {
         self.default.drop_p = p.clamp(0.0, 1.0);

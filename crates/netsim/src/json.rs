@@ -7,7 +7,6 @@
 //! recursive-descent parser used to validate exported files in tests and by
 //! `hzc sim --trace`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects preserve insertion order via a key list so exported
@@ -72,11 +71,6 @@ impl Json {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
         }
-    }
-
-    /// Object accessor as a map (convenience for unordered lookups).
-    pub fn to_map(&self) -> Option<BTreeMap<&str, &Json>> {
-        self.as_obj().map(|pairs| pairs.iter().map(|(k, v)| (k.as_str(), v)).collect())
     }
 
     /// Render to a compact JSON string.

@@ -8,10 +8,10 @@
 //! case is bit-deterministic, a nonzero exit is a real perf change, never
 //! noise.
 
-use crate::{flag, has_flag, parse_app, parse_list};
+use crate::{app_flag, flag, has_flag, list_flag, usize_list_flag};
 use hzccl_bench::snapshot::{self, Snapshot};
 use hzccl_bench::suite::{self, CaseResult, CaseSpec, SuiteConfig};
-use hzccl_bench::CollOp;
+use tuner::Op;
 
 pub(crate) fn bench(args: &[String]) -> Result<(), String> {
     let quick = has_flag(args, "--quick");
@@ -19,12 +19,9 @@ pub(crate) fn bench(args: &[String]) -> Result<(), String> {
     let against: Option<String> = flag(args, "--against")?;
     let tol_time: f64 = flag(args, "--tol-time")?.unwrap_or(0.05);
     let tol_bytes: f64 = flag(args, "--tol-bytes")?.unwrap_or(0.01);
-    let mut cfg = SuiteConfig::default();
+    let mut cfg = SuiteConfig { app: app_flag(args)?, ..SuiteConfig::default() };
     cfg.seed = flag(args, "--seed")?.unwrap_or(cfg.seed);
     cfg.eb = flag(args, "--eb")?.unwrap_or(cfg.eb);
-    if let Some(app) = flag::<String>(args, "--app")? {
-        cfg.app = parse_app(&app)?;
-    }
     if let Some(engine) = flag::<String>(args, "--engine")? {
         cfg.engine = netsim::SimEngine::parse(&engine)
             .ok_or_else(|| format!("unknown engine '{engine}' (events|threads)"))?;
@@ -96,37 +93,16 @@ fn select_cases(args: &[String], quick: bool) -> Result<(String, Vec<CaseSpec>),
             ("canonical".into(), suite::canonical_cases())
         });
     }
-    let ops = flag::<String>(args, "--ops")?
-        .unwrap_or_else(|| "allreduce,reduce_scatter".into())
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| match t.trim() {
-            "allreduce" => Ok(CollOp::Allreduce),
-            "reduce_scatter" => Ok(CollOp::ReduceScatter),
-            other => Err(format!("unknown op '{other}' (allreduce|reduce_scatter)")),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let variants = flag::<String>(args, "--variants")?
-        .unwrap_or_else(|| "mpi,ccoll,hz,auto".into())
-        .split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| {
-            hzccl::Variant::parse(t.trim())
-                .ok_or_else(|| format!("unknown variant '{t}' (mpi|ccoll|hz|auto)"))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let ranks_list = parse_list(
-        flag::<String>(args, "--ranks-list")?.as_deref().unwrap_or("8"),
-        "--ranks-list",
-    )?;
-    let sizes_kb = parse_list(
-        flag::<String>(args, "--sizes-kb")?.as_deref().unwrap_or("16,256"),
-        "--sizes-kb",
-    )?;
-    let segments_list = parse_list(
-        flag::<String>(args, "--segments-list")?.as_deref().unwrap_or("1,8"),
-        "--segments-list",
-    )?;
+    let ops = list_flag(args, "--ops", "allreduce,reduce_scatter", |t| match Op::parse(t) {
+        Some(op @ (Op::Allreduce | Op::ReduceScatter)) => Ok(op),
+        _ => Err(format!("unknown op '{t}' (allreduce|reduce_scatter)")),
+    })?;
+    let variants = list_flag(args, "--variants", "mpi,ccoll,hz,auto", |t| {
+        hzccl::Variant::parse(t).ok_or_else(|| format!("unknown variant '{t}' (mpi|ccoll|hz|auto)"))
+    })?;
+    let ranks_list = usize_list_flag(args, "--ranks-list", "8")?;
+    let sizes_kb = usize_list_flag(args, "--sizes-kb", "16,256")?;
+    let segments_list = usize_list_flag(args, "--segments-list", "1,8")?;
     let include_fault = !has_flag(args, "--no-fault");
     let cases =
         suite::build_cases(&ops, &variants, &ranks_list, &sizes_kb, &segments_list, include_fault);

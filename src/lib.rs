@@ -6,7 +6,6 @@
 //!
 //! * [`fzlight`] — the fZ-light error-bounded lossy compressor
 //! * [`ompszp`] — the cuSZp-strategy CPU baseline compressor
-//! * [`szxlite`] — the SZx-style prediction-free comparator
 //! * [`hzdyn`] — the hZ-dynamic homomorphic compression pipeline
 //! * [`netsim`] — the virtual-time cluster simulator (MPI substrate)
 //! * [`hzccl`] — the co-designed collective framework (primary contribution)
@@ -22,4 +21,3 @@ pub use hzdyn;
 pub use netsim;
 pub use ompszp;
 pub use streambench;
-pub use szxlite;

@@ -6,7 +6,6 @@
 //! constant toward the value the simulator actually exhibits.
 
 use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
 use hzccl::{auto, CollectiveConfig, Mode};
 use netsim::{ComputeTiming, NetConfig, OpKind, RunReport, SimBuilder, TraceConfig};
 use tuner::{Algo, Calibration, Engine, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
@@ -23,54 +22,26 @@ fn rank_fields(nranks: usize, elems: usize, seed: u64) -> Vec<Vec<f32>> {
 
 /// Offline compression-ratio probe, as `hzc tune` does.
 fn probe_ratio(base: &[f32], eb: f64) -> f64 {
-    let sample = &base[..base.len().min(auto::PROBE_ELEMS)];
-    let fz = fzlight::Config::new(fzlight::ErrorBound::Abs(eb));
-    fzlight::compress(sample, &fz)
-        .map(|s| (sample.len() * 4) as f64 / s.compressed_size().max(1) as f64)
-        .unwrap_or(1.0)
-        .max(1.0)
+    auto::probe_ratios(None, base, eb, &[32], 1)[0].1
 }
 
 /// Execute one static plan on the paper-calibrated simulator; returns the
 /// makespan and the run report (traced, so `observe_run` can calibrate).
-fn run_static(
+fn measure_plan(
     nranks: usize,
     fields: &[Vec<f32>],
     plan: &Plan,
     eb: f64,
     timing: ComputeTiming,
 ) -> (f64, RunReport<()>) {
-    let mode = match plan.mode {
-        ThreadMode::St => Mode::SingleThread,
-        ThreadMode::Mt(k) => Mode::MultiThread(k),
-    };
+    let cfg = CollectiveConfig::new(eb, Mode::SingleThread);
     let cluster = SimBuilder::new(nranks)
         .net(NetConfig::default())
         .timing(timing)
         .trace(TraceConfig::default());
     let cluster_run = cluster.run(|comm| {
         let data = &fields[comm.rank()];
-        match (plan.flavor, plan.algo) {
-            (Flavor::Mpi, Algo::Rd) => {
-                hzccl::rd::allreduce_rd(comm, data, mode.threads());
-            }
-            (Flavor::Hzccl, Algo::Rd) => {
-                let cfg = CollectiveConfig { eb, block_len: plan.block_len, mode, res: None };
-                hzccl::rd::allreduce_rd_hz(comm, data, &cfg).expect("hz rd");
-            }
-            (flavor, _) => {
-                let variant = match flavor {
-                    Flavor::Mpi => hzccl::Variant::Mpi,
-                    Flavor::CColl => hzccl::Variant::CColl,
-                    Flavor::Hzccl => hzccl::Variant::Hzccl,
-                };
-                let opts = CollectiveOpts::for_variant(variant, eb)
-                    .with_mode(mode)
-                    .with_block_len(plan.block_len)
-                    .with_segments(plan.segments);
-                collectives::allreduce(comm, data, &opts).expect("static plan");
-            }
-        }
+        auto::run_planned(comm, Op::Allreduce, 0, data, &cfg, plan, None).expect("static plan");
     });
     let report = cluster_run.expect_clean();
     (report.stats.makespan, report)
@@ -100,7 +71,7 @@ fn auto_tracks_best_static_within_5pct_across_the_sweep() {
             let mut worst = 0f64;
             for plan in engine.candidates(&spec) {
                 let timing = ComputeTiming::Modeled(engine.calib.model(plan.flavor, plan.mode));
-                let (makespan, report) = run_static(nranks, &fields, &plan, eb, timing);
+                let (makespan, report) = measure_plan(nranks, &fields, &plan, eb, timing);
                 engine.observe_run(&spec, &plan, &report);
                 best = best.min(makespan);
                 worst = worst.max(makespan);
@@ -116,9 +87,13 @@ fn auto_tracks_best_static_within_5pct_across_the_sweep() {
             let stats = cluster
                 .run(|comm| {
                     let mut session = auto::Session::new();
-                    session.allreduce(comm, &fields[comm.rank()], &cfg, &engine).expect("cold");
+                    session
+                        .run(comm, Op::Allreduce, 0, &fields[comm.rank()], &cfg, &engine)
+                        .expect("cold");
                     comm.reset_clock();
-                    session.allreduce(comm, &fields[comm.rank()], &cfg, &engine).expect("warm");
+                    session
+                        .run(comm, Op::Allreduce, 0, &fields[comm.rank()], &cfg, &engine)
+                        .expect("warm");
                 })
                 .expect_clean()
                 .stats;
@@ -189,7 +164,7 @@ fn calibration_converges_from_a_mis_seeded_constant() {
 
     let mut estimates = vec![engine.calib.thr[&key][OpKind::Hpr.index()]];
     for _ in 0..6 {
-        let (_, report) = run_static(nranks, &fields, &plan, eb, true_timing);
+        let (_, report) = measure_plan(nranks, &fields, &plan, eb, true_timing);
         engine.observe_run(&spec, &plan, &report);
         estimates.push(engine.calib.thr[&key][OpKind::Hpr.index()]);
     }

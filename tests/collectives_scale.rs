@@ -4,7 +4,7 @@
 use datasets::App;
 use hzccl::collectives::{self, CollectiveOpts};
 use hzccl::Mode;
-use hzccl_bench::Kernel;
+use hzccl_bench::kernels;
 use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
 
 fn modeled() -> ComputeTiming {
@@ -117,17 +117,18 @@ fn reduce_scatter_chunks_reassemble_to_the_full_sum() {
 fn kernels_are_deterministic_in_virtual_time() {
     let nranks = 8;
     let data = fields(nranks, 1 << 14);
-    let once = |kernel: Kernel| -> f64 {
+    let once = |opts: &CollectiveOpts| -> f64 {
         let cluster = SimBuilder::new(nranks).timing(modeled());
         let stats = cluster
             .run(|comm| {
-                kernel.allreduce(comm, &data[comm.rank()], 1e-4, 2).expect("kernel");
+                collectives::allreduce(comm, &data[comm.rank()], opts).expect("kernel");
             })
             .expect_clean()
             .stats;
         stats.makespan
     };
-    for kernel in Kernel::ALL {
-        assert_eq!(once(kernel), once(kernel), "{kernel} must be deterministic");
+    for (label, variant, mode) in kernels(2) {
+        let opts = CollectiveOpts::for_variant(variant, 1e-4).with_mode(mode);
+        assert_eq!(once(&opts), once(&opts), "{label} must be deterministic");
     }
 }

@@ -5,7 +5,7 @@
 use datasets::{App, Quality};
 use fzlight::{Config, ErrorBound};
 use hzccl::collectives::{self, CollectiveOpts};
-use hzccl_bench::Kernel;
+use hzccl_bench::kernels;
 use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
 
 fn q_ulp(data: &[f32]) -> f64 {
@@ -75,24 +75,21 @@ fn all_kernels_agree_with_mpi_within_n_times_eb() {
         (0..nranks).map(|r| base.iter().map(|&v| v * (1.0 + 0.01 * r as f32)).collect()).collect();
 
     let cluster = SimBuilder::new(nranks).timing(modeled());
-    let reference = cluster
-        .run(|comm| Kernel::MpiOriginal.allreduce(comm, &fields[comm.rank()], eb, 2).expect("mpi"))
-        .expect_clean()
-        .outcomes;
-    for kernel in [
-        Kernel::CCollSingleThread,
-        Kernel::CCollMultiThread,
-        Kernel::HzcclSingleThread,
-        Kernel::HzcclMultiThread,
-    ] {
-        let outcomes = cluster
-            .run(|comm| kernel.allreduce(comm, &fields[comm.rank()], eb, 2).expect("kernel"))
+    let allreduce_of = |(_, variant, mode): (&str, hzccl::Variant, hzccl::Mode)| {
+        let opts = CollectiveOpts::for_variant(variant, eb).with_mode(mode);
+        cluster
+            .run(|comm| collectives::allreduce(comm, &fields[comm.rank()], &opts).expect("kernel"))
             .expect_clean()
-            .outcomes;
+            .outcomes
+    };
+    let [mpi, compressed @ ..] = kernels(2);
+    let reference = allreduce_of(mpi);
+    for kernel in compressed {
+        let outcomes = allreduce_of(kernel);
         let tol = 2.0 * nranks as f64 * eb;
         for (o, r) in outcomes.iter().zip(&reference) {
             for (a, b) in o.value.iter().zip(&r.value) {
-                assert!(((a - b).abs() as f64) <= tol, "{kernel}: {a} vs {b} (tol {tol})");
+                assert!(((a - b).abs() as f64) <= tol, "{}: {a} vs {b} (tol {tol})", kernel.0);
             }
         }
     }

@@ -150,7 +150,9 @@ fn auto_picks_a_segmented_plan_where_the_model_predicts_one() {
     let cluster = SimBuilder::new(nranks).net(NetConfig::default()).timing(timing);
     let outcomes = cluster
         .run(|comm| {
-            hzccl::auto::allreduce(comm, &data[comm.rank()], &cfg, &engine, None).expect("auto")
+            let data = &data[comm.rank()];
+            hzccl::auto::run(comm, tuner::Op::Allreduce, 0, data, &cfg, &engine, None)
+                .expect("auto")
         })
         .expect_clean()
         .outcomes;

@@ -10,6 +10,7 @@ use hzccl::collectives::{
     RecoveryPolicy,
 };
 use hzccl::{Mode, Variant};
+use hzccl_bench::suite::{mpi_survivor_sum, survivor_sum};
 use netsim::{
     ComputeTiming, FaultPlan, Registry, RunReport, SimBuilder, SimEngine, ThroughputModel,
     TraceConfig,
@@ -31,41 +32,11 @@ fn shrink_opts(variant: Variant) -> CollectiveOpts {
         .with_recovery(RecoveryPolicy::Shrink)
 }
 
-/// The exact survivor sum in f64 (the accuracy oracle for the compressed
-/// flavours).
-fn survivor_sum_f64(survivors: &[usize], n: usize) -> Vec<f64> {
-    let mut acc = vec![0f64; n];
-    for &r in survivors {
-        for (a, b) in acc.iter_mut().zip(field(r, n)) {
-            *a += f64::from(b);
-        }
-    }
-    acc
-}
-
-/// Replicate the survivable mpi ring's reduction order exactly: the
-/// accumulator of segment group `g` originates at virtual rank `(g+1) % m`
-/// and folds one member per hop until the owner `g` adds its own share
-/// last. f32 addition is bitwise commutative, so this left fold is the
-/// bit-exact expectation for the `mpi` flavour.
-fn mpi_expected(survivors: &[usize], n0: usize, n: usize) -> Vec<f32> {
-    let m = survivors.len();
-    let ranges = node_chunks(n, n0);
-    let groups = node_chunks(n0, m);
-    let inputs: Vec<Vec<f32>> = (0..n0).map(|r| field(r, n)).collect();
-    let mut out = vec![0f32; n];
-    for (g, segs) in groups.iter().enumerate() {
-        for seg in segs.clone() {
-            for i in ranges[seg].clone() {
-                let mut acc = inputs[survivors[(g + 1) % m]][i];
-                for k in 2..=m {
-                    acc += inputs[survivors[(g + k) % m]][i];
-                }
-                out[i] = acc;
-            }
-        }
-    }
-    out
+/// Every launch rank's input, for the shared oracles
+/// (`hzccl_bench::suite::{survivor_sum, mpi_survivor_sum}` — the ones
+/// `hzc chaos --crash-rate` gates on).
+fn fields(nranks: usize, n: usize) -> Vec<Vec<f32>> {
+    (0..nranks).map(|r| field(r, n)).collect()
 }
 
 fn run_shrink(
@@ -108,8 +79,8 @@ fn shrink_delivers_survivor_sums_across_scales_flavours_and_crash_counts() {
             let dead: Vec<usize> = crashes.iter().map(|&(r, _)| r).collect();
             let survivors: Vec<usize> = (0..nranks).filter(|r| !dead.contains(r)).collect();
             let m = survivors.len();
-            let oracle = survivor_sum_f64(&survivors, n);
-            let exact = mpi_expected(&survivors, nranks, n);
+            let oracle = survivor_sum(&fields(nranks, n), &survivors);
+            let exact = mpi_survivor_sum(&fields(nranks, n), &survivors);
             for variant in [Variant::Mpi, Variant::CColl, Variant::Hzccl] {
                 let opts = shrink_opts(variant);
                 let report = run_shrink(nranks, n, &opts, plan.clone(), SimEngine::default());
@@ -200,7 +171,7 @@ fn shrink_reduce_scatter_regions_tile_the_vector() {
     let n = 4096;
     let plan = FaultPlan::new(11).with_crash(5, 1);
     let survivors: Vec<usize> = (0..nranks).filter(|&r| r != 5).collect();
-    let exact = mpi_expected(&survivors, nranks, n);
+    let exact = mpi_survivor_sum(&fields(nranks, n), &survivors);
     let opts = CollectiveOpts::mpi().with_recovery(RecoveryPolicy::Shrink);
     let report = SimBuilder::new(nranks).timing(modeled()).faults(plan).run(|comm| {
         let data = field(comm.rank(), n);
