@@ -20,10 +20,11 @@
 //! simulated message, so auto's overhead is visible in breakdowns and
 //! timelines instead of being smuggled in for free.
 
+use crate::collectives::Result;
 use crate::config::CollectiveConfig;
 use crate::rd;
-use crate::ring::{self, Verb};
-use fzlight::{Config as FzConfig, ErrorBound, Result};
+use crate::ring::{self, Over, Verb};
+use fzlight::{Config as FzConfig, ErrorBound};
 use netsim::{Comm, OpKind, Topology};
 use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
 
@@ -176,12 +177,13 @@ pub fn run_planned(
     if op == Op::Allreduce && plan.algo == Algo::Rd && topo.is_none() && pcfg.res.is_none() {
         match plan.flavor {
             Flavor::Mpi => return Ok(rd::allreduce_rd(comm, data, pcfg.mode.threads())),
-            Flavor::Hzccl => return rd::allreduce_rd_hz(comm, data, &pcfg),
+            Flavor::Hzccl => return Ok(rd::allreduce_rd_hz(comm, data, &pcfg)?),
             Flavor::CColl => {}
         }
     }
     let verb = Verb::of(op, root, data.len());
-    ring::run(comm, verb, plan.flavor, data, &pcfg, plan.segments, topo)
+    let over = topo.map_or(Over::Flat, Over::Tiers);
+    ring::run(comm, verb, plan.flavor, data, &pcfg, plan.segments, over)
 }
 
 /// The auto collective: agree on a plan for `op`, then run it

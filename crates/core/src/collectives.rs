@@ -45,9 +45,9 @@
 
 use crate::auto;
 use crate::config::{CollectiveConfig, Mode, Variant};
+use crate::membership::View;
 use crate::resilient::Resilience;
-use crate::ring::{self, Verb};
-use crate::survivable;
+use crate::ring::{self, Over, Verb};
 use netsim::{Comm, OpKind, Topology};
 use std::fmt;
 use tuner::{Engine, Op};
@@ -186,14 +186,14 @@ pub struct CollectiveOpts {
     mode: Mode,
     segments: usize,
     root: usize,
-    engine: Option<Engine>,
     resilience: Option<Resilience>,
     topology: Option<Topology>,
     recovery: RecoveryPolicy,
 }
 
 impl CollectiveOpts {
-    fn new(variant: Variant, eb: f64, engine: Option<Engine>) -> CollectiveOpts {
+    /// Parse-driven constructor (CLI): flavour by [`Variant`].
+    pub fn for_variant(variant: Variant, eb: f64) -> CollectiveOpts {
         CollectiveOpts {
             variant,
             eb,
@@ -201,7 +201,6 @@ impl CollectiveOpts {
             mode: Mode::SingleThread,
             segments: 1,
             root: 0,
-            engine,
             resilience: None,
             topology: None,
             recovery: RecoveryPolicy::FailFast,
@@ -211,31 +210,24 @@ impl CollectiveOpts {
     /// Plain MPI (no compression). The error bound is irrelevant and kept
     /// at 0 for cache-key purposes.
     pub fn mpi() -> CollectiveOpts {
-        CollectiveOpts::new(Variant::Mpi, 0.0, None)
+        CollectiveOpts::for_variant(Variant::Mpi, 0.0)
     }
 
     /// C-Coll's DOC workflow at absolute error bound `eb`.
     pub fn ccoll(eb: f64) -> CollectiveOpts {
-        CollectiveOpts::new(Variant::CColl, eb, None)
+        CollectiveOpts::for_variant(Variant::CColl, eb)
     }
 
     /// hZCCL's homomorphic workflow at absolute error bound `eb`.
     pub fn hz(eb: f64) -> CollectiveOpts {
-        CollectiveOpts::new(Variant::Hzccl, eb, None)
+        CollectiveOpts::for_variant(Variant::Hzccl, eb)
     }
 
     /// Let the tuner pick per call ([`crate::auto`]) with the
-    /// paper-calibrated [`Engine`]; override it with
-    /// [`CollectiveOpts::with_engine`].
+    /// paper-calibrated [`Engine`]; a caller holding its own engine hands it
+    /// to [`auto::run`] directly.
     pub fn auto(eb: f64) -> CollectiveOpts {
-        CollectiveOpts::new(Variant::Auto, eb, Some(Engine::paper()))
-    }
-
-    /// Parse-driven constructor (CLI): flavour by [`Variant`], paper engine
-    /// when `Auto`.
-    pub fn for_variant(variant: Variant, eb: f64) -> CollectiveOpts {
-        let engine = matches!(variant, Variant::Auto).then(Engine::paper);
-        CollectiveOpts::new(variant, eb, engine)
+        CollectiveOpts::for_variant(Variant::Auto, eb)
     }
 
     /// Compressor block length (default [`fzlight::DEFAULT_BLOCK_LEN`]).
@@ -272,17 +264,12 @@ impl CollectiveOpts {
         self
     }
 
-    /// Replace the [`Variant::Auto`] decision engine (ignored by the static
-    /// flavours).
-    pub fn with_engine(mut self, engine: Engine) -> CollectiveOpts {
-        self.engine = Some(engine);
-        self
-    }
-
     /// Route every hop through the resilient transport
     /// ([`crate::resilient`]): checksummed frames, NACK/retransmit, and
-    /// graceful degradation to raw f32 after `max_retries`. Forces one
-    /// segment per step (a framed hop is one joint exchange and cannot
+    /// graceful degradation to raw f32 after `max_retries` — on the flat
+    /// ring, on both tiers of the hierarchical schedule, and (resending
+    /// instead of degrading) under the shrinking recovery policies. Forces
+    /// one segment per step (a framed hop is one joint exchange and cannot
     /// interleave segments). Composes with every flavour, [`Variant::Auto`]
     /// included — the tuner picks the plan and the chosen flavour runs it
     /// over the resilient transport.
@@ -355,10 +342,6 @@ impl CollectiveOpts {
             res: self.resilience,
         }
     }
-
-    fn engine_ref(&self) -> &Engine {
-        self.engine.as_ref().expect("Variant::Auto options always carry an engine")
-    }
 }
 
 fn check_elems(comm: &Comm, elems: usize) -> Result<()> {
@@ -416,13 +399,16 @@ pub fn run(comm: &mut Comm, op: Op, data: &[f32], opts: &CollectiveOpts) -> Resu
     // only Allreduce has a hierarchical schedule
     let topo = check(comm, data.len(), opts, root)?.filter(|_| op == Op::Allreduce);
     let (cfg, topo) = (opts.cfg(), topo.as_ref());
-    Ok(match opts.variant {
-        Variant::Auto => auto::run(comm, op, opts.root, data, &cfg, opts.engine_ref(), topo)?.value,
+    match opts.variant {
+        Variant::Auto => {
+            Ok(auto::run(comm, op, opts.root, data, &cfg, &Engine::paper(), topo)?.value)
+        }
         v => {
             let verb = Verb::of(op, opts.root, data.len());
-            ring::run(comm, verb, v.flavor(), data, &cfg, opts.segments, topo)?
+            let over = topo.map_or(Over::Flat, Over::Tiers);
+            ring::run(comm, verb, v.flavor(), data, &cfg, opts.segments, over)
         }
-    })
+    }
 }
 
 /// `Allreduce(sum)`: every rank contributes `data`, every rank receives the
@@ -470,21 +456,7 @@ pub fn allgather(
 ) -> Result<Vec<f32>> {
     check(comm, total_len, opts, None)?;
     let (verb, flavor) = (Verb::Allgather { total_len }, opts.variant.flavor());
-    Ok(ring::run(comm, verb, flavor, own, &opts.cfg(), opts.segments, None)?)
-}
-
-/// The survivable ring's flavour. [`Variant::Auto`] is refused: the tuner
-/// plans against a fixed membership, and a plan agreed at launch is
-/// meaningless after a repair.
-fn sv_flavor(opts: &CollectiveOpts) -> Result<tuner::Flavor> {
-    if opts.variant == Variant::Auto {
-        return Err(Error::RecoveryUnsupported {
-            variant: Variant::Auto,
-            reason: "the tuner cannot plan across unknown future memberships; \
-                     pick a static flavour for the shrinking policies",
-        });
-    }
-    Ok(opts.variant.flavor())
+    ring::run(comm, verb, flavor, own, &opts.cfg(), opts.segments, Over::Flat)
 }
 
 /// [`run`] with crash recovery — the one entry point under
@@ -506,28 +478,30 @@ pub fn run_recoverable(
         let value = run(comm, op, data, opts)?;
         return Ok(PartialResult { value, contributors: (0..comm.size()).collect(), epoch: 0 });
     }
-    let ag = match op {
-        Op::Allreduce => true,
-        Op::ReduceScatter => false,
+    // what the shrinking policies refuse, and why
+    let refused = match op {
         Op::Reduce | Op::Bcast => {
-            return Err(Error::RecoveryUnsupported {
-                variant: opts.variant,
-                reason: "only allreduce and reduce_scatter have a survivable schedule",
-            })
+            Some("only allreduce and reduce_scatter have a survivable schedule")
         }
+        _ if opts.variant == Variant::Auto => Some(
+            "the tuner plans against a fixed membership, and a plan agreed at launch is \
+             meaningless after a repair; pick a static flavour for the shrinking policies",
+        ),
+        _ if opts.hier_topology(comm)?.is_some() => Some(
+            "a view over node leaders would need its own agreement protocol: the \
+             hierarchical two-tier schedule is not survivable; detach the topology",
+        ),
+        _ => None,
     };
-    let flavor = sv_flavor(opts)?;
-    if opts.hier_topology(comm)?.is_some() {
-        return Err(Error::RecoveryUnsupported {
-            variant: opts.variant,
-            reason: "the hierarchical two-tier schedule is not survivable; detach the topology",
-        });
+    if let Some(reason) = refused {
+        return Err(Error::RecoveryUnsupported { variant: opts.variant, reason });
     }
-    let cfg = opts.cfg();
-    let out = survivable::run_survivable(comm, data, flavor, &cfg, ag)?;
-    let mut value = out.value;
+    let mut view = View::initial(comm.size());
+    let verb = Verb::of(op, opts.root, data.len());
+    let (flavor, over) = (opts.variant.flavor(), Over::Survivors(&mut view));
+    let mut value = ring::run(comm, verb, flavor, data, &opts.cfg(), 1, over)?;
     if opts.recovery == RecoveryPolicy::ShrinkRescale {
-        let scale = comm.size() as f32 / out.members.len() as f32;
+        let scale = comm.size() as f32 / view.len() as f32;
         let bytes = value.len() * 4;
         comm.compute_labeled(OpKind::Cpt, bytes, "rec:rescale", || {
             for v in value.iter_mut() {
@@ -535,7 +509,7 @@ pub fn run_recoverable(
             }
         });
     }
-    Ok(PartialResult { value, contributors: out.members, epoch: out.epoch })
+    Ok(PartialResult { value, contributors: view.members, epoch: view.epoch })
 }
 
 /// `Allreduce(sum)` with crash recovery: like [`allreduce`], but a rank
@@ -546,8 +520,12 @@ pub fn run_recoverable(
 /// the survivors run the epoch-numbered self-healing ring
 /// (`crate::survivable`): an attempt that observes a death tears down
 /// in-band, all survivors agree on the new membership, and the collective
-/// re-runs over the shrunk ring — fault-free runs commit at epoch 0 with
-/// schedules and traffic identical to the plain verb. Requires a static
+/// re-runs over the shrunk ring. A fault-free run commits at epoch 0 through
+/// the same ring loops as the plain verb, in their decode-on-arrival order
+/// (the pipelined schedule's) and with the own chunk round-tripped through
+/// the wire codec like everyone else's copy — so `mpi` is bit-identical to
+/// the plain verb, and the compressed flavours agree bitwise across ranks
+/// but may differ from the plain verb by one quantization. Requires a static
 /// flavour ([`Variant::Auto`] and attached topologies return
 /// [`Error::RecoveryUnsupported`]).
 pub fn allreduce_recoverable(
@@ -768,8 +746,6 @@ mod tests {
         assert_eq!(opts.segments, 8);
         assert_eq!(opts.mode, Mode::MultiThread(18));
         assert_eq!(opts.root, 3);
-        assert!(opts.engine.is_none());
-        assert!(CollectiveOpts::auto(1e-4).engine.is_some());
         // zero segments degrades to the serial schedule, threads=1 to ST
         assert_eq!(CollectiveOpts::mpi().with_segments(0).segments, 1);
         assert_eq!(CollectiveOpts::mpi().with_threads(1).mode, Mode::SingleThread);

@@ -106,9 +106,8 @@ pub struct CollectiveConfig {
     pub mode: Mode,
     /// Resilient-transport policy. `None` (the default) keeps every
     /// schedule on the exact unframed fast path — bit-identical behaviour
-    /// to a build without the resilience layer. `Some` routes the serial
-    /// schedules' hops through the framed ARQ transport
-    /// ([`crate::resilient`]).
+    /// to a build without the resilience layer. `Some` frames every ring
+    /// hop ([`crate::resilient`]).
     pub res: Option<crate::resilient::Resilience>,
 }
 

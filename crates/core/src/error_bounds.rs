@@ -75,7 +75,7 @@ pub fn shrink_allreduce(survivors: usize, eb: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{CollectiveConfig, Mode};
-    use crate::ring::{self, Verb};
+    use crate::ring::{self, Over, Verb};
     use datasets::App;
     use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
     use tuner::Flavor;
@@ -121,8 +121,24 @@ mod tests {
                 .run(|comm| {
                     let data = &fields[comm.rank()];
                     match which {
-                        0 => ring::run(comm, Verb::Allreduce, Flavor::Hzccl, data, &cfg, 1, None),
-                        1 => ring::run(comm, Verb::Allreduce, Flavor::CColl, data, &cfg, 1, None),
+                        0 => ring::run(
+                            comm,
+                            Verb::Allreduce,
+                            Flavor::Hzccl,
+                            data,
+                            &cfg,
+                            1,
+                            Over::Flat,
+                        ),
+                        1 => ring::run(
+                            comm,
+                            Verb::Allreduce,
+                            Flavor::CColl,
+                            data,
+                            &cfg,
+                            1,
+                            Over::Flat,
+                        ),
                         _ => ring::allreduce_p2p(comm, data, &cfg),
                     }
                     .expect("allreduce")

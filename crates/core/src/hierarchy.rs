@@ -43,8 +43,8 @@
 //! schedule: the reduction tree associates sums differently.
 
 use crate::codec::{RawCodec, SegCodec};
-use crate::ring::{self, Layout, Ring};
-use fzlight::Result;
+use crate::resilient::Resilience;
+use crate::ring::{self, Layout, Ring, Stop};
 use netsim::{Comm, Topology};
 
 /// Tag base of the intra-node Reduce_scatter phase.
@@ -57,37 +57,30 @@ pub(crate) const TAG_HAG: u64 = 10 << 32;
 
 /// Hierarchical `Allreduce(sum)`: intra-node reduce-scatter, inter-node
 /// ring allreduce (in `codec`'s workflow), intra-node allgather — the ring
-/// schedule of [`crate::ring`] over two different rings. `topo.nranks()`
-/// must equal the communicator size (the callers in [`crate::collectives`]
-/// and [`crate::auto`] enforce it, and with it `E/ppn >= nodes`). The
-/// two-tier schedule is not framed: its hops ignore a resilience policy.
+/// schedule of [`crate::ring`] over two different rings, both framed under
+/// `res`. `topo.nranks()` must equal the communicator size (the callers in
+/// [`crate::collectives`] and [`crate::auto`] enforce it, and with it
+/// `E/ppn >= nodes`).
 pub(crate) fn allreduce<C: SegCodec>(
     comm: &mut Comm,
     data: &[f32],
     topo: &Topology,
     threads: usize,
     codec: &C,
-) -> Result<Vec<f32>> {
+    res: Option<&Resilience>,
+) -> Result<Vec<f32>, Stop> {
     debug_assert_eq!(topo.nranks(), comm.size(), "topology and communicator disagree");
-    let (nodes, ppn) = (topo.nodes, topo.ppn);
-    let (node, li) = (topo.node_of(comm.rank()), topo.local_index(comm.rank()));
-    // the node's ppn ranks, at local index li +- 1 ...
-    let base = node * ppn;
-    let (right, left) = (base + (li + 1) % ppn, base + (li + ppn - 1) % ppn);
-    let mut node_ring = Ring::new(ppn, li, right, left, TAG_HRS, TAG_HAG, 0);
-    // ... and the ranks sharing this local index, on node +- 1; one tag
-    // base, allgather steps at ids nodes-1..2(nodes-1)
-    let (right, left) = (((node + 1) % nodes) * ppn + li, ((node + nodes - 1) % nodes) * ppn + li);
-    let mut leader_ring = Ring::new(nodes, node, right, left, TAG_HRING, TAG_HRING, nodes - 1);
+    let mut node_ring = Ring::node(topo, comm.rank(), res);
+    let mut leader_ring = Ring::leaders(topo, comm.rank(), res);
 
     let shm = RawCodec::shared_memory(threads);
-    let lay = Layout::new(data.len(), ppn, 1, 1);
-    let own = ring::reduce_scatter(comm, &mut node_ring, &shm, data, &lay)?
+    let lay = Layout::new(data.len(), topo.ppn, 1, 1);
+    let own = ring::reduce_scatter(comm, &mut node_ring, &shm, data, &lay, &mut Vec::new())?
         .pop()
         .expect("one segment per chunk");
     let reduced = ring::allreduce(comm, &mut leader_ring, codec, &own, 1)?;
     let mut out = vec![0f32; data.len()];
-    out[lay.chunk(li)].copy_from_slice(&reduced);
+    out[lay.chunk(node_ring.pos)].copy_from_slice(&reduced);
     ring::allgather(comm, &mut node_ring, &shm, &lay, None, &mut out)?;
     Ok(out)
 }
@@ -97,7 +90,7 @@ mod tests {
     use super::*;
     use crate::config::{CollectiveConfig, Mode};
     use crate::pipeline::decode_tag;
-    use crate::ring::Verb;
+    use crate::ring::{Over, Verb};
     use tuner::Flavor;
 
     fn allreduce_hier(
@@ -106,8 +99,8 @@ mod tests {
         flavor: Flavor,
         topo: &Topology,
         cfg: &CollectiveConfig,
-    ) -> Result<Vec<f32>> {
-        ring::run(comm, Verb::Allreduce, flavor, data, cfg, 1, Some(topo))
+    ) -> crate::collectives::Result<Vec<f32>> {
+        ring::run(comm, Verb::Allreduce, flavor, data, cfg, 1, Over::Tiers(topo))
     }
     use netsim::{ComputeTiming, Event, LinkTier, SimBuilder, ThroughputModel, TraceConfig};
 
@@ -228,7 +221,7 @@ mod tests {
             let stats = cluster
                 .run(|comm| {
                     let data = field(comm.rank(), n);
-                    ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None)
+                    ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, Over::Flat)
                         .expect("flat hz");
                 })
                 .expect_clean()

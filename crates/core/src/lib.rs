@@ -25,8 +25,8 @@
 //! schedule also runs segmented and pipelined
 //! ([`CollectiveOpts::with_segments`]), framed over the resilient transport
 //! ([`resilient`]), two-tier over a node ring and a leader ring
-//! ([`hierarchy`]), and — with its own recovery loop — over a shrinking
-//! membership ([`membership`]). [`rd`] adds a recursive-doubling Allreduce
+//! ([`hierarchy`]), and — one attempt per epoch of a recovery loop — over a
+//! shrinking membership ([`membership`]). [`rd`] adds a recursive-doubling Allreduce
 //! (with homomorphic reduction) for the latency-bound small-message regime,
 //! and [`error_bounds`] states the analytic worst-case error of each
 //! workflow.

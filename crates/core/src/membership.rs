@@ -35,7 +35,6 @@ use std::collections::BTreeSet;
 
 use netsim::Comm;
 
-use crate::chunks::node_chunks;
 use crate::pipeline::{epoch_tag, MAX_EPOCH};
 
 /// Tag base of the agreement plane (`decode_tag` phase `"agree"`), one
@@ -54,8 +53,8 @@ pub struct View {
     pub members: Vec<usize>,
     /// The launch size. The element partition is anchored to `n0` forever:
     /// an epoch with `m` survivors regroups the *original* `n0` segments
-    /// ([`View::segment_groups`]) instead of re-splitting elements, so a
-    /// repair only moves whole segments between owners.
+    /// (`node_chunks(n0, m)` over segment ids) instead of re-splitting
+    /// elements, so a repair only moves whole segments between owners.
     pub n0: usize,
 }
 
@@ -65,40 +64,16 @@ impl View {
         View { epoch: 0, members: (0..nranks).collect(), n0: nranks }
     }
 
-    /// Number of live members.
-    pub fn len(&self) -> usize {
+    /// Number of live members (never zero for a view a live rank holds: it
+    /// is a member itself).
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
-    }
-
-    /// True when only one rank survives (the ring degenerates to a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
     }
 
     /// This rank's virtual position in the survivor ring, if it is a
     /// member.
     pub fn vrank(&self, rank: usize) -> Option<usize> {
         self.members.binary_search(&rank).ok()
-    }
-
-    /// The launch rank of the ring successor of virtual rank `v`.
-    pub fn right_of(&self, v: usize) -> usize {
-        self.members[(v + 1) % self.members.len()]
-    }
-
-    /// The launch rank of the ring predecessor of virtual rank `v`.
-    pub fn left_of(&self, v: usize) -> usize {
-        let m = self.members.len();
-        self.members[(v + m - 1) % m]
-    }
-
-    /// Contiguous groups of original-segment indices, one group per
-    /// virtual rank: group `g` is `node_chunks(n0, m)[g]` over segment
-    /// ids. At epoch 0 (`m == n0`) every group is the singleton `{g}`, so
-    /// the survivable schedule degenerates to the classic one-chunk-per-
-    /// rank ring layout.
-    pub fn segment_groups(&self) -> Vec<std::ops::Range<usize>> {
-        node_chunks(self.n0, self.members.len())
     }
 
     /// The next view after `suspects` were agreed dead: same `n0`, epoch
@@ -148,18 +123,16 @@ fn decode_round(bytes: &[u8]) -> (BTreeSet<usize>, bool) {
 
 /// The commit barrier: full-exchange gossip among `view.members` until the
 /// suspect set is uniformly quiet (see the module docs for the protocol
-/// and its uniform-stop proof). `suspects` seeds the set with deaths this
-/// rank observed during the data phase; deaths already recorded by the
-/// transport ([`Comm::known_dead`]) are folded in automatically.
-pub(crate) fn agree(comm: &mut Comm, view: &View, mut suspects: BTreeSet<usize>) -> Agreement {
+/// and its uniform-stop proof). Every rank starts from the empty set and
+/// learns each death in round 0, from its own receive on the dead member —
+/// not from the crash notices its data phase happened to drain, whose
+/// arrival order is wall-clock under the thread engine: what a rank sends
+/// depends on program order alone, so both engines tell the same story.
+pub(crate) fn agree(comm: &mut Comm, view: &View) -> Agreement {
     let me = comm.rank();
-    for d in comm.known_dead() {
-        if view.members.contains(&d) {
-            suspects.insert(d);
-        }
-    }
+    let mut suspects = BTreeSet::new();
     let peers: Vec<usize> = view.members.iter().copied().filter(|&q| q != me).collect();
-    let mut changed = !suspects.is_empty();
+    let mut changed = false;
     let mut round: usize = 0;
     loop {
         let tag = epoch_tag(TAG_AGREE, round, 0, view.epoch);
@@ -206,15 +179,11 @@ mod tests {
         assert_eq!(v.epoch, 0);
         assert_eq!(v.len(), 6);
         assert_eq!(v.vrank(3), Some(3));
-        assert_eq!(v.right_of(5), 0);
-        assert_eq!(v.left_of(0), 5);
-        let groups = v.segment_groups();
-        assert_eq!(groups.len(), 6);
-        assert!(groups.iter().enumerate().all(|(g, r)| *r == (g..g + 1)), "singleton groups");
+        assert_eq!(v.members, (0..6).collect::<Vec<_>>());
     }
 
     #[test]
-    fn advance_splices_suspects_and_groups_stay_anchored_to_n0() {
+    fn advance_splices_suspects_and_stays_anchored_to_n0() {
         let v = View::initial(8);
         let dead: BTreeSet<usize> = [2, 5].into_iter().collect();
         let next = v.advance(&dead).expect("below the epoch cap");
@@ -223,12 +192,6 @@ mod tests {
         assert_eq!(next.n0, 8, "the segment partition never re-anchors");
         assert_eq!(next.vrank(2), None);
         assert_eq!(next.vrank(3), Some(2));
-        assert_eq!(next.right_of(2), 4);
-        assert_eq!(next.left_of(0), 7);
-        let groups = next.segment_groups();
-        assert_eq!(groups.len(), 6);
-        assert_eq!(groups.iter().map(|r| r.len()).sum::<usize>(), 8, "groups tile all 8 segments");
-        assert_eq!(groups[5], 5..8, "the last survivor absorbs the extra segments");
     }
 
     #[test]
@@ -256,7 +219,7 @@ mod tests {
             .run(|comm| {
                 comm.set_survivable(true);
                 let view = View::initial(5);
-                let a = agree(comm, &view, BTreeSet::new());
+                let a = agree(comm, &view);
                 assert!(a.suspects.is_empty());
                 assert_eq!(a.rounds, 1, "nothing to spread: one quiet round");
             })
@@ -275,7 +238,7 @@ mod tests {
                 unreachable!("rank 2 dies on the send above");
             }
             let view = View::initial(4);
-            let a = agree(comm, &view, BTreeSet::new());
+            let a = agree(comm, &view);
             assert_eq!(a.suspects.iter().copied().collect::<Vec<_>>(), vec![2]);
             a.rounds as usize
         });

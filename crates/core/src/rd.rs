@@ -160,7 +160,7 @@ pub fn allreduce_rd_hz(comm: &mut Comm, data: &[f32], cfg: &CollectiveConfig) ->
 mod tests {
     use super::*;
     use crate::config::Mode;
-    use crate::ring::Verb;
+    use crate::ring::{Over, Verb};
     use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
     use tuner::Flavor;
 
@@ -253,7 +253,7 @@ mod tests {
         let ring = cluster
             .run(|comm| {
                 let data = field(comm.rank(), n);
-                crate::ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None)
+                crate::ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, Over::Flat)
                     .expect("ring")
             })
             .expect_clean()
@@ -281,8 +281,16 @@ mod tests {
             let s = cluster
                 .run(|comm| {
                     let data = field(comm.rank(), n);
-                    crate::ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None)
-                        .expect("ring");
+                    crate::ring::run(
+                        comm,
+                        Verb::Allreduce,
+                        Flavor::Hzccl,
+                        &data,
+                        &cfg,
+                        1,
+                        Over::Flat,
+                    )
+                    .expect("ring");
                 })
                 .expect_clean()
                 .stats;

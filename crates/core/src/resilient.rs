@@ -42,11 +42,12 @@
 //! error on the degraded segment (see DESIGN.md "Fault model and
 //! resilience").
 //!
-//! With `res == None` every wrapper below compiles down to exactly the
-//! pre-existing unframed `Comm` call, so fault-free runs are bit-identical
-//! to the unresilient build.
+//! A ring reaches the wire through one `Hop`, so the transport is a
+//! property of the ring, not of the call site. A plain hop is exactly the
+//! bare `Comm` calls: fault-free runs are bit-identical to a build without
+//! this layer.
 
-use netsim::{splitmix64, Comm, NetConfig, OpKind};
+use netsim::{Comm, OpKind};
 
 /// Retry/timeout policy of the resilient transport. `Copy` so it can ride
 /// inside [`crate::CollectiveConfig`] without breaking its `Copy`-ness.
@@ -54,8 +55,7 @@ use netsim::{splitmix64, Comm, NetConfig, OpKind};
 /// Every duration here is **virtual time** — simulated seconds on the
 /// cluster's α–β clock, not wall-clock seconds of the host running the
 /// simulation. The defaults are sized for the paper fabric's 3 µs
-/// injection latency; on a different network derive a matching policy
-/// with [`Resilience::for_net`] instead of reusing the absolute numbers.
+/// injection latency; a slower fabric sets the fields to match.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Resilience {
     /// Retransmissions before degrading to an uncompressed reliable resend.
@@ -67,85 +67,24 @@ pub struct Resilience {
     pub backoff_base_s: f64,
     /// Backoff ceiling (virtual seconds).
     pub backoff_max_s: f64,
-    /// Fractional jitter applied to every backoff wait: each retry's wait
-    /// is scaled by a deterministic factor in
-    /// `[1 - jitter/2, 1 + jitter/2)` hashed from
-    /// `(jitter_seed, tag, retry)`, decorrelating the synchronized retry
-    /// storms a lossy fabric otherwise produces. `0.0` (the default)
-    /// reproduces the historical constant schedule bit-for-bit.
-    pub backoff_jitter: f64,
-    /// Seed of the jitter hash; runs with equal seeds replay identical
-    /// backoff sequences.
-    pub jitter_seed: u64,
 }
 
 impl Default for Resilience {
     fn default() -> Self {
-        Resilience {
-            max_retries: 4,
-            timeout_s: 50e-6,
-            backoff_base_s: 5e-6,
-            backoff_max_s: 80e-6,
-            backoff_jitter: 0.0,
-            jitter_seed: 0,
-        }
+        Resilience { max_retries: 4, timeout_s: 50e-6, backoff_base_s: 5e-6, backoff_max_s: 80e-6 }
     }
 }
 
 impl Resilience {
-    /// A policy whose virtual-time constants are scaled to `net`'s
-    /// per-message latency α: the loss-detection timeout and the backoff
-    /// window keep the same ratio to α that the defaults have to the paper
-    /// fabric's 3 µs. A 30 µs-latency WAN therefore waits 10× longer before
-    /// declaring a frame lost, instead of timing out on every in-flight
-    /// message; `Resilience::for_net(&NetConfig::default())` is exactly
-    /// [`Resilience::default`].
-    pub fn for_net(net: &NetConfig) -> Self {
-        let scale = (net.latency_s / NetConfig::default().latency_s).max(f64::MIN_POSITIVE);
-        let d = Resilience::default();
-        Resilience {
-            max_retries: d.max_retries,
-            timeout_s: d.timeout_s * scale,
-            backoff_base_s: d.backoff_base_s * scale,
-            backoff_max_s: d.backoff_max_s * scale,
-            backoff_jitter: d.backoff_jitter,
-            jitter_seed: d.jitter_seed,
-        }
-    }
     /// Override the retransmission budget.
     pub fn with_max_retries(mut self, n: u32) -> Self {
         self.max_retries = n;
         self
     }
 
-    /// Enable seeded backoff jitter: `frac` is the total spread (clamped to
-    /// `[0, 1]`, so the wait stays within ±50% of the deterministic
-    /// schedule), `seed` makes it reproducible. `frac = 0.0` restores the
-    /// exact constant backoffs.
-    pub fn with_backoff_jitter(mut self, frac: f64, seed: u64) -> Self {
-        self.backoff_jitter = frac.clamp(0.0, 1.0);
-        self.jitter_seed = seed;
-        self
-    }
-
     fn backoff(&self, retry: u32) -> f64 {
         let exp = retry.saturating_sub(1).min(30);
         (self.backoff_base_s * f64::from(1u32 << exp)).min(self.backoff_max_s)
-    }
-
-    /// [`Self::backoff`] scaled by the seeded jitter factor for this
-    /// `(tag, retry)`: a pure hash, so every replay of the same seed waits
-    /// the same virtual time, yet distinct tags (and thus distinct
-    /// contending transfers) desynchronize. Returns [`Self::backoff`]
-    /// exactly when jitter is off — the transport tests pin that equality.
-    fn backoff_jittered(&self, retry: u32, salt: u64) -> f64 {
-        let base = self.backoff(retry);
-        if self.backoff_jitter <= 0.0 {
-            return base;
-        }
-        let h = splitmix64(splitmix64(splitmix64(self.jitter_seed) ^ salt) ^ u64::from(retry));
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64; // uniform in [0, 1)
-        base * (1.0 + self.backoff_jitter * (unit - 0.5))
     }
 }
 
@@ -303,34 +242,44 @@ fn payload_kind(kind_byte: u8) -> Option<PayloadKind> {
     }
 }
 
+/// A segment on the wire and the form it travels in: a hop that degraded
+/// under the framed transport delivers raw f32s, and the segment stays raw
+/// for the rest of its trip.
+pub(crate) type Wire = (Vec<u8>, PayloadKind);
+
+/// Produces the raw-f32 replacement of a payload out of retries.
+type Fallback<'a> = &'a mut dyn FnMut(&mut Comm) -> Vec<u8>;
+
 /// The outgoing half of an exchange, carried through the ARQ engine.
 struct OutHalf<'a> {
     to: usize,
     payload: Vec<u8>,
     kind: PayloadKind,
     logical_bytes: usize,
-    exhausted: Exhausted<'a>,
+    /// What a sender out of retries does — on the reliable channel either
+    /// way. Degrade (`res:degraded-segment`): an [`PayloadKind::Opaque`]
+    /// payload is replaced by the raw f32s this produces, a raw one goes as
+    /// it is. Without one: send the same bytes again (`rec:reliable-resend`).
+    degrade: Option<Fallback<'a>>,
 }
 
-/// What a sender out of retries does — on the reliable channel either way.
-enum Exhausted<'a> {
-    /// Degrade (`res:degraded-segment`): an [`PayloadKind::Opaque`] payload
-    /// is replaced by the raw f32s this produces, a raw one goes as it is.
-    Degrade(&'a mut dyn FnMut(&mut Comm) -> Vec<u8>),
-    /// Send the same bytes again (`rec:reliable-resend`).
-    Resend,
-}
-
-/// Why an exchange stopped before delivering its payload. Only survivable
-/// schedules ever see one: without survivable mode [`Comm::recv_checked`]
-/// panics on a crash notice itself, and nobody else aborts in band.
+/// Why a hop stopped before delivering its payload. Only survivable hops
+/// ever see one: without survivable mode [`Comm::recv_checked`] panics on a
+/// crash notice itself, and nobody else aborts in band.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Interrupt {
     /// A crash notice for this rank arrived on the awaited channel.
     Dead(usize),
-    /// The predecessor sent [`SV_ABORT`] instead of data.
+    /// The neighbour sent [`SV_ABORT`] instead of data (or of an ACK).
     Aborted,
 }
+
+/// The in-band abort: a one-byte message where data (or, on the control
+/// channel, an ACK) was due — the sender is tearing down this attempt and
+/// will meet the receiver at the agreement barrier instead. Unambiguous:
+/// every data payload holds at least one f32 or a stream header, and every
+/// ARQ frame is at least [`HEADER_LEN`] bytes.
+const SV_ABORT: u8 = 1;
 
 /// The framed stop-and-wait engine. Runs the outgoing transfer (`out`),
 /// the incoming transfer (`from`), or both interleaved; returns the
@@ -347,16 +296,17 @@ pub(crate) enum Interrupt {
 /// rank that has observed a death keeps serving its live peer (ACKing its
 /// data, or retransmitting until ACKed) before returning, so no survivor is
 /// left waiting on a rank that silently walked away. Only then is the
-/// interrupt reported (the incoming half's first). A message on the data tag
-/// too short to be a frame is the in-band [`SV_ABORT`]; it is not ACKed —
-/// the aborting sender is no longer listening.
+/// interrupt reported (the incoming half's first). A message too short to
+/// be a frame is the in-band [`SV_ABORT`] — on the data tag from a
+/// predecessor that tore down, on the control tag from a successor that
+/// did; it is not ACKed: the aborting rank is no longer listening.
 fn engine(
     comm: &mut Comm,
     res: &Resilience,
     tag: u64,
     mut out: Option<OutHalf<'_>>,
     from: Option<usize>,
-) -> Result<Option<(Vec<u8>, PayloadKind)>, Interrupt> {
+) -> Result<Option<Wire>, Interrupt> {
     let ctrl = ctrl_tag(tag);
     let mut attempts: u32 = 0;
     if let Some(o) = &mut out {
@@ -365,7 +315,7 @@ fn engine(
         comm.send_compressed(o.to, tag, frame, o.logical_bytes);
     }
     let mut incoming = Ok(None);
-    let mut out_dead = None;
+    let mut out_stop = None;
     let mut in_done = from.is_none();
     let mut out_done = out.is_none();
     while !(in_done && out_done) {
@@ -409,7 +359,13 @@ fn engine(
             let o = out.as_mut().expect("out half active");
             let frame = match comm.recv_checked(o.to, ctrl) {
                 Err(crash) => {
-                    out_dead = Some(Interrupt::Dead(crash.rank));
+                    out_stop = Some(Interrupt::Dead(crash.rank));
+                    out_done = true;
+                    continue;
+                }
+                Ok(got) if got.payload.len() < HEADER_LEN => {
+                    debug_assert_eq!(got.payload, [SV_ABORT]);
+                    out_stop = Some(Interrupt::Aborted);
                     out_done = true;
                     continue;
                 }
@@ -423,21 +379,21 @@ fn engine(
             } else if attempts > res.max_retries {
                 // out of retries: the reliable channel carries the frame —
                 // guaranteed valid, so this NACK was the last
-                match &mut o.exhausted {
-                    Exhausted::Degrade(fallback) => {
+                match &mut o.degrade {
+                    Some(fallback) => {
                         comm.mark("res:degraded-segment");
                         if o.kind == PayloadKind::Opaque {
                             o.payload = fallback(comm);
                             o.kind = PayloadKind::RawF32;
                         }
                     }
-                    Exhausted::Resend => comm.mark("rec:reliable-resend"),
+                    None => comm.mark("rec:reliable-resend"),
                 }
                 attempts += 1;
                 let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
                 comm.send_reliable(o.to, tag, frame, 0);
             } else {
-                let backoff = res.backoff_jittered(attempts, tag);
+                let backoff = res.backoff(attempts);
                 attempts += 1;
                 if backoff > 0.0 {
                     comm.advance_labeled(OpKind::Other, backoff, "res:backoff");
@@ -451,186 +407,169 @@ fn engine(
         }
     }
     let received = incoming?;
-    out_dead.map_or(Ok(received), Err)
+    out_stop.map_or(Ok(received), Err)
 }
 
-/// The edge of the fail-fast wrappers: an interrupt is the crash cascade
-/// a plain receive raises.
-fn fail_fast(comm: &Comm, interrupt: Interrupt) -> ! {
-    match interrupt {
-        Interrupt::Dead(rank) => panic!("rank {} observed crash of rank {rank}", comm.rank()),
-        Interrupt::Aborted => unreachable!("only survivable schedules abort in band"),
+/// The transport of a ring's hops, to the `right` neighbour and from the
+/// `left` one: plain, framed (every hop an ARQ exchange under a
+/// [`Resilience`]), or survivable — framed or not, on a communicator in
+/// survivable mode: a peer's death or in-band abort comes back as an
+/// [`Interrupt`] instead of a panic, and a sender out of retries resends the
+/// same bytes instead of degrading (survivors keep decoding identical bytes).
+pub(crate) struct Hop<'a> {
+    right: usize,
+    left: usize,
+    res: Option<&'a Resilience>,
+    survivable: bool,
+    /// The payload and logical bytes of the framed hop a [`Hop::send`]
+    /// opened. The ARQ engine must drive both directions of a hop jointly
+    /// (two one-way transfers around a ring deadlock on each other's ACK
+    /// wait), so the outgoing half waits here for [`Hop::recv`].
+    open: Option<(Wire, usize)>,
+}
+
+/// The fallback of a receive, and of a send only survivor rings make under
+/// framing (a ragged step's unpaired segment).
+fn no_fallback(_: &mut Comm) -> Vec<u8> {
+    unreachable!("only a paired or rooted send degrades")
+}
+
+impl<'a> Hop<'a> {
+    pub(crate) fn new(
+        right: usize,
+        left: usize,
+        res: Option<&'a Resilience>,
+        survivable: bool,
+    ) -> Hop<'a> {
+        Hop { right, left, res, survivable, open: None }
     }
-}
 
-/// Framed `sendrecv`: exchange `payload` with the ring neighbours under the
-/// ARQ protocol, both directions driven by one engine (unframed rings post
-/// the plain [`Comm::send_compressed`] / [`Comm::recv`] pair themselves).
-#[allow(clippy::too_many_arguments)] // mirrors Comm::sendrecv_compressed plus the resilience trio
-pub(crate) fn sendrecv_resilient(
-    comm: &mut Comm,
-    res: &Resilience,
-    to: usize,
-    tag: u64,
-    payload: Vec<u8>,
-    kind: PayloadKind,
-    logical_bytes: usize,
-    from: usize,
-    mut fallback: impl FnMut(&mut Comm) -> Vec<u8>,
-) -> (Vec<u8>, PayloadKind) {
-    let out =
-        OutHalf { to, payload, kind, logical_bytes, exhausted: Exhausted::Degrade(&mut fallback) };
-    engine(comm, res, tag, Some(out), Some(from))
-        .unwrap_or_else(|i| fail_fast(comm, i))
-        .expect("incoming half yields a payload")
-}
+    /// Post `wire` to the right neighbour: the first half of a hop the
+    /// matching [`Hop::recv`] completes (`paired`), or — a segment of a
+    /// ragged step no receive pairs with — a one-way transfer.
+    pub(crate) fn send(
+        &mut self,
+        comm: &mut Comm,
+        tag: u64,
+        wire: Wire,
+        logical: usize,
+        paired: bool,
+    ) -> Result<(), Interrupt> {
+        if paired && self.res.is_some() {
+            self.open = Some((wire, logical));
+            return Ok(());
+        }
+        self.send_to(comm, self.right, tag, wire, logical, no_fallback)
+    }
 
-/// Resilient one-directional send (gather/scatter hops). With `res == None`
-/// this is exactly [`Comm::send_compressed`].
-#[allow(clippy::too_many_arguments)] // mirrors Comm::send_compressed plus the resilience trio
-pub(crate) fn send_resilient(
-    comm: &mut Comm,
-    res: Option<&Resilience>,
-    to: usize,
-    tag: u64,
-    payload: Vec<u8>,
-    kind: PayloadKind,
-    logical_bytes: usize,
-    mut fallback: impl FnMut(&mut Comm) -> Vec<u8>,
-) {
-    match res {
-        None => comm.send_compressed(to, tag, payload, logical_bytes),
-        Some(res) => {
-            let out = OutHalf {
-                to,
-                payload,
-                kind,
-                logical_bytes,
-                exhausted: Exhausted::Degrade(&mut fallback),
-            };
-            engine(comm, res, tag, Some(out), None).unwrap_or_else(|i| fail_fast(comm, i));
+    /// Receive from the left neighbour, completing the hop a [`Hop::send`]
+    /// opened. `fallback` produces the raw-f32 replacement of the payload
+    /// just sent, should the framed transport run out of retries on it.
+    pub(crate) fn recv(
+        &mut self,
+        comm: &mut Comm,
+        tag: u64,
+        native: PayloadKind,
+        mut fallback: impl FnMut(&mut Comm) -> Vec<u8>,
+    ) -> Result<Wire, Interrupt> {
+        let out = self.open.take().map(|(wire, logical)| (self.right, wire, logical));
+        let got = self.run(comm, tag, out, Some(self.left), native, &mut fallback)?;
+        Ok(got.expect("incoming half yields a payload"))
+    }
+
+    /// One-way send to any rank (a gather or scatter hop).
+    pub(crate) fn send_to(
+        &self,
+        comm: &mut Comm,
+        to: usize,
+        tag: u64,
+        wire: Wire,
+        logical: usize,
+        mut fallback: impl FnMut(&mut Comm) -> Vec<u8>,
+    ) -> Result<(), Interrupt> {
+        let native = wire.1;
+        self.run(comm, tag, Some((to, wire, logical)), None, native, &mut fallback).map(drop)
+    }
+
+    /// One-way receive: the other end of a [`Hop::send_to`]. An unframed
+    /// payload is reported as `native`, the schedule's own wire format.
+    pub(crate) fn recv_from(
+        &self,
+        comm: &mut Comm,
+        from: usize,
+        tag: u64,
+        native: PayloadKind,
+    ) -> Result<Wire, Interrupt> {
+        let got = self.run(comm, tag, None, Some(from), native, &mut no_fallback)?;
+        Ok(got.expect("incoming half yields a payload"))
+    }
+
+    /// Tear this attempt down in band: tell the successor, on the tag of the
+    /// data it next awaits (`send`), that none is coming — and under framing
+    /// the predecessor, on the control tag of the frame it sends next
+    /// (`recv`), that no ACK is (an unframed send never blocks). Each abort
+    /// is consumed at a deterministic point of a neighbour's schedule; they
+    /// travel the reliable channel and are never ACKed.
+    pub(crate) fn abort(&self, comm: &mut Comm, send: Option<u64>, recv: Option<u64>) {
+        if let Some(tag) = send {
+            comm.send_reliable(self.right, tag, vec![SV_ABORT], 0);
+        }
+        if let Some(tag) = recv.filter(|_| self.res.is_some()) {
+            comm.send_reliable(self.left, ctrl_tag(tag), vec![SV_ABORT], 0);
         }
     }
-}
 
-/// Resilient one-directional receive. With `res == None` this is exactly
-/// [`Comm::recv`] (the payload is reported [`PayloadKind::Opaque`]: the
-/// schedule's native wire format).
-pub(crate) fn recv_resilient(
-    comm: &mut Comm,
-    res: Option<&Resilience>,
-    from: usize,
-    tag: u64,
-) -> (Vec<u8>, PayloadKind) {
-    match res {
-        None => (comm.recv(from, tag), PayloadKind::Opaque),
-        Some(res) => engine(comm, res, tag, None, Some(from))
-            .unwrap_or_else(|i| fail_fast(comm, i))
-            .expect("incoming half yields a payload"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Survivable (checked) transport — the data plane of `crate::survivable`
-// ---------------------------------------------------------------------------
-
-/// First payload byte of a survivable message: ordinary schedule data.
-pub(crate) const SV_DATA: u8 = 0;
-/// First payload byte of a survivable message: in-band abort — the sender
-/// is tearing down this attempt and will meet the receiver at the
-/// agreement barrier instead of sending the scheduled data.
-pub(crate) const SV_ABORT: u8 = 1;
-
-/// Send the one-byte in-band abort to `to` on `tag` — the tag of the data
-/// the receiver will next await from this rank, so the abort is consumed at
-/// a deterministic point of its schedule. Travels the reliable channel
-/// (aborts must not be droppable) and is never ACKed; under resilience it
-/// is unambiguous because every ARQ frame is at least [`HEADER_LEN`] bytes.
-pub(crate) fn sv_abort(comm: &mut Comm, to: usize, tag: u64) {
-    comm.send_reliable(to, tag, vec![SV_ABORT], 0);
-}
-
-/// Survivable ring exchange: send `payload` to `to` and receive the
-/// counterpart from `from` on the same `tag`, tolerating peer death and
-/// in-band aborts: an [`Interrupt`] comes back once both directions have
-/// settled (see [`engine`]), and the caller escalates it into the abort
-/// ripple (`crate::survivable`).
-///
-/// Retry exhaustion under recovery resends the *same* bytes on the
-/// reliable channel instead of degrading to raw f32: survivable group
-/// payloads are multi-segment containers whose wire format the group codec
-/// must see unchanged.
-pub(crate) fn sv_exchange(
-    comm: &mut Comm,
-    res: Option<&Resilience>,
-    to: usize,
-    from: usize,
-    tag: u64,
-    payload: &[u8],
-    logical_bytes: usize,
-) -> Result<Vec<u8>, Interrupt> {
-    let mut framed = Vec::with_capacity(1 + payload.len());
-    framed.push(SV_DATA);
-    framed.extend_from_slice(payload);
-    let got = match res {
-        None => {
-            comm.send_compressed(to, tag, framed, logical_bytes);
-            let got = comm.recv_checked(from, tag).map_err(|c| Interrupt::Dead(c.rank))?;
-            assert!(
-                !got.dropped,
-                "survivable exchanges need the resilient transport on lossy fabrics"
-            );
-            got.payload
+    /// Every transfer ends up here: the ARQ [`engine`] under a
+    /// [`Resilience`], the bare `Comm` calls without one.
+    fn run(
+        &self,
+        comm: &mut Comm,
+        tag: u64,
+        out: Option<(usize, Wire, usize)>,
+        from: Option<usize>,
+        native: PayloadKind,
+        fallback: Fallback<'_>,
+    ) -> Result<Option<Wire>, Interrupt> {
+        let got = match self.res {
+            Some(res) => {
+                let degrade = (!self.survivable).then_some(fallback);
+                let out = out.map(|(to, (payload, kind), logical_bytes)| OutHalf {
+                    to,
+                    payload,
+                    kind,
+                    logical_bytes,
+                    degrade,
+                });
+                engine(comm, res, tag, out, from)
+            }
+            None => {
+                if let Some((to, (payload, _), logical)) = out {
+                    comm.send_compressed(to, tag, payload, logical);
+                }
+                match from {
+                    None => Ok(None),
+                    Some(src) if !self.survivable => Ok(Some((comm.recv(src, tag), native))),
+                    Some(src) => match comm.recv_checked(src, tag) {
+                        Err(crash) => Err(Interrupt::Dead(crash.rank)),
+                        Ok(got) if got.payload == [SV_ABORT] => Err(Interrupt::Aborted),
+                        Ok(got) => {
+                            assert!(!got.dropped, "a lossy fabric needs the framed transport");
+                            Ok(Some((got.payload, native)))
+                        }
+                    },
+                }
+            }
+        };
+        if self.survivable {
+            return got;
         }
-        Some(res) => {
-            let (kind, exhausted) = (PayloadKind::Opaque, Exhausted::Resend);
-            let out = OutHalf { to, payload: framed, kind, logical_bytes, exhausted };
-            engine(comm, res, tag, Some(out), Some(from))?
-                .expect("incoming half yields a payload")
-                .0
-        }
-    };
-    match got.first() {
-        Some(&SV_ABORT) => Err(Interrupt::Aborted),
-        Some(&SV_DATA) => Ok(got[1..].to_vec()),
-        _ => unreachable!("survivable payloads always carry a kind prefix"),
+        // the fail-fast edge: an interrupt is the crash cascade a plain
+        // receive raises
+        got.map_err(|interrupt| match interrupt {
+            Interrupt::Dead(rank) => panic!("rank {} observed crash of rank {rank}", comm.rank()),
+            Interrupt::Aborted => unreachable!("only survivable schedules abort in band"),
+        })
     }
-}
-
-/// Pack per-segment wire bytes into one survivable group payload
-/// (`[u32 LE len][bytes]` per segment, ascending segment id).
-pub(crate) fn pack_sections(parts: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = parts.iter().map(|p| 4 + p.len()).sum();
-    let mut buf = Vec::with_capacity(total);
-    for p in parts {
-        buf.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        buf.extend_from_slice(p);
-    }
-    buf
-}
-
-/// Split a group payload back into its `count` per-segment sections. Total
-/// on arbitrary wire bytes: a short buffer, a length field reaching past the
-/// end, or bytes left over after the last section are typed errors.
-pub fn split_sections(buf: &[u8], count: usize) -> fzlight::Result<Vec<&[u8]>> {
-    let mut out = Vec::with_capacity(count.min(buf.len() / 4));
-    let mut rest = buf;
-    for _ in 0..count {
-        let truncated = |need| fzlight::Error::Truncated { need, have: buf.len() };
-        let consumed = buf.len() - rest.len();
-        let (len, body) = rest.split_first_chunk::<4>().ok_or(truncated(consumed + 4))?;
-        let len = u32::from_le_bytes(*len) as usize;
-        if len > body.len() {
-            return Err(truncated(consumed.saturating_add(4).saturating_add(len)));
-        }
-        let (section, tail) = body.split_at(len);
-        out.push(section);
-        rest = tail;
-    }
-    if !rest.is_empty() {
-        return Err(fzlight::Error::Corrupt("section table"));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -693,60 +632,6 @@ mod tests {
         assert_eq!(res.backoff(2), 10e-6);
         assert_eq!(res.backoff(3), 20e-6);
         assert_eq!(res.backoff(10), 80e-6, "capped at backoff_max_s");
-    }
-
-    #[test]
-    fn for_net_on_the_paper_fabric_is_exactly_the_default() {
-        assert_eq!(Resilience::for_net(&NetConfig::default()), Resilience::default());
-    }
-
-    #[test]
-    fn jitter_off_reproduces_the_constant_backoff_schedule() {
-        // the default (and an explicit zero) must be bit-identical to the
-        // historical constants — fault-free traces depend on it
-        for res in [Resilience::default(), Resilience::default().with_backoff_jitter(0.0, 1234)] {
-            for retry in 1..12 {
-                for salt in [0u64, 7, u64::MAX] {
-                    assert_eq!(res.backoff_jittered(retry, salt), res.backoff(retry));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn jitter_is_seeded_bounded_and_deterministic() {
-        let res = Resilience::default().with_backoff_jitter(0.5, 42);
-        let twin = Resilience::default().with_backoff_jitter(0.5, 42);
-        let other_seed = Resilience::default().with_backoff_jitter(0.5, 43);
-        let mut moved = 0;
-        for retry in 1..10 {
-            for salt in [3u64, 1 << 32, 99] {
-                let b = res.backoff(retry);
-                let j = res.backoff_jittered(retry, salt);
-                assert!(j >= b * 0.75 && j < b * 1.25, "jitter stays within the ±25% band");
-                assert_eq!(j, twin.backoff_jittered(retry, salt), "same seed replays exactly");
-                if j != b {
-                    moved += 1;
-                }
-                if j != other_seed.backoff_jittered(retry, salt) {
-                    moved += 1;
-                }
-            }
-        }
-        assert!(moved > 10, "jitter must actually perturb and depend on the seed");
-    }
-
-    #[test]
-    fn for_net_scales_the_virtual_time_constants_with_alpha() {
-        let mut wan = NetConfig::default();
-        wan.latency_s *= 10.0;
-        let res = Resilience::for_net(&wan);
-        let d = Resilience::default();
-        assert_eq!(res.max_retries, d.max_retries, "the retry budget is latency-independent");
-        assert_eq!(res.timeout_s, d.timeout_s * 10.0);
-        assert_eq!(res.backoff_base_s, d.backoff_base_s * 10.0);
-        assert_eq!(res.backoff_max_s, d.backoff_max_s * 10.0);
-        assert!(res.timeout_s > wan.latency_s, "a frame still in flight must not be declared lost");
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The ring schedule, written once (Sec. III-C): `N-1` reduce-scatter
 //! steps, `N-1` allgather steps, a gather to a root and a scatter from one —
 //! each a single loop over a [`Ring`] (who my neighbours are, which tags a
-//! step uses, whether hops are framed) and a [`SegCodec`] (what a step does
+//! step uses, which [`Hop`] carries it) and a [`SegCodec`] (what a step does
 //! to the bytes). Every collective in this crate is an instantiation:
 //!
 //! * the flat verbs of [`crate::collectives`] and the plans of
-//!   [`crate::auto`] go through [`run`] — the one verb × flavour dispatch;
+//!   [`crate::auto`] go through [`run`] — the one verb × flavour dispatch —
+//!   over [`Ring::flat`];
 //! * the hierarchical Allreduce ([`crate::hierarchy`]) is the same loops
-//!   over the node ring and the leader ring;
-//! * the self-healing ring (`crate::survivable`) keeps its own group/abort
-//!   loop — that is recovery code — over the same codec.
+//!   over [`Ring::node`] and [`Ring::leaders`];
+//! * the self-healing ring (`crate::survivable`) is the same loops over
+//!   [`Ring::survivors`], one attempt per membership epoch: an interrupted
+//!   hop ends a loop with a typed [`Stop`], which its recovery loop answers.
 //!
 //! ## Segments and the two schedules
 //!
@@ -24,12 +26,13 @@
 
 use crate::chunks::f32_to_bytes;
 use crate::codec::{DocCodec, HzCodec, RawCodec, SegCodec};
+use crate::collectives;
 use crate::config::CollectiveConfig;
-use crate::hierarchy;
-use crate::pipeline::{seg_count, seg_range, seg_tag};
-use crate::resilient::{
-    recv_resilient, send_resilient, sendrecv_resilient, PayloadKind, Resilience,
-};
+use crate::hierarchy::{self, TAG_HAG, TAG_HRING, TAG_HRS};
+use crate::membership::View;
+use crate::pipeline::{epoch_tag, seg_count, seg_range, seg_tag};
+use crate::resilient::{Hop, Interrupt, PayloadKind, Resilience, Wire};
+use crate::survivable;
 use fzlight::Result;
 use netsim::{Comm, Topology};
 use std::ops::Range;
@@ -40,11 +43,6 @@ pub(crate) const TAG_RS: u64 = 1 << 32;
 pub(crate) const TAG_AG: u64 = 2 << 32;
 pub(crate) const TAG_GATHER: u64 = 3 << 32;
 pub(crate) const TAG_SCATTER: u64 = 4 << 32;
-
-/// A received (or held) segment and the form it travels in: a hop that
-/// degraded under the framed transport delivers raw f32s, and the segment
-/// stays raw for the rest of its trip.
-type Wire = (Vec<u8>, PayloadKind);
 
 /// Which collective to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,91 +74,161 @@ impl Verb {
     }
 }
 
-/// One rank's view of a ring: its size and my position in it, my
-/// neighbours' global ranks, the tag sub-spaces of its two phases, and the
-/// transport its hops use.
+/// Which ring(s) a verb runs over.
+pub(crate) enum Over<'a> {
+    /// The flat ring over the whole communicator.
+    Flat,
+    /// Node rings around the leader ring (Allreduce only).
+    Tiers(&'a Topology),
+    /// The survivor rings of successive membership views, from the given
+    /// one until an attempt commits (`crate::survivable`; Allreduce and
+    /// Reduce_scatter only) — the committed view is left behind.
+    Survivors(&'a mut View),
+}
+
+/// What a ring loop returns.
+pub(crate) type Ran<T> = std::result::Result<T, Stop>;
+
+/// Why a ring loop ended early.
+#[derive(Debug)]
+pub(crate) enum Stop {
+    /// The codec refused a payload.
+    Codec(fzlight::Error),
+    /// A survivable hop was interrupted: a neighbour died or aborted in
+    /// band. `send` / `recv` are the tags this rank was next due on (`None`:
+    /// the loop had no further hop) — where its neighbours now wait for it
+    /// ([`Hop::abort`]). Plain and framed hops fail fast instead.
+    Interrupted { send: Option<u64>, recv: Option<u64> },
+}
+
+impl From<fzlight::Error> for Stop {
+    fn from(e: fzlight::Error) -> Stop {
+        Stop::Codec(e)
+    }
+}
+
+/// An interrupted gather or scatter hop: no neighbour waits on a later tag.
+impl From<Interrupt> for Stop {
+    fn from(_: Interrupt) -> Stop {
+        Stop::Interrupted { send: None, recv: None }
+    }
+}
+
+impl Stop {
+    /// A hop interrupted at segment `k` of step `step` (the phase's `last`?)
+    /// under tag `base`, where this rank sends `nsend` segments, receives
+    /// `nrecv`.
+    fn at(base: u64, step: usize, last: bool, k: usize, nsend: usize, nrecv: usize) -> Stop {
+        let next = |n: usize| match (k + 1 < n, last) {
+            (true, _) => Some(seg_tag(base, step, k + 1)),
+            (false, false) => Some(seg_tag(base, step + 1, 0)),
+            (false, true) => None,
+        };
+        Stop::Interrupted { send: next(nsend), recv: next(nrecv) }
+    }
+
+    /// The same stop when another phase follows the interrupted one: past
+    /// the last hop, `first` — that phase's first tag — was due next.
+    pub(crate) fn before(self, first: Option<u64>) -> Stop {
+        match self {
+            Stop::Interrupted { send, recv } => {
+                Stop::Interrupted { send: send.or(first), recv: recv.or(first) }
+            }
+            stop => stop,
+        }
+    }
+}
+
+/// The error of a loop over fail-fast hops.
+impl From<Stop> for collectives::Error {
+    fn from(stop: Stop) -> collectives::Error {
+        match stop {
+            Stop::Codec(e) => e.into(),
+            Stop::Interrupted { .. } => unreachable!("plain and framed hops fail fast"),
+        }
+    }
+}
+
+/// One rank's view of a ring: its size and my position in it, the tag
+/// sub-spaces of its two phases, and the [`Hop`] to and from my neighbours.
 pub(crate) struct Ring<'a> {
     pub(crate) size: usize,
     pub(crate) pos: usize,
-    right: usize,
-    left: usize,
     rs_tag: u64,
     ag_tag: u64,
     /// First step id of the allgather phase (non-zero when both phases
     /// share one tag base).
     ag_step0: usize,
-    res: Option<&'a Resilience>,
-    /// The framed transport's outgoing half of the current hop. The ARQ
-    /// engine must drive both directions of a hop jointly (two one-way
-    /// transfers around a ring deadlock on each other's ACK wait), so a
-    /// framed [`Ring::send`] parks the payload and the matching
-    /// [`Ring::recv`] runs the exchange.
-    parked: Option<(Vec<u8>, PayloadKind, usize)>,
+    pub(crate) hop: Hop<'a>,
 }
 
 impl<'a> Ring<'a> {
-    /// A ring over explicit neighbours with unframed hops.
-    #[allow(clippy::too_many_arguments)] // a plain descriptor
-    pub(crate) fn new(
+    /// Position `pos` of the `size`-cycle whose position `p` is global rank
+    /// `at(p)`, on the flat ring's tags; fail-fast hops unless `survivable`.
+    fn cycle(
         size: usize,
         pos: usize,
-        right: usize,
-        left: usize,
-        rs_tag: u64,
-        ag_tag: u64,
-        ag_step0: usize,
+        at: impl Fn(usize) -> usize,
+        res: Option<&'a Resilience>,
+        survivable: bool,
     ) -> Ring<'a> {
-        Ring { size, pos, right, left, rs_tag, ag_tag, ag_step0, res: None, parked: None }
+        let hop = Hop::new(at((pos + 1) % size), at((pos + size - 1) % size), res, survivable);
+        Ring { size, pos, rs_tag: TAG_RS, ag_tag: TAG_AG, ag_step0: 0, hop }
     }
 
     /// The flat ring over the whole communicator (position = rank).
-    fn flat(comm: &Comm, res: Option<&'a Resilience>) -> Ring<'a> {
-        let (n, r) = (comm.size(), comm.rank());
-        Ring { res, ..Ring::new(n, r, (r + 1) % n, (r + n - 1) % n, TAG_RS, TAG_AG, 0) }
+    pub(crate) fn flat(comm: &Comm, res: Option<&'a Resilience>) -> Ring<'a> {
+        Ring::cycle(comm.size(), comm.rank(), |p| p, res, false)
     }
 
-    /// Post segment `seg` of a step towards the right neighbour.
-    fn send(&mut self, comm: &mut Comm, tag: u64, (payload, kind): Wire, logical: usize) {
-        match self.res {
-            None => comm.send_compressed(self.right, tag, payload, logical),
-            Some(_) => self.parked = Some((payload, kind, logical)),
-        }
+    /// `rank`'s node ring: the `ppn` ranks of its node, by local index.
+    pub(crate) fn node(topo: &Topology, rank: usize, res: Option<&'a Resilience>) -> Ring<'a> {
+        let base = topo.node_of(rank) * topo.ppn;
+        let ring = Ring::cycle(topo.ppn, topo.local_index(rank), |p| base + p, res, false);
+        Ring { rs_tag: TAG_HRS, ag_tag: TAG_HAG, ..ring }
     }
 
-    /// Receive the matching segment from the left neighbour. `fallback`
-    /// produces the raw-f32 replacement of the payload just sent, should
-    /// the framed transport run out of retries on it.
-    fn recv(
-        &mut self,
-        comm: &mut Comm,
-        tag: u64,
-        native: PayloadKind,
-        fallback: impl FnMut(&mut Comm) -> Vec<u8>,
-    ) -> Wire {
-        match self.res {
-            None => (comm.recv(self.left, tag), native),
-            Some(res) => {
-                let (payload, kind, logical) =
-                    self.parked.take().expect("a framed hop sends before it receives");
-                sendrecv_resilient(
-                    comm, res, self.right, tag, payload, kind, logical, self.left, fallback,
-                )
-            }
-        }
+    /// `rank`'s leader ring: the ranks sharing its local index, one per
+    /// node; one tag base, allgather steps at ids `nodes-1..2(nodes-1)`.
+    pub(crate) fn leaders(topo: &Topology, rank: usize, res: Option<&'a Resilience>) -> Ring<'a> {
+        let (nodes, li) = (topo.nodes, topo.local_index(rank));
+        let ring = Ring::cycle(nodes, topo.node_of(rank), |p| p * topo.ppn + li, res, false);
+        Ring { rs_tag: TAG_HRING, ag_tag: TAG_HRING, ag_step0: nodes - 1, ..ring }
+    }
+
+    /// `rank`'s ring over the members of `view` (position = virtual rank),
+    /// on tags salted with the view's epoch — traffic of a torn-down attempt
+    /// can never match a repaired one — and over survivable hops.
+    pub(crate) fn survivors(view: &View, rank: usize, res: Option<&'a Resilience>) -> Ring<'a> {
+        let pos = view.vrank(rank).expect("only members run attempts");
+        let ring = Ring::cycle(view.len(), pos, |p| view.members[p], res, true);
+        let salted = |base| epoch_tag(base, 0, 0, view.epoch);
+        Ring { rs_tag: salted(TAG_RS), ag_tag: salted(TAG_AG), ..ring }
+    }
+
+    /// The tag of the allgather's first hop.
+    pub(crate) fn first_ag_tag(&self) -> u64 {
+        seg_tag(self.ag_tag, self.ag_step0, 0)
     }
 }
 
-/// Where the chunks and segments of a ring's vector fall: `total` elements
-/// over `parts` node chunks ([`crate::chunks::node_chunks`]), each cut per
-/// [`crate::pipeline::seg_ranges`] — computed on demand, so a 128-rank ring
-/// allocates no per-call segment table (and an unsegmented one divides
-/// nothing per step).
+/// Where the chunks and segments of a ring's vector fall, computed on
+/// demand — a 128-rank ring allocates no per-call segment table. `total`
+/// elements are cut into `cells` and the cells grouped into one chunk per
+/// ring position, both by [`crate::chunks::node_chunks`]'s rule:
+/// [`Layout::new`] has one cell per chunk, cut into block-aligned segments
+/// ([`crate::pipeline::seg_ranges`]); in the view-shaped
+/// [`Layout::regrouped`] the cells are the launch segments, chunk `g` is
+/// survivor group `g`, and its segments are its cells.
 #[derive(Clone, Copy)]
 pub(crate) struct Layout {
     pub(crate) total: usize,
     parts: usize,
-    /// Elements per chunk; the last chunk absorbs the remainder.
+    cells: usize,
+    /// Elements per cell and cells per chunk; the last of each absorbs the
+    /// remainder.
     base: usize,
+    per: usize,
     segments: usize,
     block_len: usize,
     /// More than one segment per step was *requested* (even if a short
@@ -172,17 +240,37 @@ pub(crate) struct Layout {
 impl Layout {
     pub(crate) fn new(total: usize, parts: usize, segments: usize, block_len: usize) -> Layout {
         let segments = segments.max(1);
-        Layout { total, parts, base: total / parts, segments, block_len, pipelined: segments > 1 }
+        let (cells, base, per) = (parts, total / parts, 1);
+        Layout { total, parts, cells, base, per, segments, block_len, pipelined: segments > 1 }
+    }
+
+    /// `n0` launch segments regrouped over `m` survivors. Always the
+    /// overlap-friendly schedule: a group's launch segments are prepared,
+    /// decoded and forwarded one by one, behind each other's wire time.
+    pub(crate) fn regrouped(total: usize, n0: usize, m: usize) -> Layout {
+        let (base, per) = (total / n0, n0 / m);
+        Layout { total, parts: m, cells: n0, base, per, segments: 1, block_len: 1, pipelined: true }
+    }
+
+    /// The cells of chunk `idx`.
+    fn group(&self, idx: usize) -> Range<usize> {
+        let start = idx * self.per;
+        start..if idx == self.parts - 1 { self.cells } else { start + self.per }
+    }
+
+    fn cell(&self, id: usize) -> Range<usize> {
+        let start = id * self.base;
+        start..if id == self.cells - 1 { self.total } else { start + self.base }
     }
 
     pub(crate) fn chunk(&self, idx: usize) -> Range<usize> {
-        let start = idx * self.base;
-        start..if idx == self.parts - 1 { self.total } else { start + self.base }
+        let cells = self.group(idx);
+        self.cell(cells.start).start..self.cell(cells.end - 1).end
     }
 
     fn nsegs(&self, idx: usize) -> usize {
         if self.segments == 1 {
-            return 1;
+            return self.group(idx).len();
         }
         seg_count(self.chunk(idx).len(), self.segments, self.block_len)
     }
@@ -194,9 +282,15 @@ impl Layout {
 
     fn seg(&self, idx: usize, k: usize) -> Range<usize> {
         if self.segments == 1 {
-            return self.chunk(idx);
+            return self.cell(self.slot(idx, k));
         }
         seg_range(&self.chunk(idx), self.segments, self.block_len, k)
+    }
+
+    /// Where a caller that keeps own operands keeps segment `k` of chunk
+    /// `idx`'s: its cell id (unsegmented layouts only).
+    fn slot(&self, idx: usize, k: usize) -> usize {
+        self.group(idx).start + k
     }
 }
 
@@ -211,61 +305,75 @@ pub(crate) fn reduce_scatter<C: SegCodec>(
     codec: &C,
     data: &[f32],
     lay: &Layout,
-) -> Result<Vec<C::Acc>> {
+    kept: &mut Vec<Option<C::Operand>>,
+) -> Ran<Vec<C::Acc>> {
     let (n, pos) = (ring.size, ring.pos);
     // pipelined site 1: the paper prepares all N own chunks up front (one
     // CPR sweep) and holds them until the reduction is over — freeing them
     // one by one would fragment the heap the allgather is about to fill;
     // the pipelined schedule prepares each segment just in time, behind
-    // the wire (`primed` stays empty)
-    let mut primed = Vec::new();
+    // the wire: for one use (`kept` stays empty), or into the slot of a
+    // caller that keeps one per cell — the recovery loop, across epochs, so
+    // a repair recompresses nothing
     if !lay.pipelined {
-        primed = codec.prime(comm, data, (0..n).map(|idx| lay.chunk(idx)))?;
+        *kept = codec.prime(comm, data, (0..n).map(|idx| lay.chunk(idx)))?;
     }
+    let prepare = |comm: &mut Comm, kept: &mut [Option<C::Operand>], idx: usize, k: usize| {
+        let slot = kept.get_mut(lay.slot(idx, k)).filter(|_| lay.pipelined);
+        match slot {
+            Some(Some(_)) => comm.mark("rec:stream-cache-hit"),
+            Some(slot) => *slot = codec.operand(comm, data, &lay.seg(idx, k))?,
+            None if lay.pipelined => return codec.operand(comm, data, &lay.seg(idx, k)),
+            None => {}
+        }
+        Ok(None)
+    };
     let first = (pos + n - 1) % n;
     let mut acc = Vec::with_capacity(lay.max_nsegs());
     for k in 0..lay.nsegs(first) {
-        let rng = lay.seg(first, k);
-        let operand = match primed.get_mut(first) {
-            Some(own) => own.take(),
-            None => codec.operand(comm, data, &rng)?,
-        };
-        acc.push(codec.seed(data, &rng, operand));
+        let staged = prepare(comm, kept, first, k)?;
+        let operand = staged.or_else(|| kept.get(lay.slot(first, k))?.clone());
+        acc.push(codec.seed(data, &lay.seg(first, k), operand));
     }
     let mut next = Vec::with_capacity(lay.max_nsegs());
     for s in 0..n - 1 {
         let send_idx = (pos + 2 * n - s - 1) % n;
         let recv_idx = (pos + 2 * n - s - 2) % n;
-        let s_recv = lay.nsegs(recv_idx);
+        let (base, s_send, s_recv) = (ring.rs_tag, acc.len(), lay.nsegs(recv_idx));
         // fold segment k of the arriving chunk into the own contribution
-        let fold = |comm: &mut Comm, (wire, kind): Wire, staged: Option<C::Operand>, k| {
-            let operand = staged.as_ref().or(primed.get(recv_idx).and_then(Option::as_ref));
-            codec.fold(comm, wire, kind, data, &lay.seg(recv_idx, k), operand)
+        let fold = |comm: &mut Comm,
+                    kept: &[Option<C::Operand>],
+                    (wire, kind): Wire,
+                    staged: Option<C::Operand>,
+                    k: usize| {
+            let held = kept.get(lay.slot(recv_idx, k)).and_then(Option::as_ref);
+            let rng = lay.seg(recv_idx, k);
+            codec.fold(comm, wire, kind, data, &rng, staged.as_ref().or(held))
         };
         let mut arrived: Option<(Wire, Option<C::Operand>)> = None;
         for k in 0..acc.len().max(s_recv) {
-            let tag = seg_tag(ring.rs_tag, s, k);
+            let tag = seg_tag(base, s, k);
+            let stop = move |_| Stop::at(base, s, s + 2 == n, k, s_send, s_recv);
             if k < acc.len() {
-                let wire = codec.encode(comm, &acc[k])?;
-                ring.send(comm, tag, (wire, C::WIRE), lay.seg(send_idx, k).len() * 4);
+                let wire = (codec.encode(comm, &acc[k])?, C::WIRE);
+                let logical = lay.seg(send_idx, k).len() * 4;
+                ring.hop.send(comm, tag, wire, logical, k < s_recv).map_err(stop)?;
             }
             if k < s_recv {
                 // the own operand and the previous segment's fold both hide
                 // behind segment k's wire time
-                let mut staged = None;
-                if primed.is_empty() {
-                    staged = codec.operand(comm, data, &lay.seg(recv_idx, k))?;
-                }
+                let staged = prepare(comm, kept, recv_idx, k)?;
                 if let Some((wire, operand)) = arrived.take() {
-                    next.push(fold(comm, wire, operand, k - 1)?);
+                    next.push(fold(comm, kept, wire, operand, k - 1)?);
                 }
                 // (only a framed hop — one segment, just sent — degrades)
-                let wire = ring.recv(comm, tag, C::WIRE, |c| codec.degrade(c, &acc[k]));
+                let degraded = |c: &mut Comm| codec.degrade(c, &acc[k]);
+                let wire = ring.hop.recv(comm, tag, C::WIRE, degraded).map_err(stop)?;
                 arrived = Some((wire, staged));
             }
         }
         let (wire, operand) = arrived.expect("every chunk has a segment");
-        next.push(fold(comm, wire, operand, s_recv - 1)?);
+        next.push(fold(comm, kept, wire, operand, s_recv - 1)?);
         std::mem::swap(&mut acc, &mut next);
         next.clear();
     }
@@ -293,7 +401,7 @@ fn settle<C: SegCodec>(
 }
 
 /// Decode chunk `idx`'s segments into `out` (indexed from element `base`).
-fn install_chunk<C: SegCodec>(
+pub(crate) fn install_chunk<C: SegCodec>(
     comm: &mut Comm,
     codec: &C,
     segs: &mut [Wire],
@@ -321,7 +429,7 @@ pub(crate) fn allgather<C: SegCodec>(
     lay: &Layout,
     own: Option<Vec<Wire>>,
     out: &mut [f32],
-) -> Result<()> {
+) -> Ran<()> {
     let (n, pos) = (ring.size, ring.pos);
     // pipelined site 2: under the paper schedule a hop-by-hop codec
     // re-encodes what it forwards from the output buffer every step;
@@ -369,15 +477,17 @@ pub(crate) fn allgather<C: SegCodec>(
         if !recode {
             held[idx * smax + k] = Some((wire, kind));
         }
-        Ok(())
+        Ok::<(), Stop>(())
     };
     for s in 0..n - 1 {
         let send_idx = (pos + n - s) % n;
         let recv_idx = (pos + 2 * n - s - 1) % n;
         let (s_send, s_recv) = (lay.nsegs(send_idx), lay.nsegs(recv_idx));
+        let (base, step) = (ring.ag_tag, ring.ag_step0 + s);
         let mut arrived: Option<Wire> = None;
         for k in 0..s_send.max(s_recv) {
-            let tag = seg_tag(ring.ag_tag, ring.ag_step0 + s, k);
+            let tag = seg_tag(base, step, k);
+            let stop = move |_| Stop::at(base, step, s + 2 == n, k, s_send, s_recv);
             if k < s_send {
                 let rng = lay.seg(send_idx, k);
                 let wire = if recode {
@@ -389,18 +499,18 @@ pub(crate) fn allgather<C: SegCodec>(
                     let wire = if decode_last { slot.clone() } else { slot.take() };
                     wire.expect("the chunk to forward has arrived")
                 };
-                ring.send(comm, tag, wire, rng.len() * 4);
+                ring.hop.send(comm, tag, wire, rng.len() * 4, k < s_recv).map_err(stop)?;
             }
             if k < s_recv {
                 if let Some(wire) = arrived.take() {
                     keep(comm, out, &mut held, wire, recv_idx, k - 1)?;
                 }
                 // (only a framed hop — one segment, just sent — degrades)
-                arrived =
-                    Some(ring.recv(comm, tag, C::WIRE, |c| match held.get(send_idx * smax + k) {
-                        Some(Some((bytes, _))) => codec.degrade_wire(c, bytes),
-                        _ => f32_to_bytes(&out[lay.seg(send_idx, k)]),
-                    }));
+                let degraded = |c: &mut Comm| match held.get(send_idx * smax + k) {
+                    Some(Some((bytes, _))) => codec.degrade_wire(c, bytes),
+                    _ => f32_to_bytes(&out[lay.seg(send_idx, k)]),
+                };
+                arrived = Some(ring.hop.recv(comm, tag, C::WIRE, degraded).map_err(stop)?);
             }
         }
         let wire = arrived.expect("every chunk has a segment");
@@ -425,9 +535,9 @@ pub(crate) fn allreduce<C: SegCodec>(
     codec: &C,
     data: &[f32],
     segments: usize,
-) -> Result<Vec<f32>> {
+) -> Ran<Vec<f32>> {
     let lay = Layout::new(data.len(), ring.size, segments, codec.block_len());
-    let accs = reduce_scatter(comm, ring, codec, data, &lay)?;
+    let accs = reduce_scatter(comm, ring, codec, data, &lay, &mut Vec::new())?;
     let mut out = vec![0f32; data.len()];
     let own = settle(codec, accs, &lay, ring.pos, &mut out, 0);
     allgather(comm, ring, codec, &lay, own, &mut out)?;
@@ -443,15 +553,13 @@ fn gather<C: SegCodec>(
     lay: &Layout,
     accs: Vec<C::Acc>,
     root: usize,
-) -> Result<Vec<f32>> {
+) -> Ran<Vec<f32>> {
     let (n, pos) = (ring.size, ring.pos);
     if pos != root {
         for (k, acc) in accs.iter().enumerate() {
-            let wire = codec.encode(comm, acc)?;
+            let wire = (codec.encode(comm, acc)?, C::WIRE);
             let (tag, logical) = (seg_tag(TAG_GATHER, pos, k), lay.seg(pos, k).len() * 4);
-            send_resilient(comm, ring.res, root, tag, wire, C::WIRE, logical, |c| {
-                codec.degrade(c, acc)
-            });
+            ring.hop.send_to(comm, root, tag, wire, logical, |c| codec.degrade(c, acc))?;
         }
         return Ok(Vec::new());
     }
@@ -461,7 +569,8 @@ fn gather<C: SegCodec>(
     }
     for src in (0..n).filter(|&src| src != root) {
         for k in 0..lay.nsegs(src) {
-            let (wire, kind) = recv_resilient(comm, ring.res, src, seg_tag(TAG_GATHER, src, k));
+            let (wire, kind) =
+                ring.hop.recv_from(comm, src, seg_tag(TAG_GATHER, src, k), C::WIRE)?;
             codec.install(comm, wire, kind, &mut out[lay.seg(src, k)])?;
         }
     }
@@ -480,7 +589,7 @@ fn scatter<C: SegCodec>(
     data: &[f32],
     root: usize,
     out: &mut [f32],
-) -> Result<Option<Vec<Wire>>> {
+) -> Ran<Option<Vec<Wire>>> {
     let (n, pos) = (ring.size, ring.pos);
     let keep = codec.forwards_verbatim();
     let mut own = Vec::new();
@@ -489,16 +598,15 @@ fn scatter<C: SegCodec>(
         for dst in (0..n).filter(|&dst| keep || dst != root) {
             for k in 0..lay.nsegs(dst) {
                 let rng = lay.seg(dst, k);
-                let wire = codec.pack(comm, &data[rng.clone()])?;
+                let wire = (codec.pack(comm, &data[rng.clone()])?, C::WIRE);
                 if dst == root {
-                    own.push((wire, C::WIRE));
+                    own.push(wire);
                     continue;
                 }
                 let (tag, logical) = (seg_tag(TAG_SCATTER, dst, k), rng.len() * 4);
                 // the root still holds the raw chunk — no DPR needed
-                send_resilient(comm, ring.res, dst, tag, wire, C::WIRE, logical, |_| {
-                    f32_to_bytes(&data[rng.clone()])
-                });
+                let raw = |_: &mut Comm| f32_to_bytes(&data[rng.clone()]);
+                ring.hop.send_to(comm, dst, tag, wire, logical, raw)?;
             }
         }
         if !keep {
@@ -506,7 +614,8 @@ fn scatter<C: SegCodec>(
         }
     } else {
         for k in 0..lay.nsegs(pos) {
-            let (wire, kind) = recv_resilient(comm, ring.res, root, seg_tag(TAG_SCATTER, pos, k));
+            let (wire, kind) =
+                ring.hop.recv_from(comm, root, seg_tag(TAG_SCATTER, pos, k), C::WIRE)?;
             if keep {
                 own.push((wire, kind));
             } else {
@@ -517,8 +626,7 @@ fn scatter<C: SegCodec>(
     Ok(keep.then_some(own))
 }
 
-/// Run `verb` with `codec`: two-tier when a `topology` is given, over the
-/// flat ring otherwise.
+/// Run `verb` with `codec` over the ring(s) `over` names.
 fn run_with<C: SegCodec>(
     comm: &mut Comm,
     codec: C,
@@ -526,24 +634,34 @@ fn run_with<C: SegCodec>(
     data: &[f32],
     cfg: &CollectiveConfig,
     segments: usize,
-    topology: Option<&Topology>,
-) -> Result<Vec<f32>> {
-    if let Some(topo) = topology {
-        debug_assert_eq!(verb, Verb::Allreduce, "only Allreduce has a two-tier schedule");
-        return hierarchy::allreduce(comm, data, topo, cfg.mode.threads(), &codec);
+    over: Over<'_>,
+) -> collectives::Result<Vec<f32>> {
+    let (codec, res) = (&codec, cfg.res.as_ref());
+    match over {
+        Over::Flat => {}
+        Over::Tiers(topo) => {
+            debug_assert_eq!(verb, Verb::Allreduce, "only Allreduce has a two-tier schedule");
+            return Ok(hierarchy::allreduce(comm, data, topo, cfg.mode.threads(), codec, res)?);
+        }
+        Over::Survivors(view) => {
+            debug_assert!(matches!(verb, Verb::Allreduce | Verb::ReduceScatter));
+            return survivable::recover(comm, codec, data, res, verb == Verb::Allreduce, view);
+        }
     }
-    // The framed transport runs each hop as one joint ARQ exchange (see
-    // `Ring::parked`), which cannot interleave segments: resilience ⇒ S = 1.
-    let res = cfg.res.as_ref();
+    // A framed hop is one stop-and-wait exchange, posted when its receive
+    // runs and over when both directions are ACKed: segments could overlap
+    // nothing with the wire (and the unpaired ones of a ragged step would
+    // have nothing to degrade with). Resilience ⇒ S = 1, until the exchange
+    // is a sliding window.
     let segments = if res.is_some() { 1 } else { segments };
-    let (ring, codec) = (&mut Ring::flat(comm, res), &codec);
+    let ring = &mut Ring::flat(comm, res);
     let (n, pos, block_len) = (ring.size, ring.pos, codec.block_len());
     let layout = |total| Layout::new(total, n, segments, block_len);
-    match verb {
+    let ran: Ran<Vec<f32>> = match verb {
         Verb::Allreduce => allreduce(comm, ring, codec, data, segments),
         Verb::ReduceScatter => {
             let lay = layout(data.len());
-            let accs = reduce_scatter(comm, ring, codec, data, &lay)?;
+            let accs = reduce_scatter(comm, ring, codec, data, &lay, &mut Vec::new())?;
             let chunk = lay.chunk(pos);
             let mut out = vec![0f32; chunk.len()];
             if let Some(mut segs) = settle(codec, accs, &lay, pos, &mut out, chunk.start) {
@@ -554,7 +672,7 @@ fn run_with<C: SegCodec>(
         }
         Verb::Reduce { root } => {
             let lay = layout(data.len());
-            let accs = reduce_scatter(comm, ring, codec, data, &lay)?;
+            let accs = reduce_scatter(comm, ring, codec, data, &lay, &mut Vec::new())?;
             gather(comm, ring, codec, &lay, accs, root)
         }
         Verb::Bcast { root, total_len } => {
@@ -576,12 +694,12 @@ fn run_with<C: SegCodec>(
             allgather(comm, ring, codec, &lay, None, &mut out)?;
             Ok(out)
         }
-    }
+    };
+    Ok(ran?)
 }
 
 /// The one verb × flavour dispatch: run `verb` in `flavor`'s workflow at
-/// the requested `segments` count (two-tier over `topology`, Allreduce
-/// only).
+/// the requested `segments` count over the ring(s) `over` names.
 pub(crate) fn run(
     comm: &mut Comm,
     verb: Verb,
@@ -589,14 +707,14 @@ pub(crate) fn run(
     data: &[f32],
     cfg: &CollectiveConfig,
     segments: usize,
-    topology: Option<&Topology>,
-) -> Result<Vec<f32>> {
+    over: Over<'_>,
+) -> collectives::Result<Vec<f32>> {
     match flavor {
         Flavor::Mpi => {
             let codec = RawCodec::mpi(cfg.mode.threads());
-            run_with(comm, codec, verb, data, cfg, segments, topology)
+            run_with(comm, codec, verb, data, cfg, segments, over)
         }
-        Flavor::CColl => run_with(comm, DocCodec::ccoll(cfg), verb, data, cfg, segments, topology),
+        Flavor::CColl => run_with(comm, DocCodec::ccoll(cfg), verb, data, cfg, segments, over),
         Flavor::Hzccl => {
             let codec = match verb {
                 Verb::Reduce { .. } => {
@@ -605,7 +723,7 @@ pub(crate) fn run(
                 Verb::Bcast { .. } => HzCodec::new(cfg, "hz:bcast-compress", "hz:bcast-decompress"),
                 _ => HzCodec::reducing(cfg),
             };
-            run_with(comm, codec, verb, data, cfg, segments, topology)
+            run_with(comm, codec, verb, data, cfg, segments, over)
         }
     }
 }
@@ -617,9 +735,9 @@ pub(crate) fn allreduce_p2p(
     comm: &mut Comm,
     data: &[f32],
     cfg: &CollectiveConfig,
-) -> Result<Vec<f32>> {
+) -> collectives::Result<Vec<f32>> {
     let ring = &mut Ring::flat(comm, cfg.res.as_ref());
-    allreduce(comm, ring, &DocCodec::p2p(cfg), data, 1)
+    Ok(allreduce(comm, ring, &DocCodec::p2p(cfg), data, 1)?)
 }
 
 #[cfg(test)]
@@ -686,7 +804,7 @@ mod tests {
         segments: usize,
     ) -> Vec<f32> {
         let cfg = CollectiveConfig::new(EB, mode);
-        run(comm, verb, flavor, data, &cfg, segments, None).expect("ring verb")
+        run(comm, verb, flavor, data, &cfg, segments, Over::Flat).expect("ring verb")
     }
 
     #[test]
@@ -701,6 +819,22 @@ mod tests {
                 assert_eq!(lay.nsegs(idx), want.len());
                 for (k, rng) in want.into_iter().enumerate() {
                     assert_eq!(lay.seg(idx, k), rng);
+                }
+            }
+        }
+        // the view-shaped form: n0 launch segments regrouped over m
+        // survivors — chunk g is the union of group g's launch segments,
+        // which are its ring segments
+        for (n0, m) in [(8usize, 8usize), (8, 7), (8, 3), (5, 1)] {
+            let (lay, launch) = (Layout::regrouped(4001, n0, m), node_chunks(4001, n0));
+            let groups = node_chunks(n0, m);
+            assert_eq!(lay.max_nsegs(), groups.iter().map(|g| g.len()).max().unwrap());
+            for (g, group) in groups.into_iter().enumerate() {
+                assert_eq!(lay.chunk(g), launch[group.start].start..launch[group.end - 1].end);
+                assert_eq!(lay.nsegs(g), group.len(), "the last survivor absorbs the extras");
+                for (k, id) in group.enumerate() {
+                    assert_eq!(lay.seg(g, k), launch[id]);
+                    assert_eq!(lay.slot(g, k), id);
                 }
             }
         }
@@ -977,8 +1111,8 @@ mod tests {
                     .collect();
                 match which {
                     0 => allreduce_p2p(comm, &data, &cfg),
-                    1 => run(comm, Verb::Allreduce, Flavor::CColl, &data, &cfg, 1, None),
-                    _ => run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, None),
+                    1 => run(comm, Verb::Allreduce, Flavor::CColl, &data, &cfg, 1, Over::Flat),
+                    _ => run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, Over::Flat),
                 }
                 .expect("allreduce");
                 comm.breakdown().cpr

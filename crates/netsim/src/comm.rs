@@ -77,14 +77,6 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking variant of [`Endpoint::recv_next`] (the probe path).
-    fn try_recv_next(&self) -> Option<Message> {
-        match self {
-            Endpoint::Threads { rx, .. } => rx.try_recv().ok(),
-            Endpoint::Events(ep) => ep.try_recv_next(),
-        }
-    }
-
     /// Poison every peer's inbox with a crash notice from `rank`.
     fn crash_broadcast(&self, rank: usize, clock: f64) {
         match self {
@@ -280,7 +272,7 @@ impl Comm {
     }
 
     /// Switch survivable mode on or off. While on, observed peer crashes are
-    /// recorded (see [`Comm::recv_checked`], [`Comm::known_dead`]) instead of
+    /// recorded (see [`Comm::recv_checked`]) instead of
     /// panicking, and sends to finished peers are discarded instead of
     /// asserting — the substrate the self-healing collective layer builds
     /// on. The default (`false`) keeps every code path byte-identical to the
@@ -292,13 +284,6 @@ impl Comm {
     /// Whether survivable mode is active.
     pub fn survivable(&self) -> bool {
         self.survivable
-    }
-
-    /// The ranks this rank has observed to be dead, ascending (survivable
-    /// mode only; a subset of the truly-dead ranks — a crash is observed only
-    /// when its notice is consumed by this rank's own receive sequence).
-    pub fn known_dead(&self) -> Vec<usize> {
-        self.dead.iter().copied().collect()
     }
 
     /// Reset the virtual clock, breakdown and recorded events (e.g. after a
@@ -543,35 +528,6 @@ impl Comm {
         let wire_bytes = msg.payload.len();
         self.record(|| Event::Recv { t, from, tag, wire_bytes, wait_secs: wait });
         Ok(RecvMsg { payload: msg.payload, dropped: msg.status == MsgStatus::Dropped })
-    }
-
-    /// Non-blocking probe (`MPI_Iprobe`): would a [`Comm::recv`] of
-    /// `(from, tag)` complete without advancing the virtual clock?
-    ///
-    /// Drains the channel without blocking, files everything into the
-    /// pending map (exactly the structures `recv` consumes, so probing never
-    /// reorders or drops messages), and reports whether the head matching
-    /// message has an `arrival` at or before the current clock.
-    ///
-    /// **Attribution only, never control flow.** The underlying channel is a
-    /// wall-clock artifact: a message another rank has already posted in
-    /// *virtual* time may not be observable here yet in *wall* time, so a
-    /// `false` is conservative rather than authoritative. Deterministic
-    /// pipelines must still issue an unconditional `recv` (whose FIFO
-    /// drain-and-match is deterministic); `recv_ready` exists so schedules
-    /// can attribute *whether a wait is expected* — e.g. deciding which
-    /// bucket absorbs overlap slack — without perturbing the simulation.
-    pub fn recv_ready(&mut self, from: usize, tag: u64) -> bool {
-        while let Some(m) = self.endpoint.try_recv_next() {
-            if m.status == MsgStatus::CrashNotice {
-                panic!("rank {} observed crash of rank {}", self.rank, m.from);
-            }
-            self.pending.entry((m.from, m.tag)).or_default().push_back(m);
-        }
-        self.pending
-            .get(&(from, tag))
-            .and_then(|q| q.front())
-            .is_some_and(|m| m.arrival <= self.clock)
     }
 
     /// Concurrent exchange: send to `to`, receive from `from` (the classic

@@ -133,11 +133,6 @@ impl EventEndpoint {
         }
     }
 
-    /// Non-blocking inbox pop (the probe path).
-    pub(crate) fn try_recv_next(&self) -> Option<Message> {
-        self.shared.inboxes.borrow_mut()[self.rank].pop_front()
-    }
-
     /// Poison every unfinished peer's inbox with a crash notice (see
     /// [`Comm::broadcast_crash_notice`]).
     pub(crate) fn crash_broadcast(&self, clock: f64) {

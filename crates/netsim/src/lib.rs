@@ -460,53 +460,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_ready_tracks_arrival_without_advancing_the_clock() {
-        let net = NetConfig { latency_s: 1e-5, bandwidth_gbps: 1.0, congestion: 0.0 };
-        let report = SimBuilder::new(2).net(net).timing(modeled()).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 3, vec![0u8; 1_000_000]); // slow: arrives late
-                comm.send(1, 4, vec![7u8]); // fast: arrives first
-                (true, true, true)
-            } else {
-                // Blocking on the fast message drains the slow one into the
-                // pending buffer, making the probe's view deterministic.
-                comm.recv(0, 4);
-                let clock_before = comm.elapsed();
-                // slow message is buffered but its arrival is in the future
-                let not_yet = !comm.recv_ready(0, 3);
-                // probing a message that was never sent is simply false
-                let absent = !comm.recv_ready(0, 99);
-                let clock_unchanged = comm.elapsed() == clock_before;
-                // after the blocking recv catches up, the probe flips true
-                // for a message sent even earlier in virtual time
-                comm.recv(0, 3);
-                (not_yet, absent, clock_unchanged)
-            }
-        });
-        assert_eq!(*report.value(1), (true, true, true));
-    }
-
-    #[test]
-    fn recv_ready_is_true_for_an_already_arrived_message() {
-        let net = NetConfig { latency_s: 1e-5, bandwidth_gbps: 100.0, congestion: 0.0 };
-        let report = SimBuilder::new(2).net(net).timing(modeled()).run(|comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 1, vec![1u8]); // early, tiny: arrives first
-                comm.send(1, 2, vec![0u8; 1_000_000]); // late, big: arrives last
-                true
-            } else {
-                // receiving the big one advances the clock past the tiny
-                // one's arrival; the tiny one sits buffered and ready
-                comm.recv(0, 2);
-                let ready = comm.recv_ready(0, 1);
-                comm.recv(0, 1);
-                ready
-            }
-        });
-        assert!(*report.value(1), "buffered message with past arrival must probe ready");
-    }
-
-    #[test]
     #[should_panic(expected = "self-send in a collective is a bug")]
     fn self_send_panics_the_rank() {
         // the self-send assert fires inside the rank; expect_clean surfaces

@@ -7,8 +7,23 @@
 # outside netsim and core the `sim` column is 1, `suite::run_case`. The last
 # row is the `hzc` CLI (`src/bin/hzc`).
 # Run from anywhere; pass a different checkout root as $1 to compare two trees.
+#
+#   scripts/loc.sh --check scripts/loc.baseline
+#
+# prints the same table and exits non-zero when a crate's `unsafe`, `spawn`
+# or `sim` counter is above the committed baseline (`crate unsafe spawn sim`
+# per line; a crate the baseline does not list is held to zero) — ROADMAP
+# 3(c): CI fails when a count rises. Lower the baseline when a count falls.
 set -euo pipefail
+baseline=""
+if [ "${1:-}" = --check ]; then
+    baseline="${2:?usage: loc.sh --check BASELINE}"
+    shift 2
+fi
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
+table=$(mktemp)
+trap 'rm -f "$table"' EXIT
+{
 printf '%-12s %8s %9s %6s %7s %6s %4s\n' crate total non-test pub unsafe spawn sim
 for dir in "$root"/crates/*/ "$root"/src/bin/hzc/; do
     files=$(find "$dir" -name '*.rs' | sort)
@@ -29,3 +44,14 @@ for dir in "$root"/crates/*/ "$root"/src/bin/hzc/; do
         END { printf "%-12s %8d %9d %6d %7d %6d %4d\n", crate, total, code, pubs, unsafes, spawns, sims }
     ' $files
 done
+} | tee "$table"
+[ -n "$baseline" ] || exit 0
+awk '
+    NR == FNR { if ($1 !~ /^#/ && NF) { u[$1] = $2; sp[$1] = $3; si[$1] = $4 } next }
+    FNR > 1 {
+        if ($5 > u[$1] + 0) { printf "loc.sh: %s: unsafe %d > baseline %d\n", $1, $5, u[$1]; bad = 1 }
+        if ($6 > sp[$1] + 0) { printf "loc.sh: %s: spawn %d > baseline %d\n", $1, $6, sp[$1]; bad = 1 }
+        if ($7 > si[$1] + 0) { printf "loc.sh: %s: sim %d > baseline %d\n", $1, $7, si[$1]; bad = 1 }
+    }
+    END { exit bad }
+' "$baseline" "$table" >&2

@@ -1,11 +1,15 @@
 //! Chaos-layer properties: deterministic fault replay, recorder invariants
 //! under retransmission, soak coverage of every collective flavour under
-//! drop + corruption, forced degradation, and crash propagation.
+//! drop + corruption (flat, two-tier and under crash recovery), forced
+//! degradation, and crash propagation.
 
-use hzccl::collectives::{allreduce, reduce_scatter, CollectiveOpts};
-use hzccl::{Mode, Resilience, Variant};
+use hzccl::collectives::{
+    allreduce, allreduce_recoverable, reduce_scatter, CollectiveOpts, RecoveryPolicy,
+};
+use hzccl::{error_bounds, Mode, Resilience, Variant};
 use netsim::{
-    ComputeTiming, FaultPlan, LinkFault, Registry, SimBuilder, ThroughputModel, TraceConfig,
+    ComputeTiming, FaultPlan, LinkFault, Registry, SimBuilder, ThroughputModel, Topology,
+    TraceConfig,
 };
 
 fn modeled() -> ComputeTiming {
@@ -146,6 +150,87 @@ fn soak_drop_and_corruption_across_flavours() {
     assert!(total_retrans > 0, "the sweep must observe at least one retransmit");
 }
 
+/// The hop is the ring's, so the two-tier schedule is framed too: on a 2x3
+/// fabric losing a fifth of its frames (the parent's node and leader rings
+/// ignored the policy and died on the first dropped message) every rank
+/// completes, `mpi` equals its fault-free hierarchical run bit for bit, and
+/// the compressed flavours stay inside their analytic bounds.
+#[test]
+fn framed_hierarchical_allreduce_survives_loss() {
+    let (n, eb) = (4096, 1e-4);
+    let topo = Topology::paper(2, 3);
+    let nranks = topo.nranks();
+    let exact: Vec<f64> =
+        (0..n).map(|i| (0..nranks).map(|r| f64::from(field(r, n)[i])).sum()).collect();
+    for variant in [Variant::Mpi, Variant::CColl, Variant::Hzccl] {
+        let opts = opts_for(variant, eb).with_topology(topo);
+        let run_one = |cluster: SimBuilder, opts: &CollectiveOpts| {
+            cluster
+                .timing(modeled())
+                .topology(topo)
+                .trace(TraceConfig::default())
+                .run(|comm| allreduce(comm, &field(comm.rank(), n), opts).expect("allreduce"))
+                .expect_clean()
+        };
+        let baseline = run_one(SimBuilder::new(nranks), &opts);
+        let plan = FaultPlan::new(7).with_drop(0.2).with_corrupt(0.05);
+        let framed = opts.clone().with_resilience(Resilience::default());
+        let faulty = run_one(SimBuilder::new(nranks).faults(plan), &framed);
+        let mut reg = Registry::new();
+        reg.record_report(&faulty);
+        assert!(reg.counter("hz_retransmits_total").unwrap_or(0) > 0, "{variant:?}");
+        let bound = match variant {
+            Variant::Mpi => 0.0,
+            Variant::CColl => error_bounds::ccoll_allreduce(nranks, eb),
+            _ => error_bounds::hzccl_allreduce(nranks, eb),
+        };
+        for (b, f) in baseline.outcomes.iter().zip(&faulty.outcomes) {
+            if variant == Variant::Mpi {
+                assert_eq!(b.value, f.value, "raw floats retransmit verbatim");
+            }
+            for (got, want) in f.value.iter().zip(&exact) {
+                let err = (f64::from(*got) - want).abs();
+                assert!(err <= bound + 1e-5, "{variant:?}: {got} vs {want} (bound {bound:e})");
+            }
+        }
+    }
+}
+
+/// Recovery composes with the framed transport: under 5 % loss and a
+/// mid-flight crash every survivor commits (the parent deadlocked here: a
+/// rank that tore down never ACKed its predecessor's next frame), and —
+/// framing moves bytes, not values — delivers bit for bit what the unframed
+/// Shrink run of the same crash does.
+#[test]
+fn shrink_over_the_framed_transport_survives_a_crash() {
+    let (n, nranks) = (4096, 8);
+    for variant in [Variant::Mpi, Variant::CColl, Variant::Hzccl] {
+        let opts = opts_for(variant, 1e-4).with_recovery(RecoveryPolicy::Shrink);
+        let run_one = |plan: FaultPlan, opts: &CollectiveOpts| {
+            SimBuilder::new(nranks)
+                .timing(modeled())
+                .trace(TraceConfig::default())
+                .faults(plan)
+                .run(|comm| {
+                    allreduce_recoverable(comm, &field(comm.rank(), n), opts).expect("recoverable")
+                })
+        };
+        let plan = FaultPlan::new(29).with_crash(3, 2);
+        let unframed = run_one(plan.clone(), &opts);
+        let framed = opts.clone().with_resilience(Resilience::default());
+        let faulty = run_one(plan.with_drop(0.05), &framed);
+        let survivors: Vec<usize> = (0..nranks).filter(|&r| r != 3).collect();
+        for &r in &survivors {
+            assert_eq!(faulty.value(r).contributors, survivors, "{variant:?} rank {r}");
+            assert_eq!(faulty.value(r).value, unframed.value(r).value, "{variant:?} rank {r}");
+        }
+        let mut reg = Registry::new();
+        reg.record_report(&faulty);
+        assert!(reg.counter("hz_retransmits_total").unwrap_or(0) > 0, "{variant:?}");
+        assert_eq!(reg.counter("hz_recoveries_total"), Some(survivors.len() as u64));
+    }
+}
+
 /// A link that drops everything forces graceful degradation: after
 /// `max_retries` the sender falls back to an uncompressed reliable resend,
 /// the collective still completes within the (loosened) error budget, and
@@ -235,7 +320,6 @@ fn injected_crash_propagates_with_named_payloads() {
 /// and the repaired attempt included).
 #[test]
 fn same_seed_crash_recovery_replays_bit_identically() {
-    use hzccl::collectives::{allreduce_recoverable, RecoveryPolicy};
     let n = 4096;
     let nranks = 8;
     let plan = FaultPlan::new(29).with_crash(3, 2).with_crash(6, 4);

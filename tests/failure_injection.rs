@@ -215,69 +215,3 @@ fn codec_fuzz_table_truncation_and_bitflips() {
         }
     }
 }
-
-/// The survivable ring's group payloads (`[u32 LE len][bytes]` per segment)
-/// are parsed straight from wire bytes: every malformed shape must be a
-/// typed error, never an out-of-bounds slice.
-#[test]
-fn survivable_section_table_is_total() {
-    use fzlight::Error;
-    use hzccl::resilient::split_sections;
-
-    let parts: [&[u8]; 3] = [b"abc", b"", b"hello!!"];
-    let mut valid = Vec::new();
-    for p in parts {
-        valid.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        valid.extend_from_slice(p);
-    }
-    assert_eq!(split_sections(&valid, 3).expect("valid payload"), parts);
-
-    // every prefix cut of the valid payload is short, and says by how much
-    for cut in 0..valid.len() {
-        match split_sections(&valid[..cut], 3) {
-            Err(Error::Truncated { need, have }) => {
-                assert_eq!(have, cut);
-                assert!(need > cut && need <= valid.len(), "cut {cut}: need {need}");
-            }
-            other => panic!("cut at {cut} gave {other:?}"),
-        }
-    }
-
-    let with_first_len = |len: u32| {
-        let mut buf = valid.clone();
-        buf[..4].copy_from_slice(&len.to_le_bytes());
-        buf
-    };
-    let table: [(&str, Vec<u8>, usize, Error); 5] = [
-        (
-            "length field one past the remainder",
-            with_first_len(valid.len() as u32 - 3),
-            3,
-            Error::Truncated { need: valid.len() + 1, have: valid.len() },
-        ),
-        (
-            "length field of u32::MAX",
-            with_first_len(u32::MAX),
-            3,
-            Error::Truncated { need: 4 + u32::MAX as usize, have: valid.len() },
-        ),
-        (
-            "trailing garbage",
-            [valid.as_slice(), &[0xAB]].concat(),
-            3,
-            Error::Corrupt("section table"),
-        ),
-        ("fewer sections expected than sent", valid.clone(), 2, Error::Corrupt("section table")),
-        (
-            "more sections expected than sent",
-            valid.clone(),
-            4,
-            Error::Truncated { need: valid.len() + 4, have: valid.len() },
-        ),
-    ];
-    for (what, buf, count, want) in table {
-        assert_eq!(split_sections(&buf, count).unwrap_err(), want, "{what}");
-    }
-    // an absurd section count must not pre-allocate for it
-    assert!(split_sections(&[], usize::MAX).is_err());
-}

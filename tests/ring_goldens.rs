@@ -4,9 +4,10 @@
 //! byte counts, tags, timestamps), the makespan's bit pattern, and a digest
 //! of every rank's returned values. The table was generated before the
 //! per-flavour ring loops were folded into `hzccl`'s one ring schedule and is
-//! committed unchanged, so a refactor of that schedule that moves a single
-//! charge, label, tag or output bit fails here — under both engines (crashed
-//! runs: the event engine only).
+//! committed unchanged (its header lines name the rows a later fold had to
+//! regenerate, and why), so a refactor of that schedule that moves a single
+//! charge, label, tag or output bit fails here — under both engines, crashed
+//! runs included: a survivor's trace depends on program order alone.
 //!
 //! Regenerate (only when a schedule change is intended) with
 //! `cargo test --test ring_goldens -- --ignored --nocapture print_goldens`.
@@ -120,6 +121,17 @@ fn cases() -> Vec<Case> {
             });
         }
     }
+    // both tiers framed under loss
+    for variant in FLAVOURS {
+        let topo = Topology::paper(2, 3);
+        let id = format!("allreduce/{}/2x3/framed", variant.name());
+        let opts = opts_for(variant).with_topology(topo).with_resilience(Resilience::default());
+        out.push(Case {
+            topology: Some(topo),
+            faults: Some(FaultPlan::new(7).with_drop(0.2).with_corrupt(0.05)),
+            ..plain(id, Verb::Allreduce, opts, 6, ELEMS)
+        });
+    }
     // the framed transport under loss: retransmits, and (with a one-retry
     // budget on a very lossy fabric) the raw-f32 degradation paths
     for variant in FLAVOURS {
@@ -154,6 +166,26 @@ fn cases() -> Vec<Case> {
                     ..plain(id, verb, opts, 8, ELEMS)
                 });
             }
+        }
+    }
+    // recovery under a lossy fabric (Shrink over the framed transport: one
+    // crash, 5 % drop) and across two repairs at 16 ranks (ragged survivor
+    // groups: 14 survivors over 16 launch segments)
+    for variant in FLAVOURS {
+        for verb in [Verb::Allreduce, Verb::ReduceScatter] {
+            let opts = opts_for(variant).with_recovery(RecoveryPolicy::Shrink);
+            let id = format!("{}/{}/r8/shrink-framed-crash", verb.name(), variant.name());
+            out.push(Case {
+                faults: Some(FaultPlan::new(29).with_drop(0.05).with_crash(3, 2)),
+                recoverable: true,
+                ..plain(id, verb, opts.clone().with_resilience(Resilience::default()), 8, ELEMS)
+            });
+            let id = format!("{}/{}/r16/shrink-2crash", verb.name(), variant.name());
+            out.push(Case {
+                faults: Some(FaultPlan::new(31).with_crash(5, 1).with_crash(11, 6)),
+                recoverable: true,
+                ..plain(id, verb, opts, 16, ELEMS)
+            });
         }
     }
     // recursive doubling: a count that folds and a power of two
@@ -245,13 +277,6 @@ fn every_ring_schedule_matches_its_golden_under_both_engines() {
     }
     for (case, want) in cases.iter().zip(rows) {
         for &engine in &engines {
-            // under the thread engine a crash notice reaches each blocked
-            // peer in OS-scheduler order, so only the event engine replays
-            // a crashed run's trace exactly
-            let crashes = case.faults.as_ref().is_some_and(|p| p.crash_step(4).is_some());
-            if crashes && engine == SimEngine::Threads {
-                continue;
-            }
             let got = render(&case.id, digest(case, engine));
             assert_eq!(got, want, "{} drifted under the {} engine", case.id, engine.name());
         }
