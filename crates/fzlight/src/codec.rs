@@ -214,6 +214,25 @@ pub fn encode_block_scalar(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
     c
 }
 
+/// Gather a block's sign flags — one byte per delta, 1 = negative, else 0 —
+/// into the LSB-first bitmap [`encode_block`] takes.
+///
+/// Eight flag bytes are read as one `u64` and a multiply sums flag `j` into
+/// bit `56 + j` (the multiplier's byte `7 - j` is `2^j`, and 0/1 lanes cannot
+/// carry into each other): `ompszp::bitshuffle`'s column gather, here in
+/// place of a 64-step `signs |= flag << k` chain.
+#[inline]
+pub(crate) fn sign_bitmap(neg: &[u8]) -> u64 {
+    debug_assert!(neg.len() <= MAX_BLOCK_LEN);
+    let mut signs = 0u64;
+    for (g, group) in neg.chunks(8).enumerate() {
+        let mut flags = [0u8; 8];
+        flags[..group.len()].copy_from_slice(group);
+        signs |= (u64::from_le_bytes(flags).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+    }
+    signs
+}
+
 /// Encode a block of signed `i64` deltas (computes magnitudes + sign bitmap
 /// first). Appends to `out`, returns the code length used.
 ///
@@ -221,18 +240,18 @@ pub fn encode_block_scalar(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
 pub fn encode_deltas(deltas: &[i64], out: &mut Vec<u8>) -> Result<u8> {
     debug_assert!(deltas.len() <= MAX_BLOCK_LEN);
     let mut mags = [0u32; MAX_BLOCK_LEN];
-    let mut signs = 0u64;
+    let mut neg = [0u8; MAX_BLOCK_LEN];
     let mut wide = 0u64;
-    for (i, (o, &d)) in mags.iter_mut().zip(deltas).enumerate() {
+    for ((o, s), &d) in mags.iter_mut().zip(&mut neg).zip(deltas) {
         let mag = d.unsigned_abs();
         wide |= mag;
         *o = mag as u32;
-        signs |= u64::from(d < 0) << i;
+        *s = u8::from(d < 0);
     }
     if wide > u32::MAX as u64 {
         return Err(Error::DeltaOverflow);
     }
-    Ok(encode_block(&mags[..deltas.len()], signs, out))
+    Ok(encode_block(&mags[..deltas.len()], sign_bitmap(&neg[..deltas.len()]), out))
 }
 
 /// Reference counterpart of [`encode_deltas`] built on the scalar encoder.

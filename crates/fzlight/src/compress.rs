@@ -1,11 +1,20 @@
 //! Parallel fused compression (quantization + prediction + encoding in one
 //! pass over contiguous memory, Sec. III-B.2).
+//!
+//! Per block of at most [`MAX_BLOCK_LEN`] values, everything stays in three
+//! stack buffers: [`quantize_block`] rounds the values to `i32` (no call, no
+//! branch), one loop over neighbouring integers takes each delta's `u32`
+//! magnitude and sign in 32-bit wrapping arithmetic, and
+//! [`codec::encode_block`] packs them behind the bitmap that
+//! `codec::sign_bitmap` gathers from the sign bytes. Nothing is widened to
+//! 64 bits and no loop carries a value from one element to the next, so each
+//! of them compiles to vector code on the baseline target.
 
 use crate::chunk::{chunk_spans, effective_chunks, fork_join};
 use crate::codec;
-use crate::config::{Config, MAX_BLOCK_LEN};
+use crate::config::{check_block_len, Config, MAX_BLOCK_LEN};
 use crate::error::Result;
-use crate::quantize::quantize_block;
+use crate::quantize::{inv_step, quantize_block};
 use crate::stream::CompressedStream;
 
 /// Compress `data` with the given configuration.
@@ -22,14 +31,17 @@ pub fn compress(data: &[f32], cfg: &Config) -> Result<CompressedStream> {
 /// Compress with an already-resolved absolute error bound.
 ///
 /// `threads` is both the parallelism degree and the number of thread-chunks
-/// in the stream layout (clamped to the element count).
+/// in the stream layout (clamped to the element count). `block_len` outside
+/// `1..=MAX_BLOCK_LEN` and a bound the quantizer cannot use are typed errors,
+/// as they are from [`compress`].
 pub fn compress_resolved(
     data: &[f32],
     eb_abs: f64,
     block_len: usize,
     threads: usize,
 ) -> Result<CompressedStream> {
-    let inv_2eb = 1.0 / (2.0 * eb_abs);
+    check_block_len(block_len)?;
+    let inv_2eb = inv_step(eb_abs)?;
     compress_chunks(data, eb_abs, block_len, threads, |chunk, base, out| {
         compress_chunk(chunk, base, block_len, inv_2eb, out)
     })
@@ -61,6 +73,13 @@ pub(crate) fn compress_chunks(
 /// Emits `[outlier i32][block records...]` into `out`. The first delta of the
 /// chunk is always zero (the first quantization integer lives in the
 /// outlier), which the homomorphic sum preserves.
+///
+/// The integers of a block land in `q[1..=len]`; `q[0]` carries the previous
+/// block's last integer in, so delta `k` is `q[k + 1] - q[k]` for every `k`
+/// with no special first element. The difference of two `i32` spans 33 bits
+/// signed, but its magnitude always fits `u32`: `a.wrapping_sub(b)` is the
+/// difference modulo `2^32`, which is the magnitude itself when `a >= b` and
+/// its two's-complement negation when `a < b`.
 pub(crate) fn compress_chunk(
     chunk: &[f32],
     base: usize,
@@ -70,29 +89,27 @@ pub(crate) fn compress_chunk(
 ) -> Result<()> {
     debug_assert!(!chunk.is_empty());
     debug_assert!(block_len <= MAX_BLOCK_LEN);
-    let mut qbuf = [0i32; MAX_BLOCK_LEN];
+    let mut q = [0i32; MAX_BLOCK_LEN + 1];
     let mut mags = [0u32; MAX_BLOCK_LEN];
-    let mut q_prev = 0i64;
+    let mut neg = [0u8; MAX_BLOCK_LEN];
     let mut index = base;
     for block in chunk.chunks(block_len) {
-        let qb = &mut qbuf[..block.len()];
-        quantize_block(block, inv_2eb, index, qb)?;
+        let len = block.len();
+        quantize_block(block, inv_2eb, index, &mut q[1..=len])?;
         if index == base {
             // chunk outlier: the first quantization integer, stored verbatim
-            out.extend_from_slice(&qb[0].to_le_bytes());
-            q_prev = qb[0] as i64;
+            out.extend_from_slice(&q[1].to_le_bytes());
+            q[0] = q[1];
         }
-        let mut signs = 0u64;
-        for (k, &qi) in qb.iter().enumerate() {
-            let q = qi as i64;
-            let d = q - q_prev;
-            q_prev = q;
-            // |d| <= 2^32 - 2 because both integers fit in i32.
-            mags[k] = d.unsigned_abs() as u32;
-            signs |= u64::from(d < 0) << k;
+        let pairs = q[..len].iter().zip(&q[1..=len]);
+        for ((m, s), (&b, &a)) in mags.iter_mut().zip(&mut neg).zip(pairs) {
+            let d = a.wrapping_sub(b) as u32;
+            *s = u8::from(a < b);
+            *m = if a < b { d.wrapping_neg() } else { d };
         }
-        index += block.len();
-        codec::encode_block(&mags[..block.len()], signs, out);
+        q[0] = q[len];
+        index += len;
+        codec::encode_block(&mags[..len], codec::sign_bitmap(&neg[..len]), out);
     }
     Ok(())
 }

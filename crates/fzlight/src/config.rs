@@ -1,6 +1,7 @@
 //! Compressor configuration: error bound, block length and thread count.
 
 use crate::error::{Error, Result};
+use crate::quantize::inv_step;
 
 /// Default small-block length (elements per fixed-length-encoded block).
 ///
@@ -31,6 +32,8 @@ impl ErrorBound {
     /// For [`ErrorBound::Rel`] this scans the data once for its value range;
     /// a zero range (constant data) falls back to `rel * max(|v|)` and, if the
     /// data is all zero, to `rel` itself so quantization stays well defined.
+    /// The bound returned is one the quantizer can use: positive, finite, and
+    /// with a finite reciprocal step `1 / (2*eb)`.
     pub fn resolve(&self, data: &[f32]) -> Result<f64> {
         let raw = match *self {
             ErrorBound::Abs(eb) => eb,
@@ -63,11 +66,7 @@ impl ErrorBound {
                 }
             }
         };
-        if raw.is_finite() && raw > 0.0 {
-            Ok(raw)
-        } else {
-            Err(Error::InvalidErrorBound { eb: raw })
-        }
+        inv_step(raw).map(|_| raw)
     }
 }
 
@@ -105,11 +104,16 @@ impl Config {
     /// Validate structural parameters (the error bound is validated when it
     /// is resolved against the data).
     pub fn validate(&self) -> Result<()> {
-        if self.block_len == 0 || self.block_len > MAX_BLOCK_LEN {
-            return Err(Error::InvalidBlockLen { block_len: self.block_len });
-        }
-        Ok(())
+        check_block_len(self.block_len)
     }
+}
+
+/// `block_len` must be in `1..=MAX_BLOCK_LEN`.
+pub(crate) fn check_block_len(block_len: usize) -> Result<()> {
+    if block_len == 0 || block_len > MAX_BLOCK_LEN {
+        return Err(Error::InvalidBlockLen { block_len });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@ pub enum Error {
     /// A value's quantization integer does not fit in `i32`
     /// (`|v| / (2*eb)` too large). Use a larger error bound.
     QuantizationOverflow { index: usize, value: f32 },
-    /// The configured error bound is not a positive finite number, or a
-    /// relative bound met an all-constant/non-finite range.
+    /// The configured error bound is not a positive finite number with a
+    /// finite quantization step `1 / (2*eb)`, or a relative bound met an
+    /// all-constant/non-finite range.
     InvalidErrorBound { eb: f64 },
     /// `block_len` must be in `1..=64`.
     InvalidBlockLen { block_len: usize },
@@ -45,7 +46,7 @@ impl fmt::Display for Error {
                 "quantization overflow at index {index} (value {value}); increase the error bound"
             ),
             Error::InvalidErrorBound { eb } => {
-                write!(f, "invalid error bound {eb}: must be positive and finite")
+                write!(f, "invalid error bound {eb}: it and 1/(2*eb) must be positive and finite")
             }
             Error::InvalidBlockLen { block_len } => {
                 write!(f, "invalid block length {block_len}: must be in 1..=64")

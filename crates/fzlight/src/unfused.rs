@@ -11,7 +11,7 @@ use crate::codec;
 use crate::compress::compress_chunks;
 use crate::config::Config;
 use crate::error::Result;
-use crate::quantize::quantize_block;
+use crate::quantize::{inv_step, quantize_block};
 use crate::stream::CompressedStream;
 
 /// Compress with separate quantize / predict / encode passes.
@@ -22,7 +22,7 @@ use crate::stream::CompressedStream;
 pub fn compress_unfused(data: &[f32], cfg: &Config) -> Result<CompressedStream> {
     cfg.validate()?;
     let eb = cfg.eb.resolve(data)?;
-    let inv_2eb = 1.0 / (2.0 * eb);
+    let inv_2eb = inv_step(eb)?;
     compress_chunks(data, eb, cfg.block_len, cfg.threads, |chunk, base, out| {
         // Pass 1: quantize everything into an intermediate array.
         let mut qi = vec![0i32; chunk.len()];

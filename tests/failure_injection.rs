@@ -215,3 +215,60 @@ fn codec_fuzz_table_truncation_and_bitflips() {
         }
     }
 }
+
+/// The compress entry points are total on their scalar arguments: a block
+/// length outside `1..=64` and an error bound the quantizer cannot turn into
+/// a finite positive step `1 / (2·eb)` are typed errors from every one of
+/// them. `compress_resolved` — the one the collectives call — used to check
+/// neither (divide by zero, slice index, `unreachable!`, or an `Ok` stream
+/// decoding to `-0, 2, 2, -0` or NaN), and a bound whose reciprocal overflows
+/// got through `ErrorBound::resolve` to the same `unreachable!` on data
+/// holding a zero (`0 · ∞` is a NaN no element can be blamed for).
+#[test]
+fn compress_argument_table_returns_typed_errors() {
+    use fzlight::Error::{InvalidBlockLen, InvalidErrorBound};
+    let ramp: Vec<f32> = (0..130).map(|i| i as f32).collect();
+    let zeros = vec![0.0f32; 130];
+    let rows: [(usize, f64, &[f32]); 6] = [
+        (0, 1e-3, &ramp),
+        (65, 1e-3, &ramp),
+        (32, f64::NAN, &ramp),
+        (32, -1.0, &ramp),
+        (32, f64::INFINITY, &ramp),
+        (32, 1e-310, &zeros),
+    ];
+    type Entry = fn(&[f32], &Config) -> fzlight::Result<()>;
+    let entries: [(&str, Entry); 4] = [
+        ("compress_resolved", |d, c| {
+            let ErrorBound::Abs(eb) = c.eb else { unreachable!() };
+            fzlight::compress_resolved(d, eb, c.block_len, c.threads).map(drop)
+        }),
+        ("compress", |d, c| compress(d, c).map(drop)),
+        ("compress_unfused", |d, c| fzlight::compress_unfused(d, c).map(drop)),
+        ("ompszp::compress", |d, c| ompszp::compress(d, c).map(drop)),
+    ];
+    for (name, entry) in entries {
+        for &(block_len, eb, data) in &rows {
+            for threads in [1usize, 3] {
+                let at = format!("{name} block_len={block_len} eb={eb:e} threads={threads}");
+                let cfg = Config::new(ErrorBound::Abs(eb))
+                    .with_block_len(block_len)
+                    .with_threads(threads);
+                match entry(data, &cfg) {
+                    Err(InvalidBlockLen { block_len: got }) if !(1..=64).contains(&block_len) => {
+                        assert_eq!(got, block_len, "{at}")
+                    }
+                    Err(InvalidErrorBound { eb: got }) if (1..=64).contains(&block_len) => {
+                        assert_eq!(got.to_bits(), eb.to_bits(), "{at}")
+                    }
+                    other => panic!("{at}: {other:?}"),
+                }
+            }
+        }
+    }
+    // the smallest bounds with a finite step still compress, zeros included
+    for eb in [2.8e-309, 1e-300] {
+        let s = fzlight::compress_resolved(&zeros, eb, 32, 1).unwrap();
+        assert_eq!(fzlight::decompress(&s).unwrap(), zeros, "eb={eb:e}");
+    }
+}

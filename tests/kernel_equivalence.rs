@@ -191,6 +191,143 @@ fn quantize_block_matches_scalar_on_adversarial_inputs() {
     }
 }
 
+/// `quantize_block` against its `f64::round` reference on one slice: the same
+/// `Err` (variant, index, value) or the same integers.
+fn assert_quantize_agrees(values: &[f32], inv_2eb: f64) {
+    let mut fast = vec![0i32; values.len()];
+    let mut slow = vec![0i32; values.len()];
+    let rf = quantize::quantize_block(values, inv_2eb, 17, &mut fast);
+    let rs = quantize::quantize_block_scalar(values, inv_2eb, 17, &mut slow);
+    assert_eq!(rf, rs, "inv_2eb={inv_2eb:e} values={values:?}");
+    if rf.is_ok() {
+        assert_eq!(fast, slow, "inv_2eb={inv_2eb:e} values={values:?}");
+    }
+}
+
+/// The rounding itself. `v * inv_2eb` is exact for `v` a power of two, so
+/// `inv_2eb = x` with `v = ±1` puts any positive double `x`, bit for bit, in
+/// front of the rounding — in both signs, next to its half and its double.
+#[test]
+fn quantize_block_rounds_like_f64_round_on_ties_and_boundaries() {
+    let block = [1.0f32, -1.0, 0.5, -0.5, 2.0, -2.0, 0.0, -0.0];
+    let mut targets = vec![0.49999999999999994f64, f64::MIN_POSITIVE, 5e-324, 1e-310];
+    // every tie k ± 0.5 around 0, 2^23 and 2^31 (the last straddle i32::MAX
+    // and, negated, i32::MIN: 2147483647.5 overflows, -2147483648.5 does too,
+    // their inward neighbours do not), and the integers themselves
+    for centre in [0i64, 1 << 23, 1 << 31] {
+        for k in (centre - 3).max(0)..=centre + 3 {
+            targets.extend([k as f64 - 0.5, k as f64, k as f64 + 0.5]);
+        }
+    }
+    // where the magic constant stops being exact: all out of range
+    targets.extend([(1u64 << 51) as f64 - 0.5, (1u64 << 51) as f64, (1u64 << 52) as f64, 1e300]);
+    for t in targets {
+        for x in [t.next_down(), t, t.next_up()] {
+            if x > 0.0 {
+                assert_quantize_agrees(&block, x);
+                // alone, too: in `block` an overflow at -1.0 or 2.0 hides the rest
+                block.iter().for_each(|&v| assert_quantize_agrees(&[v], x));
+            }
+        }
+    }
+    // zeros and subnormal values under small, ordinary and huge steps
+    let tiny = [0.0f32, -0.0, f32::from_bits(1), -f32::from_bits(1), f32::MIN_POSITIVE, 1e-40];
+    for inv_2eb in [5e-324, 1e-6, 0.5, 5e3, 1e12, 1e38, 1e45, 1e300, f64::MAX] {
+        assert_quantize_agrees(&tiny, inv_2eb);
+    }
+}
+
+/// Error precedence: the first offender in element order wins, whatever its
+/// class and wherever it and a later offender of another class sit.
+#[test]
+fn quantize_block_reports_the_first_offender_at_every_position() {
+    let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0e30, -1.0e30];
+    for len in [1usize, 5, 32, 64] {
+        let clean: Vec<f32> = (0..len).map(|i| i as f32 * 0.37 - 3.0).collect();
+        for pos in 0..len {
+            for (b, &first) in bad.iter().enumerate() {
+                let mut values = clean.clone();
+                values[pos] = first;
+                assert_quantize_agrees(&values, 5e3);
+                for later in pos + 1..len.min(pos + 3) {
+                    values[later] = bad[(b + 1 + later) % bad.len()];
+                }
+                assert_quantize_agrees(&values, 5e3);
+            }
+        }
+    }
+}
+
+/// Over ten million xorshift bit patterns, the step swept across eighteen
+/// decades. Most blocks scale their exponents so that `|v * inv_2eb|` lands
+/// between 1/4 and just past `2^31` (integers are compared; a few overflow);
+/// every sixteenth block keeps the raw bits (NaN, infinities, overflows).
+#[test]
+fn quantize_block_matches_scalar_on_ten_million_bit_patterns() {
+    const BLOCKS_PER_STEP: usize = 8192;
+    let mut rng = Rng::new(0x20_F00D);
+    let steps = (-6..=12).map(|e| 10f64.powi(e)).chain([1.0 / 2e-4]);
+    let mut values = [0f32; MAX_BLOCK_LEN];
+    let mut patterns = 0usize;
+    for inv_2eb in steps {
+        let shift = inv_2eb.log2().round() as i32;
+        for block in 0..BLOCKS_PER_STEP {
+            for v in values.iter_mut() {
+                let bits = rng.next_u64();
+                *v = if block % 16 == 0 {
+                    f32::from_bits(bits as u32)
+                } else {
+                    let exp = ((bits >> 32) % 33) as i32 - 2 - shift;
+                    f32::from_bits((bits as u32 & 0x807F_FFFF) | (((exp + 127) as u32) << 23))
+                };
+            }
+            assert_quantize_agrees(&values, inv_2eb);
+            patterns += values.len();
+        }
+    }
+    assert!(patterns >= 10_000_000, "{patterns}");
+}
+
+/// Fields that put the 32-bit delta pass and the gathered sign bitmap on
+/// their edges. With `eb = 0.5` the quantization integers are the values.
+fn delta_edge_fields(len: usize) -> [(&'static str, Vec<f32>); 4] {
+    // both ends of i32 in turn: every delta is ±(2^32 - 256), wider than an
+    // i32, so the magnitude only exists modulo 2^32 (c = 32, signs alternate)
+    let ends = (0..len).map(|i| if i % 2 == 0 { 2147483520.0 } else { -2147483520.0 }).collect();
+    let equal = vec![-77.0f32; len];
+    // every delta negative: an all-ones bitmap, whose last byte must still be
+    // cut at the block's length
+    let falling = (0..len).map(|i| -3.0 * i as f32).collect();
+    // falling runs of nine, then a jump up: flags change inside every sign
+    // byte, and a short last block follows blocks that set higher flags
+    let saw = (0..len).map(|i| (i / 9 * 40) as f32 - 4.0 * (i % 9) as f32).collect();
+    [("ends", ends), ("equal", equal), ("falling", falling), ("saw", saw)]
+}
+
+/// The fused pass against the retained `i64` + `encode_deltas` route, byte
+/// for byte. The lengths put a chunk's last block at 1..7 elements for every
+/// block length (33 = 32 + 1, 65 = 64 + 1 = 8·8 + 1, 7 alone; three threads
+/// cut 4096 into 1366 + 1365 + 1365).
+#[test]
+fn compress_matches_unfused_on_the_delta_edges() {
+    for len in [1usize, 7, 8, 31, 32, 33, 63, 64, 65, 4096] {
+        for (name, field) in delta_edge_fields(len) {
+            for block_len in [1usize, 8, 32, 64] {
+                for threads in [1usize, 3] {
+                    let cfg = Config::new(ErrorBound::Abs(0.5))
+                        .with_block_len(block_len)
+                        .with_threads(threads);
+                    let fused = compress(&field, &cfg).unwrap();
+                    let unfused = fzlight::compress_unfused(&field, &cfg).unwrap();
+                    let at = format!("{name} len={len} block_len={block_len} threads={threads}");
+                    assert_eq!(fused.as_bytes(), unfused.as_bytes(), "{at}");
+                    assert_eq!(decompress(&fused).unwrap(), field, "{at}");
+                }
+            }
+        }
+    }
+}
+
 /// Sign- and outlier-heavy field: alternating-sign large values with abrupt
 /// jumps, so blocks land on high code lengths and dense sign planes.
 fn spiky_field(rng: &mut Rng, len: usize) -> Vec<f32> {
