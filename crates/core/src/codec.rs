@@ -8,9 +8,9 @@
 //! |---|---|---|---|
 //! | accumulator | raw `f32`s | raw `f32`s | fZ-light stream |
 //! | own operand | slice of the input | slice of the input | compressed once (`hz:compress-all`, or just in time per segment) |
-//! | encode | pack (`mpi:pack`) | compress (`ccoll:compress`, CPR) | the stream's bytes — free |
-//! | fold | unpack + sum (`mpi:reduce`, CPT) | decompress + sum (DPR + CPT) | homomorphic sum (`hz:homomorphic-sum`, HPR) |
-//! | install | unpack | decompress (DPR) | decompress (`hz:*-decompress`, DPR) |
+//! | encode | pack into a spent buffer (`mpi:pack`) | compress (`ccoll:compress`, CPR) | the stream's bytes, into a spent buffer — free |
+//! | fold | unpack into the spent accumulator + sum (`mpi:reduce`, CPT) | decompress into it + sum (DPR + CPT) | homomorphic sum (`hz:homomorphic-sum`, HPR) |
+//! | install | unpack into the output | decompress into it (DPR) | decompress into it (`hz:*-decompress`, DPR) |
 //! | degraded arrival | same bytes | raw values, no DPR | recompress (`res:recompress`) |
 //!
 //! So a Reduce_scatter costs `(N-1)·CPT` plus full-size traffic raw,
@@ -26,9 +26,9 @@
 //! All integer sums on the homomorphic path are exact and quantization is
 //! per element, so segment boundaries never change an output bit.
 
-use crate::chunks::{bytes_to_f32, f32_to_bytes};
+use crate::chunks::{f32_to_bytes, read_f32s, write_f32s};
 use crate::config::CollectiveConfig;
-use crate::resilient::PayloadKind;
+use crate::resilient::{PayloadKind, Wire};
 use fzlight::{compress_resolved, CompressedStream, Result};
 use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
 use netsim::{Comm, OpKind};
@@ -83,19 +83,21 @@ pub(crate) trait SegCodec {
     /// contribution alone.
     fn seed(&self, data: &[f32], rng: &Range<usize>, operand: Option<Self::Operand>) -> Self::Acc;
 
-    /// Wire bytes of an accumulator.
-    fn encode(&self, comm: &mut Comm, acc: &Self::Acc) -> Result<Vec<u8>>;
+    /// Wire bytes of an accumulator, over the spent (or empty) buffer `buf`.
+    fn encode(&self, comm: &mut Comm, acc: &Self::Acc, buf: Vec<u8>) -> Result<Vec<u8>>;
 
-    /// Fold a received segment with this rank's own contribution to `rng`.
+    /// Fold a received segment with this rank's own contribution to `rng`,
+    /// into `spent` (the accumulator of the segment just forwarded) where
+    /// values accumulate. The consumed wire buffer comes back.
     fn fold(
         &self,
         comm: &mut Comm,
-        wire: Vec<u8>,
-        kind: PayloadKind,
+        wire: Wire,
         data: &[f32],
         rng: &Range<usize>,
         operand: Option<&Self::Operand>,
-    ) -> Result<Self::Acc>;
+        spent: Option<Self::Acc>,
+    ) -> Result<(Self::Acc, Vec<u8>)>;
 
     /// Raw f32 bytes of an accumulator whose framed send ran out of retries.
     fn degrade(&self, comm: &mut Comm, acc: &Self::Acc) -> Vec<u8>;
@@ -105,8 +107,8 @@ pub(crate) trait SegCodec {
     /// decompress/recompress at the stage boundary) — the bytes come back.
     fn handoff(&self, acc: Self::Acc, dst: &mut [f32]) -> Option<Vec<u8>>;
 
-    /// Wire bytes of raw values.
-    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>>;
+    /// Wire bytes of raw values, over `buf` like [`SegCodec::encode`].
+    fn pack(&self, comm: &mut Comm, vals: &[f32], buf: Vec<u8>) -> Result<Vec<u8>>;
 
     /// Decode a received segment into `dst`; its bytes come back for the
     /// next hop.
@@ -148,11 +150,11 @@ impl RawCodec {
         RawCodec { threads, staged: false, reduce_label: "hier:reduce" }
     }
 
-    fn unpack(&self, comm: &mut Comm, wire: &[u8]) -> Vec<f32> {
+    fn unpack(&self, comm: &mut Comm, wire: &[u8], dst: &mut [f32]) -> Result<()> {
         if self.staged {
-            comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || bytes_to_f32(wire))
+            comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || read_f32s(wire, dst))
         } else {
-            bytes_to_f32(wire)
+            read_f32s(wire, dst)
         }
     }
 }
@@ -178,24 +180,26 @@ impl SegCodec for RawCodec {
         data[rng.clone()].to_vec()
     }
 
-    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>) -> Result<Vec<u8>> {
-        self.pack(comm, acc)
+    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>, buf: Vec<u8>) -> Result<Vec<u8>> {
+        self.pack(comm, acc, buf)
     }
 
     fn fold(
         &self,
         comm: &mut Comm,
-        wire: Vec<u8>,
-        _: PayloadKind,
+        (wire, _): Wire,
         data: &[f32],
         rng: &Range<usize>,
         _: Option<&Never>,
-    ) -> Result<Vec<f32>> {
-        let mut acc = self.unpack(comm, &wire);
+        spent: Option<Vec<f32>>,
+    ) -> Result<(Vec<f32>, Vec<u8>)> {
+        let mut acc = spent.unwrap_or_default();
+        acc.resize(rng.len(), 0.0);
+        self.unpack(comm, &wire, &mut acc)?;
         comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.reduce_label, || {
             reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
         });
-        Ok(acc)
+        Ok((acc, wire))
     }
 
     fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
@@ -207,12 +211,15 @@ impl SegCodec for RawCodec {
         None
     }
 
-    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>> {
-        Ok(if self.staged {
-            comm.compute_labeled(OpKind::Other, vals.len() * 4, "mpi:pack", || f32_to_bytes(vals))
+    fn pack(&self, comm: &mut Comm, vals: &[f32], mut buf: Vec<u8>) -> Result<Vec<u8>> {
+        buf.resize(vals.len() * 4, 0);
+        if self.staged {
+            let dst = &mut buf[..];
+            comm.compute_labeled(OpKind::Other, dst.len(), "mpi:pack", || write_f32s(vals, dst));
         } else {
-            f32_to_bytes(vals)
-        })
+            write_f32s(vals, &mut buf);
+        }
+        Ok(buf)
     }
 
     fn install(
@@ -222,7 +229,7 @@ impl SegCodec for RawCodec {
         _: PayloadKind,
         dst: &mut [f32],
     ) -> Result<Vec<u8>> {
-        dst.copy_from_slice(&self.unpack(comm, &wire));
+        self.unpack(comm, &wire, dst)?;
         Ok(wire)
     }
 
@@ -286,34 +293,41 @@ impl SegCodec for DocCodec {
         data[rng.clone()].to_vec()
     }
 
-    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>) -> Result<Vec<u8>> {
-        self.pack(comm, acc)
+    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>, buf: Vec<u8>) -> Result<Vec<u8>> {
+        self.pack(comm, acc, buf)
     }
 
     fn fold(
         &self,
         comm: &mut Comm,
-        wire: Vec<u8>,
-        kind: PayloadKind,
+        (wire, kind): Wire,
         data: &[f32],
         rng: &Range<usize>,
         _: Option<&Never>,
-    ) -> Result<Vec<f32>> {
-        let mut acc = match kind {
+        spent: Option<Vec<f32>>,
+    ) -> Result<(Vec<f32>, Vec<u8>)> {
+        // a stream (or raw payload) of any other length is refused below
+        let mut acc = spent.unwrap_or_default();
+        acc.resize(rng.len(), 0.0);
+        let wire = match kind {
             PayloadKind::Opaque => {
                 let stream = OszpStream::from_bytes(wire)?;
                 // fully decompress before any arithmetic: the DOC bottleneck
                 comm.compute_labeled(OpKind::Dpr, stream.n() * 4, self.labels[1], || {
-                    ompszp::decompress(&stream)
-                })?
+                    ompszp::decompress_into(&stream, &mut acc)
+                })?;
+                stream.into_bytes()
             }
             // a degraded hop delivered raw f32s — no DPR needed
-            PayloadKind::RawF32 => bytes_to_f32(&wire),
+            PayloadKind::RawF32 => {
+                read_f32s(&wire, &mut acc)?;
+                wire
+            }
         };
         comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.labels[2], || {
             reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
         });
-        Ok(acc)
+        Ok((acc, wire))
     }
 
     fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
@@ -326,11 +340,12 @@ impl SegCodec for DocCodec {
         None
     }
 
-    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>> {
+    fn pack(&self, comm: &mut Comm, vals: &[f32], _: Vec<u8>) -> Result<Vec<u8>> {
+        // (the compressor builds its own stream buffer)
         let stream = comm.compute_labeled(OpKind::Cpr, vals.len() * 4, self.labels[0], || {
             ompszp::compress(vals, &self.ocfg)
         })?;
-        Ok(stream.as_bytes().to_vec())
+        Ok(stream.into_bytes())
     }
 
     fn install(
@@ -349,7 +364,7 @@ impl SegCodec for DocCodec {
                 Ok(stream.into_bytes())
             }
             PayloadKind::RawF32 => {
-                dst.copy_from_slice(&bytes_to_f32(&wire));
+                read_f32s(&wire, dst)?;
                 Ok(wire)
             }
         }
@@ -456,30 +471,37 @@ impl SegCodec for HzCodec {
         operand.expect("hZCCL reduces compressed operands")
     }
 
-    fn encode(&self, _: &mut Comm, acc: &CompressedStream) -> Result<Vec<u8>> {
-        Ok(acc.as_bytes().to_vec())
+    fn encode(&self, _: &mut Comm, acc: &CompressedStream, mut buf: Vec<u8>) -> Result<Vec<u8>> {
+        buf.clear();
+        buf.extend_from_slice(acc.as_bytes());
+        Ok(buf)
     }
 
     fn fold(
         &self,
         comm: &mut Comm,
-        wire: Vec<u8>,
-        kind: PayloadKind,
+        (wire, kind): Wire,
         _: &[f32],
         rng: &Range<usize>,
         operand: Option<&CompressedStream>,
-    ) -> Result<CompressedStream> {
+        _: Option<CompressedStream>,
+    ) -> Result<(CompressedStream, Vec<u8>)> {
         let received = match kind {
             PayloadKind::Opaque => CompressedStream::from_bytes(wire)?,
             // a degraded hop delivered raw f32s: recompress (at most one
             // extra quantization of error) so the homomorphic sum proceeds
-            PayloadKind::RawF32 => self.compress(comm, &bytes_to_f32(&wire), "res:recompress")?,
+            PayloadKind::RawF32 => {
+                let mut vals = vec![0f32; rng.len()];
+                read_f32s(&wire, &mut vals)?;
+                self.compress(comm, &vals, "res:recompress")?
+            }
         };
         let operand = operand.expect("hZCCL reduces compressed operands");
         // reduce two compressed segments directly, no decompression
-        comm.compute_labeled(OpKind::Hpr, rng.len() * 4, "hz:homomorphic-sum", || {
+        let sum = comm.compute_labeled(OpKind::Hpr, rng.len() * 4, "hz:homomorphic-sum", || {
             homomorphic_sum(&received, operand)
-        })
+        })?;
+        Ok((sum, received.into_bytes()))
     }
 
     fn degrade(&self, comm: &mut Comm, acc: &CompressedStream) -> Vec<u8> {
@@ -495,7 +517,7 @@ impl SegCodec for HzCodec {
         Some(acc.into_bytes())
     }
 
-    fn pack(&self, comm: &mut Comm, vals: &[f32]) -> Result<Vec<u8>> {
+    fn pack(&self, comm: &mut Comm, vals: &[f32], _: Vec<u8>) -> Result<Vec<u8>> {
         Ok(self.compress(comm, vals, self.pack_label)?.into_bytes())
     }
 
@@ -516,7 +538,7 @@ impl SegCodec for HzCodec {
             }
             // the segment arrived degraded — already raw, copy it in
             PayloadKind::RawF32 => {
-                dst.copy_from_slice(&bytes_to_f32(&wire));
+                read_f32s(&wire, dst)?;
                 Ok(wire)
             }
         }

@@ -195,7 +195,7 @@ fn calibrate_common(sample: &[f32], threads: usize, out: &mut [f32]) -> (f64, f6
     });
     let mut copy = vec![0u8; sample.len() * 4];
     let t_other = best_of::<3>(|| {
-        copy.copy_from_slice(&crate::chunks::f32_to_bytes(sample));
+        crate::chunks::write_f32s(sample, &mut copy);
     });
     (t_cpt, t_other)
 }

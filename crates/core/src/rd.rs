@@ -121,9 +121,10 @@ pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f3
         })
     };
     let merge = |comm: &mut Comm, acc: Option<Vec<f32>>, got: Vec<u8>| {
-        let vals = comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
-            crate::chunks::bytes_to_f32(&got)
-        });
+        let mut vals = vec![0f32; data.len()];
+        comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
+            crate::chunks::read_f32s(&got, &mut vals)
+        })?;
         let Some(mut acc) = acc else { return Ok(vals) };
         comm.compute_labeled(OpKind::Cpt, acc.len() * 4, "rd:reduce", || {
             reduce_in_place(&mut acc, &vals, ReduceOp::Sum, cpt_threads)
@@ -131,7 +132,7 @@ pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f3
         Ok(acc)
     };
     schedule(comm, data.to_vec(), data.len() * 4, pack, merge, |_, acc| Ok(acc))
-        .expect("raw values always unpack")
+        .expect("every rank reduces a vector of the same length")
 }
 
 /// Recursive-doubling `Allreduce(sum)` with homomorphic reduction: each rank

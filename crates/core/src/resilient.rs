@@ -15,6 +15,9 @@
 //!     25     …  payload
 //! ```
 //!
+//! The checksum is computed 16 bytes a step (`crc32_update`, slicing-by-16);
+//! a receiver validates a frame and strips its header in the buffer it got.
+//!
 //! ## Protocol: stop-and-wait ARQ with bounded backoff
 //!
 //! Each logical transfer is one data frame per attempt, answered by exactly
@@ -150,15 +153,17 @@ impl std::error::Error for FrameError {}
 #[derive(Debug)]
 struct Frame {
     kind: u8,
-    #[allow(dead_code)] // diagnostic field; the strict-alternation protocol needs no seq matching
     seq: u32,
     payload: Vec<u8>,
 }
 
-const CRC_TABLE: [u32; 256] = crc32_table();
+/// Slicing-by-16: `CRC_TABLES[0]` is the classic byte-at-a-time table and
+/// `CRC_TABLES[k][b]` the state `k` zero bytes after byte `b`, so the sixteen
+/// lookups of a 16-byte stride do not wait on each other.
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -167,15 +172,30 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             b += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    while i < 16 * 256 {
+        let prev = tables[i / 256 - 1][i % 256];
+        tables[i / 256][i % 256] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+        i += 1;
+    }
+    tables
 }
 
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut strides = bytes.chunks_exact(16);
+    for stride in &mut strides {
+        // the state folds into the first four bytes; byte j has 15 - j after it
+        let state = crc.to_le_bytes();
+        crc = 0;
+        for (j, &b) in stride.iter().enumerate() {
+            crc ^= CRC_TABLES[15 - j][(b ^ if j < 4 { state[j] } else { 0 }) as usize];
+        }
+    }
+    // the tail, byte at a time (fed single bytes, this loop is the test reference)
+    for &b in strides.remainder() {
+        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -202,7 +222,7 @@ fn encode_frame(kind: u8, seq: u32, tag: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
+fn decode_frame(mut bytes: Vec<u8>) -> Result<Frame, FrameError> {
     if bytes.len() < HEADER_LEN {
         return Err(FrameError::TooShort { len: bytes.len() });
     }
@@ -224,7 +244,8 @@ fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
     if got != expect {
         return Err(FrameError::Checksum { expect, got });
     }
-    Ok(Frame { kind, seq, payload: bytes[HEADER_LEN..].to_vec() })
+    bytes.drain(..HEADER_LEN);
+    Ok(Frame { kind, seq, payload: bytes })
 }
 
 fn data_kind_byte(kind: PayloadKind) -> u8 {
@@ -339,7 +360,7 @@ fn engine(
                         comm.mark("res:timeout");
                         None
                     } else {
-                        decode_frame(&got.payload)
+                        decode_frame(got.payload)
                             .ok()
                             .and_then(|f| payload_kind(f.kind).map(|k| (f.seq, f.payload, k)))
                     };
@@ -371,7 +392,7 @@ fn engine(
                 }
                 Ok(got) => {
                     assert!(!got.dropped, "control frames travel the reliable channel");
-                    decode_frame(&got.payload).expect("control frame corrupted on reliable channel")
+                    decode_frame(got.payload).expect("control frame corrupted on reliable channel")
                 }
             };
             if frame.kind == KIND_ACK {
@@ -581,7 +602,7 @@ mod tests {
         let payload: Vec<u8> = (0..200).map(|i| (i * 7 % 251) as u8).collect();
         let buf = encode_frame(KIND_DATA_OPAQUE, 3, 0xDEAD_BEEF, &payload);
         assert_eq!(buf.len(), HEADER_LEN + payload.len());
-        let frame = decode_frame(&buf).expect("roundtrip");
+        let frame = decode_frame(buf).expect("roundtrip");
         assert_eq!(frame.kind, KIND_DATA_OPAQUE);
         assert_eq!(frame.seq, 3);
         assert_eq!(frame.payload, payload);
@@ -590,30 +611,49 @@ mod tests {
     #[test]
     fn empty_payload_frames_work() {
         let buf = encode_frame(KIND_ACK, 1, 42, &[]);
-        let frame = decode_frame(&buf).expect("ack frame");
+        let frame = decode_frame(buf).expect("ack frame");
         assert_eq!(frame.kind, KIND_ACK);
         assert!(frame.payload.is_empty());
     }
 
+    /// Payload lengths on both sides of the checksum's stride, so the word
+    /// loop and the byte tail are each under the frame tests.
+    const PAYLOAD_LENS: [usize; 6] = [0, 1, 15, 16, 17, 200];
+
+    fn xorshift_bytes(state: &mut u64, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                (*state >> 32) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let payload: Vec<u8> = (0..64).collect();
-        let buf = encode_frame(KIND_DATA_RAW_F32, 9, 7, &payload);
-        for bit in 0..buf.len() * 8 {
-            let mut mutated = buf.clone();
-            mutated[bit / 8] ^= 1 << (bit % 8);
-            assert!(decode_frame(&mutated).is_err(), "flip of bit {bit} must not decode as valid");
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for len in PAYLOAD_LENS {
+            let buf = encode_frame(KIND_DATA_RAW_F32, 9, 7, &xorshift_bytes(&mut state, len));
+            for bit in 0..buf.len() * 8 {
+                let mut mutated = buf.clone();
+                mutated[bit / 8] ^= 1 << (bit % 8);
+                assert!(decode_frame(mutated).is_err(), "len {len}: flip of bit {bit} decoded");
+            }
         }
     }
 
     #[test]
     fn truncations_are_typed_errors() {
-        let buf = encode_frame(KIND_DATA_OPAQUE, 1, 1, &[5; 32]);
-        for len in 0..buf.len() {
-            let err = decode_frame(&buf[..len]).unwrap_err();
-            match err {
-                FrameError::TooShort { .. } | FrameError::LengthMismatch { .. } => {}
-                other => panic!("truncation to {len} gave {other:?}"),
+        for payload_len in PAYLOAD_LENS {
+            let buf = encode_frame(KIND_DATA_OPAQUE, 1, 1, &vec![5; payload_len]);
+            for len in 0..buf.len() {
+                let err = decode_frame(buf[..len].to_vec()).unwrap_err();
+                match err {
+                    FrameError::TooShort { .. } | FrameError::LengthMismatch { .. } => {}
+                    other => panic!("truncation of {payload_len} to {len} gave {other:?}"),
+                }
             }
         }
     }
@@ -623,6 +663,55 @@ mod tests {
         // IEEE CRC32 of "123456789" is the classic check value
         assert_eq!(crc32(&[b"123456789"]), 0xCBF4_3926);
         assert_eq!(crc32(&[b"1234", b"56789"]), 0xCBF4_3926, "chunking must not matter");
+    }
+
+    /// The CRC a byte at a time: single bytes only ever reach
+    /// `crc32_update`'s tail loop.
+    fn crc32_bytewise(crc: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(crc, |crc, b| crc32_update(crc, std::slice::from_ref(b)))
+    }
+
+    #[test]
+    fn crc_word_loop_matches_the_byte_loop() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        // every length around the stride at every start alignment
+        let pool = xorshift_bytes(&mut state, 16 + 80);
+        for align in 0..16 {
+            for len in 0..=80 {
+                let bytes = &pool[align..align + len];
+                let seed = state as u32 ^ len as u32;
+                assert_eq!(
+                    crc32_update(seed, bytes),
+                    crc32_bytewise(seed, bytes),
+                    "len {len} at alignment {align}"
+                );
+            }
+        }
+        // random buffers up to 64 KiB, random running states
+        let pool = xorshift_bytes(&mut state, 1 << 16);
+        for _ in 0..10_000 {
+            let draw = xorshift_bytes(&mut state, 8);
+            let a = u16::from_le_bytes([draw[0], draw[1]]) as usize;
+            let b = u16::from_le_bytes([draw[2], draw[3]]) as usize;
+            let bytes = &pool[a.min(b)..a.max(b)];
+            let seed = u32::from_le_bytes([draw[4], draw[5], draw[6], draw[7]]);
+            assert_eq!(crc32_update(seed, bytes), crc32_bytewise(seed, bytes), "{a}..{b}");
+        }
+    }
+
+    /// The frame checksum runs over header and payload as two parts: where
+    /// the cuts fall must not matter.
+    #[test]
+    fn crc_does_not_depend_on_how_the_bytes_are_split() {
+        let buf = xorshift_bytes(&mut 0x0123_4567_89AB_CDEF, 67);
+        let whole = crc32(&[&buf]);
+        assert_eq!(whole, !crc32_bytewise(0xFFFF_FFFF, &buf));
+        for i in 0..=buf.len() {
+            assert_eq!(crc32(&[&buf[..i], &buf[i..]]), whole, "cut at {i}");
+            for j in i..=buf.len() {
+                assert_eq!(crc32(&[&buf[..i], &buf[i..j], &buf[j..]]), whole, "cuts at {i}, {j}");
+            }
+        }
     }
 
     #[test]

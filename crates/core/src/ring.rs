@@ -336,26 +336,32 @@ pub(crate) fn reduce_scatter<C: SegCodec>(
         acc.push(codec.seed(data, &lay.seg(first, k), operand));
     }
     let mut next = Vec::with_capacity(lay.max_nsegs());
+    // message buffers circulate: a folded arrival's bytes carry the next send
+    let mut spare: Vec<Vec<u8>> = Vec::new();
     for s in 0..n - 1 {
         let send_idx = (pos + 2 * n - s - 1) % n;
         let recv_idx = (pos + 2 * n - s - 2) % n;
         let (base, s_send, s_recv) = (ring.rs_tag, acc.len(), lay.nsegs(recv_idx));
         // fold segment k of the arriving chunk into the own contribution
-        let fold = |comm: &mut Comm,
-                    kept: &[Option<C::Operand>],
-                    (wire, kind): Wire,
-                    staged: Option<C::Operand>,
-                    k: usize| {
+        // (over `spent`, the accumulator forwarded on the hop that brought it)
+        let mut fold = |comm: &mut Comm,
+                        kept: &[Option<C::Operand>],
+                        (wire, staged, spent): (Wire, Option<C::Operand>, Option<C::Acc>),
+                        k: usize| {
             let held = kept.get(lay.slot(recv_idx, k)).and_then(Option::as_ref);
             let rng = lay.seg(recv_idx, k);
-            codec.fold(comm, wire, kind, data, &rng, staged.as_ref().or(held))
+            let (acc, buf) = codec.fold(comm, wire, data, &rng, staged.as_ref().or(held), spent)?;
+            next.push(acc);
+            Ok::<Vec<u8>, Stop>(buf)
         };
-        let mut arrived: Option<(Wire, Option<C::Operand>)> = None;
-        for k in 0..acc.len().max(s_recv) {
+        let mut forwarded = acc.drain(..);
+        let mut arrived = None;
+        for k in 0..s_send.max(s_recv) {
             let tag = seg_tag(base, s, k);
             let stop = move |_| Stop::at(base, s, s + 2 == n, k, s_send, s_recv);
-            if k < acc.len() {
-                let wire = (codec.encode(comm, &acc[k])?, C::WIRE);
+            let own = forwarded.next();
+            if let Some(own) = &own {
+                let wire = (codec.encode(comm, own, spare.pop().unwrap_or_default())?, C::WIRE);
                 let logical = lay.seg(send_idx, k).len() * 4;
                 ring.hop.send(comm, tag, wire, logical, k < s_recv).map_err(stop)?;
             }
@@ -363,19 +369,20 @@ pub(crate) fn reduce_scatter<C: SegCodec>(
                 // the own operand and the previous segment's fold both hide
                 // behind segment k's wire time
                 let staged = prepare(comm, kept, recv_idx, k)?;
-                if let Some((wire, operand)) = arrived.take() {
-                    next.push(fold(comm, kept, wire, operand, k - 1)?);
+                if let Some(prev) = arrived.take() {
+                    spare.push(fold(comm, kept, prev, k - 1)?);
                 }
                 // (only a framed hop — one segment, just sent — degrades)
-                let degraded = |c: &mut Comm| codec.degrade(c, &acc[k]);
+                let degraded =
+                    |c: &mut Comm| codec.degrade(c, own.as_ref().expect("a framed hop is paired"));
                 let wire = ring.hop.recv(comm, tag, C::WIRE, degraded).map_err(stop)?;
-                arrived = Some((wire, staged));
+                arrived = Some((wire, staged, own));
             }
         }
-        let (wire, operand) = arrived.expect("every chunk has a segment");
-        next.push(fold(comm, kept, wire, operand, s_recv - 1)?);
+        let last = arrived.expect("every chunk has a segment");
+        spare.push(fold(comm, kept, last, s_recv - 1)?);
+        drop(forwarded);
         std::mem::swap(&mut acc, &mut next);
-        next.clear();
     }
     Ok(acc)
 }
@@ -457,24 +464,28 @@ pub(crate) fn allgather<C: SegCodec>(
         }
         None if n > 1 && !recode => {
             for k in 0..lay.nsegs(pos) {
-                let wire = codec.pack(comm, &out[lay.seg(pos, k)])?;
+                let wire = codec.pack(comm, &out[lay.seg(pos, k)], Vec::new())?;
                 held[pos * smax + k] = Some((wire, C::WIRE));
             }
         }
         None => {}
     }
-    // an arrived segment is decoded now (unless everything decodes last)
-    // and kept for its next hop (unless that hop re-encodes)
+    // an arrived segment is decoded now (unless everything decodes last) and
+    // kept for its next hop (or, if that hop re-encodes, as a spare buffer)
+    let mut spare: Vec<Vec<u8>> = Vec::new();
     let keep = |comm: &mut Comm,
                 out: &mut [f32],
                 held: &mut [Option<Wire>],
+                spare: &mut Vec<Vec<u8>>,
                 (mut wire, kind): Wire,
                 idx: usize,
                 k: usize| {
         if !decode_last {
             wire = codec.install(comm, wire, kind, &mut out[lay.seg(idx, k)])?;
         }
-        if !recode {
+        if recode {
+            spare.push(wire);
+        } else {
             held[idx * smax + k] = Some((wire, kind));
         }
         Ok::<(), Stop>(())
@@ -491,7 +502,8 @@ pub(crate) fn allgather<C: SegCodec>(
             if k < s_send {
                 let rng = lay.seg(send_idx, k);
                 let wire = if recode {
-                    (codec.pack(comm, &out[rng.clone()])?, C::WIRE)
+                    let buf = spare.pop().unwrap_or_default();
+                    (codec.pack(comm, &out[rng.clone()], buf)?, C::WIRE)
                 } else {
                     // a chunk is forwarded exactly once, so only a later
                     // decode needs the bytes kept
@@ -503,7 +515,7 @@ pub(crate) fn allgather<C: SegCodec>(
             }
             if k < s_recv {
                 if let Some(wire) = arrived.take() {
-                    keep(comm, out, &mut held, wire, recv_idx, k - 1)?;
+                    keep(comm, out, &mut held, &mut spare, wire, recv_idx, k - 1)?;
                 }
                 // (only a framed hop — one segment, just sent — degrades)
                 let degraded = |c: &mut Comm| match held.get(send_idx * smax + k) {
@@ -514,7 +526,7 @@ pub(crate) fn allgather<C: SegCodec>(
             }
         }
         let wire = arrived.expect("every chunk has a segment");
-        keep(comm, out, &mut held, wire, recv_idx, s_recv - 1)?;
+        keep(comm, out, &mut held, &mut spare, wire, recv_idx, s_recv - 1)?;
     }
     if decode_last {
         for idx in (0..n).filter(|&idx| idx != pos || own_is_wire) {
@@ -557,7 +569,7 @@ fn gather<C: SegCodec>(
     let (n, pos) = (ring.size, ring.pos);
     if pos != root {
         for (k, acc) in accs.iter().enumerate() {
-            let wire = (codec.encode(comm, acc)?, C::WIRE);
+            let wire = (codec.encode(comm, acc, Vec::new())?, C::WIRE);
             let (tag, logical) = (seg_tag(TAG_GATHER, pos, k), lay.seg(pos, k).len() * 4);
             ring.hop.send_to(comm, root, tag, wire, logical, |c| codec.degrade(c, acc))?;
         }
@@ -598,7 +610,7 @@ fn scatter<C: SegCodec>(
         for dst in (0..n).filter(|&dst| keep || dst != root) {
             for k in 0..lay.nsegs(dst) {
                 let rng = lay.seg(dst, k);
-                let wire = (codec.pack(comm, &data[rng.clone()])?, C::WIRE);
+                let wire = (codec.pack(comm, &data[rng.clone()], Vec::new())?, C::WIRE);
                 if dst == root {
                     own.push(wire);
                     continue;

@@ -68,7 +68,7 @@ pub(crate) fn recover<C: SegCodec>(
             .and_then(|accs| {
                 let mut own = Vec::with_capacity(accs.len());
                 for acc in &accs {
-                    own.push((codec.encode(comm, acc)?, C::WIRE));
+                    own.push((codec.encode(comm, acc, Vec::new())?, C::WIRE));
                 }
                 if ag {
                     return allgather(comm, ring, codec, &lay, Some(own), &mut out);

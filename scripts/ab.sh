@@ -3,7 +3,7 @@
 # ROADMAP asks of every speed claim (choosing-metrics §8), so that no perf PR
 # hand-rolls it.
 #
-#   scripts/ab.sh <parent-rev> [--pairs N] [--seconds T] [--workload W]...
+#   scripts/ab.sh <parent-rev> [--pairs N] [--seconds T] [--workload W]... [--layer NAME]...
 #
 # The parent is `git archive <parent-rev>` unpacked in a temporary directory
 # (under $TMPDIR; nothing is registered in .git, so an interrupted run leaves
@@ -26,24 +26,33 @@
 # image, `same` when every pair is bit-identical, `-` otherwise (with fewer
 # than 10 pairs there is no verdict). Exits 1 when a run fails or reports
 # `failed > 0`.
+#
+# With `--layer NAME` (repeatable; a per-layer metric of BENCHMARK.json) the
+# pairs are followed by one `--trace 1` run per side and workload, all on one
+# seed, and each named metric is printed side by side wherever a run measured
+# it (`mixed_schedules  core.framed_ms.mpi  188.4 -> 41.5 ms`): where the
+# end-to-end difference sits (choosing-metrics §6.6). One run a side, so a
+# pointer, not a claim. A name no traced run printed is an error (exit 2)
+# that lists the names they did print.
 set -euo pipefail
 
 die() { echo "ab.sh: $*" >&2; exit 2; }
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 spec="$root/BENCHMARK.json"
-parent_rev="" pairs=10 seconds="" workloads=()
+parent_rev="" pairs=10 seconds="" workloads=() layers=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="${2:?--pairs N}"; shift 2 ;;
         --seconds) seconds="${2:?--seconds T}"; shift 2 ;;
         --workload) workloads+=("${2:?--workload W}"); shift 2 ;;
+        --layer) layers+=("${2:?--layer NAME}"); shift 2 ;;
         -*) die "unknown option $1" ;;
         *) [ -z "$parent_rev" ] || die "one parent revision, got '$parent_rev' and '$1'"
            parent_rev="$1"; shift ;;
     esac
 done
-[ -n "$parent_rev" ] || die "usage: ab.sh <parent-rev> [--pairs N] [--seconds T] [--workload W]..."
+[ -n "$parent_rev" ] || die "usage: ab.sh <parent-rev> [--pairs N] [--seconds T] [--workload W]... [--layer NAME]..."
 [ "$pairs" -ge 1 ] 2>/dev/null || die "--pairs must be a positive integer"
 [ -n "$seconds" ] || seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$spec")
 [ ${#workloads[@]} -gt 0 ] ||
@@ -62,12 +71,17 @@ echo "ab.sh: parent ${parent_sha:0:7} vs $change_name; $pairs pairs x ${workload
 
 runs="$work/runs.tsv" # pair side workload metric value
 bad=0
+# bench SIDE SEED WORKLOAD TRACE: the result object of one run of benchmark/run.sh
+bench() {
+    local dir commit
+    if [ "$1" = parent ]; then dir="$work/parent" commit=$parent_sha; else dir="$root" commit=$change_name; fi
+    (cd "$dir" && CARGO_TARGET_DIR="$work/target-$1" HZBENCH_COMMIT="$commit" \
+        bash benchmark/run.sh --workload "$3" --seed "$2" --seconds "$seconds" --trace "$4" | tail -n 1)
+}
 # one_run SIDE PAIR SEED WORKLOAD
 one_run() {
-    local side=$1 pair=$2 seed=$3 w=$4 dir commit json failed line m v
-    if [ "$side" = parent ]; then dir="$work/parent" commit=$parent_sha; else dir="$root" commit=$change_name; fi
-    if ! json=$(cd "$dir" && CARGO_TARGET_DIR="$work/target-$side" HZBENCH_COMMIT="$commit" \
-            bash benchmark/run.sh --workload "$w" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1); then
+    local side=$1 pair=$2 seed=$3 w=$4 json failed line m v
+    if ! json=$(bench "$side" "$seed" "$w" 0); then
         echo "run pair=$pair seed=$seed $side $w: benchmark/run.sh failed"
         bad=1
         return
@@ -132,4 +146,29 @@ awk -F'\t' -v pairs="$pairs" -v metrics="$(tr '\n' ';' <<<"$metrics")" -v worklo
         }
     }
 ' "$runs"
+
+if [ ${#layers[@]} -gt 0 ]; then
+    echo
+    echo "per-layer metrics, one traced run per side (seed $seed0):"
+    printed="" found=" "
+    for w in "${workloads[@]}"; do
+        pj=$(bench parent "$seed0" "$w" 1) && cj=$(bench change "$seed0" "$w" 1) ||
+            { echo "traced run of $w: benchmark/run.sh failed"; bad=1; continue; }
+        printed+=$(grep -o '"[a-z_0-9.]*":{"value"' <<<"$pj$cj" | cut -d'"' -f2)$'\n'
+        for name in "${layers[@]}"; do
+            pick="s/.*\"${name//./\\.}\":{\"value\":\([^,}]*\),\"unit\":\"\([^\"]*\)\".*/\1 \2/p"
+            read -r pv unit < <(sed -n "$pick" <<<"$pj") || continue
+            read -r cv _ < <(sed -n "$pick" <<<"$cj") || continue
+            found+="$name "
+            [[ "$pv$cv" =~ [1-9] ]] || continue # a layer this workload does not run
+            printf '%-16s %-34s %12.6g -> %-12.6g %s\n' "$w" "$name" "$pv" "$cv" "$unit"
+        done
+    done
+    for name in "${layers[@]}"; do
+        [[ "$found" == *" $name "* ]] && continue
+        echo "ab.sh: no traced run printed '$name'; they printed:" >&2
+        sort -u <<<"$printed" | sed '/^$/d; s/^/  /' >&2
+        exit 2
+    done
+fi
 [ "$bad" = 0 ] || { echo "ab.sh: a run failed or reported failed > 0" >&2; exit 1; }

@@ -1,0 +1,105 @@
+//! The ring data path's allocation budget, as counts: message buffers
+//! circulate (a folded arrival's bytes carry the next send, the accumulator
+//! just forwarded takes the next fold), so the number of message-sized
+//! allocations a rank makes does not depend on the ring's size. A counting
+//! global allocator around whole simulated runs pins that; it fails on a
+//! ring that allocates per step (four more per rank added to an allreduce
+//! ring: a pack and an unpack buffer in each phase).
+
+use hzccl::{collectives, CollectiveOpts, Resilience};
+use netsim::{ComputeTiming, SimBuilder, SimEngine, ThroughputModel};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+/// Allocations of at least `LARGE_FROM` bytes, and all bytes allocated.
+static LARGE: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+static LARGE_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
+
+struct Counting;
+
+fn count(size: usize) {
+    BYTES.fetch_add(size, Relaxed);
+    if size >= LARGE_FROM.load(Relaxed) {
+        LARGE.fetch_add(1, Relaxed);
+    }
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters are plain statistics and
+// touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// The counters are process-wide: one measured run at a time.
+static GATE: Mutex<()> = Mutex::new(());
+
+/// 1 MiB of exactly representable values per rank.
+const ELEMS: usize = 1 << 18;
+
+/// One mpi allreduce over `nranks`, inputs prepared outside the window:
+/// `(allocations of at least one ring chunk, bytes allocated)` per rank —
+/// harness included (a fiber stack and the result vector each count once).
+fn allreduce_budget(nranks: usize, opts: &CollectiveOpts) -> (usize, usize) {
+    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let inputs: Vec<Vec<f32>> = (0..nranks)
+        .map(|r| (0..ELEMS).map(|i| ((i % 1024) * (r + 1)) as f32 * 0.25).collect())
+        .collect();
+    let timing = ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0));
+    let cluster = SimBuilder::new(nranks).timing(timing).engine(SimEngine::Events);
+    LARGE_FROM.store(ELEMS / nranks * 4, Relaxed);
+    let (large, bytes) = (LARGE.load(Relaxed), BYTES.load(Relaxed));
+    let report = cluster
+        .run(|comm| collectives::allreduce(comm, &inputs[comm.rank()], opts).expect("allreduce"))
+        .expect_clean();
+    let (large, bytes) = (LARGE.load(Relaxed) - large, BYTES.load(Relaxed) - bytes);
+    LARGE_FROM.store(usize::MAX, Relaxed);
+    let want: Vec<f32> =
+        (0..ELEMS).map(|i| inputs.iter().map(|input| input[i]).sum::<f32>()).collect();
+    assert!(report.outcomes.iter().all(|o| o.value == want), "exact sums, bit for bit");
+    (large / nranks, bytes / nranks)
+}
+
+#[test]
+fn a_raw_ring_allocates_a_constant_number_of_message_buffers() {
+    let (large4, bytes4) = allreduce_budget(4, &CollectiveOpts::mpi());
+    let (large8, bytes8) = allreduce_budget(8, &CollectiveOpts::mpi());
+    assert_eq!(large4, large8, "chunk-sized allocations per rank must not grow with the ring");
+    assert!(large4 <= 8, "{large4} chunk-sized allocations per rank");
+    for bytes in [bytes4, bytes8] {
+        assert!(bytes <= 4 * ELEMS * 4, "{bytes} B allocated per rank for a 1 MiB input");
+    }
+}
+
+/// Under the framed transport the sender builds one frame per hop while it
+/// keeps the payload for a retransmit; the receiver strips the header in
+/// place and the payload's buffer carries on round the ring.
+#[test]
+fn a_framed_ring_allocates_one_frame_per_hop() {
+    let (plain, _) = allreduce_budget(8, &CollectiveOpts::mpi());
+    let framed = CollectiveOpts::mpi().with_resilience(Resilience::default());
+    for nranks in [4, 8] {
+        let (large, _) = allreduce_budget(nranks, &framed);
+        let hops = 2 * (nranks - 1);
+        assert!(large <= plain + hops, "{large} chunk-sized allocations over {hops} hops");
+    }
+}

@@ -272,3 +272,48 @@ fn compress_argument_table_returns_typed_errors() {
         assert_eq!(fzlight::decompress(&s).unwrap(), zeros, "eb={eb:e}");
     }
 }
+
+/// One rank whose vector is 64 elements longer than its peers': the two
+/// ranks that meet a payload of the wrong length — the long rank and its
+/// right neighbour, on the first ring step — return a typed error in every
+/// flavour, where raw and DOC traffic once died in an `assert_eq!` of the
+/// reduction kernel. Ranks further round the ring never see such a payload;
+/// what they report is the early exit of a neighbour (the crash cascade).
+#[test]
+fn a_payload_of_the_wrong_length_is_a_typed_error_in_every_flavour() {
+    use hzccl::{collectives, CollectiveOpts};
+    type Verb = fn(&mut netsim::Comm, &[f32], &CollectiveOpts) -> collectives::Result<Vec<f32>>;
+    let verbs: [(&str, Verb); 2] =
+        [("allreduce", collectives::allreduce), ("reduce_scatter", collectives::reduce_scatter)];
+    let flavours = [
+        ("mpi", CollectiveOpts::mpi()),
+        ("ccoll", CollectiveOpts::ccoll(1e-4)),
+        ("hz", CollectiveOpts::hz(1e-4)),
+    ];
+    let nranks = 4;
+    let timing = ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0));
+    for (flavour, opts) in &flavours {
+        for (verb_name, verb) in verbs {
+            for long in [0, 1, nranks - 1] {
+                let at = format!("{flavour} {verb_name}, rank {long} long");
+                let report = SimBuilder::new(nranks).timing(timing).run(|comm| {
+                    let len = 4096 + if comm.rank() == long { 64 } else { 0 };
+                    verb(comm, &App::Hurricane.generate(len, comm.rank() as u64), opts).map(drop)
+                });
+                for rank in [long, (long + 1) % nranks] {
+                    let err = report.value(rank).as_ref().expect_err(&at);
+                    let text = err.to_string();
+                    assert!(
+                        text.contains("length") || text.contains("element count"),
+                        "{at}: {text}"
+                    );
+                }
+                for p in &report.panics {
+                    let m = &p.message;
+                    let kernel = m.contains("assert") || m.contains("slice");
+                    assert!(!kernel, "{at}: rank {} died in a kernel check — {m}", p.rank);
+                }
+            }
+        }
+    }
+}
