@@ -3,17 +3,17 @@
 //! is one [`Figure`] declaration — id, title, op, app(s), x-axis, series,
 //! columns, expected-shape text — and [`render`] is the one program that
 //! turns a declaration into [`suite::CaseSpec`]s, runs them through
-//! [`suite::run_case`] and prints the table. `cargo bench --bench <target>`
-//! is [`main`] on the declaration of that name; `tests/figure_goldens.rs`
-//! renders every declaration at a tiny deterministic scale and compares the
-//! text byte for byte.
+//! [`suite::run_case`] and prints the table. `cargo bench --bench figures --
+//! <target>` is [`main`] on the declaration of that name;
+//! `tests/figure_goldens.rs` renders every declaration at a tiny
+//! deterministic scale and compares the text byte for byte.
 
 use crate::suite::{self, CaseSpec, Fields, Runner, SuiteConfig, Timing};
 use crate::{kernels, Knobs, Table};
 use costmodel::Scenario;
 use datasets::{App, Quality};
 use hzccl::{Mode, Variant};
-use netsim::{Breakdown, NetConfig, Registry};
+use netsim::{Breakdown, NetConfig};
 use std::io::{self, Write};
 use tuner::{Algo, Engine, Flavor, Op};
 
@@ -110,7 +110,8 @@ enum Extra {
 /// One figure or table of the evaluation.
 #[derive(Debug, Clone)]
 pub struct Figure {
-    /// Bench target (`cargo bench --bench <target>`) and golden file stem.
+    /// Selector (`cargo bench --bench figures -- <target>`) and golden file
+    /// stem.
     pub target: &'static str,
     /// Experiment id of EXPERIMENTS.md.
     id: &'static str,
@@ -250,18 +251,8 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
         timing,
         ..Default::default()
     };
-    let mut metrics = Registry::new();
-    let mut run = |spec: &CaseSpec, cfg: &SuiteConfig| -> Run {
+    let run = |spec: &CaseSpec, cfg: &SuiteConfig| -> Run {
         let mut done = suite::run_case(spec, cfg);
-        if let Some(dir) = &knobs.metrics_out {
-            metrics.record_report(&done.report);
-            let path = dir.join(format!("BENCH_{}.json", fig.target));
-            let written = std::fs::create_dir_all(dir)
-                .and_then(|()| std::fs::write(&path, metrics.to_json().render()));
-            if let Err(e) = written {
-                eprintln!("warning: could not write metrics snapshot {}: {e}", path.display());
-            }
-        }
         Run {
             secs: done.result.virtual_secs,
             breakdown: done.result.breakdown,
@@ -419,13 +410,23 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
     write!(out, "{}", fig.expected)
 }
 
-/// `fn main` of a figure's bench target: render the declaration named
-/// `target` under the environment's knobs to stdout.
-pub fn main(target: &str) {
+/// `fn main` of the `figures` bench target: render the declarations named on
+/// the command line (none = every one) in [`all`] order under the
+/// environment's knobs to stdout. The `--bench` token cargo passes to
+/// `harness = false` binaries is ignored.
+pub fn main() {
     let knobs = Knobs::from_env();
-    let fig = all(&knobs).into_iter().find(|f| f.target == target);
-    let fig = fig.unwrap_or_else(|| panic!("no figure is declared for bench target '{target}'"));
-    render(&fig, &knobs, &mut io::stdout().lock()).expect("stdout");
+    let figs = all(&knobs);
+    let names: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
+    if let Some(unknown) = names.iter().find(|n| figs.iter().all(|f| f.target != *n)) {
+        let known: Vec<&str> = figs.iter().map(|f| f.target).collect();
+        eprintln!("no figure is declared for '{unknown}' (declared: {})", known.join(", "));
+        std::process::exit(2);
+    }
+    let out = &mut io::stdout().lock();
+    for fig in figs.iter().filter(|f| names.is_empty() || names.iter().any(|n| n == f.target)) {
+        render(fig, &knobs, out).expect("stdout");
+    }
 }
 
 /// Every collective figure of EXPERIMENTS.md, with the knobs' values (or

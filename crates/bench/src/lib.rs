@@ -1,7 +1,7 @@
 //! The benchmark harness: one scenario runner ([`suite::run_case`]) under
 //! every harness, the paper's collective figures as declarations
-//! ([`figure`]) rendered over it, the deterministic `hzc bench` suite and its
-//! snapshots, and the kernel-throughput harness.
+//! ([`figure`]) rendered over it, and the deterministic `hzc bench` suite
+//! with its snapshots.
 //!
 //! Every bench target honours the same environment knobs, each read in one
 //! place ([`Knobs::from_env`]):
@@ -16,7 +16,6 @@
 //! | `HZ_IMG_SIDE` | 1024 | stacked image side of TAB7; FIG13 defaults to 512 |
 //! | `HZ_STREAM_ELEMS` | 2^24 | STREAM array length of TAB4 |
 //! | `HZ_PAPER_MODEL` | off | use paper-calibrated throughputs instead of host calibration |
-//! | `HZ_METRICS_OUT` | off | directory receiving a figure's accumulated `BENCH_<target>.json` metrics snapshot |
 //!
 //! Collective benches always use [`netsim::ComputeTiming::Modeled`]: the
 //! data path runs for real (ratios, pipeline mixes and correctness are
@@ -26,12 +25,10 @@
 
 use hzccl::{CollectiveConfig, Mode};
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::Instant;
 use tuner::Flavor;
 
 pub mod figure;
-pub mod kernel_throughput;
 mod kernels;
 pub mod snapshot;
 pub mod suite;
@@ -64,8 +61,6 @@ pub struct Knobs {
     pub stream_elems: usize,
     /// `HZ_PAPER_MODEL` (`1`, `true`, `yes`).
     pub paper_model: bool,
-    /// `HZ_METRICS_OUT`.
-    pub metrics_out: Option<PathBuf>,
 }
 
 impl Knobs {
@@ -82,7 +77,6 @@ impl Knobs {
             img_side: env_usize("HZ_IMG_SIDE"),
             stream_elems: env_usize("HZ_STREAM_ELEMS").unwrap_or(1 << 24),
             paper_model: matches!(paper.as_str(), "1" | "true" | "yes"),
-            metrics_out: std::env::var_os("HZ_METRICS_OUT").map(PathBuf::from),
         }
     }
 

@@ -287,24 +287,6 @@ pub fn quick_cases() -> Vec<CaseSpec> {
 const SWEEP_OPS: [Op; 2] = [Op::Allreduce, Op::ReduceScatter];
 const SWEEP_VARIANTS: [Variant; 4] = [Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto];
 
-/// The `--scale` family: the regime the event-driven engine exists for.
-/// Ring allreduce at {512, 2048, 4096} ranks — far past what a
-/// thread-per-rank scheduler could sensibly host — at a small per-rank
-/// field so the sweep stays wall-clock-friendly. Kept out of
-/// [`canonical_cases`] so the committed `BENCH_results.json` is unchanged;
-/// CI covers the regime with an untraced 4096-rank smoke
-/// (`tests/engine_equivalence.rs`) because fully-traced r4096 cases cost
-/// minutes apiece — `hzc bench --scale` is the manual/nightly sweep.
-pub fn scale_cases() -> Vec<CaseSpec> {
-    let mut out = Vec::new();
-    for ranks in [512usize, 2048, 4096] {
-        for variant in [Variant::Mpi, Variant::Hzccl] {
-            out.push(CaseSpec::new(Op::Allreduce, Runner::Variant(variant), ranks, 4));
-        }
-    }
-    out
-}
-
 /// The two-tier topology sweep: hierarchical allreduce on paper fabrics
 /// ([`Topology::paper`]: intra-node links 10× faster than inter-node).
 /// The quick subset covers a small 4×2 fabric; the canonical sweep adds the
@@ -600,20 +582,6 @@ mod tests {
         // (including the final-line comma) never move
         assert!(canonical_cases().last().unwrap().faults.is_some());
         assert!(quick_cases().last().unwrap().faults.is_some());
-    }
-
-    #[test]
-    fn scale_family_is_disjoint_from_the_committed_baseline() {
-        let cases = scale_cases();
-        assert_eq!(cases.len(), 3 * 2, "{{512,2048,4096}} x {{mpi,hz}}");
-        assert!(cases.iter().any(|c| c.id() == "allreduce/hz/r4096/kb4/s1"));
-        // No id overlap with canonical: a --scale run can never be diffed
-        // against (or mistaken for) the committed baseline's cases.
-        let canon: std::collections::BTreeSet<String> =
-            canonical_cases().iter().map(|c| c.id()).collect();
-        for c in &cases {
-            assert!(!canon.contains(&c.id()), "{} collides with canonical", c.id());
-        }
     }
 
     #[test]

@@ -38,8 +38,8 @@
 //! bounded copy, no carry state between groups. Sign application on decode is
 //! branchless (`(m ^ -s) + s`). The original byte-at-a-time/bit-buffered
 //! loops are retained as [`encode_block_scalar`]/[`decode_block_scalar`]: the
-//! verified reference the fast path is property-tested against byte-for-byte,
-//! and the baseline the `hzc kernels` harness reports speedup over.
+//! verified reference the fast path is property-tested against byte-for-byte
+//! (`tests/kernel_equivalence.rs`).
 
 use crate::config::MAX_BLOCK_LEN;
 use crate::error::{Error, Result};

@@ -117,7 +117,7 @@ pub fn quantize_block(values: &[f32], inv_2eb: f64, base: usize, out: &mut [i32]
 
 /// Per-element reference implementation of [`quantize_block`]: calls the
 /// original scalar quantizer with full per-call error plumbing. Retained for
-/// differential property tests and the `hzc kernels` baseline.
+/// the differential property tests (`tests/kernel_equivalence.rs`).
 pub fn quantize_block_scalar(
     values: &[f32],
     inv_2eb: f64,

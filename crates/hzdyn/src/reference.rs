@@ -4,14 +4,10 @@
 //! built on the scalar codec paths
 //! ([`codec::decode_block_scalar`]/[`codec::encode_deltas_scalar`]): no tile
 //! arenas, per-byte `Vec` pushes, bit-buffered residual handling. It is kept
-//! for two jobs:
-//!
-//! 1. **Differential testing** — the cache-blocked fast path in
-//!    [`crate::dynamic`] must produce byte-identical streams (asserted by the
-//!    workspace `kernel_equivalence` property tests).
-//! 2. **Roofline baseline** — `hzc kernels` measures the fast path's speedup
-//!    against this implementation, so the reported ratio reflects real kernel
-//!    work, not harness overhead.
+//! for differential testing: the cache-blocked fast path in
+//! [`crate::dynamic`] must produce byte-identical streams (asserted by the
+//! workspace `kernel_equivalence` property tests and the `scalar` column of
+//! `tests/codec_goldens.tsv`).
 //!
 //! The chunk walk around the kernel is the fast path's (`crate::walk`);
 //! only the per-block kernels differ.

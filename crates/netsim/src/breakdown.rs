@@ -42,7 +42,7 @@ impl Breakdown {
 
     /// The paper's Fig. 2 aggregate: decompression + computation +
     /// compression (+ homomorphic processing, which replaces them in hZCCL).
-    pub fn doc_related(&self) -> f64 {
+    fn doc_related(&self) -> f64 {
         self.cpr + self.dpr + self.hpr + self.cpt
     }
 

@@ -119,7 +119,7 @@ impl std::fmt::Display for PeerCrashed {
 
 impl std::error::Error for PeerCrashed {}
 
-/// What [`Comm::recv_msg`] saw: the payload plus whether the fault plan
+/// What [`Comm::recv_checked`] saw: the payload plus whether the fault plan
 /// dropped the message in transit (in which case `payload` is what was
 /// sent but must be treated as never having arrived).
 pub struct RecvMsg {
@@ -258,11 +258,6 @@ impl Comm {
     /// Cost breakdown accumulated so far on this rank.
     pub fn breakdown(&self) -> Breakdown {
         self.breakdown
-    }
-
-    /// Whether the flight recorder is active on this rank.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
     }
 
     /// The cluster's topology, if one was configured with
@@ -452,7 +447,7 @@ impl Comm {
     ///
     /// Panics if the fault plan dropped the message: a plain `recv` has no
     /// recovery protocol, so silent loss would hang the collective — chaos
-    /// runs must use the resilient transport (see [`Comm::recv_msg`]).
+    /// runs must use the resilient transport (see [`Comm::recv_checked`]).
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<u8> {
         let got = self.recv_msg(from, tag);
         assert!(
@@ -469,7 +464,7 @@ impl Comm {
     /// modelling a receiver that blocks until its loss-detection timeout
     /// fires. An observed crash panics: [`Comm::recv_checked`] is the
     /// variant that reports it.
-    pub fn recv_msg(&mut self, from: usize, tag: u64) -> RecvMsg {
+    pub(crate) fn recv_msg(&mut self, from: usize, tag: u64) -> RecvMsg {
         self.recv_checked(from, tag).unwrap_or_else(|crash| {
             panic!("rank {} observed crash of rank {}", self.rank, crash.rank)
         })

@@ -76,7 +76,7 @@ impl Fiber {
     }
 
     /// Whether the overflow canary at the stack base survived the run.
-    pub fn canary_intact(&self) -> bool {
+    pub(crate) fn canary_intact(&self) -> bool {
         unsafe { (self.stack.as_ptr() as *const u64).read_unaligned() == STACK_CANARY }
     }
 

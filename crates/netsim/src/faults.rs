@@ -30,7 +30,7 @@ pub struct LinkFault {
 
 impl LinkFault {
     /// A perfectly healthy link.
-    pub const NONE: LinkFault = LinkFault { drop_p: 0.0, corrupt_p: 0.0, jitter_s: 0.0 };
+    const NONE: LinkFault = LinkFault { drop_p: 0.0, corrupt_p: 0.0, jitter_s: 0.0 };
 }
 
 /// What a [`FaultPlan`] decided for one message.
@@ -160,12 +160,12 @@ impl FaultPlan {
     }
 
     /// The compute-slowdown factor of `rank` (1.0 unless configured).
-    pub fn straggler_scale(&self, rank: usize) -> f64 {
+    pub(crate) fn straggler_scale(&self, rank: usize) -> f64 {
         self.stragglers.iter().find(|(r, _)| *r == rank).map_or(1.0, |(_, s)| *s)
     }
 
     /// The send step at which `rank` crashes, if any.
-    pub fn crash_step(&self, rank: usize) -> Option<u64> {
+    pub(crate) fn crash_step(&self, rank: usize) -> Option<u64> {
         self.crashes.iter().find(|(r, _)| *r == rank).map(|(_, s)| *s)
     }
 

@@ -87,7 +87,7 @@ impl Histogram {
 
     /// Cumulative `(le, count)` pairs in Prometheus order (upper bound of
     /// each occupied power-of-two bucket, then `+Inf` = `count`).
-    pub fn cumulative(&self) -> Vec<(f64, u64)> {
+    fn cumulative(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
         let mut running = self.zeros;
         if self.zeros > 0 {

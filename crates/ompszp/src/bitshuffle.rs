@@ -11,8 +11,8 @@
 //! (`transpose8`) yields eight plane bytes at once (the symmetric transpose
 //! scatters them back on decode). The original bit-granular loops are
 //! retained as [`encode_planes_scalar`]/[`decode_planes_scalar`] — the
-//! verified reference the fast path is property-tested against, and the
-//! baseline the `hzc kernels` harness measures speedup over.
+//! verified reference the fast path is property-tested against
+//! (`tests/kernel_equivalence.rs`).
 
 use fzlight::error::{Error, Result};
 

@@ -8,12 +8,12 @@
 //! case is bit-deterministic, a nonzero exit is a real perf change, never
 //! noise.
 
-use crate::{app_flag, flag, has_flag, list_flag, usize_list_flag};
+use crate::{app_flag, flag, has_flag, list_flag, usize_list_flag, Args};
 use hzccl_bench::snapshot::{self, Snapshot};
 use hzccl_bench::suite::{self, CaseResult, CaseSpec, SuiteConfig};
 use tuner::Op;
 
-pub(crate) fn bench(args: &[String]) -> Result<(), String> {
+pub(crate) fn bench(args: &Args) -> Result<(), String> {
     let quick = has_flag(args, "--quick");
     let out: String = flag(args, "--out")?.unwrap_or_else(|| "BENCH_results.json".into());
     let against: Option<String> = flag(args, "--against")?;
@@ -76,16 +76,12 @@ pub(crate) fn bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// The case list: `--scale` (the large-rank-count family), `--quick`/default
-/// sweeps, or a custom sweep constructed from
-/// `--ops/--variants/--ranks-list/--sizes-kb/--segments-list`.
-fn select_cases(args: &[String], quick: bool) -> Result<(String, Vec<CaseSpec>), String> {
-    if has_flag(args, "--scale") {
-        return Ok(("scale".into(), suite::scale_cases()));
-    }
+/// The case list: the `--quick`/default sweeps, or a custom sweep constructed
+/// from `--ops/--variants/--ranks-list/--sizes-kb/--segments-list`.
+fn select_cases(args: &Args, quick: bool) -> Result<(String, Vec<CaseSpec>), String> {
     let custom = ["--ops", "--variants", "--ranks-list", "--sizes-kb", "--segments-list"]
         .iter()
-        .any(|f| args.iter().any(|a| a == f));
+        .any(|f| has_flag(args, f));
     if !custom {
         return Ok(if quick {
             ("quick".into(), suite::quick_cases())

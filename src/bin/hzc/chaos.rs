@@ -3,7 +3,7 @@
 //! crash-recovery gate. Every run is one [`CaseSpec`] through
 //! [`suite::run_case`]; the oracles are the suite's.
 
-use crate::{app_flag, f64_list_flag, flag, has_flag};
+use crate::{app_flag, f64_list_flag, flag, has_flag, Args};
 use hzccl::collectives::RecoveryPolicy;
 use hzccl::{Resilience, Variant};
 use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
@@ -20,7 +20,7 @@ const VARIANTS: [Variant; 3] = [Variant::Mpi, Variant::CColl, Variant::Hzccl];
 /// degraded segment may re-quantize once). Retransmit/timeout/degraded
 /// counters come from the flight recorder; exits nonzero if any run
 /// diverges or if faults were injected but the transport never retried.
-pub(crate) fn chaos(args: &[String]) -> Result<(), String> {
+pub(crate) fn chaos(args: &Args) -> Result<(), String> {
     let ranks: usize = flag(args, "--ranks")?.unwrap_or(8);
     if ranks == 0 {
         return Err("--ranks must be at least 1".into());

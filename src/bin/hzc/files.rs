@@ -2,15 +2,14 @@
 //! sum / diff / check` over raw little-endian `.f32` fields and `.fzl`
 //! streams.
 
-use crate::{flag, positional, positionals};
+use crate::{flag, positional, Args};
 use datasets::{App, Quality};
 use fzlight::{CompressedStream, Config, ErrorBound, StreamStats};
 use std::path::Path;
 
-pub(crate) fn gen(args: &[String]) -> Result<(), String> {
-    let pos = positionals(args);
-    let app = App::parse(pos.first().ok_or("missing app")?)?;
-    let out = pos.get(1).ok_or("missing output path")?;
+pub(crate) fn gen(args: &Args) -> Result<(), String> {
+    let app = App::parse(positional(args, 0, "app")?)?;
+    let out = positional(args, 1, "output path")?;
     let mb: usize = flag(args, "--mb")?.unwrap_or(16);
     let seed: u64 = flag(args, "--seed")?.unwrap_or(0);
     let data = app.generate(mb * (1 << 20) / 4, seed);
@@ -19,7 +18,7 @@ pub(crate) fn gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub(crate) fn compress(args: &[String]) -> Result<(), String> {
+pub(crate) fn compress(args: &Args) -> Result<(), String> {
     let input = positional(args, 0, "input .f32")?;
     let output = positional(args, 1, "output .fzl")?;
     let abs: Option<f64> = flag(args, "--eb")?;
@@ -50,7 +49,7 @@ pub(crate) fn compress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub(crate) fn decompress(args: &[String]) -> Result<(), String> {
+pub(crate) fn decompress(args: &Args) -> Result<(), String> {
     let input = positional(args, 0, "input .fzl")?;
     let output = positional(args, 1, "output .f32")?;
     let stream = load_stream(input)?;
@@ -67,7 +66,7 @@ pub(crate) fn decompress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub(crate) fn info(args: &[String]) -> Result<(), String> {
+pub(crate) fn info(args: &Args) -> Result<(), String> {
     let input = positional(args, 0, "input .fzl")?;
     let stream = load_stream(input)?;
     let h = stream.header();
@@ -85,7 +84,7 @@ pub(crate) fn info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-pub(crate) fn reduce(args: &[String], op: hzdyn::ReduceOp) -> Result<(), String> {
+pub(crate) fn reduce(args: &Args, op: hzdyn::ReduceOp) -> Result<(), String> {
     let a = positional(args, 0, "first .fzl")?;
     let b = positional(args, 1, "second .fzl")?;
     let out = positional(args, 2, "output .fzl")?;
@@ -104,7 +103,7 @@ pub(crate) fn reduce(args: &[String], op: hzdyn::ReduceOp) -> Result<(), String>
     Ok(())
 }
 
-pub(crate) fn check(args: &[String]) -> Result<(), String> {
+pub(crate) fn check(args: &Args) -> Result<(), String> {
     let original = positional(args, 0, "original .f32")?;
     let compressed = positional(args, 1, "stream .fzl")?;
     let data = datasets::load_f32(Path::new(original)).map_err(|e| e.to_string())?;

@@ -12,18 +12,17 @@
 //!                                                  run a simulated collective
 //! hzc tune [--ranks L] [--sizes-kb L] [--out F]    offline autotune sweep
 //! hzc bench [--quick] [--against baseline.json]    deterministic perf suite
-//! hzc kernels [--quick] [--gate R] [--out F]       kernel roofline harness
 //! ```
 //!
 //! `.f32` files are raw little-endian floats (the SDRBench layout); `<app>`
 //! is one of `sim1`, `sim2`, `nyx`, `cesm`, `hurricane`.
 
+use hzdyn::ReduceOp;
 use std::process::ExitCode;
 
 mod bench_cmd;
 mod chaos;
 mod files;
-mod kernels_cmd;
 mod sim;
 mod tune;
 
@@ -52,15 +51,11 @@ const USAGE: &str = "usage:
           [--variant hz|ccoll|mpi|rd|auto] [--eb E] [--threads T] [--segments S]
           [--topology NxP[:oversub]] [--app A] [--seed S] [--cache state.json]
           [--trace out.json] [--metrics] [--width W] [--critical-path] [--slack]
-  hzc bench [--quick] [--scale] [--out F] [--against baseline.json] [--tol-time R]
+  hzc bench [--quick] [--out F] [--against baseline.json] [--tol-time R]
           [--tol-bytes R] [--seed S] [--eb E] [--app A] [--engine events|threads]
           [--ops L] [--variants L] [--ranks-list L] [--sizes-kb L]
           [--segments-list L] [--no-fault]
           deterministic perf suite; nonzero exit on regression vs baseline
-  hzc kernels [--quick] [--elems N] [--trials K] [--threads T] [--gate R]
-          [--out BENCH_kernels.json] [--check BENCH_kernels.json]
-          kernel micro-benchmarks vs scalar references + STREAM roofline;
-          --gate enforces a minimum speedup, --check verifies a snapshot
   hzc tune [--ops L] [--ranks L] [--sizes-kb L] [--eb E] [--app A] [--seed S]
           [--out state.json]   (L = comma-separated list, e.g. 8,64)
   hzc chaos [--seed S] [--ranks N] [--kb K] [--eb E] [--drop P[,P..]]
@@ -70,74 +65,138 @@ const USAGE: &str = "usage:
           crashes under the Shrink policy, survivor sums checked bit-exact
           (mpi) or error-bounded (ccoll/hz), nonzero exit on divergence";
 
+/// One subcommand: its name, the value-taking and the boolean flags it
+/// accepts (space-separated; declared here and nowhere else), its handler.
+struct Command {
+    name: &'static str,
+    valued: &'static str,
+    boolean: &'static str,
+    run: fn(&Args) -> Result<(), String>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command { name: "gen", valued: "--mb --seed", boolean: "", run: files::gen },
+    Command {
+        name: "compress",
+        valued: "--eb --rel --threads --block",
+        boolean: "",
+        run: files::compress,
+    },
+    Command { name: "decompress", valued: "", boolean: "", run: files::decompress },
+    Command { name: "info", valued: "", boolean: "", run: files::info },
+    Command { name: "sum", valued: "", boolean: "", run: |a| files::reduce(a, ReduceOp::Sum) },
+    Command { name: "diff", valued: "", boolean: "", run: |a| files::reduce(a, ReduceOp::Diff) },
+    Command { name: "check", valued: "", boolean: "", run: files::check },
+    Command {
+        name: "sim",
+        valued: "--ranks --mb --kb --variant --eb --threads --segments --topology --app --seed \
+                 --cache --trace --width",
+        boolean: "--metrics --critical-path --slack",
+        run: sim::sim,
+    },
+    Command {
+        name: "bench",
+        valued: "--out --against --tol-time --tol-bytes --seed --eb --app --engine --ops \
+                 --variants --ranks-list --sizes-kb --segments-list",
+        boolean: "--quick --no-fault",
+        run: bench_cmd::bench,
+    },
+    Command {
+        name: "tune",
+        valued: "--ops --ranks --sizes-kb --eb --app --seed --out",
+        boolean: "",
+        run: tune::tune,
+    },
+    Command {
+        name: "chaos",
+        valued: "--seed --ranks --kb --eb --drop --corrupt --jitter --app --crash-rate",
+        boolean: "",
+        run: chaos::chaos,
+    },
+];
+
 fn run(args: &[String]) -> Result<(), String> {
-    let cmd = args.first().ok_or("missing command")?;
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "gen" => files::gen(rest),
-        "compress" => files::compress(rest),
-        "decompress" => files::decompress(rest),
-        "info" => files::info(rest),
-        "sum" => files::reduce(rest, hzdyn::ReduceOp::Sum),
-        "diff" => files::reduce(rest, hzdyn::ReduceOp::Diff),
-        "check" => files::check(rest),
-        "sim" => sim::sim(rest),
-        "tune" => tune::tune(rest),
-        "chaos" => chaos::chaos(rest),
-        "bench" => bench_cmd::bench(rest),
-        "kernels" => kernels_cmd::kernels(rest),
-        other => Err(format!("unknown command '{other}'")),
+    let name = args.first().ok_or("missing command")?;
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command '{name}'"))?;
+    (cmd.run)(&Args::parse(cmd, &args[1..])?)
+}
+
+/// A subcommand's arguments, checked against the flags it declares: an
+/// unknown or repeated `--flag`, or a value-taking one with nothing after it,
+/// never reaches the handler.
+struct Args<'a> {
+    cmd: &'static Command,
+    positionals: Vec<&'a str>,
+    /// `(--flag, value)` in command-line order; a boolean flag's value is "".
+    flags: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    fn parse(cmd: &'static Command, raw: &'a [String]) -> Result<Self, String> {
+        let mut args = Args { cmd, positionals: Vec::new(), flags: Vec::new() };
+        let bad = |what: &str, flag: &str| {
+            let known = format!("{} {}", cmd.valued, cmd.boolean);
+            let known = if known == " " { "no flags" } else { known.trim() };
+            format!("{what} {flag} (hzc {} takes: {known})", cmd.name)
+        };
+        let mut words = raw.iter().map(String::as_str);
+        while let Some(word) = words.next() {
+            if !word.starts_with("--") {
+                args.positionals.push(word);
+            } else if args.value(word).is_some() {
+                return Err(bad("repeated flag", word));
+            } else if declares(cmd.valued, word) {
+                let value = words.next().ok_or_else(|| bad("missing value after", word))?;
+                args.flags.push((word, value));
+            } else if declares(cmd.boolean, word) {
+                args.flags.push((word, ""));
+            } else {
+                return Err(bad("unknown flag", word));
+            }
+        }
+        Ok(args)
     }
+
+    /// The value given for `--flag`, if it is on the command line.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.flags.iter().find(|f| f.0 == name).map(|f| f.1)
+    }
+}
+
+/// Whether `name` is one of the space-separated `flags`.
+fn declares(flags: &str, name: &str) -> bool {
+    flags.split(' ').any(|f| f == name)
 }
 
 /// Fetch the value following `--flag`, parsed.
-fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            let v = args.get(i + 1).ok_or_else(|| format!("{name} needs a value"))?;
-            return v.parse().map(Some).map_err(|_| format!("invalid value '{v}' for {name}"));
-        }
-    }
-    Ok(None)
+fn flag<T: std::str::FromStr>(args: &Args, name: &str) -> Result<Option<T>, String> {
+    debug_assert!(declares(args.cmd.valued, name), "hzc {} does not declare {name}", args.cmd.name);
+    let parse = |v: &str| v.parse().map_err(|_| format!("invalid value '{v}' for {name}"));
+    args.value(name).map(parse).transpose()
 }
 
 /// The `idx`-th positional argument.
-fn positional<'a>(args: &'a [String], idx: usize, what: &str) -> Result<&'a String, String> {
-    positionals(args).get(idx).copied().ok_or_else(|| format!("missing {what}"))
+fn positional<'a>(args: &Args<'a>, idx: usize, what: &str) -> Result<&'a str, String> {
+    args.positionals.get(idx).copied().ok_or_else(|| format!("missing {what}"))
 }
 
-/// Positional args ignoring `--flag value` pairs.
-fn positionals(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if a.starts_with("--") {
-            skip = true;
-            continue;
-        }
-        out.push(a);
-    }
-    out
-}
-
-/// Presence of a boolean `--flag` (no value).
-fn has_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+/// Presence of `--flag` (the whole of a boolean flag).
+fn has_flag(args: &Args, name: &str) -> bool {
+    args.value(name).is_some()
 }
 
 /// The `--app` flag (default `sim2`).
-fn app_flag(args: &[String]) -> Result<datasets::App, String> {
+fn app_flag(args: &Args) -> Result<datasets::App, String> {
     datasets::App::parse(flag::<String>(args, "--app")?.as_deref().unwrap_or("sim2"))
 }
 
 /// Parse the comma-separated list following `--flag` (or `default`), each
 /// entry through `parse`; an empty list is an error.
 fn list_flag<T>(
-    args: &[String],
+    args: &Args,
     name: &str,
     default: &str,
     parse: impl Fn(&str) -> Result<T, String>,
@@ -156,7 +215,7 @@ fn list_flag<T>(
 }
 
 /// [`list_flag`] of positive integers.
-fn usize_list_flag(args: &[String], name: &str, default: &str) -> Result<Vec<usize>, String> {
+fn usize_list_flag(args: &Args, name: &str, default: &str) -> Result<Vec<usize>, String> {
     list_flag(args, name, default, |t| match t.parse::<usize>() {
         Ok(0) => Err("entries must be positive".into()),
         Ok(v) => Ok(v),
@@ -165,6 +224,6 @@ fn usize_list_flag(args: &[String], name: &str, default: &str) -> Result<Vec<usi
 }
 
 /// [`list_flag`] of floats, e.g. `0.01,0.05`.
-fn f64_list_flag(args: &[String], name: &str, default: &str) -> Result<Vec<f64>, String> {
+fn f64_list_flag(args: &Args, name: &str, default: &str) -> Result<Vec<f64>, String> {
     list_flag(args, name, default, |t| t.parse::<f64>().map_err(|_| format!("invalid value '{t}'")))
 }

@@ -3,7 +3,7 @@
 //! critical-path profile, the slack view, Prometheus-style metrics and a
 //! Chrome/Perfetto trace.
 
-use crate::{app_flag, flag, has_flag};
+use crate::{app_flag, flag, has_flag, positional, Args};
 use hzccl::{Mode, Variant};
 use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
 use netsim::trace;
@@ -13,18 +13,17 @@ use std::path::Path;
 /// ([`suite::run_case`]), print. With `--variant auto`, one rank consults
 /// the tuner (optionally persisted via `--cache`) and the chosen plan plus
 /// the engine's full ranking are printed.
-pub(crate) fn sim(args: &[String]) -> Result<(), String> {
-    let op_name = args.first().map(|s| s.as_str()).ok_or("missing collective op")?;
+pub(crate) fn sim(args: &Args) -> Result<(), String> {
+    let op_name = positional(args, 0, "collective op")?;
     let op = tuner::Op::parse(op_name).ok_or_else(|| format!("unknown collective '{op_name}'"))?;
-    let rest = &args[1..];
     // A two-tier fabric: ranks are placed block-wise on nodes, intra-node
     // links use the fast paper calibration, inter-node links the default
     // one (optionally oversubscribed). Fixes the rank count to nodes*ppn.
-    let topology = match flag::<String>(rest, "--topology")? {
+    let topology = match flag::<String>(args, "--topology")? {
         Some(spec) => Some(netsim::Topology::parse(&spec)?),
         None => None,
     };
-    let ranks = match (topology, flag::<usize>(rest, "--ranks")?) {
+    let ranks = match (topology, flag::<usize>(args, "--ranks")?) {
         (Some(t), Some(r)) if t.nranks() != r => {
             return Err(format!(
                 "--ranks {r} contradicts --topology ({} = {} ranks)",
@@ -38,13 +37,13 @@ pub(crate) fn sim(args: &[String]) -> Result<(), String> {
     if ranks == 0 {
         return Err("--ranks must be at least 1".into());
     }
-    let mb: usize = flag(rest, "--mb")?.unwrap_or(4);
-    let kb: Option<usize> = flag(rest, "--kb")?;
-    let threads: usize = flag(rest, "--threads")?.unwrap_or(1);
+    let mb: usize = flag(args, "--mb")?.unwrap_or(4);
+    let kb: Option<usize> = flag(args, "--kb")?;
+    let threads: usize = flag(args, "--threads")?.unwrap_or(1);
     let mode = if threads > 1 { Mode::MultiThread(threads) } else { Mode::SingleThread };
     // the three static flavours, the tuner-driven auto front-end, or the
     // recursive-doubling hZCCL allreduce (a plan)
-    let variant = flag::<String>(rest, "--variant")?.unwrap_or_else(|| "hz".into());
+    let variant = flag::<String>(args, "--variant")?.unwrap_or_else(|| "hz".into());
     let runner = match variant.as_str() {
         "rd" if op != tuner::Op::Allreduce => {
             return Err(format!("variant 'rd' implements allreduce only, not '{op_name}'"));
@@ -57,19 +56,19 @@ pub(crate) fn sim(args: &[String]) -> Result<(), String> {
     };
     // pipeline segment count for the static ring flavours; auto lets the
     // tuner's plan decide
-    let segments: usize = flag(rest, "--segments")?.unwrap_or(1);
+    let segments: usize = flag(args, "--segments")?.unwrap_or(1);
     if segments == 0 {
         return Err("--segments must be at least 1".into());
     }
-    let cache_path: Option<String> = flag(rest, "--cache")?;
-    let trace_out: Option<String> = flag(rest, "--trace")?;
-    let want_critpath = has_flag(rest, "--critical-path");
-    let want_slack = has_flag(rest, "--slack");
-    let width: usize = flag(rest, "--width")?.unwrap_or(100);
+    let cache_path: Option<String> = flag(args, "--cache")?;
+    let trace_out: Option<String> = flag(args, "--trace")?;
+    let want_critpath = has_flag(args, "--critical-path");
+    let want_slack = has_flag(args, "--slack");
+    let width: usize = flag(args, "--width")?.unwrap_or(100);
 
-    let mut cfg = SuiteConfig { app: app_flag(rest)?, ..SuiteConfig::default() };
-    cfg.eb = flag(rest, "--eb")?.unwrap_or(cfg.eb);
-    cfg.seed = flag(rest, "--seed")?.unwrap_or(cfg.seed);
+    let mut cfg = SuiteConfig { app: app_flag(args)?, ..SuiteConfig::default() };
+    cfg.eb = flag(args, "--eb")?.unwrap_or(cfg.eb);
+    cfg.seed = flag(args, "--seed")?.unwrap_or(cfg.seed);
     // The tuner engine for --variant auto: loaded from --cache when the file
     // exists, else seeded from the paper calibration.
     if let Some(p) = cache_path.as_deref().map(Path::new).filter(|p| p.exists()) {
@@ -152,7 +151,7 @@ pub(crate) fn sim(args: &[String]) -> Result<(), String> {
         print_slack(critpath, traces);
     }
 
-    if has_flag(rest, "--metrics") {
+    if has_flag(args, "--metrics") {
         println!(
             "{}",
             run.registry.render_histogram_ascii(

@@ -1,6 +1,6 @@
 //! `hzc tune`: the offline autotune sweep.
 
-use crate::{app_flag, flag, list_flag, usize_list_flag};
+use crate::{app_flag, flag, list_flag, usize_list_flag, Args};
 use hzccl::Variant;
 use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
 use std::path::Path;
@@ -10,7 +10,7 @@ use std::path::Path;
 /// traces to the calibration loop, record winners in the tuning cache
 /// ([`suite::tune_case`]), and persist the engine state to `--out` — ready
 /// for `hzc sim --variant auto --cache <out>`.
-pub(crate) fn tune(args: &[String]) -> Result<(), String> {
+pub(crate) fn tune(args: &Args) -> Result<(), String> {
     let ops = list_flag(args, "--ops", "allreduce", |t| {
         tuner::Op::parse(t).ok_or_else(|| format!("unknown op '{t}'"))
     })?;

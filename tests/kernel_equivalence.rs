@@ -8,8 +8,12 @@
 //! multi-block slice — and code lengths sweep the full 0..=32 range so every
 //! const-generic specialization (residual widths 1..=7, byte planes, the
 //! transpose path) is exercised, not just the codes paper-like data happens
-//! to produce.
+//! to produce. The paper-like input — Sim Set 2, 65,536 elements, seed 42,
+//! bound 1e-3, what the retired `hzc` roofline harness checked its kernels on
+//! before timing them — rides along as one more input of the bitshuffle,
+//! quantization and homomorphic-sum tests.
 
+use datasets::App;
 use fzlight::config::MAX_BLOCK_LEN;
 use fzlight::{codec, compress, decompress, quantize, Config, ErrorBound};
 use ompszp::bitshuffle;
@@ -59,40 +63,80 @@ fn deltas_for_bits(rng: &mut Rng, len: usize, bits: u8) -> Vec<i64> {
         .collect()
 }
 
-#[test]
-fn bitshuffle_encode_matches_scalar() {
-    let mut rng = Rng::new(0xB17_5F0F);
+/// The paper-like field.
+fn sim_set2_field() -> Vec<f32> {
+    App::SimSet2.generate(1 << 16, 42)
+}
+
+/// [`sim_set2_field`] as the compressor hands it to the plane kernels: per
+/// 32-element block, the magnitudes of the Lorenzo deltas of the quantization
+/// integers and the code length of their maximum.
+fn sim_set2_blocks() -> Vec<(Vec<u32>, u8)> {
+    let field = sim_set2_field();
+    let mut q = vec![0i32; field.len()];
+    quantize::quantize_block(&field, 1.0 / 2e-3, 0, &mut q).unwrap();
+    q.chunks(32)
+        .map(|block| {
+            let mut prev = block[0] as i64;
+            let mags: Vec<u32> = block
+                .iter()
+                .map(|&qi| {
+                    let d = qi as i64 - prev;
+                    prev = qi as i64;
+                    d.unsigned_abs() as u32
+                })
+                .collect();
+            let code = codec::code_for_max(mags.iter().fold(0, |max, m| max | m));
+            (mags, code)
+        })
+        .collect()
+}
+
+/// Every `(magnitudes, code length)` input of the two plane-kernel tests: the
+/// length × code sweep, then the paper-like blocks.
+fn plane_inputs(rng: &mut Rng) -> Vec<(Vec<u32>, u8)> {
+    let mut inputs = Vec::new();
     for &len in &LENS {
         for bits in 0u8..=32 {
-            let mags = mags_for_bits(&mut rng, len, bits);
-            let mut fast = Vec::new();
-            let mut slow = Vec::new();
-            bitshuffle::encode_planes(&mags, bits, &mut fast);
-            bitshuffle::encode_planes_scalar(&mags, bits, &mut slow);
-            assert_eq!(fast, slow, "len={len} c={bits}");
-            assert_eq!(fast.len(), bitshuffle::planes_size(bits, len));
+            inputs.push((mags_for_bits(rng, len, bits), bits));
         }
+    }
+    inputs.extend(sim_set2_blocks());
+    inputs
+}
+
+#[test]
+fn bitshuffle_encode_matches_scalar() {
+    for (mags, bits) in plane_inputs(&mut Rng::new(0xB17_5F0F)) {
+        let len = mags.len();
+        let mut fast = Vec::new();
+        let mut slow = Vec::new();
+        bitshuffle::encode_planes(&mags, bits, &mut fast);
+        bitshuffle::encode_planes_scalar(&mags, bits, &mut slow);
+        assert_eq!(fast, slow, "len={len} c={bits}");
+        assert_eq!(fast.len(), bitshuffle::planes_size(bits, len));
     }
 }
 
 #[test]
 fn bitshuffle_decode_matches_scalar() {
-    let mut rng = Rng::new(0xDEC0DE);
-    for &len in &LENS {
-        for bits in 0u8..=32 {
-            let mags = mags_for_bits(&mut rng, len, bits);
-            let mut planes = Vec::new();
-            bitshuffle::encode_planes(&mags, bits, &mut planes);
-            // prefill with a sentinel so overwrite/fill behavior is compared
-            // too, not just the decoded bits
-            let mut fast = vec![0xFFFF_FFFFu32; len];
-            let mut slow = vec![0xFFFF_FFFFu32; len];
-            let nf = bitshuffle::decode_planes(&planes, bits, &mut fast).unwrap();
-            let ns = bitshuffle::decode_planes_scalar(&planes, bits, &mut slow).unwrap();
-            assert_eq!(nf, ns, "len={len} c={bits}");
-            assert_eq!(fast, slow, "len={len} c={bits}");
-            assert_eq!(fast, mags, "len={len} c={bits} roundtrip");
-        }
+    for (mags, bits) in plane_inputs(&mut Rng::new(0xDEC0DE)) {
+        let len = mags.len();
+        let mut planes = Vec::new();
+        bitshuffle::encode_planes(&mags, bits, &mut planes);
+        // the next block's bytes follow in a stream: neither decoder may
+        // consume them
+        let used = planes.len();
+        planes.extend_from_slice(&[0xA5; 3]);
+        // prefill with a sentinel so overwrite/fill behavior is compared
+        // too, not just the decoded bits
+        let mut fast = vec![0xFFFF_FFFFu32; len];
+        let mut slow = vec![0xFFFF_FFFFu32; len];
+        let nf = bitshuffle::decode_planes(&planes, bits, &mut fast).unwrap();
+        let ns = bitshuffle::decode_planes_scalar(&planes, bits, &mut slow).unwrap();
+        assert_eq!((nf, ns), (used, used), "len={len} c={bits}");
+        assert_eq!(fast, slow, "len={len} c={bits}");
+        assert_eq!(fast, mags, "len={len} c={bits} roundtrip");
     }
 }
 
@@ -189,6 +233,8 @@ fn quantize_block_matches_scalar_on_adversarial_inputs() {
             }
         }
     }
+    // and the input that is not adversarial at all
+    assert_quantize_agrees(&sim_set2_field(), 1.0 / 2e-3);
 }
 
 /// `quantize_block` against its `f64::round` reference on one slice: the same
@@ -346,19 +392,26 @@ fn spiky_field(rng: &mut Rng, len: usize) -> Vec<f32> {
 
 #[test]
 fn homomorphic_sum_matches_scalar_reference() {
+    let check = |a: &[f32], b: &[f32], threads: usize| {
+        let cfg = Config::new(ErrorBound::Abs(1e-3)).with_threads(threads);
+        let ca = compress(a, &cfg).unwrap();
+        let cb = compress(b, &cfg).unwrap();
+        let fast = hzdyn::homomorphic_sum(&ca, &cb).unwrap();
+        let slow = hzdyn::reference::homomorphic_sum_scalar(&ca, &cb).unwrap();
+        assert_eq!(fast.as_bytes(), slow.as_bytes(), "len={} threads={threads}", a.len());
+    };
     let mut rng = Rng::new(0x50_0050);
     for &len in &LENS {
         for threads in [1usize, 3] {
-            let a = spiky_field(&mut rng, len);
-            let b = spiky_field(&mut rng, len);
-            let cfg = Config::new(ErrorBound::Abs(1e-3)).with_threads(threads);
-            let ca = compress(&a, &cfg).unwrap();
-            let cb = compress(&b, &cfg).unwrap();
-            let fast = hzdyn::homomorphic_sum(&ca, &cb).unwrap();
-            let slow = hzdyn::reference::homomorphic_sum_scalar(&ca, &cb).unwrap();
-            assert_eq!(fast.as_bytes(), slow.as_bytes(), "len={len} threads={threads}");
+            check(&spiky_field(&mut rng, len), &spiky_field(&mut rng, len), threads);
         }
     }
+    // the paper-like field and a rescaled copy, in one chunk and across a
+    // chunk boundary
+    let a = sim_set2_field();
+    let b: Vec<f32> = a.iter().map(|&v| v * 1.001 + 0.5).collect();
+    check(&a, &b, 1);
+    check(&a, &b, 2);
 }
 
 /// The Diff pipeline (exercising `decode_block_sub`) must produce the same
