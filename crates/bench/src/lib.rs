@@ -1,7 +1,6 @@
 //! The benchmark harness: one scenario runner ([`suite::run_case`]) under
-//! every harness, the paper's collective figures as declarations
-//! ([`figure`]) rendered over it, and the deterministic `hzc bench` suite
-//! with its snapshots.
+//! every harness, and the paper's collective figures as declarations
+//! ([`figure`]) rendered over it.
 //!
 //! Every bench target honours the same environment knobs, each read in one
 //! place ([`Knobs::from_env`]):
@@ -30,7 +29,6 @@ use tuner::Flavor;
 
 pub mod figure;
 mod kernels;
-pub mod snapshot;
 pub mod suite;
 
 pub use kernels::kernels;

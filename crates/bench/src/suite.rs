@@ -1,21 +1,18 @@
-//! The one scenario runner, and the deterministic `hzc bench` suite over it.
+//! The one scenario runner.
 //!
 //! A [`CaseSpec`] names *what* simulated collective runs, a [`SuiteConfig`]
 //! *how*, and [`run_case`] is the only code outside `crates/core` and the
-//! tests that sets one up and runs it: `hzc sim`, `chaos`, `tune`, `bench`
-//! and the figure benches ([`crate::figure`]) are all "parse → spec(s) →
-//! `run_case` → print". The oracles over a case's inputs
-//! ([`survivor_sum`], [`mpi_survivor_sum`]) and the tuner sweep
-//! ([`tune_case`]) live next to it.
+//! tests that sets one up and runs it: `hzc sim`, `chaos`, `tune` and the
+//! figure benches ([`crate::figure`]) are all "parse → spec(s) → `run_case`
+//! → print". The oracles over a case's inputs ([`survivor_sum`],
+//! [`mpi_survivor_sum`]) and the tuner sweep ([`tune_case`]) live next to it.
 //!
 //! Under the default config every case runs entirely on the virtual clock
 //! with paper-calibrated compute models, seeded synthetic fields, and the
-//! default network model — so two runs of the same suite on any host produce
-//! bit-identical numbers. That determinism is what makes the snapshot diff
-//! ([`crate::snapshot`]) a regression gate instead of a noise detector:
-//! [`canonical_cases`] is the checked-in baseline sweep (the
-//! `BENCH_results.json` at the repo root), [`quick_cases`] a strict subset
-//! for CI smoke, and [`build_cases`] the CLI's constructive override.
+//! default network model — so two runs of the same case on any host produce
+//! bit-identical numbers. That determinism is what lets
+//! `tests/ring_goldens.rs` pin 33 cases' results byte for byte as the
+//! `BENCH_results.json` at the repo root.
 
 use hzccl::collectives::{self, CollectiveOpts, PartialResult, RecoveryPolicy};
 use hzccl::{auto, CollectiveConfig, Mode, Resilience, Variant};
@@ -69,8 +66,9 @@ pub struct SuiteConfig {
     /// Network model (defaults to the paper calibration).
     pub net: NetConfig,
     /// Execution engine driving the virtual cluster. Both engines produce
-    /// byte-identical suite results; the knob exists so CI can pin exactly
-    /// that (`hzc bench --engine`).
+    /// byte-identical results; the knob exists so a test can pin exactly
+    /// that (`tests/ring_goldens.rs` renders `BENCH_results.json` under
+    /// each).
     pub engine: SimEngine,
     /// Compute-timing source.
     pub timing: Timing,
@@ -123,8 +121,8 @@ impl Runner {
 }
 
 /// One simulated collective: *what* runs. Every harness — `hzc sim`, `chaos`,
-/// `tune`, `bench`, the figure benches — describes its runs as these and
-/// hands them to [`run_case`].
+/// `tune`, the figure benches — describes its runs as these and hands them
+/// to [`run_case`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CaseSpec {
     /// Which collective the case runs (rooted ops at rank 0).
@@ -170,7 +168,7 @@ impl CaseSpec {
         }
     }
 
-    /// Stable case identity — the diff key of the snapshot format.
+    /// Stable case identity — the `id` of a `BENCH_results.json` line.
     pub fn id(&self) -> String {
         let mut id = format!(
             "{}/{}/r{}/kb{}/s{}",
@@ -229,8 +227,6 @@ pub struct RankOut {
 /// The measured outcome of one case.
 #[derive(Debug, Clone)]
 pub struct CaseResult {
-    /// The case that ran.
-    pub spec: CaseSpec,
     /// End-to-end virtual seconds (slowest rank).
     pub virtual_secs: f64,
     /// Total bytes that crossed the virtual wire.
@@ -251,111 +247,12 @@ pub struct CaseResult {
 /// derived from, and the metrics registry folded from the report's traces.
 #[derive(Debug, Clone)]
 pub struct CaseRun {
-    /// The analyzed outcome (what `hzc bench` snapshots).
+    /// The analyzed outcome (what `BENCH_results.json` pins).
     pub result: CaseResult,
     /// Per-rank values, fates, stats and flight-recorder traces.
     pub report: RunReport<RankOut>,
     /// Counters, gauges and histograms of the run.
     pub registry: Registry,
-}
-
-/// The canonical paper-calibrated sweep backing `BENCH_results.json`:
-/// {allreduce, reduce_scatter} × {8, 64} ranks × {16, 256, 1024} KiB ×
-/// ({mpi, ccoll, hz} × {serial, S=8} + auto), then the two-tier topology
-/// cases (`hierarchical_cases`), plus one faulted resilient case.
-/// 97 cases. New case families are appended *before* the faulted closer so
-/// pre-existing snapshot lines stay byte-identical across suite growth.
-pub fn canonical_cases() -> Vec<CaseSpec> {
-    let mut cases =
-        build_cases(&SWEEP_OPS, &SWEEP_VARIANTS, &[8, 64], &[16, 256, 1024], &[1, 8], false);
-    cases.extend(hierarchical_cases(false));
-    cases.push(fault_case());
-    cases
-}
-
-/// The CI smoke subset: 8 ranks, {16, 256} KiB, every variant, the small
-/// two-tier fabric, plus the faulted case. A strict subset of
-/// [`canonical_cases`] by id, so `--against` the canonical baseline
-/// compares every quick case.
-pub fn quick_cases() -> Vec<CaseSpec> {
-    let mut cases = build_cases(&SWEEP_OPS, &SWEEP_VARIANTS, &[8], &[16, 256], &[1, 8], false);
-    cases.extend(hierarchical_cases(true));
-    cases.push(fault_case());
-    cases
-}
-
-const SWEEP_OPS: [Op; 2] = [Op::Allreduce, Op::ReduceScatter];
-const SWEEP_VARIANTS: [Variant; 4] = [Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto];
-
-/// The two-tier topology sweep: hierarchical allreduce on paper fabrics
-/// ([`Topology::paper`]: intra-node links 10× faster than inter-node).
-/// The quick subset covers a small 4×2 fabric; the canonical sweep adds the
-/// paper-scale 8×8 fabric across every flavour (there the hierarchical hz
-/// schedule beats the flat hz ring — the headline win this suite pins).
-fn hierarchical_cases(quick: bool) -> Vec<CaseSpec> {
-    let mk = |variant, nodes: usize, ppn: usize, kb| CaseSpec {
-        topology: Some(Topology::paper(nodes, ppn)),
-        ..CaseSpec::new(Op::Allreduce, Runner::Variant(variant), nodes * ppn, kb)
-    };
-    let mut out = Vec::new();
-    for kb in [16, 256] {
-        for v in [Variant::Hzccl, Variant::Auto] {
-            out.push(mk(v, 4, 2, kb));
-        }
-    }
-    if !quick {
-        for kb in [256, 1024] {
-            for v in SWEEP_VARIANTS {
-                out.push(mk(v, 8, 8, kb));
-            }
-        }
-    }
-    out
-}
-
-/// The fixed faulted closer of every suite: hz allreduce, 8 ranks, 64 KiB,
-/// serial, drop 2% + corrupt 1%, resilient transport on.
-fn fault_case() -> CaseSpec {
-    CaseSpec {
-        faults: Some(FaultPlan::new(0).with_drop(0.02).with_corrupt(0.01)),
-        resilience: Some(Resilience::default()),
-        ..CaseSpec::new(Op::Allreduce, Runner::Variant(Variant::Hzccl), 8, 64)
-    }
-}
-
-/// Constructive case enumeration (the CLI's `--ops/--variants/--ranks-list/
-/// --sizes-kb/--segments-list` overrides). [`Variant::Auto`] always runs
-/// serially (the tuner's plan owns the segment knob), so it contributes one
-/// case per `(op, ranks, kb)` regardless of `segments_list`. When
-/// `include_fault` is set, one fixed faulted case (hz allreduce, 8 ranks,
-/// 64 KiB, serial, drop 2% + corrupt 1%, resilient transport) is appended
-/// if `hz` and `allreduce` are in the sweep.
-pub fn build_cases(
-    ops: &[Op],
-    variants: &[Variant],
-    ranks_list: &[usize],
-    sizes_kb: &[usize],
-    segments_list: &[usize],
-    include_fault: bool,
-) -> Vec<CaseSpec> {
-    let mut out = Vec::new();
-    for &op in ops {
-        for &variant in variants {
-            for &ranks in ranks_list {
-                for &kb in sizes_kb {
-                    let auto = variant == Variant::Auto;
-                    for &segments in if auto { &[1][..] } else { segments_list } {
-                        let case = CaseSpec::new(op, Runner::Variant(variant), ranks, kb);
-                        out.push(CaseSpec { segments, ..case });
-                    }
-                }
-            }
-        }
-    }
-    if include_fault && ops.contains(&Op::Allreduce) && variants.contains(&Variant::Hzccl) {
-        out.push(fault_case());
-    }
-    out
 }
 
 /// Per-rank observation of the stacking use case: the shared scene plus
@@ -503,7 +400,6 @@ pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
         .unwrap_or((0.0, 0.0));
     let critpath = CriticalPath::analyze_with_topology(&report.traces, &cfg.net, topo);
     let result = CaseResult {
-        spec: spec.clone(),
         virtual_secs: report.stats.makespan,
         wire_bytes: registry.counter("hz_wire_bytes_total").unwrap_or(0),
         logical_bytes: registry.counter("hz_logical_bytes_total").unwrap_or(0),
@@ -513,22 +409,6 @@ pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
         latency_p99,
     };
     CaseRun { result, report, registry }
-}
-
-/// Run every case, invoking `progress` after each one (the CLI's live
-/// table row).
-pub fn run_suite(
-    cases: &[CaseSpec],
-    cfg: &SuiteConfig,
-    mut progress: impl FnMut(&CaseResult),
-) -> Vec<CaseResult> {
-    let mut out = Vec::with_capacity(cases.len());
-    for spec in cases {
-        let result = run_case(spec, cfg).result;
-        progress(&result);
-        out.push(result);
-    }
-    out
 }
 
 /// One point of a tuner sweep (`hzc tune`, EXT3): probe the case's data
@@ -561,35 +441,6 @@ pub fn tune_case(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quick_ids_are_a_subset_of_canonical_ids() {
-        let canon: std::collections::BTreeSet<String> =
-            canonical_cases().iter().map(|c| c.id()).collect();
-        assert_eq!(canon.len(), canonical_cases().len(), "canonical ids unique");
-        for c in quick_cases() {
-            assert!(canon.contains(&c.id()), "{} missing from canonical", c.id());
-        }
-    }
-
-    #[test]
-    fn case_counts_match_the_documented_sweep() {
-        // 2 ops x (3 static variants x 2 segment counts + auto) x 2 ranks x
-        // 3 sizes + 12 two-tier topology cases + 1 faulted
-        assert_eq!(canonical_cases().len(), 2 * 7 * 2 * 3 + 12 + 1);
-        assert_eq!(quick_cases().len(), 2 * 7 * 2 + 4 + 1);
-        // the faulted closer stays last, so pre-topology snapshot lines
-        // (including the final-line comma) never move
-        assert!(canonical_cases().last().unwrap().faults.is_some());
-        assert!(quick_cases().last().unwrap().faults.is_some());
-    }
-
-    #[test]
-    fn topology_cases_carry_the_tier_suffix_in_their_id() {
-        let cases = canonical_cases();
-        assert!(cases.iter().any(|c| c.id() == "allreduce/hz/r64/kb1024/s1/t8x8"));
-        assert!(cases.iter().any(|c| c.id() == "allreduce/auto/r8/kb16/s1/t4x2"));
-    }
 
     #[test]
     fn run_case_is_deterministic_and_self_consistent() {

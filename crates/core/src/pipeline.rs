@@ -54,8 +54,7 @@ pub(crate) fn epoch_tag(base: u64, step: usize, seg: usize, epoch: u32) -> u64 {
 /// Decoded coordinates of a collective wire tag (the inverse of
 /// `seg_tag` plus the phase base and the resilient transport's
 /// control-channel bit). Powers the per-phase/step/segment views of
-/// `netsim::CriticalPath::by_tag` in `hzc sim --critical-path` and
-/// `hzc bench`.
+/// `netsim::CriticalPath::by_tag` in `hzc sim --critical-path`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagInfo {
     /// Collective phase the tag base encodes (`rs`, `ag`, `gather`,

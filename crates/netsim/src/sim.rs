@@ -68,15 +68,6 @@ pub enum SimEngine {
 }
 
 impl SimEngine {
-    /// Parse a CLI token (`"events"` / `"threads"`).
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s {
-            "events" | "event" => Some(SimEngine::Events),
-            "threads" | "thread" => Some(SimEngine::Threads),
-            _ => None,
-        }
-    }
-
     /// Stable lowercase name (`"events"` / `"threads"`).
     pub fn name(self) -> &'static str {
         match self {

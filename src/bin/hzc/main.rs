@@ -11,7 +11,7 @@
 //! hzc sim <op> [--ranks N] [--mb M] [--variant V] [--topology NxP[:oversub]]
 //!                                                  run a simulated collective
 //! hzc tune [--ranks L] [--sizes-kb L] [--out F]    offline autotune sweep
-//! hzc bench [--quick] [--against baseline.json]    deterministic perf suite
+//! hzc chaos [--drop P] [--crash-rate P]            fault-injection soak
 //! ```
 //!
 //! `.f32` files are raw little-endian floats (the SDRBench layout); `<app>`
@@ -20,7 +20,6 @@
 use hzdyn::ReduceOp;
 use std::process::ExitCode;
 
-mod bench_cmd;
 mod chaos;
 mod files;
 mod sim;
@@ -51,11 +50,6 @@ const USAGE: &str = "usage:
           [--variant hz|ccoll|mpi|rd|auto] [--eb E] [--threads T] [--segments S]
           [--topology NxP[:oversub]] [--app A] [--seed S] [--cache state.json]
           [--trace out.json] [--metrics] [--width W] [--critical-path] [--slack]
-  hzc bench [--quick] [--out F] [--against baseline.json] [--tol-time R]
-          [--tol-bytes R] [--seed S] [--eb E] [--app A] [--engine events|threads]
-          [--ops L] [--variants L] [--ranks-list L] [--sizes-kb L]
-          [--segments-list L] [--no-fault]
-          deterministic perf suite; nonzero exit on regression vs baseline
   hzc tune [--ops L] [--ranks L] [--sizes-kb L] [--eb E] [--app A] [--seed S]
           [--out state.json]   (L = comma-separated list, e.g. 8,64)
   hzc chaos [--seed S] [--ranks N] [--kb K] [--eb E] [--drop P[,P..]]
@@ -93,13 +87,6 @@ const COMMANDS: &[Command] = &[
                  --cache --trace --width",
         boolean: "--metrics --critical-path --slack",
         run: sim::sim,
-    },
-    Command {
-        name: "bench",
-        valued: "--out --against --tol-time --tol-bytes --seed --eb --app --engine --ops \
-                 --variants --ranks-list --sizes-kb --segments-list",
-        boolean: "--quick --no-fault",
-        run: bench_cmd::bench,
     },
     Command {
         name: "tune",

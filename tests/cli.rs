@@ -184,6 +184,31 @@ fn sim_segmented_ring_is_no_slower_than_serial() {
 }
 
 #[test]
+fn sim_critical_path_reports_a_tiled_path() {
+    let out = hzc()
+        .args([
+            "sim",
+            "allreduce",
+            "--variant",
+            "hz",
+            "--ranks",
+            "4",
+            "--kb",
+            "64",
+            "--critical-path",
+            "--slack",
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("critical path"), "{stdout}");
+    assert!(stdout.contains("residual"), "{stdout}");
+    assert!(stdout.contains("path bucket"), "{stdout}");
+    assert!(stdout.contains("slack"), "{stdout}");
+}
+
+#[test]
 fn errors_are_reported_not_panicked() {
     // unknown command
     let out = hzc().args(["frobnicate"]).output().unwrap();
@@ -367,7 +392,8 @@ fn flags_are_checked_against_the_subcommands_declaration() {
 
 /// Every subcommand the usage text names is one `hzc` dispatches (an
 /// undeclared flag gets it as far as its flag check and no further), so a
-/// usage block cannot outlive its command; the retired `kernels` is gone.
+/// usage block cannot outlive its command; the retired `kernels` and `bench`
+/// are gone.
 #[test]
 fn every_subcommand_in_usage_dispatches() {
     let out = hzc().output().unwrap();
@@ -377,11 +403,13 @@ fn every_subcommand_in_usage_dispatches() {
         .filter_map(|l| l.strip_prefix("  hzc "))
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert!(names.len() >= 11 && names.contains(&"chaos"), "{names:?}");
+    assert!(names.len() == 10 && names.contains(&"chaos"), "{names:?}");
     for name in names {
         let (ok, line) = first_error_line(&[name, "--no-such-flag"]);
         assert!(!ok && line.contains(&format!("hzc {name} takes:")), "{name}: {line}");
     }
-    let (ok, line) = first_error_line(&["kernels"]);
-    assert!(!ok && line.contains("unknown command 'kernels'"), "{line}");
+    for retired in ["kernels", "bench"] {
+        let (ok, line) = first_error_line(&[retired]);
+        assert!(!ok && line.contains(&format!("unknown command '{retired}'")), "{line}");
+    }
 }

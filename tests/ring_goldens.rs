@@ -1,24 +1,34 @@
-//! Bit-identity goldens for the ring schedules the bench suite does not
-//! reach. Each row of `ring_goldens.tsv` pins one run: the FNV-1a of every
-//! surviving rank's trace as the Chrome-trace exporter renders it (labels,
-//! byte counts, tags, timestamps), the makespan's bit pattern, and a digest
-//! of every rank's returned values. The table was generated before the
-//! per-flavour ring loops were folded into `hzccl`'s one ring schedule and is
-//! committed unchanged (its header lines name the rows a later fold had to
-//! regenerate, and why), so a refactor of that schedule that moves a single
-//! charge, label, tag or output bit fails here — under both engines, crashed
+//! Bit-identity goldens, checked under both engines.
+//!
+//! Each row of `ring_goldens.tsv` pins one run of a ring schedule: the
+//! FNV-1a of every surviving rank's trace as the Chrome-trace exporter
+//! renders it (labels, byte counts, tags, timestamps), the makespan's bit
+//! pattern, and a digest of every rank's returned values. The table was
+//! generated before the per-flavour ring loops were folded into `hzccl`'s one
+//! ring schedule and is committed unchanged (its header lines name the rows a
+//! later fold had to regenerate, and why), so a refactor of that schedule
+//! that moves a single charge, label, tag or output bit fails here — crashed
 //! runs included: a survivor's trace depends on program order alone.
 //!
-//! Regenerate (only when a schedule change is intended) with
-//! `cargo test --test ring_goldens -- --ignored --nocapture print_goldens`.
+//! `BENCH_results.json` at the repo root pins 33 paper-timed
+//! `suite::run_case` cases ([`bench_cases`]) one JSON line each: virtual
+//! seconds, wire and logical bytes, cost buckets, critical-path composition
+//! and latency quantiles. The whole file, header included, must come out
+//! byte for byte.
+//!
+//! Regenerate (only when a change to either is intended) with
+//! `cargo test --test ring_goldens -- --ignored --nocapture print_goldens`,
+//! and `… print_bench_results`, keeping the lines from `{` to `]}`.
 
 use hzccl::chunks::node_chunks;
 use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
 use hzccl::{Mode, Resilience, Variant};
+use hzccl_bench::suite::{run_case, CaseSpec, Runner, SuiteConfig};
 use netsim::{
-    ComputeTiming, FaultPlan, RunReport, SimBuilder, SimEngine, ThroughputModel, Topology,
+    ComputeTiming, FaultPlan, Json, RunReport, SimBuilder, SimEngine, ThroughputModel, Topology,
     TraceConfig,
 };
+use tuner::Op;
 
 const GOLDENS: &str = include_str!("ring_goldens.tsv");
 const EB: f64 = 1e-4;
@@ -266,17 +276,22 @@ fn render(id: &str, (trace, makespan, values): (u64, u64, u64)) -> String {
     format!("{id}\t{trace:016x}\t{makespan:016x}\t{values:016x}")
 }
 
+/// Threads, and events where this target has fibers.
+fn engines() -> Vec<SimEngine> {
+    let mut engines = vec![SimEngine::Threads];
+    if SimEngine::events_supported() {
+        engines.push(SimEngine::Events);
+    }
+    engines
+}
+
 #[test]
 fn every_ring_schedule_matches_its_golden_under_both_engines() {
     let cases = cases();
     let rows: Vec<&str> = GOLDENS.lines().filter(|l| !l.starts_with('#')).collect();
     assert_eq!(rows.len(), cases.len(), "one golden row per case");
-    let mut engines = vec![SimEngine::Threads];
-    if SimEngine::events_supported() {
-        engines.push(SimEngine::Events);
-    }
     for (case, want) in cases.iter().zip(rows) {
-        for &engine in &engines {
+        for engine in engines() {
             let got = render(&case.id, digest(case, engine));
             assert_eq!(got, want, "{} drifted under the {} engine", case.id, engine.name());
         }
@@ -291,30 +306,108 @@ fn print_goldens() {
     }
 }
 
-/// The committed `BENCH_results.json` is the quick suite's snapshot: every
-/// case line must come out byte for byte, not merely within `hzc bench
-/// --against`'s tolerances. The file predates the critical path's
-/// `recovery` bucket (it was not regenerated when that landed), so that one
-/// field — zero in every fail-fast case — is checked and then set aside.
+/// The cases of `BENCH_results.json`, in file order, all at 8 ranks:
+/// {allreduce, reduce_scatter} × {mpi, ccoll, hz} × {16, 256} KiB ×
+/// {serial, S=8} plus auto serial (its plan owns the segment knob); hz and
+/// auto on the paper 4×2 fabric; hz under 2 % drop + 1 % corruption over the
+/// framed transport.
+fn bench_cases() -> Vec<CaseSpec> {
+    let flat = |op, variant, kb| CaseSpec::new(op, Runner::Variant(variant), 8, kb);
+    let mut out = Vec::new();
+    for op in [Op::Allreduce, Op::ReduceScatter] {
+        for variant in [Variant::Mpi, Variant::CColl, Variant::Hzccl, Variant::Auto] {
+            for kb in [16, 256] {
+                let segments: &[usize] = if variant == Variant::Auto { &[1] } else { &[1, 8] };
+                for &segments in segments {
+                    out.push(CaseSpec { segments, ..flat(op, variant, kb) });
+                }
+            }
+        }
+    }
+    for kb in [16, 256] {
+        for variant in [Variant::Hzccl, Variant::Auto] {
+            let topology = Some(Topology::paper(4, 2));
+            out.push(CaseSpec { topology, ..flat(Op::Allreduce, variant, kb) });
+        }
+    }
+    out.push(CaseSpec {
+        faults: Some(FaultPlan::new(0).with_drop(0.02).with_corrupt(0.01)),
+        resilience: Some(Resilience::default()),
+        ..flat(Op::Allreduce, Variant::Hzccl, 64)
+    });
+    out
+}
+
+/// `BENCH_results.json` as `engine` renders it: a header line of the
+/// config, then one line per case.
+fn bench_results(engine: SimEngine) -> String {
+    let cfg = SuiteConfig { engine, ..SuiteConfig::default() };
+    let nums = |kv: &[(&str, f64)]| Json::obj(kv.iter().map(|&(k, v)| (k, Json::Num(v))).collect());
+    let net = nums(&[
+        ("latency_s", cfg.net.latency_s),
+        ("bandwidth_gbps", cfg.net.bandwidth_gbps),
+        ("congestion", cfg.net.congestion),
+    ]);
+    // `schema_version` and `suite` never vary; they stay so the committed
+    // header keeps its bytes
+    let head = Json::obj(vec![
+        ("schema_version", Json::Num(1.0)),
+        ("suite", Json::Str("quick".into())),
+        ("seed", Json::Num(cfg.seed as f64)),
+        ("eb", Json::Num(cfg.eb)),
+        ("app", Json::Str(cfg.app.name().into())),
+        ("net", net),
+    ])
+    .render();
+    let lines: Vec<String> = bench_cases()
+        .iter()
+        .map(|spec| {
+            let r = run_case(spec, &cfg).result;
+            let b = &r.breakdown;
+            let mut path = vec![("length", r.critpath.length)];
+            path.extend(r.critpath.buckets.entries());
+            Json::obj(vec![
+                ("id", Json::Str(spec.id())),
+                ("virtual_secs", Json::Num(r.virtual_secs)),
+                ("wire_bytes", Json::Num(r.wire_bytes as f64)),
+                ("logical_bytes", Json::Num(r.logical_bytes as f64)),
+                (
+                    "breakdown",
+                    nums(&[
+                        ("cpr", b.cpr),
+                        ("dpr", b.dpr),
+                        ("hpr", b.hpr),
+                        ("cpt", b.cpt),
+                        ("mpi", b.mpi),
+                        ("other", b.other),
+                    ]),
+                ),
+                ("critical_path", nums(&path)),
+                ("latency_p50", Json::Num(r.latency_p50)),
+                ("latency_p99", Json::Num(r.latency_p99)),
+            ])
+            .render()
+        })
+        .collect();
+    format!("{{\n{},\n\"cases\": [\n{}\n]}}\n", &head[1..head.len() - 1], lines.join(",\n"))
+}
+
+/// The whole committed file, header included and no field masked, under
+/// each engine.
 #[test]
 fn quick_suite_reproduces_the_committed_baseline_byte_for_byte() {
-    use hzccl_bench::snapshot::Snapshot;
-    use hzccl_bench::suite::{quick_cases, run_suite, SuiteConfig};
-
-    let case_lines = |text: &str| -> Vec<String> {
-        let lines = text.lines().filter(|l| l.starts_with("{\"id\":"));
-        lines.map(|l| l.trim_end_matches(',').to_string()).collect()
-    };
-    let cfg = SuiteConfig::default();
-    let results = run_suite(&quick_cases(), &cfg, |_| {});
-    let rendered = case_lines(&Snapshot::from_results("quick", &cfg, &results).render());
-    let baseline = case_lines(include_str!("../BENCH_results.json"));
-    assert_eq!(rendered.len(), quick_cases().len());
-    for line in rendered {
-        let id = line.split('"').nth(3).expect("case lines lead with their id").to_string();
-        assert!(line.contains(",\"recovery\":0,"), "{id}: a fail-fast run spent time in recovery");
-        let line = line.replace(",\"recovery\":0,", ",");
-        let want = baseline.iter().find(|l| l.split('"').nth(3) == Some(&id));
-        assert_eq!(Some(&line), want, "{id} drifted from BENCH_results.json");
+    let want = include_str!("../BENCH_results.json");
+    for engine in engines() {
+        let got = bench_results(engine);
+        if got != want {
+            let drifted = got.lines().zip(want.lines()).find(|(g, w)| g != w);
+            panic!("BENCH_results.json drifted under the {} engine: {drifted:?}", engine.name());
+        }
     }
+}
+
+#[test]
+#[ignore = "prints the file the test above checks; see the module docs"]
+fn print_bench_results() {
+    print!("{}", bench_results(SimEngine::default()));
 }
