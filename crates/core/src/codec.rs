@@ -473,6 +473,7 @@ impl SegCodec for HzCodec {
 
     fn encode(&self, _: &mut Comm, acc: &CompressedStream, mut buf: Vec<u8>) -> Result<Vec<u8>> {
         buf.clear();
+        buf.reserve_exact(acc.as_bytes().len());
         buf.extend_from_slice(acc.as_bytes());
         Ok(buf)
     }

@@ -7,6 +7,12 @@
 //! [`DeltaOverflow`](crate::error::Error::DeltaOverflow), which can only arise
 //! from homomorphic accumulation, never from compression itself).
 //!
+//! A block of code `c ≤ 30` has magnitudes below `2^30`, so the sum or
+//! difference of two such blocks stays below `2^31` in magnitude: the
+//! homomorphic kernel adds them in `i32` lanes ([`decode_block_i32`],
+//! [`decode_block_add_i32`], [`encode_deltas_i32`]) and never widens. Wider
+//! codes go through the `i64` entry points.
+//!
 //! On the wire a block is:
 //!
 //! ```text
@@ -36,9 +42,11 @@
 //! **8 elements × r bits is always exactly `r` whole bytes** — each group of
 //! eight elements packs into one `u64` with shifts and moves with a single
 //! bounded copy, no carry state between groups. Sign application on decode is
-//! branchless (`(m ^ -s) + s`). The original byte-at-a-time/bit-buffered
-//! loops are retained as [`encode_block_scalar`]/[`decode_block_scalar`]: the
-//! verified reference the fast path is property-tested against byte-for-byte
+//! branchless (`(m ^ -s) + s`), each group's sign byte read once and its
+//! eight flags taken at constant shifts. The original
+//! byte-at-a-time/bit-buffered loops are retained as
+//! [`encode_block_scalar`]/[`decode_block_scalar`]: the verified reference the
+//! fast path is property-tested against byte-for-byte
 //! (`tests/kernel_equivalence.rs`).
 
 use crate::config::MAX_BLOCK_LEN;
@@ -93,13 +101,16 @@ pub fn peek_code(input: &[u8]) -> Result<u8> {
 ///
 /// Word-parallel fast path, byte-identical to [`encode_block_scalar`].
 pub fn encode_block(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
+    let max = mags.iter().fold(0u32, |max, &m| max | m);
+    encode_coded(mags, signs, code_for_max(max), out)
+}
+
+/// [`encode_block`] once the caller has OR-reduced the magnitudes into their
+/// code `c`.
+#[inline]
+fn encode_coded(mags: &[u32], signs: u64, c: u8, out: &mut Vec<u8>) -> u8 {
     debug_assert!(mags.len() <= MAX_BLOCK_LEN);
     let len = mags.len();
-    let mut max = 0u32;
-    for &m in mags {
-        max |= m;
-    }
-    let c = code_for_max(max);
     let start = out.len();
     out.resize(start + block_size(c, len), 0);
     let buf = &mut out[start..];
@@ -107,9 +118,11 @@ pub fn encode_block(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
     if c == 0 {
         return 0;
     }
-    // sign bitmap: one u64 store, clipped
+    // sign bitmap: the low bytes of one u64, clipped
     let sb = sign_bytes(len);
-    buf[1..1 + sb].copy_from_slice(&signs.to_le_bytes()[..sb]);
+    for (o, b) in buf[1..1 + sb].iter_mut().zip(signs.to_le_bytes()) {
+        *o = b;
+    }
     let mut pos = 1 + sb;
     // full byte planes: contiguous scatter, vectorizable
     let byte_count = (c / 8) as usize;
@@ -224,11 +237,18 @@ pub fn encode_block_scalar(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
 #[inline]
 pub(crate) fn sign_bitmap(neg: &[u8]) -> u64 {
     debug_assert!(neg.len() <= MAX_BLOCK_LEN);
+    let gather = |flags: u64| flags.wrapping_mul(0x0102_0408_1020_4080) >> 56;
+    let mut groups = neg.chunks_exact(8);
     let mut signs = 0u64;
-    for (g, group) in neg.chunks(8).enumerate() {
+    for (g, group) in (&mut groups).enumerate() {
+        let flags = u64::from_le_bytes(group.try_into().expect("groups of eight"));
+        signs |= gather(flags) << (8 * g);
+    }
+    let tail = groups.remainder();
+    if !tail.is_empty() {
         let mut flags = [0u8; 8];
-        flags[..group.len()].copy_from_slice(group);
-        signs |= (u64::from_le_bytes(flags).wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * g);
+        flags[..tail.len()].copy_from_slice(tail);
+        signs |= gather(u64::from_le_bytes(flags)) << (neg.len() - tail.len());
     }
     signs
 }
@@ -251,7 +271,25 @@ pub fn encode_deltas(deltas: &[i64], out: &mut Vec<u8>) -> Result<u8> {
     if wide > u32::MAX as u64 {
         return Err(Error::DeltaOverflow);
     }
-    Ok(encode_block(&mags[..deltas.len()], sign_bitmap(&neg[..deltas.len()]), out))
+    let len = deltas.len();
+    Ok(encode_coded(&mags[..len], sign_bitmap(&neg[..len]), code_for_max(wide as u32), out))
+}
+
+/// [`encode_deltas`] over `i32` lanes: magnitudes, sign flags and the
+/// OR-reduced code come out of one pass over the lanes. Infallible, since
+/// every `|i32|` fits the 32-bit magnitude.
+pub fn encode_deltas_i32(deltas: &[i32], out: &mut Vec<u8>) -> u8 {
+    debug_assert!(deltas.len() <= MAX_BLOCK_LEN);
+    let mut mags = [0u32; MAX_BLOCK_LEN];
+    let mut neg = [0u8; MAX_BLOCK_LEN];
+    let mut max = 0u32;
+    for ((o, s), &d) in mags.iter_mut().zip(&mut neg).zip(deltas) {
+        *o = d.unsigned_abs();
+        max |= *o;
+        *s = u8::from(d < 0);
+    }
+    let len = deltas.len();
+    encode_coded(&mags[..len], sign_bitmap(&neg[..len]), code_for_max(max), out)
 }
 
 /// Reference counterpart of [`encode_deltas`] built on the scalar encoder.
@@ -270,63 +308,78 @@ pub fn encode_deltas_scalar(deltas: &[i64], out: &mut Vec<u8>) -> Result<u8> {
     Ok(encode_block_scalar(&mags[..deltas.len()], signs, out))
 }
 
-/// Decode the magnitude planes + sign bitmap of a non-constant block body
-/// (`input` starts right after the code byte). Shared by the delta and
-/// parts decoders; the caller has already validated the total length.
-fn decode_body(input: &[u8], c: u8, len: usize, mags: &mut [u32], signs: &mut u64) {
-    // sign bitmap as one u64 load, clipped
-    let sb = sign_bytes(len);
-    let mut sbuf = [0u8; 8];
-    sbuf[..sb].copy_from_slice(&input[..sb]);
-    *signs = u64::from_le_bytes(sbuf);
-    let mut pos = sb;
+/// A signed lane the block decoders write deltas into.
+trait Lane: Copy + Default {
+    /// The widest code whose magnitudes the lane holds.
+    const MAX_CODE: u8;
+    /// Magnitude `m` under sign flag `s` (0 or 1), branchlessly: `(m ^ -s) + s`
+    /// negates when `s == 1` and keeps a zero magnitude zero either way.
+    fn signed(m: u32, s: u32) -> Self;
+    fn wrapping_add(self, d: Self) -> Self;
+}
+
+impl Lane for i64 {
+    const MAX_CODE: u8 = 32;
+    #[inline(always)]
+    fn signed(m: u32, s: u32) -> i64 {
+        let (m, s) = (i64::from(m), i64::from(s));
+        (m ^ -s) + s
+    }
+    #[inline(always)]
+    fn wrapping_add(self, d: i64) -> i64 {
+        i64::wrapping_add(self, d)
+    }
+}
+
+impl Lane for i32 {
+    const MAX_CODE: u8 = 31;
+    #[inline(always)]
+    fn signed(m: u32, s: u32) -> i32 {
+        let (m, s) = (m as i32, s as i32);
+        (m ^ -s) + s
+    }
+    #[inline(always)]
+    fn wrapping_add(self, d: i32) -> i32 {
+        i32::wrapping_add(self, d)
+    }
+}
+
+/// Decode the magnitudes of a block of code `c >= 8` from its byte planes
+/// and residual plane (`input` starts right after the sign bitmap; the
+/// caller has validated the total length).
+fn unpack_planes(input: &[u8], c: u8, mags: &mut [u32]) {
+    let len = mags.len();
     // full byte planes: contiguous gather, vectorizable. The first plane
     // stores (no prior fill needed); later planes OR.
     let byte_count = (c / 8) as usize;
-    let r = (c % 8) as u32;
-    if byte_count == 0 {
-        // residual-only block (c < 8, the dominant case on smooth fields):
-        // magnitudes come wholly from the packed residual plane.
-        match r {
-            1 => unpack_resid::<1, false>(&input[pos..], 0, &mut mags[..len]),
-            2 => unpack_resid::<2, false>(&input[pos..], 0, &mut mags[..len]),
-            3 => unpack_resid::<3, false>(&input[pos..], 0, &mut mags[..len]),
-            4 => unpack_resid::<4, false>(&input[pos..], 0, &mut mags[..len]),
-            5 => unpack_resid::<5, false>(&input[pos..], 0, &mut mags[..len]),
-            6 => unpack_resid::<6, false>(&input[pos..], 0, &mut mags[..len]),
-            _ => unpack_resid::<7, false>(&input[pos..], 0, &mut mags[..len]),
-        }
-        return;
-    }
-    for (m, &byte) in mags[..len].iter_mut().zip(&input[pos..pos + len]) {
+    for (m, &byte) in mags.iter_mut().zip(&input[..len]) {
         *m = byte as u32;
     }
-    pos += len;
+    let mut pos = len;
     for p in 1..byte_count {
         let shift = 8 * p as u32;
-        for (m, &byte) in mags[..len].iter_mut().zip(&input[pos..pos + len]) {
+        for (m, &byte) in mags.iter_mut().zip(&input[pos..pos + len]) {
             *m |= (byte as u32) << shift;
         }
         pos += len;
     }
     let base = 8 * byte_count as u32;
-    match r {
+    match c % 8 {
         0 => {}
-        1 => unpack_resid::<1, true>(&input[pos..], base, &mut mags[..len]),
-        2 => unpack_resid::<2, true>(&input[pos..], base, &mut mags[..len]),
-        3 => unpack_resid::<3, true>(&input[pos..], base, &mut mags[..len]),
-        4 => unpack_resid::<4, true>(&input[pos..], base, &mut mags[..len]),
-        5 => unpack_resid::<5, true>(&input[pos..], base, &mut mags[..len]),
-        6 => unpack_resid::<6, true>(&input[pos..], base, &mut mags[..len]),
-        _ => unpack_resid::<7, true>(&input[pos..], base, &mut mags[..len]),
+        1 => unpack_resid::<1>(&input[pos..], base, mags),
+        2 => unpack_resid::<2>(&input[pos..], base, mags),
+        3 => unpack_resid::<3>(&input[pos..], base, mags),
+        4 => unpack_resid::<4>(&input[pos..], base, mags),
+        5 => unpack_resid::<5>(&input[pos..], base, mags),
+        6 => unpack_resid::<6>(&input[pos..], base, mags),
+        _ => unpack_resid::<7>(&input[pos..], base, mags),
     }
 }
 
-/// Unpack the `R`-bit residual plane into `mags` (bits `base..base+R`): one
+/// OR the `R`-bit residual plane into `mags` (bits `base..base+R`): one
 /// bounded `u64` load per 8-element group, fully unrolled for constant `R`.
-/// `OR` selects accumulate (after byte planes) vs plain store (c < 8).
 #[inline]
-fn unpack_resid<const R: usize, const OR: bool>(input: &[u8], base: u32, mags: &mut [u32]) {
+fn unpack_resid<const R: usize>(input: &[u8], base: u32, mags: &mut [u32]) {
     let mask = (1u64 << R) - 1;
     let len = mags.len();
     let full_groups = len / 8;
@@ -336,12 +389,7 @@ fn unpack_resid<const R: usize, const OR: bool>(input: &[u8], base: u32, mags: &
         wbuf[..R].copy_from_slice(&input[pos..pos + R]);
         let w = u64::from_le_bytes(wbuf);
         for (j, m) in mags[8 * g..8 * g + 8].iter_mut().enumerate() {
-            let bits = (((w >> (j * R)) & mask) as u32) << base;
-            if OR {
-                *m |= bits;
-            } else {
-                *m = bits;
-            }
+            *m |= (((w >> (j * R)) & mask) as u32) << base;
         }
         pos += R;
     }
@@ -352,68 +400,76 @@ fn unpack_resid<const R: usize, const OR: bool>(input: &[u8], base: u32, mags: &
         wbuf[..nb].copy_from_slice(&input[pos..pos + nb]);
         let w = u64::from_le_bytes(wbuf);
         for (j, m) in mags[8 * full_groups..len].iter_mut().enumerate() {
-            let bits = (((w >> (j * R)) & mask) as u32) << base;
-            if OR {
-                *m |= bits;
-            } else {
-                *m = bits;
-            }
+            *m |= (((w >> (j * R)) & mask) as u32) << base;
         }
     }
 }
 
-/// Store (`MODE == 0`), add (`MODE == 1`), or subtract (`MODE == 2`) the
-/// decoded deltas into `deltas`. One body serves all three so the bit
-/// unpacking stays identical; `MODE` is const, so the sink folds to a single
-/// instruction per element.
+/// Decode the block at `input[0]` into `deltas` (whose length is the block
+/// length), storing each delta or, with `ADD`, wrapping-adding it; `flip` is
+/// XORed into the sign bitmap, so `u64::MAX` adds the negated deltas. One
+/// body serves every lane type and mode so the bit unpacking stays
+/// identical; both are compile-time, so the sink folds to one instruction
+/// per element.
 #[inline]
-fn decode_block_with<const MODE: u8>(input: &[u8], deltas: &mut [i64]) -> Result<usize> {
+fn decode_block_with<T: Lane, const ADD: bool>(
+    input: &[u8],
+    deltas: &mut [T],
+    flip: u64,
+) -> Result<usize> {
     let len = deltas.len();
     debug_assert!(len <= MAX_BLOCK_LEN);
-    let sink = |slot: &mut i64, d: i64| match MODE {
-        0 => *slot = d,
-        1 => *slot += d,
-        _ => *slot -= d,
-    };
     let c = peek_code(input)?;
     let total = block_size(c, len);
     if input.len() < total {
         return Err(Error::Truncated { need: total, have: input.len() });
     }
+    if c > T::MAX_CODE {
+        return Err(Error::DeltaOverflow);
+    }
     if c == 0 {
-        // all deltas are zero: nothing to accumulate in add/sub mode
-        if MODE == 0 {
-            deltas.fill(0);
+        // all deltas are zero: nothing to add
+        if !ADD {
+            deltas.fill(T::default());
         }
         return Ok(1);
     }
+    let sink = |slot: &mut T, d: T| *slot = if ADD { slot.wrapping_add(d) } else { d };
+    // sign bitmap: at most eight bytes, gathered little-endian
+    let sb = sign_bytes(len);
+    let signs = input[1..1 + sb].iter().rev().fold(0u64, |w, &b| w << 8 | u64::from(b)) ^ flip;
+    let body = &input[1 + sb..total];
     if c < 8 {
         // residual-only block: skip the magnitude staging array entirely and
         // apply signs while unpacking (one pass, branchless).
-        let sb = sign_bytes(len);
-        let mut sbuf = [0u8; 8];
-        sbuf[..sb].copy_from_slice(&input[1..1 + sb]);
-        let signs = u64::from_le_bytes(sbuf);
-        let resid = &input[1 + sb..total];
         match c {
-            1 => unpack_signed::<1>(resid, signs, deltas, sink),
-            2 => unpack_signed::<2>(resid, signs, deltas, sink),
-            3 => unpack_signed::<3>(resid, signs, deltas, sink),
-            4 => unpack_signed::<4>(resid, signs, deltas, sink),
-            5 => unpack_signed::<5>(resid, signs, deltas, sink),
-            6 => unpack_signed::<6>(resid, signs, deltas, sink),
-            _ => unpack_signed::<7>(resid, signs, deltas, sink),
+            1 => unpack_signed::<1, T>(body, signs, deltas, sink),
+            2 => unpack_signed::<2, T>(body, signs, deltas, sink),
+            3 => unpack_signed::<3, T>(body, signs, deltas, sink),
+            4 => unpack_signed::<4, T>(body, signs, deltas, sink),
+            5 => unpack_signed::<5, T>(body, signs, deltas, sink),
+            6 => unpack_signed::<6, T>(body, signs, deltas, sink),
+            _ => unpack_signed::<7, T>(body, signs, deltas, sink),
         }
         return Ok(total);
     }
     let mut mags = [0u32; MAX_BLOCK_LEN];
-    let mut signs = 0u64;
-    decode_body(&input[1..], c, len, &mut mags, &mut signs);
-    // branchless sign application: (m ^ -s) + s negates when s == 1
-    for (i, d) in deltas.iter_mut().enumerate() {
-        let m = mags[i] as i64;
-        let s = ((signs >> i) & 1) as i64;
-        sink(d, (m ^ -s) + s);
+    let mags = &mut mags[..len];
+    unpack_planes(body, c, mags);
+    // per 8-element group: its sign byte once, each flag at a constant shift
+    let full = len / 8 * 8;
+    let groups = deltas[..full].chunks_exact_mut(8).zip(mags.chunks_exact(8));
+    for (g, (group, m8)) in groups.enumerate() {
+        let s = (signs >> (8 * g)) as u32;
+        for (j, (d, &m)) in group.iter_mut().zip(m8).enumerate() {
+            sink(d, T::signed(m, (s >> j) & 1));
+        }
+    }
+    if full < len {
+        let s = (signs >> full) as u32;
+        for (j, (d, &m)) in deltas[full..].iter_mut().zip(&mags[full..]).enumerate() {
+            sink(d, T::signed(m, (s >> j) & 1));
+        }
     }
     Ok(total)
 }
@@ -423,32 +479,38 @@ fn decode_block_with<const MODE: u8>(input: &[u8], deltas: &mut [i64]) -> Result
 ///
 /// Word-parallel fast path; result-identical to [`decode_block_scalar`].
 pub fn decode_block(input: &[u8], deltas: &mut [i64]) -> Result<usize> {
-    decode_block_with::<0>(input, deltas)
+    decode_block_with::<i64, false>(input, deltas, 0)
 }
 
-/// Decode the block starting at `input[0]` and **add** its deltas into `acc`
-/// (fused decode-accumulate: no staging buffer, one pass over the tile).
-/// Returns the number of bytes consumed.
-pub fn decode_block_add(input: &[u8], acc: &mut [i64]) -> Result<usize> {
-    decode_block_with::<1>(input, acc)
+/// [`decode_block`] into `i32` lanes. A block of code 32, whose magnitudes
+/// need not fit, is refused with [`Error::DeltaOverflow`].
+pub fn decode_block_i32(input: &[u8], lanes: &mut [i32]) -> Result<usize> {
+    decode_block_with::<i32, false>(input, lanes, 0)
 }
 
-/// Like [`decode_block_add`] but **subtracts** the decoded deltas from `acc`.
-pub fn decode_block_sub(input: &[u8], acc: &mut [i64]) -> Result<usize> {
-    decode_block_with::<2>(input, acc)
+/// Decode the block starting at `input[0]` and **add** its deltas into
+/// `lanes` — or, with `negate`, subtract them — in the same pass, with no
+/// staging buffer. Returns the number of bytes consumed.
+///
+/// Lanes wrap, so the result is exact when every sum fits an `i32`: always
+/// when this block and the one in `lanes` both have codes of at most 30.
+/// Refuses a code-32 block like [`decode_block_i32`].
+pub fn decode_block_add_i32(input: &[u8], lanes: &mut [i32], negate: bool) -> Result<usize> {
+    decode_block_with::<i32, true>(input, lanes, if negate { u64::MAX } else { 0 })
 }
 
 /// Decode a residual-only block body (c < 8) straight into signed deltas:
-/// per 8-element group, one bounded `u64` load, constant-`R` unrolled bit
-/// extraction, and branchless sign application fused into the same pass.
-/// `sink` stores/accumulates the decoded delta into the output slot — it
-/// monomorphizes per call site, so store/add/sub variants stay branch-free.
+/// per 8-element group, one bounded `u64` load and one sign byte,
+/// constant-`R` unrolled bit extraction, and branchless sign application
+/// fused into the same pass. `sink` stores or accumulates the decoded delta
+/// into the output slot — it monomorphizes per call site, so every variant
+/// stays branch-free.
 #[inline]
-fn unpack_signed<const R: usize>(
+fn unpack_signed<const R: usize, T: Lane>(
     input: &[u8],
     signs: u64,
-    deltas: &mut [i64],
-    sink: impl Fn(&mut i64, i64) + Copy,
+    deltas: &mut [T],
+    sink: impl Fn(&mut T, T) + Copy,
 ) {
     let mask = (1u64 << R) - 1;
     let len = deltas.len();
@@ -458,10 +520,10 @@ fn unpack_signed<const R: usize>(
         let mut wbuf = [0u8; 8];
         wbuf[..R].copy_from_slice(&input[pos..pos + R]);
         let w = u64::from_le_bytes(wbuf);
+        let s = (signs >> (8 * g)) as u32;
         for (j, d) in deltas[8 * g..8 * g + 8].iter_mut().enumerate() {
-            let m = ((w >> (j * R)) & mask) as i64;
-            let s = ((signs >> (8 * g + j)) & 1) as i64;
-            sink(d, (m ^ -s) + s);
+            let m = ((w >> (j * R)) & mask) as u32;
+            sink(d, T::signed(m, (s >> j) & 1));
         }
         pos += R;
     }
@@ -471,37 +533,12 @@ fn unpack_signed<const R: usize>(
         let mut wbuf = [0u8; 8];
         wbuf[..nb].copy_from_slice(&input[pos..pos + nb]);
         let w = u64::from_le_bytes(wbuf);
+        let s = (signs >> (8 * full_groups)) as u32;
         for (j, d) in deltas[8 * full_groups..len].iter_mut().enumerate() {
-            let m = ((w >> (j * R)) & mask) as i64;
-            let s = ((signs >> (8 * full_groups + j)) & 1) as i64;
-            sink(d, (m ^ -s) + s);
+            let m = ((w >> (j * R)) & mask) as u32;
+            sink(d, T::signed(m, (s >> j) & 1));
         }
     }
-}
-
-/// Decode a block into its wire-native parts: `u32` magnitudes plus the sign
-/// bitmap, skipping the signed-integer conversion. `mags.len()` is the block
-/// length. Returns bytes consumed; a constant block yields all-zero
-/// magnitudes and an empty bitmap.
-///
-/// This is the entry point for homomorphic kernels that re-encode
-/// immediately (the magnitudes+signs form is exactly what
-/// [`encode_block`] consumes).
-pub fn decode_block_parts(input: &[u8], mags: &mut [u32], signs: &mut u64) -> Result<usize> {
-    let len = mags.len();
-    debug_assert!(len <= MAX_BLOCK_LEN);
-    let c = peek_code(input)?;
-    let total = block_size(c, len);
-    if input.len() < total {
-        return Err(Error::Truncated { need: total, have: input.len() });
-    }
-    if c == 0 {
-        mags.fill(0);
-        *signs = 0;
-        return Ok(1);
-    }
-    decode_body(&input[1..], c, len, mags, signs);
-    Ok(total)
 }
 
 /// Scalar reference decoder: bit-buffered residual reads and branchy sign
@@ -688,12 +725,12 @@ mod tests {
         let mut buf = Vec::new();
         encode_deltas(&deltas, &mut buf).unwrap();
         let mut out = [0i64; 32];
-        let mut mags = [0u32; 32];
-        let mut signs = 0u64;
+        let mut lanes = [0i32; 32];
         for cut in 0..buf.len() {
             assert!(decode_block(&buf[..cut], &mut out).is_err(), "cut at {cut} should fail");
             assert!(decode_block_scalar(&buf[..cut], &mut out).is_err(), "cut at {cut}");
-            assert!(decode_block_parts(&buf[..cut], &mut mags, &mut signs).is_err(), "cut {cut}");
+            assert!(decode_block_i32(&buf[..cut], &mut lanes).is_err(), "cut {cut}");
+            assert!(decode_block_add_i32(&buf[..cut], &mut lanes, true).is_err(), "cut {cut}");
         }
     }
 
@@ -737,24 +774,41 @@ mod tests {
     }
 
     #[test]
-    fn parts_decode_matches_delta_decode() {
+    fn i32_lanes_match_i64_decode_and_reencode_the_same_bytes() {
         for len in [1usize, 7, 8, 31, 32, 63, 64] {
-            let deltas: Vec<i64> =
-                (0..len).map(|i| ((i as i64 * 97) % 5000 - 2500) * (i as i64 % 3 + 1)).collect();
-            let mut buf = Vec::new();
-            encode_deltas(&deltas, &mut buf).unwrap();
-            let mut mags = vec![0u32; len];
-            let mut signs = 0u64;
-            let used = decode_block_parts(&buf, &mut mags, &mut signs).unwrap();
-            assert_eq!(used, buf.len());
-            for (i, &d) in deltas.iter().enumerate() {
-                assert_eq!(mags[i] as u64, d.unsigned_abs(), "len={len} at {i}");
-                assert_eq!((signs >> i) & 1 == 1, d < 0, "len={len} at {i}");
+            for c in 1..=32u32 {
+                let hi = (1u64 << c) - 1;
+                let deltas: Vec<i64> = (0..len)
+                    .map(|i| {
+                        let v = if i == len / 2 { hi } else { hi * (i as u64 % 5) / 5 } as i64;
+                        if i % 3 == 1 {
+                            -v
+                        } else {
+                            v
+                        }
+                    })
+                    .collect();
+                let mut buf = Vec::new();
+                encode_deltas(&deltas, &mut buf).unwrap();
+                let mut lanes = vec![0i32; len];
+                let mut acc = vec![0i32; len];
+                if c == 32 {
+                    // magnitudes up to 2^32 - 1 do not fit an i32 lane
+                    assert_eq!(decode_block_i32(&buf, &mut lanes), Err(Error::DeltaOverflow));
+                    let added = decode_block_add_i32(&buf, &mut acc, false);
+                    assert_eq!(added, Err(Error::DeltaOverflow));
+                    continue;
+                }
+                assert_eq!(decode_block_i32(&buf, &mut lanes).unwrap(), buf.len());
+                let wide: Vec<i64> = lanes.iter().map(|&d| d as i64).collect();
+                assert_eq!(wide, deltas, "len={len} c={c}");
+                assert_eq!(decode_block_add_i32(&buf, &mut acc, true).unwrap(), buf.len());
+                let negated: Vec<i64> = acc.iter().map(|&d| -(d as i64)).collect();
+                assert_eq!(negated, deltas, "len={len} c={c} negated");
+                let mut rebuf = Vec::new();
+                assert_eq!(encode_deltas_i32(&lanes, &mut rebuf) as u32, c);
+                assert_eq!(rebuf, buf, "len={len} c={c}");
             }
-            // and re-encoding the parts reproduces the exact bytes
-            let mut rebuf = Vec::new();
-            encode_block(&mags, signs, &mut rebuf);
-            assert_eq!(rebuf, buf, "len={len}");
         }
     }
 }

@@ -29,7 +29,8 @@ pub enum Error {
     Mismatch(&'static str),
     /// A delta magnitude exceeded the 32-bit encodable range. Compression
     /// itself never produces this; it can arise when homomorphically
-    /// accumulating many streams whose quantization integers grow too large.
+    /// accumulating many streams whose quantization integers grow too large,
+    /// or when a block of code 32 is decoded into `i32` lanes.
     DeltaOverflow,
     /// Adding two quantization deltas overflowed the representable range.
     HomomorphicOverflow { chunk: usize },

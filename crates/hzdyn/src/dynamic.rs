@@ -4,7 +4,10 @@
 //! lockstep, dispatching each pair through the lightest applicable pipeline.
 //! There is one kernel, over integer coefficients: it computes
 //! `alpha·A + beta·B`, and [`homomorphic_sum`] and [`ReduceOp::Diff`] are its
-//! `(1, 1)` and `(1, −1)`. The chunk walk around it is `crate::walk`'s, so
+//! `(1, 1)` and `(1, −1)`. It works one block at a time, writing each result
+//! block straight into the chunk's output; for those two, pipeline ④ adds
+//! in `i32` lanes whenever both operand codes are at most 30 (`LANE_CODE`),
+//! and in `i64` otherwise. The chunk walk around it is `crate::walk`'s, so
 //! work parallelizes over thread-chunks exactly like compression does and
 //! the multi-thread mode of the collectives gets homomorphic speedups too.
 
@@ -96,38 +99,11 @@ pub(crate) fn combine(
     )
 }
 
-/// Elements per pipeline-④ tile: a 16 KiB i64 arena, sized so the arena plus
-/// the in-flight compressed bytes stay resident in a typical L1 data cache
-/// while a run of decode → accumulate → encode passes over it.
-const TILE_ELEMS: usize = 2048;
-
-/// Pipeline-④ tile: consecutive both-non-constant block pairs are combined
-/// into one contiguous `i64` arena (A's deltas decoded in, B's fused
-/// decode-accumulated on top), then re-encoded block by block at flush.
-/// Heap-allocated because collective fibers may run on small stacks.
-struct Tile {
-    ta: Vec<i64>,
-    /// Block lengths pending re-encode, in tile order.
-    pending: Vec<usize>,
-    fill: usize,
-}
-
-impl Tile {
-    fn new() -> Self {
-        Tile { ta: vec![0i64; TILE_ELEMS], pending: Vec::with_capacity(TILE_ELEMS / 8), fill: 0 }
-    }
-
-    /// Re-encode the pending blocks into `out`.
-    fn flush(&mut self, ci: usize, out: &mut Vec<u8>) -> Result<()> {
-        let mut off = 0usize;
-        for len in self.pending.drain(..) {
-            emit(&self.ta[off..off + len], ci, out)?;
-            off += len;
-        }
-        self.fill = 0;
-        Ok(())
-    }
-}
+/// The widest operand code pipeline ④ adds in `i32` lanes: magnitudes of
+/// two code-30 blocks are below `2^30`, so `|a ± b| <= 2^31 - 2` fits an
+/// `i32` and the lanes never widen or wrap. Wider operands take the `i64`
+/// route.
+const LANE_CODE: u8 = 30;
 
 /// The result block when the other operand's block is constant (pipelines ②
 /// and ③, and all of [`homomorphic_scale`]): `k` times `src`'s next block —
@@ -149,21 +125,21 @@ fn scale_block(
     emit(&scratch[..len], ci, out)
 }
 
-/// The dynamic kernel: one chunk pair, block by block (cache-blocked fast
-/// path; the original block-at-a-time walk is retained in
-/// [`crate::reference`]).
+/// The dynamic kernel: one chunk pair, block by block, each result block
+/// encoded straight into `out`.
 fn combine_blocks(w: &mut Walk<'_, 2>, alpha: i64, beta: i64, dispatch: bool) -> Result<()> {
     let Walk { ci, len, block_len, ops: [a, b], out, stats } = w;
     let ci = *ci;
-    let mut scratch = [0i64; MAX_BLOCK_LEN];
-    let mut tile = Tile::new();
+    let unit = alpha == 1 && beta.abs() == 1;
+    let mut lanes = [0i32; MAX_BLOCK_LEN];
+    let mut da = [0i64; MAX_BLOCK_LEN];
+    let mut db = [0i64; MAX_BLOCK_LEN];
     for len in block_lens(*len, *block_len) {
         let ca = codec::peek_code(a.rest())?;
         let cb = codec::peek_code(b.rest())?;
         match (ca, cb) {
             (0, 0) if dispatch => {
                 // ① both constant: every result delta is zero.
-                tile.flush(ci, out)?;
                 out.push(0);
                 a.pos += 1;
                 b.pos += 1;
@@ -172,47 +148,38 @@ fn combine_blocks(w: &mut Walk<'_, 2>, alpha: i64, beta: i64, dispatch: bool) ->
             (0, _) if dispatch => {
                 // ② left constant: the result is beta·B (0 + b = b copies B
                 // verbatim; 0 - b needs a negation pass over B's deltas).
-                tile.flush(ci, out)?;
                 a.pos += 1;
-                scale_block(b, beta, len, &mut scratch, ci, out)?;
+                scale_block(b, beta, len, &mut da, ci, out)?;
                 stats.p2 += 1;
             }
             (_, 0) if dispatch => {
                 // ③ right constant: the result is alpha·A.
-                tile.flush(ci, out)?;
                 b.pos += 1;
-                scale_block(a, alpha, len, &mut scratch, ci, out)?;
+                scale_block(a, alpha, len, &mut da, ci, out)?;
                 stats.p3 += 1;
             }
+            _ if unit && ca.max(cb) <= LANE_CODE => {
+                // ④ in i32 lanes: IFE A, fuse B's decode with the add or
+                // subtract, FE the lanes (their magnitudes, signs and code in
+                // one pass).
+                let lanes = &mut lanes[..len];
+                a.pos += codec::decode_block_i32(a.rest(), lanes)?;
+                b.pos += codec::decode_block_add_i32(b.rest(), lanes, beta < 0)?;
+                codec::encode_deltas_i32(lanes, out);
+                stats.p4 += 1;
+            }
             _ => {
-                // ④ both non-constant: IFE A into the tile arena, fuse B's
-                // decode with the integer op, and FE at flush over a
-                // contiguous L1-resident run instead of one 64-element block
-                // at a time.
-                if tile.fill + len > TILE_ELEMS {
-                    tile.flush(ci, out)?;
-                }
-                let slot = &mut tile.ta[tile.fill..tile.fill + len];
-                a.pos += codec::decode_block(a.rest(), slot)?;
-                if alpha != 1 {
-                    slot.iter_mut().for_each(|d| *d *= alpha);
-                }
-                b.pos += match beta {
-                    1 => codec::decode_block_add(b.rest(), slot)?,
-                    -1 => codec::decode_block_sub(b.rest(), slot)?,
-                    _ => {
-                        let used = codec::decode_block(b.rest(), &mut scratch[..len])?;
-                        slot.iter_mut().zip(&scratch).for_each(|(d, s)| *d += beta * s);
-                        used
-                    }
-                };
-                tile.pending.push(len);
-                tile.fill += len;
+                // ④ in i64: a code-31 or -32 operand, or other coefficients.
+                let (da, db) = (&mut da[..len], &mut db[..len]);
+                a.pos += codec::decode_block(a.rest(), da)?;
+                b.pos += codec::decode_block(b.rest(), db)?;
+                da.iter_mut().zip(&*db).for_each(|(d, s)| *d = alpha * *d + beta * s);
+                emit(da, ci, out)?;
                 stats.p4 += 1;
             }
         }
     }
-    tile.flush(ci, out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //!
 //! This is the original block-at-a-time walk over the two operand streams,
 //! built on the scalar codec paths
-//! ([`codec::decode_block_scalar`]/[`codec::encode_deltas_scalar`]): no tile
-//! arenas, per-byte `Vec` pushes, bit-buffered residual handling. It is kept
-//! for differential testing: the cache-blocked fast path in
-//! [`crate::dynamic`] must produce byte-identical streams (asserted by the
+//! ([`codec::decode_block_scalar`]/[`codec::encode_deltas_scalar`]): `i64`
+//! deltas whatever the codes, per-byte `Vec` pushes, bit-buffered residual
+//! handling. It is kept for differential testing: the fast path in
+//! [`crate::dynamic`], `i32` lanes where both codes allow, must produce
+//! byte-identical streams (asserted by the
 //! workspace `kernel_equivalence` property tests and the `scalar` column of
 //! `tests/codec_goldens.tsv`).
 //!

@@ -76,7 +76,10 @@ pub(crate) fn drive<const N: usize>(
         let combined = i32::try_from(outlier(ci, outliers))
             .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
         let longest = payloads.iter().map(|p| p.len()).max().unwrap_or(span.len);
-        let mut out = Vec::with_capacity(longest + 16);
+        // pipeline ④ can widen a block by one code bit: one more bit per
+        // element, rounded up to a byte per block
+        let widen = span.len / 8 + span.len.div_ceil(block_len);
+        let mut out = Vec::with_capacity(longest + widen);
         out.extend_from_slice(&combined.to_le_bytes());
         let ops = payloads.map(|bytes| Cursor { bytes, pos: 4 });
         let stats = PipelineStats::default();

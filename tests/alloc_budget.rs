@@ -4,11 +4,15 @@
 //! allocations a rank makes does not depend on the ring's size. A counting
 //! global allocator around whole simulated runs pins that; it fails on a
 //! ring that allocates per step (four more per rank added to an allreduce
-//! ring: a pack and an unpack buffer in each phase).
+//! ring: a pack and an unpack buffer in each phase). A per-thread count does
+//! the same for one ring chunk's homomorphic sum.
 
+use fzlight::{compress, Config, ErrorBound};
 use hzccl::{collectives, CollectiveOpts, Resilience};
 use netsim::{ComputeTiming, SimBuilder, SimEngine, ThroughputModel};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
@@ -17,6 +21,11 @@ static LARGE: AtomicUsize = AtomicUsize::new(0);
 static BYTES: AtomicUsize = AtomicUsize::new(0);
 static LARGE_FROM: AtomicUsize = AtomicUsize::new(usize::MAX);
 
+thread_local! {
+    /// This thread's allocations: how many, and the largest.
+    static MINE: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
 struct Counting;
 
 fn count(size: usize) {
@@ -24,6 +33,11 @@ fn count(size: usize) {
     if size >= LARGE_FROM.load(Relaxed) {
         LARGE.fetch_add(1, Relaxed);
     }
+    // a const-initialised `Cell` has no destructor: this never allocates
+    let _ = MINE.try_with(|mine| {
+        let (calls, largest) = mine.get();
+        mine.set((calls + 1, largest.max(size)));
+    });
 }
 
 // SAFETY: every method hands its arguments unchanged to `System`, which
@@ -102,4 +116,28 @@ fn a_framed_ring_allocates_one_frame_per_hop() {
         let hops = 2 * (nranks - 1);
         assert!(large <= plain + hops, "{large} chunk-sized allocations over {hops} hops");
     }
+}
+
+/// A homomorphic sum of two one-chunk, 64-element streams — one
+/// `ar_manyranks` ring chunk — allocates its result and its bookkeeping, no
+/// per-call working arena: nothing of 4 KiB or more, and a pinned count.
+/// The sum runs on the calling thread (one chunk is one job), so this
+/// thread's allocations are all of it.
+#[test]
+fn a_ring_chunk_homomorphic_sum_allocates_no_arena() {
+    const CALLS: usize = 100;
+    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let a: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
+    let b: Vec<f32> = a.iter().map(|v| v * 1.001).collect();
+    let cfg = Config::new(ErrorBound::Abs(1e-4));
+    let (a, b) = (compress(&a, &cfg).unwrap(), compress(&b, &cfg).unwrap());
+    let (_, st) = hzdyn::homomorphic_sum_with_stats(&a, &b).unwrap();
+    assert_eq!(st.p4, 2, "both blocks through pipeline 4");
+    MINE.with(|mine| mine.set((0, 0)));
+    for _ in 0..CALLS {
+        drop(black_box(hzdyn::homomorphic_sum(black_box(&a), &b).unwrap()));
+    }
+    let (calls, largest) = MINE.with(Cell::get);
+    assert!(largest < 4096, "a {largest} B allocation in a 64-element sum");
+    assert_eq!(calls, 6 * CALLS, "allocations per 64-element sum");
 }

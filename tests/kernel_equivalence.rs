@@ -1,6 +1,6 @@
 //! Differential property tests for the bit-parallel kernel overhaul: every
-//! fast kernel (bitshuffle planes, block quantization, block codec, tiled
-//! homomorphic sum) must be **bit-identical** to its retained scalar
+//! fast kernel (bitshuffle planes, block quantization, block codec, the
+//! per-block homomorphic sum in its `i32` and `i64` lanes) must be **bit-identical** to its retained scalar
 //! reference across block lengths, code lengths and adversarial inputs.
 //!
 //! Lengths sweep {1, 7, 8, 63, 64, 65, 4096} — one element, a partial
@@ -15,7 +15,7 @@
 
 use datasets::App;
 use fzlight::config::MAX_BLOCK_LEN;
-use fzlight::{codec, compress, decompress, quantize, Config, ErrorBound};
+use fzlight::{codec, compress, decompress, quantize, CompressedStream, Config, Error, ErrorBound};
 use ompszp::bitshuffle;
 
 /// Deterministic xorshift64* PRNG — the workspace's zero-dependency test
@@ -177,8 +177,9 @@ fn codec_decode_matches_scalar() {
     }
 }
 
-/// The fused decode-accumulate entry points (`decode_block_add`/`_sub`) must
-/// equal decode-then-combine on every code length.
+/// The `i32` lane entry points (`decode_block_i32`, the fused
+/// `decode_block_add_i32` in both signs) must equal the scalar decode, then
+/// the combination, on every code length the lanes hold; code 32 is refused.
 #[test]
 fn codec_fused_accumulate_matches_decode_then_combine() {
     let mut rng = Rng::new(0xACC);
@@ -188,18 +189,27 @@ fn codec_fused_accumulate_matches_decode_then_combine() {
             let deltas = deltas_for_bits(&mut rng, len, bits);
             let mut enc = Vec::new();
             codec::encode_deltas(&deltas, &mut enc).unwrap();
-            let base: Vec<i64> =
-                (0..len).map(|_| (rng.next_u64() as u32) as i64 - (1 << 31)).collect();
+            let base: Vec<i32> = (0..len).map(|_| rng.next_u64() as i32).collect();
             let mut tmp = vec![0i64; len];
             let nref = codec::decode_block_scalar(&enc, &mut tmp).unwrap();
-            let want_add: Vec<i64> = base.iter().zip(&tmp).map(|(b, d)| b + d).collect();
-            let want_sub: Vec<i64> = base.iter().zip(&tmp).map(|(b, d)| b - d).collect();
-            let mut acc = base.clone();
-            assert_eq!(codec::decode_block_add(&enc, &mut acc).unwrap(), nref);
-            assert_eq!(acc, want_add, "add len={len} bits={bits}");
-            let mut acc = base.clone();
-            assert_eq!(codec::decode_block_sub(&enc, &mut acc).unwrap(), nref);
-            assert_eq!(acc, want_sub, "sub len={len} bits={bits}");
+            let mut lanes = vec![i32::MIN; len];
+            if bits == 32 {
+                assert_eq!(codec::decode_block_i32(&enc, &mut lanes), Err(Error::DeltaOverflow));
+                let added = codec::decode_block_add_i32(&enc, &mut lanes, false);
+                assert_eq!(added, Err(Error::DeltaOverflow), "len={len}");
+                continue;
+            }
+            assert_eq!(codec::decode_block_i32(&enc, &mut lanes).unwrap(), nref);
+            assert!(lanes.iter().zip(&tmp).all(|(&l, &d)| l as i64 == d), "len={len} bits={bits}");
+            for negate in [false, true] {
+                // the lanes wrap: exact whenever the true sum fits an i32
+                let sign = if negate { -1 } else { 1 };
+                let want: Vec<i32> =
+                    base.iter().zip(&tmp).map(|(&b, &d)| (b as i64 + sign * d) as i32).collect();
+                let mut acc = base.clone();
+                assert_eq!(codec::decode_block_add_i32(&enc, &mut acc, negate).unwrap(), nref);
+                assert_eq!(acc, want, "negate={negate} len={len} bits={bits}");
+            }
         }
     }
 }
@@ -414,9 +424,10 @@ fn homomorphic_sum_matches_scalar_reference() {
     check(&a, &b, 2);
 }
 
-/// The Diff pipeline (exercising `decode_block_sub`) must produce the same
-/// bytes as the independent axpby(1, -1) implementation, and decompress to
-/// the quantized difference.
+/// The Diff pipeline (④'s subtract lane) must produce the same bytes as
+/// negating B through the separate `homomorphic_scale` path and summing —
+/// equal because the codec is canonical — and decompress to the quantized
+/// difference.
 #[test]
 fn homomorphic_diff_matches_axpby() {
     let mut rng = Rng::new(0xD1FF);
@@ -427,8 +438,9 @@ fn homomorphic_diff_matches_axpby() {
         let ca = compress(&a, &cfg).unwrap();
         let cb = compress(&b, &cfg).unwrap();
         let diff = hzdyn::homomorphic_op(&ca, &cb, hzdyn::ReduceOp::Diff).unwrap();
-        let axpby = hzdyn::homomorphic_axpby(&ca, 1, &cb, -1).unwrap();
-        assert_eq!(diff.as_bytes(), axpby.as_bytes(), "len={len}");
+        let negated = hzdyn::homomorphic_scale(&cb, -1).unwrap();
+        let sum = hzdyn::homomorphic_sum(&ca, &negated).unwrap();
+        assert_eq!(diff.as_bytes(), sum.as_bytes(), "len={len}");
         let want: Vec<f32> = decompress(&ca)
             .unwrap()
             .iter()
@@ -438,6 +450,103 @@ fn homomorphic_diff_matches_axpby() {
         let got = decompress(&diff).unwrap();
         for i in 0..len {
             assert!((got[i] - want[i]).abs() <= 2.1e-3, "len={len} at {i}");
+        }
+    }
+}
+
+/// One chunk of blocks with code `code` each, as its deltas: element 0 pinned
+/// at `±(2^code - 1)` with the sign `signs(k)` gives block `k`, the rest
+/// random below `2^(code - 1)`, so only the pinned elements can carry a sum
+/// past 32 bits.
+fn pinned_blocks(
+    rng: &mut Rng,
+    code: u8,
+    lens: &[usize],
+    signs: impl Fn(usize) -> i64,
+) -> Vec<Vec<i64>> {
+    let top = (1i64 << code) - 1;
+    let half = 1u64 << (code - 1);
+    lens.iter()
+        .enumerate()
+        .map(|(k, &len)| {
+            (0..len)
+                .map(|i| match i {
+                    0 => signs(k) * top,
+                    _ => {
+                        let m = (rng.next_u64() % half) as i64;
+                        if rng.next_u64() & 1 == 1 {
+                            -m
+                        } else {
+                            m
+                        }
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// A one-chunk stream of `blocks`, each encoded by the scalar reference
+/// encoder; with `signed_zero`, element 1 of every block is a zero magnitude
+/// whose sign bit is set (a non-canonical encoding every decoder must read
+/// as zero).
+fn stream_of(
+    block_len: usize,
+    outlier: i32,
+    blocks: &[Vec<i64>],
+    signed_zero: bool,
+) -> CompressedStream {
+    let mut payload = outlier.to_le_bytes().to_vec();
+    for deltas in blocks {
+        let at = payload.len();
+        let mut deltas = deltas.clone();
+        if signed_zero && deltas.len() > 1 {
+            deltas[1] = 0;
+        }
+        codec::encode_deltas_scalar(&deltas, &mut payload).unwrap();
+        if signed_zero && deltas.len() > 1 {
+            payload[at + 1] |= 0b10;
+        }
+    }
+    let n = blocks.iter().map(Vec::len).sum();
+    CompressedStream::from_chunks(n, 0.5, block_len, &[payload])
+}
+
+/// Pipeline ④ on both sides of its `i32` lane rule (operand codes ≤ 30):
+/// block pairs at codes (30, 30), (30, 31), (31, 31), (32, 32) and (1, 32),
+/// pinned so that the (30, 30) sums and differences reach exactly
+/// `±(2^31 - 2)` and the widest ones overflow, every A block holding a
+/// zero with its sign bit set. Sum and Diff, each block length: the bytes or
+/// the typed error of the scalar reference (for Diff, the sum with B's
+/// deltas negated).
+#[test]
+fn homomorphic_lane_boundaries_match_scalar_reference() {
+    let mut rng = Rng::new(0x1A_4E5);
+    for block_len in [1usize, 7, 8, 32, 63, 64] {
+        let n = 4 * block_len + block_len / 2;
+        let lens: Vec<usize> = fzlight::chunk::block_lens(n, block_len).collect();
+        for (ca, cb) in [(30u8, 30u8), (30, 31), (31, 31), (32, 32), (1, 32)] {
+            // pinned elements of equal signs, then of opposite signs
+            for flip in [1i64, -1] {
+                let sa = |k: usize| if k.is_multiple_of(2) { 1 } else { -1 };
+                let sb = |k: usize| flip * sa(k);
+                let da = pinned_blocks(&mut rng, ca, &lens, sa);
+                let db = pinned_blocks(&mut rng, cb, &lens, sb);
+                let neg: Vec<Vec<i64>> =
+                    db.iter().map(|d| d.iter().map(|v| -v).collect()).collect();
+                let a = stream_of(block_len, 7, &da, true);
+                let b = stream_of(block_len, -3, &db, false);
+                let minus_b = stream_of(block_len, 3, &neg, false);
+                let bytes =
+                    |s: fzlight::Result<CompressedStream>| s.map(CompressedStream::into_bytes);
+                let at = format!("block_len={block_len} codes=({ca}, {cb}) flip={flip}");
+                let sum = hzdyn::homomorphic_op(&a, &b, hzdyn::ReduceOp::Sum);
+                let reference = hzdyn::reference::homomorphic_sum_scalar(&a, &b);
+                assert_eq!(bytes(sum), bytes(reference), "Sum {at}");
+                let diff = hzdyn::homomorphic_op(&a, &b, hzdyn::ReduceOp::Diff);
+                let reference = hzdyn::reference::homomorphic_sum_scalar(&a, &minus_b);
+                assert_eq!(bytes(diff), bytes(reference), "Diff {at}");
+            }
         }
     }
 }
