@@ -30,40 +30,28 @@ pub fn effective_chunks(n: usize, threads: usize) -> usize {
     }
 }
 
-/// Enumerate the chunk spans for `n` elements split into `nchunks` chunks.
+/// The chunk spans for `n` elements split into `nchunks` chunks, in order.
 ///
 /// `nchunks` must come from [`effective_chunks`]; panics if a chunk would be
 /// empty.
-pub fn chunk_spans(n: usize, nchunks: usize) -> Vec<ChunkSpan> {
-    if nchunks == 0 {
-        assert_eq!(n, 0, "zero chunks only valid for empty input");
-        return Vec::new();
-    }
-    let base = n / nchunks;
-    assert!(base > 0, "more chunks than elements");
-    let mut spans = Vec::with_capacity(nchunks);
-    for t in 0..nchunks {
+pub fn chunk_spans(n: usize, nchunks: usize) -> impl ExactSizeIterator<Item = ChunkSpan> + Clone {
+    assert!(nchunks > 0 || n == 0, "zero chunks only valid for empty input");
+    let base = n.checked_div(nchunks).unwrap_or(0);
+    assert!(nchunks == 0 || base > 0, "more chunks than elements");
+    (0..nchunks).map(move |t| {
         let start = t * base;
-        let len = if t == nchunks - 1 { n - start } else { base };
-        spans.push(ChunkSpan { start, len });
-    }
-    spans
+        ChunkSpan { start, len: if t + 1 == nchunks { n - start } else { base } }
+    })
 }
 
-/// Split a mutable slice into sub-slices matching `spans` (which must tile the
-/// slice exactly, in order).
-pub fn split_mut<'a, T>(mut data: &'a mut [T], spans: &[ChunkSpan]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(spans.len());
-    let mut consumed = 0usize;
-    for span in spans {
-        assert_eq!(span.start, consumed, "spans must be contiguous");
-        let (head, tail) = data.split_at_mut(span.len);
-        out.push(head);
+/// Split `data` into the sub-slices of its `nchunks` [`chunk_spans`], in
+/// order.
+pub fn split_mut<T>(mut data: &mut [T], nchunks: usize) -> impl ExactSizeIterator<Item = &mut [T]> {
+    chunk_spans(data.len(), nchunks).map(move |span| {
+        let (head, tail) = std::mem::take(&mut data).split_at_mut(span.len);
         data = tail;
-        consumed += span.len;
-    }
-    assert!(data.is_empty(), "spans must cover the whole slice");
-    out
+        head
+    })
 }
 
 /// Lengths of the small blocks covering `len` elements: `block_len` each,
@@ -84,17 +72,20 @@ pub fn deal<T>(items: impl Iterator<Item = T>, hands: usize) -> Vec<Vec<T>> {
     dealt
 }
 
-/// Run `run(i, job)` for every job and return the results in job order.
+/// Run `run(i, job)` for every job and collect the results, in job order,
+/// into whatever the caller asks for: a `Vec`, or a `Result` that stops at
+/// the first error and allocates nothing when there is nothing to keep.
 ///
 /// One job (or any number on a one-core host) runs on the calling thread — a
 /// single-thread-mode codec call inside a collective hop must not pay for a
 /// thread. More run on scoped workers, never more of them than the host has
 /// cores: a stream header received from the wire chooses the job count, and
 /// it must not be able to ask the OS for more threads than it will give.
-pub fn fork_join<J: Send, R: Send, I>(jobs: I, run: impl Fn(usize, J) -> R + Sync) -> Vec<R>
+pub fn fork_join<J: Send, R: Send, C, I>(jobs: I, run: impl Fn(usize, J) -> R + Sync) -> C
 where
     I: IntoIterator<Item = J>,
     I::IntoIter: ExactSizeIterator,
+    C: FromIterator<R>,
 {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores =
@@ -130,7 +121,7 @@ mod tests {
                 let spans = chunk_spans(n, nchunks);
                 assert_eq!(spans.len(), nchunks);
                 let mut next = 0;
-                for s in &spans {
+                for s in spans {
                     assert_eq!(s.start, next);
                     assert!(s.len > 0);
                     next += s.len;
@@ -142,7 +133,7 @@ mod tests {
 
     #[test]
     fn last_chunk_absorbs_remainder() {
-        let spans = chunk_spans(10, 3);
+        let spans: Vec<_> = chunk_spans(10, 3).collect();
         assert_eq!(spans[0].len, 3);
         assert_eq!(spans[1].len, 3);
         assert_eq!(spans[2].len, 4);
@@ -151,24 +142,23 @@ mod tests {
     #[test]
     fn empty_input_has_no_chunks() {
         assert_eq!(effective_chunks(0, 8), 0);
-        assert!(chunk_spans(0, 0).is_empty());
+        assert_eq!(chunk_spans(0, 0).len(), 0);
     }
 
     #[test]
     fn more_threads_than_elements_is_clamped() {
         assert_eq!(effective_chunks(3, 16), 3);
-        let spans = chunk_spans(3, 3);
-        assert!(spans.iter().all(|s| s.len == 1));
+        assert!(chunk_spans(3, 3).all(|s| s.len == 1));
     }
 
     #[test]
     fn split_mut_matches_spans() {
         let mut v: Vec<u32> = (0..10).collect();
-        let spans = chunk_spans(10, 3);
-        let parts = split_mut(&mut v, &spans);
+        let parts: Vec<_> = split_mut(&mut v, 3).collect();
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0], &[0, 1, 2]);
         assert_eq!(parts[2], &[6, 7, 8, 9]);
+        assert_eq!(split_mut(&mut [0u8; 0], 0).len(), 0);
     }
 
     #[test]
@@ -189,12 +179,23 @@ mod tests {
         for k in [0usize, 1, 2, 3, 8, 1000] {
             let mut cells = vec![0usize; k];
             // jobs may own disjoint mutable borrows
-            let out = fork_join(cells.iter_mut(), |i, cell| {
+            let out: Vec<usize> = fork_join(cells.iter_mut(), |i, cell| {
                 *cell = i + 1;
                 i * i
             });
             assert_eq!(out, (0..k).map(|i| i * i).collect::<Vec<_>>());
             assert!(cells.iter().enumerate().all(|(i, &c)| c == i + 1));
+        }
+    }
+
+    #[test]
+    fn fork_join_into_a_result_reports_the_first_error_in_job_order() {
+        for k in [1usize, 2, 3, 8, 1000] {
+            let got: Result<Vec<usize>, usize> =
+                fork_join(0..k, |i, _| if i % 3 == 2 || i + 1 == k { Err(i) } else { Ok(i) });
+            assert_eq!(got, Err(2.min(k - 1)), "{k} jobs");
+            let all: Result<(), usize> = fork_join(0..k, |_, _| Ok(()));
+            assert_eq!(all, Ok(()));
         }
     }
 }

@@ -57,15 +57,15 @@ pub(crate) fn compress_chunks(
     kernel: impl Fn(&[f32], usize, &mut Vec<u8>) -> Result<()> + Sync,
 ) -> Result<CompressedStream> {
     let n = data.len();
-    let chunks = fork_join(chunk_spans(n, effective_chunks(n, threads)), |_, span| {
-        // Capacity guess: outlier + one code byte per block + a quarter of
-        // the raw size (ratio 4 heuristic; `Vec` growth handles
-        // low-compressibility data).
-        let mut out = Vec::with_capacity(4 + span.len.div_ceil(block_len) + span.len);
-        kernel(&data[span.start..span.start + span.len], span.start, &mut out).map(|()| out)
-    });
-    let chunks = chunks.into_iter().collect::<Result<Vec<_>>>()?;
-    Ok(CompressedStream::from_chunks(n, eb_abs, block_len, &chunks))
+    let chunks: Result<Vec<_>> =
+        fork_join(chunk_spans(n, effective_chunks(n, threads)), |_, span| {
+            // Capacity guess: outlier + one code byte per block + a quarter of
+            // the raw size (ratio 4 heuristic; `Vec` growth handles
+            // low-compressibility data).
+            let mut out = Vec::with_capacity(4 + span.len.div_ceil(block_len) + span.len);
+            kernel(&data[span.start..span.start + span.len], span.start, &mut out).map(|()| out)
+        });
+    Ok(CompressedStream::from_chunks(n, eb_abs, block_len, &chunks?))
 }
 
 /// Fused quantization + prediction + encoding of one thread-chunk.
@@ -147,7 +147,7 @@ mod tests {
         let s = compress(&data, &Config::new(ErrorBound::Abs(1e-3)).with_threads(2)).unwrap();
         // all-zero data: per chunk 4-byte outlier + 64 one-byte constant blocks
         let expected_body = 2 * (4 + 64);
-        assert_eq!(s.header().body_len(), expected_body);
+        assert_eq!(s.body_len(), expected_body);
         assert_eq!(s.compressed_size(), crate::Header::serialized_len(2) + expected_body);
     }
 

@@ -24,10 +24,8 @@ pub fn decompress_into(stream: &CompressedStream, out: &mut [f32]) -> Result<()>
         return Err(Error::Mismatch("output buffer length != stream element count"));
     }
     let (block_len, two_eb) = (stream.block_len(), 2.0 * stream.eb());
-    let parts = split_mut(out, &chunk_spans(stream.n(), stream.nchunks()));
+    let parts = split_mut(out, stream.nchunks());
     fork_join(parts, |ci, part| decompress_chunk(stream.chunk_payload(ci), block_len, two_eb, part))
-        .into_iter()
-        .collect()
 }
 
 /// Decompress only the elements in `range`, without touching the rest of the
@@ -49,12 +47,11 @@ pub fn decompress_range(
     if range.is_empty() {
         return Ok(Vec::new());
     }
-    let spans = chunk_spans(n, stream.nchunks());
     let block_len = stream.block_len();
     let two_eb = 2.0 * stream.eb();
     let mut out = Vec::with_capacity(range.len());
     let mut scratch = Vec::new();
-    for (ci, span) in spans.iter().enumerate() {
+    for (ci, span) in chunk_spans(n, stream.nchunks()).enumerate() {
         let chunk_range = span.start..span.start + span.len;
         if chunk_range.end <= range.start || chunk_range.start >= range.end {
             continue;

@@ -1,9 +1,11 @@
 //! Stream header: parameters plus the per-chunk offset table that enables
 //! parallel decompression and chunk-aligned homomorphic operation. One
 //! header format serves every stream family of the workspace; a [`Layout`]
-//! tells them apart.
+//! tells them apart. The table is validated where it lies in the stream's
+//! bytes and never copied out of them.
 
 use crate::error::{Error, Result};
+use std::ops::Range;
 
 /// Stream format version.
 pub const VERSION: u32 = 1;
@@ -28,8 +30,15 @@ impl Layout for Fzl {
     }
 }
 
-/// Parsed stream header.
-#[derive(Debug, Clone, PartialEq)]
+/// A stream's parameters, as parsed from the front of its bytes.
+///
+/// The per-chunk offset table that follows them on the wire (`nchunks + 1`
+/// little-endian `u64`s: chunk `i` occupies body bytes `table[i]..table[i +
+/// 1]`, an empty stream stores the single terminator `[0]`) stays in the
+/// stream's bytes: [`Header::parse`] validates it in place and
+/// [`crate::stream::Stream::chunk_payload`] reads the two entries a chunk
+/// needs. So a header is `Copy`, and parsing one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Header {
     /// Element count of the original `f32` data.
     pub n: u64,
@@ -40,14 +49,16 @@ pub struct Header {
     /// Count of independently decodable parts: fZ-light's thread-chunks,
     /// ompSZp's thread groups.
     pub nchunks: u32,
-    /// `nchunks + 1` byte offsets into the body; chunk `i` occupies
-    /// `offsets[i]..offsets[i+1]`. An empty stream (`n == 0`, `nchunks == 0`)
-    /// stores the single terminator `[0]`.
-    pub offsets: Vec<u64>,
 }
 
 /// Fixed-size prefix before the offset table, in bytes.
 const FIXED: usize = 4 + 4 + 8 + 8 + 4 + 4;
+
+/// Entry `i` of the offset table of the header at the front of `bytes`.
+pub(crate) fn table_entry(bytes: &[u8], i: usize) -> u64 {
+    let at = FIXED + 8 * i;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
 
 impl Header {
     /// Serialized header size for a given chunk count.
@@ -55,32 +66,22 @@ impl Header {
         FIXED + (nchunks + 1) * 8
     }
 
-    /// Total body (payload) length in bytes.
-    pub fn body_len(&self) -> usize {
-        self.offsets.last().copied().unwrap_or(0) as usize
-    }
-
-    /// Byte range of chunk `i` within the body.
-    pub fn chunk_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
-    }
-
-    /// Append the serialized header to `out`.
-    pub fn write_to<L: Layout>(&self, out: &mut Vec<u8>) {
+    /// Append the serialized header to `out`: the parameters, then `table`,
+    /// the `nchunks + 1` body offsets.
+    pub fn write_to<L: Layout>(&self, table: impl IntoIterator<Item = u64>, out: &mut Vec<u8>) {
         out.extend_from_slice(&L::MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.n.to_le_bytes());
         out.extend_from_slice(&self.eb.to_le_bytes());
         out.extend_from_slice(&self.block_len.to_le_bytes());
         out.extend_from_slice(&self.nchunks.to_le_bytes());
-        for &o in &self.offsets {
-            out.extend_from_slice(&o.to_le_bytes());
-        }
+        table.into_iter().for_each(|o| out.extend_from_slice(&o.to_le_bytes()));
     }
 
-    /// Parse a header from the front of `bytes`; returns the header and the
-    /// byte offset where the body starts.
-    pub fn parse<L: Layout>(bytes: &[u8]) -> Result<(Header, usize)> {
+    /// Parse a header from the front of `bytes` and validate its offset table
+    /// where it lies; returns the header and the byte range the body must
+    /// occupy (`bytes` may end before it: that is for the caller to check).
+    pub fn parse<L: Layout>(bytes: &[u8]) -> Result<(Header, Range<usize>)> {
         if bytes.len() < FIXED {
             return Err(Error::Truncated { need: FIXED, have: bytes.len() });
         }
@@ -107,21 +108,26 @@ impl Header {
         if nchunks as u64 > L::max_parts(n, block_len) {
             return Err(Error::Corrupt("more chunks than the elements can fill"));
         }
-        let need = Header::serialized_len(nchunks as usize);
-        if bytes.len() < need {
-            return Err(Error::Truncated { need, have: bytes.len() });
+        let body_start = Header::serialized_len(nchunks as usize);
+        if bytes.len() < body_start {
+            return Err(Error::Truncated { need: body_start, have: bytes.len() });
         }
-        let offsets: Vec<u64> = bytes[FIXED..need]
-            .chunks_exact(8)
-            .map(|o| u64::from_le_bytes(o.try_into().unwrap()))
-            .collect();
-        if offsets[0] != 0 {
+        if table_entry(bytes, 0) != 0 {
             return Err(Error::Corrupt("first offset must be zero"));
         }
-        if offsets.windows(2).any(|w| w[1] < w[0]) {
-            return Err(Error::Corrupt("offsets not monotone"));
+        let mut body_len = 0;
+        for i in 1..=nchunks as usize {
+            let end = table_entry(bytes, i);
+            if end < body_len {
+                return Err(Error::Corrupt("offsets not monotone"));
+            }
+            body_len = end;
         }
-        Ok((Header { n, eb, block_len, nchunks, offsets }, need))
+        let body_end = usize::try_from(body_len)
+            .ok()
+            .and_then(|len| body_start.checked_add(len))
+            .ok_or(Error::Corrupt("body length overflows the address space"))?;
+        Ok((Header { n, eb, block_len, nchunks }, body_start..body_end))
     }
 
     /// Check that two headers describe homomorphically compatible streams:
@@ -147,43 +153,41 @@ impl Header {
 mod tests {
     use super::*;
 
-    fn sample() -> Header {
-        Header { n: 100, eb: 1e-4, block_len: 32, nchunks: 2, offsets: vec![0, 40, 77] }
+    const SAMPLE: Header = Header { n: 100, eb: 1e-4, block_len: 32, nchunks: 2 };
+
+    fn written(h: &Header, table: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        h.write_to::<Fzl>(table.iter().copied(), &mut buf);
+        buf
     }
 
     #[test]
     fn roundtrip() {
-        let h = sample();
-        let mut buf = Vec::new();
-        h.write_to::<Fzl>(&mut buf);
+        let buf = written(&SAMPLE, &[0, 40, 77]);
         assert_eq!(buf.len(), Header::serialized_len(2));
         let (h2, body) = Header::parse::<Fzl>(&buf).unwrap();
-        assert_eq!(h, h2);
-        assert_eq!(body, buf.len());
-        assert_eq!(h2.body_len(), 77);
-        assert_eq!(h2.chunk_range(1), 40..77);
+        assert_eq!(h2, SAMPLE);
+        assert_eq!(body, buf.len()..buf.len() + 77);
+        assert_eq!([1, 2].map(|i| table_entry(&buf, i)), [40, 77]);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut buf = Vec::new();
-        sample().write_to::<Fzl>(&mut buf);
+        let mut buf = written(&SAMPLE, &[0, 40, 77]);
         buf[0] = b'X';
         assert!(matches!(Header::parse::<Fzl>(&buf), Err(Error::Corrupt("bad magic"))));
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut buf = Vec::new();
-        sample().write_to::<Fzl>(&mut buf);
+        let mut buf = written(&SAMPLE, &[0, 40, 77]);
         buf[4] = 9;
         assert!(Header::parse::<Fzl>(&buf).is_err());
     }
 
     #[test]
     fn truncation_rejected() {
-        let mut buf = Vec::new();
-        sample().write_to::<Fzl>(&mut buf);
+        let buf = written(&SAMPLE, &[0, 40, 77]);
         for cut in 0..buf.len() {
             assert!(Header::parse::<Fzl>(&buf[..cut]).is_err(), "cut {cut}");
         }
@@ -191,45 +195,35 @@ mod tests {
 
     #[test]
     fn non_monotone_offsets_rejected() {
-        let mut h = sample();
-        h.offsets = vec![0, 50, 40];
-        let mut buf = Vec::new();
-        h.write_to::<Fzl>(&mut buf);
-        assert!(Header::parse::<Fzl>(&buf).is_err());
+        assert!(Header::parse::<Fzl>(&written(&SAMPLE, &[0, 50, 40])).is_err());
     }
 
     #[test]
     fn nonzero_first_offset_rejected() {
-        let mut h = sample();
-        h.offsets = vec![1, 50, 60];
-        let mut buf = Vec::new();
-        h.write_to::<Fzl>(&mut buf);
-        assert!(Header::parse::<Fzl>(&buf).is_err());
+        assert!(Header::parse::<Fzl>(&written(&SAMPLE, &[1, 50, 60])).is_err());
     }
 
     #[test]
     fn compatibility_checks() {
-        let a = sample();
-        let mut b = sample();
+        let a = SAMPLE;
+        let mut b = SAMPLE;
         assert!(a.check_compatible(&b).is_ok());
         b.eb = 2e-4;
         assert!(a.check_compatible(&b).is_err());
-        b = sample();
+        b = SAMPLE;
         b.nchunks = 3;
         assert!(a.check_compatible(&b).is_err());
-        b = sample();
+        b = SAMPLE;
         b.n = 99;
         assert!(a.check_compatible(&b).is_err());
-        b = sample();
+        b = SAMPLE;
         b.block_len = 16;
         assert!(a.check_compatible(&b).is_err());
     }
 
     #[test]
     fn more_chunks_than_elements_rejected() {
-        let h = Header { n: 1, eb: 1e-4, block_len: 32, nchunks: 2, offsets: vec![0, 1, 2] };
-        let mut buf = Vec::new();
-        h.write_to::<Fzl>(&mut buf);
-        assert!(Header::parse::<Fzl>(&buf).is_err());
+        let h = Header { n: 1, ..SAMPLE };
+        assert!(Header::parse::<Fzl>(&written(&h, &[0, 1, 2])).is_err());
     }
 }

@@ -29,15 +29,14 @@ impl StreamStats {
     pub fn inspect(stream: &CompressedStream) -> Result<StreamStats> {
         let n = stream.n();
         let block_len = stream.block_len();
-        let spans = chunk_spans(n, stream.nchunks());
         let mut stats = StreamStats {
             blocks: 0,
             constant_blocks: 0,
             code_hist: [0; 33],
-            chunk_bytes: Vec::with_capacity(spans.len()),
+            chunk_bytes: Vec::with_capacity(stream.nchunks()),
             ratio: stream.ratio(),
         };
-        for (ci, span) in spans.iter().enumerate() {
+        for (ci, span) in chunk_spans(n, stream.nchunks()).enumerate() {
             let payload = stream.chunk_payload(ci);
             if payload.len() < 4 {
                 return Err(Error::Truncated { need: 4, have: payload.len() });
@@ -121,7 +120,7 @@ mod tests {
         let st = StreamStats::inspect(&s).unwrap();
         assert_eq!(st.code_hist.iter().sum::<u64>(), st.blocks);
         assert_eq!(st.chunk_bytes.len(), 3);
-        assert_eq!(st.chunk_bytes.iter().sum::<usize>(), s.header().body_len());
+        assert_eq!(st.chunk_bytes.iter().sum::<usize>(), s.body_len());
         assert!(st.mean_code() > 0.0);
     }
 

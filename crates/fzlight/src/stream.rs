@@ -2,7 +2,7 @@
 //! wire or operated on homomorphically.
 
 use crate::error::{Error, Result};
-use crate::header::{Fzl, Header, Layout};
+use crate::header::{table_entry, Fzl, Header, Layout};
 use std::marker::PhantomData;
 
 /// An owned, self-describing compressed stream of the family `L`.
@@ -10,7 +10,8 @@ use std::marker::PhantomData;
 /// The in-memory representation is exactly the wire representation
 /// ([`Stream::as_bytes`]), so sending a stream through a communication layer
 /// and re-materializing it on the other side ([`Stream::from_bytes`]) costs
-/// one header parse and no copies of the body.
+/// one header parse, no copy of the body and no allocation: the offset table
+/// is validated and read where it lies in the bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stream<L> {
     bytes: Vec<u8>,
@@ -23,39 +24,42 @@ pub struct Stream<L> {
 pub type CompressedStream = Stream<Fzl>;
 
 impl<L: Layout> Stream<L> {
-    /// Assemble a stream from its chunk payloads, in chunk order: the offset
-    /// table is their running length, and header and payloads are written
-    /// straight into the wire buffer.
+    /// Assemble a stream from its chunk payloads, in chunk order, into one
+    /// buffer of exactly the stream's size: header, an offset table of their
+    /// running lengths, then the payloads, each copied once.
     ///
     /// Used by the compressors and by the homomorphic operators.
-    pub fn from_chunks(n: usize, eb: f64, block_len: usize, chunks: &[Vec<u8>]) -> Self {
-        let mut offsets = Vec::with_capacity(chunks.len() + 1);
-        offsets.push(0u64);
-        offsets.extend(chunks.iter().scan(0u64, |end, c| {
-            *end += c.len() as u64;
+    pub fn from_chunks<I>(n: usize, eb: f64, block_len: usize, chunks: I) -> Self
+    where
+        I: IntoIterator<IntoIter: Clone, Item: AsRef<[u8]>>,
+    {
+        let chunks = chunks.into_iter();
+        let lens = chunks.clone().map(|c| c.as_ref().len());
+        let (nchunks, body_len) = lens.clone().fold((0, 0), |(k, len), l| (k + 1, len + l));
+        let header =
+            Header { n: n as u64, eb, block_len: block_len as u32, nchunks: nchunks as u32 };
+        let body_start = Header::serialized_len(nchunks);
+        let mut bytes = Vec::with_capacity(body_start + body_len);
+        let ends = lens.scan(0u64, |end, l| {
+            *end += l as u64;
             Some(*end)
-        }));
-        let nchunks = chunks.len() as u32;
-        let header = Header { n: n as u64, eb, block_len: block_len as u32, nchunks, offsets };
-        let body_start = Header::serialized_len(chunks.len());
-        let mut bytes = Vec::with_capacity(body_start + header.body_len());
-        header.write_to::<L>(&mut bytes);
+        });
+        header.write_to::<L>(std::iter::once(0).chain(ends), &mut bytes);
         debug_assert_eq!(bytes.len(), body_start);
-        chunks.iter().for_each(|c| bytes.extend_from_slice(c));
+        chunks.for_each(|c| bytes.extend_from_slice(c.as_ref()));
         Stream { bytes, header, body_start, layout: PhantomData }
     }
 
     /// Parse a stream from raw bytes (e.g. received from the network).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
-        let (header, body_start) = Header::parse::<L>(&bytes)?;
-        let need = body_start + header.body_len();
-        if bytes.len() < need {
-            return Err(Error::Truncated { need, have: bytes.len() });
+        let (header, body) = Header::parse::<L>(&bytes)?;
+        if bytes.len() < body.end {
+            return Err(Error::Truncated { need: body.end, have: bytes.len() });
         }
-        if bytes.len() > need {
+        if bytes.len() > body.end {
             return Err(Error::Corrupt("trailing bytes after body"));
         }
-        Ok(Stream { bytes, header, body_start, layout: PhantomData })
+        Ok(Stream { bytes, header, body_start: body.start, layout: PhantomData })
     }
 
     /// The full wire representation (header + body).
@@ -93,10 +97,17 @@ impl<L: Layout> Stream<L> {
         self.header.block_len as usize
     }
 
-    /// Payload bytes of chunk `i`.
+    /// Payload bytes of chunk `i`, as entries `i` and `i + 1` of the offset
+    /// table delimit them.
     pub fn chunk_payload(&self, i: usize) -> &[u8] {
-        let r = self.header.chunk_range(i);
-        &self.bytes[self.body_start + r.start..self.body_start + r.end]
+        assert!(i < self.nchunks(), "chunk {i} of a {}-chunk stream", self.nchunks());
+        let [start, end] = [i, i + 1].map(|k| table_entry(&self.bytes, k) as usize);
+        &self.bytes[self.body_start..][start..end]
+    }
+
+    /// Body (all chunk payloads) length in bytes.
+    pub fn body_len(&self) -> usize {
+        self.bytes.len() - self.body_start
     }
 
     /// Total compressed size in bytes (header + body), i.e. what travels on
@@ -141,7 +152,7 @@ mod tests {
     fn chunk_payloads_tile_the_body() {
         let s = sample_stream();
         let total: usize = (0..s.nchunks()).map(|i| s.chunk_payload(i).len()).sum();
-        assert_eq!(total, s.header().body_len());
+        assert_eq!(total, s.body_len());
     }
 
     #[test]

@@ -54,11 +54,9 @@ pub struct Accumulator {
 impl Accumulator {
     /// Start an accumulation with `first` as the initial value.
     pub fn new(first: &CompressedStream) -> Result<Accumulator> {
-        let header = first.header().clone();
-        let spans = chunk_spans(first.n(), first.nchunks());
         let mut acc = Accumulator {
-            header,
-            spans,
+            header: *first.header(),
+            spans: chunk_spans(first.n(), first.nchunks()).collect(),
             outliers: vec![0i64; first.nchunks()],
             deltas: vec![0i64; first.n()],
             count: 0,

@@ -38,7 +38,7 @@ pub fn reduce_in_place(acc: &mut [f32], other: &[f32], op: ReduceOp, threads: us
     // short vectors are not worth a fork
     let threads = if acc.len() < 4096 { 1 } else { threads.max(1) };
     let chunk = acc.len().div_ceil(threads).max(1);
-    fork_join(acc.chunks_mut(chunk).zip(other.chunks(chunk)), |_, (xs, ys)| reduce(xs, ys, op));
+    fork_join(acc.chunks_mut(chunk).zip(other.chunks(chunk)), |_, (xs, ys)| reduce(xs, ys, op))
 }
 
 /// `xs[i] = op(xs[i], ys[i])`. Its own function so the two slices arrive as

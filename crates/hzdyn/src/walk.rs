@@ -66,7 +66,7 @@ pub(crate) fn drive<const N: usize>(
     }
     let (n, block_len) = (header.n as usize, header.block_len as usize);
     let spans = chunk_spans(n, header.nchunks as usize);
-    let done = fork_join(spans, |ci, span| {
+    let done: Result<Vec<_>> = fork_join(spans, |ci, span| {
         let payloads = operands.map(|s| s.chunk_payload(ci));
         let shortest = payloads.iter().map(|p| p.len()).min();
         if let Some(have) = shortest.filter(|&have| have < 4) {
@@ -90,12 +90,9 @@ pub(crate) fn drive<const N: usize>(
         }
         Ok((walk.out, walk.stats))
     });
+    let done = done?;
     let mut stats = PipelineStats::default();
-    let mut chunks = Vec::with_capacity(done.len());
-    for chunk in done {
-        let (bytes, st) = chunk?;
-        stats += st;
-        chunks.push(bytes);
-    }
-    Ok((CompressedStream::from_chunks(n, header.eb, block_len, &chunks), stats))
+    done.iter().for_each(|&(_, st)| stats += st);
+    let chunks = done.iter().map(|(bytes, _)| bytes);
+    Ok((CompressedStream::from_chunks(n, header.eb, block_len, chunks), stats))
 }

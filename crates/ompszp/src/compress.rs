@@ -39,14 +39,13 @@ pub fn compress(data: &[f32], cfg: &Config) -> Result<OszpStream> {
     let mut deltas = vec![0i64; n];
     let mut heads = vec![BlockHead::default(); nblocks];
     let blocks = data.chunks(block_len).zip(deltas.chunks_mut(block_len)).zip(&mut heads);
-    fork_join(deal(blocks.enumerate(), ngroups), |_, owned| {
+    let pass1: Result<()> = fork_join(deal(blocks.enumerate(), ngroups), |_, owned| {
         owned.into_iter().try_for_each(|(bi, ((block, deltas), head))| {
             *head = quantize_predict_block(block, bi * block_len, inv_2eb, deltas)?;
             Ok(())
         })
-    })
-    .into_iter()
-    .collect::<Result<()>>()?;
+    });
+    pass1?;
 
     // ---- Global synchronization: record sizes -> group sizes (the GPU
     // prefix-sum/sync stage; the offset table is their running sum).
@@ -61,7 +60,7 @@ pub fn compress(data: &[f32], cfg: &Config) -> Result<OszpStream> {
     }
 
     // ---- Pass 2: encode owned blocks into per-group buffers.
-    let groups = fork_join(group_sizes, |t, size| {
+    let groups: Vec<Vec<u8>> = fork_join(group_sizes, |t, size| {
         let mut out = Vec::with_capacity(size);
         let mut mags = [0u32; MAX_BLOCK_LEN];
         for bi in (t..nblocks).step_by(ngroups) {
@@ -147,6 +146,6 @@ mod tests {
     fn all_zero_data_is_one_marker_per_block() {
         let data = vec![0.0f32; 32 * 10];
         let s = compress(&data, &Config::new(ErrorBound::Abs(1e-3))).unwrap();
-        assert_eq!(s.header().body_len(), 10);
+        assert_eq!(s.body_len(), 10);
     }
 }

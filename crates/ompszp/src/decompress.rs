@@ -36,8 +36,6 @@ pub fn decompress_into(stream: &OszpStream, out: &mut [f32]) -> Result<()> {
         }
         Ok(())
     })
-    .into_iter()
-    .collect()
 }
 
 /// Decode one block record into `dst`; returns bytes consumed.

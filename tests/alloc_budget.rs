@@ -5,9 +5,9 @@
 //! global allocator around whole simulated runs pins that; it fails on a
 //! ring that allocates per step (four more per rank added to an allreduce
 //! ring: a pack and an unpack buffer in each phase). A per-thread count does
-//! the same for one ring chunk's homomorphic sum.
+//! the same for one ring chunk's codec calls.
 
-use fzlight::{compress, Config, ErrorBound};
+use fzlight::{compress, CompressedStream, Config, ErrorBound};
 use hzccl::{collectives, CollectiveOpts, Resilience};
 use netsim::{ComputeTiming, SimBuilder, SimEngine, ThroughputModel};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -118,26 +118,72 @@ fn a_framed_ring_allocates_one_frame_per_hop() {
     }
 }
 
-/// A homomorphic sum of two one-chunk, 64-element streams — one
-/// `ar_manyranks` ring chunk — allocates its result and its bookkeeping, no
-/// per-call working arena: nothing of 4 KiB or more, and a pinned count.
-/// The sum runs on the calling thread (one chunk is one job), so this
-/// thread's allocations are all of it.
-#[test]
-fn a_ring_chunk_homomorphic_sum_allocates_no_arena() {
-    const CALLS: usize = 100;
-    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    let a: Vec<f32> = (0..64).map(|i| (i as f32 * 0.37).sin()).collect();
-    let b: Vec<f32> = a.iter().map(|v| v * 1.001).collect();
-    let cfg = Config::new(ErrorBound::Abs(1e-4));
-    let (a, b) = (compress(&a, &cfg).unwrap(), compress(&b, &cfg).unwrap());
-    let (_, st) = hzdyn::homomorphic_sum_with_stats(&a, &b).unwrap();
-    assert_eq!(st.p4, 2, "both blocks through pipeline 4");
+/// Calls `per_call` times after its warm-up call.
+const CALLS: usize = 100;
+
+/// Allocations per call of `f` on this thread, over `CALLS` calls after one
+/// warm-up call, and the largest of them in bytes.
+fn per_call(mut f: impl FnMut()) -> (usize, usize) {
+    f();
     MINE.with(|mine| mine.set((0, 0)));
     for _ in 0..CALLS {
-        drop(black_box(hzdyn::homomorphic_sum(black_box(&a), &b).unwrap()));
+        f();
     }
     let (calls, largest) = MINE.with(Cell::get);
+    assert_eq!(calls % CALLS, 0, "{calls} allocations over {CALLS} calls");
+    (calls / CALLS, largest)
+}
+
+/// One `ar_manyranks` ring chunk, compressed: 64 elements, one thread-chunk
+/// of two blocks, both through pipeline ④ when summed. Smooth, like that
+/// workload's chunks, so its compressed payload fits the chunk buffer's
+/// first capacity; one that outgrows it pays one more allocation, the
+/// buffer's growth.
+fn ring_chunk() -> (Vec<f32>, CompressedStream, CompressedStream) {
+    let a: Vec<f32> = (0..64).map(|i| (i as f32 * 0.01).sin()).collect();
+    let b: Vec<f32> = a.iter().map(|v| v * 1.001).collect();
+    let cfg = Config::new(ErrorBound::Abs(1e-4));
+    let (ca, cb) = (compress(&a, &cfg).unwrap(), compress(&b, &cfg).unwrap());
+    (a, ca, cb)
+}
+
+/// A homomorphic sum of two one-chunk, 64-element streams — one
+/// `ar_manyranks` ring chunk — allocates its result and the chunk buffer it
+/// is assembled from, no per-call working arena: nothing of 4 KiB or more,
+/// and a pinned count. The sum runs on the calling thread (one chunk is one
+/// job), so this thread's allocations are all of it.
+#[test]
+fn a_ring_chunk_homomorphic_sum_allocates_no_arena() {
+    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (_, a, b) = ring_chunk();
+    let (_, st) = hzdyn::homomorphic_sum_with_stats(&a, &b).unwrap();
+    assert_eq!(st.p4, 2, "both blocks through pipeline 4");
+    let (allocs, largest) =
+        per_call(|| drop(black_box(hzdyn::homomorphic_sum(black_box(&a), &b).unwrap())));
     assert!(largest < 4096, "a {largest} B allocation in a 64-element sum");
-    assert_eq!(calls, 6 * CALLS, "allocations per 64-element sum");
+    // the one-chunk `Vec` of chunk buffers, the chunk buffer, the stream
+    assert_eq!(allocs, 3, "allocations per 64-element sum");
+}
+
+/// The same chunk's other codec calls allocate what they return and the
+/// chunk buffers it is assembled from, nothing else: no span, split,
+/// offset-table or re-collected result `Vec`, and a parse that reads the
+/// offset table where it lies.
+#[test]
+fn ring_chunk_codec_calls_allocate_only_what_they_return() {
+    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (values, stream, _) = ring_chunk();
+    let (allocs, _) = per_call(|| {
+        drop(black_box(fzlight::compress_resolved(black_box(&values), 1e-4, 32, 1).unwrap()))
+    });
+    assert_eq!(allocs, 3, "allocations per 64-element compress: chunk `Vec`, chunk, stream");
+    let mut out = vec![0f32; 64];
+    let (allocs, _) = per_call(|| fzlight::decompress_into(black_box(&stream), &mut out).unwrap());
+    assert_eq!(allocs, 0, "allocations per 64-element decompress_into");
+    let mut wires = vec![stream.as_bytes().to_vec(); CALLS + 1].into_iter();
+    let (allocs, _) = per_call(|| {
+        let wire = wires.next().unwrap();
+        drop(black_box(CompressedStream::from_bytes(black_box(wire)).unwrap()))
+    });
+    assert_eq!(allocs, 0, "allocations per CompressedStream::from_bytes of a given buffer");
 }

@@ -7,7 +7,9 @@
 //! standard library alone. Each property runs a fixed number of seeded
 //! cases; failures print the case index and seed so they reproduce exactly.
 
-use fzlight::{codec, compress, decompress, Config, ErrorBound};
+use fzlight::header::{Fzl, Header, Layout};
+use fzlight::stream::Stream;
+use fzlight::{codec, compress, decompress, Config, Error, ErrorBound};
 
 /// Deterministic xorshift64* PRNG — good enough statistical quality for
 /// generating test inputs, zero dependencies, fully reproducible.
@@ -190,6 +192,78 @@ fn oszp_parser_is_panic_free() {
             let _ = ompszp::decompress(&stream);
         }
     }
+}
+
+/// A random offset table under a valid header: monotone from zero, or with
+/// one entry lowered (non-monotone), or with a non-zero first entry, and a
+/// body as long as its last entry says, or longer, or shorter.
+fn offset_table_property<L: Layout>(seed: u64) {
+    let mut rng = Rng::new(seed);
+    let mut accepted = 0;
+    for case in 0..4 * CASES {
+        let n = rng.range(1, 300);
+        let block_len = rng.range(1, 65);
+        let nchunks = rng.range(1, L::max_parts(n as u64, block_len as u32) as usize + 1);
+        let mut table = vec![0u64];
+        for _ in 0..nchunks {
+            let end = table.last().unwrap() + rng.range(0, 40) as u64;
+            table.push(end);
+        }
+        match rng.next_u64() % 4 {
+            0 => {
+                let at = rng.range(1, nchunks + 1);
+                table[at] = table[at].wrapping_sub(rng.range(1, 50) as u64);
+            }
+            1 => table[0] = rng.range(1, 50) as u64,
+            _ => {}
+        }
+        let wrapped = table.iter().any(|&o| o > 1 << 32);
+        let last = *table.last().unwrap();
+        let body = match rng.next_u64() % 3 {
+            0 if !wrapped => last as usize + rng.range(1, 9),
+            1 if !wrapped => (last as usize).saturating_sub(rng.range(1, 9)),
+            _ if !wrapped => last as usize,
+            _ => rng.range(0, 64),
+        };
+        let header =
+            Header { n: n as u64, eb: 1e-3, block_len: block_len as u32, nchunks: nchunks as u32 };
+        let mut bytes = Vec::new();
+        header.write_to::<L>(table.iter().copied(), &mut bytes);
+        let body_start = bytes.len();
+        bytes.extend((0..body).map(|_| rng.next_u64() as u8));
+        let valid = table[0] == 0 && table.windows(2).all(|w| w[0] <= w[1]) && body as u64 == last;
+        match Stream::<L>::from_bytes(bytes) {
+            Ok(stream) => {
+                assert!(valid, "case {case}: accepted table {table:?} over a {body}-byte body");
+                let mut at = body_start;
+                for i in 0..nchunks {
+                    let payload = stream.chunk_payload(i);
+                    assert_eq!(payload.as_ptr(), stream.as_bytes()[at..].as_ptr(), "case {case}");
+                    at += payload.len();
+                }
+                assert_eq!(at, stream.compressed_size(), "case {case}: payloads tile the body");
+                accepted += 1;
+            }
+            Err(Error::Corrupt(_) | Error::Truncated { .. }) => {
+                assert!(!valid, "case {case}: refused table {table:?} over a {body}-byte body")
+            }
+            Err(e) => panic!("case {case}: {e:?} is not a parse error"),
+        }
+    }
+    assert!(
+        (CASES / 2..2 * CASES).contains(&accepted),
+        "{accepted} of {} tables accepted",
+        4 * CASES
+    );
+}
+
+/// The offset table is validated where it lies: what `Stream::from_bytes`
+/// accepts, `chunk_payload` can read in bounds, and what it refuses is a
+/// typed error — under both stream families.
+#[test]
+fn offset_table_is_validated_in_place() {
+    offset_table_property::<Fzl>(0x0FF5);
+    offset_table_property::<ompszp::format::Oszp>(0x0FF6);
 }
 
 /// Truncating a valid stream anywhere must error cleanly, never panic.
