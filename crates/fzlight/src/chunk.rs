@@ -61,8 +61,9 @@ pub fn block_lens(len: usize, block_len: usize) -> impl Iterator<Item = usize> {
 }
 
 /// Deal `items` round-robin into `hands` hands: hand `h` gets items
-/// `h, h + hands, h + 2·hands, …` in order — the block-cyclic ownership of
-/// `ompSZp`'s thread groups, and how [`fork_join`] shares jobs among workers.
+/// `h, h + hands, h + 2·hands, …` in order — how `ompSZp`'s decompression
+/// hands each thread group its block-cyclically owned output blocks, and how
+/// [`fork_join`] shares jobs among workers.
 pub fn deal<T>(items: impl Iterator<Item = T>, hands: usize) -> Vec<Vec<T>> {
     let each = items.size_hint().0.div_ceil(hands.max(1));
     let mut dealt: Vec<Vec<T>> = (0..hands).map(|_| Vec::with_capacity(each)).collect();

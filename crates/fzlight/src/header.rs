@@ -123,6 +123,11 @@ impl Header {
             }
             body_len = end;
         }
+        // every block record is at least one byte in both layouts, so the
+        // element count is refused before anything is sized from it
+        if n > body_len.saturating_mul(block_len as u64) {
+            return Err(Error::Corrupt("more elements than the body can hold"));
+        }
         let body_end = usize::try_from(body_len)
             .ok()
             .and_then(|len| body_start.checked_add(len))

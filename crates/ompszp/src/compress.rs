@@ -1,25 +1,45 @@
 //! Unfused, globally-synchronized compression with block-cyclic thread
 //! ownership — cuSZp's GPU pipeline transplanted onto CPU threads.
 //!
-//! Pass 1 quantizes and delta-predicts every owned block into a full-size
-//! intermediate array (threads hop between distant blocks). A global
-//! synchronization then derives per-group output offsets from the per-block
-//! record sizes (the GPU prefix-sum/sync stage). Pass 2 sweeps the blocks
-//! again to bit-shuffle-encode them.
+//! Pass 1 has thread group `t` quantize its blocks `t, t+T, t+2T, …`
+//! (hopping between distant regions of the input) into an `i32` buffer it
+//! owns, in record order, and note each block's code: together the groups
+//! hold a full-size intermediate of `n` quantization integers, the memory
+//! traffic the fused fZ-light pipeline avoids. A global synchronization then
+//! derives every group's output size from its codes (the GPU
+//! prefix-sum/sync stage). Pass 2 has each group derive its blocks' deltas
+//! from its own integers and bit-shuffle-encode them into an exactly sized
+//! buffer.
+//!
+//! The intermediate is the quantizer's 4-byte integers: what cuSZp keeps
+//! between its size and write phases.
 
 use crate::bitshuffle;
 use crate::format::{OszpStream, ZERO_BLOCK};
-use fzlight::chunk::{deal, fork_join};
+use fzlight::chunk::fork_join;
 use fzlight::config::{Config, MAX_BLOCK_LEN};
 use fzlight::error::Result;
+use fzlight::quantize::quantize_block;
 
-/// What pass 1 leaves per block besides its deltas.
-#[derive(Clone, Copy, Default)]
-struct BlockHead {
-    /// First quantization integer of the block.
-    outlier: i32,
-    /// [`ZERO_BLOCK`], or the bit width of the largest delta magnitude.
-    code: u8,
+/// What pass 1 leaves a thread group.
+struct Group {
+    /// The quantization integers of the group's blocks, in record order.
+    q: Vec<i32>,
+    /// Per block: [`ZERO_BLOCK`], or the bit width of its largest delta
+    /// magnitude.
+    codes: Vec<u8>,
+}
+
+impl Group {
+    /// The group's blocks with their codes, in record order.
+    fn blocks(&self, block_len: usize) -> impl Iterator<Item = (&[i32], u8)> {
+        self.q.chunks(block_len).zip(self.codes.iter().copied())
+    }
+
+    /// Bytes of the group's records.
+    fn encoded_len(&self, block_len: usize) -> usize {
+        self.blocks(block_len).map(|(q, code)| record_len(q.len(), code)).sum()
+    }
 }
 
 /// Compress `data` with cuSZp's parallelism strategy.
@@ -32,91 +52,94 @@ pub fn compress(data: &[f32], cfg: &Config) -> Result<OszpStream> {
     let ngroups = cfg.threads.max(1).min(nblocks);
     let inv_2eb = 1.0 / (2.0 * eb);
 
-    // ---- Pass 1: block-wise quantization + prediction (strided ownership).
-    // Full-size intermediate arrays, exactly the memory cost the fused
-    // fZ-light pipeline avoids. Group `t` is dealt blocks `t, t+T, t+2T, …`
-    // and hops between those distant regions.
-    let mut deltas = vec![0i64; n];
-    let mut heads = vec![BlockHead::default(); nblocks];
-    let blocks = data.chunks(block_len).zip(deltas.chunks_mut(block_len)).zip(&mut heads);
-    let pass1: Result<()> = fork_join(deal(blocks.enumerate(), ngroups), |_, owned| {
-        owned.into_iter().try_for_each(|(bi, ((block, deltas), head))| {
-            *head = quantize_predict_block(block, bi * block_len, inv_2eb, deltas)?;
-            Ok(())
-        })
+    // ---- Pass 1: block-wise quantization (strided ownership).
+    let pass1: Result<Vec<Group>> = fork_join(0..ngroups, |_, t| {
+        let owned = (nblocks - t).div_ceil(ngroups);
+        let mut group =
+            Group { q: Vec::with_capacity(owned * block_len), codes: Vec::with_capacity(owned) };
+        for (bi, block) in data.chunks(block_len).enumerate().skip(t).step_by(ngroups) {
+            let start = group.q.len();
+            group.q.resize(start + block.len(), 0);
+            let q = &mut group.q[start..];
+            quantize_block(block, inv_2eb, bi * block_len, q)?;
+            group.codes.push(block_code(q));
+        }
+        Ok(group)
     });
-    pass1?;
+    let groups = pass1?;
 
-    // ---- Global synchronization: record sizes -> group sizes (the GPU
-    // prefix-sum/sync stage; the offset table is their running sum).
-    let mut group_sizes = vec![0usize; ngroups];
-    for (bi, head) in heads.iter().enumerate() {
-        let len = block_len.min(n - bi * block_len);
-        group_sizes[bi % ngroups] += match head.code {
-            ZERO_BLOCK => 1,
-            0 => 1 + 4,
-            c => 1 + 4 + bitshuffle::plane_bytes(len) + bitshuffle::planes_size(c, len),
-        };
-    }
+    // ---- Global synchronization: every group's output size from its codes
+    // (the GPU prefix-sum/sync stage; the offset table is their running sum).
+    let sizes = groups.iter().map(|g| g.encoded_len(block_len));
 
     // ---- Pass 2: encode owned blocks into per-group buffers.
-    let groups: Vec<Vec<u8>> = fork_join(group_sizes, |t, size| {
+    let payloads: Vec<Vec<u8>> = fork_join(groups.iter().zip(sizes), |_, (group, size)| {
         let mut out = Vec::with_capacity(size);
         let mut mags = [0u32; MAX_BLOCK_LEN];
-        for bi in (t..nblocks).step_by(ngroups) {
-            let block = &deltas[bi * block_len..n.min((bi + 1) * block_len)];
-            let BlockHead { outlier, code } = heads[bi];
-            out.push(code);
-            if code == ZERO_BLOCK {
-                continue;
-            }
-            out.extend_from_slice(&outlier.to_le_bytes());
-            if code > 0 {
-                let mut signs = 0u64;
-                for (k, &d) in block.iter().enumerate() {
-                    mags[k] = d.unsigned_abs() as u32;
-                    signs |= u64::from(d < 0) << k;
-                }
-                let sb = bitshuffle::plane_bytes(block.len());
-                out.extend_from_slice(&signs.to_le_bytes()[..sb]);
-                bitshuffle::encode_planes(&mags[..block.len()], code, &mut out);
-            }
+        for (q, code) in group.blocks(block_len) {
+            encode_record(q, code, &mut mags, &mut out);
         }
         debug_assert_eq!(out.len(), size);
         out
     });
-    Ok(OszpStream::from_chunks(n, eb, block_len, &groups))
+    Ok(OszpStream::from_chunks(n, eb, block_len, &payloads))
 }
 
-/// Quantize one block (round-to-nearest, same rule as fZ-light so the
-/// quality comparison isolates the format, not the quantizer) and
-/// delta-predict it into `deltas`; returns the block's outlier and code.
-fn quantize_predict_block(
-    block: &[f32],
-    base: usize,
-    inv_2eb: f64,
-    deltas: &mut [i64],
-) -> Result<BlockHead> {
-    let mut qbuf = [0i32; MAX_BLOCK_LEN];
-    let qb = &mut qbuf[..block.len()];
-    fzlight::quantize::quantize_block(block, inv_2eb, base, qb)?;
-    let mut q_prev = qb[0] as i64;
-    let mut all_zero = true;
-    let mut max_mag = 0u64;
-    for (d, &qi) in deltas.iter_mut().zip(qb.iter()) {
-        let q = qi as i64;
-        all_zero &= q == 0;
-        *d = q - q_prev;
-        max_mag = max_mag.max(d.unsigned_abs());
-        q_prev = q;
-    }
-    let code = if all_zero {
-        ZERO_BLOCK
+/// The magnitude and sign of `q - prev`. The difference of two `i32` spans
+/// 33 bits signed, but its magnitude always fits `u32`: the wrapping
+/// difference is the magnitude when `q >= prev` and its two's-complement
+/// negation otherwise.
+fn delta(prev: i32, q: i32) -> (u32, bool) {
+    let d = q.wrapping_sub(prev) as u32;
+    if q < prev {
+        (d.wrapping_neg(), true)
     } else {
-        debug_assert!(max_mag <= u32::MAX as u64);
-        (64 - max_mag.leading_zeros()) as u8
-    };
-    Ok(BlockHead { outlier: qb[0], code })
+        (d, false)
+    }
+}
+
+/// A block's code: [`ZERO_BLOCK`] when every integer is zero, else the bit
+/// width of its largest delta magnitude (that of their bitwise or).
+fn block_code(q: &[i32]) -> u8 {
+    if q.iter().fold(0, |acc, &v| acc | v) == 0 {
+        return ZERO_BLOCK;
+    }
+    let spread = q.iter().zip(&q[1..]).fold(0u32, |acc, (&prev, &v)| acc | delta(prev, v).0);
+    (u32::BITS - spread.leading_zeros()) as u8
+}
+
+/// Bytes of the record of a `len`-value block with code `code`.
+fn record_len(len: usize, code: u8) -> usize {
+    match code {
+        ZERO_BLOCK => 1,
+        0 => 1 + 4,
+        c => 1 + 4 + bitshuffle::plane_bytes(len) + bitshuffle::planes_size(c, len),
+    }
+}
+
+/// Append the record of the block with integers `q` and code `code`: the
+/// marker, the outlier (its first integer), then the sign bitmap and
+/// bit-shuffled magnitude planes of its deltas. The first delta is always
+/// zero, as the outlier carries that value.
+fn encode_record(q: &[i32], code: u8, mags: &mut [u32; MAX_BLOCK_LEN], out: &mut Vec<u8>) {
+    out.push(code);
+    if code == ZERO_BLOCK {
+        return;
+    }
+    out.extend_from_slice(&q[0].to_le_bytes());
+    if code == 0 {
+        return;
+    }
+    mags[0] = 0;
+    let mut signs = 0u64;
+    for (k, (&prev, &v)) in q.iter().zip(&q[1..]).enumerate() {
+        let (mag, neg) = delta(prev, v);
+        mags[k + 1] = mag;
+        signs |= u64::from(neg) << (k + 1);
+    }
+    let sb = bitshuffle::plane_bytes(q.len());
+    out.extend_from_slice(&signs.to_le_bytes()[..sb]);
+    bitshuffle::encode_planes(&mags[..q.len()], code, out);
 }
 
 #[cfg(test)]
@@ -147,5 +170,17 @@ mod tests {
         let data = vec![0.0f32; 32 * 10];
         let s = compress(&data, &Config::new(ErrorBound::Abs(1e-3))).unwrap();
         assert_eq!(s.body_len(), 10);
+    }
+
+    #[test]
+    fn deltas_spanning_the_i32_range_roundtrip() {
+        // neighbours near i32::MIN and i32::MAX: delta magnitudes beyond
+        // i32::MAX, of both signs, in all 32 planes
+        let data: Vec<f32> = (0..100).map(|i| [-2.1e9, 2.1e9, 0.0, 1.0][i % 4]).collect();
+        let cfg = Config::new(ErrorBound::Abs(0.5));
+        let s = compress(&data, &cfg).unwrap();
+        assert_eq!(s.chunk_payload(0)[0], 32, "code of the first block");
+        let f = fzlight::decompress(&fzlight::compress(&data, &cfg).unwrap()).unwrap();
+        assert_eq!(crate::decompress(&s).unwrap(), f);
     }
 }

@@ -85,6 +85,14 @@ mod tests {
         let parts = L::max_parts(valid.n, valid.block_len) as u32 + 1;
         let crowded = Header { nchunks: parts, ..valid };
         assert!(corrupt(&bytes(&crowded, &vec![0; parts as usize + 1])));
+        // 2^40 elements over a 5-byte body (an fZ-light outlier and one
+        // constant block): every block record takes a byte, so the element
+        // count is refused before a decoder sizes its output from it
+        let mut vast = bytes(&Header { n: 1 << 40, nchunks: 1, ..valid }, &[0, 5]);
+        vast.extend_from_slice(&[0, 0, 0, 0, 0]);
+        assert_eq!(vast.len(), 53);
+        assert!(corrupt(&vast), "more elements than the body holds");
+        assert!(matches!(Stream::<L>::from_bytes(vast), Err(Error::Corrupt(_))));
         for cut in 0..buf.len() {
             let got = Header::parse::<L>(&buf[..cut]);
             assert!(matches!(got, Err(Error::Truncated { .. })), "cut {cut}: {got:?}");

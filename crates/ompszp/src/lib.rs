@@ -8,8 +8,9 @@
 //! * **Single-layer block partitioning** — the input is one flat sequence of
 //!   small blocks; threads own blocks *block-cyclically* (thread `t` owns
 //!   blocks `t, t+T, t+2T, …`), hopping between distant memory regions
-//!   instead of working on contiguous chunks. Ownership is expressed by
-//!   dealing each thread its blocks as disjoint `chunks_mut` slices
+//!   instead of working on contiguous chunks. A compressing group strides
+//!   over the input's blocks and writes only buffers it owns; decompression
+//!   deals each group its output blocks as disjoint `chunks_mut` slices
 //!   (`fzlight::chunk::deal`), so the strided writes need no raw pointers.
 //! * **One outlier per small block** — every non-elided block stores its
 //!   first quantization integer (4 bytes per 32 values), which is where
@@ -17,12 +18,14 @@
 //! * **Zero-block elision** — blocks whose values all quantize to zero are
 //!   stored as a single marker byte (the design that lets ompSZp edge out
 //!   fZ-light on datasets dominated by zero regions, cf. Table III Sim. 1).
-//! * **Unfused, globally-synchronized passes** — quantization+prediction
-//!   writes a full-size intermediate delta array, a synchronization computes
-//!   output sizes (the GPU global sync), and a second sweep encodes. Both
-//!   sweeps go through the codec layer's one fork-join
-//!   (`fzlight::chunk::fork_join`), so a single-thread call runs inline and
-//!   `T > 1` keeps the two forks with the synchronization between them.
+//! * **Unfused, globally-synchronized passes** — quantization writes a
+//!   full-size intermediate of `i32` integers (each thread group holds its
+//!   own blocks', with their codes), a synchronization computes output sizes
+//!   from the codes (the GPU global sync), and a second sweep predicts from
+//!   the integers and encodes. Both sweeps go through the codec layer's one
+//!   fork-join (`fzlight::chunk::fork_join`), so a single-thread call runs
+//!   inline and `T > 1` keeps the two forks with the synchronization
+//!   between them.
 //! * **Bit-shuffle encoding** — magnitudes are stored as `c` one-bit planes
 //!   (bit-granular shuffles), versus fZ-light's byte-plane + residual scheme.
 //!

@@ -5,7 +5,8 @@
 //! global allocator around whole simulated runs pins that; it fails on a
 //! ring that allocates per step (four more per rank added to an allreduce
 //! ring: a pack and an unpack buffer in each phase). A per-thread count does
-//! the same for one ring chunk's codec calls.
+//! the same for one ring chunk's codec calls, and a per-thread largest
+//! allocation bounds ompSZp's intermediate.
 
 use fzlight::{compress, CompressedStream, Config, ErrorBound};
 use hzccl::{collectives, CollectiveOpts, Resilience};
@@ -186,4 +187,26 @@ fn ring_chunk_codec_calls_allocate_only_what_they_return() {
         drop(black_box(CompressedStream::from_bytes(black_box(wire)).unwrap()))
     });
     assert_eq!(allocs, 0, "allocations per CompressedStream::from_bytes of a given buffer");
+}
+
+/// ompSZp's intermediate between its two passes is the quantizer's `i32`s,
+/// each thread group holding its own blocks': a one-group compress of a
+/// 1 MiB field allocates nothing wider than four bytes per element (and a
+/// last block's slack), where an eight-byte delta array would be twice
+/// that. A ring chunk's compress makes a pinned number of allocations: per
+/// group its integers and its codes, the `Vec`s of groups and of payloads,
+/// the payload, the stream.
+#[test]
+fn ompszp_compress_holds_four_bytes_per_element() {
+    let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let cfg = Config::new(ErrorBound::Abs(1e-4));
+    let field: Vec<f32> = (0..ELEMS).map(|i| (i as f32 * 1e-3).sin()).collect();
+    let (_, largest) =
+        per_call(|| drop(black_box(ompszp::compress(black_box(&field), &cfg).unwrap())));
+    let bound = 4 * ELEMS + 4 * cfg.block_len;
+    assert!(largest <= bound, "a {largest} B allocation in a {ELEMS}-element compress");
+    let (values, _, _) = ring_chunk();
+    let (allocs, _) =
+        per_call(|| drop(black_box(ompszp::compress(black_box(&values), &cfg).unwrap())));
+    assert_eq!(allocs, 6, "allocations per 64-element ompSZp compress");
 }

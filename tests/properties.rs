@@ -196,7 +196,9 @@ fn oszp_parser_is_panic_free() {
 
 /// A random offset table under a valid header: monotone from zero, or with
 /// one entry lowered (non-monotone), or with a non-zero first entry, and a
-/// body as long as its last entry says, or longer, or shorter.
+/// body as long as its last entry says, or longer, or shorter. A body too
+/// short to hold a one-byte record per block of the header's elements is
+/// refused too.
 fn offset_table_property<L: Layout>(seed: u64) {
     let mut rng = Rng::new(seed);
     let mut accepted = 0;
@@ -231,7 +233,10 @@ fn offset_table_property<L: Layout>(seed: u64) {
         header.write_to::<L>(table.iter().copied(), &mut bytes);
         let body_start = bytes.len();
         bytes.extend((0..body).map(|_| rng.next_u64() as u8));
-        let valid = table[0] == 0 && table.windows(2).all(|w| w[0] <= w[1]) && body as u64 == last;
+        let valid = table[0] == 0
+            && table.windows(2).all(|w| w[0] <= w[1])
+            && body as u64 == last
+            && n as u64 <= last.saturating_mul(block_len as u64);
         match Stream::<L>::from_bytes(bytes) {
             Ok(stream) => {
                 assert!(valid, "case {case}: accepted table {table:?} over a {body}-byte body");
