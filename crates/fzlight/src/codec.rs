@@ -7,11 +7,16 @@
 //! [`DeltaOverflow`](crate::error::Error::DeltaOverflow), which can only arise
 //! from homomorphic accumulation, never from compression itself).
 //!
-//! A block of code `c ≤ 30` has magnitudes below `2^30`, so the sum or
-//! difference of two such blocks stays below `2^31` in magnitude: the
-//! homomorphic kernel adds them in `i32` lanes ([`decode_block_i32`],
-//! [`decode_block_add_i32`], [`encode_deltas_i32`]) and never widens. Wider
-//! codes go through the `i64` entry points.
+//! The homomorphic kernel adds two blocks at the narrowest width their codes
+//! allow. Two blocks of code `c ≤ 6` whose length is a multiple of 8 are
+//! added without leaving the packed residual words
+//! ([`add_narrow_blocks`]): each 8-element group is spread into the byte
+//! lanes of one `u64`, biased so that the two words add lane by lane with no
+//! carry between lanes, and compacted back to the result's width. A block of
+//! code `c ≤ 30` has magnitudes below `2^30`, so the sum or difference of two
+//! such blocks stays below `2^31` in magnitude: those are added in `i32`
+//! lanes ([`decode_block_i32`], [`decode_block_add_i32`],
+//! [`encode_deltas_i32`]). Wider codes go through the `i64` entry points.
 //!
 //! On the wire a block is:
 //!
@@ -227,28 +232,33 @@ pub fn encode_block_scalar(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
     c
 }
 
+/// Eight 0/1 flag bytes as one byte, flag `j` at bit `j`: the multiply sums
+/// flag `j` into bit `56 + j` (the multiplier's byte `7 - j` is `2^j`, and
+/// 0/1 lanes cannot carry into each other) — `ompszp::bitshuffle`'s column
+/// gather.
+#[inline(always)]
+fn gather_flags(flags: u64) -> u64 {
+    flags.wrapping_mul(0x0102_0408_1020_4080) >> 56
+}
+
 /// Gather a block's sign flags — one byte per delta, 1 = negative, else 0 —
-/// into the LSB-first bitmap [`encode_block`] takes.
-///
-/// Eight flag bytes are read as one `u64` and a multiply sums flag `j` into
-/// bit `56 + j` (the multiplier's byte `7 - j` is `2^j`, and 0/1 lanes cannot
-/// carry into each other): `ompszp::bitshuffle`'s column gather, here in
-/// place of a 64-step `signs |= flag << k` chain.
+/// into the LSB-first bitmap [`encode_block`] takes: eight flag bytes at a
+/// time through [`gather_flags`], in place of a 64-step
+/// `signs |= flag << k` chain.
 #[inline]
 pub(crate) fn sign_bitmap(neg: &[u8]) -> u64 {
     debug_assert!(neg.len() <= MAX_BLOCK_LEN);
-    let gather = |flags: u64| flags.wrapping_mul(0x0102_0408_1020_4080) >> 56;
     let mut groups = neg.chunks_exact(8);
     let mut signs = 0u64;
     for (g, group) in (&mut groups).enumerate() {
         let flags = u64::from_le_bytes(group.try_into().expect("groups of eight"));
-        signs |= gather(flags) << (8 * g);
+        signs |= gather_flags(flags) << (8 * g);
     }
     let tail = groups.remainder();
     if !tail.is_empty() {
         let mut flags = [0u8; 8];
         flags[..tail.len()].copy_from_slice(tail);
-        signs |= gather(u64::from_le_bytes(flags)) << (neg.len() - tail.len());
+        signs |= gather_flags(u64::from_le_bytes(flags)) << (neg.len() - tail.len());
     }
     signs
 }
@@ -596,6 +606,134 @@ pub fn decode_block_scalar(input: &[u8], deltas: &mut [i64]) -> Result<usize> {
         *d = if (signs >> i) & 1 == 1 { -m } else { m };
     }
     Ok(total)
+}
+
+/// `0x01` in every byte lane.
+const LANE_ONES: u64 = 0x0101_0101_0101_0101;
+
+/// Sign byte → lane mask: byte `j` is `0xFF` when bit `j` is set.
+const SIGN_LANES: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut s = 0;
+    while s < 256 {
+        let mut j = 0;
+        while j < 8 {
+            table[s] |= ((s as u64 >> j) & 1) * (0xFF << (8 * j));
+            j += 1;
+        }
+        s += 1;
+    }
+    table
+};
+
+/// The keep masks of the three spread / compact steps for `c`-bit fields:
+/// a `4c`-, `2c`- and `c`-bit field at the bottom of every 64-, 32- and
+/// 16-bit lane.
+#[inline(always)]
+fn field_masks(c: u32) -> [u64; 3] {
+    let field = |bits: u32| (1u64 << bits) - 1;
+    [field(4 * c), field(2 * c) * 0x0000_0001_0000_0001, field(c) * 0x0001_0001_0001_0001]
+}
+
+/// Spread the eight `c`-bit fields of `w` (field `j` at bit `j·c`) into byte
+/// lanes (field `j` at bit `8j`): fields 4–7 move to the upper half, then the
+/// upper pair of every half, then the upper field of every pair.
+#[inline(always)]
+fn spread_lanes(w: u64, c: u32) -> u64 {
+    let [k4, k2, k1] = field_masks(c);
+    let x = (w & k4) | ((w << (32 - 4 * c)) & (k4 << 32));
+    let x = (x & k2) | ((x << (16 - 2 * c)) & (k2 << 16));
+    (x & k1) | ((x << (8 - c)) & (k1 << 8))
+}
+
+/// The inverse of [`spread_lanes`]: eight byte lanes, each below `2^c`,
+/// packed into `c` bytes.
+#[inline(always)]
+fn compact_lanes(x: u64, c: u32) -> u64 {
+    let [k4, k2, k1] = field_masks(c);
+    let x = (x & k1) | ((x >> (8 - c)) & (k1 << c));
+    let x = (x & k2) | ((x >> (16 - 2 * c)) & (k2 << (2 * c)));
+    (x & k4) | ((x >> (32 - 4 * c)) & (k4 << (4 * c)))
+}
+
+/// The `n < 8` little-endian bytes at the front of `bytes` as one word: a
+/// single masked 8-byte load wherever the slice runs on that far.
+#[inline(always)]
+fn load_le(bytes: &[u8], n: usize) -> u64 {
+    match bytes.first_chunk::<8>() {
+        Some(w) => u64::from_le_bytes(*w) & ((1u64 << (8 * n)) - 1),
+        None => {
+            let mut w = [0u8; 8];
+            w[..n].copy_from_slice(&bytes[..n]);
+            u64::from_le_bytes(w)
+        }
+    }
+}
+
+/// Group `g` of the residual-only block at `block[0]` (code `c`, `groups`
+/// 8-element groups), biased into byte lanes: lane `j` holds `64 + d_j`
+/// (`flip` is XORed into the group's sign byte). Every `|d_j| < 2^6`, so
+/// each lane stays in `[1, 127]`.
+#[inline(always)]
+fn biased_group(block: &[u8], groups: usize, g: usize, flip: u8) -> u64 {
+    let c = block[0] as usize;
+    let mags = spread_lanes(load_le(&block[1 + groups + g * c..], c), c as u32);
+    let neg = mags & SIGN_LANES[(block[1 + g] ^ flip) as usize];
+    0x40 * LANE_ONES + mags - (neg << 1)
+}
+
+/// Pipeline ④ in byte lanes: append to `out` the block holding the sum of
+/// the blocks at `a[0]` and `b[0]` (both of length `len`) — or, with
+/// `negate`, their difference — and return the bytes read from `a` and from
+/// `b`. Panics unless both codes are in `1..=6` and `len` is a multiple of 8
+/// (at most 64).
+///
+/// Eight deltas are added per `u64` word, never unpacked: each operand's
+/// group is spread into byte lanes biased to `64 ± |d|`, so the two words add
+/// to `128 + (a ± b)` in `[2, 254]` in every lane and no carry crosses one.
+/// A lane's top bit is then the result's sign (clear = negative), its
+/// magnitude the low seven bits or `0x80 − lane`, and the OR of the
+/// magnitudes its code (at most 7). Byte-identical to decoding both blocks,
+/// adding and [`encode_deltas`]; a truncated operand is the same
+/// [`Error::Truncated`] [`decode_block`] reports, `a` checked first.
+pub fn add_narrow_blocks(
+    a: &[u8],
+    b: &[u8],
+    len: usize,
+    negate: bool,
+    out: &mut Vec<u8>,
+) -> Result<(usize, usize)> {
+    let (na, nb) = (skip_block(a, len)?, skip_block(b, len)?);
+    // outside these the lanes carry into each other: wrong bytes, no error
+    let narrow = |c: u8| (1..=6).contains(&c);
+    assert!(len.is_multiple_of(8) && len <= MAX_BLOCK_LEN && narrow(a[0]) && narrow(b[0]));
+    let groups = len / 8;
+    let flip = if negate { 0xFF } else { 0 };
+    // A's groups first, then B's: one operand's masks live at a time
+    let mut lanes = [0u64; MAX_BLOCK_LEN / 8];
+    for (g, lane) in lanes[..groups].iter_mut().enumerate() {
+        *lane = biased_group(a, groups, g, 0);
+    }
+    let (mut signs, mut any) = (0u64, 0u64);
+    for (g, lane) in lanes[..groups].iter_mut().enumerate() {
+        let sum = *lane + biased_group(b, groups, g, flip);
+        // 0x01 in the lanes whose top bit is clear: the negative sums, whose
+        // magnitude `0x80 - lane` is `(lane ^ 0x7F) + 1`
+        let neg = !(sum >> 7) & LANE_ONES;
+        *lane = ((sum & (0x7F * LANE_ONES)) ^ (neg * 0x7F)) + neg;
+        any |= *lane;
+        signs |= gather_flags(neg) << (8 * g);
+    }
+    let c = code_for_max(any.to_le_bytes().iter().fold(0, |max, &m| max | m) as u32);
+    out.push(c);
+    if c == 0 {
+        return Ok((na, nb));
+    }
+    out.extend_from_slice(&signs.to_le_bytes()[..groups]);
+    for &lane in &lanes[..groups] {
+        out.extend_from_slice(&compact_lanes(lane, c as u32).to_le_bytes()[..c as usize]);
+    }
+    Ok((na, nb))
 }
 
 /// Copy a whole encoded block (code byte + payload) from `input` to `out`.

@@ -5,9 +5,11 @@
 //! There is one kernel, over integer coefficients: it computes
 //! `alpha·A + beta·B`, and [`homomorphic_sum`] and [`ReduceOp::Diff`] are its
 //! `(1, 1)` and `(1, −1)`. It works one block at a time, writing each result
-//! block straight into the chunk's output; for those two, pipeline ④ adds
-//! in `i32` lanes whenever both operand codes are at most 30 (`LANE_CODE`),
-//! and in `i64` otherwise. The chunk walk around it is `crate::walk`'s, so
+//! block straight into the chunk's output. For those two, pipeline ④ picks
+//! the narrowest width the operand codes allow: byte lanes of the packed
+//! words when both codes are at most 6 (`BYTE_CODE`) and the block length is
+//! a multiple of 8, `i32` lanes when both are at most 30 (`LANE_CODE`), and
+//! `i64` otherwise. The chunk walk around it is `crate::walk`'s, so
 //! work parallelizes over thread-chunks exactly like compression does and
 //! the multi-thread mode of the collectives gets homomorphic speedups too.
 
@@ -105,6 +107,12 @@ pub(crate) fn combine(
 /// route.
 const LANE_CODE: u8 = 30;
 
+/// The widest operand code pipeline ④ adds in byte lanes
+/// ([`codec::add_narrow_blocks`]): magnitudes of two code-6 blocks are at
+/// most 63, so `128 + a ± b` stays inside a byte. Blocks whose length is not
+/// a multiple of 8 take the `i32` lanes.
+const BYTE_CODE: u8 = 6;
+
 /// The result block when the other operand's block is constant (pipelines ②
 /// and ③, and all of [`homomorphic_scale`]): `k` times `src`'s next block —
 /// a verbatim copy when `k == 1`, and a constant block stays constant.
@@ -157,6 +165,14 @@ fn combine_blocks(w: &mut Walk<'_, 2>, alpha: i64, beta: i64, dispatch: bool) ->
                 b.pos += 1;
                 scale_block(a, alpha, len, &mut da, ci, out)?;
                 stats.p3 += 1;
+            }
+            _ if unit && ca.min(cb) > 0 && ca.max(cb) <= BYTE_CODE && len.is_multiple_of(8) => {
+                // ④ in byte lanes: both blocks stay packed, eight deltas per
+                // word, and the result block is written once.
+                let (na, nb) = codec::add_narrow_blocks(a.rest(), b.rest(), len, beta < 0, out)?;
+                a.pos += na;
+                b.pos += nb;
+                stats.p4 += 1;
             }
             _ if unit && ca.max(cb) <= LANE_CODE => {
                 // ④ in i32 lanes: IFE A, fuse B's decode with the add or

@@ -14,7 +14,7 @@
 //! | ① | `x == 0 && y == 0` | write a single `0` code byte |
 //! | ② | `x == 0 && y != 0` | copy block B's bytes verbatim |
 //! | ③ | `x != 0 && y == 0` | copy block A's bytes verbatim |
-//! | ④ | `x != 0 && y != 0` | inverse fixed-length decode both, add the integer deltas, re-encode |
+//! | ④ | `x != 0 && y != 0` | add the integer deltas at the narrowest width the codes allow: both codes ≤ 6 (block length a multiple of 8) in the byte lanes of the packed words, never unpacked; both ≤ 30 by decoding into `i32` lanes and re-encoding; otherwise in `i64` |
 //!
 //! Only pipeline ④ touches the integer domain, and even it never
 //! re-quantizes, so the homomorphic result is **exact on the quantization

@@ -155,6 +155,15 @@ impl EventEndpoint {
     }
 
     fn yield_to_scheduler(&self) {
+        // SAFETY: this runs on rank `self.rank`'s fiber, which the scheduler
+        // entered through the `switch` in `run` below. That switch saved the
+        // scheduler's stack pointer into `sched_sp`, which is therefore a live
+        // continuation on the OS thread's own stack; this one saves the
+        // fiber's into `task_sps[rank]`, where the scheduler's next resume of
+        // this rank loads it, and its stack is the `Fiber` `run` keeps alive
+        // until every fiber is done. No `RefCell` borrow is held: the caller
+        // `recv_next` dropped its `inboxes` borrow at the end of the `if let`,
+        // and `status` is a `Cell`.
         unsafe {
             fiber::switch(self.shared.task_sps[self.rank].as_ptr(), self.shared.sched_sp.as_ptr())
         }
@@ -208,6 +217,15 @@ where
         match next {
             Some(r) => {
                 shared.status[r].set(Status::Running);
+                // SAFETY: this saves the scheduler's stack pointer into
+                // `sched_sp`, where rank `r` loads it when it yields or
+                // finishes (`yield_to_scheduler`, `FiberStart::load`), and
+                // loads `task_sps[r]`: either the initial frame
+                // `Fiber::spawn` laid out or the continuation `r` saved when
+                // it last yielded. `r` came off the ready deque, so it is not
+                // `Done` and its stack in `fibers` is live. No `RefCell`
+                // borrow is held: the `ready` borrow that popped `r` ended
+                // with its statement.
                 unsafe { fiber::switch(shared.sched_sp.as_ptr(), shared.task_sps[r].as_ptr()) };
             }
             None => {

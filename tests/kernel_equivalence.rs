@@ -1,6 +1,6 @@
 //! Differential property tests for the bit-parallel kernel overhaul: every
 //! fast kernel (bitshuffle planes, block quantization, block codec, the
-//! per-block homomorphic sum in its `i32` and `i64` lanes) must be **bit-identical** to its retained scalar
+//! per-block homomorphic sum in its byte, `i32` and `i64` lanes) must be **bit-identical** to its retained scalar
 //! reference across block lengths, code lengths and adversarial inputs.
 //!
 //! Lengths sweep {1, 7, 8, 63, 64, 65, 4096} — one element, a partial
@@ -548,5 +548,96 @@ fn homomorphic_lane_boundaries_match_scalar_reference() {
                 assert_eq!(bytes(diff), bytes(reference), "Diff {at}");
             }
         }
+    }
+}
+
+/// Pipeline ④'s byte lanes on both sides of their rule (both operand codes
+/// in `1..=6`, block length a multiple of 8): code pairs from (1, 1) to
+/// (7, 7), pinned so that the (6, 6) sums and differences reach exactly
+/// `±126` (code 7) and the pairs with a code-7 operand would carry out of a
+/// byte lane, every A block holding a zero with its sign bit set. Block 1's
+/// B is A negated and block 2's is A, so the Sum and the Diff each cancel
+/// one block to a code-0 result. Block lengths off a multiple of 8 take the
+/// `i32` lanes and must match too. Sum and Diff against the scalar reference,
+/// as in [`homomorphic_lane_boundaries_match_scalar_reference`].
+#[test]
+fn homomorphic_byte_lane_boundaries_match_scalar_reference() {
+    let mut rng = Rng::new(0xB7_7E5);
+    let pairs = [(1u8, 1u8), (1, 6), (6, 1), (5, 6), (6, 6), (6, 7), (7, 6), (7, 7)];
+    for block_len in [7usize, 8, 16, 32, 40, 63, 64] {
+        let n = 4 * block_len + block_len / 2;
+        let lens: Vec<usize> = fzlight::chunk::block_lens(n, block_len).collect();
+        for (ca, cb) in pairs {
+            for flip in [1i64, -1] {
+                let sa = |k: usize| if k.is_multiple_of(2) { 1 } else { -1 };
+                let sb = |k: usize| flip * sa(k);
+                let da = pinned_blocks(&mut rng, ca, &lens, sa);
+                let mut db = pinned_blocks(&mut rng, cb, &lens, sb);
+                // A's element 1 is the signed zero `stream_of` writes
+                let a_as_written = |k: usize| {
+                    da[k].iter().enumerate().map(move |(i, &v)| if i == 1 { 0 } else { v })
+                };
+                db[1] = a_as_written(1).map(|v| -v).collect();
+                db[2] = a_as_written(2).collect();
+                let neg: Vec<Vec<i64>> =
+                    db.iter().map(|d| d.iter().map(|v| -v).collect()).collect();
+                let a = stream_of(block_len, 7, &da, true);
+                let b = stream_of(block_len, -3, &db, false);
+                let minus_b = stream_of(block_len, 3, &neg, false);
+                let bytes =
+                    |s: fzlight::Result<CompressedStream>| s.map(CompressedStream::into_bytes);
+                let at = format!("block_len={block_len} codes=({ca}, {cb}) flip={flip}");
+                let sum = hzdyn::homomorphic_op(&a, &b, hzdyn::ReduceOp::Sum);
+                let reference = hzdyn::reference::homomorphic_sum_scalar(&a, &b);
+                assert_eq!(bytes(sum), bytes(reference), "Sum {at}");
+                let diff = hzdyn::homomorphic_op(&a, &b, hzdyn::ReduceOp::Diff);
+                let reference = hzdyn::reference::homomorphic_sum_scalar(&a, &minus_b);
+                assert_eq!(bytes(diff), bytes(reference), "Diff {at}");
+            }
+        }
+    }
+}
+
+/// The byte lanes check their operands' lengths themselves. A one-chunk pair
+/// of code-3 and code-5 blocks, one operand's payload cut at every byte (then
+/// both, A shorter): Sum and Diff return exactly the scalar reference's
+/// typed `Truncated`, A's before B's, and never panic. Uncut, every pair
+/// counts under pipeline ④.
+#[test]
+fn homomorphic_byte_lanes_refuse_truncated_operands_like_the_reference() {
+    let mut rng = Rng::new(0x7_2C47);
+    let block_len = 32;
+    let lens = [block_len; 3];
+    let da = pinned_blocks(&mut rng, 3, &lens, |_| 1);
+    let db = pinned_blocks(&mut rng, 5, &lens, |k| if k == 1 { -1 } else { 1 });
+    let neg: Vec<Vec<i64>> = db.iter().map(|d| d.iter().map(|v| -v).collect()).collect();
+    let n = lens.iter().sum();
+    let a = stream_of(block_len, 7, &da, true);
+    let b = stream_of(block_len, -3, &db, false);
+    let minus_b = stream_of(block_len, 3, &neg, false);
+    let (_, stats) = hzdyn::homomorphic_sum_with_stats(&a, &b).unwrap();
+    assert_eq!((stats.p1, stats.p2, stats.p3, stats.p4), (0, 0, 0, lens.len() as u64));
+    let cut = |s: &CompressedStream, at: usize| {
+        CompressedStream::from_chunks(n, 0.5, block_len, &[&s.chunk_payload(0)[..at]])
+    };
+    let (full_a, full_b) = (a.chunk_payload(0).len(), b.chunk_payload(0).len());
+    let bytes = |s: fzlight::Result<CompressedStream>| s.map(CompressedStream::into_bytes);
+    let check = |a: &CompressedStream, b: &CompressedStream, minus_b: &CompressedStream, at| {
+        let sum = bytes(hzdyn::homomorphic_sum(a, b));
+        let reference = bytes(hzdyn::reference::homomorphic_sum_scalar(a, b));
+        assert!(matches!(reference, Err(Error::Truncated { .. })), "{at}: {reference:?}");
+        assert_eq!(sum, reference, "Sum {at}");
+        let diff = bytes(hzdyn::homomorphic_op(a, b, hzdyn::ReduceOp::Diff));
+        let reference = bytes(hzdyn::reference::homomorphic_sum_scalar(a, minus_b));
+        assert_eq!(diff, reference, "Diff {at}");
+    };
+    for at in 0..full_b {
+        check(&a, &cut(&b, at), &cut(&minus_b, at), format!("B cut at {at}"));
+    }
+    // negated, B's blocks keep their codes and so their sizes
+    let (b_short, minus_b_short) = (cut(&b, full_b - 1), cut(&minus_b, full_b - 1));
+    for at in 0..full_a {
+        check(&cut(&a, at), &b, &minus_b, format!("A cut at {at}"));
+        check(&cut(&a, at), &b_short, &minus_b_short, format!("A cut at {at}, B too"));
     }
 }
