@@ -6,7 +6,11 @@
 //! `n % nchunks` remainder, exactly as the paper assigns the last `D % N`
 //! points to thread `N-1`. Chunks are independent behind the header's offset
 //! table, so every compress, decompress and homomorphic entry point is the
-//! same shape: cut the work into jobs, [`fork_join`] them, assemble.
+//! same shape: cut the work into jobs and [`fork_join`] them. A producer of
+//! a stream does that through [`Stream::assemble`], whose jobs write their
+//! payloads straight into the stream when they run on the calling thread.
+//!
+//! [`Stream::assemble`]: crate::stream::Stream::assemble
 
 use std::sync::OnceLock;
 
@@ -46,7 +50,10 @@ pub fn chunk_spans(n: usize, nchunks: usize) -> impl ExactSizeIterator<Item = Ch
 
 /// Split `data` into the sub-slices of its `nchunks` [`chunk_spans`], in
 /// order.
-pub fn split_mut<T>(mut data: &mut [T], nchunks: usize) -> impl ExactSizeIterator<Item = &mut [T]> {
+pub(crate) fn split_mut<T>(
+    mut data: &mut [T],
+    nchunks: usize,
+) -> impl ExactSizeIterator<Item = &mut [T]> {
     chunk_spans(data.len(), nchunks).map(move |span| {
         let (head, tail) = std::mem::take(&mut data).split_at_mut(span.len);
         data = tail;
@@ -73,6 +80,20 @@ pub fn deal<T>(items: impl Iterator<Item = T>, hands: usize) -> Vec<Vec<T>> {
     dealt
 }
 
+/// How many threads [`fork_join`] runs `total` jobs on: one, the calling
+/// thread, for a single job or on a one-core host; else one worker per job,
+/// up to the host's cores.
+pub(crate) fn workers(total: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores =
+        || *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
+    if total > 1 {
+        total.min(cores())
+    } else {
+        1
+    }
+}
+
 /// Run `run(i, job)` for every job and collect the results, in job order,
 /// into whatever the caller asks for: a `Vec`, or a `Result` that stops at
 /// the first error and allocates nothing when there is nothing to keep.
@@ -88,12 +109,9 @@ where
     I::IntoIter: ExactSizeIterator,
     C: FromIterator<R>,
 {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    let cores =
-        || *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |c| c.get()));
     let jobs = jobs.into_iter().enumerate();
     let total = jobs.len();
-    let workers = if total > 1 { total.min(cores()) } else { 1 };
+    let workers = workers(total);
     if workers == 1 {
         return jobs.map(|(i, job)| run(i, job)).collect();
     }

@@ -10,7 +10,7 @@
 //! 64 bits and no loop carries a value from one element to the next, so each
 //! of them compiles to vector code on the baseline target.
 
-use crate::chunk::{chunk_spans, effective_chunks, fork_join};
+use crate::chunk::{chunk_spans, effective_chunks, ChunkSpan};
 use crate::codec;
 use crate::config::{check_block_len, Config, MAX_BLOCK_LEN};
 use crate::error::Result;
@@ -47,8 +47,9 @@ pub fn compress_resolved(
     })
 }
 
-/// The compress driver: cut `data` into thread-chunks, run `kernel(chunk,
-/// index of its first element, out)` on each, assemble the stream.
+/// The compress driver: cut `data` into thread-chunks and assemble the
+/// stream from `kernel(chunk, index of its first element, out)` on each,
+/// which appends the chunk's payload to `out`.
 pub(crate) fn compress_chunks(
     data: &[f32],
     eb_abs: f64,
@@ -57,15 +58,15 @@ pub(crate) fn compress_chunks(
     kernel: impl Fn(&[f32], usize, &mut Vec<u8>) -> Result<()> + Sync,
 ) -> Result<CompressedStream> {
     let n = data.len();
-    let chunks: Result<Vec<_>> =
-        fork_join(chunk_spans(n, effective_chunks(n, threads)), |_, span| {
-            // Capacity guess: outlier + one code byte per block + a quarter of
-            // the raw size (ratio 4 heuristic; `Vec` growth handles
-            // low-compressibility data).
-            let mut out = Vec::with_capacity(4 + span.len.div_ceil(block_len) + span.len);
-            kernel(&data[span.start..span.start + span.len], span.start, &mut out).map(|()| out)
+    // Estimate: outlier + one code byte per block + a quarter of the raw size
+    // (ratio 4 heuristic; the buffer grows for low-compressibility data).
+    let estimate = |_, span: &ChunkSpan| 4 + span.len.div_ceil(block_len) + span.len;
+    let spans = chunk_spans(n, effective_chunks(n, threads));
+    let built =
+        CompressedStream::assemble(n, eb_abs, block_len, spans, estimate, |_, span, out| {
+            kernel(&data[span.start..span.start + span.len], span.start, out)
         });
-    Ok(CompressedStream::from_chunks(n, eb_abs, block_len, &chunks?))
+    built.map(|(stream, ())| stream)
 }
 
 /// Fused quantization + prediction + encoding of one thread-chunk.

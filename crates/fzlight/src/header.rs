@@ -52,12 +52,18 @@ pub struct Header {
 }
 
 /// Fixed-size prefix before the offset table, in bytes.
-const FIXED: usize = 4 + 4 + 8 + 8 + 4 + 4;
+pub(crate) const FIXED: usize = 4 + 4 + 8 + 8 + 4 + 4;
 
 /// Entry `i` of the offset table of the header at the front of `bytes`.
 pub(crate) fn table_entry(bytes: &[u8], i: usize) -> u64 {
     let at = FIXED + 8 * i;
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// Set entry `i` of the offset table of the header at the front of `bytes`.
+pub(crate) fn set_table_entry(bytes: &mut [u8], i: usize, offset: u64) {
+    let at = FIXED + 8 * i;
+    bytes[at..at + 8].copy_from_slice(&offset.to_le_bytes());
 }
 
 impl Header {
@@ -69,13 +75,20 @@ impl Header {
     /// Append the serialized header to `out`: the parameters, then `table`,
     /// the `nchunks + 1` body offsets.
     pub fn write_to<L: Layout>(&self, table: impl IntoIterator<Item = u64>, out: &mut Vec<u8>) {
-        out.extend_from_slice(&L::MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&self.n.to_le_bytes());
-        out.extend_from_slice(&self.eb.to_le_bytes());
-        out.extend_from_slice(&self.block_len.to_le_bytes());
-        out.extend_from_slice(&self.nchunks.to_le_bytes());
+        out.extend_from_slice(&self.params::<L>());
         table.into_iter().for_each(|o| out.extend_from_slice(&o.to_le_bytes()));
+    }
+
+    /// The serialized parameters: the header up to its offset table.
+    pub(crate) fn params<L: Layout>(&self) -> [u8; FIXED] {
+        let mut p = [0; FIXED];
+        p[0..4].copy_from_slice(&L::MAGIC);
+        p[4..8].copy_from_slice(&VERSION.to_le_bytes());
+        p[8..16].copy_from_slice(&self.n.to_le_bytes());
+        p[16..24].copy_from_slice(&self.eb.to_le_bytes());
+        p[24..28].copy_from_slice(&self.block_len.to_le_bytes());
+        p[28..32].copy_from_slice(&self.nchunks.to_le_bytes());
+        p
     }
 
     /// Parse a header from the front of `bytes` and validate its offset table

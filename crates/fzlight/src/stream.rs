@@ -1,9 +1,20 @@
 //! Owned compressed stream: serialized header + body, ready to be sent over a
 //! wire or operated on homomorphically.
+//!
+//! Every stream a producer returns is built by [`Stream::assemble`] in the
+//! buffer it is returned in: the header's bytes are reserved first, chunk
+//! kernels that run on the calling thread append their payloads straight
+//! behind them, and the header goes in last. Only chunks run on worker
+//! threads are copied, once, after the join.
 
+use crate::chunk::{fork_join, workers};
 use crate::error::{Error, Result};
-use crate::header::{table_entry, Fzl, Header, Layout};
+use crate::header::{set_table_entry, table_entry, Fzl, Header, Layout, FIXED};
 use std::marker::PhantomData;
+
+/// The most unused capacity a returned stream keeps; a buffer with more is
+/// shrunk, so a long-lived stream does not hold its producer's estimate.
+const SLACK: usize = 4096;
 
 /// An owned, self-describing compressed stream of the family `L`.
 ///
@@ -24,30 +35,112 @@ pub struct Stream<L> {
 pub type CompressedStream = Stream<Fzl>;
 
 impl<L: Layout> Stream<L> {
-    /// Assemble a stream from its chunk payloads, in chunk order, into one
-    /// buffer of exactly the stream's size: header, an offset table of their
-    /// running lengths, then the payloads, each copied once.
-    ///
-    /// Used by the compressors and by the homomorphic operators.
+    /// Assemble a stream from ready chunk payloads, in chunk order: each is
+    /// copied once, behind the header, into a buffer of exactly the stream's
+    /// size.
     pub fn from_chunks<I>(n: usize, eb: f64, block_len: usize, chunks: I) -> Self
     where
-        I: IntoIterator<IntoIter: Clone, Item: AsRef<[u8]>>,
+        I: IntoIterator<IntoIter: ExactSizeIterator + Clone, Item: AsRef<[u8]> + Send>,
     {
-        let chunks = chunks.into_iter();
-        let lens = chunks.clone().map(|c| c.as_ref().len());
-        let (nchunks, body_len) = lens.clone().fold((0, 0), |(k, len), l| (k + 1, len + l));
+        let copy = |_, chunk: I::Item, out: &mut Vec<u8>| {
+            out.extend_from_slice(chunk.as_ref());
+            Ok(())
+        };
+        let len = |_, chunk: &I::Item| chunk.as_ref().len();
+        let built = Self::assemble_on(true, n, eb, block_len, chunks.into_iter(), len, copy);
+        built.map(|(stream, ())| stream).expect("copying a payload cannot fail")
+    }
+
+    /// Build a stream of one chunk per job in the buffer it is returned in;
+    /// every compressor and homomorphic operator returns one made here.
+    ///
+    /// `run(i, job, out)` appends chunk `i`'s payload to `out`, and
+    /// `estimate(i, &job)` guesses its length. When [`fork_join`] would run
+    /// the jobs on the calling thread (one job, or a one-core host), the
+    /// buffer reserves the header and every estimate at once, `out` is the
+    /// stream itself, and each chunk's end enters the offset table as the
+    /// chunk closes: one allocation when the estimates hold, and no copy.
+    /// Jobs run on workers write buffers of their own, appended in chunk
+    /// order after the join. The header's parameters are written last.
+    ///
+    /// A failing job fails the call with no stream: the first error in
+    /// chunk order, whatever ran in parallel. What the jobs return is
+    /// collected, in chunk order, into `C` (`()` keeps nothing). The stream
+    /// keeps at most 4 KiB of unused capacity.
+    pub fn assemble<J, R, C>(
+        n: usize,
+        eb: f64,
+        block_len: usize,
+        jobs: impl IntoIterator<Item = J, IntoIter: ExactSizeIterator + Clone>,
+        estimate: impl Fn(usize, &J) -> usize + Sync,
+        run: impl Fn(usize, J, &mut Vec<u8>) -> Result<R> + Sync,
+    ) -> Result<(Self, C)>
+    where
+        J: Send,
+        R: Send,
+        C: FromIterator<R>,
+    {
+        let jobs = jobs.into_iter();
+        let in_place = workers(jobs.len()) == 1;
+        Self::assemble_on(in_place, n, eb, block_len, jobs, estimate, run)
+    }
+
+    /// [`Stream::assemble`], every job on the calling thread and straight
+    /// into the stream when `in_place`, else on [`fork_join`]'s workers.
+    fn assemble_on<J, R, C>(
+        in_place: bool,
+        n: usize,
+        eb: f64,
+        block_len: usize,
+        jobs: impl ExactSizeIterator<Item = J> + Clone,
+        estimate: impl Fn(usize, &J) -> usize + Sync,
+        run: impl Fn(usize, J, &mut Vec<u8>) -> Result<R> + Sync,
+    ) -> Result<(Self, C)>
+    where
+        J: Send,
+        R: Send,
+        C: FromIterator<R>,
+    {
+        let nchunks = jobs.len();
+        let body_start = Header::serialized_len(nchunks);
+        let mut bytes = Vec::new();
+        let open = |bytes: &mut Vec<u8>, body_len: usize| {
+            bytes.reserve_exact(body_start + body_len);
+            bytes.resize(body_start, 0);
+        };
+        let close = |bytes: &mut Vec<u8>, i: usize| {
+            let end = bytes.len() - body_start;
+            set_table_entry(bytes, i + 1, end as u64);
+        };
+        let done = if in_place {
+            open(&mut bytes, jobs.clone().enumerate().map(|(i, job)| estimate(i, &job)).sum());
+            let chunks = jobs.enumerate().map(|(i, job)| {
+                let done = run(i, job, &mut bytes)?;
+                close(&mut bytes, i);
+                Ok(done)
+            });
+            chunks.collect::<Result<C>>()?
+        } else {
+            let parts: Result<Vec<(Vec<u8>, R)>> = fork_join(jobs, |i, job| {
+                let mut out = Vec::with_capacity(estimate(i, &job));
+                run(i, job, &mut out).map(|done| (out, done))
+            });
+            let parts = parts?;
+            open(&mut bytes, parts.iter().map(|(part, _)| part.len()).sum());
+            let chunks = parts.into_iter().enumerate().map(|(i, (part, done))| {
+                bytes.extend_from_slice(&part);
+                close(&mut bytes, i);
+                done
+            });
+            chunks.collect()
+        };
         let header =
             Header { n: n as u64, eb, block_len: block_len as u32, nchunks: nchunks as u32 };
-        let body_start = Header::serialized_len(nchunks);
-        let mut bytes = Vec::with_capacity(body_start + body_len);
-        let ends = lens.scan(0u64, |end, l| {
-            *end += l as u64;
-            Some(*end)
-        });
-        header.write_to::<L>(std::iter::once(0).chain(ends), &mut bytes);
-        debug_assert_eq!(bytes.len(), body_start);
-        chunks.for_each(|c| bytes.extend_from_slice(c.as_ref()));
-        Stream { bytes, header, body_start, layout: PhantomData }
+        bytes[..FIXED].copy_from_slice(&header.params::<L>());
+        if bytes.capacity() - bytes.len() > SLACK {
+            bytes.shrink_to_fit();
+        }
+        Ok((Stream { bytes, header, body_start, layout: PhantomData }, done))
     }
 
     /// Parse a stream from raw bytes (e.g. received from the network).
@@ -170,6 +263,40 @@ mod tests {
         let bytes = sample_stream().into_bytes();
         let cut = bytes.len() - 3;
         assert!(CompressedStream::from_bytes(bytes[..cut].to_vec()).is_err());
+    }
+
+    #[test]
+    fn assembly_on_the_calling_thread_and_on_workers_agrees() {
+        let payloads: [&[u8]; 3] = [&[1, 2], &[], &[3, 4, 5]];
+        let copy = |i, p: &[u8], out: &mut Vec<u8>| {
+            out.extend_from_slice(p);
+            Ok(i)
+        };
+        // the second and the third job fail: the second's error is the call's
+        let failing = |i, p: &[u8], out: &mut Vec<u8>| {
+            if i > 0 {
+                return Err(Error::HomomorphicOverflow { chunk: i });
+            }
+            out.extend_from_slice(p);
+            Ok(())
+        };
+        let wire = CompressedStream::from_chunks(3, 1e-3, 32, payloads).into_bytes();
+        // estimates exact, short (the stream grows) and long (slack kept)
+        for estimate in [|_, p: &&[u8]| p.len(), |_, _: &&[u8]| 0, |_, _: &&[u8]| 1000] {
+            for in_place in [true, false] {
+                let jobs = payloads.into_iter();
+                let built = Stream::assemble_on(in_place, 3, 1e-3, 32, jobs, estimate, copy);
+                let (s, order): (CompressedStream, Vec<usize>) = built.unwrap();
+                assert_eq!(s.as_bytes(), wire, "in place: {in_place}");
+                assert_eq!([0, 1, 2].map(|i| s.chunk_payload(i)), payloads);
+                assert_eq!(order, [0, 1, 2]);
+                let jobs = payloads.into_iter();
+                let built = Stream::assemble_on(in_place, 3, 1e-3, 32, jobs, estimate, failing);
+                let got: Result<(CompressedStream, ())> = built;
+                assert_eq!(got, Err(Error::HomomorphicOverflow { chunk: 1 }));
+            }
+        }
+        assert_eq!(CompressedStream::from_bytes(wire.clone()).unwrap().into_bytes(), wire);
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl Accumulator {
                 let span = self.spans[w.ci];
                 self.deltas[span.start..span.start + span.len]
                     .chunks(block_len)
-                    .try_for_each(|block| emit(block, w.ci, &mut w.out))
+                    .try_for_each(|block| emit(block, w.ci, w.out))
             },
         )?;
         Ok(encoded.0)

@@ -75,9 +75,8 @@ pub fn homomorphic_scale(a: &CompressedStream, k: i32) -> Result<CompressedStrea
         |_, [o]| o * k,
         |w| {
             let mut scratch = [0i64; MAX_BLOCK_LEN];
-            block_lens(w.len, w.block_len).try_for_each(|len| {
-                scale_block(&mut w.ops[0], k, len, &mut scratch, w.ci, &mut w.out)
-            })
+            block_lens(w.len, w.block_len)
+                .try_for_each(|len| scale_block(&mut w.ops[0], k, len, &mut scratch, w.ci, w.out))
         },
     )?;
     Ok(scaled.0)
@@ -213,6 +212,41 @@ mod tests {
         let ca = compress(&data, &cfg).unwrap();
         let err = homomorphic_sum(&ca, &ca).unwrap_err();
         assert!(matches!(err, Error::HomomorphicOverflow { chunk: 0 }));
+    }
+
+    /// 96 elements in three chunks of 32: chunks 0 and 1 smooth, chunk 2
+    /// all `tail`.
+    fn three_chunks(tail: f32) -> CompressedStream {
+        let data: Vec<f32> =
+            (0..96).map(|i| if i < 64 { (i as f32 * 0.1).sin() } else { tail }).collect();
+        let cfg = Config::new(ErrorBound::Abs(1e-4)).with_threads(3);
+        let stream = compress(&data, &cfg).unwrap();
+        assert_eq!(stream.nchunks(), 3);
+        stream
+    }
+
+    /// `stream` with chunk 1's payload one byte short: its last block record
+    /// is cut.
+    fn chunk_1_cut(stream: &CompressedStream) -> CompressedStream {
+        let [p0, p1, p2] = [0, 1, 2].map(|ci| stream.chunk_payload(ci));
+        let payloads = [p0, &p1[..p1.len() - 1], p2];
+        CompressedStream::from_chunks(96, stream.eb(), stream.block_len(), payloads)
+    }
+
+    #[test]
+    fn multi_chunk_errors_name_the_first_failing_chunk() {
+        // chunk 2's outliers sum past i32, chunks 0 and 1 are fine
+        let big = three_chunks((i32::MAX as f64 * 2.0 * 1e-4 * 0.9) as f32);
+        let overflow = Error::HomomorphicOverflow { chunk: 2 };
+        assert_eq!(homomorphic_sum(&big, &big), Err(overflow));
+        // chunk 1's last block, code 9 over 32 elements, is 1 + 4 + 36 bytes
+        let small = three_chunks(1.0);
+        let truncated = Error::Truncated { need: 41, have: 40 };
+        let cut = chunk_1_cut(&small);
+        assert_eq!(homomorphic_sum(&cut, &small), Err(truncated.clone()));
+        assert_eq!(homomorphic_sum(&small, &cut), Err(truncated.clone()));
+        // both at once: chunk 1's error is reported, whichever finishes first
+        assert_eq!(homomorphic_sum(&chunk_1_cut(&big), &big), Err(truncated));
     }
 
     #[test]

@@ -48,6 +48,14 @@ impl AddAssign for PipelineStats {
     }
 }
 
+impl FromIterator<PipelineStats> for PipelineStats {
+    fn from_iter<I: IntoIterator<Item = PipelineStats>>(parts: I) -> Self {
+        let mut total = Self::default();
+        parts.into_iter().for_each(|part| total += part);
+        total
+    }
+}
+
 impl fmt::Display for PipelineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let [a, b, c, d] = self.percentages();

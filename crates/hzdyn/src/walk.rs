@@ -5,13 +5,13 @@
 //! result chunk is made the same way: check the operands are compatible,
 //! combine their chunk outliers (refusing a result that leaves `i32`), let a
 //! per-block kernel read the operands' block records in lockstep and emit
-//! the result's, check no operand has bytes left over, and assemble the
-//! chunks behind a fresh offset table. Chunks are independent, so they go
-//! through [`fork_join`] exactly like compression's do. Only the kernel
-//! differs between operators.
+//! the result's, check no operand has bytes left over. Chunks are
+//! independent, so they go through `Stream::assemble` exactly like
+//! compression's do, each written straight into the result stream when it
+//! runs on the calling thread. Only the kernel differs between operators.
 
 use crate::stats::PipelineStats;
-use fzlight::chunk::{chunk_spans, fork_join};
+use fzlight::chunk::{chunk_spans, ChunkSpan};
 use fzlight::codec;
 use fzlight::error::{Error, Result};
 use fzlight::header::Header;
@@ -40,8 +40,9 @@ pub(crate) struct Walk<'a, const N: usize> {
     pub(crate) block_len: usize,
     /// The operands' payloads, positioned after their outliers.
     pub(crate) ops: [Cursor<'a>; N],
-    /// The result payload; the combined outlier is already in it.
-    pub(crate) out: Vec<u8>,
+    /// The stream being assembled, ending in this chunk's combined outlier
+    /// and the result blocks emitted so far.
+    pub(crate) out: &'a mut Vec<u8>,
     pub(crate) stats: PipelineStats,
 }
 
@@ -54,7 +55,7 @@ pub(crate) fn emit(deltas: &[i64], ci: usize, out: &mut Vec<u8>) -> Result<()> {
 
 /// Produce a stream shaped like `header` from `N` operand streams:
 /// `outlier(chunk, operand outliers)` gives each chunk's outlier, `kernel`
-/// its block records.
+/// its block records, appended to the stream in the making.
 pub(crate) fn drive<const N: usize>(
     header: &Header,
     operands: [&CompressedStream; N],
@@ -65,8 +66,14 @@ pub(crate) fn drive<const N: usize>(
         header.check_compatible(operand.header())?;
     }
     let (n, block_len) = (header.n as usize, header.block_len as usize);
+    let estimate = |ci, span: &ChunkSpan| {
+        let longest = operands.iter().map(|s| s.chunk_payload(ci).len()).max();
+        // pipeline ④ can widen a block by one code bit: one more bit per
+        // element, rounded up to a byte per block
+        longest.unwrap_or(span.len) + span.len / 8 + span.len.div_ceil(block_len)
+    };
     let spans = chunk_spans(n, header.nchunks as usize);
-    let done: Result<Vec<_>> = fork_join(spans, |ci, span| {
+    CompressedStream::assemble(n, header.eb, block_len, spans, estimate, |ci, span, out| {
         let payloads = operands.map(|s| s.chunk_payload(ci));
         let shortest = payloads.iter().map(|p| p.len()).min();
         if let Some(have) = shortest.filter(|&have| have < 4) {
@@ -75,11 +82,6 @@ pub(crate) fn drive<const N: usize>(
         let outliers = payloads.map(|p| i32::from_le_bytes(p[..4].try_into().unwrap()) as i64);
         let combined = i32::try_from(outlier(ci, outliers))
             .map_err(|_| Error::HomomorphicOverflow { chunk: ci })?;
-        let longest = payloads.iter().map(|p| p.len()).max().unwrap_or(span.len);
-        // pipeline ④ can widen a block by one code bit: one more bit per
-        // element, rounded up to a byte per block
-        let widen = span.len / 8 + span.len.div_ceil(block_len);
-        let mut out = Vec::with_capacity(longest + widen);
         out.extend_from_slice(&combined.to_le_bytes());
         let ops = payloads.map(|bytes| Cursor { bytes, pos: 4 });
         let stats = PipelineStats::default();
@@ -88,11 +90,6 @@ pub(crate) fn drive<const N: usize>(
         if walk.ops.iter().any(|op| op.pos != op.bytes.len()) {
             return Err(Error::Corrupt("chunk payload longer than its blocks"));
         }
-        Ok((walk.out, walk.stats))
-    });
-    let done = done?;
-    let mut stats = PipelineStats::default();
-    done.iter().for_each(|&(_, st)| stats += st);
-    let chunks = done.iter().map(|(bytes, _)| bytes);
-    Ok((CompressedStream::from_chunks(n, header.eb, block_len, chunks), stats))
+        Ok(walk.stats)
+    })
 }

@@ -39,9 +39,23 @@ pub(crate) struct FiberStart {
 /// yielding to the scheduler forever (a correct scheduler never resumes a
 /// finished fiber; a buggy resume just bounces straight back).
 unsafe extern "C" fn fiber_entry(arg: *mut FiberStart) -> ! {
+    // SAFETY: `arg` is the pointer `Box::into_raw` returned in
+    // `Fiber::spawn`, a live `FiberStart` allocation nothing else owns or
+    // frees. It reaches here only through the initial frame `arch::prepare`
+    // laid out, and the first `switch` into that frame replaces it with a
+    // saved continuation, so this entry runs once per fiber and the box is
+    // taken back exactly once.
     let FiberStart { body, save, load } = *unsafe { Box::from_raw(arg) };
     body();
     loop {
+        // SAFETY: `save` and `load` are the fiber's and the scheduler's
+        // stack-pointer slots, `Cell`s in the event engine's shared state,
+        // which its run loop holds (an `Rc`) until every fiber is done; a
+        // fiber only runs inside that loop. `load` holds the scheduler's
+        // continuation, saved on the OS thread's stack by the `switch` that
+        // resumed this fiber and live while the loop waits for it. This
+        // fiber's own stack, which `save` records, is the `Fiber` allocation
+        // the loop keeps until it returns.
         unsafe { switch(save, load) };
     }
 }
@@ -67,6 +81,15 @@ impl Fiber {
         let size = stack_bytes.max(64 * 1024);
         let mut stack: Vec<u8> = Vec::with_capacity(size);
         let base = stack.as_mut_ptr();
+        // SAFETY: `base` is the start of `stack`'s heap allocation of at
+        // least `size` (≥ 64 KiB) bytes, live for as long as the returned
+        // `Fiber` owns it: moving the `Fiber` moves only the `Vec`'s header,
+        // and nothing pushes to it, so it never reallocates. The canary takes
+        // its first 8 bytes, an unaligned write into spare capacity.
+        // `base.add(size)` is one past the end of those `size` bytes, so
+        // `prepare`'s frame (at most 176 bytes below it) lies inside the
+        // allocation, far above the canary. `arg` is a fresh box, handed to
+        // the frame and reclaimed once, by `fiber_entry`.
         unsafe {
             (base as *mut u64).write_unaligned(STACK_CANARY);
             let arg = Box::into_raw(Box::new(start));
@@ -77,6 +100,11 @@ impl Fiber {
 
     /// Whether the overflow canary at the stack base survived the run.
     pub(crate) fn canary_intact(&self) -> bool {
+        // SAFETY: the stack's allocation is at least 64 KiB and lives as long
+        // as `self`; its first 8 bytes were written with the canary in
+        // `spawn`, so they are initialized. A fiber that overflowed may have
+        // overwritten them, but any bit pattern is a valid `u64`: the read is
+        // defined, and only its value says whether the canary survived.
         unsafe { (self.stack.as_ptr() as *const u64).read_unaligned() == STACK_CANARY }
     }
 

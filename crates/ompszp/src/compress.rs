@@ -8,8 +8,11 @@
 //! traffic the fused fZ-light pipeline avoids. A global synchronization then
 //! derives every group's output size from its codes (the GPU
 //! prefix-sum/sync stage). Pass 2 has each group derive its blocks' deltas
-//! from its own integers and bit-shuffle-encode them into an exactly sized
-//! buffer.
+//! from its own integers and bit-shuffle-encode them into the stream
+//! (`Stream::assemble`): on the calling thread straight behind the header,
+//! the stream sized exactly from the sync, so a one-group call allocates the
+//! stream once and copies nothing; on workers into exactly sized buffers,
+//! copied in after the join.
 //!
 //! The intermediate is the quantizer's 4-byte integers: what cuSZp keeps
 //! between its size and write phases.
@@ -69,20 +72,19 @@ pub fn compress(data: &[f32], cfg: &Config) -> Result<OszpStream> {
     let groups = pass1?;
 
     // ---- Global synchronization: every group's output size from its codes
-    // (the GPU prefix-sum/sync stage; the offset table is their running sum).
-    let sizes = groups.iter().map(|g| g.encoded_len(block_len));
-
-    // ---- Pass 2: encode owned blocks into per-group buffers.
-    let payloads: Vec<Vec<u8>> = fork_join(groups.iter().zip(sizes), |_, (group, size)| {
-        let mut out = Vec::with_capacity(size);
+    // (the GPU prefix-sum/sync stage), which sizes the stream. Pass 2:
+    // encode each group's blocks into it.
+    let size = |_, group: &&Group| group.encoded_len(block_len);
+    let built = OszpStream::assemble(n, eb, block_len, &groups, size, |_, group, out| {
+        let start = out.len();
         let mut mags = [0u32; MAX_BLOCK_LEN];
         for (q, code) in group.blocks(block_len) {
-            encode_record(q, code, &mut mags, &mut out);
+            encode_record(q, code, &mut mags, out);
         }
-        debug_assert_eq!(out.len(), size);
-        out
+        debug_assert_eq!(out.len() - start, group.encoded_len(block_len));
+        Ok(())
     });
-    Ok(OszpStream::from_chunks(n, eb, block_len, &payloads))
+    built.map(|(stream, ())| stream)
 }
 
 /// The magnitude and sign of `q - prev`. The difference of two `i32` spans

@@ -6,7 +6,9 @@
 //! ring that allocates per step (four more per rank added to an allreduce
 //! ring: a pack and an unpack buffer in each phase). A per-thread count does
 //! the same for one ring chunk's codec calls, and a per-thread largest
-//! allocation bounds ompSZp's intermediate.
+//! allocation bounds ompSZp's intermediate. A stream's unused capacity is
+//! bounded too, so a long-lived operand does not hold its producer's
+//! estimate.
 
 use fzlight::{compress, CompressedStream, Config, ErrorBound};
 use hzccl::{collectives, CollectiveOpts, Resilience};
@@ -137,9 +139,9 @@ fn per_call(mut f: impl FnMut()) -> (usize, usize) {
 
 /// One `ar_manyranks` ring chunk, compressed: 64 elements, one thread-chunk
 /// of two blocks, both through pipeline ④ when summed. Smooth, like that
-/// workload's chunks, so its compressed payload fits the chunk buffer's
-/// first capacity; one that outgrows it pays one more allocation, the
-/// buffer's growth.
+/// workload's chunks, so its compressed payload fits the stream's first
+/// capacity; one that outgrows it pays one more allocation, the stream's
+/// growth.
 fn ring_chunk() -> (Vec<f32>, CompressedStream, CompressedStream) {
     let a: Vec<f32> = (0..64).map(|i| (i as f32 * 0.01).sin()).collect();
     let b: Vec<f32> = a.iter().map(|v| v * 1.001).collect();
@@ -149,10 +151,10 @@ fn ring_chunk() -> (Vec<f32>, CompressedStream, CompressedStream) {
 }
 
 /// A homomorphic sum of two one-chunk, 64-element streams — one
-/// `ar_manyranks` ring chunk — allocates its result and the chunk buffer it
-/// is assembled from, no per-call working arena: nothing of 4 KiB or more,
-/// and a pinned count. The sum runs on the calling thread (one chunk is one
-/// job), so this thread's allocations are all of it.
+/// `ar_manyranks` ring chunk — allocates its result, which the kernel writes
+/// in place, and no per-call working arena: nothing of 4 KiB or more, and a
+/// pinned count. The sum runs on the calling thread (one chunk is one job),
+/// so this thread's allocations are all of it.
 #[test]
 fn a_ring_chunk_homomorphic_sum_allocates_no_arena() {
     let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -162,14 +164,13 @@ fn a_ring_chunk_homomorphic_sum_allocates_no_arena() {
     let (allocs, largest) =
         per_call(|| drop(black_box(hzdyn::homomorphic_sum(black_box(&a), &b).unwrap())));
     assert!(largest < 4096, "a {largest} B allocation in a 64-element sum");
-    // the one-chunk `Vec` of chunk buffers, the chunk buffer, the stream
-    assert_eq!(allocs, 3, "allocations per 64-element sum");
+    // the stream, nothing else
+    assert_eq!(allocs, 1, "allocations per 64-element sum");
 }
 
-/// The same chunk's other codec calls allocate what they return and the
-/// chunk buffers it is assembled from, nothing else: no span, split,
-/// offset-table or re-collected result `Vec`, and a parse that reads the
-/// offset table where it lies.
+/// The same chunk's other codec calls allocate what they return, nothing
+/// else: no chunk buffer, no span, split, offset-table or re-collected
+/// result `Vec`, and a parse that reads the offset table where it lies.
 #[test]
 fn ring_chunk_codec_calls_allocate_only_what_they_return() {
     let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -177,7 +178,7 @@ fn ring_chunk_codec_calls_allocate_only_what_they_return() {
     let (allocs, _) = per_call(|| {
         drop(black_box(fzlight::compress_resolved(black_box(&values), 1e-4, 32, 1).unwrap()))
     });
-    assert_eq!(allocs, 3, "allocations per 64-element compress: chunk `Vec`, chunk, stream");
+    assert_eq!(allocs, 1, "allocations per 64-element compress: the stream");
     let mut out = vec![0f32; 64];
     let (allocs, _) = per_call(|| fzlight::decompress_into(black_box(&stream), &mut out).unwrap());
     assert_eq!(allocs, 0, "allocations per 64-element decompress_into");
@@ -194,8 +195,7 @@ fn ring_chunk_codec_calls_allocate_only_what_they_return() {
 /// 1 MiB field allocates nothing wider than four bytes per element (and a
 /// last block's slack), where an eight-byte delta array would be twice
 /// that. A ring chunk's compress makes a pinned number of allocations: per
-/// group its integers and its codes, the `Vec`s of groups and of payloads,
-/// the payload, the stream.
+/// group its integers and its codes, the `Vec` of groups, the stream.
 #[test]
 fn ompszp_compress_holds_four_bytes_per_element() {
     let _gate = GATE.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -208,5 +208,26 @@ fn ompszp_compress_holds_four_bytes_per_element() {
     let (values, _, _) = ring_chunk();
     let (allocs, _) =
         per_call(|| drop(black_box(ompszp::compress(black_box(&values), &cfg).unwrap())));
-    assert_eq!(allocs, 6, "allocations per 64-element ompSZp compress");
+    assert_eq!(allocs, 4, "allocations per 64-element ompSZp compress");
+}
+
+/// A returned stream holds at most 4 KiB it does not use: compress reserves
+/// a byte per element and a homomorphic sum its operands' length plus room
+/// to widen, and a smooth 1 Mi-element field needs far less than either.
+#[test]
+fn streams_keep_at_most_four_kib_of_slack() {
+    let field: Vec<f32> = (0..1 << 20).map(|i| (i as f32 * 1e-3).sin()).collect();
+    let cfg = Config::new(ErrorBound::Abs(1e-4));
+    let slack = |stream: CompressedStream| {
+        let bytes = stream.into_bytes();
+        bytes.capacity() - bytes.len()
+    };
+    let a = compress(&field, &cfg).unwrap();
+    assert!(a.compressed_size() < field.len() / 2, "{} B", a.compressed_size());
+    let sum = hzdyn::homomorphic_sum(&a, &a).unwrap();
+    // `into_bytes` hands over the buffer itself; a clone would be exact
+    for (what, stream) in [("compress", a), ("homomorphic sum", sum)] {
+        let unused = slack(stream);
+        assert!(unused <= 4096, "{unused} B unused after a 1 Mi-element {what}");
+    }
 }
