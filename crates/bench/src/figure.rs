@@ -4,9 +4,9 @@
 //! columns, expected-shape text — and [`render`] is the one program that
 //! turns a declaration into [`suite::CaseSpec`]s, runs them through
 //! [`suite::run_case`] and prints the table. `cargo bench --bench figures --
-//! <target>` is [`main`] on the declaration of that name;
-//! `tests/figure_goldens.rs` renders every declaration at a tiny
-//! deterministic scale and compares the text byte for byte.
+//! <target>` is [`main`] on the declaration (or codec table) of that name;
+//! `tests/figure_goldens.rs` renders every declaration and codec table at a
+//! tiny deterministic scale and compares the text byte for byte.
 
 use crate::suite::{self, CaseSpec, Fields, Runner, SuiteConfig, Timing};
 use crate::{kernels, Knobs, Table};
@@ -410,22 +410,28 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
     write!(out, "{}", fig.expected)
 }
 
-/// `fn main` of the `figures` bench target: render the declarations named on
-/// the command line (none = every one) in [`all`] order under the
+/// `fn main` of the `figures` bench target: render the declarations and
+/// [`codec_tables`](crate::codec_tables) named on the command line (none =
+/// every figure in [`all`] order, then every codec table) under the
 /// environment's knobs to stdout. The `--bench` token cargo passes to
 /// `harness = false` binaries is ignored.
 pub fn main() {
     let knobs = Knobs::from_env();
     let figs = all(&knobs);
+    let tables = crate::codec_tables::ALL;
+    let known: Vec<&str> = figs.iter().map(|f| f.target).chain(tables.map(|t| t.0)).collect();
     let names: Vec<String> = std::env::args().skip(1).filter(|a| !a.starts_with("--")).collect();
-    if let Some(unknown) = names.iter().find(|n| figs.iter().all(|f| f.target != *n)) {
-        let known: Vec<&str> = figs.iter().map(|f| f.target).collect();
-        eprintln!("no figure is declared for '{unknown}' (declared: {})", known.join(", "));
+    if let Some(unknown) = names.iter().find(|n| !known.contains(&n.as_str())) {
+        eprintln!("no figure or table is named '{unknown}' (declared: {})", known.join(", "));
         std::process::exit(2);
     }
+    let chosen = |target: &str| names.is_empty() || names.iter().any(|n| n == target);
     let out = &mut io::stdout().lock();
-    for fig in figs.iter().filter(|f| names.is_empty() || names.iter().any(|n| n == f.target)) {
+    for fig in figs.iter().filter(|f| chosen(f.target)) {
         render(fig, &knobs, out).expect("stdout");
+    }
+    for (_, table) in tables.iter().filter(|t| chosen(t.0)) {
+        table(&knobs, out).expect("stdout");
     }
 }
 

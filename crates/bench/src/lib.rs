@@ -1,19 +1,18 @@
 //! The benchmark harness: one scenario runner ([`suite::run_case`]) under
-//! every harness, and the paper's collective figures as declarations
-//! ([`figure`]) rendered over it.
-//!
-//! Every bench target honours the same environment knobs, each read in one
-//! place ([`Knobs::from_env`]):
+//! every harness, the paper's collective figures as declarations
+//! ([`figure`]) rendered over it, and its codec tables ([`codec_tables`]).
+//! Both bench targets (`figures` renders any of them by name, `timed` prints
+//! the codec speed ratios no other harness measures) read the same
+//! environment knobs, each in one place ([`Knobs::from_env`]):
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
-//! | `HZ_SIZE_MB` | 16 | field size for compressor experiments (and FIG2's message) |
+//! | `HZ_SIZE_MB` | 16 | field size of the codec tables and `timed` (and FIG2's message) |
 //! | `HZ_RANKS` | 64 | rank count of fixed-node collective figures (FIG7–9, FIG11, TAB7); FIG2, EXT1, EXT3, EXT4 and ABL4 default to 16, EXT2 and FIG13 to 32 |
 //! | `HZ_MAX_RANKS` | 512 | cap of the node-count sweeps (FIG10, FIG12) |
-//! | `HZ_THREADS` | host cores | multi-thread mode thread count |
+//! | `HZ_THREADS` | host cores | multi-thread mode thread count; the codec tables' and `timed`'s compressor threads |
 //! | `HZ_NODE_MSG_MB` | 8 | per-rank message of the node-count sweeps; the size sweeps (FIG7–9, FIG11) scale a base that defaults to 4, as do EXT1, EXT4 and ABL4 |
 //! | `HZ_IMG_SIDE` | 1024 | stacked image side of TAB7; FIG13 defaults to 512 |
-//! | `HZ_STREAM_ELEMS` | 2^24 | STREAM array length of TAB4 |
 //! | `HZ_PAPER_MODEL` | off | use paper-calibrated throughputs instead of host calibration |
 //!
 //! Collective benches always use [`netsim::ComputeTiming::Modeled`]: the
@@ -24,9 +23,9 @@
 
 use hzccl::{CollectiveConfig, Mode};
 use std::io::Write;
-use std::time::Instant;
 use tuner::Flavor;
 
+pub mod codec_tables;
 pub mod figure;
 mod kernels;
 pub mod suite;
@@ -55,8 +54,6 @@ pub struct Knobs {
     pub node_msg_mb: Option<usize>,
     /// `HZ_IMG_SIDE`.
     pub img_side: Option<usize>,
-    /// `HZ_STREAM_ELEMS`.
-    pub stream_elems: usize,
     /// `HZ_PAPER_MODEL` (`1`, `true`, `yes`).
     pub paper_model: bool,
 }
@@ -73,7 +70,6 @@ impl Knobs {
             threads: env_usize("HZ_THREADS").unwrap_or(cores),
             node_msg_mb: env_usize("HZ_NODE_MSG_MB"),
             img_side: env_usize("HZ_IMG_SIDE"),
-            stream_elems: env_usize("HZ_STREAM_ELEMS").unwrap_or(1 << 24),
             paper_model: matches!(paper.as_str(), "1" | "true" | "yes"),
         }
     }
@@ -131,40 +127,14 @@ pub fn allreduce_unfused(
     allgather(comm, &own, data.len(), &CollectiveOpts::ccoll(eb).with_mode(mode))
 }
 
-/// Best-of-`k` wall time of `f`, in seconds.
-pub fn time_best(k: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..k.max(1) {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// `bytes` processed in `secs`, as GB/s.
-pub fn gbps(bytes: usize, secs: f64) -> f64 {
-    bytes as f64 / secs / 1e9
-}
-
 /// Minimal fixed-width table printer for bench output.
 pub struct Table {
     widths: Vec<usize>,
 }
 
 impl Table {
-    /// Start a table on stdout and print its header row.
-    pub fn new(columns: &[(&str, usize)]) -> Table {
-        Table::start(&mut std::io::stdout(), columns).expect("stdout")
-    }
-
-    /// Print one row to stdout; `cells` must match the header arity.
-    pub fn row(&self, cells: &[String]) {
-        self.write_row(&mut std::io::stdout(), cells).expect("stdout")
-    }
-
     /// Start a table on `out`: header row and rule.
-    pub(crate) fn start(out: &mut dyn Write, columns: &[(&str, usize)]) -> std::io::Result<Table> {
+    pub fn start(out: &mut dyn Write, columns: &[(&str, usize)]) -> std::io::Result<Table> {
         let widths: Vec<usize> = columns.iter().map(|c| c.1).collect();
         let header: Vec<String> = columns.iter().map(|(name, w)| format!("{name:<w$}")).collect();
         writeln!(out, "{}", header.join(" | "))?;
@@ -173,7 +143,7 @@ impl Table {
     }
 
     /// Write one row to `out`; `cells` must match the header arity.
-    pub(crate) fn write_row(&self, out: &mut dyn Write, cells: &[String]) -> std::io::Result<()> {
+    pub fn write_row(&self, out: &mut dyn Write, cells: &[String]) -> std::io::Result<()> {
         assert_eq!(cells.len(), self.widths.len(), "row arity mismatch");
         let padded: Vec<String> =
             cells.iter().zip(&self.widths).map(|(c, w)| format!("{c:<w$}")).collect();
@@ -191,11 +161,6 @@ mod tests {
         let k = Knobs { size_mb: 2, ranks: None, ..Knobs::from_env() };
         assert_eq!(k.field_elems(), 1 << 19);
         assert!(k.banner("X", "y").contains("HZ_SIZE_MB=2 HZ_RANKS=64 "));
-    }
-
-    #[test]
-    fn gbps_math() {
-        assert!((gbps(2_000_000_000, 2.0) - 1.0).abs() < 1e-12);
     }
 
     /// The Sec. III-C.2 fusion saving: the unfused ablation pays one more
@@ -227,10 +192,15 @@ mod tests {
 
     #[test]
     fn table_rejects_wrong_arity() {
-        let t = Table::new(&[("a", 4), ("b", 4)]);
-        t.row(&["x".into(), "y".into()]);
+        let mut out = Vec::new();
+        let t = Table::start(&mut out, &[("a", 4), ("b", 4)]).unwrap();
+        t.write_row(&mut out, &["x".into(), "y".into()]).unwrap();
+        assert_eq!(
+            String::from_utf8(out.clone()).unwrap(),
+            "a    | b   \n-----------\nx    | y   \n"
+        );
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            t.row(&["only-one".into()]);
+            t.write_row(&mut out, &["only-one".into()]).unwrap();
         }));
         assert!(r.is_err());
     }

@@ -5,9 +5,9 @@
 //! decompression and recompression: every block pair is inverse fixed-length
 //! decoded into integer deltas, reduced, and re-encoded — even when both
 //! blocks are constant. It produces byte-identical output to the dynamic
-//! pipeline (the codec is canonical), just slower; the
-//! `abl_static_vs_dynamic` bench quantifies the gap that Table V attributes
-//! to pipelines ①–③.
+//! pipeline (the codec is canonical), just slower; the `timed` bench target
+//! of `hzccl-bench` (its "dynamic vs static" column, ABL1) quantifies the
+//! gap that Table V attributes to pipelines ①–③.
 
 use crate::dynamic::combine;
 use fzlight::error::Result;

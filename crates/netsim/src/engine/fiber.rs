@@ -174,6 +174,13 @@ mod arch {
     /// `stack_top` must be the one-past-the-end pointer of a live allocation
     /// with at least 120 usable bytes below it.
     pub(crate) unsafe fn prepare(stack_top: *mut u8, arg: *mut FiberStart) -> *mut u8 {
+        // SAFETY: rounding `stack_top` down to a multiple of 16 moves it at
+        // most 15 bytes lower, and the frame is the 56 bytes (seven `u64`
+        // slots) below that, so every write lands in `[stack_top - 71,
+        // stack_top)`: inside the 120 bytes the contract guarantees, which
+        // also keeps `sub` and `add` within the allocation. `top` is
+        // 16-aligned, so `sp = top - 56` and each slot `sp + 8 * i` is
+        // 8-aligned, as `write` requires.
         unsafe {
             let top = ((stack_top as usize) & !15) as *mut u8;
             let sp = top.sub(7 * 8); // ≡ 8 (mod 16)
@@ -252,6 +259,13 @@ mod arch {
     /// `stack_top` must be the one-past-the-end pointer of a live allocation
     /// with at least 176 usable bytes below it.
     pub(crate) unsafe fn prepare(stack_top: *mut u8, arg: *mut FiberStart) -> *mut u8 {
+        // SAFETY: rounding `stack_top` down to a multiple of 16 moves it at
+        // most 15 bytes lower, and the frame is the 160 bytes (twenty `u64`
+        // slots) below that, so every write lands in `[stack_top - 175,
+        // stack_top)`: inside the 176 bytes the contract guarantees, which
+        // also keeps `sub` and `add` within the allocation. `top` is
+        // 16-aligned, so `sp = top - 160` and each slot `sp + 8 * i` is
+        // 8-aligned, as `write` requires.
         unsafe {
             let top = ((stack_top as usize) & !15) as *mut u8;
             let sp = top.sub(160);
