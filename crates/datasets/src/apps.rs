@@ -10,7 +10,7 @@
 //! their block statistics (coordinates are normalized to the grid), so
 //! benches can scale fields up or down without changing the shapes.
 
-use crate::noise::{fbm2, fbm3, value_noise3};
+use crate::noise::{Noise, Rows};
 
 /// The five applications of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,19 +57,12 @@ impl App {
 
     /// Generate a field of `n` values; `seed` selects the field/snapshot
     /// (Table I datasets have many fields — pass different seeds to emulate
-    /// different fields of the same application).
+    /// different fields of the same application). The field is a pure
+    /// function of `(app, n, seed)`: it does not depend on how many workers
+    /// fill it.
     pub fn generate(&self, n: usize, seed: u64) -> Vec<f32> {
-        let dims = cube_dims(n);
-        let mut out = vec![0f32; n];
-        let gen: &(dyn Fn(usize) -> f32 + Sync) = match self {
-            App::SimSet1 => &|i| rtm_early(idx3(i, dims), dims, seed),
-            App::SimSet2 => &|i| rtm_late(idx3(i, dims), dims, seed),
-            App::Nyx => &|i| nyx(idx3(i, dims), dims, seed),
-            App::CesmAtm => &|i| cesm(i, dims, seed),
-            App::Hurricane => &|i| hurricane(idx3(i, dims), dims, seed),
-        };
-        fill_parallel(&mut out, gen);
-        out
+        let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
+        Field::new(*self, n, seed).fill_parallel(threads)
     }
 }
 
@@ -79,42 +72,94 @@ impl std::fmt::Display for App {
     }
 }
 
+/// One field's grid and the constants that depend on the seed alone,
+/// computed once per [`App::generate`].
+struct Field {
+    app: App,
+    n: usize,
+    dims: (usize, usize, usize),
+    seed: u64,
+    /// RTM Setting 1's point sources: position and shell radius.
+    sources: [[f32; 4]; 4],
+    /// The hurricane's eye.
+    eye: (f32, f32),
+}
+
+impl Field {
+    fn new(app: App, n: usize, seed: u64) -> Field {
+        let dims = cube_dims(n);
+        let side = dims.0 as f32;
+        let sources = std::array::from_fn(|k| {
+            let k = k as u64;
+            let radius = side * (0.12 + 0.14 * unit(seed, 100 + k));
+            [
+                unit(seed, k * 3) * side,
+                unit(seed, k * 3 + 1) * side,
+                unit(seed, k * 3 + 2) * side,
+                radius,
+            ]
+        });
+        let eye = (side * (0.45 + 0.1 * unit(seed, 0)), side * (0.45 + 0.1 * unit(seed, 1)));
+        Field { app, n, dims, seed, sources, eye }
+    }
+
+    /// The value at grid point `(x, y, z)`.
+    fn at(&self, noise: &mut impl Noise, x: usize, y: usize, z: usize) -> f32 {
+        let p = (x as f32, y as f32, z as f32);
+        let (dims, seed) = (self.dims, self.seed);
+        match self.app {
+            App::SimSet1 => rtm_early(noise, p, dims, &self.sources, seed),
+            App::SimSet2 => rtm_late(noise, p, dims, seed),
+            App::Nyx => nyx(noise, p, dims, seed),
+            // a CESM row is the 2-D width `dx·dy`: column `x + dx·y`, row `z`
+            App::CesmAtm => cesm(noise, ((x + dims.0 * y) as f32, p.2), seed),
+            App::Hurricane => hurricane(noise, p, dims, self.eye, seed),
+        }
+    }
+
+    /// Fill `out` with elements `base..base + out.len()`, x fastest, carrying
+    /// one row state from point to point.
+    fn fill_range(&self, base: usize, out: &mut [f32]) {
+        let (dx, dy, _) = self.dims;
+        let (mut x, mut y, mut z) = (base % dx, base / dx % dy, base / (dx * dy));
+        let mut rows = Rows::default();
+        for o in out {
+            *o = self.at(&mut rows, x, y, z);
+            x += 1;
+            if x == dx {
+                x = 0;
+                y += 1;
+                if y == dy {
+                    y = 0;
+                    z += 1;
+                }
+            }
+        }
+    }
+
+    /// The whole field, one contiguous range per worker (serial below
+    /// 16 Ki elements); each worker holds its own row state.
+    fn fill_parallel(&self, threads: usize) -> Vec<f32> {
+        let mut out = vec![0f32; self.n];
+        if threads <= 1 || self.n < 1 << 14 {
+            self.fill_range(0, &mut out);
+            return out;
+        }
+        let chunk = self.n.div_ceil(threads);
+        std::thread::scope(|s| {
+            for (t, part) in out.chunks_mut(chunk).enumerate() {
+                s.spawn(move || self.fill_range(t * chunk, part));
+            }
+        });
+        out
+    }
+}
+
 /// Near-cubic dimensions for `n` elements (dx*dy*dz >= n, trimmed by the
 /// caller via the flat index).
 fn cube_dims(n: usize) -> (usize, usize, usize) {
     let side = (n as f64).cbrt().ceil().max(1.0) as usize;
     (side, side, side)
-}
-
-#[inline]
-fn idx3(i: usize, dims: (usize, usize, usize)) -> (f32, f32, f32) {
-    let (dx, dy, _) = dims;
-    let x = i % dx;
-    let y = (i / dx) % dy;
-    let z = i / (dx * dy);
-    (x as f32, y as f32, z as f32)
-}
-
-/// Parallel elementwise fill over all available cores.
-fn fill_parallel(out: &mut [f32], f: &(dyn Fn(usize) -> f32 + Sync)) {
-    let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    if threads <= 1 || out.len() < 1 << 14 {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = f(i);
-        }
-        return;
-    }
-    let chunk = out.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (t, part) in out.chunks_mut(chunk).enumerate() {
-            let base = t * chunk;
-            s.spawn(move || {
-                for (k, o) in part.iter_mut().enumerate() {
-                    *o = f(base + k);
-                }
-            });
-        }
-    });
 }
 
 /// Deterministic per-seed pseudo-random unit value in `[0, 1)`.
@@ -140,15 +185,17 @@ fn ricker(t: f32) -> f32 {
 /// shells carry fine scattering structure, so tight bounds must spend bits
 /// on them (the paper's ratio drops steeply from 111 at 1e-1 to 10.8 at
 /// 1e-4).
-fn rtm_early(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
-    let side = dims.0 as f32;
-    let shell_width = side * 0.045;
+fn rtm_early(
+    noise: &mut impl Noise,
+    p: (f32, f32, f32),
+    dims: (usize, usize, usize),
+    sources: &[[f32; 4]; 4],
+    seed: u64,
+) -> f32 {
+    let shell_width = dims.0 as f32 * 0.045;
     let mut v = 0.0f32;
-    for srcidx in 0..4u64 {
-        let sx = unit(seed, srcidx * 3) * side;
-        let sy = unit(seed, srcidx * 3 + 1) * side;
-        let sz = unit(seed, srcidx * 3 + 2) * side;
-        let radius = side * (0.12 + 0.14 * unit(seed, 100 + srcidx));
+    let mut scatter = None;
+    for &[sx, sy, sz, radius] in sources {
         let dx = p.0 - sx;
         let dy = p.1 - sy;
         let dz = p.2 - sz;
@@ -156,9 +203,12 @@ fn rtm_early(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 
         let band = (r - radius) / shell_width;
         if band.abs() < 3.0 {
             // amplitude decays with distance; the wavelet rides on the shell
-            // and is modulated by fine-grained scattering noise
+            // and is modulated by fine-grained scattering noise (the same
+            // for every shell through this point)
             let s = 0.35;
-            let scatter = 1.0 + 0.35 * fbm3(seed ^ 0xA5, p.0 * s, p.1 * s, p.2 * s, 3);
+            let scatter = *scatter.get_or_insert_with(|| {
+                1.0 + 0.35 * noise.fbm3(0, seed ^ 0xA5, p.0 * s, p.1 * s, p.2 * s, 3)
+            });
             v += ricker(band) * scatter * 50.0 / (1.0 + r * 0.05);
         }
     }
@@ -169,16 +219,21 @@ fn rtm_early(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 
 /// quiet background. Most of the domain sits below the quantization quantum
 /// at range-relative bounds (constant blocks), reproducing the paper's very
 /// high compression ratios for this dataset.
-fn rtm_late(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
+fn rtm_late(
+    noise: &mut impl Noise,
+    p: (f32, f32, f32),
+    dims: (usize, usize, usize),
+    seed: u64,
+) -> f32 {
     let s = 1.0 / (dims.0 as f32 * 0.30);
     let (x, y, z) = (p.0 * s, p.1 * s, p.2 * s);
     // smooth packet envelope covering a few percent of the domain
-    let e = fbm3(seed ^ 2, x * 0.6, y * 0.6, z * 0.6, 2);
+    let e = noise.fbm3(0, seed ^ 2, x * 0.6, y * 0.6, z * 0.6, 2);
     let env = (e - 0.9).max(0.0);
     // gentle residual wavefield everywhere: far below coarse quanta (mostly
     // constant blocks) but costing ~1-bit codes at the tightest bounds,
     // matching the paper's 129 -> 61 ratio decline for this dataset
-    let residual = 0.008 * value_noise3(seed ^ 3, x * 0.12, y * 0.12, z * 0.12);
+    let residual = 0.008 * noise.value3(1, seed ^ 3, x * 0.12, y * 0.12, z * 0.12);
     if env == 0.0 {
         return residual;
     }
@@ -190,16 +245,16 @@ fn rtm_late(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
 /// NYX baryon density: log-normal background (huge dynamic range) with rare
 /// halo spikes; at range-relative error bounds almost every block quantizes
 /// to constant, driving the 99% pipeline-① share of Table V.
-fn nyx(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
+fn nyx(noise: &mut impl Noise, p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
     let s = 1.0 / (dims.0 as f32 * 0.2);
     let (x, y, z) = (p.0 * s, p.1 * s, p.2 * s);
     // log-normal background with both large-scale clustering and small-scale
     // turbulence: huge dynamic range, but visible structure at tight bounds
-    let log_density =
-        3.5 * fbm3(seed, x, y, z, 3) + 1.2 * fbm3(seed ^ 0x11, x * 8.0, y * 8.0, z * 8.0, 2);
+    let log_density = 3.5 * noise.fbm3(0, seed, x, y, z, 3)
+        + 1.2 * noise.fbm3(1, seed ^ 0x11, x * 8.0, y * 8.0, z * 8.0, 2);
     let mut v = log_density.exp();
     // rare halos: sharp peaks several orders of magnitude above background
-    let halo = value_noise3(seed ^ 0xBEEF, x * 2.0, y * 2.0, z * 2.0);
+    let halo = noise.value3(2, seed ^ 0xBEEF, x * 2.0, y * 2.0, z * 2.0);
     if halo > 0.88 {
         let t = (halo - 0.88) / 0.12;
         v += 2.0e5 * t * t * t;
@@ -208,27 +263,29 @@ fn nyx(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
 }
 
 /// CESM-ATM: multi-scale 2-D turbulence, rough down to the block scale —
-/// the pipeline-④-dominated, low-ratio dataset of Tables III/V.
-fn cesm(i: usize, dims: (usize, usize, usize), seed: u64) -> f32 {
-    // treat the field as 2-D rows (Table I: 1800x3600)
-    let width = dims.0 * dims.1;
-    let x = (i % width) as f32;
-    let y = (i / width) as f32;
+/// the pipeline-④-dominated, low-ratio dataset of Tables III/V. `p` is the
+/// point's column and row in the 2-D field (Table I: 1800x3600).
+fn cesm(noise: &mut impl Noise, p: (f32, f32), seed: u64) -> f32 {
+    let (x, y) = p;
     // large-scale weather systems set the range; genuine small-amplitude
     // turbulence persists down to the block scale, so coarse bounds see
     // near-constant blocks (paper ratio ~58 at 1e-1) while tight bounds pay
     // for the fine structure (paper ratio ~6 at 1e-4)
-    let synoptic = 80.0 * fbm2(seed, x * 0.004, y * 0.004, 3);
-    let turb = 2.0 * fbm2(seed ^ 0x22, x * 0.15, y * 0.15, 3);
+    let synoptic = 80.0 * noise.fbm2(0, seed, x * 0.004, y * 0.004, 3);
+    let turb = 2.0 * noise.fbm2(1, seed ^ 0x22, x * 0.15, y * 0.15, 3);
     260.0 + synoptic + turb
 }
 
 /// Hurricane Isabel: axial vortex (tangential wind profile `r * exp(-r/R)`)
-/// plus moderate turbulence.
-fn hurricane(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 {
+/// around the eye `(cx, cy)`, plus moderate turbulence.
+fn hurricane(
+    noise: &mut impl Noise,
+    p: (f32, f32, f32),
+    dims: (usize, usize, usize),
+    (cx, cy): (f32, f32),
+    seed: u64,
+) -> f32 {
     let side = dims.0 as f32;
-    let cx = side * (0.45 + 0.1 * unit(seed, 0));
-    let cy = side * (0.45 + 0.1 * unit(seed, 1));
     let dx = p.0 - cx;
     let dy = p.1 - cy;
     let r = (dx * dx + dy * dy).sqrt() / (side * 0.12);
@@ -237,7 +294,7 @@ fn hurricane(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 
     let swirl = 120.0 * r * (-r * r).exp();
     // small-amplitude turbulence on top of the large-range vortex profile
     let s = 1.0 / (side * 0.12);
-    let turb = 2.0 * fbm3(seed ^ 7, p.0 * s, p.1 * s, p.2 * s, 3);
+    let turb = 2.0 * noise.fbm3(0, seed ^ 7, p.0 * s, p.1 * s, p.2 * s, 3);
     // altitude attenuation
     let alt = 1.0 - 0.5 * (p.2 / side);
     swirl * alt + turb
@@ -246,6 +303,28 @@ fn hurricane(p: (f32, f32, f32), dims: (usize, usize, usize), seed: u64) -> f32 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::reference::PerPoint;
+
+    #[test]
+    fn row_fill_on_any_split_matches_the_per_point_reference() {
+        // 40,000 is not a cube (dx = 35): every worker range but the first
+        // starts mid-row, and the serial fill crosses rows and planes
+        let n = 40_000;
+        for app in App::ALL {
+            let field = Field::new(app, n, 42);
+            let (dx, dy, _) = field.dims;
+            let want: Vec<u32> = (0..n)
+                .map(|i| field.at(&mut PerPoint, i % dx, i / dx % dy, i / (dx * dy)).to_bits())
+                .collect();
+            for threads in [1, 2, 3, 7] {
+                let got = field.fill_parallel(threads);
+                assert!(
+                    got.iter().map(|v| v.to_bits()).eq(want.iter().copied()),
+                    "{app} on {threads} workers"
+                );
+            }
+        }
+    }
 
     #[test]
     fn parse_names_every_app_and_lists_the_tokens_on_error() {

@@ -6,6 +6,12 @@
 //! SDRBench files, a PGM writer for the Fig. 13 visual comparison, and the
 //! NRMSE/PSNR/max-error metrics the paper reports.
 //!
+//! A field is a pure function of `(app, n, seed)`, whatever the number of
+//! workers that fill it: each worker sweeps its range row by row (x fastest)
+//! and reuses every noise octave's per-row and per-cell lattice work, with
+//! each value computed by the same `f32` operations, in the same order, as a
+//! point evaluated on its own.
+//!
 //! ```
 //! use datasets::{App, Quality};
 //!
@@ -17,7 +23,7 @@
 pub mod apps;
 pub mod io;
 pub mod metrics;
-pub mod noise;
+mod noise;
 
 pub use apps::App;
 pub use io::{load_f32, save_f32, save_pgm};

@@ -3,7 +3,7 @@
 //! crash-recovery gate. Every run is one [`CaseSpec`] through
 //! [`suite::run_case`]; the oracles are the suite's.
 
-use crate::{app_flag, f64_list_flag, flag, has_flag, Args};
+use crate::{app_flag, eb_flag, f64_list_flag, flag, has_flag, Args};
 use hzccl::collectives::RecoveryPolicy;
 use hzccl::{Resilience, Variant};
 use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
@@ -30,7 +30,7 @@ pub(crate) fn chaos(args: &Args) -> Result<(), String> {
     let jitter: f64 = flag(args, "--jitter")?.unwrap_or(0.0);
     let mut cfg = SuiteConfig { app: app_flag(args)?, ..SuiteConfig::default() };
     cfg.seed = flag(args, "--seed")?.unwrap_or(7);
-    cfg.eb = flag(args, "--eb")?.unwrap_or(cfg.eb);
+    cfg.eb = eb_flag(args, cfg.eb)?;
     let (seed, eb) = (cfg.seed, cfg.eb);
 
     if has_flag(args, "--crash-rate") {

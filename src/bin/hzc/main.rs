@@ -175,6 +175,16 @@ fn has_flag(args: &Args, name: &str) -> bool {
     args.value(name).is_some()
 }
 
+/// The `--eb` flag (or `default`) as an absolute error bound, refused by the
+/// rule every codec applies to one (`ErrorBound::Abs(eb).resolve`): it and
+/// `1/(2·eb)` must be positive and finite.
+fn eb_flag(args: &Args, default: f64) -> Result<f64, String> {
+    let eb = flag(args, "--eb")?.unwrap_or(default);
+    fzlight::ErrorBound::Abs(eb).resolve(&[]).map_err(|e| {
+        format!("invalid value '{}' for --eb ({e})", args.value("--eb").unwrap_or_default())
+    })
+}
+
 /// The `--app` flag (default `sim2`).
 fn app_flag(args: &Args) -> Result<datasets::App, String> {
     datasets::App::parse(flag::<String>(args, "--app")?.as_deref().unwrap_or("sim2"))

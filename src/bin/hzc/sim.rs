@@ -3,7 +3,7 @@
 //! critical-path profile, the slack view, Prometheus-style metrics and a
 //! Chrome/Perfetto trace.
 
-use crate::{app_flag, flag, has_flag, positional, Args};
+use crate::{app_flag, eb_flag, flag, has_flag, positional, Args};
 use hzccl::{Mode, Variant};
 use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
 use netsim::trace;
@@ -67,7 +67,7 @@ pub(crate) fn sim(args: &Args) -> Result<(), String> {
     let width: usize = flag(args, "--width")?.unwrap_or(100);
 
     let mut cfg = SuiteConfig { app: app_flag(args)?, ..SuiteConfig::default() };
-    cfg.eb = flag(args, "--eb")?.unwrap_or(cfg.eb);
+    cfg.eb = eb_flag(args, cfg.eb)?;
     cfg.seed = flag(args, "--seed")?.unwrap_or(cfg.seed);
     // The tuner engine for --variant auto: loaded from --cache when the file
     // exists, else seeded from the paper calibration.

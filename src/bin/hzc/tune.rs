@@ -1,6 +1,6 @@
 //! `hzc tune`: the offline autotune sweep.
 
-use crate::{app_flag, flag, list_flag, usize_list_flag, Args};
+use crate::{app_flag, eb_flag, flag, list_flag, usize_list_flag, Args};
 use hzccl::Variant;
 use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
 use std::path::Path;
@@ -17,7 +17,7 @@ pub(crate) fn tune(args: &Args) -> Result<(), String> {
     let ranks_list = usize_list_flag(args, "--ranks", "8")?;
     let sizes_kb = usize_list_flag(args, "--sizes-kb", "16,256,1024")?;
     let mut cfg = SuiteConfig { app: app_flag(args)?, ..SuiteConfig::default() };
-    cfg.eb = flag(args, "--eb")?.unwrap_or(cfg.eb);
+    cfg.eb = eb_flag(args, cfg.eb)?;
     cfg.seed = flag(args, "--seed")?.unwrap_or(cfg.seed);
     let out: String = flag(args, "--out")?.unwrap_or_else(|| "hz_tune.json".into());
 

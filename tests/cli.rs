@@ -149,6 +149,49 @@ fn sim_rejects_bad_arguments() {
     );
 }
 
+/// A bound the codecs refuse (zero, negative, NaN) is a flag error on every
+/// command that takes `--eb`: one `hzc:` line, the usage, exit 1 — not a
+/// panic on every rank.
+#[test]
+fn bad_error_bounds_are_flag_errors() {
+    for args in [
+        &["sim", "allreduce", "--ranks", "2", "--kb", "4", "--eb", "0"][..],
+        &["tune", "--ranks", "2", "--sizes-kb", "4", "--eb", "-1"],
+        &["chaos", "--ranks", "2", "--kb", "4", "--eb", "nan"],
+    ] {
+        let out = hzc().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let bad = args.last().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("hzc: invalid value '{bad}' for --eb (")),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage:") && !stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// The two-tier fabric at the CLI: `--topology` is echoed, the critical-path
+/// profile attributes time to both tiers, and Auto decides a hierarchical
+/// plan on the paper's 8x8 fabric.
+#[test]
+fn sim_topology_reaches_both_tiers_and_auto_goes_hierarchical() {
+    let sim = |variant: &str, extra: &[&str]| {
+        let base = ["sim", "allreduce", "--topology", "8x8", "--mb", "1", "--variant", variant];
+        let out = hzc().args(base).args(extra).output().unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let hz = sim("hz", &["--critical-path"]);
+    assert!(hz.contains("8 nodes x 8 ranks/node"), "{hz}");
+    // a bucket row each, not the `topology:` line's bandwidths
+    let bucket = |tier: &str| hz.lines().any(|l| l.split_whitespace().next() == Some(tier));
+    assert!(bucket("intra"), "{hz}");
+    assert!(bucket("inter"), "{hz}");
+    let auto = sim("auto", &[]);
+    assert!(auto.contains("hier"), "{auto}");
+}
+
 /// The pipeline smoke check CI runs: a segmented hz ring must complete, echo
 /// its segment count, and not be slower than the phase-serial schedule.
 #[test]
