@@ -107,7 +107,7 @@ pub enum Runner {
 impl Runner {
     /// The serial recursive-doubling plan of `flavor` in `mode`.
     pub fn rd(flavor: Flavor, mode: Mode) -> Runner {
-        Runner::Plan(Plan::serial(flavor, tuner::Algo::Rd, mode.into(), fzlight::DEFAULT_BLOCK_LEN))
+        Runner::Plan(Plan::serial(flavor, tuner::Algo::Rd, mode, fzlight::DEFAULT_BLOCK_LEN))
     }
 
     /// Stable name: the variant's, the plan's label, or `hz-unfused`.
@@ -207,7 +207,7 @@ impl CaseSpec {
     fn timed_as(&self) -> (Flavor, Mode) {
         match self.runner {
             Runner::Variant(v) => (v.flavor(), self.mode),
-            Runner::Plan(p) => (p.flavor, p.mode.into()),
+            Runner::Plan(p) => (p.flavor, p.mode),
             Runner::Unfused => (Flavor::Hzccl, self.mode),
         }
     }
@@ -423,7 +423,7 @@ pub fn tune_case(
     mut each: impl FnMut(&ScenarioSpec, &Plan, f64, f64),
 ) -> ScenarioSpec {
     let base = &rank_fields(spec, cfg)[0];
-    let ratios = auto::probe_ratios(None, base, cfg.eb, &engine.block_candidates, 1);
+    let ratios = auto::probe_ratios(None, base, cfg.eb, &tuner::BLOCK_CANDIDATES, 1);
     let (op, nranks, topology) = (spec.op, spec.ranks, spec.topology);
     let elems = spec.elems.max(nranks);
     let scenario = ScenarioSpec { op, elems, nranks, eb: cfg.eb, ratios, topology };

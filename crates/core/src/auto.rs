@@ -26,7 +26,7 @@ use crate::rd;
 use crate::ring::{self, Over, Verb};
 use fzlight::{Config as FzConfig, ErrorBound};
 use netsim::{Comm, OpKind, Topology};
-use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
+use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec, BLOCK_CANDIDATES};
 
 /// Reserved tag namespace for the plan broadcast (ring uses `0/1<<32`,
 /// gather/scatter `2..=4 <<32`, rd `5/6<<32`).
@@ -59,12 +59,7 @@ pub struct AutoOutcome {
 /// behind the caller's back and leave frames unprotected on the very
 /// networks resilience was requested for.
 fn cfg_for(plan: &Plan, base: &CollectiveConfig) -> CollectiveConfig {
-    CollectiveConfig {
-        eb: base.eb,
-        block_len: plan.block_len,
-        mode: plan.mode.into(),
-        res: base.res,
-    }
+    CollectiveConfig { eb: base.eb, block_len: plan.block_len, mode: plan.mode, res: base.res }
 }
 
 /// The one ratio probe: compress the first 16 Ki elements of `data` at each
@@ -126,8 +121,7 @@ fn agree_on_plan(
     // Position in the tree, relative to the decider (which sits at 0).
     let rel = (r + n - decider) % n;
     let (wire, detail) = if rel == 0 {
-        let (blocks, threads) = (&engine.block_candidates, cfg.mode.threads());
-        let ratios = probe_ratios(Some(comm), data, cfg.eb, blocks, threads);
+        let ratios = probe_ratios(Some(comm), data, cfg.eb, &BLOCK_CANDIDATES, cfg.mode.threads());
         let (elems, nranks, topology) = (data.len(), n, topology.copied());
         let spec = ScenarioSpec { op, elems, nranks, eb: cfg.eb, ratios, topology };
         let decision = engine.decide(&spec);
@@ -320,7 +314,7 @@ mod tests {
         let cluster = SimBuilder::new(4).timing(modeled());
         let outcomes = cluster
             .run(|comm| {
-                let data = field(comm.rank(), 256); // 1 KiB << small_message_bytes
+                let data = field(comm.rank(), 256); // 1 KiB, far below the small-message cutoff
                 run(comm, Op::Allreduce, 0, &data, &cfg, &eng, None).expect("auto allreduce")
             })
             .expect_clean()

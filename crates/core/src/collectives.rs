@@ -172,8 +172,8 @@ pub struct PartialResult {
     pub epoch: u32,
 }
 
-/// Options of one collective call: flavour, compression parameters, thread
-/// mode, pipeline segment count, and (for rooted verbs) the root rank.
+/// Options of one collective call: flavour, error bound, thread mode,
+/// pipeline segment count, and (for rooted verbs) the root rank.
 ///
 /// Construct with a flavour constructor ([`CollectiveOpts::mpi`],
 /// [`CollectiveOpts::ccoll`], [`CollectiveOpts::hz`],
@@ -182,7 +182,6 @@ pub struct PartialResult {
 pub struct CollectiveOpts {
     variant: Variant,
     eb: f64,
-    block_len: usize,
     mode: Mode,
     segments: usize,
     root: usize,
@@ -197,7 +196,6 @@ impl CollectiveOpts {
         CollectiveOpts {
             variant,
             eb,
-            block_len: fzlight::DEFAULT_BLOCK_LEN,
             mode: Mode::SingleThread,
             segments: 1,
             root: 0,
@@ -228,12 +226,6 @@ impl CollectiveOpts {
     /// to [`auto::run`] directly.
     pub fn auto(eb: f64) -> CollectiveOpts {
         CollectiveOpts::for_variant(Variant::Auto, eb)
-    }
-
-    /// Compressor block length (default [`fzlight::DEFAULT_BLOCK_LEN`]).
-    pub fn with_block_len(mut self, block_len: usize) -> CollectiveOpts {
-        self.block_len = block_len.max(1);
-        self
     }
 
     /// Single- or multi-thread compression/reduction mode.
@@ -333,14 +325,10 @@ impl CollectiveOpts {
         Ok((topo.nodes > 1 && topo.ppn > 1).then_some(topo))
     }
 
-    /// The per-flavour config these options imply.
+    /// The per-flavour config these options imply: the static flavours
+    /// compress at [`fzlight::DEFAULT_BLOCK_LEN`], an auto plan at its own.
     fn cfg(&self) -> CollectiveConfig {
-        CollectiveConfig {
-            eb: self.eb,
-            block_len: self.block_len,
-            mode: self.mode,
-            res: self.resilience,
-        }
+        CollectiveConfig { res: self.resilience, ..CollectiveConfig::new(self.eb, self.mode) }
     }
 }
 
@@ -737,11 +725,7 @@ mod tests {
 
     #[test]
     fn builder_roundtrip() {
-        let opts = CollectiveOpts::hz(1e-3)
-            .with_segments(8)
-            .with_threads(18)
-            .with_block_len(64)
-            .with_root(3);
+        let opts = CollectiveOpts::hz(1e-3).with_segments(8).with_threads(18).with_root(3);
         assert_eq!(opts.variant(), Variant::Hzccl);
         assert_eq!(opts.segments, 8);
         assert_eq!(opts.mode, Mode::MultiThread(18));

@@ -4,45 +4,8 @@
 use fzlight::{Config as FzConfig, ErrorBound};
 use netsim::ThroughputModel;
 
-/// Compression mode of a compression-accelerated collective
-/// (paper Table II: C-Coll / hZCCL each come in both modes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
-    /// Single compression thread per rank.
-    SingleThread,
-    /// `k` compression threads per rank (the paper uses one 18-core socket).
-    MultiThread(usize),
-}
-
-impl Mode {
-    /// Compression thread count of this mode.
-    pub fn threads(&self) -> usize {
-        match *self {
-            Mode::SingleThread => 1,
-            Mode::MultiThread(k) => k.max(2),
-        }
-    }
-}
-
-/// The tuner's spelling of the same thing ([`tuner::ThreadMode`] sits below
-/// this crate and cannot name [`Mode`]).
-impl From<tuner::ThreadMode> for Mode {
-    fn from(mode: tuner::ThreadMode) -> Mode {
-        match mode {
-            tuner::ThreadMode::St => Mode::SingleThread,
-            tuner::ThreadMode::Mt(k) => Mode::MultiThread(k),
-        }
-    }
-}
-
-impl From<Mode> for tuner::ThreadMode {
-    fn from(mode: Mode) -> tuner::ThreadMode {
-        match mode {
-            Mode::SingleThread => tuner::ThreadMode::St,
-            Mode::MultiThread(k) => tuner::ThreadMode::Mt(k),
-        }
-    }
-}
+/// The thread mode is the tuner's, so plans carry it unconverted.
+pub use tuner::Mode;
 
 /// Which collective framework a timing model describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,22 +173,15 @@ fn calibrate_common(sample: &[f32], threads: usize, out: &mut [f32]) -> (f64, f6
 ///
 /// The constants themselves live in [`tuner::paper_prior`] — the tuner's
 /// calibration tables seed from the same source of truth — and this function
-/// merely translates [`Variant`]/[`Mode`] into the tuner's vocabulary.
+/// merely translates [`Variant`] into the tuner's vocabulary.
 /// [`Variant::Auto`] reports the hZCCL table (its prior before evidence).
 pub fn paper_model(variant: Variant, mode: Mode) -> ThroughputModel {
-    tuner::paper_prior(variant.flavor(), matches!(mode, Mode::MultiThread(_)))
+    tuner::paper_prior(variant.flavor(), mode.is_mt())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mode_threads() {
-        assert_eq!(Mode::SingleThread.threads(), 1);
-        assert_eq!(Mode::MultiThread(8).threads(), 8);
-        assert_eq!(Mode::MultiThread(1).threads(), 2, "MT means at least 2");
-    }
 
     #[test]
     fn fz_config_reflects_collective_config() {

@@ -27,7 +27,7 @@
 //! Each phase owns a disjoint tag base (8/9/10 `<< 32`, decoded by
 //! [`crate::pipeline::decode_tag`]), so intra- and inter-node traffic can
 //! never be confused on the wire — and the flight recorder's per-tier
-//! critical-path attribution ([`netsim::TierTime`]) can reconcile every
+//! critical-path attribution ([`netsim::CriticalPath::by_tier`]) can reconcile every
 //! message against the tier its phase was scheduled on.
 //!
 //! The wire volume per rank drops from `2(N-1)/N · E` flat-ring bytes on

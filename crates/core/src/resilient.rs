@@ -25,7 +25,7 @@
 //! is never ambiguous about which attempt it answers. The receiver NACKs a
 //! frame that the fault plan dropped (detected by the receive timeout) or
 //! that fails CRC/shape validation; the sender backs off exponentially
-//! (`backoff_base_s · 2^(retry-1)`, capped at `backoff_max_s`) and
+//! (`BACKOFF_BASE_S · 2^(retry-1)`, capped at `BACKOFF_MAX_S`) and
 //! retransmits. Control frames travel on `ctrl_tag(tag)` (bit 63 set — the
 //! collective tag bases stay far below it) via [`Comm::send_reliable`],
 //! modelling link-level-protected control traffic; this sidesteps the
@@ -52,29 +52,26 @@
 
 use netsim::{Comm, OpKind};
 
-/// Retry/timeout policy of the resilient transport. `Copy` so it can ride
-/// inside [`crate::CollectiveConfig`] without breaking its `Copy`-ness.
-///
-/// Every duration here is **virtual time** — simulated seconds on the
-/// cluster's α–β clock, not wall-clock seconds of the host running the
-/// simulation. The defaults are sized for the paper fabric's 3 µs
-/// injection latency; a slower fabric sets the fields to match.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Loss-detection timeout charged when a frame never arrives. This and the
+/// backoff below are **virtual time** — simulated seconds on the cluster's
+/// α–β clock, sized for the paper fabric's 3 µs injection latency.
+const TIMEOUT_S: f64 = 50e-6;
+/// First-retry backoff; doubles per retry.
+const BACKOFF_BASE_S: f64 = 5e-6;
+/// Backoff ceiling.
+const BACKOFF_MAX_S: f64 = 80e-6;
+
+/// Retry policy of the resilient transport. `Copy` so it can ride inside
+/// [`crate::CollectiveConfig`] without breaking its `Copy`-ness.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resilience {
     /// Retransmissions before degrading to an uncompressed reliable resend.
     pub max_retries: u32,
-    /// Loss-detection timeout charged (virtual seconds) when a frame never
-    /// arrives.
-    pub timeout_s: f64,
-    /// First-retry backoff (virtual seconds); doubles per retry.
-    pub backoff_base_s: f64,
-    /// Backoff ceiling (virtual seconds).
-    pub backoff_max_s: f64,
 }
 
 impl Default for Resilience {
     fn default() -> Self {
-        Resilience { max_retries: 4, timeout_s: 50e-6, backoff_base_s: 5e-6, backoff_max_s: 80e-6 }
+        Resilience { max_retries: 4 }
     }
 }
 
@@ -84,11 +81,12 @@ impl Resilience {
         self.max_retries = n;
         self
     }
+}
 
-    fn backoff(&self, retry: u32) -> f64 {
-        let exp = retry.saturating_sub(1).min(30);
-        (self.backoff_base_s * f64::from(1u32 << exp)).min(self.backoff_max_s)
-    }
+/// The virtual seconds a sender waits before its `retry`-th retransmission.
+fn backoff(retry: u32) -> f64 {
+    let exp = retry.saturating_sub(1).min(30);
+    (BACKOFF_BASE_S * f64::from(1u32 << exp)).min(BACKOFF_MAX_S)
 }
 
 /// What a data frame's payload contains, so a receiver knows how to
@@ -356,7 +354,7 @@ fn engine(
                     let frame = if got.dropped {
                         // the receiver only learns of the loss when its
                         // timeout fires; charge that wait before NACKing
-                        comm.advance_labeled(OpKind::Other, res.timeout_s, "res:timeout-wait");
+                        comm.advance_labeled(OpKind::Other, TIMEOUT_S, "res:timeout-wait");
                         comm.mark("res:timeout");
                         None
                     } else {
@@ -414,11 +412,8 @@ fn engine(
                 let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
                 comm.send_reliable(o.to, tag, frame, 0);
             } else {
-                let backoff = res.backoff(attempts);
+                comm.advance_labeled(OpKind::Other, backoff(attempts), "res:backoff");
                 attempts += 1;
-                if backoff > 0.0 {
-                    comm.advance_labeled(OpKind::Other, backoff, "res:backoff");
-                }
                 comm.mark("res:retransmit");
                 let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
                 // retransmits count as wire bytes but never as logical
@@ -716,11 +711,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let res = Resilience::default();
-        assert_eq!(res.backoff(1), 5e-6);
-        assert_eq!(res.backoff(2), 10e-6);
-        assert_eq!(res.backoff(3), 20e-6);
-        assert_eq!(res.backoff(10), 80e-6, "capped at backoff_max_s");
+        assert_eq!(backoff(1), 5e-6);
+        assert_eq!(backoff(2), 10e-6);
+        assert_eq!(backoff(3), 20e-6);
+        assert_eq!(backoff(10), 80e-6, "capped at BACKOFF_MAX_S");
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::config::{ComputeTiming, NetConfig, OpKind};
 use crate::engine::events::EventEndpoint;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::topology::{LinkTier, Topology};
-use crate::trace::{Event, RankTrace, TraceConfig};
+use crate::trace::{Event, RankTrace, TRACE_CAPACITY};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
@@ -208,7 +208,7 @@ impl Comm {
         size: usize,
         net: NetConfig,
         timing: ComputeTiming,
-        trace: Option<TraceConfig>,
+        trace: bool,
         topology: Option<Topology>,
         faults: Option<FaultPlan>,
         endpoint: Endpoint,
@@ -223,7 +223,7 @@ impl Comm {
             timing,
             endpoint,
             pending: HashMap::new(),
-            trace: trace.map(|cfg| Vec::with_capacity(cfg.capacity)),
+            trace: trace.then(|| Vec::with_capacity(TRACE_CAPACITY)),
             topology,
             faults,
             send_seq: vec![0; size],

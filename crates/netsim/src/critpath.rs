@@ -164,46 +164,24 @@ impl PathBuckets {
     }
 }
 
-/// Critical-path time spent under one message tag (α + wire + jitter of the
-/// path's hops with that tag). Decode tags with `hzccl::pipeline::decode_tag`
-/// to fold these into per-phase/step/segment tables.
+/// Critical-path communication time of a group of on-path hops (α + wire +
+/// jitter): one message tag in [`CriticalPath::by_tag`] (decode tags with
+/// `hzccl::pipeline::decode_tag` to fold these into per-phase/step/segment
+/// tables), or one fabric tier in [`CriticalPath::by_tier`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TagTime {
-    /// Injection overhead of on-path sends with this tag.
+pub struct HopTime {
+    /// Injection overhead of the on-path sends.
     pub alpha: f64,
-    /// Serialization time of on-path hops with this tag.
+    /// Serialization time of the on-path hops.
     pub wire: f64,
-    /// Injected jitter of on-path hops with this tag.
+    /// Injected jitter of the on-path hops.
     pub jitter: f64,
-    /// Number of on-path wire hops with this tag.
+    /// Number of on-path wire hops.
     pub hops: u64,
 }
 
-impl TagTime {
-    /// Total seconds under this tag.
-    pub fn total(&self) -> f64 {
-        self.alpha + self.wire + self.jitter
-    }
-}
-
-/// Critical-path communication time spent on one fabric tier (α + wire +
-/// jitter of the path's hops that crossed that tier). Indexed by
-/// [`LinkTier::index`]; untopologized runs put everything under
-/// [`LinkTier::Flat`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TierTime {
-    /// Injection overhead of on-path sends on this tier.
-    pub alpha: f64,
-    /// Serialization time of on-path hops on this tier.
-    pub wire: f64,
-    /// Injected jitter of on-path hops on this tier.
-    pub jitter: f64,
-    /// Number of on-path wire hops on this tier.
-    pub hops: u64,
-}
-
-impl TierTime {
-    /// Total seconds on this tier.
+impl HopTime {
+    /// Total seconds of the group.
     pub fn total(&self) -> f64 {
         self.alpha + self.wire + self.jitter
     }
@@ -224,11 +202,11 @@ pub struct CriticalPath {
     /// *receiving* rank); indexed by rank, sums to `length`.
     pub per_rank: Vec<f64>,
     /// Communication path seconds per message tag.
-    pub by_tag: BTreeMap<u64, TagTime>,
+    pub by_tag: BTreeMap<u64, HopTime>,
     /// Communication path seconds per fabric tier, indexed by
     /// [`LinkTier::index`]. Untopologized runs land entirely on
     /// [`LinkTier::Flat`].
-    pub by_tier: [TierTime; LinkTier::COUNT],
+    pub by_tier: [HopTime; LinkTier::COUNT],
     /// Compute path seconds per step label (unlabelled charges fall under
     /// their bucket name).
     pub by_label: BTreeMap<String, f64>,
@@ -475,8 +453,8 @@ impl CriticalPath {
         // -- attribution -----------------------------------------------------
         let mut buckets = PathBuckets::default();
         let mut per_rank = vec![0.0f64; nranks];
-        let mut by_tag: BTreeMap<u64, TagTime> = BTreeMap::new();
-        let mut by_tier = [TierTime::default(); LinkTier::COUNT];
+        let mut by_tag: BTreeMap<u64, HopTime> = BTreeMap::new();
+        let mut by_tier = [HopTime::default(); LinkTier::COUNT];
         let mut by_label: BTreeMap<String, f64> = BTreeMap::new();
         let mut length = 0.0f64;
         for el in &elements {
@@ -511,14 +489,11 @@ impl CriticalPath {
                     buckets.wire += ser_secs;
                     buckets.jitter += jitter_secs;
                     per_rank[to] += secs;
-                    let t = by_tag.entry(tag).or_default();
-                    t.wire += ser_secs;
-                    t.jitter += jitter_secs;
-                    t.hops += 1;
-                    let tt = &mut by_tier[tier.index()];
-                    tt.wire += ser_secs;
-                    tt.jitter += jitter_secs;
-                    tt.hops += 1;
+                    for t in [by_tag.entry(tag).or_default(), &mut by_tier[tier.index()]] {
+                        t.wire += ser_secs;
+                        t.jitter += jitter_secs;
+                        t.hops += 1;
+                    }
                 }
                 SpanKind::Wait { rank, .. } => {
                     buckets.blocked_wait += secs;
@@ -710,7 +685,7 @@ mod tests {
         let inter = cp.by_tier[LinkTier::Inter.index()];
         assert_eq!((intra.hops, inter.hops), (1, 1), "{:?}", cp.by_tier);
         assert!(inter.total() > intra.total(), "{:?}", cp.by_tier);
-        assert_eq!(cp.by_tier[LinkTier::Flat.index()], TierTime::default());
+        assert_eq!(cp.by_tier[LinkTier::Flat.index()], HopTime::default());
         let comm_total = cp.buckets.alpha + cp.buckets.wire + cp.buckets.jitter;
         let tier_total: f64 = cp.by_tier.iter().map(|t| t.total()).sum();
         assert!((comm_total - tier_total).abs() < 1e-12, "tiers tile the comm share");
@@ -742,8 +717,8 @@ mod tests {
         let flat = cp.by_tier[LinkTier::Flat.index()];
         assert_eq!(flat.hops, 1);
         assert!((flat.total() - (cp.buckets.alpha + cp.buckets.wire)).abs() < 1e-12);
-        assert_eq!(cp.by_tier[LinkTier::Intra.index()], TierTime::default());
-        assert_eq!(cp.by_tier[LinkTier::Inter.index()], TierTime::default());
+        assert_eq!(cp.by_tier[LinkTier::Intra.index()], HopTime::default());
+        assert_eq!(cp.by_tier[LinkTier::Inter.index()], HopTime::default());
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod trace;
 pub use breakdown::Breakdown;
 pub use comm::{Comm, PeerCrashed, RecvMsg};
 pub use config::{ComputeTiming, NetConfig, OpKind, ThroughputModel};
-pub use critpath::{CriticalPath, PathBuckets, PathElement, SpanKind, TagTime, TierTime};
+pub use critpath::{CriticalPath, HopTime, PathBuckets, PathElement, SpanKind};
 pub use faults::{splitmix64, FaultKind, FaultPlan, LinkFault};
 pub use json::Json;
 pub use metrics::Registry;

@@ -216,7 +216,7 @@ pub struct SimBuilder {
     pub(crate) nprocs: usize,
     pub(crate) net: NetConfig,
     pub(crate) timing: ComputeTiming,
-    pub(crate) trace: Option<TraceConfig>,
+    pub(crate) trace: bool,
     pub(crate) faults: Option<FaultPlan>,
     pub(crate) topology: Option<Topology>,
     pub(crate) engine: SimEngine,
@@ -233,7 +233,7 @@ impl SimBuilder {
             nprocs,
             net: NetConfig::default(),
             timing: ComputeTiming::Measured,
-            trace: None,
+            trace: false,
             faults: None,
             topology: None,
             engine: SimEngine::default(),
@@ -257,8 +257,8 @@ impl SimBuilder {
     /// [`crate::trace::Event`]s on the virtual timeline, returned in
     /// [`RunReport::traces`]. Off by default; when off, the per-event record
     /// sites compile down to a `None` branch with zero allocation.
-    pub fn trace(mut self, cfg: TraceConfig) -> Self {
-        self.trace = Some(cfg);
+    pub fn trace(mut self, _: TraceConfig) -> Self {
+        self.trace = true;
         self
     }
 

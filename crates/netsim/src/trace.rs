@@ -22,19 +22,14 @@ use crate::faults::FaultKind;
 use crate::json::Json;
 use crate::topology::LinkTier;
 
-/// Configuration for the flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Initial per-rank event-buffer capacity (one up-front allocation; the
-    /// buffer grows amortized beyond it).
-    pub capacity: usize,
-}
+/// Initial per-rank event-buffer capacity (one up-front allocation; the
+/// buffer grows amortized beyond it).
+pub(crate) const TRACE_CAPACITY: usize = 1024;
 
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig { capacity: 1024 }
-    }
-}
+/// The flight recorder's on-switch, handed to [`crate::SimBuilder::trace`]
+/// as `TraceConfig::default()`; it has nothing to set.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TraceConfig {}
 
 /// One structured event on a rank's virtual timeline.
 #[derive(Debug, Clone, PartialEq)]

@@ -7,7 +7,7 @@
 //! (the workspace's no-dependency JSON layer) and is bit-for-bit stable
 //! under a render -> parse -> render cycle, which `tests/` pin down.
 
-use crate::plan::{Algo, Flavor, Plan, ThreadMode};
+use crate::plan::{Algo, Flavor, Mode, Plan};
 use netsim::Json;
 use std::collections::BTreeMap;
 
@@ -138,8 +138,8 @@ impl TuningCache {
                 .find(|a| a.name() == name)
                 .ok_or_else(|| format!("cache entry '{key}': bad algo"))?;
             let mode = match str_field("mode")? {
-                "st" => ThreadMode::St,
-                "mt" => ThreadMode::Mt(num_field("threads")? as usize),
+                "st" => Mode::SingleThread,
+                "mt" => Mode::MultiThread(num_field("threads")? as usize),
                 other => return Err(format!("cache entry '{key}': bad mode '{other}'")),
             };
             let block_len = num_field("block_len")? as usize;
@@ -174,7 +174,7 @@ mod tests {
     use super::*;
 
     fn plan(flavor: Flavor, algo: Algo) -> Plan {
-        Plan::serial(flavor, algo, ThreadMode::St, 32)
+        Plan::serial(flavor, algo, Mode::SingleThread, 32)
     }
 
     #[test]
@@ -217,7 +217,7 @@ mod tests {
             Plan {
                 flavor: Flavor::Hzccl,
                 algo: Algo::Ring,
-                mode: ThreadMode::Mt(18),
+                mode: Mode::MultiThread(18),
                 block_len: 32,
                 segments: 4,
                 hierarchical: true,

@@ -20,12 +20,18 @@
 //! * **beta** — only observable through receive-side waits, which confound
 //!   serialization with sender compute imbalance; the estimator therefore
 //!   only updates when the run was communication-dominated (MPI share of
-//!   virtual time above [`Calibration::BETA_GUARD_SHARE`]) and uses the
-//!   median implied per-byte time, at half the usual gain.
+//!   virtual time above 30 %) and uses the median implied per-byte time, at
+//!   half the usual gain.
 
-use crate::plan::{Flavor, ThreadMode};
+use crate::plan::{Flavor, Mode};
 use netsim::{Event, Json, NetConfig, OpKind, RunReport, ThroughputModel};
 use std::collections::BTreeMap;
+
+/// Exponentially-weighted gain of every calibration update (beta uses half).
+const ETA: f64 = 0.3;
+
+/// Beta updates require at least this MPI share of total virtual time.
+const BETA_GUARD_SHARE: f64 = 0.3;
 
 /// Throughputs calibrated to the paper's 36-thread Broadwell socket, per
 /// framework and mode. The hZCCL values come from the paper's Fig. 6 /
@@ -58,16 +64,11 @@ pub struct Calibration {
     pub bandwidth_gbps: f64,
     /// Congestion coefficient gamma (`1 + gamma * log2(nprocs)` scaling).
     pub congestion: f64,
-    /// EW gain per observed run (0 < eta <= 1).
-    pub eta: f64,
     /// Number of runs absorbed so far.
     pub samples: u64,
 }
 
 impl Calibration {
-    /// Beta updates require at least this MPI share of total virtual time.
-    pub const BETA_GUARD_SHARE: f64 = 0.3;
-
     /// Table key for a flavour/mode pair.
     pub fn key(flavor: Flavor, mt: bool) -> String {
         format!("{}:{}", flavor.name(), if mt { "mt" } else { "st" })
@@ -88,13 +89,12 @@ impl Calibration {
             latency_s: net.latency_s,
             bandwidth_gbps: net.bandwidth_gbps,
             congestion: net.congestion,
-            eta: 0.3,
             samples: 0,
         }
     }
 
     /// Current throughput model for one flavour/mode.
-    pub fn model(&self, flavor: Flavor, mode: ThreadMode) -> ThroughputModel {
+    pub fn model(&self, flavor: Flavor, mode: Mode) -> ThroughputModel {
         let gbps = self
             .thr
             .get(&Self::key(flavor, mode.is_mt()))
@@ -122,14 +122,14 @@ impl Calibration {
             .thr
             .entry(Self::key(flavor, mt))
             .or_insert_with(|| paper_prior(flavor, mt).gbps)[kind.index()];
-        *slot += self.eta * (observed_gbps - *slot);
+        *slot += ETA * (observed_gbps - *slot);
     }
 
     /// Absorb one traced run: refine the `(flavor, mode)` throughput table
     /// from its `Compute` events, alpha from `Send` injection overheads, and
     /// (guarded) beta from receive waits. Untraced reports are a no-op —
     /// the flight recorder is the calibration signal.
-    pub fn absorb_run<R>(&mut self, flavor: Flavor, mode: ThreadMode, report: &RunReport<R>) {
+    pub fn absorb_run<R>(&mut self, flavor: Flavor, mode: Mode, report: &RunReport<R>) {
         let mut bytes_by_kind = [0f64; OpKind::COUNT];
         let mut secs_by_kind = [0f64; OpKind::COUNT];
         let mut inject_total = 0f64;
@@ -184,17 +184,17 @@ impl Calibration {
         // --- alpha: the injection overhead is alpha by construction -------
         if inject_count > 0 {
             let observed = inject_total / inject_count as f64;
-            self.latency_s += self.eta * (observed - self.latency_s);
+            self.latency_s += ETA * (observed - self.latency_s);
         }
         // --- beta: guarded, half-gain, median estimator -------------------
         let mpi_share = if elapsed_total > 0.0 { wait_total / elapsed_total } else { 0.0 };
-        if mpi_share > Self::BETA_GUARD_SHARE && !implied_byte_times.is_empty() {
+        if mpi_share > BETA_GUARD_SHARE && !implied_byte_times.is_empty() {
             implied_byte_times.sort_by(|a, b| a.partial_cmp(b).expect("finite byte times"));
             let median = implied_byte_times[implied_byte_times.len() / 2];
             let factor = 1.0 + self.congestion * (nranks as f64).log2();
             let observed_gbps = 8.0 / (median / factor) / 1e9;
             if observed_gbps.is_finite() && observed_gbps > 0.0 {
-                self.bandwidth_gbps += 0.5 * self.eta * (observed_gbps - self.bandwidth_gbps);
+                self.bandwidth_gbps += 0.5 * ETA * (observed_gbps - self.bandwidth_gbps);
             }
         }
     }
@@ -213,7 +213,6 @@ impl Calibration {
             ("latency_s", Json::Num(self.latency_s)),
             ("bandwidth_gbps", Json::Num(self.bandwidth_gbps)),
             ("congestion", Json::Num(self.congestion)),
-            ("eta", Json::Num(self.eta)),
             ("samples", Json::Num(self.samples as f64)),
             ("throughputs", tables),
         ])
@@ -248,7 +247,6 @@ impl Calibration {
             latency_s: num("latency_s")?,
             bandwidth_gbps: num("bandwidth_gbps")?,
             congestion: num("congestion")?,
-            eta: num("eta")?,
             samples: num("samples")? as u64,
         })
     }
@@ -279,14 +277,14 @@ mod tests {
     #[test]
     fn nudge_moves_toward_observation() {
         let mut c = Calibration::paper();
-        let before = c.model(Flavor::Hzccl, ThreadMode::St).gbps[0];
+        let before = c.model(Flavor::Hzccl, Mode::SingleThread).gbps[0];
         c.nudge(Flavor::Hzccl, false, OpKind::Cpr, 10.0);
-        let after = c.model(Flavor::Hzccl, ThreadMode::St).gbps[0];
+        let after = c.model(Flavor::Hzccl, Mode::SingleThread).gbps[0];
         assert!(after > before && after < 10.0, "{before} -> {after}");
         // non-finite and non-positive observations are ignored
         c.nudge(Flavor::Hzccl, false, OpKind::Cpr, f64::NAN);
         c.nudge(Flavor::Hzccl, false, OpKind::Cpr, -1.0);
-        assert_eq!(c.model(Flavor::Hzccl, ThreadMode::St).gbps[0], after);
+        assert_eq!(c.model(Flavor::Hzccl, Mode::SingleThread).gbps[0], after);
     }
 
     #[test]
@@ -308,9 +306,9 @@ mod tests {
                     (comm.rank() + n - 1) % n,
                 );
             });
-        let before = c.model(Flavor::Hzccl, ThreadMode::St).gbps[0];
-        c.absorb_run(Flavor::Hzccl, ThreadMode::St, &report);
-        let after = c.model(Flavor::Hzccl, ThreadMode::St).gbps[0];
+        let before = c.model(Flavor::Hzccl, Mode::SingleThread).gbps[0];
+        c.absorb_run(Flavor::Hzccl, Mode::SingleThread, &report);
+        let after = c.model(Flavor::Hzccl, Mode::SingleThread).gbps[0];
         assert!(
             (after - true_gbps).abs() < (before - true_gbps).abs(),
             "CPR must move toward the measured value: {before} -> {after}"
@@ -318,9 +316,9 @@ mod tests {
         assert!(after > before);
         // repeated absorption converges
         for _ in 0..40 {
-            c.absorb_run(Flavor::Hzccl, ThreadMode::St, &report);
+            c.absorb_run(Flavor::Hzccl, Mode::SingleThread, &report);
         }
-        let settled = c.model(Flavor::Hzccl, ThreadMode::St).gbps[0];
+        let settled = c.model(Flavor::Hzccl, Mode::SingleThread).gbps[0];
         assert!((settled - true_gbps).abs() < 0.05, "settled at {settled}");
         assert!(c.samples >= 41);
     }
@@ -334,7 +332,7 @@ mod tests {
             .run(|comm| {
                 comm.compute(OpKind::Cpr, 1 << 20, || ());
             });
-        c.absorb_run(Flavor::Hzccl, ThreadMode::St, &report);
+        c.absorb_run(Flavor::Hzccl, Mode::SingleThread, &report);
         assert_eq!(c, snapshot, "no trace, no update");
     }
 

@@ -5,7 +5,8 @@
 //!
 //! Decision precedence:
 //!
-//! 1. **Cache** — the bucket has a measured winner: trust the measurement.
+//! 1. **Cache** — the bucket has a measured winner that [`Engine::candidates`]
+//!    still offers: trust the measurement.
 //! 2. **Small-message short-circuit** — tiny `Allreduce`s are latency-bound;
 //!    the ring's `2(N-1)` alpha charges can never beat recursive doubling's
 //!    `ceil(log2 N)`, so only `rd` candidates are ranked.
@@ -17,7 +18,7 @@
 
 use crate::cache::TuningCache;
 use crate::calibration::Calibration;
-use crate::plan::{Algo, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
+use crate::plan::{Algo, Flavor, Mode, Op, Plan, ScenarioSpec};
 use netsim::{Json, RunReport};
 
 /// Where a decision came from.
@@ -65,106 +66,70 @@ pub struct Decision {
     pub why: String,
 }
 
+/// `Allreduce` messages at or below this many bytes short-circuit to
+/// recursive doubling.
+const SMALL_MESSAGE_BYTES: usize = 64 << 10;
+
+/// Compressor block lengths the engine considers, and the ones the auto
+/// front-end and `hzc tune` probe the compression ratio at.
+pub const BLOCK_CANDIDATES: [usize; 1] = [32];
+
+/// Ring-step segment counts offered to *compressed flat ring* plans (1 =
+/// phase-serial; `S > 1` = pipelined, overlapping (de)compression /
+/// homomorphic work with the wire). Plain-MPI rings, recursive doubling and
+/// the hierarchical schedule only get the serial entry — their overlappable
+/// compute is too small (mpi), the schedule has no ring steps (rd), or the
+/// inter ring moves 1/ppn-size slices (hier) for segmentation to pay for its
+/// extra α-injections.
+const SEGMENT_CANDIDATES: [usize; 4] = [1, 2, 4, 8];
+
 /// Cost-model-guided autotuner with online calibration and a persistent
-/// cache. See the crate docs for the full architecture.
+/// cache: what it has learned, nothing else. See the crate docs for the full
+/// architecture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Engine {
     /// Calibrated model constants (throughputs + network law).
     pub calib: Calibration,
     /// Measured winners per scenario bucket.
     pub cache: TuningCache,
-    /// `Allreduce` messages at or below this many bytes short-circuit to
-    /// recursive doubling.
-    pub small_message_bytes: usize,
-    /// Thread modes to consider (default: ST only — inside the virtual-time
-    /// simulator ST and MT charge identically, so offering both would just
-    /// create fake ties; the CLI adds an MT candidate when asked).
-    pub mode_candidates: Vec<ThreadMode>,
-    /// Compressor block lengths to consider.
-    pub block_candidates: Vec<usize>,
-    /// Ring-step segment counts to consider for *compressed ring* plans
-    /// (1 = phase-serial; `S > 1` = pipelined, overlapping (de)compression /
-    /// homomorphic work with the wire). Plain-MPI rings and recursive
-    /// doubling only get the serial entry — their overlappable compute is
-    /// too small (mpi) or the schedule has no ring steps (rd) for
-    /// segmentation to pay for its extra α-injections.
-    pub segment_candidates: Vec<usize>,
 }
 
 impl Engine {
     /// Engine seeded from the paper calibration with an empty cache.
     pub fn paper() -> Engine {
-        Engine {
-            calib: Calibration::paper(),
-            cache: TuningCache::new(),
-            small_message_bytes: 64 << 10,
-            mode_candidates: vec![ThreadMode::St],
-            block_candidates: vec![32],
-            segment_candidates: vec![1, 2, 4, 8],
-        }
+        Engine { calib: Calibration::paper(), cache: TuningCache::new() }
     }
 
     /// Enumerate every executable candidate for `spec` (before the
-    /// small-message short-circuit). Stable order: flavour, algorithm,
-    /// mode, block length, segments.
+    /// small-message short-circuit). Stable order: the flat plans by
+    /// flavour, algorithm, block length and segments, then — on a two-tier
+    /// Allreduce — the hierarchical ones by flavour and block length. Every
+    /// candidate is single-thread ([`Mode::SingleThread`]).
     pub fn candidates(&self, spec: &ScenarioSpec) -> Vec<Plan> {
+        let allreduce = spec.op == Op::Allreduce;
+        let two_tier = allreduce && spec.two_tier_topology().is_some();
         let mut out = Vec::new();
-        for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
-            let algos: &[Algo] = if spec.op == Op::Allreduce && flavor != Flavor::CColl {
-                &[Algo::Ring, Algo::Rd]
-            } else {
-                &[Algo::Ring]
-            };
-            for &algo in algos {
-                for &mode in &self.mode_candidates {
-                    // block length only matters for compressed flavours
-                    let blocks: &[usize] = if flavor == Flavor::Mpi {
-                        &self.block_candidates[..1]
-                    } else {
-                        &self.block_candidates
-                    };
-                    for &block_len in blocks {
-                        // segmentation only exists on compressed ring plans
-                        let segs: &[usize] = if algo == Algo::Ring && flavor != Flavor::Mpi {
-                            &self.segment_candidates
-                        } else {
-                            &[1]
-                        };
-                        for &segments in segs {
-                            out.push(Plan {
-                                flavor,
-                                algo,
-                                mode,
-                                block_len,
-                                segments,
-                                hierarchical: false,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Two-tier fabrics additionally offer the hierarchical Allreduce
-        // schedule (intra RS → inter ring → intra AG) per flavour. Serial
-        // only: the inter ring moves 1/ppn-size slices, too small for
-        // segmentation to pay for its α-injections.
-        if spec.op == Op::Allreduce && spec.two_tier_topology().is_some() {
+        for hierarchical in [false, true].into_iter().filter(|&h| !h || two_tier) {
             for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
-                for &mode in &self.mode_candidates {
-                    let blocks: &[usize] = if flavor == Flavor::Mpi {
-                        &self.block_candidates[..1]
-                    } else {
-                        &self.block_candidates
-                    };
+                // recursive doubling: a flat Allreduce schedule, not C-Coll's
+                let rd = allreduce && !hierarchical && flavor != Flavor::CColl;
+                let algos: &[Algo] = if rd { &[Algo::Ring, Algo::Rd] } else { &[Algo::Ring] };
+                // block length only matters for compressed flavours
+                let compressed = flavor != Flavor::Mpi;
+                let blocks =
+                    if compressed { &BLOCK_CANDIDATES[..] } else { &BLOCK_CANDIDATES[..1] };
+                for &algo in algos {
+                    let segmented = compressed && algo == Algo::Ring && !hierarchical;
+                    let segs = if segmented { &SEGMENT_CANDIDATES[..] } else { &[1][..] };
                     for &block_len in blocks {
-                        out.push(Plan {
+                        out.extend(segs.iter().map(|&segments| Plan {
                             flavor,
-                            algo: Algo::Ring,
-                            mode,
+                            algo,
+                            mode: Mode::SingleThread,
                             block_len,
-                            segments: 1,
-                            hierarchical: true,
-                        });
+                            segments,
+                            hierarchical,
+                        }));
                     }
                 }
             }
@@ -210,22 +175,21 @@ impl Engine {
     pub fn decide(&self, spec: &ScenarioSpec) -> Decision {
         let key = spec.bucket_key();
         let all = self.candidates(spec);
-        if let Some(entry) = self.cache.get(&key) {
-            // a cached winner must still be executable for this op
-            if all.contains(&entry.plan) || spec.op != Op::Allreduce {
-                let ranked = self.rank(spec, &all);
-                let why = format!(
-                    "cache hit for bucket {key}: {} measured at {:.3} ms over {} sample(s) \
-                     (model now predicts {:.3} ms)",
-                    entry.plan.label(),
-                    entry.measured_secs * 1e3,
-                    entry.samples,
-                    self.predict(spec, &entry.plan) * 1e3,
-                );
-                return Decision { plan: entry.plan, source: DecisionSource::Cache, ranked, why };
-            }
+        // a cached winner is trusted only if this engine would offer it: a
+        // state file cannot smuggle in a plan the executors never run
+        if let Some(entry) = self.cache.get(&key).filter(|e| all.contains(&e.plan)) {
+            let ranked = self.rank(spec, &all);
+            let why = format!(
+                "cache hit for bucket {key}: {} measured at {:.3} ms over {} sample(s) \
+                 (model now predicts {:.3} ms)",
+                entry.plan.label(),
+                entry.measured_secs * 1e3,
+                entry.samples,
+                self.predict(spec, &entry.plan) * 1e3,
+            );
+            return Decision { plan: entry.plan, source: DecisionSource::Cache, ranked, why };
         }
-        let small = spec.op == Op::Allreduce && spec.message_bytes() <= self.small_message_bytes;
+        let small = spec.op == Op::Allreduce && spec.message_bytes() <= SMALL_MESSAGE_BYTES;
         let (pool, source) = if small {
             let rd: Vec<Plan> = all.iter().copied().filter(|p| p.algo == Algo::Rd).collect();
             if rd.is_empty() {
@@ -243,7 +207,7 @@ impl Engine {
                 "message {} B <= {} B: latency-bound, short-circuit to recursive doubling; \
                  model picks {} at {:.3} ms",
                 spec.message_bytes(),
-                self.small_message_bytes,
+                SMALL_MESSAGE_BYTES,
                 best.plan.label(),
                 best.secs * 1e3,
             ),
@@ -285,30 +249,12 @@ impl Engine {
         self.cache.record(&spec.bucket_key(), *plan, secs, model);
     }
 
-    /// Serialize engine state (calibration + cache + knobs) to JSON.
+    /// Serialize what the engine learned (calibration + cache) to JSON.
     ///
-    /// Schema version 3, the only one [`Engine::from_json`] accepts.
+    /// Schema version 4, the only one [`Engine::from_json`] accepts.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("version", Json::Num(3.0)),
-            ("small_message_bytes", Json::Num(self.small_message_bytes as f64)),
-            (
-                "block_candidates",
-                Json::Arr(self.block_candidates.iter().map(|&b| Json::Num(b as f64)).collect()),
-            ),
-            (
-                "segment_candidates",
-                Json::Arr(self.segment_candidates.iter().map(|&s| Json::Num(s as f64)).collect()),
-            ),
-            (
-                "mode_candidates",
-                Json::Arr(
-                    self.mode_candidates
-                        .iter()
-                        .map(|m| Json::Num(if m.is_mt() { m.threads() as f64 } else { 1.0 }))
-                        .collect(),
-                ),
-            ),
+            ("version", Json::Num(4.0)),
             ("calibration", self.calib.to_json()),
             ("cache", self.cache.to_json()),
         ])
@@ -317,58 +263,14 @@ impl Engine {
     /// Parse [`Engine::to_json`]'s output back.
     pub fn from_json(doc: &Json) -> Result<Engine, String> {
         let version = doc.get("version").and_then(Json::as_f64).unwrap_or(0.0);
-        if version != 3.0 {
+        if version != 4.0 {
             return Err(format!("unsupported tuner state version {version}"));
-        }
-        let small_message_bytes =
-            doc.get("small_message_bytes")
-                .and_then(Json::as_f64)
-                .ok_or("tuner state: missing small_message_bytes")? as usize;
-        let block_candidates: Vec<usize> = doc
-            .get("block_candidates")
-            .and_then(Json::as_arr)
-            .ok_or("tuner state: missing block_candidates")?
-            .iter()
-            .filter_map(|v| v.as_f64().map(|b| b as usize))
-            .filter(|&b| b > 0)
-            .collect();
-        if block_candidates.is_empty() {
-            return Err("tuner state: empty block_candidates".into());
-        }
-        let mode_candidates: Vec<ThreadMode> = doc
-            .get("mode_candidates")
-            .and_then(Json::as_arr)
-            .ok_or("tuner state: missing mode_candidates")?
-            .iter()
-            .filter_map(|v| v.as_f64())
-            .map(|t| if t <= 1.0 { ThreadMode::St } else { ThreadMode::Mt(t as usize) })
-            .collect();
-        if mode_candidates.is_empty() {
-            return Err("tuner state: empty mode_candidates".into());
-        }
-        let segment_candidates: Vec<usize> = doc
-            .get("segment_candidates")
-            .and_then(Json::as_arr)
-            .ok_or("tuner state: missing segment_candidates")?
-            .iter()
-            .filter_map(|v| v.as_f64().map(|s| s as usize))
-            .filter(|&s| s > 0)
-            .collect();
-        if segment_candidates.is_empty() {
-            return Err("tuner state: empty segment_candidates".into());
         }
         let calib = Calibration::from_json(
             doc.get("calibration").ok_or("tuner state: missing calibration")?,
         )?;
         let cache = TuningCache::from_json(doc.get("cache").ok_or("tuner state: missing cache")?)?;
-        Ok(Engine {
-            calib,
-            cache,
-            small_message_bytes,
-            mode_candidates,
-            block_candidates,
-            segment_candidates,
-        })
+        Ok(Engine { calib, cache })
     }
 
     /// Write the engine state to `path` (compact JSON).
@@ -429,7 +331,7 @@ mod tests {
     fn cache_overrides_the_model() {
         let mut engine = Engine::paper();
         let s = spec(1 << 20, 8, 7.0);
-        let slow_plan = Plan::serial(Flavor::CColl, Algo::Ring, ThreadMode::St, 32);
+        let slow_plan = Plan::serial(Flavor::CColl, Algo::Ring, Mode::SingleThread, 32);
         engine.observe_measurement(&s, &slow_plan, 0.001);
         let d = engine.decide(&s);
         assert_eq!(d.source, DecisionSource::Cache);
@@ -465,7 +367,7 @@ mod tests {
     #[test]
     fn predictions_scale_with_message_size() {
         let engine = Engine::paper();
-        let p = Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32);
+        let p = Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, 32);
         let small = engine.predict(&spec(1 << 14, 8, 5.0), &p);
         let big = engine.predict(&spec(1 << 20, 8, 5.0), &p);
         assert!(big > small);
@@ -550,12 +452,12 @@ mod tests {
         assert_eq!(d.source, DecisionSource::Model);
         assert!(d.plan.hierarchical, "must pick the hierarchical schedule: {}", d.why);
         let flat_hz =
-            engine.predict(&s, &Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32));
+            engine.predict(&s, &Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, 32));
         let hier_hz = engine.predict(
             &s,
             &Plan {
                 hierarchical: true,
-                ..Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32)
+                ..Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, 32)
             },
         );
         assert!(hier_hz <= 0.7 * flat_hz, "hier {hier_hz} must undercut flat {flat_hz} by >=30%");
@@ -569,23 +471,57 @@ mod tests {
     #[test]
     fn engine_state_roundtrips_through_json() {
         let mut engine = Engine::paper();
-        engine.block_candidates = vec![32, 128];
-        engine.mode_candidates = vec![ThreadMode::St, ThreadMode::Mt(18)];
         let s = spec(1 << 18, 8, 6.5);
         let plan = engine.decide(&s).plan;
         engine.observe_measurement(&s, &plan, 0.0025);
+        let mt = Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::MultiThread(18), 32);
+        engine.observe_measurement(&spec(1 << 22, 8, 6.5), &mt, 0.004);
+        engine.calib.nudge(Flavor::Hzccl, true, netsim::OpKind::Hpr, 90.0);
         let text = engine.to_json().render();
         let back = Engine::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, engine);
         assert_eq!(back.to_json().render(), text);
+        // the state file holds what the engine learned and nothing else
+        let doc = Json::parse(&text).unwrap();
+        let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["version", "calibration", "cache"]);
+    }
+
+    /// A cached plan the engine would not offer is ignored for every op, not
+    /// only Allreduce: a hand-edited state file cannot steer (or crash) an
+    /// auto run with a block length or segment count nobody enumerates.
+    #[test]
+    fn out_of_set_cached_plans_fall_back_to_the_model() {
+        let ring = Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, 32);
+        let hostile = [
+            Plan { block_len: 100_000_000, ..ring },
+            Plan { segments: 5000, ..ring },
+            Plan { algo: Algo::Rd, ..ring },
+            Plan { hierarchical: true, ..ring },
+        ];
+        for op in [Op::ReduceScatter, Op::Bcast] {
+            let s = ScenarioSpec::new(op, 1 << 16, 4, 1e-4, 32, 6.0);
+            for plan in hostile {
+                assert!(!Engine::paper().candidates(&s).contains(&plan));
+                let mut engine = Engine::paper();
+                engine.cache.record(&s.bucket_key(), plan, 1e-6, 1e-6);
+                let d = engine.decide(&s);
+                assert_eq!(d.source, DecisionSource::Model, "{op:?} {}", plan.label());
+                assert_eq!(d.plan, Engine::paper().decide(&s).plan);
+            }
+            // an in-set plan is still a cache hit
+            let mut engine = Engine::paper();
+            engine.cache.record(&s.bucket_key(), Plan { segments: 4, ..ring }, 1e-6, 1e-6);
+            assert_eq!(engine.decide(&s).source, DecisionSource::Cache, "{op:?}");
+        }
     }
 
     #[test]
     fn load_rejects_missing_and_bad_files() {
         assert!(Engine::load(std::path::Path::new("/nonexistent/tuner.json")).is_err());
         let current = Engine::paper().to_json().render();
-        for version in ["1", "2", "99"] {
-            let old = current.replacen("\"version\":3", &format!("\"version\":{version}"), 1);
+        for version in ["1", "2", "3", "99"] {
+            let old = current.replacen("\"version\":4", &format!("\"version\":{version}"), 1);
             let err = Engine::from_json(&Json::parse(&old).unwrap()).unwrap_err();
             assert!(err.contains("unsupported tuner state version"), "{err}");
         }

@@ -7,9 +7,9 @@
 //! crate turns the cost analysis of `costmodel` into an online decision
 //! system so callers never have to pick by hand:
 //!
-//! * [`plan`] — the vocabulary: [`Op`], [`Plan`] (flavour x algorithm x
-//!   thread mode x block length, wire-encodable so one rank can decide and
-//!   broadcast), and [`ScenarioSpec`] (what a decision is about).
+//! * [`plan`] — the vocabulary: [`Op`], [`Mode`], [`Plan`] (flavour x
+//!   algorithm x thread mode x block length, wire-encodable so one rank can
+//!   decide and broadcast), and [`ScenarioSpec`] (what a decision is about).
 //! * [`engine`] — the [`Engine`]: ranks every candidate plan by predicted
 //!   cost, short-circuits small allreduces to recursive doubling, and
 //!   prefers a cached measured winner over the model when one exists.
@@ -23,10 +23,10 @@
 //!   [`netsim::Json`].
 //!
 //! Layering: `tuner` sits *below* the collective crate (`hzccl` depends on
-//! it, not vice versa), so `hzccl::Variant` / `hzccl::Mode` are mirrored as
-//! [`Flavor`] / [`ThreadMode`] rather than imported. [`Op`], [`Flavor`] and
-//! [`Algo`] — what `costmodel::predict` prices — and its segment cap
-//! [`MAX_SEGMENTS`] are `costmodel`'s, re-exported here.
+//! it, not vice versa). The thread [`Mode`] is defined here and re-exported
+//! as `hzccl::Mode`; `hzccl::Variant` maps onto [`Flavor`]. [`Op`],
+//! [`Flavor`] and [`Algo`] — what `costmodel::predict` prices — and its
+//! segment cap [`MAX_SEGMENTS`] are `costmodel`'s, re-exported here.
 
 pub mod cache;
 pub mod calibration;
@@ -36,5 +36,5 @@ pub mod plan;
 pub use cache::{CacheEntry, TuningCache};
 pub use calibration::{paper_prior, Calibration};
 pub use costmodel::MAX_SEGMENTS;
-pub use engine::{Decision, DecisionSource, Engine, Prediction};
-pub use plan::{Algo, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
+pub use engine::{Decision, DecisionSource, Engine, Prediction, BLOCK_CANDIDATES};
+pub use plan::{Algo, Flavor, Mode, Op, Plan, ScenarioSpec};

@@ -8,28 +8,28 @@
 
 pub use costmodel::{Algo, Flavor, Op};
 
-/// Single- vs multi-thread compression mode (mirrors `hzccl::Mode` without
-/// depending on the collective crate — the tuner sits *below* it).
+/// Compression mode of a collective: the paper's frameworks each run
+/// single-thread and multi-thread (Table II). Re-exported as `hzccl::Mode`;
+/// `SingleThread` comes first, so plans order, label and encode ST first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ThreadMode {
+pub enum Mode {
     /// One compression thread per rank.
-    St,
-    /// `k` compression threads per rank.
-    Mt(usize),
+    SingleThread,
+    /// `k` compression threads per rank (the paper uses one 18-core socket).
+    MultiThread(usize),
 }
 
-impl ThreadMode {
+impl Mode {
     /// True for the multi-thread mode.
     pub fn is_mt(self) -> bool {
-        matches!(self, ThreadMode::Mt(_))
+        matches!(self, Mode::MultiThread(_))
     }
 
-    /// Thread count (1 for ST, at least 2 for MT — same floor as
-    /// `hzccl::Mode`).
+    /// Compression thread count: 1 for ST, at least 2 for MT.
     pub fn threads(self) -> usize {
         match self {
-            ThreadMode::St => 1,
-            ThreadMode::Mt(k) => k.max(2),
+            Mode::SingleThread => 1,
+            Mode::MultiThread(k) => k.max(2),
         }
     }
 
@@ -55,7 +55,7 @@ pub struct Plan {
     /// Ring or recursive doubling.
     pub algo: Algo,
     /// Compression thread mode.
-    pub mode: ThreadMode,
+    pub mode: Mode,
     /// Compressor small-block length (ignored by [`Flavor::Mpi`]).
     pub block_len: usize,
     /// Ring-step segment count: 1 runs the phase-serial ring, `S > 1`
@@ -73,7 +73,7 @@ pub struct Plan {
 
 impl Plan {
     /// A phase-serial (one-segment, flat) plan — the pre-segmentation shape.
-    pub fn serial(flavor: Flavor, algo: Algo, mode: ThreadMode, block_len: usize) -> Plan {
+    pub fn serial(flavor: Flavor, algo: Algo, mode: Mode, block_len: usize) -> Plan {
         Plan { flavor, algo, mode, block_len, segments: 1, hierarchical: false }
     }
 
@@ -113,8 +113,8 @@ impl Plan {
             Algo::Rd => 1,
         };
         let (mt, threads) = match self.mode {
-            ThreadMode::St => (0u8, 1u8),
-            ThreadMode::Mt(k) => (1, k.clamp(2, 255) as u8),
+            Mode::SingleThread => (0u8, 1u8),
+            Mode::MultiThread(k) => (1, k.clamp(2, 255) as u8),
         };
         let bl = (self.block_len as u32).to_le_bytes();
         let sg = (self.segments.max(1) as u32).to_le_bytes();
@@ -144,8 +144,8 @@ impl Plan {
             _ => return None,
         };
         let mode = match bytes[2] {
-            0 => ThreadMode::St,
-            1 => ThreadMode::Mt(bytes[3] as usize),
+            0 => Mode::SingleThread,
+            1 => Mode::MultiThread(bytes[3] as usize),
             _ => return None,
         };
         let block_len = u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) as usize;
@@ -205,18 +205,18 @@ impl ScenarioSpec {
     /// The topology, when it is genuinely two-level (`nodes > 1 && ppn > 1`
     /// — degenerate shapes collapse to the flat fabric and never justify
     /// hierarchical plans).
-    pub fn two_tier_topology(&self) -> Option<&netsim::Topology> {
+    pub(crate) fn two_tier_topology(&self) -> Option<&netsim::Topology> {
         self.topology.as_ref().filter(|t| t.nodes > 1 && t.ppn > 1)
     }
 
     /// Per-rank message size in bytes.
-    pub fn message_bytes(&self) -> usize {
+    pub(crate) fn message_bytes(&self) -> usize {
         self.elems * 4
     }
 
     /// Estimated ratio at `block_len` (falls back to the first entry, then
     /// to 1.0 — a safe "incompressible" default).
-    pub fn ratio_for(&self, block_len: usize) -> f64 {
+    pub(crate) fn ratio_for(&self, block_len: usize) -> f64 {
         self.ratios
             .iter()
             .find(|(b, _)| *b == block_len)
@@ -254,10 +254,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn mode_threads_names_and_order() {
+        assert_eq!(Mode::SingleThread.threads(), 1);
+        assert_eq!(Mode::MultiThread(8).threads(), 8);
+        assert_eq!(Mode::MultiThread(1).threads(), 2, "MT means at least 2");
+        assert_eq!((Mode::SingleThread.name(), Mode::MultiThread(8).name()), ("st", "mt"));
+        // plans sort (and so break ranking ties) single-thread first
+        assert!(Mode::SingleThread < Mode::MultiThread(1));
+    }
+
+    #[test]
     fn plan_encoding_roundtrips() {
         for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
             for algo in [Algo::Ring, Algo::Rd] {
-                for mode in [ThreadMode::St, ThreadMode::Mt(18)] {
+                for mode in [Mode::SingleThread, Mode::MultiThread(18)] {
                     for block_len in [32usize, 64, 256] {
                         for segments in [1usize, 4, 16] {
                             for hierarchical in [false, true] {
@@ -295,7 +305,7 @@ mod tests {
 
     #[test]
     fn plan_label_marks_segmented_and_hierarchical_plans() {
-        let serial = Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32);
+        let serial = Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, 32);
         assert_eq!(serial.label(), "hz/ring/st/b32");
         let piped = Plan { segments: 4, ..serial };
         assert_eq!(piped.label(), "hz/ring/st/b32/s4");

@@ -10,10 +10,11 @@
 #
 #   scripts/loc.sh --check scripts/loc.baseline
 #
-# prints the same table and exits non-zero when a crate's `unsafe`, `spawn`
-# or `sim` counter is above the committed baseline (`crate unsafe spawn sim`
-# per line; a crate the baseline does not list is held to zero) — ROADMAP
-# 3(c): CI fails when a count rises. Lower the baseline when a count falls.
+# prints the same table and exits non-zero when a crate's `pub`, `unsafe`,
+# `spawn` or `sim` counter is above the committed baseline (`crate pub unsafe
+# spawn sim` per line; a crate the baseline does not list is held to zero) —
+# ROADMAP 3(c) and 8(a): CI fails when a count rises. Lower the baseline when
+# a count falls.
 set -euo pipefail
 baseline=""
 if [ "${1:-}" = --check ]; then
@@ -47,11 +48,13 @@ done
 } | tee "$table"
 [ -n "$baseline" ] || exit 0
 awk '
-    NR == FNR { if ($1 !~ /^#/ && NF) { u[$1] = $2; sp[$1] = $3; si[$1] = $4 } next }
-    FNR > 1 {
-        if ($5 > u[$1] + 0) { printf "loc.sh: %s: unsafe %d > baseline %d\n", $1, $5, u[$1]; bad = 1 }
-        if ($6 > sp[$1] + 0) { printf "loc.sh: %s: spawn %d > baseline %d\n", $1, $6, sp[$1]; bad = 1 }
-        if ($7 > si[$1] + 0) { printf "loc.sh: %s: sim %d > baseline %d\n", $1, $7, si[$1]; bad = 1 }
+    NR == FNR { if ($1 !~ /^#/ && NF) for (c = 2; c <= 5; c++) limit[$1, c] = $c; next }
+    FNR == 1 { for (c = 4; c <= 7; c++) name[c] = $c; next }
+    {
+        for (c = 4; c <= 7; c++) if ($c > limit[$1, c - 2] + 0) {
+            printf "loc.sh: %s: %s %d > baseline %d\n", $1, name[c], $c, limit[$1, c - 2]
+            bad = 1
+        }
     }
     END { exit bad }
 ' "$baseline" "$table" >&2

@@ -8,7 +8,7 @@
 use datasets::App;
 use hzccl::{auto, CollectiveConfig, Mode};
 use netsim::{ComputeTiming, NetConfig, OpKind, RunReport, SimBuilder, TraceConfig};
-use tuner::{Algo, Calibration, Engine, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
+use tuner::{Algo, Calibration, Engine, Flavor, Op, Plan, ScenarioSpec};
 
 fn rank_fields(nranks: usize, elems: usize, seed: u64) -> Vec<Vec<f32>> {
     let base = App::SimSet2.generate(elems, seed);
@@ -155,7 +155,7 @@ fn calibration_converges_from_a_mis_seeded_constant() {
     let key = Calibration::key(Flavor::Hzccl, false);
     engine.calib.thr.get_mut(&key).expect("hz:st table")[OpKind::Hpr.index()] = 0.5;
 
-    let plan = Plan::serial(Flavor::Hzccl, Algo::Ring, ThreadMode::St, 32);
+    let plan = Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, 32);
     let ratio = probe_ratio(&fields[0], eb);
     let spec = ScenarioSpec::new(Op::Allreduce, elems, nranks, eb, 32, ratio);
     // The simulator times kernels with the TRUE paper model — that is the
@@ -185,6 +185,6 @@ fn calibration_converges_from_a_mis_seeded_constant() {
         "calibration did not converge: started 0.5, ended {last}, truth {truth}"
     );
     // The repaired constant changes the model the engine prices with.
-    let repaired = engine.calib.model(Flavor::Hzccl, ThreadMode::St).gbps[OpKind::Hpr.index()];
+    let repaired = engine.calib.model(Flavor::Hzccl, Mode::SingleThread).gbps[OpKind::Hpr.index()];
     assert!((repaired - last).abs() < 1e-12);
 }

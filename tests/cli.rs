@@ -349,9 +349,12 @@ fn tune_writes_a_cache_that_auto_then_uses() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = std::fs::read_to_string(&cache).unwrap();
-    assert!(!text.is_empty());
-    let engine = tuner::Engine::from_json(&netsim::Json::parse(&text).expect("cache parses"))
-        .expect("cache loads as engine state");
+    let doc = netsim::Json::parse(&text).expect("cache parses");
+    // the state file holds what the engine learned, nothing else
+    let keys: Vec<&str> = doc.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["version", "calibration", "cache"], "{text}");
+    assert_eq!(doc.get("version").and_then(netsim::Json::as_f64), Some(4.0));
+    let engine = tuner::Engine::from_json(&doc).expect("cache loads as engine state");
     assert!(!engine.cache.is_empty(), "tune recorded no buckets");
 
     // the auto variant now decides from the cache for a size inside the
@@ -394,6 +397,63 @@ fn tune_writes_a_cache_that_auto_then_uses() {
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hand-edited state file whose cached plan the engine would never offer
+/// (a block length the codec refuses, a segment count off the candidate
+/// list) is ignored for every op: the auto run falls back to the model and
+/// succeeds, instead of panicking on every rank or running the odd plan.
+#[test]
+fn auto_ignores_cached_plans_outside_the_candidate_set() {
+    let dir = tmpdir("hostile_cache");
+    let cache = dir.join("rs.json");
+    let cache_arg = cache.to_str().unwrap();
+    let tune = ["tune", "--ops", "reduce_scatter", "--ranks", "4", "--sizes-kb", "256"];
+    let out = hzc().args(tune).args(["--out", cache_arg]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let tuned = std::fs::read_to_string(&cache).unwrap();
+    let sim = ["sim", "reduce_scatter", "--ranks", "4", "--kb", "256", "--variant", "auto"];
+    let run = |state: &str| {
+        std::fs::write(&cache, state).unwrap();
+        let out = hzc().args(sim).args(["--cache", cache_arg]).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        stdout
+    };
+    assert!(run(&tuned).contains("(source: cache)"), "the tuned plan is a cache hit");
+    let engine = tuner::Engine::from_json(&netsim::Json::parse(&tuned).unwrap()).unwrap();
+    let segments = engine.cache.entries.values().next().expect("one cache entry").plan.segments;
+    let hostile = [
+        tuned.replacen("\"block_len\":32", "\"block_len\":100000000", 1),
+        tuned.replacen(&format!("\"segments\":{segments}"), "\"segments\":5000", 1),
+    ];
+    for state in hostile {
+        assert_ne!(state, tuned);
+        let stdout = run(&state);
+        assert!(stdout.contains("(source: model)"), "{stdout}");
+        assert!(!stdout.contains("b100000000") && !stdout.contains("/s5000"), "{stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fault-injection soak: every resilient flavour completes under 5 %
+/// drop, matches its fault-free baseline (the command exits nonzero
+/// otherwise), and the transport really retransmits.
+#[test]
+fn chaos_soak_passes_and_retransmits() {
+    let out =
+        hzc().args(["chaos", "--seed", "7", "--drop", "0.05", "--ranks", "8"]).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    let passed = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("chaos soak passed ("))
+        .unwrap_or_else(|| panic!("no `chaos soak passed` line:\n{stdout}"));
+    let retransmits: u64 = passed
+        .strip_suffix(" retransmits across the sweep)")
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("unreadable retransmit count: {passed}"));
+    assert!(retransmits > 0, "the transport never retransmitted:\n{stdout}");
 }
 
 /// The first line of `hzc <args>`'s stderr (the `hzc: <message>` line; the

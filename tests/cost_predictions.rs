@@ -16,23 +16,23 @@
 //! `cargo test --test cost_predictions -- --ignored --nocapture print_table`.
 
 use netsim::Topology;
-use tuner::{Algo, Calibration, Engine, Flavor, Op, Plan, ScenarioSpec, ThreadMode};
+use tuner::{Algo, Calibration, Engine, Flavor, Mode, Op, Plan, ScenarioSpec};
 
 const TABLE: &str = include_str!("cost_predictions.tsv");
 const FLAVOURS: [Flavor; 3] = [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl];
 const SEGMENTS: [usize; 5] = [1, 2, 4, 8, 64];
 
 /// `(name, engine, thread mode, compression ratio)`.
-fn calibrations() -> Vec<(&'static str, Engine, ThreadMode, f64)> {
+fn calibrations() -> Vec<(&'static str, Engine, Mode, f64)> {
     // a compressor too slow to pay for a ratio of 1.2: mpi must win
     let mut slow = Engine::paper();
     for flavor in [Flavor::CColl, Flavor::Hzccl] {
         slow.calib.thr.insert(Calibration::key(flavor, false), [0.05, 0.1, 0.3, 2.8, 6.0]);
     }
     vec![
-        ("paper-st", Engine::paper(), ThreadMode::St, 7.0),
-        ("paper-mt", Engine::paper(), ThreadMode::Mt(18), 7.0),
-        ("slow-r1.2", slow, ThreadMode::St, 1.2),
+        ("paper-st", Engine::paper(), Mode::SingleThread, 7.0),
+        ("paper-mt", Engine::paper(), Mode::MultiThread(18), 7.0),
+        ("slow-r1.2", slow, Mode::SingleThread, 1.2),
     ]
 }
 
