@@ -80,7 +80,7 @@ impl Knobs {
     }
 
     /// The standard bench banner.
-    pub fn banner(&self, id: &str, what: &str) -> String {
+    fn banner(&self, id: &str, what: &str) -> String {
         format!(
             "\n=== {id}: {what} ===\n(HZ_SIZE_MB={} HZ_RANKS={} HZ_THREADS={} HZ_PAPER_MODEL={})\n\n",
             self.size_mb,
@@ -116,7 +116,7 @@ fn host_model(flavor: Flavor, mode: Mode, field: &[f32], eb: f64) -> netsim::Thr
 /// *unfused* C-Coll-style Allgather — decompress at the stage boundary,
 /// recompress for gathering. Quantifies the fusion saving of Sec. III-C.2
 /// against the fused `collectives::allreduce`.
-pub fn allreduce_unfused(
+fn allreduce_unfused(
     comm: &mut netsim::Comm,
     data: &[f32],
     eb: f64,

@@ -100,7 +100,7 @@ pub enum Runner {
     /// One static tuner plan, executed verbatim ([`auto::run_planned`]) —
     /// also the only way to reach recursive doubling.
     Plan(Plan),
-    /// The Sec. III-C.2 fusion ablation ([`crate::allreduce_unfused`]).
+    /// The Sec. III-C.2 fusion ablation (`allreduce_unfused`).
     Unfused,
 }
 

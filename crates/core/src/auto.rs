@@ -12,7 +12,7 @@
 //! 2. broadcasts the winning [`Plan`] in its fixed 13-byte wire encoding
 //!    ([`Plan::encode`]) on a reserved tag, then
 //! 3. every rank runs the chosen plan: the ring schedule in the plan's
-//!    flavour (flat, segmented or [`crate::hierarchy`]'s two-tier), or
+//!    flavour (flat, segmented or `hierarchy`'s two-tier), or
 //!    [`crate::rd`].
 //!
 //! The probe compression is charged to the virtual clock as
@@ -463,10 +463,7 @@ mod tests {
         let eb = 1e-3;
         let eng = engine();
         let run = |res: Option<crate::resilient::Resilience>| {
-            let mut cfg = CollectiveConfig::new(eb, Mode::SingleThread);
-            if let Some(r) = res {
-                cfg = cfg.with_resilience(r);
-            }
+            let cfg = CollectiveConfig { res, ..CollectiveConfig::new(eb, Mode::SingleThread) };
             let cluster = SimBuilder::new(nranks).timing(modeled());
             let report = cluster
                 .run(|comm| {

@@ -44,23 +44,21 @@ pub(crate) fn read_f32s(bytes: &[u8], dst: &mut [f32]) -> Result<()> {
 
 /// Serialize an `f32` slice to little-endian bytes (wire format of the
 /// uncompressed baseline).
-pub fn f32_to_bytes(data: &[f32]) -> Vec<u8> {
+pub(crate) fn f32_to_bytes(data: &[f32]) -> Vec<u8> {
     let mut out = vec![0u8; data.len() * 4];
     write_f32s(data, &mut out);
-    out
-}
-
-/// Deserialize little-endian bytes back to `f32`s. Panics on non-multiple-of-
-/// four input (framing bug, not data corruption).
-pub fn bytes_to_f32(bytes: &[u8]) -> Vec<f32> {
-    let mut out = vec![0f32; bytes.len() / 4];
-    read_f32s(bytes, &mut out).expect("payload is not a whole number of f32s");
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bytes_to_f32(bytes: &[u8]) -> Vec<f32> {
+        let mut out = vec![0f32; bytes.len() / 4];
+        read_f32s(bytes, &mut out).expect("payload is not a whole number of f32s");
+        out
+    }
 
     #[test]
     fn chunks_tile_and_last_absorbs() {
@@ -126,11 +124,5 @@ mod tests {
         }
         assert!(matches!(read_f32s(&wire[..11], &mut [0f32; 3]), Err(Error::Mismatch(_))));
         read_f32s(&wire, &mut [0f32; 3]).expect("the right length reads");
-    }
-
-    #[test]
-    #[should_panic(expected = "whole number")]
-    fn ragged_bytes_panic() {
-        bytes_to_f32(&[1, 2, 3]);
     }
 }

@@ -10,9 +10,9 @@
 //! | [`bcast`] | same (`opts.root`) | returns the full vector |
 //! | [`allgather`] | `(&mut Comm, own chunk, total_len, &CollectiveOpts)` | n/a |
 //!
-//! The first four are [`run`] at a fixed [`tuner::Op`] — the entry point of
-//! callers that hold the collective as a value (a CLI flag, a bench sweep) —
-//! and [`run_recoverable`] is its crash-recovering twin.
+//! The first four are one ring dispatch (`run`) at a fixed [`tuner::Op`];
+//! [`run_recoverable`] is its crash-recovering twin, the entry point of
+//! callers that hold the collective as a value (a CLI flag, a bench sweep).
 //!
 //! Conventions:
 //!
@@ -24,7 +24,7 @@
 //!   [`Error::InvalidRoot`].
 //! * **Pipelining is an option, not an API fork**:
 //!   [`CollectiveOpts::with_segments`] selects the segmented pipelined
-//!   schedule of the same ring (see [`crate::pipeline`]); `1` (the default)
+//!   schedule of the same ring (see `pipeline.rs`); `1` (the default)
 //!   is the paper's phase-serial ring. Results are bit-identical either way. Under
 //!   [`Variant::Auto`] the tuner-agreed plan's segment count overrides this
 //!   knob.
@@ -82,7 +82,7 @@ pub enum Error {
     /// The recovery layer ran out of membership epochs: more repairs than
     /// the 8-bit epoch tag field can number.
     TooManyEpochs {
-        /// The epoch cap that was exhausted ([`crate::pipeline::MAX_EPOCH`]).
+        /// The epoch cap that was exhausted (`MAX_EPOCH`, 255).
         epochs: u32,
     },
     /// The requested [`RecoveryPolicy`] cannot run under these options —
@@ -234,13 +234,6 @@ impl CollectiveOpts {
         self
     }
 
-    /// Shorthand: `1` thread is [`Mode::SingleThread`], more is
-    /// [`Mode::MultiThread`].
-    pub fn with_threads(mut self, threads: usize) -> CollectiveOpts {
-        self.mode = if threads <= 1 { Mode::SingleThread } else { Mode::MultiThread(threads) };
-        self
-    }
-
     /// Pipeline segment count per ring step. `1` (default) is the
     /// phase-serial schedule; larger counts overlap per-segment compute
     /// with the wire, clamped to [`crate::pipeline::MAX_SEGMENTS`] and the
@@ -257,7 +250,7 @@ impl CollectiveOpts {
     }
 
     /// Route every hop through the resilient transport
-    /// ([`crate::resilient`]): checksummed frames, NACK/retransmit, and
+    /// ([`Resilience`]): checksummed frames, NACK/retransmit, and
     /// graceful degradation to raw f32 after `max_retries` — on the flat
     /// ring, on both tiers of the hierarchical schedule, and (resending
     /// instead of degrading) under the shrinking recovery policies. Forces
@@ -283,7 +276,7 @@ impl CollectiveOpts {
     }
 
     /// Attach a two-tier fabric shape: [`allreduce`] runs the hierarchical
-    /// schedule ([`crate::hierarchy`]) when the topology is genuinely
+    /// schedule (`hierarchy.rs`) when the topology is genuinely
     /// two-level (`nodes > 1 && ppn > 1`) — intra-node reduce-scatter,
     /// compressed inter-node ring, intra-node allgather. Under
     /// [`Variant::Auto`] the tuner decides between the flat and the
@@ -301,11 +294,6 @@ impl CollectiveOpts {
     /// The flavour this call dispatches to.
     pub fn variant(&self) -> Variant {
         self.variant
-    }
-
-    /// Absolute error bound.
-    pub fn eb(&self) -> f64 {
-        self.eb
     }
 
     /// The crash-recovery policy of this call.
@@ -382,7 +370,7 @@ fn check(
 /// ([`tuner::Op`]): [`Variant::Auto`] asks the tuner ([`auto::run`]), a
 /// static flavour runs its ring. Rooted ops use `opts.root`; every rank
 /// passes a full-length buffer.
-pub fn run(comm: &mut Comm, op: Op, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
+fn run(comm: &mut Comm, op: Op, data: &[f32], opts: &CollectiveOpts) -> Result<Vec<f32>> {
     let root = matches!(op, Op::Reduce | Op::Bcast).then_some(opts.root);
     // only Allreduce has a hierarchical schedule
     let topo = check(comm, data.len(), opts, root)?.filter(|_| op == Op::Allreduce);
@@ -447,7 +435,7 @@ pub fn allgather(
     ring::run(comm, verb, flavor, own, &opts.cfg(), opts.segments, Over::Flat)
 }
 
-/// [`run`] with crash recovery — the one entry point under
+/// The verbs' ring dispatch with crash recovery — the one entry point under
 /// [`allreduce_recoverable`] and [`reduce_scatter_recoverable`]: a rank
 /// dying mid-flight is handled per `opts.recovery()` and the result says
 /// whose data it aggregates. Under [`RecoveryPolicy::FailFast`] every op is
@@ -725,14 +713,14 @@ mod tests {
 
     #[test]
     fn builder_roundtrip() {
-        let opts = CollectiveOpts::hz(1e-3).with_segments(8).with_threads(18).with_root(3);
+        let opts =
+            CollectiveOpts::hz(1e-3).with_segments(8).with_mode(Mode::MultiThread(18)).with_root(3);
         assert_eq!(opts.variant(), Variant::Hzccl);
         assert_eq!(opts.segments, 8);
         assert_eq!(opts.mode, Mode::MultiThread(18));
         assert_eq!(opts.root, 3);
-        // zero segments degrades to the serial schedule, threads=1 to ST
+        // zero segments degrades to the serial schedule
         assert_eq!(CollectiveOpts::mpi().with_segments(0).segments, 1);
-        assert_eq!(CollectiveOpts::mpi().with_threads(1).mode, Mode::SingleThread);
     }
 
     #[test]

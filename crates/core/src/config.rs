@@ -70,7 +70,7 @@ pub struct CollectiveConfig {
     /// Resilient-transport policy. `None` (the default) keeps every
     /// schedule on the exact unframed fast path — bit-identical behaviour
     /// to a build without the resilience layer. `Some` frames every ring
-    /// hop ([`crate::resilient`]).
+    /// hop ([`crate::Resilience`]).
     pub res: Option<crate::resilient::Resilience>,
 }
 
@@ -78,12 +78,6 @@ impl CollectiveConfig {
     /// Config with the paper's defaults and the given mode.
     pub fn new(eb: f64, mode: Mode) -> Self {
         CollectiveConfig { eb, block_len: fzlight::DEFAULT_BLOCK_LEN, mode, res: None }
-    }
-
-    /// Enable the resilient transport with the given retry policy.
-    pub fn with_resilience(mut self, res: crate::resilient::Resilience) -> Self {
-        self.res = Some(res);
-        self
     }
 
     /// The fzlight compressor config this collective config implies.

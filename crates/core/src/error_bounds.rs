@@ -51,12 +51,6 @@ pub fn ccoll_allreduce(nranks: usize, eb: f64) -> f64 {
     2.0 * nranks as f64 * eb
 }
 
-/// Worst-case point-wise error of the CPR-P2P Allreduce (`(3N-2)*eb`:
-/// per-hop recompression in the Allgather as well).
-pub fn p2p_allreduce(nranks: usize, eb: f64) -> f64 {
-    (3 * nranks - 2) as f64 * eb
-}
-
 /// Worst-case point-wise error of a Shrink-policy recoverable collective
 /// that committed with `survivors` members, for the compressed flavours
 /// (`(2m+2)*eb`). The survivable schedule's wire codec quantizes each of
@@ -69,6 +63,13 @@ pub fn p2p_allreduce(nranks: usize, eb: f64) -> f64 {
 /// `hzc chaos --crash-rate`.
 pub fn shrink_allreduce(survivors: usize, eb: f64) -> f64 {
     (2 * survivors + 2) as f64 * eb
+}
+
+/// Worst-case point-wise error of the CPR-P2P Allreduce (`(3N-2)*eb`:
+/// per-hop recompression in the Allgather as well).
+#[cfg(test)]
+pub(crate) fn p2p_allreduce(nranks: usize, eb: f64) -> f64 {
+    (3 * nranks - 2) as f64 * eb
 }
 
 #[cfg(test)]

@@ -24,9 +24,9 @@
 //! a crate-private instantiation for the comparison tests.) The same
 //! schedule also runs segmented and pipelined
 //! ([`CollectiveOpts::with_segments`]), framed over the resilient transport
-//! ([`resilient`]), two-tier over a node ring and a leader ring
-//! ([`hierarchy`]), and — one attempt per epoch of a recovery loop — over a
-//! shrinking membership ([`membership`]). [`rd`] adds a recursive-doubling Allreduce
+//! ([`Resilience`]), two-tier over a node ring and a leader ring
+//! (`hierarchy.rs`), and — one attempt per epoch of a recovery loop — over a
+//! shrinking membership (`membership.rs`). [`rd`] adds a recursive-doubling Allreduce
 //! (with homomorphic reduction) for the latency-bound small-message regime,
 //! and [`error_bounds`] states the analytic worst-case error of each
 //! workflow.
@@ -54,19 +54,18 @@ pub mod auto;
 pub mod chunks;
 pub(crate) mod codec;
 pub mod collectives;
-pub mod config;
+mod config;
 pub mod error_bounds;
-pub mod hierarchy;
-pub mod membership;
-pub mod pipeline;
+mod hierarchy;
+mod membership;
+mod pipeline;
 pub mod rd;
-pub mod resilient;
+mod resilient;
 pub(crate) mod ring;
 pub(crate) mod survivable;
 
 pub use collectives::{CollectiveOpts, PartialResult, RecoveryPolicy};
 pub use config::{calibrate_doc, calibrate_hz, paper_model, CollectiveConfig, Mode, Variant};
-pub use membership::View;
 pub use pipeline::{decode_tag, TagInfo};
 pub use resilient::{PayloadKind, Resilience};
 

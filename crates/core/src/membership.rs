@@ -45,7 +45,7 @@ pub(crate) const TAG_AGREE: u64 = 11 << 32;
 /// under. Every rank derives its view deterministically from the same
 /// agreed suspect sets, so all survivors of an epoch hold identical views.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct View {
+pub(crate) struct View {
     /// Attempt number: 0 at launch, +1 per repair. Salted into every wire
     /// tag of the attempt (8-bit field, see [`crate::pipeline::MAX_EPOCH`]).
     pub epoch: u32,
@@ -60,7 +60,7 @@ pub struct View {
 
 impl View {
     /// The launch membership: epoch 0, every rank alive.
-    pub fn initial(nranks: usize) -> View {
+    pub(crate) fn initial(nranks: usize) -> View {
         View { epoch: 0, members: (0..nranks).collect(), n0: nranks }
     }
 
@@ -72,14 +72,14 @@ impl View {
 
     /// This rank's virtual position in the survivor ring, if it is a
     /// member.
-    pub fn vrank(&self, rank: usize) -> Option<usize> {
+    pub(crate) fn vrank(&self, rank: usize) -> Option<usize> {
         self.members.binary_search(&rank).ok()
     }
 
     /// The next view after `suspects` were agreed dead: same `n0`, epoch
     /// +1, suspects spliced out of the ring. Returns `None` past the
     /// 8-bit epoch cap of the tag encoding (255 repairs).
-    pub fn advance(&self, suspects: &BTreeSet<usize>) -> Option<View> {
+    pub(crate) fn advance(&self, suspects: &BTreeSet<usize>) -> Option<View> {
         if self.epoch >= MAX_EPOCH {
             return None;
         }

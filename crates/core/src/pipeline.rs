@@ -23,7 +23,7 @@ pub(crate) const SEG_TAG_STRIDE: u64 = 4096;
 /// Hard cap on the segment count — the cost model's, so the schedule never
 /// runs a count the tuner cannot price: past this, per-segment latency `S·α`
 /// swamps any overlap gain.
-pub use tuner::MAX_SEGMENTS;
+pub(crate) use tuner::MAX_SEGMENTS;
 
 /// The wire tag of segment `seg` of ring step `step` under `base`
 /// (`TAG_RS`, `TAG_AG`, …).
@@ -41,7 +41,7 @@ pub(crate) const EPOCH_SHIFT: u32 = 40;
 /// Maximum membership epoch a tag can carry (and thus the recovery layer
 /// can reach): the epoch advances only when ranks die, so 255 repairs is
 /// far beyond any simulated crash plan.
-pub const MAX_EPOCH: u32 = 0xFF;
+pub(crate) const MAX_EPOCH: u32 = 0xFF;
 
 /// [`seg_tag`] salted with the membership epoch of the survivable
 /// collective layer, so messages of a revoked attempt can never match a
@@ -136,7 +136,12 @@ pub(crate) fn seg_range(
 /// the range start), distributing blocks as evenly as possible (count per
 /// `seg_count`). Pass `block_len = 1` for uncompressed traffic.
 /// Deterministic in its inputs, so every rank derives the identical split.
-pub fn seg_ranges(range: Range<usize>, segments: usize, block_len: usize) -> Vec<Range<usize>> {
+#[cfg(test)]
+pub(crate) fn seg_ranges(
+    range: Range<usize>,
+    segments: usize,
+    block_len: usize,
+) -> Vec<Range<usize>> {
     (0..seg_count(range.len(), segments, block_len))
         .map(|i| seg_range(&range, segments, block_len, i))
         .collect()

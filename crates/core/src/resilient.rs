@@ -116,7 +116,7 @@ pub(crate) fn ctrl_tag(tag: u64) -> u64 {
 
 /// Why a frame failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
+enum FrameError {
     /// Shorter than the fixed header.
     TooShort { len: usize },
     /// Magic bytes do not match.

@@ -1095,7 +1095,7 @@ mod tests {
                     })
                     .expect_clean();
                 let (mut t, mut v) = (0xCBF2_9CE4_8422_2325u64, 0xCBF2_9CE4_8422_2325u64);
-                fnv1a(&mut t, netsim::trace::chrome_trace(&report.traces).as_bytes());
+                fnv1a(&mut t, netsim::trace::chrome_trace(&report.traces, None).as_bytes());
                 for o in &report.outcomes {
                     fnv1a(&mut v, &(o.rank as u64).to_le_bytes());
                     fnv1a(&mut v, &(o.value.len() as u64).to_le_bytes());

@@ -257,7 +257,7 @@ pub const MAX_SEGMENTS: usize = 64;
 /// = `C` its overlappable compute, α the per-message latency: the first
 /// segment pays its wire + compute in full, every later one hides the
 /// smaller behind the larger. `segments = 1` is the serial `α + W + C`.
-pub fn pipelined_step(s: &Scenario, segments: usize, wire_ser: f64, compute: f64) -> f64 {
+fn pipelined_step(s: &Scenario, segments: usize, wire_ser: f64, compute: f64) -> f64 {
     let k = segments.clamp(1, MAX_SEGMENTS) as f64;
     k * s.net.latency_s + (wire_ser + compute) / k + (k - 1.0) / k * wire_ser.max(compute)
 }
@@ -266,7 +266,7 @@ pub fn pipelined_step(s: &Scenario, segments: usize, wire_ser: f64, compute: f64
 /// `sqrt(min(W, C)/α)` — more segments amortize overlap until the extra
 /// α-injections outweigh the hidden time — rounded to whichever neighbour
 /// prices cheaper and clamped to `[1, MAX_SEGMENTS]`.
-pub fn optimal_segments(s: &Scenario, wire_ser: f64, compute: f64) -> usize {
+fn optimal_segments(s: &Scenario, wire_ser: f64, compute: f64) -> usize {
     let star = (wire_ser.min(compute) / s.net.latency_s.max(1e-12)).sqrt();
     let [lo, hi] = [star.floor(), star.ceil()].map(|x| (x as usize).clamp(1, MAX_SEGMENTS));
     let step = |k: &usize| pipelined_step(s, *k, wire_ser, compute);
@@ -300,41 +300,6 @@ pub fn reduce_scatter_ccoll_pipelined(s: &Scenario, segments: usize) -> f64 {
 }
 pub fn reduce_scatter_hzccl_pipelined(s: &Scenario, segments: usize) -> f64 {
     predict(s, Op::ReduceScatter, Flavor::Hzccl, Algo::Ring, segments, None)
-}
-
-/// Bisect for the message size (bytes) where `a` stops being cheaper than
-/// `b`: the smallest size in `[lo, hi]` with `a(s) <= b(s)`, given that `a`
-/// is slower at `lo` and faster at `hi` (a latency-vs-bandwidth crossover).
-/// Returns `None` when the ordering never flips inside the bracket.
-pub fn crossover_bytes(
-    template: &Scenario,
-    lo: usize,
-    hi: usize,
-    a: impl Fn(&Scenario) -> f64,
-    b: impl Fn(&Scenario) -> f64,
-) -> Option<usize> {
-    let gap = |bytes: usize| {
-        let s = Scenario { message_bytes: bytes, ..*template };
-        a(&s) - b(&s)
-    };
-    if !(gap(lo) > 0.0 && gap(hi) <= 0.0) {
-        return None;
-    }
-    let (mut lo, mut hi) = (lo, hi);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        (lo, hi) = if gap(mid) > 0.0 { (mid, hi) } else { (lo, mid) };
-    }
-    Some(hi)
-}
-
-/// The paper's Reduce_scatter cost difference,
-/// `T_CColl - T_hZCCL = (N-1)(DPR + CPT - HPR) - CPR - DPR` (compute only:
-/// both send compressed chunks, so the wire terms cancel). Exposed for the
-/// identity test and for intuition in reports.
-pub fn rs_compute_gap(s: &Scenario) -> f64 {
-    let [cpr, dpr, hpr, cpt] = [Cpr, Dpr, Hpr, Cpt].map(|k| s.cost(&[k], s.chunk()));
-    (s.nranks - 1) as f64 * (dpr + cpt - hpr) - cpr - dpr
 }
 
 #[cfg(test)]
@@ -382,6 +347,41 @@ mod tests {
 
     fn hier(s: &Scenario, flavor: Flavor, topo: &Topology) -> f64 {
         predict(s, Op::Allreduce, flavor, Algo::Ring, 1, Some(topo))
+    }
+
+    /// Bisect for the message size (bytes) where `a` stops being cheaper than
+    /// `b`: the smallest size in `[lo, hi]` with `a(s) <= b(s)`, given that `a`
+    /// is slower at `lo` and faster at `hi` (a latency-vs-bandwidth crossover).
+    /// Returns `None` when the ordering never flips inside the bracket.
+    fn crossover_bytes(
+        template: &Scenario,
+        lo: usize,
+        hi: usize,
+        a: impl Fn(&Scenario) -> f64,
+        b: impl Fn(&Scenario) -> f64,
+    ) -> Option<usize> {
+        let gap = |bytes: usize| {
+            let s = Scenario { message_bytes: bytes, ..*template };
+            a(&s) - b(&s)
+        };
+        if !(gap(lo) > 0.0 && gap(hi) <= 0.0) {
+            return None;
+        }
+        let (mut lo, mut hi) = (lo, hi);
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            (lo, hi) = if gap(mid) > 0.0 { (mid, hi) } else { (lo, mid) };
+        }
+        Some(hi)
+    }
+
+    /// The paper's Reduce_scatter cost difference,
+    /// `T_CColl - T_hZCCL = (N-1)(DPR + CPT - HPR) - CPR - DPR` (compute only:
+    /// both send compressed chunks, so the wire terms cancel) — the reference
+    /// [`predict`]'s two Reduce_scatter rows are checked against.
+    fn rs_compute_gap(s: &Scenario) -> f64 {
+        let [cpr, dpr, hpr, cpt] = [Cpr, Dpr, Hpr, Cpt].map(|k| s.cost(&[k], s.chunk()));
+        (s.nranks - 1) as f64 * (dpr + cpt - hpr) - cpr - dpr
     }
 
     /// Every `(what, smaller, larger)` row must hold strictly.

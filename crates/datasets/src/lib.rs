@@ -20,9 +20,9 @@
 //! assert_eq!(q.max_abs_err, 0.0);
 //! ```
 
-pub mod apps;
-pub mod io;
-pub mod metrics;
+mod apps;
+mod io;
+mod metrics;
 mod noise;
 
 pub use apps::App;

@@ -26,7 +26,7 @@ pub struct ChunkSpan {
 /// Compute the effective chunk count for `n` elements and a requested thread
 /// count: never more chunks than elements, at least one chunk when `n > 0`,
 /// and zero chunks for empty input.
-pub fn effective_chunks(n: usize, threads: usize) -> usize {
+pub(crate) fn effective_chunks(n: usize, threads: usize) -> usize {
     if n == 0 {
         0
     } else {
@@ -36,8 +36,8 @@ pub fn effective_chunks(n: usize, threads: usize) -> usize {
 
 /// The chunk spans for `n` elements split into `nchunks` chunks, in order.
 ///
-/// `nchunks` must come from [`effective_chunks`]; panics if a chunk would be
-/// empty.
+/// `nchunks` must be a stream's chunk count (`effective_chunks`); panics if a
+/// chunk would be empty.
 pub fn chunk_spans(n: usize, nchunks: usize) -> impl ExactSizeIterator<Item = ChunkSpan> + Clone {
     assert!(nchunks > 0 || n == 0, "zero chunks only valid for empty input");
     let base = n.checked_div(nchunks).unwrap_or(0);

@@ -40,7 +40,7 @@
 //!
 //! ## Word-parallel hot paths
 //!
-//! The production [`encode_block`]/[`decode_block`] pair is word-parallel:
+//! The production `encode_block`/[`decode_block`] pair is word-parallel:
 //! output is written once via `resize` + slice stores (no per-byte `Vec`
 //! growth checks), the sign bitmap moves as one `u64`, byte planes are plain
 //! vectorizable gather/scatter loops, and the residual plane exploits that
@@ -59,7 +59,7 @@ use crate::error::{Error, Result};
 
 /// Number of sign-bitmap bytes for a block of `len` deltas.
 #[inline]
-pub const fn sign_bytes(len: usize) -> usize {
+const fn sign_bytes(len: usize) -> usize {
     len.div_ceil(8)
 }
 
@@ -72,7 +72,7 @@ pub fn code_for_max(max_mag: u32) -> u8 {
 /// Payload size in bytes (excluding the 1-byte code) for a block of `len`
 /// deltas encoded with code length `c`.
 #[inline]
-pub const fn payload_size(c: u8, len: usize) -> usize {
+const fn payload_size(c: u8, len: usize) -> usize {
     if c == 0 {
         return 0;
     }
@@ -83,7 +83,7 @@ pub const fn payload_size(c: u8, len: usize) -> usize {
 
 /// Total on-wire size (code byte + payload).
 #[inline]
-pub const fn block_size(c: u8, len: usize) -> usize {
+const fn block_size(c: u8, len: usize) -> usize {
     1 + payload_size(c, len)
 }
 
@@ -105,7 +105,7 @@ pub fn peek_code(input: &[u8]) -> Result<u8> {
 /// byte-identical copies for pipelines ② and ③).
 ///
 /// Word-parallel fast path, byte-identical to [`encode_block_scalar`].
-pub fn encode_block(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
+pub(crate) fn encode_block(mags: &[u32], signs: u64, out: &mut Vec<u8>) -> u8 {
     let max = mags.iter().fold(0u32, |max, &m| max | m);
     encode_coded(mags, signs, code_for_max(max), out)
 }
@@ -749,7 +749,7 @@ pub fn copy_block(input: &[u8], len: usize, out: &mut Vec<u8>) -> Result<usize> 
 }
 
 /// Skip over an encoded block, returning its on-wire size.
-pub fn skip_block(input: &[u8], len: usize) -> Result<usize> {
+pub(crate) fn skip_block(input: &[u8], len: usize) -> Result<usize> {
     let c = peek_code(input)?;
     let total = block_size(c, len);
     if input.len() < total {

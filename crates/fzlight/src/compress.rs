@@ -5,7 +5,7 @@
 //! stack buffers: [`quantize_block`] rounds the values to `i32` (no call, no
 //! branch), one loop over neighbouring integers takes each delta's `u32`
 //! magnitude and sign in 32-bit wrapping arithmetic, and
-//! [`codec::encode_block`] packs them behind the bitmap that
+//! `codec::encode_block` packs them behind the bitmap that
 //! `codec::sign_bitmap` gathers from the sign bytes. Nothing is widened to
 //! 64 bits and no loop carries a value from one element to the next, so each
 //! of them compiles to vector code on the baseline target.

@@ -8,7 +8,7 @@ use crate::error::{Error, Result};
 use std::ops::Range;
 
 /// Stream format version.
-pub const VERSION: u32 = 1;
+const VERSION: u32 = 1;
 
 /// What tells one stream family from another on the wire.
 pub trait Layout {

@@ -52,9 +52,9 @@ pub mod decompress;
 pub mod error;
 pub mod header;
 pub mod quantize;
-pub mod stats;
+mod stats;
 pub mod stream;
-pub mod unfused;
+mod unfused;
 
 pub use compress::{compress, compress_resolved};
 pub use config::{Config, ErrorBound, DEFAULT_BLOCK_LEN};

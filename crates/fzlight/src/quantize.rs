@@ -131,15 +131,14 @@ pub fn quantize_block_scalar(
     Ok(())
 }
 
-/// Reconstruct a value from its quantization integer.
-#[inline]
-pub fn dequantize(q: i32, two_eb: f64) -> f32 {
-    (q as f64 * two_eb) as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reconstruct a value from its quantization integer.
+    fn dequantize(q: i32, two_eb: f64) -> f32 {
+        (q as f64 * two_eb) as f32
+    }
 
     #[test]
     fn quantize_dequantize_respects_bound() {

@@ -68,7 +68,7 @@ impl StreamStats {
     }
 
     /// Mean code length over all blocks (bits).
-    pub fn mean_code(&self) -> f64 {
+    fn mean_code(&self) -> f64 {
         if self.blocks == 0 {
             return 0.0;
         }

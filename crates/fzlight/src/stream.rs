@@ -210,7 +210,7 @@ impl<L: Layout> Stream<L> {
     }
 
     /// Original (uncompressed) size in bytes.
-    pub fn original_size(&self) -> usize {
+    fn original_size(&self) -> usize {
         self.n() * std::mem::size_of::<f32>()
     }
 

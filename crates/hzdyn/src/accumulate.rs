@@ -47,8 +47,6 @@ pub struct Accumulator {
     outliers: Vec<i64>,
     /// All delta integers, in stream order (chunk-major).
     deltas: Vec<i64>,
-    /// Number of streams accumulated so far.
-    count: usize,
 }
 
 impl Accumulator {
@@ -59,15 +57,9 @@ impl Accumulator {
             spans: chunk_spans(first.n(), first.nchunks()).collect(),
             outliers: vec![0i64; first.nchunks()],
             deltas: vec![0i64; first.n()],
-            count: 0,
         };
         acc.push(first)?;
         Ok(acc)
-    }
-
-    /// Number of streams accumulated so far.
-    pub fn count(&self) -> usize {
-        self.count
     }
 
     /// Add a compatible stream to the running sum (one decode pass;
@@ -101,7 +93,6 @@ impl Accumulator {
                 return Err(Error::Corrupt("chunk payload longer than its blocks"));
             }
         }
-        self.count += 1;
         Ok(())
     }
 
@@ -152,7 +143,6 @@ mod tests {
             acc.push(s).unwrap();
             chain = homomorphic_sum(&chain, s).unwrap();
         }
-        assert_eq!(acc.count(), 5);
         let total = acc.finish().unwrap();
         assert_eq!(total.as_bytes(), chain.as_bytes());
     }

@@ -54,13 +54,13 @@
 //! }
 //! ```
 
-pub mod accumulate;
+mod accumulate;
 pub mod doc;
-pub mod dynamic;
-pub mod op;
+mod dynamic;
+mod op;
 pub mod reference;
-pub mod static_pipeline;
-pub mod stats;
+mod static_pipeline;
+mod stats;
 mod walk;
 
 pub use accumulate::Accumulator;

@@ -19,7 +19,7 @@ impl ReduceOp {
     /// The operation as integer coefficients `(alpha, beta)` of
     /// `alpha·a + beta·b` — how the one homomorphic kernel runs it.
     #[inline]
-    pub fn coefficients(self) -> (i32, i32) {
+    pub(crate) fn coefficients(self) -> (i32, i32) {
         match self {
             ReduceOp::Sum => (1, 1),
             ReduceOp::Diff => (1, -1),
@@ -28,7 +28,7 @@ impl ReduceOp {
 
     /// Apply the operation to two floats (used by the DOC baseline).
     #[inline]
-    pub fn apply_f32(self, a: f32, b: f32) -> f32 {
+    pub(crate) fn apply_f32(self, a: f32, b: f32) -> f32 {
         match self {
             ReduceOp::Sum => a + b,
             ReduceOp::Diff => a - b,

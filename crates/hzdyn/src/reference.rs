@@ -5,7 +5,7 @@
 //! ([`codec::decode_block_scalar`]/[`codec::encode_deltas_scalar`]): `i64`
 //! deltas whatever the codes, per-byte `Vec` pushes, bit-buffered residual
 //! handling. It is kept for differential testing: the fast path in
-//! [`crate::dynamic`], byte or `i32` lanes where both codes allow, must produce
+//! `dynamic.rs`, byte or `i32` lanes where both codes allow, must produce
 //! byte-identical streams (asserted by the
 //! workspace `kernel_equivalence` property tests and the `scalar` column of
 //! `tests/codec_goldens.tsv`).

@@ -18,7 +18,7 @@ pub struct PipelineStats {
 
 impl PipelineStats {
     /// Total block pairs processed.
-    pub fn total(&self) -> u64 {
+    fn total(&self) -> u64 {
         self.p1 + self.p2 + self.p3 + self.p4
     }
 

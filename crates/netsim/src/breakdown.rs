@@ -25,7 +25,7 @@ pub struct Breakdown {
 
 impl Breakdown {
     /// Charge `secs` to the bucket for `kind`.
-    pub fn charge(&mut self, kind: OpKind, secs: f64) {
+    pub(crate) fn charge(&mut self, kind: OpKind, secs: f64) {
         match kind {
             OpKind::Cpr => self.cpr += secs,
             OpKind::Dpr => self.dpr += secs,

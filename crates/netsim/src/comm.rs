@@ -260,12 +260,6 @@ impl Comm {
         self.breakdown
     }
 
-    /// The cluster's topology, if one was configured with
-    /// [`crate::SimBuilder::topology`].
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
-    }
-
     /// Switch survivable mode on or off. While on, observed peer crashes are
     /// recorded (see [`Comm::recv_checked`]) instead of
     /// panicking, and sends to finished peers are discarded instead of
@@ -584,15 +578,10 @@ impl Comm {
     }
 
     /// Advance the virtual clock without running anything (e.g. a cost known
-    /// analytically).
-    pub fn advance(&mut self, kind: OpKind, secs: f64) {
-        self.advance_labeled(kind, secs, "advance");
-    }
-
-    /// [`Comm::advance`] with an explicit flight-recorder label, so analytic
-    /// charges stay distinguishable in traces and the critical-path report
-    /// (e.g. `"res:timeout-wait"` vs a generic `"advance"`). Labels must be
-    /// static so the disabled-tracing path stays allocation-free.
+    /// analytically), under a flight-recorder label, so analytic charges stay
+    /// distinguishable in traces and the critical-path report (e.g.
+    /// `"res:timeout-wait"`). Labels must be static so the disabled-tracing
+    /// path stays allocation-free.
     pub fn advance_labeled(&mut self, kind: OpKind, secs: f64, label: &'static str) {
         let t = self.clock;
         self.clock += secs;

@@ -94,7 +94,7 @@ pub struct PathElement {
 
 impl PathElement {
     /// Span length in seconds.
-    pub fn secs(&self) -> f64 {
+    pub(crate) fn secs(&self) -> f64 {
         self.end - self.start
     }
 }
@@ -187,7 +187,7 @@ impl HopTime {
     }
 }
 
-/// The result of [`CriticalPath::analyze`]: the end-to-end binding chain of
+/// The result of [`CriticalPath::analyze_with_topology`]: the end-to-end binding chain of
 /// a traced run, its composition, and per-event slack.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPath {
@@ -250,18 +250,12 @@ impl CriticalPath {
     /// Analyze the traces of one complete run (every rank's trace, in rank
     /// order — the same `Vec` [`crate::RunReport::traces`] carries).
     ///
-    /// `net` must be the [`NetConfig`] the run used: non-binding wire edges
-    /// (messages that arrived before their receive was posted) leave no
-    /// timing residue in the trace, so their weight is recomputed from the
-    /// model for the slack pass.
-    pub fn analyze(traces: &[RankTrace], net: &NetConfig) -> CriticalPath {
-        CriticalPath::analyze_with_topology(traces, net, None)
-    }
-
-    /// [`CriticalPath::analyze`] for a topologized run: `topology` must be
-    /// the [`Topology`] the cluster ran with, so non-binding wire edges are
-    /// recomputed from the *tier's* link model (the tier itself is read off
-    /// each recorded send). With `None` this is exactly `analyze`.
+    /// `net` and `topology` must be the [`NetConfig`] and [`Topology`] (if
+    /// any) the run used: non-binding wire edges (messages that arrived
+    /// before their receive was posted) leave no timing residue in the trace,
+    /// so their weight is recomputed for the slack pass from the model — the
+    /// *tier's* link model on a topologized run (the tier itself is read off
+    /// each recorded send).
     pub fn analyze_with_topology(
         traces: &[RankTrace],
         net: &NetConfig,
@@ -570,7 +564,7 @@ mod tests {
             })
             .expect_clean()
             .traces;
-        let cp = CriticalPath::analyze(&traces, &net());
+        let cp = CriticalPath::analyze_with_topology(&traces, &net(), None);
         assert!((cp.length - cp.makespan).abs() <= 1e-12 * cp.makespan.max(1.0));
         assert!((cp.buckets.total() - cp.length).abs() <= 1e-12);
         // composition: cpr + alpha + wire + cpt, nothing else
@@ -604,7 +598,7 @@ mod tests {
             })
             .expect_clean()
             .traces;
-        let cp = CriticalPath::analyze(&traces, &net());
+        let cp = CriticalPath::analyze_with_topology(&traces, &net(), None);
         assert!((cp.length - cp.makespan).abs() <= 1e-9 * cp.makespan);
         // rank 0's big compute dominates the path
         assert!(cp.per_rank[0] > cp.per_rank[1], "{:?}", cp.per_rank);
@@ -629,7 +623,7 @@ mod tests {
             })
             .expect_clean()
             .traces;
-        let cp = CriticalPath::analyze(&traces, &net());
+        let cp = CriticalPath::analyze_with_topology(&traces, &net(), None);
         assert!((cp.length - cp.makespan).abs() <= 1e-12);
         assert!(cp.buckets.jitter > 0.0, "{:?}", cp.buckets);
         let ser = net().serialization_time(4096, 2);
@@ -651,7 +645,7 @@ mod tests {
             .expect_clean()
             .traces;
         traces[0].events.clear(); // simulate a lost sender trace
-        let cp = CriticalPath::analyze(&traces, &net());
+        let cp = CriticalPath::analyze_with_topology(&traces, &net(), None);
         assert!(cp.buckets.blocked_wait > 0.0, "{:?}", cp.buckets);
         assert!((cp.buckets.total() - cp.length).abs() <= 1e-12);
     }
@@ -713,7 +707,7 @@ mod tests {
             })
             .expect_clean()
             .traces;
-        let cp = CriticalPath::analyze(&traces, &net());
+        let cp = CriticalPath::analyze_with_topology(&traces, &net(), None);
         let flat = cp.by_tier[LinkTier::Flat.index()];
         assert_eq!(flat.hops, 1);
         assert!((flat.total() - (cp.buckets.alpha + cp.buckets.wire)).abs() < 1e-12);
@@ -723,7 +717,7 @@ mod tests {
 
     #[test]
     fn empty_traces_yield_an_empty_path() {
-        let cp = CriticalPath::analyze(&[], &net());
+        let cp = CriticalPath::analyze_with_topology(&[], &net(), None);
         assert_eq!(cp.length, 0.0);
         assert_eq!(cp.makespan, 0.0);
         assert!(cp.elements.is_empty());

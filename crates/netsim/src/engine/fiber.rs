@@ -77,7 +77,7 @@ impl Fiber {
     /// enter `start.body`. The stack is only *reserved* here — pages are
     /// committed lazily by the OS as the fiber actually touches them, so
     /// thousands of lightly-used fibers stay cheap.
-    pub fn spawn(stack_bytes: usize, start: FiberStart, sp: &Cell<*mut u8>) -> Fiber {
+    pub(crate) fn spawn(stack_bytes: usize, start: FiberStart, sp: &Cell<*mut u8>) -> Fiber {
         let size = stack_bytes.max(64 * 1024);
         let mut stack: Vec<u8> = Vec::with_capacity(size);
         let base = stack.as_mut_ptr();
@@ -109,7 +109,7 @@ impl Fiber {
     }
 
     /// Configured stack size in bytes.
-    pub fn stack_bytes(&self) -> usize {
+    pub(crate) fn stack_bytes(&self) -> usize {
         self.size
     }
 }

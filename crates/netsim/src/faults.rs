@@ -154,11 +154,6 @@ impl FaultPlan {
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The compute-slowdown factor of `rank` (1.0 unless configured).
     pub(crate) fn straggler_scale(&self, rank: usize) -> f64 {
         self.stragglers.iter().find(|(r, _)| *r == rank).map_or(1.0, |(_, s)| *s)

@@ -23,10 +23,10 @@
 //! CPR/DPR/HPR/CPT vs MPI vs OTHER splits (Fig. 2, Table VII) directly.
 //! A flight recorder ([`trace`], enabled via [`SimBuilder::trace`])
 //! additionally captures per-event streams on the virtual timeline, with
-//! Chrome-trace/Perfetto and ASCII Gantt exporters, and [`metrics`] turns a
-//! run into counters + log2-bucketed histograms with Prometheus-text and
-//! JSON renderings ([`json`] is the hand-rolled JSON layer both use).
-//! [`critpath`] reconstructs the causal DAG of a traced run and extracts
+//! Chrome-trace/Perfetto and ASCII Gantt exporters, and [`Registry`] turns a
+//! run into counters + log2-bucketed histograms with a Prometheus-text
+//! rendering ([`Json`] is the hand-rolled JSON layer of the Chrome exporter
+//! and the tuner's state file). [`CriticalPath`] reconstructs the causal DAG of a traced run and extracts
 //! the end-to-end critical path with per-event slack, so breakdowns can be
 //! read as "what actually gated the makespan" rather than mere totals.
 //!
@@ -45,16 +45,16 @@
 //! assert!(report.stats.makespan > 0.0);
 //! ```
 
-pub mod breakdown;
-pub mod comm;
-pub mod config;
-pub mod critpath;
+mod breakdown;
+mod comm;
+mod config;
+mod critpath;
 mod engine;
-pub mod faults;
-pub mod json;
-pub mod metrics;
-pub mod sim;
-pub mod topology;
+mod faults;
+mod json;
+mod metrics;
+mod sim;
+mod topology;
 pub mod trace;
 
 pub use breakdown::Breakdown;
@@ -63,7 +63,7 @@ pub use config::{ComputeTiming, NetConfig, OpKind, ThroughputModel};
 pub use critpath::{CriticalPath, HopTime, PathBuckets, PathElement, SpanKind};
 pub use faults::{splitmix64, FaultKind, FaultPlan, LinkFault};
 pub use json::Json;
-pub use metrics::Registry;
+pub use metrics::{Histogram, Registry};
 pub use sim::{RankOutcome, RankPanic, RunReport, RunStats, SimBuilder, SimEngine};
 pub use topology::{LinkTier, Topology};
 pub use trace::{Event, RankTrace, TraceConfig};
@@ -418,7 +418,7 @@ mod tests {
                     let got = comm.sendrecv_compressed(to, round, vec![0u8; 500], 2000, from);
                     comm.compute_labeled(OpKind::Hpr, got.len() * 4, "test:hpr", || ());
                 }
-                comm.advance(OpKind::Cpt, 1e-4);
+                comm.advance_labeled(OpKind::Cpt, 1e-4, "advance");
             });
         for o in &report.outcomes {
             let trace = report.trace_of(o.rank).expect("traced run returns events");

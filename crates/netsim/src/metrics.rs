@@ -1,6 +1,5 @@
 //! Metrics registry: counters and log2-bucketed histograms with a stable
-//! Prometheus-style text rendering and a hand-rolled JSON snapshot (no
-//! `serde` — tier-1 builds run without registry access).
+//! Prometheus-style text rendering.
 //!
 //! [`Registry::record_report`] derives the standard metric set of a
 //! simulated collective from a [`RunReport`]: per-[`OpKind`] virtual-second
@@ -9,7 +8,6 @@
 //! per-step achieved-compression-ratio and recv-wait distributions.
 
 use crate::config::OpKind;
-use crate::json::Json;
 use crate::sim::RunReport;
 use crate::trace::Event;
 use std::collections::BTreeMap;
@@ -33,7 +31,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Record one observation.
-    pub fn observe(&mut self, v: f64) {
+    fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         if v <= 0.0 {
@@ -41,16 +39,6 @@ impl Histogram {
         } else {
             let e = (v.log2().ceil() as i32).clamp(-64, 64);
             *self.buckets.entry(e).or_insert(0) += 1;
-        }
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.zeros += other.zeros;
-        for (e, c) in &other.buckets {
-            *self.buckets.entry(*e).or_insert(0) += c;
         }
     }
 
@@ -119,17 +107,17 @@ impl Registry {
     }
 
     /// Increment an integer counter.
-    pub fn inc(&mut self, name: &str, v: u64) {
+    fn inc(&mut self, name: &str, v: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += v;
     }
 
     /// Add to a float accumulator (rendered as an untyped gauge).
-    pub fn add(&mut self, name: &str, v: f64) {
+    fn add(&mut self, name: &str, v: f64) {
         *self.gauges.entry(name.to_string()).or_insert(0.0) += v;
     }
 
     /// Raise a float gauge to `v` if `v` is larger (used for makespans).
-    pub fn set_max(&mut self, name: &str, v: f64) {
+    fn set_max(&mut self, name: &str, v: f64) {
         let slot = self.gauges.entry(name.to_string()).or_insert(f64::NEG_INFINITY);
         if v > *slot {
             *slot = v;
@@ -137,7 +125,7 @@ impl Registry {
     }
 
     /// Record one observation into a histogram.
-    pub fn observe(&mut self, name: &str, v: f64) {
+    fn observe(&mut self, name: &str, v: f64) {
         self.histograms.entry(name.to_string()).or_default().observe(v);
     }
 
@@ -154,29 +142,6 @@ impl Registry {
     /// Gauge accessor.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Merge another registry into this one (counters/gauges add,
-    /// histograms merge; `*_makespan_*` gauges take the max).
-    pub fn merge(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            if k.contains("makespan") {
-                self.set_max(k, *v);
-            } else {
-                *self.gauges.entry(k.clone()).or_insert(0.0) += v;
-            }
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
     }
 
     /// Derive the standard collective-run metric set from a run's report.
@@ -287,50 +252,6 @@ impl Registry {
             out.push_str(&format!("{base}_p99 {}\n", h.quantile(0.99)));
         }
         out
-    }
-
-    /// Snapshot as a JSON document (hand-rolled writer; see [`crate::json`]).
-    pub fn to_json(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters.iter().map(|(k, v)| (k.clone(), Json::Num(*v as f64))).collect(),
-        );
-        let gauges =
-            Json::Obj(self.gauges.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect());
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(k, h)| {
-                    let buckets = h
-                        .cumulative()
-                        .into_iter()
-                        .map(|(le, count)| {
-                            Json::obj(vec![
-                                (
-                                    "le",
-                                    if le.is_infinite() {
-                                        Json::Str("+Inf".into())
-                                    } else {
-                                        Json::Num(le)
-                                    },
-                                ),
-                                ("count", Json::Num(count as f64)),
-                            ])
-                        })
-                        .collect();
-                    (
-                        k.clone(),
-                        Json::obj(vec![
-                            ("count", Json::Num(h.count as f64)),
-                            ("sum", Json::Num(h.sum)),
-                            ("p50", Json::Num(h.quantile(0.5))),
-                            ("p99", Json::Num(h.quantile(0.99))),
-                            ("buckets", Json::Arr(buckets)),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        Json::obj(vec![("counters", counters), ("gauges", gauges), ("histograms", histograms)])
     }
 
     /// Human-oriented one-histogram bar chart (used by `hzc sim --metrics`).
@@ -453,47 +374,46 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_and_makespan_takes_max() {
-        let mut a = Registry::new();
-        a.inc("c", 1);
-        a.add("g", 0.5);
-        a.set_max("hz_makespan_seconds", 2.0);
-        a.observe("h", 8.0);
-        let mut b = Registry::new();
-        b.inc("c", 2);
-        b.add("g", 0.25);
-        b.set_max("hz_makespan_seconds", 1.0);
-        b.observe("h", 16.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), Some(3));
-        assert_eq!(a.gauge("g"), Some(0.75));
-        assert_eq!(a.gauge("hz_makespan_seconds"), Some(2.0));
-        assert_eq!(a.histogram("h").unwrap().count, 2);
-    }
-
-    #[test]
-    fn json_snapshot_parses_back() {
-        let mut r = Registry::new();
-        r.inc("hz_messages_total", 7);
-        r.add("hz_mpi_wait_seconds", 0.125);
-        r.observe("hz_message_wire_bytes", 100.0);
-        r.observe("hz_message_wire_bytes", 3000.0);
-        let doc = Json::parse(&r.to_json().render()).expect("snapshot parses");
-        assert_eq!(
-            doc.get("counters").unwrap().get("hz_messages_total").unwrap().as_f64(),
-            Some(7.0)
-        );
-        let h = doc.get("histograms").unwrap().get("hz_message_wire_bytes").unwrap();
-        assert_eq!(h.get("count").unwrap().as_f64(), Some(2.0));
-        assert_eq!(h.get("sum").unwrap().as_f64(), Some(3100.0));
-    }
-
-    #[test]
     fn prometheus_rendering_strips_labels_in_type_lines() {
         let mut r = Registry::new();
         r.add("hz_op_seconds{kind=\"cpr\"}", 1.5);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE hz_op_seconds gauge"), "{text}");
         assert!(text.contains("hz_op_seconds{kind=\"cpr\"} 1.5"), "{text}");
+    }
+
+    /// Golden rendering: a hand-fed registry renders byte-for-byte stably (the
+    /// contract `hzc sim --metrics` output relies on).
+    #[test]
+    fn metrics_text_rendering_is_golden() {
+        let mut r = Registry::new();
+        r.inc("hz_messages_total", 3);
+        r.inc("hz_step_calls_total{label=\"hz:compress-all\"}", 2);
+        r.inc("hz_step_calls_total{label=\"hz:homomorphic-sum\"}", 4);
+        r.add("hz_op_seconds{kind=\"cpr\"}", 0.5);
+        r.set_max("hz_makespan_seconds", 1.25);
+        r.observe("hz_message_wire_bytes", 3.0);
+        r.observe("hz_message_wire_bytes", 4.0);
+        r.observe("hz_message_wire_bytes", 0.0);
+        let expect = "\
+# TYPE hz_messages_total counter
+hz_messages_total 3
+# TYPE hz_step_calls_total counter
+hz_step_calls_total{label=\"hz:compress-all\"} 2
+hz_step_calls_total{label=\"hz:homomorphic-sum\"} 4
+# TYPE hz_makespan_seconds gauge
+hz_makespan_seconds 1.25
+# TYPE hz_op_seconds gauge
+hz_op_seconds{kind=\"cpr\"} 0.5
+# TYPE hz_message_wire_bytes histogram
+hz_message_wire_bytes_bucket{le=\"0\"} 1
+hz_message_wire_bytes_bucket{le=\"4\"} 3
+hz_message_wire_bytes_bucket{le=\"+Inf\"} 3
+hz_message_wire_bytes_sum 7
+hz_message_wire_bytes_count 3
+hz_message_wire_bytes_p50 2.5
+hz_message_wire_bytes_p99 3.9699999999999998
+";
+        assert_eq!(r.render_prometheus(), expect);
     }
 }

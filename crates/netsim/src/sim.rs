@@ -143,7 +143,7 @@ impl<R> RunReport<R> {
     }
 
     /// The completed outcome of `rank`, if it completed.
-    pub fn outcome(&self, rank: usize) -> Option<&RankOutcome<R>> {
+    pub(crate) fn outcome(&self, rank: usize) -> Option<&RankOutcome<R>> {
         self.outcomes.binary_search_by_key(&rank, |o| o.rank).ok().map(|i| &self.outcomes[i])
     }
 
@@ -187,11 +187,6 @@ impl<R> RunReport<R> {
             }
         }
         out
-    }
-
-    /// Completion time of the slowest completed rank.
-    pub fn makespan(&self) -> f64 {
-        self.stats.makespan
     }
 }
 
@@ -302,11 +297,6 @@ impl SimBuilder {
     pub fn stack_bytes(mut self, bytes: usize) -> Self {
         self.stack_bytes = bytes;
         self
-    }
-
-    /// Number of ranks.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
     }
 
     /// Run `f` on every rank; real data flows through real buffers, time is

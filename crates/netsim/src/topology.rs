@@ -41,7 +41,7 @@ pub enum LinkTier {
 
 impl LinkTier {
     /// Number of tiers (array sizing for per-tier tables).
-    pub const COUNT: usize = 3;
+    pub(crate) const COUNT: usize = 3;
 
     /// All tiers in index order.
     pub const ALL: [LinkTier; LinkTier::COUNT] = [LinkTier::Flat, LinkTier::Intra, LinkTier::Inter];
@@ -124,7 +124,7 @@ impl Topology {
     }
 
     /// Which tier a `src → dst` message crosses.
-    pub fn tier(&self, src: usize, dst: usize) -> LinkTier {
+    pub(crate) fn tier(&self, src: usize, dst: usize) -> LinkTier {
         if self.node_of(src) == self.node_of(dst) {
             LinkTier::Intra
         } else {

@@ -72,7 +72,7 @@ pub enum Event {
         /// Blocking wait charged to the `mpi` bucket.
         wait_secs: f64,
     },
-    /// A compute kernel (or an analytic [`crate::Comm::advance`] charge).
+    /// A compute kernel (or an analytic [`crate::Comm::advance_labeled`] charge).
     Compute {
         /// Start time (virtual seconds).
         t: f64,
@@ -117,7 +117,7 @@ impl Event {
     }
 
     /// Charged duration of the event (zero-cost events return 0).
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         match *self {
             Event::Send { inject_secs, .. } => inject_secs,
             Event::Recv { wait_secs, .. } => wait_secs,
@@ -127,7 +127,7 @@ impl Event {
     }
 
     /// Virtual end time of the event.
-    pub fn end(&self) -> f64 {
+    pub(crate) fn end(&self) -> f64 {
         self.start() + self.duration()
     }
 }
@@ -196,15 +196,12 @@ impl RankTrace {
 /// resilient transport's zero-duration `res:*` markers render as **instant
 /// events** (`ph: "i"`) under their own `fault` / `resilience` categories,
 /// so chaos runs are visually debuggable rather than merely countable.
-pub fn chrome_trace(traces: &[RankTrace]) -> String {
-    chrome_trace_with(traces, None)
-}
-
-/// [`chrome_trace`] with an optional critical-path overlay: every rank event
-/// gains a `slack` argument (seconds it could slip without growing the
-/// makespan) and the extracted path is rendered as a synthetic extra process
-/// so the binding chain reads left-to-right across ranks in the viewer.
-pub fn chrome_trace_with(traces: &[RankTrace], critpath: Option<&CriticalPath>) -> String {
+///
+/// With a critical-path overlay every rank event gains a `slack` argument
+/// (seconds it could slip without growing the makespan) and the extracted
+/// path is rendered as a synthetic extra process so the binding chain reads
+/// left-to-right across ranks in the viewer.
+pub fn chrome_trace(traces: &[RankTrace], critpath: Option<&CriticalPath>) -> String {
     let us = |secs: f64| Json::Num(secs * 1e6);
     let mut events = Vec::new();
     for trace in traces {
@@ -469,7 +466,7 @@ mod tests {
     #[test]
     fn chrome_trace_is_valid_json_and_covers_every_event() {
         let traces = vec![sample_trace()];
-        let text = chrome_trace(&traces);
+        let text = chrome_trace(&traces, None);
         let doc = Json::parse(&text).expect("chrome trace parses");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let complete: Vec<_> =
@@ -504,7 +501,7 @@ mod tests {
         assert_eq!(t.events[4].duration(), 0.0);
         assert_eq!(t.reconstructed_breakdown(), base, "faults never charge a bucket");
         assert_eq!(t.end_time(), 2.0, "zero-duration faults do not extend the timeline");
-        let text = chrome_trace(&[t.clone()]);
+        let text = chrome_trace(&[t.clone()], None);
         assert!(text.contains("fault:drop") && text.contains("fault:corrupt"), "{text}");
         Json::parse(&text).expect("chrome trace with faults parses");
         assert!(ascii_timeline(&[t], 20).contains("legend:"));

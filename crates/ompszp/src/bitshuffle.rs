@@ -18,7 +18,7 @@ use fzlight::error::{Error, Result};
 
 /// Bytes per one-bit plane for a block of `len` elements.
 #[inline]
-pub const fn plane_bytes(len: usize) -> usize {
+pub(crate) const fn plane_bytes(len: usize) -> usize {
     len.div_ceil(8)
 }
 

@@ -22,7 +22,7 @@ use fzlight::header::Layout;
 use fzlight::stream::Stream;
 
 /// Marker byte for an elided all-zero block.
-pub const ZERO_BLOCK: u8 = 0xFF;
+pub(crate) const ZERO_BLOCK: u8 = 0xFF;
 
 /// ompSZp's layout: thread groups that own whole blocks block-cyclically, so
 /// a stream holds at most one group per block.

@@ -41,7 +41,7 @@ impl TuningCache {
     }
 
     /// Entry lookup by bucket key.
-    pub fn get(&self, key: &str) -> Option<&CacheEntry> {
+    pub(crate) fn get(&self, key: &str) -> Option<&CacheEntry> {
         self.entries.get(key)
     }
 

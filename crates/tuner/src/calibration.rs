@@ -76,7 +76,7 @@ impl Calibration {
 
     /// The paper-calibrated prior (all six tables + the default effective
     /// Omni-Path network law).
-    pub fn paper() -> Calibration {
+    pub(crate) fn paper() -> Calibration {
         let mut thr = BTreeMap::new();
         for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
             for mt in [false, true] {
@@ -104,7 +104,7 @@ impl Calibration {
     }
 
     /// Current network law.
-    pub fn net(&self) -> NetConfig {
+    pub(crate) fn net(&self) -> NetConfig {
         NetConfig {
             latency_s: self.latency_s,
             bandwidth_gbps: self.bandwidth_gbps,
@@ -112,9 +112,8 @@ impl Calibration {
         }
     }
 
-    /// One EW step on a single throughput constant (exposed so tests and
-    /// offline calibrators can inject observations directly).
-    pub fn nudge(&mut self, flavor: Flavor, mt: bool, kind: OpKind, observed_gbps: f64) {
+    /// One EW step on a single throughput constant.
+    pub(crate) fn nudge(&mut self, flavor: Flavor, mt: bool, kind: OpKind, observed_gbps: f64) {
         if !(observed_gbps.is_finite() && observed_gbps > 0.0) {
             return;
         }
@@ -129,7 +128,7 @@ impl Calibration {
     /// from its `Compute` events, alpha from `Send` injection overheads, and
     /// (guarded) beta from receive waits. Untraced reports are a no-op —
     /// the flight recorder is the calibration signal.
-    pub fn absorb_run<R>(&mut self, flavor: Flavor, mode: Mode, report: &RunReport<R>) {
+    pub(crate) fn absorb_run<R>(&mut self, flavor: Flavor, mode: Mode, report: &RunReport<R>) {
         let mut bytes_by_kind = [0f64; OpKind::COUNT];
         let mut secs_by_kind = [0f64; OpKind::COUNT];
         let mut inject_total = 0f64;
@@ -200,7 +199,7 @@ impl Calibration {
     }
 
     /// Serialize to a [`Json`] tree (deterministic field order).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let tables = Json::Obj(
             self.thr
                 .iter()
@@ -219,7 +218,7 @@ impl Calibration {
     }
 
     /// Parse [`Calibration::to_json`]'s output back.
-    pub fn from_json(doc: &Json) -> Result<Calibration, String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<Calibration, String> {
         let num = |key: &str| -> Result<f64, String> {
             doc.get(key)
                 .and_then(Json::as_f64)

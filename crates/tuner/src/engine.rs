@@ -417,7 +417,10 @@ mod tests {
         let engine = Engine::paper();
         let flat = spec(1 << 18, 64, 7.0);
         assert!(engine.candidates(&flat).iter().all(|p| !p.hierarchical));
-        let topo = spec(1 << 18, 64, 7.0).with_topology(netsim::Topology::paper(8, 8));
+        let topo = ScenarioSpec {
+            topology: Some(netsim::Topology::paper(8, 8)),
+            ..spec(1 << 18, 64, 7.0)
+        };
         let plans = engine.candidates(&topo);
         assert!(plans.iter().any(|p| p.hierarchical && p.flavor == Flavor::Hzccl));
         assert!(
@@ -426,12 +429,14 @@ mod tests {
         );
         // degenerate shapes (one node, or one rank per node) offer none
         for degenerate in [netsim::Topology::paper(1, 64), netsim::Topology::paper(64, 1)] {
-            let d = spec(1 << 18, 64, 7.0).with_topology(degenerate);
+            let d = ScenarioSpec { topology: Some(degenerate), ..spec(1 << 18, 64, 7.0) };
             assert!(engine.candidates(&d).iter().all(|p| !p.hierarchical));
         }
         // and non-allreduce ops never get the hierarchical schedule
-        let rs = ScenarioSpec::new(Op::ReduceScatter, 1 << 18, 64, 1e-4, 32, 7.0)
-            .with_topology(netsim::Topology::paper(8, 8));
+        let rs = ScenarioSpec {
+            topology: Some(netsim::Topology::paper(8, 8)),
+            ..ScenarioSpec::new(Op::ReduceScatter, 1 << 18, 64, 1e-4, 32, 7.0)
+        };
         assert!(engine.candidates(&rs).iter().all(|p| !p.hierarchical));
     }
 
@@ -447,7 +452,7 @@ mod tests {
     fn golden_auto_picks_hierarchy_on_the_paper_topology() {
         let engine = Engine::paper();
         let topo = netsim::Topology::paper(8, 8);
-        let s = spec(1 << 18, 64, 7.0).with_topology(topo); // 1 MiB
+        let s = ScenarioSpec { topology: Some(topo), ..spec(1 << 18, 64, 7.0) }; // 1 MiB
         let d = engine.decide(&s);
         assert_eq!(d.source, DecisionSource::Model);
         assert!(d.plan.hierarchical, "must pick the hierarchical schedule: {}", d.why);

@@ -7,18 +7,18 @@
 //! crate turns the cost analysis of `costmodel` into an online decision
 //! system so callers never have to pick by hand:
 //!
-//! * [`plan`] — the vocabulary: [`Op`], [`Mode`], [`Plan`] (flavour x
+//! * `plan` — the vocabulary: [`Op`], [`Mode`], [`Plan`] (flavour x
 //!   algorithm x thread mode x block length, wire-encodable so one rank can
 //!   decide and broadcast), and [`ScenarioSpec`] (what a decision is about).
-//! * [`engine`] — the [`Engine`]: ranks every candidate plan by predicted
+//! * `engine` — the [`Engine`]: ranks every candidate plan by predicted
 //!   cost, short-circuits small allreduces to recursive doubling, and
 //!   prefers a cached measured winner over the model when one exists.
-//! * [`calibration`] — [`Calibration`]: per-flavour throughput tables
+//! * `calibration` — [`Calibration`]: per-flavour throughput tables
 //!   (CPR/DPR/HPR/CPT) plus the network alpha/beta, refined from `netsim`
 //!   flight-recorder outcomes by exponentially-weighted updates. Also home
 //!   of [`paper_prior`], the single source of truth for the paper's Table
 //!   II calibration (the `hzccl` crate delegates here).
-//! * [`cache`] — [`TuningCache`]: persistent scenario-bucket -> best
+//! * `cache` — [`TuningCache`]: persistent scenario-bucket -> best
 //!   measured plan store, JSON round-trippable bit-for-bit through
 //!   [`netsim::Json`].
 //!
@@ -28,10 +28,10 @@
 //! [`Flavor`] and [`Algo`] — what `costmodel::predict` prices — and its
 //! segment cap [`MAX_SEGMENTS`] are `costmodel`'s, re-exported here.
 
-pub mod cache;
-pub mod calibration;
-pub mod engine;
-pub mod plan;
+mod cache;
+mod calibration;
+mod engine;
+mod plan;
 
 pub use cache::{CacheEntry, TuningCache};
 pub use calibration::{paper_prior, Calibration};

@@ -34,7 +34,7 @@ impl Mode {
     }
 
     /// Stable short name (`st` / `mt`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         if self.is_mt() {
             "mt"
         } else {
@@ -196,12 +196,6 @@ impl ScenarioSpec {
         ScenarioSpec { op, elems, nranks, eb, ratios: vec![(block_len, ratio)], topology: None }
     }
 
-    /// Attach the two-tier fabric shape this scenario runs on.
-    pub fn with_topology(mut self, topology: netsim::Topology) -> Self {
-        self.topology = Some(topology);
-        self
-    }
-
     /// The topology, when it is genuinely two-level (`nodes > 1 && ppn > 1`
     /// — degenerate shapes collapse to the flat fabric and never justify
     /// hierarchical plans).
@@ -324,12 +318,13 @@ mod tests {
         assert_eq!(spec(1 << 18, 1e-4).bucket_key(), "allreduce:b20:r64:e-4");
         // topologized scenarios bucket separately (and keep oversub apart)
         let topo = netsim::Topology::paper(8, 8);
-        let t = spec(1 << 18, 1e-4).with_topology(topo);
+        let t = ScenarioSpec { topology: Some(topo), ..spec(1 << 18, 1e-4) };
         assert_eq!(t.bucket_key(), "allreduce:b20:r64:e-4:t8x8");
-        let o = spec(1 << 18, 1e-4).with_topology(topo.with_oversub(2.0));
+        let o = ScenarioSpec { topology: Some(topo.with_oversub(2.0)), ..spec(1 << 18, 1e-4) };
         assert_eq!(o.bucket_key(), "allreduce:b20:r64:e-4:t8x8:o2");
         // degenerate shapes are still two-tier-ineligible but keyed apart
-        let flat = spec(1 << 18, 1e-4).with_topology(netsim::Topology::paper(64, 1));
+        let flat =
+            ScenarioSpec { topology: Some(netsim::Topology::paper(64, 1)), ..spec(1 << 18, 1e-4) };
         assert!(flat.two_tier_topology().is_none());
         assert!(t.two_tier_topology().is_some());
     }

@@ -164,7 +164,7 @@ pub(crate) fn sim(args: &Args) -> Result<(), String> {
 
     if let Some(path) = trace_out {
         let overlay = (want_critpath || want_slack).then_some(critpath);
-        let json = trace::chrome_trace_with(traces, overlay);
+        let json = trace::chrome_trace(traces, overlay);
         std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
         println!(
             "wrote Chrome trace to {path} (load in Perfetto / chrome://tracing{})",

@@ -456,6 +456,41 @@ fn chaos_soak_passes_and_retransmits() {
     assert!(retransmits > 0, "the transport never retransmitted:\n{stdout}");
 }
 
+/// A fault rate that injects nothing asks nothing of the transport: one rank
+/// sends no message to drop, and a 1e-4 corruption rate hits none of two
+/// ranks' few messages. Every `faults` cell reads 0, so the soak passes.
+#[test]
+fn chaos_soak_without_injected_faults_passes() {
+    for args in [
+        &["chaos", "--ranks", "1", "--kb", "4", "--drop", "0.01"][..],
+        &["chaos", "--ranks", "2", "--kb", "1", "--drop", "0", "--corrupt", "0.0001"],
+    ] {
+        let out = hzc().args(args).output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}\n{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains("chaos soak passed (0 retransmits across the sweep)"), "{stdout}");
+    }
+}
+
+/// The crash-recovery gate: seeded rank crashes under the Shrink policy at 8
+/// and 64 ranks. Survivors deliver the survivor sum (bit-exact for mpi,
+/// error-bounded for ccoll/hz); a divergence exits nonzero, and a repair
+/// that hangs fails the test after 300 s.
+#[test]
+fn chaos_crash_recovery_gate_passes() {
+    for (ranks, rates, kb) in [("8", "0.1,0.25,0.4", "16"), ("64", "0.02,0.05", "8")] {
+        let args = ["chaos", "--seed", "7", "--crash-rate", rates, "--ranks", ranks, "--kb", kb];
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(hzc().args(args).output().unwrap()));
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(300))
+            .unwrap_or_else(|_| panic!("{args:?} ran past 300 s"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}\n{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.lines().any(|l| l == "crash-recovery gate passed"), "{args:?}\n{stdout}");
+    }
+}
+
 /// The first line of `hzc <args>`'s stderr (the `hzc: <message>` line; the
 /// usage text follows it), and whether the run succeeded.
 fn first_error_line(args: &[&str]) -> (bool, String) {

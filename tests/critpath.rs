@@ -95,7 +95,7 @@ fn path_tiles_the_makespan_on_every_flavour() {
                 let opts = CollectiveOpts::for_variant(variant, 1e-4).with_segments(segments);
                 let what = format!("{op}/{}/s{segments}", variant.name());
                 let (makespan, traces) = run_traced(op, &opts, nranks, elems, None);
-                let cp = CriticalPath::analyze(&traces, &NetConfig::default());
+                let cp = CriticalPath::analyze_with_topology(&traces, &NetConfig::default(), None);
                 assert_tiles(&cp, makespan, &what);
                 assert_eq!(cp.buckets.blocked_wait, 0.0, "{what}: healthy run blocked");
                 assert!(cp.buckets.alpha > 0.0, "{what}: a ring always pays α");
@@ -120,7 +120,7 @@ fn path_tiles_the_makespan_on_recursive_doubling() {
         })
         .expect_clean();
     let makespan = report.stats.makespan;
-    let cp = CriticalPath::analyze(&report.traces, &NetConfig::default());
+    let cp = CriticalPath::analyze_with_topology(&report.traces, &NetConfig::default(), None);
     assert_tiles(&cp, makespan, "rd/hz");
     // every on-path hop decodes to the rd/fold tag spaces
     for tag in cp.by_tag.keys() {
@@ -141,7 +141,7 @@ fn serial_mpi_ring_reproduces_the_alpha_beta_closed_form() {
     let net = NetConfig::default();
     let opts = CollectiveOpts::mpi();
     let (makespan, traces) = run_traced("allreduce", &opts, nranks, elems, None);
-    let cp = CriticalPath::analyze(&traces, &net);
+    let cp = CriticalPath::analyze_with_topology(&traces, &net, None);
     assert_tiles(&cp, makespan, "mpi serial closed form");
 
     let hops = 2 * (nranks - 1) as u64;
@@ -210,8 +210,8 @@ fn pipelined_schedule_overlaps_wire_and_compute_on_the_path() {
     let (t_serial, tr_serial) = run_traced("reduce_scatter", &serial, nranks, elems, None);
     let (t_pipe, tr_pipe) = run_traced("reduce_scatter", &pipelined, nranks, elems, None);
     let net = NetConfig::default();
-    let cp_serial = CriticalPath::analyze(&tr_serial, &net);
-    let cp_pipe = CriticalPath::analyze(&tr_pipe, &net);
+    let cp_serial = CriticalPath::analyze_with_topology(&tr_serial, &net, None);
+    let cp_pipe = CriticalPath::analyze_with_topology(&tr_pipe, &net, None);
     assert_tiles(&cp_serial, t_serial, "hz serial rs");
     assert_tiles(&cp_pipe, t_pipe, "hz pipelined rs");
     assert!(t_pipe < t_serial, "pipelining must win here: {t_pipe} vs {t_serial}");
@@ -244,7 +244,7 @@ fn faulted_resilient_run_attributes_recovery_time() {
     let opts = CollectiveOpts::hz(1e-4).with_resilience(Resilience::default());
     let plan = FaultPlan::new(7).with_drop(0.05).with_corrupt(0.01).with_jitter(2e-6);
     let (makespan, traces) = run_traced("allreduce", &opts, nranks, elems, Some(plan));
-    let cp = CriticalPath::analyze(&traces, &NetConfig::default());
+    let cp = CriticalPath::analyze_with_topology(&traces, &NetConfig::default(), None);
     assert_tiles(&cp, makespan, "faulted hz allreduce");
     assert!(
         cp.buckets.resilience > 0.0,
@@ -265,7 +265,7 @@ fn straggler_owns_the_critical_path() {
     let opts = CollectiveOpts::hz(1e-4);
     let plan = FaultPlan::new(1).with_straggler(straggler, 4.0);
     let (makespan, traces) = run_traced("allreduce", &opts, nranks, elems, Some(plan));
-    let cp = CriticalPath::analyze(&traces, &NetConfig::default());
+    let cp = CriticalPath::analyze_with_topology(&traces, &NetConfig::default(), None);
     assert_tiles(&cp, makespan, "straggler run");
     let top =
         cp.per_rank.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)).map(|(r, _)| r).unwrap();

@@ -343,7 +343,11 @@ fn recovery_surfaces_in_metrics_and_critical_path() {
     );
     assert_eq!(reg.gauge("hz_epochs"), Some(1.0), "one repair commits at epoch 1");
     assert_eq!(reg.gauge("hz_survivors"), Some(7.0), "seven of eight ranks survive");
-    let cp = netsim::CriticalPath::analyze(&report.traces, &netsim::NetConfig::default());
+    let cp = netsim::CriticalPath::analyze_with_topology(
+        &report.traces,
+        &netsim::NetConfig::default(),
+        None,
+    );
     assert!(
         cp.buckets.recovery > 0.0,
         "rescale compute must charge the recovery critical-path bucket"

@@ -260,7 +260,7 @@ fn digest(case: &Case, engine: SimEngine) -> (u64, u64, u64) {
         .expect("golden case runs")
     });
     let mut trace = FNV_OFFSET;
-    fnv1a(&mut trace, netsim::trace::chrome_trace(&report.traces).as_bytes());
+    fnv1a(&mut trace, netsim::trace::chrome_trace(&report.traces, None).as_bytes());
     let mut values = FNV_OFFSET;
     for o in &report.outcomes {
         fnv1a(&mut values, &(o.rank as u64).to_le_bytes());
