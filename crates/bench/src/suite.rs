@@ -17,9 +17,10 @@
 use hzccl::collectives::{self, CollectiveOpts, PartialResult, RecoveryPolicy};
 use hzccl::{auto, CollectiveConfig, Mode, Resilience, Variant};
 use netsim::{
-    ComputeTiming, CriticalPath, FaultPlan, NetConfig, Registry, RunReport, SimBuilder, SimEngine,
+    ComputeTiming, CriticalPath, FaultPlan, NetConfig, RunReport, SimBuilder, SimEngine,
     ThroughputModel, Topology, TraceConfig,
 };
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use tuner::{Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
 
@@ -243,16 +244,14 @@ pub struct CaseResult {
     pub latency_p99: f64,
 }
 
-/// Everything [`run_case`] produces: the analysis, the raw report it was
-/// derived from, and the metrics registry folded from the report's traces.
+/// Everything [`run_case`] produces: the analysis and the raw report it was
+/// derived from ([`RunReport::tally`] counts its traces).
 #[derive(Debug, Clone)]
 pub struct CaseRun {
     /// The analyzed outcome (what `BENCH_results.json` pins).
     pub result: CaseResult,
     /// Per-rank values, fates, stats and flight-recorder traces.
     pub report: RunReport<RankOut>,
-    /// Counters, gauges and histograms of the run.
-    pub registry: Registry,
 }
 
 /// Per-rank observation of the stacking use case: the shared scene plus
@@ -340,8 +339,8 @@ pub fn mpi_survivor_sum(fields: &[Vec<f32>], survivors: &[usize]) -> Vec<f32> {
 
 /// Set up and run one simulated collective — the only place in the workspace
 /// outside `crates/core` and the tests that builds a virtual cluster — and
-/// analyze it. Always traced: the critical path, the wire totals and the
-/// registry all come from the flight recorder, which costs no virtual time.
+/// analyze it. Always traced: the critical path and the wire totals come
+/// from the flight recorder, which costs no virtual time.
 pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
     let fields = rank_fields(spec, cfg);
     let (flavor, mode) = spec.timed_as();
@@ -392,23 +391,57 @@ pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
     // panic is a bug
     let report = if fail_fast { report.expect_clean() } else { report };
 
-    let mut registry = Registry::new();
-    registry.record_report(&report);
-    let (latency_p50, latency_p99) = registry
-        .histogram("hz_collective_latency_seconds")
-        .map(|h| (h.quantile(0.5), h.quantile(0.99)))
-        .unwrap_or((0.0, 0.0));
-    let critpath = CriticalPath::analyze_with_topology(&report.traces, &cfg.net, topo);
+    let latencies: Vec<f64> = report.outcomes.iter().map(|o| o.elapsed).collect();
+    let tally = report.tally();
     let result = CaseResult {
         virtual_secs: report.stats.makespan,
-        wire_bytes: registry.counter("hz_wire_bytes_total").unwrap_or(0),
-        logical_bytes: registry.counter("hz_logical_bytes_total").unwrap_or(0),
+        wire_bytes: tally.wire_bytes,
+        logical_bytes: tally.logical_bytes,
         breakdown: report.stats.total,
-        critpath,
-        latency_p50,
-        latency_p99,
+        critpath: CriticalPath::analyze_with_topology(&report.traces, &cfg.net, topo),
+        latency_p50: log2_quantile(&latencies, 0.5),
+        latency_p99: log2_quantile(&latencies, 0.99),
     };
-    CaseRun { result, report, registry }
+    CaseRun { result, report }
+}
+
+/// The `p`-quantile (`p` in `[0, 1]`) of `samples` as a log2-bucketed
+/// histogram estimates it: samples `<= 0` fall into a zeros bucket, bucket
+/// `e` holds the samples in `(2^(e-1), 2^e]` (exponents clamped to ±64), and
+/// the estimate walks the cumulative counts to rank `p·n` and interpolates
+/// linearly between the owning bucket's bounds. Exact for the zeros bucket,
+/// within one octave otherwise; 0 for no samples.
+fn log2_quantile(samples: &[f64], p: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut zeros = 0u64;
+    let mut buckets: BTreeMap<i32, u64> = BTreeMap::new();
+    for &v in samples {
+        if v <= 0.0 {
+            zeros += 1;
+        } else {
+            *buckets.entry((v.log2().ceil() as i32).clamp(-64, 64)).or_insert(0) += 1;
+        }
+    }
+    let target = p.clamp(0.0, 1.0) * samples.len() as f64;
+    let mut seen = zeros as f64;
+    if target <= seen {
+        return 0.0;
+    }
+    for (e, c) in &buckets {
+        let next = seen + *c as f64;
+        if target <= next {
+            let lo = if *e <= -64 { 0.0 } else { 2f64.powi(e - 1) };
+            let hi = 2f64.powi(*e);
+            let frac = (target - seen) / *c as f64;
+            return lo + (hi - lo) * frac;
+        }
+        seen = next;
+    }
+    // numerically unreachable unless rounding pushed the target past the
+    // last bucket; clamp to its upper bound
+    buckets.keys().next_back().map_or(0.0, |e| 2f64.powi(*e))
 }
 
 /// One point of a tuner sweep (`hzc tune`, EXT3): probe the case's data
@@ -473,5 +506,48 @@ mod tests {
         assert_eq!(r.critpath.by_tier[LinkTier::Flat.index()].hops, 0);
         let rel = (r.critpath.length - r.virtual_secs).abs() / r.virtual_secs;
         assert!(rel <= 1e-9, "path {} vs makespan {}", r.critpath.length, r.virtual_secs);
+    }
+
+    /// Bucket edges: an exact power of two is the upper bound of its own
+    /// bucket, `2^k + 1` spills into the next one up, and zeros stay out of
+    /// the exponent buckets.
+    #[test]
+    fn log2_quantile_puts_powers_of_two_in_their_own_bucket() {
+        assert_eq!(log2_quantile(&[], 0.5), 0.0);
+        assert_eq!(log2_quantile(&[1.0], 1.0), 1.0, "1 = 2^0 tops bucket 0");
+        assert_eq!(log2_quantile(&[1.0], 0.5), 0.75);
+        for k in [1i32, 3, 10, 20] {
+            let pow = 2f64.powi(k);
+            assert_eq!(log2_quantile(&[pow], 1.0), pow, "2^{k} tops bucket {k}");
+            assert_eq!(log2_quantile(&[pow], 0.5), 0.75 * pow);
+            assert_eq!(log2_quantile(&[pow + 1.0], 1.0), 2.0 * pow, "2^{k}+1 spills up");
+            assert_eq!(log2_quantile(&[pow, pow + 1.0], 0.5), pow);
+        }
+        // zeros own the median but not the tail
+        assert_eq!(log2_quantile(&[0.0, 0.0, 4.0], 0.5), 0.0);
+        let tail = log2_quantile(&[0.0, 0.0, 4.0], 0.99);
+        assert!((tail - 3.94).abs() < 1e-12, "rank 2.97 of 3 is 97 % into (2, 4]: {tail}");
+        assert_eq!(log2_quantile(&[0.0], 1.0), 0.0);
+    }
+
+    /// Exponents clamp to ±64: the lowest bucket reaches down to 0, and an
+    /// astronomically large sample reads as the top bucket's bound.
+    #[test]
+    fn log2_quantile_clamps_exponents_to_64() {
+        assert_eq!(log2_quantile(&[1e-300], 1.0), 2f64.powi(-64));
+        assert_eq!(log2_quantile(&[1e-300], 0.5), 2f64.powi(-65));
+        assert_eq!(log2_quantile(&[1e300], 1.0), 2f64.powi(64));
+        assert_eq!(log2_quantile(&[1e300], 0.5), 0.75 * 2f64.powi(64));
+    }
+
+    #[test]
+    fn log2_quantile_interpolates_and_is_monotone_in_p() {
+        let samples = [1.0, 2.0, 4.0, 8.0]; // one per bucket e = 0..=3
+        assert_eq!(log2_quantile(&samples, 0.5), 2.0, "rank 2 of 4 tops bucket 1");
+        assert_eq!(log2_quantile(&samples, 0.375), 1.5, "halfway into bucket 1");
+        assert_eq!(log2_quantile(&samples, 1.0), 8.0);
+        assert_eq!(log2_quantile(&samples, 7.0), 8.0, "p clamps to 1");
+        let q: Vec<f64> = (0..=20).map(|i| log2_quantile(&samples, i as f64 / 20.0)).collect();
+        assert!(q.windows(2).all(|w| w[0] <= w[1]), "{q:?}");
     }
 }

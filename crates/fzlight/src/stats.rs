@@ -14,7 +14,7 @@ pub struct StreamStats {
     pub blocks: u64,
     /// Blocks with code length 0 (all deltas zero).
     pub constant_blocks: u64,
-    /// Histogram of code lengths: `code_hist[c]` counts blocks with code
+    /// Code-length counts: `code_hist[c]` counts blocks with code
     /// length `c` (0..=32).
     pub code_hist: [u64; 33],
     /// Per-chunk payload sizes in bytes.

@@ -591,15 +591,15 @@ impl Comm {
 
     /// Drop a zero-duration marker on the flight recorder (e.g.
     /// `"res:retransmit"`). Costs nothing on the virtual clock or breakdown;
-    /// the metrics registry turns well-known labels into counters.
+    /// [`crate::RunReport::tally`] counts the well-known labels.
     pub fn mark(&mut self, label: &'static str) {
         let t = self.clock;
         self.record(|| Event::Compute { t, kind: OpKind::Other, bytes: 0, secs: 0.0, label });
     }
 
     /// [`Comm::mark`] carrying a number in the event's `bytes` field (e.g.
-    /// `"rec:epoch"` with the committed epoch), so the metrics registry can
-    /// surface values — not just occurrence counts — from trace labels.
+    /// `"rec:epoch"` with the committed epoch), so [`crate::RunReport::tally`]
+    /// can surface values — not just occurrence counts — from trace labels.
     pub fn mark_value(&mut self, label: &'static str, value: u64) {
         let t = self.clock;
         self.record(|| Event::Compute {

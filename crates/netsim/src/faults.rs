@@ -58,7 +58,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Stable lowercase name (metrics labels, trace exports).
+    /// Stable lowercase name (trace exports).
     pub fn name(self) -> &'static str {
         match self {
             FaultKind::Drop => "drop",

@@ -1,13 +1,21 @@
 //! Minimal hand-rolled JSON value, writer and parser.
 //!
-//! The observability layer (Chrome trace export, metrics snapshots) must not
-//! pull `serde` into the dependency graph — tier-1 builds run without any
-//! registry access — so this module provides the small JSON surface those
-//! exporters need: a [`Json`] tree, a compact writer, and a strict
-//! recursive-descent parser used to validate exported files in tests and by
-//! `hzc sim --trace`.
+//! The Chrome trace exporter and the tuner's state file must not pull
+//! `serde` into the dependency graph — the workspace builds offline from the
+//! standard library alone — so this module provides the small JSON surface
+//! they need: a [`Json`] tree, a compact writer, and a strict
+//! recursive-descent parser that reads the tuner's state file back and
+//! validates exported traces in tests. The parser refuses documents nested
+//! deeper than `MAX_DEPTH`, so a crafted file is an error, not a stack
+//! overflow.
 
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The documents
+/// the workspace writes nest four levels at most (a Chrome trace's event
+/// `args`, a tuner cache entry); each level costs the recursive-descent
+/// parser two stack frames.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value. Objects preserve insertion order via a key list so exported
 /// documents render deterministically.
@@ -115,7 +123,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -170,12 +178,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// One value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", *pos))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_str(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -249,7 +261,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -258,7 +270,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -271,7 +283,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -284,7 +296,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_str(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -340,5 +352,18 @@ mod tests {
         assert!(Json::parse("12 34").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{\"a\" 1}").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("{\"k\":", "}", MAX_DEPTH - 1).replace(":}", ":[]}")).is_ok());
+        for doc in
+            [nest("[", "]", MAX_DEPTH + 1), nest("[", "]", 200_000), nest("{\"k\":", "}", 200_000)]
+        {
+            let err = Json::parse(&doc).unwrap_err();
+            assert!(err.starts_with(&format!("nesting deeper than {MAX_DEPTH} levels")), "{err}");
+        }
     }
 }

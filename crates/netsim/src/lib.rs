@@ -23,10 +23,11 @@
 //! CPR/DPR/HPR/CPT vs MPI vs OTHER splits (Fig. 2, Table VII) directly.
 //! A flight recorder ([`trace`], enabled via [`SimBuilder::trace`])
 //! additionally captures per-event streams on the virtual timeline, with
-//! Chrome-trace/Perfetto and ASCII Gantt exporters, and [`Registry`] turns a
-//! run into counters + log2-bucketed histograms with a Prometheus-text
-//! rendering ([`Json`] is the hand-rolled JSON layer of the Chrome exporter
-//! and the tuner's state file). [`CriticalPath`] reconstructs the causal DAG of a traced run and extracts
+//! Chrome-trace/Perfetto and ASCII Gantt exporters, and [`RunReport::tally`]
+//! counts a traced run's messages, bytes, retransmits, recoveries and
+//! injected faults into one [`Tally`] ([`Json`] is the hand-rolled JSON
+//! layer of the Chrome exporter and the tuner's state file).
+//! [`CriticalPath`] reconstructs the causal DAG of a traced run and extracts
 //! the end-to-end critical path with per-event slack, so breakdowns can be
 //! read as "what actually gated the makespan" rather than mere totals.
 //!
@@ -52,7 +53,6 @@ mod critpath;
 mod engine;
 mod faults;
 mod json;
-mod metrics;
 mod sim;
 mod topology;
 pub mod trace;
@@ -63,8 +63,7 @@ pub use config::{ComputeTiming, NetConfig, OpKind, ThroughputModel};
 pub use critpath::{CriticalPath, HopTime, PathBuckets, PathElement, SpanKind};
 pub use faults::{splitmix64, FaultKind, FaultPlan, LinkFault};
 pub use json::Json;
-pub use metrics::{Histogram, Registry};
-pub use sim::{RankOutcome, RankPanic, RunReport, RunStats, SimBuilder, SimEngine};
+pub use sim::{RankOutcome, RankPanic, RunReport, RunStats, SimBuilder, SimEngine, Tally};
 pub use topology::{LinkTier, Topology};
 pub use trace::{Event, RankTrace, TraceConfig};
 

@@ -8,9 +8,9 @@ use crate::breakdown::Breakdown;
 use crate::comm::Comm;
 use crate::config::{ComputeTiming, NetConfig};
 use crate::engine;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultKind, FaultPlan};
 use crate::topology::Topology;
-use crate::trace::{RankTrace, TraceConfig};
+use crate::trace::{Event, RankTrace, TraceConfig};
 
 /// Result of one rank's participation in a [`SimBuilder::run`].
 #[derive(Debug, Clone)]
@@ -48,6 +48,42 @@ pub struct RunStats {
     pub makespan: f64,
     /// Sum of all ranks' breakdowns.
     pub total: Breakdown,
+}
+
+/// What a traced run did, counted in one pass over its flight-recorder
+/// traces ([`RunReport::tally`]). Ranks that died contribute nothing — the
+/// report carries only the completed ranks' traces — and every field is 0
+/// on an untraced run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Messages sent (`Send` events).
+    pub messages: u64,
+    /// Bytes those messages put on the wire, retransmitted frames included.
+    pub wire_bytes: u64,
+    /// Uncompressed-equivalent bytes those messages represented.
+    pub logical_bytes: u64,
+    /// Frames the resilient transport resent (`res:retransmit` markers).
+    pub retransmits: u64,
+    /// Receive timeouts it charged (`res:timeout` markers).
+    pub timeouts: u64,
+    /// Segments it fell back to an uncompressed resend for
+    /// (`res:degraded-segment` markers).
+    pub degraded_segments: u64,
+    /// Membership repairs (`rec:recovery` markers).
+    pub recoveries: u64,
+    /// Highest committed membership epoch (`rec:epoch` values).
+    pub epoch: u64,
+    /// Largest survivor count a committed view reported (`rec:survivors`
+    /// values).
+    pub survivors: u64,
+    /// Messages the fault plan dropped.
+    pub drops: u64,
+    /// Messages it corrupted.
+    pub corruptions: u64,
+    /// Messages it delayed. (Its crashes have no count: a crash is recorded
+    /// on the dying rank, whose trace the report drops — see
+    /// [`RunReport::panics`].)
+    pub jitters: u64,
 }
 
 /// Which execution engine drives the ranks.
@@ -163,6 +199,37 @@ impl<R> RunReport<R> {
     /// The panic that killed `rank`, if it died.
     pub fn panic_of(&self, rank: usize) -> Option<&RankPanic> {
         self.panics.iter().find(|p| p.rank == rank)
+    }
+
+    /// Count what the run did from its traces (see [`Tally`]).
+    pub fn tally(&self) -> Tally {
+        let mut t = Tally::default();
+        for ev in self.traces.iter().flat_map(|trace| &trace.events) {
+            match *ev {
+                Event::Send { wire_bytes, logical_bytes, .. } => {
+                    t.messages += 1;
+                    t.wire_bytes += wire_bytes as u64;
+                    t.logical_bytes += logical_bytes as u64;
+                }
+                Event::Recv { .. } => {}
+                Event::Compute { label, bytes, .. } => match label {
+                    "res:retransmit" => t.retransmits += 1,
+                    "res:timeout" => t.timeouts += 1,
+                    "res:degraded-segment" => t.degraded_segments += 1,
+                    "rec:recovery" => t.recoveries += 1,
+                    "rec:epoch" => t.epoch = t.epoch.max(bytes as u64),
+                    "rec:survivors" => t.survivors = t.survivors.max(bytes as u64),
+                    _ => {}
+                },
+                Event::Fault { kind, .. } => match kind {
+                    FaultKind::Drop => t.drops += 1,
+                    FaultKind::Corrupt => t.corruptions += 1,
+                    FaultKind::Jitter => t.jitters += 1,
+                    FaultKind::Crash => {}
+                },
+            }
+        }
+        t
     }
 
     /// The flight-recorder trace of `rank`, if it completed under tracing.

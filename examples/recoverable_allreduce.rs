@@ -14,7 +14,7 @@
 
 use datasets::App;
 use hzccl::collectives::{allreduce_recoverable, CollectiveOpts, RecoveryPolicy};
-use netsim::{FaultPlan, Registry, SimBuilder, TraceConfig};
+use netsim::{FaultPlan, SimBuilder, TraceConfig};
 
 fn main() {
     let nranks = 8;
@@ -63,15 +63,9 @@ fn main() {
     assert!(max_err <= tol);
 
     // recovery is observable: repairs, committed epoch and survivor count
-    let mut reg = Registry::new();
-    reg.record_report(&report);
-    println!(
-        "hz_recoveries_total={} hz_epochs={:?} hz_survivors={:?}",
-        reg.counter("hz_recoveries_total").unwrap_or(0),
-        reg.gauge("hz_epochs"),
-        reg.gauge("hz_survivors"),
-    );
-    assert!(reg.counter("hz_recoveries_total").unwrap_or(0) >= 1);
-    assert_eq!(reg.gauge("hz_survivors"), Some(m as f64));
+    let tally = report.tally();
+    println!("recoveries={} epoch={} survivors={}", tally.recoveries, tally.epoch, tally.survivors);
+    assert!(tally.recoveries >= 1);
+    assert_eq!(tally.survivors, m as u64);
     println!("self-healing allreduce completed with {m}/{nranks} ranks");
 }

@@ -78,24 +78,20 @@ pub(crate) fn chaos(args: &Args) -> Result<(), String> {
                 // flavours may re-quantize each degraded segment once
                 let mpi = variant == Variant::Mpi;
                 let tol = if mpi { 0.0 } else { (2.0 * ranks as f64 + 2.0) * eb };
-                let counter = |name: &str| faulty.registry.counter(name).unwrap_or(0);
-                let retrans = counter("hz_retransmits_total");
-                let injected =
-                    |kind: &str| counter(&format!("hz_faults_injected_total{{kind=\"{kind}\"}}"));
-                let lost_here = injected("drop") + injected("corrupt");
-                let faults = lost_here + injected("jitter");
+                let tally = faulty.report.tally();
+                let lost_here = tally.drops + tally.corruptions;
                 lost += lost_here;
-                total_retrans += retrans;
+                total_retrans += tally.retransmits;
                 let ok = max_err <= tol;
                 println!(
                     "{:<6} {:<15} {:<8} {:>10} {:>9} {:>9} {:>7} {:>12.6} {:>10.3e}{}",
                     drop,
                     op.name(),
                     variant.name(),
-                    retrans,
-                    counter("hz_timeouts_total"),
-                    counter("hz_degraded_segments_total"),
-                    faults,
+                    tally.retransmits,
+                    tally.timeouts,
+                    tally.degraded_segments,
+                    lost_here + tally.jitters,
                     faulty.result.virtual_secs,
                     max_err,
                     if ok { "" } else { "  DIVERGED" }
@@ -129,10 +125,10 @@ pub(crate) fn chaos(args: &Args) -> Result<(), String> {
 /// must reproduce the survivable ring's reduction order bit-for-bit
 /// ([`suite::mpi_survivor_sum`]), the compressed flavours must agree
 /// bitwise across survivors and stay within `(2m+2)·eb` of the exact f64
-/// survivor sum ([`suite::survivor_sum`]). Recovery observability
-/// (`hz_recoveries_total`, `hz_epochs`, `hz_survivors`) is read back from
-/// the flight recorder; any divergence exits nonzero. Hangs are the
-/// caller's job (`tests/cli.rs` gives the gate 300 s).
+/// survivor sum ([`suite::survivor_sum`]). The recovery columns (committed
+/// epoch, repairs, survivors) are the run's [`netsim::Tally`]; any
+/// divergence exits nonzero. Hangs are the caller's job (`tests/cli.rs`
+/// gives the gate 300 s).
 fn crash_gate(cfg: &SuiteConfig, ranks: usize, kb: usize, rates: &[f64]) -> Result<(), String> {
     let (seed, eb) = (cfg.seed, cfg.eb);
     if ranks < 2 {
@@ -256,23 +252,21 @@ fn crash_gate(cfg: &SuiteConfig, ranks: usize, kb: usize, rates: &[f64]) -> Resu
             if max_err > tol {
                 errs.push(format!("max_err {max_err:e} exceeds tol {tol:e}"));
             }
-            let recoveries = run.registry.counter("hz_recoveries_total").unwrap_or(0);
-            let epoch_gauge = run.registry.gauge("hz_epochs").unwrap_or(0.0);
-            let surv_gauge = run.registry.gauge("hz_survivors").unwrap_or(0.0);
-            if recoveries == 0 {
+            let tally = report.tally();
+            if tally.recoveries == 0 {
                 errs.push("no recovery counted despite seeded crashes".into());
             }
-            if surv_gauge != m as f64 {
-                errs.push(format!("hz_survivors gauge {surv_gauge} != {m}"));
+            if tally.survivors != m as u64 {
+                errs.push(format!("{} survivors counted, not {m}", tally.survivors));
             }
             println!(
                 "{:<6} {:<8} {:<14} {:>6} {:>11} {:>10} {:>11.3e}{}",
                 rate,
                 vname,
                 format!("{dead:?}"),
-                epoch_gauge,
-                recoveries,
-                surv_gauge,
+                tally.epoch,
+                tally.recoveries,
+                tally.survivors,
                 max_err,
                 if errs.is_empty() { "" } else { "  DIVERGED" }
             );

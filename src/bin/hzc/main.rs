@@ -49,7 +49,7 @@ const USAGE: &str = "usage:
   hzc sim <allreduce|reduce_scatter|reduce|bcast> [--ranks N] [--mb M | --kb K]
           [--variant hz|ccoll|mpi|rd|auto] [--eb E] [--threads T] [--segments S]
           [--topology NxP[:oversub]] [--app A] [--seed S] [--cache state.json]
-          [--trace out.json] [--metrics] [--width W] [--critical-path] [--slack]
+          [--trace out.json] [--width W] [--critical-path] [--slack]
   hzc tune [--ops L] [--ranks L] [--sizes-kb L] [--eb E] [--app A] [--seed S]
           [--out state.json]   (L = comma-separated list, e.g. 8,64)
   hzc chaos [--seed S] [--ranks N] [--kb K] [--eb E] [--drop P[,P..]]
@@ -85,7 +85,7 @@ const COMMANDS: &[Command] = &[
         name: "sim",
         valued: "--ranks --mb --kb --variant --eb --threads --segments --topology --app --seed \
                  --cache --trace --width",
-        boolean: "--metrics --critical-path --slack",
+        boolean: "--critical-path --slack",
         run: sim::sim,
     },
     Command {

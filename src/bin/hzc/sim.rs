@@ -1,7 +1,6 @@
 //! `hzc sim`: one collective on the virtual cluster, explained — the
 //! paper-style cost breakdown, an ASCII timeline, and on request the
-//! critical-path profile, the slack view, Prometheus-style metrics and a
-//! Chrome/Perfetto trace.
+//! critical-path profile, the slack view and a Chrome/Perfetto trace.
 
 use crate::{app_flag, eb_flag, flag, has_flag, positional, Args};
 use hzccl::{Mode, Variant};
@@ -149,17 +148,6 @@ pub(crate) fn sim(args: &Args) -> Result<(), String> {
     }
     if want_slack {
         print_slack(critpath, traces);
-    }
-
-    if has_flag(args, "--metrics") {
-        println!(
-            "{}",
-            run.registry.render_histogram_ascii(
-                "hz_step_compression_ratio",
-                "per-step achieved compression ratio",
-            )
-        );
-        println!("{}", run.registry.render_prometheus());
     }
 
     if let Some(path) = trace_out {

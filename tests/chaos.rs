@@ -8,8 +8,7 @@ use hzccl::collectives::{
 };
 use hzccl::{error_bounds, Mode, Resilience, Variant};
 use netsim::{
-    ComputeTiming, FaultPlan, LinkFault, Registry, SimBuilder, ThroughputModel, Topology,
-    TraceConfig,
+    ComputeTiming, FaultPlan, LinkFault, SimBuilder, ThroughputModel, Topology, TraceConfig,
 };
 
 fn modeled() -> ComputeTiming {
@@ -72,22 +71,17 @@ fn retransmits_count_as_wire_bytes_not_logical_bytes() {
                 allreduce(comm, &data, &opts).expect("resilient allreduce")
             })
             .expect_clean();
-        let mut reg = Registry::new();
-        reg.record_report(&report);
-        reg
+        report.tally()
     };
     let clean = run(None);
     let faulty = run(Some(FaultPlan::new(9).with_drop(0.08)));
-    let retrans = faulty.counter("hz_retransmits_total").unwrap_or(0);
-    assert!(retrans > 0, "8% drop at 4 ranks must force at least one retransmit");
+    assert!(faulty.retransmits > 0, "8% drop at 4 ranks must force at least one retransmit");
     assert_eq!(
-        faulty.counter("hz_logical_bytes_total"),
-        clean.counter("hz_logical_bytes_total"),
+        faulty.logical_bytes, clean.logical_bytes,
         "retransmits must not inflate the logical-byte total"
     );
     assert!(
-        faulty.counter("hz_wire_bytes_total").unwrap()
-            > clean.counter("hz_wire_bytes_total").unwrap(),
+        faulty.wire_bytes > clean.wire_bytes,
         "retransmitted frames must appear in the wire-byte total"
     );
 }
@@ -96,7 +90,7 @@ fn retransmits_count_as_wire_bytes_not_logical_bytes() {
 /// reduction collectives. Every run completes; `mpi` matches its fault-free
 /// baseline bit-for-bit (raw floats retransmit verbatim), the compressed
 /// flavours stay within the error budget; the sweep as a whole observes
-/// nonzero retransmits and reports the degraded-segment counter.
+/// nonzero retransmits.
 #[test]
 fn soak_drop_and_corruption_across_flavours() {
     let n = 4096;
@@ -139,11 +133,7 @@ fn soak_drop_and_corruption_across_flavours() {
                         );
                     }
                 }
-                let mut reg = Registry::new();
-                reg.record_report(&faulty);
-                total_retrans += reg.counter("hz_retransmits_total").unwrap_or(0);
-                // the counter must exist (reported), even when zero
-                let _degraded = reg.counter("hz_degraded_segments_total").unwrap_or(0);
+                total_retrans += faulty.tally().retransmits;
             }
         }
     }
@@ -176,9 +166,7 @@ fn framed_hierarchical_allreduce_survives_loss() {
         let plan = FaultPlan::new(7).with_drop(0.2).with_corrupt(0.05);
         let framed = opts.clone().with_resilience(Resilience::default());
         let faulty = run_one(SimBuilder::new(nranks).faults(plan), &framed);
-        let mut reg = Registry::new();
-        reg.record_report(&faulty);
-        assert!(reg.counter("hz_retransmits_total").unwrap_or(0) > 0, "{variant:?}");
+        assert!(faulty.tally().retransmits > 0, "{variant:?}");
         let bound = match variant {
             Variant::Mpi => 0.0,
             Variant::CColl => error_bounds::ccoll_allreduce(nranks, eb),
@@ -224,17 +212,16 @@ fn shrink_over_the_framed_transport_survives_a_crash() {
             assert_eq!(faulty.value(r).contributors, survivors, "{variant:?} rank {r}");
             assert_eq!(faulty.value(r).value, unframed.value(r).value, "{variant:?} rank {r}");
         }
-        let mut reg = Registry::new();
-        reg.record_report(&faulty);
-        assert!(reg.counter("hz_retransmits_total").unwrap_or(0) > 0, "{variant:?}");
-        assert_eq!(reg.counter("hz_recoveries_total"), Some(survivors.len() as u64));
+        let tally = faulty.tally();
+        assert!(tally.retransmits > 0, "{variant:?}");
+        assert_eq!(tally.recoveries, survivors.len() as u64, "{variant:?}");
     }
 }
 
 /// A link that drops everything forces graceful degradation: after
 /// `max_retries` the sender falls back to an uncompressed reliable resend,
 /// the collective still completes within the (loosened) error budget, and
-/// `hz_degraded_segments_total` is nonzero.
+/// the tally counts degraded segments.
 #[test]
 fn dead_link_degrades_gracefully_instead_of_aborting() {
     let n = 2048;
@@ -256,10 +243,8 @@ fn dead_link_degrades_gracefully_instead_of_aborting() {
         let cluster =
             SimBuilder::new(nranks).timing(modeled()).trace(TraceConfig::default()).faults(plan);
         let faulty = run_one(&cluster, &opts.clone().with_resilience(Resilience::default()));
-        let mut reg = Registry::new();
-        reg.record_report(&faulty);
         assert!(
-            reg.counter("hz_degraded_segments_total").unwrap_or(0) > 0,
+            faulty.tally().degraded_segments > 0,
             "{variant:?}: a 100%-loss link must exhaust retries and degrade"
         );
         // every degraded hop may re-quantize once on the compressed flavours

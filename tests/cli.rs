@@ -110,18 +110,16 @@ fn sim_runs_a_traced_collective_end_to_end() {
             "hz",
             "--trace",
             trace_path.to_str().unwrap(),
-            "--metrics",
         ])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    // breakdown table, timeline and metrics all render
+    // breakdown table and timeline render
     assert!(stdout.contains("makespan"), "{stdout}");
     assert!(stdout.contains("cpr"), "{stdout}");
     assert!(stdout.contains("rank   0 |"), "{stdout}");
     assert!(stdout.contains("legend:"), "{stdout}");
-    assert!(stdout.contains("hz_messages_total"), "{stdout}");
 
     // the Chrome trace is valid JSON with one process per rank
     let text = std::fs::read_to_string(&trace_path).unwrap();
@@ -499,6 +497,26 @@ fn first_error_line(args: &[&str]) -> (bool, String) {
     (out.status.success(), stderr.lines().next().unwrap_or_default().to_string())
 }
 
+/// A tuner state file nested 200,000 levels deep is refused with one error
+/// line naming it — the JSON parser caps its nesting depth instead of
+/// overflowing the stack.
+#[test]
+fn a_deeply_nested_state_file_is_an_error_not_a_stack_overflow() {
+    let dir = tmpdir("deep_state");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    let path = deep.to_str().unwrap();
+    let args = ["sim", "allreduce", "--ranks", "2", "--kb", "4", "--variant", "auto", "--cache"];
+    let out = hzc().args(args).arg(path).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("hzc:")).collect();
+    assert_eq!(errors.len(), 1, "{stderr}");
+    assert!(errors[0].starts_with(&format!("hzc: {path}: nesting deeper than")), "{stderr}");
+    assert!(!stderr.contains("overflow"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A flag the subcommand does not declare, a repeated one and a value-taking
 /// one with nothing after it are errors that list the subcommand's flags —
 /// not a run on defaults; a boolean flag does not swallow what follows it.
@@ -516,6 +534,7 @@ fn flags_are_checked_against_the_subcommands_declaration() {
             format!("missing value after --ranks {sim}"),
         ),
         (&["info", "x.fzl", "--quick"], "unknown flag --quick (hzc info takes: no flags)".into()),
+        (&["sim", "allreduce", "--metrics"], format!("unknown flag --metrics {sim}")),
     ] {
         let (ok, line) = first_error_line(args);
         assert!(!ok && line.contains(&problem), "{args:?}: {line}");

@@ -262,11 +262,11 @@ fn backticked_crate_items_are_public() {
 #[test]
 fn the_checks_read_declarations_and_paths_as_written() {
     let netsim = pub_names("crates/netsim");
-    for name in ["SimBuilder", "trace", "chrome_trace", "Registry", "render_prometheus", "traces"] {
+    for name in ["SimBuilder", "trace", "chrome_trace", "Tally", "tally", "traces"] {
         assert!(netsim.contains(name), "{name} missing from netsim's pub names");
     }
     assert!(pub_names("crates/fzlight").contains("Mismatch"), "a pub enum's variant");
-    for name in ["metrics", "critpath", "inc"] {
+    for name in ["json", "critpath", "parse_value"] {
         assert!(!netsim.contains(name), "{name} is not pub in netsim");
     }
     assert_eq!(expand("tests/{ring,codec}_goldens.tsv").len(), 2);

@@ -2,7 +2,7 @@
 //! correctness of the Shrink policies at 8 and 64 ranks under 1–3 seeded
 //! crashes, FailFast's historic cascade semantics, fault-free equivalence
 //! with the plain verbs, engine-independence of recovery, and the
-//! observability surface (metrics + critical-path bucket).
+//! observability surface (tally + critical-path bucket).
 
 use hzccl::chunks::node_chunks;
 use hzccl::collectives::{
@@ -12,8 +12,7 @@ use hzccl::collectives::{
 use hzccl::{Mode, Variant};
 use hzccl_bench::suite::{mpi_survivor_sum, survivor_sum};
 use netsim::{
-    ComputeTiming, FaultPlan, Registry, RunReport, SimBuilder, SimEngine, ThroughputModel,
-    TraceConfig,
+    ComputeTiming, FaultPlan, RunReport, SimBuilder, SimEngine, ThroughputModel, TraceConfig,
 };
 
 const EB: f64 = 1e-4;
@@ -325,9 +324,9 @@ fn engines_agree_on_crash_recovery() {
     }
 }
 
-/// Observability: a recovered run reports `hz_recoveries_total`,
-/// `hz_epochs`, `hz_survivors`, and rescale work lands in the critical
-/// path's `recovery` bucket.
+/// Observability: a recovered run's tally counts its repairs, committed
+/// epoch and survivors, and rescale work lands in the critical path's
+/// `recovery` bucket.
 #[test]
 fn recovery_surfaces_in_metrics_and_critical_path() {
     let nranks = 8;
@@ -335,14 +334,10 @@ fn recovery_surfaces_in_metrics_and_critical_path() {
     let plan = FaultPlan::new(3).with_crash(2, 1);
     let opts = CollectiveOpts::hz(EB).with_recovery(RecoveryPolicy::ShrinkRescale);
     let report = run_shrink(nranks, n, &opts, plan, SimEngine::default());
-    let mut reg = Registry::new();
-    reg.record_report(&report);
-    assert!(
-        reg.counter("hz_recoveries_total").unwrap_or(0) >= 1,
-        "a crash-repaired run must count at least one recovery"
-    );
-    assert_eq!(reg.gauge("hz_epochs"), Some(1.0), "one repair commits at epoch 1");
-    assert_eq!(reg.gauge("hz_survivors"), Some(7.0), "seven of eight ranks survive");
+    let tally = report.tally();
+    assert!(tally.recoveries >= 1, "a crash-repaired run must count at least one recovery");
+    assert_eq!(tally.epoch, 1, "one repair commits at epoch 1");
+    assert_eq!(tally.survivors, 7, "seven of eight ranks survive");
     let cp = netsim::CriticalPath::analyze_with_topology(
         &report.traces,
         &netsim::NetConfig::default(),

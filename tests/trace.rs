@@ -2,9 +2,12 @@
 //! event stream must reconcile exactly with the live breakdown accounting,
 //! event times must be monotone, and the exporters must round-trip.
 
-use hzccl::collectives::{self, CollectiveOpts};
-use hzccl::{CollectiveConfig, Mode};
-use netsim::{trace, ComputeTiming, Event, Json, OpKind, SimBuilder, ThroughputModel, TraceConfig};
+use hzccl::collectives::{self, allreduce_recoverable, CollectiveOpts, RecoveryPolicy};
+use hzccl::{CollectiveConfig, Mode, Resilience};
+use netsim::{
+    trace, ComputeTiming, Event, FaultKind, FaultPlan, Json, LinkFault, RunReport, SimBuilder,
+    Tally, ThroughputModel, TraceConfig,
+};
 
 fn modeled() -> ComputeTiming {
     ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0))
@@ -208,36 +211,91 @@ fn untraced_runs_carry_no_trace() {
         .expect_clean();
     assert!(report.traces.is_empty(), "tracing must be off by default");
     assert!(report.trace_of(0).is_none(), "no per-rank trace without TraceConfig");
+    assert_eq!(report.tally(), Tally::default(), "an untraced run counts nothing");
 }
 
-#[test]
-fn registry_record_run_matches_trace_sums() {
-    let opts = CollectiveOpts::hz(1e-4);
-    let cluster = SimBuilder::new(4).timing(modeled()).trace(TraceConfig::default());
-    let report = cluster
-        .run(|comm| {
-            let data = field(comm.rank(), 2000);
-            collectives::allreduce(comm, &data, &opts).expect("hz");
+/// Every [`Tally`] field counted by hand from the events: each `Send`, each
+/// marker label, the largest value a marker carried, each injected fault.
+fn hand_count<R>(report: &RunReport<R>) -> Tally {
+    let events = || report.traces.iter().flat_map(|t| &t.events);
+    let sends = || {
+        events().filter_map(|e| match *e {
+            Event::Send { wire_bytes, logical_bytes, .. } => Some((wire_bytes, logical_bytes)),
+            _ => None,
         })
-        .expect_clean();
-    let mut reg = netsim::Registry::new();
-    reg.record_report(&report);
-
-    // messages_total equals Send events; wire bytes match
-    let (mut sends, mut wire, mut cpr) = (0u64, 0u64, 0.0f64);
-    for t in &report.traces {
-        for ev in &t.events {
-            if let Event::Send { wire_bytes, .. } = *ev {
-                sends += 1;
-                wire += wire_bytes as u64;
-            }
-        }
-        cpr += t.seconds(OpKind::Cpr);
+    };
+    let marked = |name: &str| {
+        events()
+            .filter_map(|e| match *e {
+                Event::Compute { label, bytes, .. } if label == name => Some(bytes as u64),
+                _ => None,
+            })
+            .collect::<Vec<u64>>()
+    };
+    let injected = |kind: FaultKind| {
+        events().filter(|e| matches!(e, Event::Fault { kind: k, .. } if *k == kind)).count() as u64
+    };
+    Tally {
+        messages: sends().count() as u64,
+        wire_bytes: sends().map(|(w, _)| w as u64).sum(),
+        logical_bytes: sends().map(|(_, l)| l as u64).sum(),
+        retransmits: marked("res:retransmit").len() as u64,
+        timeouts: marked("res:timeout").len() as u64,
+        degraded_segments: marked("res:degraded-segment").len() as u64,
+        recoveries: marked("rec:recovery").len() as u64,
+        epoch: marked("rec:epoch").into_iter().max().unwrap_or(0),
+        survivors: marked("rec:survivors").into_iter().max().unwrap_or(0),
+        drops: injected(FaultKind::Drop),
+        corruptions: injected(FaultKind::Corrupt),
+        jitters: injected(FaultKind::Jitter),
     }
-    assert_eq!(reg.counter("hz_messages_total"), Some(sends));
-    assert_eq!(reg.counter("hz_wire_bytes_total"), Some(wire));
-    let got = reg.gauge("hz_op_seconds{kind=\"cpr\"}").unwrap();
-    assert!((got - cpr).abs() <= 1e-9, "{got} vs {cpr}");
-    assert!(reg.histogram("hz_step_compression_ratio").unwrap().count > 0);
-    assert!(reg.gauge("hz_makespan_seconds").unwrap() > 0.0);
+}
+
+/// `RunReport::tally` against the hand count on a framed run under every
+/// message fault (one link dead, so segments degrade) and on a
+/// crash-recovery run — and every count each run can move is nonzero.
+#[test]
+fn tally_matches_a_hand_count_of_events() {
+    let dead = LinkFault { drop_p: 1.0, corrupt_p: 0.0, jitter_s: 0.0 };
+    let plan = FaultPlan::new(9)
+        .with_drop(0.08)
+        .with_corrupt(0.25)
+        .with_jitter(1e-6)
+        .with_link(0, 1, dead);
+    let framed = CollectiveOpts::hz(1e-4).with_resilience(Resilience::default());
+    let lossy = SimBuilder::new(4)
+        .timing(modeled())
+        .trace(TraceConfig::default())
+        .faults(plan)
+        .run(|comm| collectives::allreduce(comm, &field(comm.rank(), 2000), &framed).expect("hz"))
+        .expect_clean();
+    let t = lossy.tally();
+    assert_eq!(t, hand_count(&lossy));
+    let moved = [
+        t.messages,
+        t.wire_bytes,
+        t.logical_bytes,
+        t.retransmits,
+        t.timeouts,
+        t.degraded_segments,
+        t.drops,
+        t.corruptions,
+        t.jitters,
+    ];
+    assert!(moved.iter().all(|&n| n > 0), "{t:?}");
+    assert_eq!((t.recoveries, t.epoch, t.survivors), (0, 0, 0), "nothing crashed");
+
+    let shrink = CollectiveOpts::hz(1e-4).with_recovery(RecoveryPolicy::Shrink);
+    let crashed = SimBuilder::new(8)
+        .timing(modeled())
+        .trace(TraceConfig::default())
+        .faults(FaultPlan::new(3).with_crash(2, 1))
+        .run(|comm| {
+            allreduce_recoverable(comm, &field(comm.rank(), 2000), &shrink).expect("recoverable")
+        });
+    assert_eq!(crashed.panics.len(), 1, "rank 2 dies, the rest repair the ring");
+    let t = crashed.tally();
+    assert_eq!(t, hand_count(&crashed));
+    assert!(t.messages > 0 && t.recoveries > 0, "{t:?}");
+    assert_eq!((t.epoch, t.survivors), (1, 7), "one repair, seven survivors");
 }
