@@ -456,10 +456,11 @@ pub fn tune_case(
     mut each: impl FnMut(&ScenarioSpec, &Plan, f64, f64),
 ) -> ScenarioSpec {
     let base = &rank_fields(spec, cfg)[0];
-    let ratios = auto::probe_ratios(None, base, cfg.eb, &tuner::BLOCK_CANDIDATES, 1);
+    let block_len = fzlight::DEFAULT_BLOCK_LEN;
+    let ratio = auto::probe_ratio(None, base, cfg.eb, block_len, 1);
     let (op, nranks, topology) = (spec.op, spec.ranks, spec.topology);
     let elems = spec.elems.max(nranks);
-    let scenario = ScenarioSpec { op, elems, nranks, eb: cfg.eb, ratios, topology };
+    let scenario = ScenarioSpec { op, elems, nranks, eb: cfg.eb, block_len, ratio, topology };
     for plan in engine.candidates(&scenario) {
         let timing = Timing::Model(engine.calib.model(plan.flavor, plan.mode));
         let case = CaseSpec { runner: Runner::Plan(plan), ..spec.clone() };

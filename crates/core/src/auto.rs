@@ -22,15 +22,12 @@
 
 use crate::collectives::Result;
 use crate::config::CollectiveConfig;
+use crate::pipeline::TAG_PLAN;
 use crate::rd;
 use crate::ring::{self, Over, Verb};
 use fzlight::{Config as FzConfig, ErrorBound};
 use netsim::{Comm, OpKind, Topology};
-use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec, BLOCK_CANDIDATES};
-
-/// Reserved tag namespace for the plan broadcast (ring uses `0/1<<32`,
-/// gather/scatter `2..=4 <<32`, rd `5/6<<32`).
-const TAG_PLAN: u64 = 7 << 32;
+use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
 
 /// Elements probe-compressed to estimate the scenario's compression ratio.
 /// 16 Ki `f32` (64 KiB) keeps the probe ~1% of a megabyte-class message
@@ -62,41 +59,36 @@ fn cfg_for(plan: &Plan, base: &CollectiveConfig) -> CollectiveConfig {
     CollectiveConfig { eb: base.eb, block_len: plan.block_len, mode: plan.mode, res: base.res }
 }
 
-/// The one ratio probe: compress the first 16 Ki elements of `data` at each
-/// candidate block length and return `(block_len, ratio)` estimates. With a
-/// `comm` every compression is charged to that rank's virtual clock
-/// (`auto:probe`); `None` is the offline probe of `hzc tune`. Empty data
-/// (non-root ranks of a bcast never call this) or failing compression
-/// degrade to ratio 1.0 — "incompressible" is the safe direction, it can
-/// only steer the engine toward plain MPI.
-pub fn probe_ratios(
-    mut comm: Option<&mut Comm>,
+/// The one ratio probe: compress the first 16 Ki elements of `data` at
+/// `block_len` and return the compression ratio. With a `comm` the
+/// compression is charged to that rank's virtual clock (`auto:probe`);
+/// `None` is the offline probe of `hzc tune`. Empty data (non-root ranks of
+/// a bcast never call this) or failing compression degrade to ratio 1.0 —
+/// "incompressible" is the safe direction, it can only steer the engine
+/// toward plain MPI.
+pub fn probe_ratio(
+    comm: Option<&mut Comm>,
     data: &[f32],
     eb: f64,
-    blocks: &[usize],
+    block_len: usize,
     threads: usize,
-) -> Vec<(usize, f64)> {
+) -> f64 {
     if data.is_empty() {
-        return blocks.iter().map(|&b| (b, 1.0)).collect();
+        return 1.0;
     }
     let sample = &data[..data.len().min(PROBE_ELEMS)];
     let logical = sample.len() * 4;
-    blocks
-        .iter()
-        .map(|&b| {
-            let fz = FzConfig::new(ErrorBound::Abs(eb)).with_block_len(b).with_threads(threads);
-            let probe = || {
-                fzlight::compress(sample, &fz)
-                    .map(|s| logical as f64 / s.compressed_size().max(1) as f64)
-                    .unwrap_or(1.0)
-            };
-            let ratio = match comm.as_deref_mut() {
-                Some(comm) => comm.compute_labeled(OpKind::Other, logical, "auto:probe", probe),
-                None => probe(),
-            };
-            (b, ratio.max(1.0))
-        })
-        .collect()
+    let fz = FzConfig::new(ErrorBound::Abs(eb)).with_block_len(block_len).with_threads(threads);
+    let probe = || {
+        fzlight::compress(sample, &fz)
+            .map(|s| logical as f64 / s.compressed_size().max(1) as f64)
+            .unwrap_or(1.0)
+    };
+    let ratio = match comm {
+        Some(comm) => comm.compute_labeled(OpKind::Other, logical, "auto:probe", probe),
+        None => probe(),
+    };
+    ratio.max(1.0)
 }
 
 /// Decide on `decider` — which probes its `data` into the scenario the
@@ -121,9 +113,10 @@ fn agree_on_plan(
     // Position in the tree, relative to the decider (which sits at 0).
     let rel = (r + n - decider) % n;
     let (wire, detail) = if rel == 0 {
-        let ratios = probe_ratios(Some(comm), data, cfg.eb, &BLOCK_CANDIDATES, cfg.mode.threads());
+        let block_len = fzlight::DEFAULT_BLOCK_LEN;
+        let ratio = probe_ratio(Some(comm), data, cfg.eb, block_len, cfg.mode.threads());
         let (elems, nranks, topology) = (data.len(), n, topology.copied());
-        let spec = ScenarioSpec { op, elems, nranks, eb: cfg.eb, ratios, topology };
+        let spec = ScenarioSpec { op, elems, nranks, eb: cfg.eb, block_len, ratio, topology };
         let decision = engine.decide(&spec);
         (decision.plan.encode(), Some((spec, decision)))
     } else {

@@ -2,9 +2,12 @@
 //!
 //! The paper's three frameworks (Table II) share one ring skeleton
 //! ([`crate::ring`]) and differ only in the per-step operator, which this
-//! module states as one trait with three implementations:
+//! module states as one trait with two implementations. The raw MPI ring is
+//! C-Coll's decompression-operation-compression workflow with the identity
+//! compressor, so one value-accumulating [`DocCodec`] serves both, generic
+//! over a [`Format`] — what a payload *is* — while [`HzCodec`] sums streams:
 //!
-//! | | [`RawCodec`] (MPI) | [`DocCodec`] (C-Coll [13]) | [`HzCodec`] (hZCCL) |
+//! | | [`DocCodec`] over [`Raw`] (MPI) | [`DocCodec`] over [`Oszp`] (C-Coll [13]) | [`HzCodec`] (hZCCL) |
 //! |---|---|---|---|
 //! | accumulator | raw `f32`s | raw `f32`s | fZ-light stream |
 //! | own operand | slice of the input | slice of the input | compressed once (`hz:compress-all`, or just in time per segment) |
@@ -125,90 +128,41 @@ pub(crate) trait SegCodec {
     fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8>;
 }
 
-/// The operand type of codecs that fold the input slice directly.
-type Never = std::convert::Infallible;
+/// What a payload of a value-accumulating codec is: how values become wire
+/// bytes and back. The ring step is the same for every format
+/// ([`DocCodec`]); only these conversions and their charges differ.
+pub(crate) trait Format {
+    /// How payloads of this format are framed: raw payloads degrade by a
+    /// reliable resend of the same bytes, opaque ones via the fallbacks.
+    const KIND: PayloadKind;
 
-/// Uncompressed traffic: the "Original Collectives (MPI)" baseline.
-pub(crate) struct RawCodec {
-    threads: usize,
+    /// Segment boundaries fall on multiples of this (1 for raw traffic).
+    fn block_len(&self) -> usize;
+
+    /// Wire bytes of `vals`, over the spent (or empty) buffer `buf`.
+    fn pack(&self, comm: &mut Comm, vals: &[f32], buf: Vec<u8>) -> Result<Vec<u8>>;
+
+    /// Decode a payload of either kind into `dst`; its bytes come back.
+    fn unpack(&self, comm: &mut Comm, wire: Wire, dst: &mut [f32]) -> Result<Vec<u8>>;
+
+    /// Raw f32 bytes of a forwarded payload whose framed send ran out of
+    /// retries.
+    fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8>;
+}
+
+/// Raw little-endian `f32`s: the identity compressor of the MPI baseline.
+pub(crate) struct Raw {
     /// Charge the f32↔bytes staging copies (`mpi:pack` / `mpi:unpack`).
     /// Node-local exchange is shared memory, where the byte view of a
     /// buffer is a reinterpretation and costs nothing.
     staged: bool,
-    reduce_label: &'static str,
 }
 
-impl RawCodec {
-    /// The flat (and inter-node) MPI ring: NIC staging copies are charged.
-    pub(crate) fn mpi(threads: usize) -> RawCodec {
-        RawCodec { threads, staged: true, reduce_label: "mpi:reduce" }
-    }
-
-    /// The intra-node tier of the hierarchical schedule: the summation is
-    /// the only compute charge.
-    pub(crate) fn shared_memory(threads: usize) -> RawCodec {
-        RawCodec { threads, staged: false, reduce_label: "hier:reduce" }
-    }
-
-    fn unpack(&self, comm: &mut Comm, wire: &[u8], dst: &mut [f32]) -> Result<()> {
-        if self.staged {
-            comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || read_f32s(wire, dst))
-        } else {
-            read_f32s(wire, dst)
-        }
-    }
-}
-
-impl SegCodec for RawCodec {
-    type Acc = Vec<f32>;
-    type Operand = Never;
-    const WIRE: PayloadKind = PayloadKind::RawF32;
+impl Format for Raw {
+    const KIND: PayloadKind = PayloadKind::RawF32;
 
     fn block_len(&self) -> usize {
         1
-    }
-
-    fn forwards_verbatim(&self) -> bool {
-        false
-    }
-
-    fn operand(&self, _: &mut Comm, _: &[f32], _: &Range<usize>) -> Result<Option<Never>> {
-        Ok(None)
-    }
-
-    fn seed(&self, data: &[f32], rng: &Range<usize>, _: Option<Never>) -> Vec<f32> {
-        data[rng.clone()].to_vec()
-    }
-
-    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>, buf: Vec<u8>) -> Result<Vec<u8>> {
-        self.pack(comm, acc, buf)
-    }
-
-    fn fold(
-        &self,
-        comm: &mut Comm,
-        (wire, _): Wire,
-        data: &[f32],
-        rng: &Range<usize>,
-        _: Option<&Never>,
-        spent: Option<Vec<f32>>,
-    ) -> Result<(Vec<f32>, Vec<u8>)> {
-        let mut acc = spent.unwrap_or_default();
-        acc.resize(rng.len(), 0.0);
-        self.unpack(comm, &wire, &mut acc)?;
-        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.reduce_label, || {
-            reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
-        });
-        Ok((acc, wire))
-    }
-
-    fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
-        f32_to_bytes(acc)
-    }
-
-    fn handoff(&self, acc: Vec<f32>, dst: &mut [f32]) -> Option<Vec<u8>> {
-        dst.copy_from_slice(&acc);
-        None
     }
 
     fn pack(&self, comm: &mut Comm, vals: &[f32], mut buf: Vec<u8>) -> Result<Vec<u8>> {
@@ -222,14 +176,14 @@ impl SegCodec for RawCodec {
         Ok(buf)
     }
 
-    fn install(
-        &self,
-        comm: &mut Comm,
-        wire: Vec<u8>,
-        _: PayloadKind,
-        dst: &mut [f32],
-    ) -> Result<Vec<u8>> {
-        self.unpack(comm, &wire, dst)?;
+    fn unpack(&self, comm: &mut Comm, (wire, _): Wire, dst: &mut [f32]) -> Result<Vec<u8>> {
+        if self.staged {
+            comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || {
+                read_f32s(&wire, dst)
+            })?;
+        } else {
+            read_f32s(&wire, dst)?;
+        }
         Ok(wire)
     }
 
@@ -238,123 +192,29 @@ impl SegCodec for RawCodec {
     }
 }
 
-/// Decompression-operation-compression over ompSZp streams (C-Coll).
-pub(crate) struct DocCodec {
-    ocfg: ompszp::Config,
-    threads: usize,
-    /// `[compress, decompress, reduce]` step labels.
-    labels: [&'static str; 3],
-    verbatim: bool,
+/// ompSZp streams, the conventional compressor of C-Coll (and CPR-P2P).
+pub(crate) struct Oszp {
+    cfg: ompszp::Config,
+    /// `[compress, decompress]` step labels.
+    labels: [&'static str; 2],
 }
 
-impl DocCodec {
-    pub(crate) fn ccoll(cfg: &CollectiveConfig) -> DocCodec {
-        DocCodec {
-            ocfg: ompszp::Config::new(ompszp::ErrorBound::Abs(cfg.eb))
-                .with_block_len(cfg.block_len)
-                .with_threads(cfg.mode.threads()),
-            threads: cfg.mode.threads(),
-            labels: ["ccoll:compress", "ccoll:decompress", "ccoll:reduce"],
-            verbatim: true,
-        }
-    }
-
-    /// CPR-P2P [25]: the same kernels, but a forwarded chunk is decompressed
-    /// and recompressed by every hop. Kept for the paper's comparison chain
-    /// (CPR-P2P → C-Coll → hZCCL), which only the tests walk.
-    #[cfg(test)]
-    pub(crate) fn p2p(cfg: &CollectiveConfig) -> DocCodec {
-        DocCodec {
-            labels: ["p2p:compress", "p2p:decompress", "p2p:reduce"],
-            verbatim: false,
-            ..DocCodec::ccoll(cfg)
-        }
-    }
-}
-
-impl SegCodec for DocCodec {
-    type Acc = Vec<f32>;
-    type Operand = Never;
-    const WIRE: PayloadKind = PayloadKind::Opaque;
+impl Format for Oszp {
+    const KIND: PayloadKind = PayloadKind::Opaque;
 
     fn block_len(&self) -> usize {
-        self.ocfg.block_len
-    }
-
-    fn forwards_verbatim(&self) -> bool {
-        self.verbatim
-    }
-
-    fn operand(&self, _: &mut Comm, _: &[f32], _: &Range<usize>) -> Result<Option<Never>> {
-        Ok(None)
-    }
-
-    fn seed(&self, data: &[f32], rng: &Range<usize>, _: Option<Never>) -> Vec<f32> {
-        data[rng.clone()].to_vec()
-    }
-
-    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>, buf: Vec<u8>) -> Result<Vec<u8>> {
-        self.pack(comm, acc, buf)
-    }
-
-    fn fold(
-        &self,
-        comm: &mut Comm,
-        (wire, kind): Wire,
-        data: &[f32],
-        rng: &Range<usize>,
-        _: Option<&Never>,
-        spent: Option<Vec<f32>>,
-    ) -> Result<(Vec<f32>, Vec<u8>)> {
-        // a stream (or raw payload) of any other length is refused below
-        let mut acc = spent.unwrap_or_default();
-        acc.resize(rng.len(), 0.0);
-        let wire = match kind {
-            PayloadKind::Opaque => {
-                let stream = OszpStream::from_bytes(wire)?;
-                // fully decompress before any arithmetic: the DOC bottleneck
-                comm.compute_labeled(OpKind::Dpr, stream.n() * 4, self.labels[1], || {
-                    ompszp::decompress_into(&stream, &mut acc)
-                })?;
-                stream.into_bytes()
-            }
-            // a degraded hop delivered raw f32s — no DPR needed
-            PayloadKind::RawF32 => {
-                read_f32s(&wire, &mut acc)?;
-                wire
-            }
-        };
-        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.labels[2], || {
-            reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
-        });
-        Ok((acc, wire))
-    }
-
-    fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
-        // the raw accumulator is the last good state
-        f32_to_bytes(acc)
-    }
-
-    fn handoff(&self, acc: Vec<f32>, dst: &mut [f32]) -> Option<Vec<u8>> {
-        dst.copy_from_slice(&acc);
-        None
+        self.cfg.block_len
     }
 
     fn pack(&self, comm: &mut Comm, vals: &[f32], _: Vec<u8>) -> Result<Vec<u8>> {
         // (the compressor builds its own stream buffer)
         let stream = comm.compute_labeled(OpKind::Cpr, vals.len() * 4, self.labels[0], || {
-            ompszp::compress(vals, &self.ocfg)
+            ompszp::compress(vals, &self.cfg)
         })?;
         Ok(stream.into_bytes())
     }
 
-    fn install(
-        &self,
-        comm: &mut Comm,
-        wire: Vec<u8>,
-        kind: PayloadKind,
-        dst: &mut [f32],
-    ) -> Result<Vec<u8>> {
+    fn unpack(&self, comm: &mut Comm, (wire, kind): Wire, dst: &mut [f32]) -> Result<Vec<u8>> {
         match kind {
             PayloadKind::Opaque => {
                 let stream = OszpStream::from_bytes(wire)?;
@@ -363,6 +223,7 @@ impl SegCodec for DocCodec {
                 })?;
                 Ok(stream.into_bytes())
             }
+            // a degraded hop delivered raw f32s — no DPR needed
             PayloadKind::RawF32 => {
                 read_f32s(&wire, dst)?;
                 Ok(wire)
@@ -378,6 +239,136 @@ impl SegCodec for DocCodec {
             })
             .expect("forwarded stream must decompress");
         f32_to_bytes(&vals)
+    }
+}
+
+/// Decompression-operation-compression (C-Coll): the accumulator is raw
+/// `f32`s, every received payload is unpacked into it and summed, and the
+/// result is packed again to send. Over [`Raw`] it is the MPI ring.
+pub(crate) struct DocCodec<F> {
+    fmt: F,
+    threads: usize,
+    reduce_label: &'static str,
+    verbatim: bool,
+}
+
+impl DocCodec<Raw> {
+    /// The flat (and inter-node) MPI ring: NIC staging copies are charged.
+    pub(crate) fn mpi(threads: usize) -> DocCodec<Raw> {
+        DocCodec { fmt: Raw { staged: true }, threads, reduce_label: "mpi:reduce", verbatim: false }
+    }
+
+    /// The intra-node tier of the hierarchical schedule: the summation is
+    /// the only compute charge.
+    pub(crate) fn shared_memory(threads: usize) -> DocCodec<Raw> {
+        DocCodec {
+            fmt: Raw { staged: false },
+            reduce_label: "hier:reduce",
+            ..DocCodec::mpi(threads)
+        }
+    }
+}
+
+impl DocCodec<Oszp> {
+    pub(crate) fn ccoll(cfg: &CollectiveConfig) -> DocCodec<Oszp> {
+        let ocfg = ompszp::Config::new(ompszp::ErrorBound::Abs(cfg.eb))
+            .with_block_len(cfg.block_len)
+            .with_threads(cfg.mode.threads());
+        DocCodec {
+            fmt: Oszp { cfg: ocfg, labels: ["ccoll:compress", "ccoll:decompress"] },
+            threads: cfg.mode.threads(),
+            reduce_label: "ccoll:reduce",
+            verbatim: true,
+        }
+    }
+
+    /// CPR-P2P [25]: the same kernels, but a forwarded chunk is decompressed
+    /// and recompressed by every hop. Kept for the paper's comparison chain
+    /// (CPR-P2P → C-Coll → hZCCL), which only the tests walk.
+    #[cfg(test)]
+    pub(crate) fn p2p(cfg: &CollectiveConfig) -> DocCodec<Oszp> {
+        let ccoll = DocCodec::ccoll(cfg);
+        DocCodec {
+            fmt: Oszp { labels: ["p2p:compress", "p2p:decompress"], ..ccoll.fmt },
+            reduce_label: "p2p:reduce",
+            verbatim: false,
+            ..ccoll
+        }
+    }
+}
+
+impl<F: Format> SegCodec for DocCodec<F> {
+    type Acc = Vec<f32>;
+    /// The input slice itself is the operand.
+    type Operand = std::convert::Infallible;
+    const WIRE: PayloadKind = F::KIND;
+
+    fn block_len(&self) -> usize {
+        self.fmt.block_len()
+    }
+
+    fn forwards_verbatim(&self) -> bool {
+        self.verbatim
+    }
+
+    fn operand(&self, _: &mut Comm, _: &[f32], _: &Range<usize>) -> Result<Option<Self::Operand>> {
+        Ok(None)
+    }
+
+    fn seed(&self, data: &[f32], rng: &Range<usize>, _: Option<Self::Operand>) -> Vec<f32> {
+        data[rng.clone()].to_vec()
+    }
+
+    fn encode(&self, comm: &mut Comm, acc: &Vec<f32>, buf: Vec<u8>) -> Result<Vec<u8>> {
+        self.fmt.pack(comm, acc, buf)
+    }
+
+    fn fold(
+        &self,
+        comm: &mut Comm,
+        wire: Wire,
+        data: &[f32],
+        rng: &Range<usize>,
+        _: Option<&Self::Operand>,
+        spent: Option<Vec<f32>>,
+    ) -> Result<(Vec<f32>, Vec<u8>)> {
+        // a payload of any other length is refused by the unpack; DOC fully
+        // decompresses before any arithmetic, its bottleneck
+        let mut acc = spent.unwrap_or_default();
+        acc.resize(rng.len(), 0.0);
+        let wire = self.fmt.unpack(comm, wire, &mut acc)?;
+        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.reduce_label, || {
+            reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
+        });
+        Ok((acc, wire))
+    }
+
+    fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
+        // the raw accumulator is the last good state
+        f32_to_bytes(acc)
+    }
+
+    fn handoff(&self, acc: Vec<f32>, dst: &mut [f32]) -> Option<Vec<u8>> {
+        dst.copy_from_slice(&acc);
+        None
+    }
+
+    fn pack(&self, comm: &mut Comm, vals: &[f32], buf: Vec<u8>) -> Result<Vec<u8>> {
+        self.fmt.pack(comm, vals, buf)
+    }
+
+    fn install(
+        &self,
+        comm: &mut Comm,
+        wire: Vec<u8>,
+        kind: PayloadKind,
+        dst: &mut [f32],
+    ) -> Result<Vec<u8>> {
+        self.fmt.unpack(comm, (wire, kind), dst)
+    }
+
+    fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8> {
+        self.fmt.degrade_wire(comm, wire)
     }
 }
 

@@ -24,7 +24,8 @@
 //! 3. **Intra-node Allgather** (tag base `h-ag`): a raw ring redistributes
 //!    the fully reduced slices inside each node.
 //!
-//! Each phase owns a disjoint tag base (8/9/10 `<< 32`, decoded by
+//! Each phase owns a disjoint tag base (`TAG_HRS`, `TAG_HRING`, `TAG_HAG` in
+//! the table of [`crate::pipeline`], decoded by
 //! [`crate::pipeline::decode_tag`]), so intra- and inter-node traffic can
 //! never be confused on the wire — and the flight recorder's per-tier
 //! critical-path attribution ([`netsim::CriticalPath::by_tier`]) can reconcile every
@@ -42,18 +43,10 @@
 //! quantization per compressed hop), but not bit-identical to the flat
 //! schedule: the reduction tree associates sums differently.
 
-use crate::codec::{RawCodec, SegCodec};
+use crate::codec::{DocCodec, SegCodec};
 use crate::resilient::Resilience;
 use crate::ring::{self, Layout, Ring, Stop};
 use netsim::{Comm, Topology};
-
-/// Tag base of the intra-node Reduce_scatter phase.
-pub(crate) const TAG_HRS: u64 = 8 << 32;
-/// Tag base of the inter-node ring Allreduce phase (both its
-/// reduce-scatter steps and its allgather steps, at disjoint step ids).
-pub(crate) const TAG_HRING: u64 = 9 << 32;
-/// Tag base of the intra-node Allgather phase.
-pub(crate) const TAG_HAG: u64 = 10 << 32;
 
 /// Hierarchical `Allreduce(sum)`: intra-node reduce-scatter, inter-node
 /// ring allreduce (in `codec`'s workflow), intra-node allgather — the ring
@@ -73,7 +66,7 @@ pub(crate) fn allreduce<C: SegCodec>(
     let mut node_ring = Ring::node(topo, comm.rank(), res);
     let mut leader_ring = Ring::leaders(topo, comm.rank(), res);
 
-    let shm = RawCodec::shared_memory(threads);
+    let shm = DocCodec::shared_memory(threads);
     let lay = Layout::new(data.len(), topo.ppn, 1, 1);
     let own = ring::reduce_scatter(comm, &mut node_ring, &shm, data, &lay, &mut Vec::new())?
         .pop()

@@ -35,11 +35,7 @@ use std::collections::BTreeSet;
 
 use netsim::Comm;
 
-use crate::pipeline::{epoch_tag, MAX_EPOCH};
-
-/// Tag base of the agreement plane (`decode_tag` phase `"agree"`), one
-/// above the hierarchical collective bases.
-pub(crate) const TAG_AGREE: u64 = 11 << 32;
+use crate::pipeline::{epoch_tag, MAX_EPOCH, TAG_AGREE};
 
 /// An epoch-numbered survivor set: the membership a recovery attempt runs
 /// under. Every rank derives its view deterministically from the same

@@ -1,11 +1,14 @@
-//! Segmentation plumbing for the pipelined ring collectives.
+//! The wire tag namespace and the segmentation plumbing of the pipelined
+//! ring collectives. Every phase's tag base, the phase name [`decode_tag`]
+//! reports for it, and the resilient transport's control bit are declared
+//! once, below; every schedule and the decoder read them.
 //!
 //! A phase-serial ring step moves one whole node-chunk and only then runs
 //! the compute that consumes it (HPR / DOC / CPT). The pipelined schedule
 //! splits every chunk into `S` *segments* and interleaves, so segment `s`'s
 //! compute overlaps segment `s+1`'s wire time — the closed form is
-//! `costmodel::pipelined_step`. This module owns the two pieces every
-//! flavour shares:
+//! `costmodel::pipelined_step`. This module owns the pieces every flavour
+//! shares:
 //!
 //! * [`seg_ranges`] — the deterministic, block-aligned segment split that
 //!   all ranks must agree on (a rank segmenting differently from its
@@ -14,6 +17,35 @@
 //!   `(step, segment)` pair's messages disjoint.
 
 use std::ops::Range;
+
+/// Declares each collective tag base once: its constant, `k << 32` for its
+/// number `k`, and its [`decode_tag`] phase name, as one row of [`PHASES`].
+macro_rules! tag_bases {
+    ($($tag:ident = $k:literal => $phase:literal,)*) => {
+        $(pub(crate) const $tag: u64 = $k << 32;)*
+        /// Every collective tag base and its phase name, in base order.
+        const PHASES: &[(u64, &str)] = &[$(($tag, $phase)),*];
+    };
+}
+
+tag_bases! {
+    TAG_RS = 1 => "rs",           // reduce-scatter steps of the flat and survivor rings
+    TAG_AG = 2 => "ag",           // their allgather steps
+    TAG_GATHER = 3 => "gather",   // segments sent to the root of a Reduce
+    TAG_SCATTER = 4 => "scatter", // segments sent from the root of a Bcast
+    TAG_RD = 5 => "rd",           // recursive-doubling rounds (+ mask)
+    TAG_FOLD = 6 => "fold",       // its fold (+ 0) and unfold (+ 1) of the extra ranks
+    TAG_PLAN = 7 => "plan",       // auto's plan broadcast
+    TAG_HRS = 8 => "h-rs",        // hierarchical: intra-node reduce-scatter
+    TAG_HRING = 9 => "h-ring",    // inter-node ring, its allgather at disjoint step ids
+    TAG_HAG = 10 => "h-ag",       // intra-node allgather
+    TAG_AGREE = 11 => "agree",    // the survivors' agreement plane, one step per round
+}
+
+/// The resilient transport's ACK/NACK frames travel on their data tag with
+/// this bit set; the tag bases (bits 32–35) and the epoch field never reach
+/// it.
+pub(crate) const CTRL_BIT: u64 = 1 << 63;
 
 /// Per-step tag stride: segments live in `base + step*SEG_TAG_STRIDE + seg`,
 /// so a ring supports up to 4096 segments per step (far above
@@ -33,8 +65,8 @@ pub(crate) fn seg_tag(base: u64, step: usize, seg: usize) -> u64 {
 }
 
 /// Bit position of the 8-bit membership-epoch field inside a wire tag:
-/// bits 40–47, above every phase base (bits 32–35) and below the resilient
-/// control bit (63). Epoch 0 leaves the tag bit-identical to the historical
+/// bits 40–47, above every phase base (bits 32–35) and below
+/// [`CTRL_BIT`]. Epoch 0 leaves the tag bit-identical to the historical
 /// layout, so fault-free and fail-fast runs are untouched.
 pub(crate) const EPOCH_SHIFT: u32 = 40;
 
@@ -57,44 +89,31 @@ pub(crate) fn epoch_tag(base: u64, step: usize, seg: usize, epoch: u32) -> u64 {
 /// `netsim::CriticalPath::by_tag` in `hzc sim --critical-path`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TagInfo {
-    /// Collective phase the tag base encodes (`rs`, `ag`, `gather`,
-    /// `scatter`, `rd`, `fold`, `plan`, or the hierarchical tiers
-    /// `h-rs`, `h-ring`, `h-ag`).
+    /// Phase name of the tag base, from this module's tag-base table
+    /// (`rs`, `ag`, `h-ring`, `agree`, …).
     pub phase: &'static str,
     /// Ring step (or recursive-doubling round) within the phase.
     pub step: usize,
     /// Pipeline segment within the step (0 for serial schedules).
     pub seg: usize,
     /// True for the resilient transport's ACK/NACK control channel
-    /// (bit 63 set on the data tag).
+    /// (`CTRL_BIT` set on the data tag).
     pub ctrl: bool,
     /// Membership epoch salted into bits 40–47 by the survivable
     /// collective layer (0 for fault-free / fail-fast traffic).
     pub epoch: u32,
 }
 
-/// Decode a wire tag into its `(phase, step, segment)` coordinates.
-/// Returns `None` for tags outside the collective tag bases (e.g. ad-hoc
-/// tags used by tests or examples).
+/// Decode a wire tag into its `(phase, step, segment)` coordinates, the
+/// phase named by the tag-base table of this module. Returns `None` for tags
+/// outside the collective tag bases (e.g. ad-hoc tags used by tests or
+/// examples).
 pub fn decode_tag(tag: u64) -> Option<TagInfo> {
-    let ctrl = tag & (1 << 63) != 0;
-    let tag = tag & !(1u64 << 63);
+    let ctrl = tag & CTRL_BIT != 0;
+    let tag = tag & !CTRL_BIT;
     let epoch = ((tag >> EPOCH_SHIFT) & u64::from(MAX_EPOCH)) as u32;
     let tag = tag & !(u64::from(MAX_EPOCH) << EPOCH_SHIFT);
-    let phase = match tag >> 32 {
-        1 => "rs",
-        2 => "ag",
-        3 => "gather",
-        4 => "scatter",
-        5 => "rd",
-        6 => "fold",
-        7 => "plan",
-        8 => "h-rs",
-        9 => "h-ring",
-        10 => "h-ag",
-        11 => "agree",
-        _ => return None,
-    };
+    let &(_, phase) = PHASES.iter().find(|&&(base, _)| base == tag & !0xFFFF_FFFF)?;
     let rem = tag & 0xFFFF_FFFF;
     Some(TagInfo {
         phase,
@@ -200,33 +219,30 @@ mod tests {
 
     #[test]
     fn decode_round_trips_every_phase_base_including_hierarchical() {
-        let bases: [(u64, &str); 11] = [
-            (1, "rs"),
-            (2, "ag"),
-            (3, "gather"),
-            (4, "scatter"),
-            (5, "rd"),
-            (6, "fold"),
-            (7, "plan"),
-            (8, "h-rs"),
-            (9, "h-ring"),
-            (10, "h-ag"),
-            (11, "agree"),
+        // the phase names as `hzc sim --critical-path` prints them, in base
+        // order: a golden for the table, not a second copy of it
+        let golden = [
+            "rs", "ag", "gather", "scatter", "rd", "fold", "plan", "h-rs", "h-ring", "h-ag",
+            "agree",
         ];
+        let names: Vec<&str> = PHASES.iter().map(|&(_, phase)| phase).collect();
+        assert_eq!(names, golden);
         let mut seen = std::collections::BTreeSet::new();
-        for (base, phase) in bases {
+        for (k, &(base, phase)) in PHASES.iter().enumerate() {
+            assert_eq!(base, (k as u64 + 1) << 32, "bases are consecutive from 1 << 32");
             for step in [0usize, 1, 7, 63] {
                 for seg in [0usize, 1, MAX_SEGMENTS - 1] {
-                    let tag = seg_tag(base << 32, step, seg);
+                    let tag = seg_tag(base, step, seg);
                     assert!(seen.insert(tag), "tag collision across phase bases");
                     let info = decode_tag(tag).expect("collective tags decode");
                     assert_eq!(info, TagInfo { phase, step, seg, ctrl: false, epoch: 0 });
                     // the resilient ctrl bit round-trips orthogonally
-                    let ctrl = decode_tag(tag | 1 << 63).unwrap();
+                    let ctrl = decode_tag(tag | CTRL_BIT).unwrap();
                     assert_eq!(ctrl, TagInfo { phase, step, seg, ctrl: true, epoch: 0 });
                 }
             }
         }
+        assert_eq!(decode_tag(0), None, "base 0 is unassigned");
         assert_eq!(decode_tag(12 << 32), None, "bases above the agreement plane are unassigned");
     }
 
@@ -237,12 +253,12 @@ mod tests {
         let mut seen = std::collections::BTreeSet::new();
         for epoch in [0u32, 1, 7, MAX_EPOCH] {
             for step in [0usize, 2, 63] {
-                let tag = epoch_tag(11 << 32, step, 0, epoch);
+                let tag = epoch_tag(TAG_AGREE, step, 0, epoch);
                 assert!(seen.insert(tag), "epochs must not collide");
                 let info = decode_tag(tag).expect("epoch-salted tags decode");
                 assert_eq!(info, TagInfo { phase: "agree", step, seg: 0, ctrl: false, epoch });
                 // the resilient ctrl bit composes with the epoch field
-                let ctrl = decode_tag(tag | 1 << 63).unwrap();
+                let ctrl = decode_tag(tag | CTRL_BIT).unwrap();
                 assert_eq!(ctrl.epoch, epoch);
                 assert!(ctrl.ctrl);
             }

@@ -9,12 +9,10 @@
 //! power-of-two core runs the doubling, then results are forwarded back.
 
 use crate::config::CollectiveConfig;
+use crate::pipeline::{TAG_FOLD, TAG_RD};
 use fzlight::{compress_resolved, decompress, CompressedStream, Result};
 use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
 use netsim::{Comm, OpKind};
-
-const TAG_RD: u64 = 5 << 32;
-const TAG_FOLD: u64 = 6 << 32;
 
 /// Largest power of two `<= n`.
 fn pow2_floor(n: usize) -> usize {

@@ -50,6 +50,7 @@
 //! bare `Comm` calls: fault-free runs are bit-identical to a build without
 //! this layer.
 
+use crate::pipeline::CTRL_BIT;
 use netsim::{Comm, OpKind};
 
 /// Loss-detection timeout charged when a frame never arrives. This and the
@@ -108,10 +109,9 @@ const FRAME_MAGIC: [u8; 4] = *b"HZFR";
 /// Frame header length in bytes (see the module docs for the layout).
 pub(crate) const HEADER_LEN: usize = 25;
 
-/// Control frames travel on the data tag with bit 63 set; the collective
-/// tag bases (`TAG_RS`…`TAG_SCATTER`, segment stride 4096) never reach it.
+/// Control frames travel on the data tag with [`CTRL_BIT`] set.
 pub(crate) fn ctrl_tag(tag: u64) -> u64 {
-    tag | 1 << 63
+    tag | CTRL_BIT
 }
 
 /// Why a frame failed validation.
@@ -719,7 +719,7 @@ mod tests {
 
     #[test]
     fn ctrl_tag_cannot_collide_with_data_tags() {
-        for base in [crate::ring::TAG_RS, crate::ring::TAG_SCATTER] {
+        for base in [crate::pipeline::TAG_RS, crate::pipeline::TAG_SCATTER] {
             let t = crate::pipeline::seg_tag(base, 63, 4095);
             assert!(t < 1 << 62, "data tags stay far below bit 63");
             assert_ne!(ctrl_tag(t), t);

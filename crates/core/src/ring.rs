@@ -25,24 +25,21 @@
 //! each at one site below — see DESIGN.md §4.3 for the table.
 
 use crate::chunks::f32_to_bytes;
-use crate::codec::{DocCodec, HzCodec, RawCodec, SegCodec};
+use crate::codec::{DocCodec, HzCodec, SegCodec};
 use crate::collectives;
 use crate::config::CollectiveConfig;
-use crate::hierarchy::{self, TAG_HAG, TAG_HRING, TAG_HRS};
+use crate::hierarchy;
 use crate::membership::View;
-use crate::pipeline::{epoch_tag, seg_count, seg_range, seg_tag};
-use crate::resilient::{Hop, Interrupt, PayloadKind, Resilience, Wire};
+use crate::pipeline::{
+    epoch_tag, seg_count, seg_range, seg_tag, TAG_AG, TAG_GATHER, TAG_HAG, TAG_HRING, TAG_HRS,
+    TAG_RS, TAG_SCATTER,
+};
+use crate::resilient::{Hop, Interrupt, Resilience, Wire};
 use crate::survivable;
 use fzlight::Result;
 use netsim::{Comm, Topology};
 use std::ops::Range;
 use tuner::{Flavor, Op};
-
-/// Tag bases keep the message spaces of different phases disjoint.
-pub(crate) const TAG_RS: u64 = 1 << 32;
-pub(crate) const TAG_AG: u64 = 2 << 32;
-pub(crate) const TAG_GATHER: u64 = 3 << 32;
-pub(crate) const TAG_SCATTER: u64 = 4 << 32;
 
 /// Which collective to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -401,7 +398,7 @@ fn settle<C: SegCodec>(
     for (k, acc) in accs.into_iter().enumerate() {
         let rng = lay.seg(pos, k);
         if let Some(wire) = codec.handoff(acc, &mut out[rng.start - base..rng.end - base]) {
-            held.push((wire, PayloadKind::Opaque));
+            held.push((wire, C::WIRE));
         }
     }
     (!held.is_empty()).then_some(held)
@@ -723,7 +720,7 @@ pub(crate) fn run(
 ) -> collectives::Result<Vec<f32>> {
     match flavor {
         Flavor::Mpi => {
-            let codec = RawCodec::mpi(cfg.mode.threads());
+            let codec = DocCodec::mpi(cfg.mode.threads());
             run_with(comm, codec, verb, data, cfg, segments, over)
         }
         Flavor::CColl => run_with(comm, DocCodec::ccoll(cfg), verb, data, cfg, segments, over),

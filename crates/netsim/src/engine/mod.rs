@@ -46,7 +46,7 @@ where
                 .cloned()
                 .or_else(|| payload.downcast_ref::<&'static str>().map(|s| s.to_string()))
                 .unwrap_or_else(|| "(non-string panic payload)".to_string());
-            Err(RankPanic { rank: comm.rank(), message })
+            Err(RankPanic { rank: comm.rank(), message, trace: comm.take_trace() })
         }
     }
 }

@@ -32,13 +32,18 @@ pub struct RankOutcome<R> {
 /// [`RunReport::panics`] surfaces these as values, so chaos tests can assert
 /// *which* rank crashed and *why* (e.g. a fault-plan crash vs. a cascading
 /// crash notice on a peer).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankPanic {
     /// The rank that panicked.
     pub rank: usize,
     /// The panic payload, if it was a string (the overwhelmingly common
     /// case: `panic!`/`assert!` messages); a description otherwise.
     pub message: String,
+    /// The rank's flight-recorder trace up to its death, an injected crash
+    /// included; `None` unless the run was traced. Kept apart from
+    /// [`RunReport::traces`], so critical paths and the other counts of
+    /// [`Tally`] read the completed ranks only.
+    pub trace: Option<RankTrace>,
 }
 
 /// Aggregate view over the completed ranks of one run.
@@ -51,9 +56,9 @@ pub struct RunStats {
 }
 
 /// What a traced run did, counted in one pass over its flight-recorder
-/// traces ([`RunReport::tally`]). Ranks that died contribute nothing — the
-/// report carries only the completed ranks' traces — and every field is 0
-/// on an untraced run.
+/// traces ([`RunReport::tally`]). Only [`Tally::crashes`] reads the traces
+/// of ranks that died ([`RankPanic::trace`]); every other field counts the
+/// completed ranks. Every field is 0 on an untraced run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Messages sent (`Send` events).
@@ -80,10 +85,10 @@ pub struct Tally {
     pub drops: u64,
     /// Messages it corrupted.
     pub corruptions: u64,
-    /// Messages it delayed. (Its crashes have no count: a crash is recorded
-    /// on the dying rank, whose trace the report drops — see
-    /// [`RunReport::panics`].)
+    /// Messages it delayed.
     pub jitters: u64,
+    /// Ranks it crashed (counted from the dying ranks' traces).
+    pub crashes: u64,
 }
 
 /// Which execution engine drives the ranks.
@@ -229,6 +234,11 @@ impl<R> RunReport<R> {
                 },
             }
         }
+        let dying = self.panics.iter().filter_map(|p| p.trace.as_ref());
+        t.crashes = dying
+            .flat_map(|trace| &trace.events)
+            .filter(|ev| matches!(ev, Event::Fault { kind: FaultKind::Crash, .. }))
+            .count() as u64;
         t
     }
 

@@ -70,10 +70,6 @@ pub struct Decision {
 /// recursive doubling.
 const SMALL_MESSAGE_BYTES: usize = 64 << 10;
 
-/// Compressor block lengths the engine considers, and the ones the auto
-/// front-end and `hzc tune` probe the compression ratio at.
-pub const BLOCK_CANDIDATES: [usize; 1] = [32];
-
 /// Ring-step segment counts offered to *compressed flat ring* plans (1 =
 /// phase-serial; `S > 1` = pipelined, overlapping (de)compression /
 /// homomorphic work with the wire). Plain-MPI rings, recursive doubling and
@@ -102,9 +98,10 @@ impl Engine {
 
     /// Enumerate every executable candidate for `spec` (before the
     /// small-message short-circuit). Stable order: the flat plans by
-    /// flavour, algorithm, block length and segments, then — on a two-tier
-    /// Allreduce — the hierarchical ones by flavour and block length. Every
-    /// candidate is single-thread ([`Mode::SingleThread`]).
+    /// flavour, algorithm and segments, then — on a two-tier Allreduce — the
+    /// hierarchical ones by flavour. Every candidate is single-thread
+    /// ([`Mode::SingleThread`]) and runs at the block length the scenario's
+    /// ratio was probed at.
     pub fn candidates(&self, spec: &ScenarioSpec) -> Vec<Plan> {
         let allreduce = spec.op == Op::Allreduce;
         let two_tier = allreduce && spec.two_tier_topology().is_some();
@@ -114,23 +111,18 @@ impl Engine {
                 // recursive doubling: a flat Allreduce schedule, not C-Coll's
                 let rd = allreduce && !hierarchical && flavor != Flavor::CColl;
                 let algos: &[Algo] = if rd { &[Algo::Ring, Algo::Rd] } else { &[Algo::Ring] };
-                // block length only matters for compressed flavours
                 let compressed = flavor != Flavor::Mpi;
-                let blocks =
-                    if compressed { &BLOCK_CANDIDATES[..] } else { &BLOCK_CANDIDATES[..1] };
                 for &algo in algos {
                     let segmented = compressed && algo == Algo::Ring && !hierarchical;
                     let segs = if segmented { &SEGMENT_CANDIDATES[..] } else { &[1][..] };
-                    for &block_len in blocks {
-                        out.extend(segs.iter().map(|&segments| Plan {
-                            flavor,
-                            algo,
-                            mode: Mode::SingleThread,
-                            block_len,
-                            segments,
-                            hierarchical,
-                        }));
-                    }
+                    out.extend(segs.iter().map(|&segments| Plan {
+                        flavor,
+                        algo,
+                        mode: Mode::SingleThread,
+                        block_len: spec.block_len,
+                        segments,
+                        hierarchical,
+                    }));
                 }
             }
         }
@@ -140,7 +132,7 @@ impl Engine {
     /// Predicted completion time of `plan` on `spec` from the analytical
     /// model with this engine's calibrated constants.
     pub fn predict(&self, spec: &ScenarioSpec, plan: &Plan) -> f64 {
-        let ratio = if plan.flavor == Flavor::Mpi { 1.0 } else { spec.ratio_for(plan.block_len) };
+        let ratio = if plan.flavor == Flavor::Mpi { 1.0 } else { spec.ratio.max(1.0) };
         let s = costmodel::Scenario {
             nranks: spec.nranks.max(1),
             message_bytes: spec.message_bytes().max(1),

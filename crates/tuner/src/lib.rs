@@ -36,5 +36,5 @@ mod plan;
 pub use cache::{CacheEntry, TuningCache};
 pub use calibration::{paper_prior, Calibration};
 pub use costmodel::MAX_SEGMENTS;
-pub use engine::{Decision, DecisionSource, Engine, Prediction, BLOCK_CANDIDATES};
+pub use engine::{Decision, DecisionSource, Engine, Prediction};
 pub use plan::{Algo, Flavor, Mode, Op, Plan, ScenarioSpec};

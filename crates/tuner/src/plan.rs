@@ -168,8 +168,8 @@ impl Plan {
 
 /// What the decision engine is asked about: the collective, its size and
 /// shape, the error bound, and the compressibility of the data at that bound
-/// (estimated per candidate block length, usually by probe-compressing a
-/// small sample).
+/// (estimated at one block length, usually by probe-compressing a small
+/// sample).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Collective operation.
@@ -180,9 +180,12 @@ pub struct ScenarioSpec {
     pub nranks: usize,
     /// Absolute error bound.
     pub eb: f64,
-    /// `(block_len, estimated compression ratio)` pairs; must contain at
-    /// least one entry. Ratio 1.0 means incompressible.
-    pub ratios: Vec<(usize, f64)>,
+    /// Compressor block length the ratio was probed at, which every
+    /// candidate plan also runs at.
+    pub block_len: usize,
+    /// Estimated compression ratio at `block_len`; 1.0 (or less) means
+    /// incompressible.
+    pub ratio: f64,
     /// Two-tier fabric shape the collective runs on, when known. `None`
     /// (the default) is the flat single-tier fabric; `Some` lets the engine
     /// offer hierarchical candidates and price them with the two-tier cost
@@ -191,9 +194,9 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Convenience constructor with a single `(block_len, ratio)` estimate.
+    /// A scenario on the flat fabric.
     pub fn new(op: Op, elems: usize, nranks: usize, eb: f64, block_len: usize, ratio: f64) -> Self {
-        ScenarioSpec { op, elems, nranks, eb, ratios: vec![(block_len, ratio)], topology: None }
+        ScenarioSpec { op, elems, nranks, eb, block_len, ratio, topology: None }
     }
 
     /// The topology, when it is genuinely two-level (`nodes > 1 && ppn > 1`
@@ -206,17 +209,6 @@ impl ScenarioSpec {
     /// Per-rank message size in bytes.
     pub(crate) fn message_bytes(&self) -> usize {
         self.elems * 4
-    }
-
-    /// Estimated ratio at `block_len` (falls back to the first entry, then
-    /// to 1.0 — a safe "incompressible" default).
-    pub(crate) fn ratio_for(&self, block_len: usize) -> f64 {
-        self.ratios
-            .iter()
-            .find(|(b, _)| *b == block_len)
-            .or_else(|| self.ratios.first())
-            .map(|&(_, r)| r.max(1.0))
-            .unwrap_or(1.0)
     }
 
     /// The scenario bucket this spec falls into: cache entries are shared by
@@ -327,16 +319,5 @@ mod tests {
             ScenarioSpec { topology: Some(netsim::Topology::paper(64, 1)), ..spec(1 << 18, 1e-4) };
         assert!(flat.two_tier_topology().is_none());
         assert!(t.two_tier_topology().is_some());
-    }
-
-    #[test]
-    fn ratio_lookup_falls_back_sanely() {
-        let mut spec = ScenarioSpec::new(Op::Bcast, 100, 4, 1e-3, 32, 6.0);
-        spec.ratios.push((128, 7.5));
-        assert_eq!(spec.ratio_for(128), 7.5);
-        assert_eq!(spec.ratio_for(32), 6.0);
-        assert_eq!(spec.ratio_for(999), 6.0, "unknown block falls back to first");
-        spec.ratios.clear();
-        assert_eq!(spec.ratio_for(32), 1.0, "no estimate means incompressible");
     }
 }

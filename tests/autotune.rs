@@ -22,7 +22,7 @@ fn rank_fields(nranks: usize, elems: usize, seed: u64) -> Vec<Vec<f32>> {
 
 /// Offline compression-ratio probe, as `hzc tune` does.
 fn probe_ratio(base: &[f32], eb: f64) -> f64 {
-    auto::probe_ratios(None, base, eb, &[32], 1)[0].1
+    auto::probe_ratio(None, base, eb, 32, 1)
 }
 
 /// Execute one static plan on the paper-calibrated simulator; returns the

@@ -4,7 +4,9 @@
 use datasets::App;
 use hzccl::collectives::{self, CollectiveOpts};
 use hzccl::Mode;
+use hzccl::Variant;
 use hzccl_bench::kernels;
+use hzccl_bench::suite::{rank_fields, CaseSpec, Runner, SuiteConfig};
 use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
 
 fn modeled() -> ComputeTiming {
@@ -130,5 +132,51 @@ fn kernels_are_deterministic_in_virtual_time() {
     for (label, variant, mode) in kernels(2) {
         let opts = CollectiveOpts::for_variant(variant, 1e-4).with_mode(mode);
         assert_eq!(once(&opts), once(&opts), "{label} must be deterministic");
+    }
+}
+
+/// Today's integer-range frontier (ROADMAP item 1), pinned as it stands:
+/// `hzc sim allreduce --app nyx --kb 64 --eb 1e-4` on the fields
+/// `suite::rank_fields` gives it. hZCCL's homomorphic sum leaves `i32` from
+/// 10 ranks and C-Coll's re-compressed partial sum from 5, while plain MPI
+/// completes at 12. Fixing item 1 turns the failing rows into `Ok` within
+/// the bound. The result is read from the report: once one rank returns the
+/// error its peers die of the cascade, and that must not fail this test.
+#[test]
+fn nyx_integer_range_frontier_is_pinned() {
+    let cfg = SuiteConfig { app: App::Nyx, eb: 1e-4, ..SuiteConfig::default() };
+    let hz_overflow =
+        |e: &fzlight::Error| matches!(e, fzlight::Error::HomomorphicOverflow { chunk: 0 });
+    let quant_overflow =
+        |e: &fzlight::Error| matches!(e, fzlight::Error::QuantizationOverflow { .. });
+    type Fails = Option<fn(&fzlight::Error) -> bool>;
+    let table: [(Variant, usize, Fails); 5] = [
+        (Variant::Hzccl, 9, None),
+        (Variant::Hzccl, 10, Some(hz_overflow)),
+        (Variant::CColl, 4, None),
+        (Variant::CColl, 5, Some(quant_overflow)),
+        (Variant::Mpi, 12, None),
+    ];
+    for (variant, ranks, fails) in table {
+        let spec = CaseSpec::new(tuner::Op::Allreduce, Runner::Variant(variant), ranks, 64);
+        let fields = rank_fields(&spec, &cfg);
+        let opts = CollectiveOpts::for_variant(variant, cfg.eb);
+        let report = SimBuilder::new(ranks)
+            .timing(modeled())
+            .run(|comm| collectives::allreduce(comm, &fields[comm.rank()], &opts));
+        let results: Vec<_> = report.outcomes.iter().map(|o| &o.value).collect();
+        let case = format!("{variant:?} at {ranks} ranks");
+        match fails {
+            None => {
+                assert!(report.is_clean(), "{case}: {:?}", report.panics.first());
+                assert!(results.iter().all(|r| r.is_ok()), "{case} completes");
+            }
+            Some(expected) => {
+                let failed = results
+                    .iter()
+                    .any(|r| matches!(r, Err(collectives::Error::Compression(e)) if expected(e)));
+                assert!(failed, "{case} must fail with the listed compression error");
+            }
+        }
     }
 }

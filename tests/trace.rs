@@ -215,7 +215,8 @@ fn untraced_runs_carry_no_trace() {
 }
 
 /// Every [`Tally`] field counted by hand from the events: each `Send`, each
-/// marker label, the largest value a marker carried, each injected fault.
+/// marker label, the largest value a marker carried, each injected fault —
+/// a crash from the trace its dying rank left on its panic.
 fn hand_count<R>(report: &RunReport<R>) -> Tally {
     let events = || report.traces.iter().flat_map(|t| &t.events);
     let sends = || {
@@ -248,6 +249,13 @@ fn hand_count<R>(report: &RunReport<R>) -> Tally {
         drops: injected(FaultKind::Drop),
         corruptions: injected(FaultKind::Corrupt),
         jitters: injected(FaultKind::Jitter),
+        crashes: report
+            .panics
+            .iter()
+            .filter_map(|p| p.trace.as_ref())
+            .flat_map(|t| &t.events)
+            .filter(|e| matches!(e, Event::Fault { kind: FaultKind::Crash, .. }))
+            .count() as u64,
     }
 }
 
@@ -283,19 +291,24 @@ fn tally_matches_a_hand_count_of_events() {
         t.jitters,
     ];
     assert!(moved.iter().all(|&n| n > 0), "{t:?}");
-    assert_eq!((t.recoveries, t.epoch, t.survivors), (0, 0, 0), "nothing crashed");
+    assert_eq!((t.recoveries, t.epoch, t.survivors, t.crashes), (0, 0, 0, 0), "nothing crashed");
 
     let shrink = CollectiveOpts::hz(1e-4).with_recovery(RecoveryPolicy::Shrink);
-    let crashed = SimBuilder::new(8)
-        .timing(modeled())
-        .trace(TraceConfig::default())
-        .faults(FaultPlan::new(3).with_crash(2, 1))
-        .run(|comm| {
+    let crash_run = |cluster: SimBuilder| {
+        cluster.timing(modeled()).faults(FaultPlan::new(3).with_crash(2, 1)).run(|comm| {
             allreduce_recoverable(comm, &field(comm.rank(), 2000), &shrink).expect("recoverable")
-        });
+        })
+    };
+    let crashed = crash_run(SimBuilder::new(8).trace(TraceConfig::default()));
     assert_eq!(crashed.panics.len(), 1, "rank 2 dies, the rest repair the ring");
+    assert_eq!(crashed.traces.len(), 7, "the dying rank's trace stays on its panic");
     let t = crashed.tally();
     assert_eq!(t, hand_count(&crashed));
     assert!(t.messages > 0 && t.recoveries > 0, "{t:?}");
     assert_eq!((t.epoch, t.survivors), (1, 7), "one repair, seven survivors");
+    assert_eq!(t.crashes, 1, "the injected crash reaches the tally");
+
+    let untraced = crash_run(SimBuilder::new(8));
+    assert_eq!(untraced.panics.len(), 1);
+    assert_eq!(untraced.tally().crashes, 0, "an untraced run counts nothing");
 }
