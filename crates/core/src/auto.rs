@@ -16,17 +16,18 @@
 //!    [`crate::rd`].
 //!
 //! The probe compression is charged to the virtual clock as
-//! [`OpKind::Other`] (label `auto:probe`) and the plan broadcast is a real
-//! simulated message, so auto's overhead is visible in breakdowns and
+//! [`netsim::OpKind::Other`] (label `auto:probe`) and the plan broadcast is
+//! a real simulated message, so auto's overhead is visible in breakdowns and
 //! timelines instead of being smuggled in for free.
 
 use crate::collectives::Result;
 use crate::config::CollectiveConfig;
+use crate::labels;
 use crate::pipeline::TAG_PLAN;
 use crate::rd;
 use crate::ring::{self, Over, Verb};
 use fzlight::{Config as FzConfig, ErrorBound};
-use netsim::{Comm, OpKind, Topology};
+use netsim::{Comm, Topology};
 use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
 
 /// Elements probe-compressed to estimate the scenario's compression ratio.
@@ -85,7 +86,7 @@ pub fn probe_ratio(
             .unwrap_or(1.0)
     };
     let ratio = match comm {
-        Some(comm) => comm.compute_labeled(OpKind::Other, logical, "auto:probe", probe),
+        Some(comm) => comm.compute(labels::AUTO_PROBE, logical, probe),
         None => probe(),
     };
     ratio.max(1.0)

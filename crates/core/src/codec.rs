@@ -31,10 +31,15 @@
 
 use crate::chunks::{f32_to_bytes, read_f32s, write_f32s};
 use crate::config::CollectiveConfig;
+use crate::labels::{
+    CCOLL_COMPRESS, CCOLL_DECOMPRESS, CCOLL_REDUCE, HIER_REDUCE, HZ_COMPRESS_ALL,
+    HZ_COMPRESS_SEGMENT, HZ_FINAL_DECOMPRESS, HZ_HOMOMORPHIC_SUM, MPI_PACK, MPI_REDUCE, MPI_UNPACK,
+    RES_DEGRADE_DECOMPRESS, RES_RECOMPRESS,
+};
 use crate::resilient::{PayloadKind, Wire};
 use fzlight::{compress_resolved, CompressedStream, Result};
 use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
-use netsim::{Comm, OpKind};
+use netsim::{Comm, Label};
 use ompszp::OszpStream;
 use std::ops::Range;
 
@@ -169,7 +174,7 @@ impl Format for Raw {
         buf.resize(vals.len() * 4, 0);
         if self.staged {
             let dst = &mut buf[..];
-            comm.compute_labeled(OpKind::Other, dst.len(), "mpi:pack", || write_f32s(vals, dst));
+            comm.compute(MPI_PACK, dst.len(), || write_f32s(vals, dst));
         } else {
             write_f32s(vals, &mut buf);
         }
@@ -178,9 +183,7 @@ impl Format for Raw {
 
     fn unpack(&self, comm: &mut Comm, (wire, _): Wire, dst: &mut [f32]) -> Result<Vec<u8>> {
         if self.staged {
-            comm.compute_labeled(OpKind::Other, wire.len(), "mpi:unpack", || {
-                read_f32s(&wire, dst)
-            })?;
+            comm.compute(MPI_UNPACK, wire.len(), || read_f32s(&wire, dst))?;
         } else {
             read_f32s(&wire, dst)?;
         }
@@ -196,7 +199,7 @@ impl Format for Raw {
 pub(crate) struct Oszp {
     cfg: ompszp::Config,
     /// `[compress, decompress]` step labels.
-    labels: [&'static str; 2],
+    labels: [Label; 2],
 }
 
 impl Format for Oszp {
@@ -208,9 +211,8 @@ impl Format for Oszp {
 
     fn pack(&self, comm: &mut Comm, vals: &[f32], _: Vec<u8>) -> Result<Vec<u8>> {
         // (the compressor builds its own stream buffer)
-        let stream = comm.compute_labeled(OpKind::Cpr, vals.len() * 4, self.labels[0], || {
-            ompszp::compress(vals, &self.cfg)
-        })?;
+        let stream =
+            comm.compute(self.labels[0], vals.len() * 4, || ompszp::compress(vals, &self.cfg))?;
         Ok(stream.into_bytes())
     }
 
@@ -218,7 +220,7 @@ impl Format for Oszp {
         match kind {
             PayloadKind::Opaque => {
                 let stream = OszpStream::from_bytes(wire)?;
-                comm.compute_labeled(OpKind::Dpr, dst.len() * 4, self.labels[1], || {
+                comm.compute(self.labels[1], dst.len() * 4, || {
                     ompszp::decompress_into(&stream, dst)
                 })?;
                 Ok(stream.into_bytes())
@@ -234,9 +236,7 @@ impl Format for Oszp {
     fn degrade_wire(&self, comm: &mut Comm, wire: &[u8]) -> Vec<u8> {
         let stream = OszpStream::from_bytes(wire.to_vec()).expect("forwarded stream must parse");
         let vals = comm
-            .compute_labeled(OpKind::Dpr, stream.n() * 4, "res:degrade-decompress", || {
-                ompszp::decompress(&stream)
-            })
+            .compute(RES_DEGRADE_DECOMPRESS, stream.n() * 4, || ompszp::decompress(&stream))
             .expect("forwarded stream must decompress");
         f32_to_bytes(&vals)
     }
@@ -248,24 +248,20 @@ impl Format for Oszp {
 pub(crate) struct DocCodec<F> {
     fmt: F,
     threads: usize,
-    reduce_label: &'static str,
+    reduce_label: Label,
     verbatim: bool,
 }
 
 impl DocCodec<Raw> {
     /// The flat (and inter-node) MPI ring: NIC staging copies are charged.
     pub(crate) fn mpi(threads: usize) -> DocCodec<Raw> {
-        DocCodec { fmt: Raw { staged: true }, threads, reduce_label: "mpi:reduce", verbatim: false }
+        DocCodec { fmt: Raw { staged: true }, threads, reduce_label: MPI_REDUCE, verbatim: false }
     }
 
     /// The intra-node tier of the hierarchical schedule: the summation is
     /// the only compute charge.
     pub(crate) fn shared_memory(threads: usize) -> DocCodec<Raw> {
-        DocCodec {
-            fmt: Raw { staged: false },
-            reduce_label: "hier:reduce",
-            ..DocCodec::mpi(threads)
-        }
+        DocCodec { fmt: Raw { staged: false }, reduce_label: HIER_REDUCE, ..DocCodec::mpi(threads) }
     }
 }
 
@@ -275,9 +271,9 @@ impl DocCodec<Oszp> {
             .with_block_len(cfg.block_len)
             .with_threads(cfg.mode.threads());
         DocCodec {
-            fmt: Oszp { cfg: ocfg, labels: ["ccoll:compress", "ccoll:decompress"] },
+            fmt: Oszp { cfg: ocfg, labels: [CCOLL_COMPRESS, CCOLL_DECOMPRESS] },
             threads: cfg.mode.threads(),
-            reduce_label: "ccoll:reduce",
+            reduce_label: CCOLL_REDUCE,
             verbatim: true,
         }
     }
@@ -287,10 +283,11 @@ impl DocCodec<Oszp> {
     /// (CPR-P2P → C-Coll → hZCCL), which only the tests walk.
     #[cfg(test)]
     pub(crate) fn p2p(cfg: &CollectiveConfig) -> DocCodec<Oszp> {
+        use crate::labels::{P2P_COMPRESS, P2P_DECOMPRESS, P2P_REDUCE};
         let ccoll = DocCodec::ccoll(cfg);
         DocCodec {
-            fmt: Oszp { labels: ["p2p:compress", "p2p:decompress"], ..ccoll.fmt },
-            reduce_label: "p2p:reduce",
+            fmt: Oszp { labels: [P2P_COMPRESS, P2P_DECOMPRESS], ..ccoll.fmt },
+            reduce_label: P2P_REDUCE,
             verbatim: false,
             ..ccoll
         }
@@ -337,7 +334,7 @@ impl<F: Format> SegCodec for DocCodec<F> {
         let mut acc = spent.unwrap_or_default();
         acc.resize(rng.len(), 0.0);
         let wire = self.fmt.unpack(comm, wire, &mut acc)?;
-        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, self.reduce_label, || {
+        comm.compute(self.reduce_label, acc.len() * 4, || {
             reduce_in_place(&mut acc, &data[rng.clone()], ReduceOp::Sum, self.threads)
         });
         Ok((acc, wire))
@@ -377,18 +374,14 @@ pub(crate) struct HzCodec {
     eb: f64,
     block_len: usize,
     threads: usize,
-    pack_label: &'static str,
-    install_label: &'static str,
+    pack_label: Label,
+    install_label: Label,
 }
 
 impl HzCodec {
     /// `pack_label` / `install_label` name the verb-specific CPR and DPR
     /// steps (`hz:bcast-compress`, `hz:root-decompress`, …).
-    pub(crate) fn new(
-        cfg: &CollectiveConfig,
-        pack_label: &'static str,
-        install_label: &'static str,
-    ) -> HzCodec {
+    pub(crate) fn new(cfg: &CollectiveConfig, pack_label: Label, install_label: Label) -> HzCodec {
         HzCodec {
             eb: cfg.eb,
             block_len: cfg.block_len,
@@ -400,16 +393,11 @@ impl HzCodec {
 
     /// The codec of the reducing verbs outside Reduce-to-root.
     pub(crate) fn reducing(cfg: &CollectiveConfig) -> HzCodec {
-        HzCodec::new(cfg, "hz:compress-segment", "hz:final-decompress")
+        HzCodec::new(cfg, HZ_COMPRESS_SEGMENT, HZ_FINAL_DECOMPRESS)
     }
 
-    fn compress(
-        &self,
-        comm: &mut Comm,
-        vals: &[f32],
-        label: &'static str,
-    ) -> Result<CompressedStream> {
-        comm.compute_labeled(OpKind::Cpr, vals.len() * 4, label, || {
+    fn compress(&self, comm: &mut Comm, vals: &[f32], label: Label) -> Result<CompressedStream> {
+        comm.compute(label, vals.len() * 4, || {
             compress_resolved(vals, self.eb, self.block_len, self.threads)
         })
     }
@@ -434,7 +422,7 @@ impl SegCodec for HzCodec {
         data: &[f32],
         rng: &Range<usize>,
     ) -> Result<Option<CompressedStream>> {
-        self.compress(comm, &data[rng.clone()], "hz:compress-segment").map(Some)
+        self.compress(comm, &data[rng.clone()], HZ_COMPRESS_SEGMENT).map(Some)
     }
 
     fn prime(
@@ -444,7 +432,7 @@ impl SegCodec for HzCodec {
         chunks: impl Iterator<Item = Range<usize>>,
     ) -> Result<Vec<Option<CompressedStream>>> {
         // N·CPR, charged as one sweep over the full vector
-        comm.compute_labeled(OpKind::Cpr, data.len() * 4, "hz:compress-all", || {
+        comm.compute(HZ_COMPRESS_ALL, data.len() * 4, || {
             chunks
                 .map(|c| {
                     compress_resolved(&data[c], self.eb, self.block_len, self.threads).map(Some)
@@ -485,22 +473,19 @@ impl SegCodec for HzCodec {
             PayloadKind::RawF32 => {
                 let mut vals = vec![0f32; rng.len()];
                 read_f32s(&wire, &mut vals)?;
-                self.compress(comm, &vals, "res:recompress")?
+                self.compress(comm, &vals, RES_RECOMPRESS)?
             }
         };
         let operand = operand.expect("hZCCL reduces compressed operands");
         // reduce two compressed segments directly, no decompression
-        let sum = comm.compute_labeled(OpKind::Hpr, rng.len() * 4, "hz:homomorphic-sum", || {
-            homomorphic_sum(&received, operand)
-        })?;
+        let sum = comm
+            .compute(HZ_HOMOMORPHIC_SUM, rng.len() * 4, || homomorphic_sum(&received, operand))?;
         Ok((sum, received.into_bytes()))
     }
 
     fn degrade(&self, comm: &mut Comm, acc: &CompressedStream) -> Vec<u8> {
         let vals = comm
-            .compute_labeled(OpKind::Dpr, acc.n() * 4, "res:degrade-decompress", || {
-                fzlight::decompress(acc)
-            })
+            .compute(RES_DEGRADE_DECOMPRESS, acc.n() * 4, || fzlight::decompress(acc))
             .expect("own partial-sum stream must decompress");
         f32_to_bytes(&vals)
     }
@@ -523,7 +508,7 @@ impl SegCodec for HzCodec {
         match kind {
             PayloadKind::Opaque => {
                 let stream = CompressedStream::from_bytes(wire)?;
-                comm.compute_labeled(OpKind::Dpr, dst.len() * 4, self.install_label, || {
+                comm.compute(self.install_label, dst.len() * 4, || {
                     fzlight::decompress_into(&stream, dst)
                 })?;
                 Ok(stream.into_bytes())

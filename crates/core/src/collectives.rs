@@ -45,10 +45,11 @@
 
 use crate::auto;
 use crate::config::{CollectiveConfig, Mode, Variant};
+use crate::labels;
 use crate::membership::View;
 use crate::resilient::Resilience;
 use crate::ring::{self, Over, Verb};
-use netsim::{Comm, OpKind, Topology};
+use netsim::{Comm, Topology};
 use std::fmt;
 use tuner::{Engine, Op};
 
@@ -479,7 +480,7 @@ pub fn run_recoverable(
     if opts.recovery == RecoveryPolicy::ShrinkRescale {
         let scale = comm.size() as f32 / view.len() as f32;
         let bytes = value.len() * 4;
-        comm.compute_labeled(OpKind::Cpt, bytes, "rec:rescale", || {
+        comm.compute(labels::REC_RESCALE, bytes, || {
             for v in value.iter_mut() {
                 *v *= scale;
             }

@@ -57,6 +57,7 @@ pub mod collectives;
 mod config;
 pub mod error_bounds;
 mod hierarchy;
+mod labels;
 mod membership;
 mod pipeline;
 pub mod rd;

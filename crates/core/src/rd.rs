@@ -9,10 +9,11 @@
 //! power-of-two core runs the doubling, then results are forwarded back.
 
 use crate::config::CollectiveConfig;
+use crate::labels;
 use crate::pipeline::{TAG_FOLD, TAG_RD};
 use fzlight::{compress_resolved, decompress, CompressedStream, Result};
 use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
-use netsim::{Comm, OpKind};
+use netsim::Comm;
 
 /// Largest power of two `<= n`.
 fn pow2_floor(n: usize) -> usize {
@@ -97,8 +98,9 @@ fn schedule<A>(
     let mut mask = 1usize;
     while mask < plan.pow2 {
         let peer = plan.core_to_rank(core ^ mask);
-        let payload = pack(comm, &acc);
-        let got = comm.sendrecv_compressed(peer, TAG_RD + mask as u64, payload, bytes, peer);
+        let (payload, tag) = (pack(comm, &acc), TAG_RD + mask as u64);
+        comm.send_compressed(peer, tag, payload, bytes);
+        let got = comm.recv(peer, tag);
         acc = merge(comm, Some(acc), got)?;
         mask <<= 1;
     }
@@ -114,17 +116,13 @@ fn schedule<A>(
 /// Recursive-doubling `Allreduce(sum)` on raw values (MPI baseline).
 pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f32> {
     let pack = |comm: &mut Comm, acc: &Vec<f32>| {
-        comm.compute_labeled(OpKind::Other, acc.len() * 4, "rd:pack", || {
-            crate::chunks::f32_to_bytes(acc)
-        })
+        comm.compute(labels::RD_PACK, acc.len() * 4, || crate::chunks::f32_to_bytes(acc))
     };
     let merge = |comm: &mut Comm, acc: Option<Vec<f32>>, got: Vec<u8>| {
         let mut vals = vec![0f32; data.len()];
-        comm.compute_labeled(OpKind::Other, got.len(), "rd:unpack", || {
-            crate::chunks::read_f32s(&got, &mut vals)
-        })?;
+        comm.compute(labels::RD_UNPACK, got.len(), || crate::chunks::read_f32s(&got, &mut vals))?;
         let Some(mut acc) = acc else { return Ok(vals) };
-        comm.compute_labeled(OpKind::Cpt, acc.len() * 4, "rd:reduce", || {
+        comm.compute(labels::RD_REDUCE, acc.len() * 4, || {
             reduce_in_place(&mut acc, &vals, ReduceOp::Sum, cpt_threads)
         });
         Ok(acc)
@@ -139,19 +137,17 @@ pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f3
 /// end — `1·CPR + log2(N)·HPR + 1·DPR` per rank.
 pub fn allreduce_rd_hz(comm: &mut Comm, data: &[f32], cfg: &CollectiveConfig) -> Result<Vec<f32>> {
     let bytes = data.len() * 4;
-    let acc = comm.compute_labeled(OpKind::Cpr, bytes, "rd:compress", || {
+    let acc = comm.compute(labels::RD_COMPRESS, bytes, || {
         compress_resolved(data, cfg.eb, cfg.block_len, cfg.mode.threads())
     })?;
     let pack = |_: &mut Comm, acc: &CompressedStream| acc.as_bytes().to_vec();
     let merge = |comm: &mut Comm, acc: Option<CompressedStream>, got: Vec<u8>| {
         let other = CompressedStream::from_bytes(got)?;
         let Some(acc) = acc else { return Ok(other) };
-        comm.compute_labeled(OpKind::Hpr, bytes, "rd:homomorphic-sum", || {
-            homomorphic_sum(&acc, &other)
-        })
+        comm.compute(labels::RD_HOMOMORPHIC_SUM, bytes, || homomorphic_sum(&acc, &other))
     };
     schedule(comm, acc, bytes, pack, merge, |comm, acc| {
-        comm.compute_labeled(OpKind::Dpr, bytes, "rd:decompress", || decompress(&acc))
+        comm.compute(labels::RD_DECOMPRESS, bytes, || decompress(&acc))
     })
 }
 

@@ -50,8 +50,9 @@
 //! bare `Comm` calls: fault-free runs are bit-identical to a build without
 //! this layer.
 
+use crate::labels;
 use crate::pipeline::CTRL_BIT;
-use netsim::{Comm, OpKind};
+use netsim::Comm;
 
 /// Loss-detection timeout charged when a frame never arrives. This and the
 /// backoff below are **virtual time** — simulated seconds on the cluster's
@@ -354,8 +355,8 @@ fn engine(
                     let frame = if got.dropped {
                         // the receiver only learns of the loss when its
                         // timeout fires; charge that wait before NACKing
-                        comm.advance_labeled(OpKind::Other, TIMEOUT_S, "res:timeout-wait");
-                        comm.mark("res:timeout");
+                        comm.advance(labels::RES_TIMEOUT_WAIT, TIMEOUT_S);
+                        comm.mark(labels::RES_TIMEOUT, 0);
                         None
                     } else {
                         decode_frame(got.payload)
@@ -400,21 +401,21 @@ fn engine(
                 // guaranteed valid, so this NACK was the last
                 match &mut o.degrade {
                     Some(fallback) => {
-                        comm.mark("res:degraded-segment");
+                        comm.mark(labels::RES_DEGRADED_SEGMENT, 0);
                         if o.kind == PayloadKind::Opaque {
                             o.payload = fallback(comm);
                             o.kind = PayloadKind::RawF32;
                         }
                     }
-                    None => comm.mark("rec:reliable-resend"),
+                    None => comm.mark(labels::REC_RELIABLE_RESEND, 0),
                 }
                 attempts += 1;
                 let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
                 comm.send_reliable(o.to, tag, frame, 0);
             } else {
-                comm.advance_labeled(OpKind::Other, backoff(attempts), "res:backoff");
+                comm.advance(labels::RES_BACKOFF, backoff(attempts));
                 attempts += 1;
-                comm.mark("res:retransmit");
+                comm.mark(labels::RES_RETRANSMIT, 0);
                 let frame = encode_frame(data_kind_byte(o.kind), attempts, tag, &o.payload);
                 // retransmits count as wire bytes but never as logical
                 // bytes — the recorder invariant tests/chaos.rs pins
@@ -428,15 +429,16 @@ fn engine(
 
 /// The transport of a ring's hops, to the `right` neighbour and from the
 /// `left` one: plain, framed (every hop an ARQ exchange under a
-/// [`Resilience`]), or survivable — framed or not, on a communicator in
-/// survivable mode: a peer's death or in-band abort comes back as an
-/// [`Interrupt`] instead of a panic, and a sender out of retries resends the
-/// same bytes instead of degrading (survivors keep decoding identical bytes).
+/// [`Resilience`]), or survivable — framed or not, whenever the communicator
+/// is in survivable mode ([`Comm::survivable`], set by the recovery loop
+/// around its survivor rings): a peer's death or in-band abort comes back as
+/// an [`Interrupt`] instead of a panic, and a sender out of retries resends
+/// the same bytes instead of degrading (survivors keep decoding identical
+/// bytes).
 pub(crate) struct Hop<'a> {
     right: usize,
     left: usize,
     res: Option<&'a Resilience>,
-    survivable: bool,
     /// The payload and logical bytes of the framed hop a [`Hop::send`]
     /// opened. The ARQ engine must drive both directions of a hop jointly
     /// (two one-way transfers around a ring deadlock on each other's ACK
@@ -451,13 +453,8 @@ fn no_fallback(_: &mut Comm) -> Vec<u8> {
 }
 
 impl<'a> Hop<'a> {
-    pub(crate) fn new(
-        right: usize,
-        left: usize,
-        res: Option<&'a Resilience>,
-        survivable: bool,
-    ) -> Hop<'a> {
-        Hop { right, left, res, survivable, open: None }
+    pub(crate) fn new(right: usize, left: usize, res: Option<&'a Resilience>) -> Hop<'a> {
+        Hop { right, left, res, open: None }
     }
 
     /// Post `wire` to the right neighbour: the first half of a hop the
@@ -546,9 +543,10 @@ impl<'a> Hop<'a> {
         native: PayloadKind,
         fallback: Fallback<'_>,
     ) -> Result<Option<Wire>, Interrupt> {
+        let survivable = comm.survivable();
         let got = match self.res {
             Some(res) => {
-                let degrade = (!self.survivable).then_some(fallback);
+                let degrade = (!survivable).then_some(fallback);
                 let out = out.map(|(to, (payload, kind), logical_bytes)| OutHalf {
                     to,
                     payload,
@@ -564,7 +562,7 @@ impl<'a> Hop<'a> {
                 }
                 match from {
                     None => Ok(None),
-                    Some(src) if !self.survivable => Ok(Some((comm.recv(src, tag), native))),
+                    Some(src) if !survivable => Ok(Some((comm.recv(src, tag), native))),
                     Some(src) => match comm.recv_checked(src, tag) {
                         Err(crash) => Err(Interrupt::Dead(crash.rank)),
                         Ok(got) if got.payload == [SV_ABORT] => Err(Interrupt::Aborted),
@@ -576,7 +574,7 @@ impl<'a> Hop<'a> {
                 }
             }
         };
-        if self.survivable {
+        if survivable {
             return got;
         }
         // the fail-fast edge: an interrupt is the crash cascade a plain

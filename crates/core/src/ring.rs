@@ -29,6 +29,7 @@ use crate::codec::{DocCodec, HzCodec, SegCodec};
 use crate::collectives;
 use crate::config::CollectiveConfig;
 use crate::hierarchy;
+use crate::labels;
 use crate::membership::View;
 use crate::pipeline::{
     epoch_tag, seg_count, seg_range, seg_tag, TAG_AG, TAG_GATHER, TAG_HAG, TAG_HRING, TAG_HRS,
@@ -161,27 +162,26 @@ pub(crate) struct Ring<'a> {
 
 impl<'a> Ring<'a> {
     /// Position `pos` of the `size`-cycle whose position `p` is global rank
-    /// `at(p)`, on the flat ring's tags; fail-fast hops unless `survivable`.
+    /// `at(p)`, on the flat ring's tags.
     fn cycle(
         size: usize,
         pos: usize,
         at: impl Fn(usize) -> usize,
         res: Option<&'a Resilience>,
-        survivable: bool,
     ) -> Ring<'a> {
-        let hop = Hop::new(at((pos + 1) % size), at((pos + size - 1) % size), res, survivable);
+        let hop = Hop::new(at((pos + 1) % size), at((pos + size - 1) % size), res);
         Ring { size, pos, rs_tag: TAG_RS, ag_tag: TAG_AG, ag_step0: 0, hop }
     }
 
     /// The flat ring over the whole communicator (position = rank).
     pub(crate) fn flat(comm: &Comm, res: Option<&'a Resilience>) -> Ring<'a> {
-        Ring::cycle(comm.size(), comm.rank(), |p| p, res, false)
+        Ring::cycle(comm.size(), comm.rank(), |p| p, res)
     }
 
     /// `rank`'s node ring: the `ppn` ranks of its node, by local index.
     pub(crate) fn node(topo: &Topology, rank: usize, res: Option<&'a Resilience>) -> Ring<'a> {
         let base = topo.node_of(rank) * topo.ppn;
-        let ring = Ring::cycle(topo.ppn, topo.local_index(rank), |p| base + p, res, false);
+        let ring = Ring::cycle(topo.ppn, topo.local_index(rank), |p| base + p, res);
         Ring { rs_tag: TAG_HRS, ag_tag: TAG_HAG, ..ring }
     }
 
@@ -189,16 +189,17 @@ impl<'a> Ring<'a> {
     /// node; one tag base, allgather steps at ids `nodes-1..2(nodes-1)`.
     pub(crate) fn leaders(topo: &Topology, rank: usize, res: Option<&'a Resilience>) -> Ring<'a> {
         let (nodes, li) = (topo.nodes, topo.local_index(rank));
-        let ring = Ring::cycle(nodes, topo.node_of(rank), |p| p * topo.ppn + li, res, false);
+        let ring = Ring::cycle(nodes, topo.node_of(rank), |p| p * topo.ppn + li, res);
         Ring { rs_tag: TAG_HRING, ag_tag: TAG_HRING, ag_step0: nodes - 1, ..ring }
     }
 
     /// `rank`'s ring over the members of `view` (position = virtual rank),
     /// on tags salted with the view's epoch — traffic of a torn-down attempt
-    /// can never match a repaired one — and over survivable hops.
+    /// can never match a repaired one. Its hops are survivable because the
+    /// recovery loop runs it in survivable mode.
     pub(crate) fn survivors(view: &View, rank: usize, res: Option<&'a Resilience>) -> Ring<'a> {
         let pos = view.vrank(rank).expect("only members run attempts");
-        let ring = Ring::cycle(view.len(), pos, |p| view.members[p], res, true);
+        let ring = Ring::cycle(view.len(), pos, |p| view.members[p], res);
         let salted = |base| epoch_tag(base, 0, 0, view.epoch);
         Ring { rs_tag: salted(TAG_RS), ag_tag: salted(TAG_AG), ..ring }
     }
@@ -318,7 +319,7 @@ pub(crate) fn reduce_scatter<C: SegCodec>(
     let prepare = |comm: &mut Comm, kept: &mut [Option<C::Operand>], idx: usize, k: usize| {
         let slot = kept.get_mut(lay.slot(idx, k)).filter(|_| lay.pipelined);
         match slot {
-            Some(Some(_)) => comm.mark("rec:stream-cache-hit"),
+            Some(Some(_)) => comm.mark(labels::REC_STREAM_CACHE_HIT, 0),
             Some(slot) => *slot = codec.operand(comm, data, &lay.seg(idx, k))?,
             None if lay.pipelined => return codec.operand(comm, data, &lay.seg(idx, k)),
             None => {}
@@ -727,9 +728,11 @@ pub(crate) fn run(
         Flavor::Hzccl => {
             let codec = match verb {
                 Verb::Reduce { .. } => {
-                    HzCodec::new(cfg, "hz:compress-segment", "hz:root-decompress")
+                    HzCodec::new(cfg, labels::HZ_COMPRESS_SEGMENT, labels::HZ_ROOT_DECOMPRESS)
                 }
-                Verb::Bcast { .. } => HzCodec::new(cfg, "hz:bcast-compress", "hz:bcast-decompress"),
+                Verb::Bcast { .. } => {
+                    HzCodec::new(cfg, labels::HZ_BCAST_COMPRESS, labels::HZ_BCAST_DECOMPRESS)
+                }
                 _ => HzCodec::reducing(cfg),
             };
             run_with(comm, codec, verb, data, cfg, segments, over)

@@ -33,6 +33,7 @@ use netsim::Comm;
 
 use crate::codec::SegCodec;
 use crate::collectives::{Error, Result};
+use crate::labels;
 use crate::membership::{agree, View};
 use crate::pipeline::MAX_EPOCH;
 use crate::resilient::Resilience;
@@ -88,8 +89,8 @@ pub(crate) fn recover<C: SegCodec>(
             // uniform quiet with nothing suspected: every member completed
             // its attempt, which commits
             debug_assert!(!torn_down, "only a death tears an attempt down");
-            comm.mark_value("rec:epoch", u64::from(view.epoch));
-            comm.mark_value("rec:survivors", view.len() as u64);
+            comm.mark(labels::REC_EPOCH, u64::from(view.epoch));
+            comm.mark(labels::REC_SURVIVORS, view.len() as u64);
             break Ok(if ag { out } else { out[lay.chunk(ring.pos)].to_vec() });
         }
         match view.advance(&suspects) {
@@ -97,7 +98,7 @@ pub(crate) fn recover<C: SegCodec>(
             None => break Err(Error::TooManyEpochs { epochs: MAX_EPOCH }),
         }
         debug_assert!(view.vrank(comm.rank()).is_some(), "a live rank never leaves the view");
-        comm.mark("rec:recovery");
+        comm.mark(labels::REC_RECOVERY, 0);
     };
     comm.set_survivable(was);
     result

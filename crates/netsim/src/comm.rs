@@ -6,7 +6,7 @@ use crate::config::{ComputeTiming, NetConfig, OpKind};
 use crate::engine::events::EventEndpoint;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::topology::{LinkTier, Topology};
-use crate::trace::{Event, RankTrace, TRACE_CAPACITY};
+use crate::trace::{Event, Label, RankTrace, TRACE_CAPACITY};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
@@ -141,9 +141,10 @@ pub struct RecvMsg {
 /// * [`Comm::recv`] blocks until the matching `(from, tag)` message exists
 ///   and advances the virtual clock to `max(clock, arrival)`; the wait is
 ///   charged to the `MPI` bucket.
-/// * [`Comm::compute`] runs a kernel and charges its cost to a breakdown
+/// * [`Comm::compute`] runs a kernel and charges its cost to its [`Label`]'s
 ///   bucket — wall-clock measured or modeled from calibrated throughputs,
-///   per the cluster's [`ComputeTiming`].
+///   per the cluster's [`ComputeTiming`]; [`Comm::advance`] and
+///   [`Comm::mark`] are the only other charges.
 ///
 /// ## Why send injection is charged to `OTHER`, not `MPI`
 ///
@@ -526,88 +527,46 @@ impl Comm {
         self.recv(from, tag)
     }
 
-    /// [`Comm::sendrecv`] for compressed traffic (see
-    /// [`Comm::send_compressed`]).
-    pub fn sendrecv_compressed(
-        &mut self,
-        to: usize,
-        tag: u64,
-        payload: Vec<u8>,
-        logical_bytes: usize,
-        from: usize,
-    ) -> Vec<u8> {
-        self.send_compressed(to, tag, payload, logical_bytes);
-        self.recv(from, tag)
-    }
-
-    /// Run `f`, charging its cost to `kind`. `bytes` is the volume of
-    /// *uncompressed-equivalent* data the kernel touches, used by modeled
+    /// Run `f`, charging its cost to `label`'s kind. `bytes` is the volume
+    /// of *uncompressed-equivalent* data the kernel touches, used by modeled
     /// timing (ignored by measured timing).
-    pub fn compute<T>(&mut self, kind: OpKind, bytes: usize, f: impl FnOnce() -> T) -> T {
-        self.compute_labeled(kind, bytes, "", f)
-    }
-
-    /// [`Comm::compute`] with a pipeline-step label recorded on the flight
-    /// recorder event (e.g. `"hz:homomorphic-sum"`). Labels must be static
-    /// so the disabled-tracing path stays allocation-free.
-    pub fn compute_labeled<T>(
-        &mut self,
-        kind: OpKind,
-        bytes: usize,
-        label: &'static str,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let t = self.clock;
+    pub fn compute<T>(&mut self, label: Label, bytes: usize, f: impl FnOnce() -> T) -> T {
         let (r, mut dt) = match self.timing {
             ComputeTiming::Measured => {
                 let t0 = Instant::now();
                 let r = f();
                 (r, t0.elapsed().as_secs_f64())
             }
-            ComputeTiming::Modeled(model) => (f(), model.duration(kind, bytes)),
+            ComputeTiming::Modeled(model) => (f(), model.duration(label.kind, bytes)),
         };
         // straggler ranks run the same kernel, just slower; scale == 1.0 is
         // bit-exact identity so healthy runs are untouched
         if self.compute_scale != 1.0 {
             dt *= self.compute_scale;
         }
-        self.clock += dt;
-        self.breakdown.charge(kind, dt);
-        self.record(|| Event::Compute { t, kind, bytes, secs: dt, label });
+        self.charge(label, bytes, dt);
         r
     }
 
-    /// Advance the virtual clock without running anything (e.g. a cost known
-    /// analytically), under a flight-recorder label, so analytic charges stay
-    /// distinguishable in traces and the critical-path report (e.g.
-    /// `"res:timeout-wait"`). Labels must be static so the disabled-tracing
-    /// path stays allocation-free.
-    pub fn advance_labeled(&mut self, kind: OpKind, secs: f64, label: &'static str) {
+    /// Advance the virtual clock by `secs` without running anything (a cost
+    /// known analytically, e.g. a timeout wait), charged under `label`.
+    pub fn advance(&mut self, label: Label, secs: f64) {
+        self.charge(label, 0, secs);
+    }
+
+    /// Drop a zero-second marker carrying `value` in the event's `bytes`
+    /// (e.g. the committed epoch) on the flight recorder; it costs nothing.
+    pub fn mark(&mut self, label: Label, value: u64) {
+        self.charge(label, value as usize, 0.0);
+    }
+
+    /// The one charge path: `secs` onto the clock and `label`'s bucket, and
+    /// one event when tracing — a single branch otherwise.
+    fn charge(&mut self, label: Label, bytes: usize, secs: f64) {
         let t = self.clock;
         self.clock += secs;
-        self.breakdown.charge(kind, secs);
-        self.record(|| Event::Compute { t, kind, bytes: 0, secs, label });
-    }
-
-    /// Drop a zero-duration marker on the flight recorder (e.g.
-    /// `"res:retransmit"`). Costs nothing on the virtual clock or breakdown;
-    /// [`crate::RunReport::tally`] counts the well-known labels.
-    pub fn mark(&mut self, label: &'static str) {
-        let t = self.clock;
-        self.record(|| Event::Compute { t, kind: OpKind::Other, bytes: 0, secs: 0.0, label });
-    }
-
-    /// [`Comm::mark`] carrying a number in the event's `bytes` field (e.g.
-    /// `"rec:epoch"` with the committed epoch), so [`crate::RunReport::tally`]
-    /// can surface values — not just occurrence counts — from trace labels.
-    pub fn mark_value(&mut self, label: &'static str, value: u64) {
-        let t = self.clock;
-        self.record(|| Event::Compute {
-            t,
-            kind: OpKind::Other,
-            bytes: value as usize,
-            secs: 0.0,
-            label,
-        });
+        self.breakdown.charge(label.kind, secs);
+        let Label { name, kind, class } = label;
+        self.record(|| Event::Compute { t, kind, bytes, secs, label: name, class });
     }
 }

@@ -28,7 +28,7 @@
 use crate::config::{NetConfig, OpKind};
 use crate::faults::FaultKind;
 use crate::topology::{LinkTier, Topology};
-use crate::trace::{Event, RankTrace};
+use crate::trace::{Class, Event, Label, RankTrace};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Where one span of the critical path was spent.
@@ -38,10 +38,8 @@ pub enum SpanKind {
     Compute {
         /// Rank that ran the kernel.
         rank: usize,
-        /// Cost bucket of the charge.
-        kind: OpKind,
-        /// Pipeline-step label (empty if the call site did not label).
-        label: &'static str,
+        /// The step label it was charged under.
+        label: Label,
     },
     /// Sender-side injection overhead (the α of the network model).
     Inject {
@@ -120,10 +118,9 @@ pub struct PathBuckets {
     pub wire: f64,
     /// Fault-injected delivery jitter on the path.
     pub jitter: f64,
-    /// Resilient-transport charges (`res:*`-labelled timeouts/backoffs).
+    /// Resilient-transport charges (the [`Class::Resilience`] family).
     pub resilience: f64,
-    /// Crash-recovery charges (`rec:*`-labelled abort/agreement/repair work
-    /// of the survivable collective layer).
+    /// Crash-recovery charges (the [`Class::Recovery`] family).
     pub recovery: f64,
     /// Waits that could not be attributed to a matched send (crashed or
     /// truncated traces only; ~0 on healthy runs).
@@ -207,9 +204,8 @@ pub struct CriticalPath {
     /// [`LinkTier::index`]. Untopologized runs land entirely on
     /// [`LinkTier::Flat`].
     pub by_tier: [HopTime; LinkTier::COUNT],
-    /// Compute path seconds per step label (unlabelled charges fall under
-    /// their bucket name).
-    pub by_label: BTreeMap<String, f64>,
+    /// Compute path seconds per step label.
+    pub by_label: BTreeMap<&'static str, f64>,
     /// The path itself, chronological, tiling `[0, length]`.
     pub elements: Vec<PathElement>,
     /// `slack[rank][event]`: seconds event `event` of `rank` could slip
@@ -434,7 +430,9 @@ impl CriticalPath {
                 }
             } else if ev.duration() > 0.0 {
                 let span = match *ev {
-                    Event::Compute { kind, label, .. } => SpanKind::Compute { rank, kind, label },
+                    Event::Compute { kind, label: name, class, .. } => {
+                        SpanKind::Compute { rank, label: Label { name, kind, class } }
+                    }
                     Event::Send { to, tag, tier, .. } => SpanKind::Inject { rank, to, tag, tier },
                     _ => unreachable!("recv handled above; faults have zero duration"),
                 };
@@ -449,28 +447,24 @@ impl CriticalPath {
         let mut per_rank = vec![0.0f64; nranks];
         let mut by_tag: BTreeMap<u64, HopTime> = BTreeMap::new();
         let mut by_tier = [HopTime::default(); LinkTier::COUNT];
-        let mut by_label: BTreeMap<String, f64> = BTreeMap::new();
+        let mut by_label: BTreeMap<&'static str, f64> = BTreeMap::new();
         let mut length = 0.0f64;
         for el in &elements {
             let secs = el.secs();
             length += secs;
             match el.span {
-                SpanKind::Compute { rank, kind, label } => {
-                    if label.starts_with("res:") {
-                        buckets.resilience += secs;
-                    } else if label.starts_with("rec:") {
-                        buckets.recovery += secs;
-                    } else {
-                        match kind {
-                            OpKind::Cpr => buckets.cpr += secs,
-                            OpKind::Dpr => buckets.dpr += secs,
-                            OpKind::Hpr => buckets.hpr += secs,
-                            OpKind::Cpt => buckets.cpt += secs,
-                            OpKind::Other => buckets.other += secs,
-                        }
-                    }
-                    let key = if label.is_empty() { kind.name() } else { label };
-                    *by_label.entry(key.to_string()).or_insert(0.0) += secs;
+                SpanKind::Compute { rank, label } => {
+                    let bucket = match (label.class.family(), label.kind) {
+                        (Class::Resilience, _) => &mut buckets.resilience,
+                        (Class::Recovery, _) => &mut buckets.recovery,
+                        (_, OpKind::Cpr) => &mut buckets.cpr,
+                        (_, OpKind::Dpr) => &mut buckets.dpr,
+                        (_, OpKind::Hpr) => &mut buckets.hpr,
+                        (_, OpKind::Cpt) => &mut buckets.cpt,
+                        (_, OpKind::Other) => &mut buckets.other,
+                    };
+                    *bucket += secs;
+                    *by_label.entry(label.name).or_insert(0.0) += secs;
                     per_rank[rank] += secs;
                 }
                 SpanKind::Inject { rank, tag, tier, .. } => {
@@ -534,7 +528,7 @@ mod tests {
     use super::*;
     use crate::config::{ComputeTiming, ThroughputModel};
     use crate::sim::SimBuilder;
-    use crate::trace::TraceConfig;
+    use crate::trace::{tests::step, TraceConfig};
 
     fn net() -> NetConfig {
         NetConfig { latency_s: 1e-5, bandwidth_gbps: 10.0, congestion: 0.0 }
@@ -555,11 +549,11 @@ mod tests {
         let traces = traced_sim(2)
             .run(|comm| {
                 if comm.rank() == 0 {
-                    comm.compute(OpKind::Cpr, 1_000_000, || ());
+                    comm.compute(step(OpKind::Cpr), 1_000_000, || ());
                     comm.send(1, 7, vec![0u8; 1000]);
                 } else {
                     let got = comm.recv(0, 7);
-                    comm.compute(OpKind::Cpt, got.len(), || ());
+                    comm.compute(step(OpKind::Cpt), got.len(), || ());
                 }
             })
             .expect_clean()
@@ -590,7 +584,7 @@ mod tests {
         let traces = traced_sim(2)
             .run(|comm| {
                 let bytes = if comm.rank() == 0 { 50_000_000 } else { 1_000 };
-                comm.compute(OpKind::Cpt, bytes, || ());
+                comm.compute(step(OpKind::Cpt), bytes, || ());
                 // exchange so both ranks finish together in causal terms
                 let peer = 1 - comm.rank();
                 comm.send(peer, 1, vec![0u8; 8]);

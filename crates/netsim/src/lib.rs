@@ -32,15 +32,16 @@
 //! read as "what actually gated the makespan" rather than mere totals.
 //!
 //! ```
-//! use netsim::{OpKind, SimBuilder};
+//! use netsim::{Class, Label, OpKind, SimBuilder};
 //!
+//! const ADD: Label = Label { name: "add", kind: OpKind::Cpt, class: Class::Step };
 //! let report = SimBuilder::new(4).run(|comm| {
 //!     // ring: everyone passes its rank to the right, sums what it gets
 //!     let to = (comm.rank() + 1) % comm.size();
 //!     let from = (comm.rank() + comm.size() - 1) % comm.size();
 //!     let rank = comm.rank();
 //!     let got = comm.sendrecv(to, 0, vec![rank as u8], from);
-//!     comm.compute(OpKind::Cpt, 1, || got[0] as usize + rank)
+//!     comm.compute(ADD, 1, || got[0] as usize + rank)
 //! });
 //! assert_eq!(report.outcomes.len(), 4);
 //! assert!(report.stats.makespan > 0.0);
@@ -65,11 +66,12 @@ pub use faults::{splitmix64, FaultKind, FaultPlan, LinkFault};
 pub use json::Json;
 pub use sim::{RankOutcome, RankPanic, RunReport, RunStats, SimBuilder, SimEngine, Tally};
 pub use topology::{LinkTier, Topology};
-pub use trace::{Event, RankTrace, TraceConfig};
+pub use trace::{Class, Event, Label, RankTrace, TraceConfig};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::step;
 
     fn modeled() -> ComputeTiming {
         ComputeTiming::Modeled(ThroughputModel::new(10.0, 20.0, 100.0, 30.0, 50.0))
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn modeled_compute_charges_expected_time() {
         let report = SimBuilder::new(1).timing(modeled()).run(|comm| {
-            comm.compute(OpKind::Cpr, 10_000_000_000, || ());
+            comm.compute(step(OpKind::Cpr), 10_000_000_000, || ());
             comm.breakdown()
         });
         assert!((report.value(0).cpr - 1.0).abs() < 1e-12);
@@ -158,7 +160,7 @@ mod tests {
     #[test]
     fn measured_compute_charges_wall_time() {
         let report = SimBuilder::new(1).run(|comm| {
-            comm.compute(OpKind::Cpt, 0, || {
+            comm.compute(step(OpKind::Cpt), 0, || {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             });
             comm.breakdown()
@@ -169,7 +171,7 @@ mod tests {
     #[test]
     fn stats_aggregate_across_ranks() {
         let report = SimBuilder::new(4).timing(modeled()).run(|comm| {
-            comm.compute(OpKind::Cpt, 30_000_000_000, || ());
+            comm.compute(step(OpKind::Cpt), 30_000_000_000, || ());
         });
         let stats = report.expect_clean().stats;
         assert!((stats.makespan - 1.0).abs() < 1e-9);
@@ -188,7 +190,7 @@ mod tests {
                     for round in 0..5u64 {
                         let payload = vec![comm.rank() as u8; 1000 * (round as usize + 1)];
                         let got = comm.sendrecv(to, round, payload, from);
-                        comm.compute(OpKind::Cpt, got.len(), || ());
+                        comm.compute(step(OpKind::Cpt), got.len(), || ());
                     }
                 })
                 .expect_clean()
@@ -209,7 +211,7 @@ mod tests {
                     let mut sum = 0usize;
                     for round in 0..4u64 {
                         let got = comm.sendrecv(to, round, vec![comm.rank() as u8; 4096], from);
-                        sum += comm.compute(OpKind::Cpt, got.len(), || got[0] as usize);
+                        sum += comm.compute(step(OpKind::Cpt), got.len(), || got[0] as usize);
                     }
                     sum
                 },
@@ -228,7 +230,7 @@ mod tests {
     #[test]
     fn reset_clock_clears_accounting() {
         let report = SimBuilder::new(1).timing(modeled()).run(|comm| {
-            comm.compute(OpKind::Cpr, 1_000_000, || ());
+            comm.compute(step(OpKind::Cpr), 1_000_000, || ());
             comm.reset_clock();
             (comm.elapsed(), comm.breakdown().total())
         });
@@ -312,7 +314,7 @@ mod tests {
             let from = (comm.rank() + n - 1) % n;
             for round in 0..4u64 {
                 let got = comm.sendrecv(to, round, vec![0u8; 10_000], from);
-                comm.compute(OpKind::Cpt, got.len(), || ());
+                comm.compute(step(OpKind::Cpt), got.len(), || ());
             }
             (comm.elapsed(), comm.breakdown().total())
         });
@@ -414,10 +416,11 @@ mod tests {
                 let to = (comm.rank() + 1) % n;
                 let from = (comm.rank() + n - 1) % n;
                 for round in 0..3u64 {
-                    let got = comm.sendrecv_compressed(to, round, vec![0u8; 500], 2000, from);
-                    comm.compute_labeled(OpKind::Hpr, got.len() * 4, "test:hpr", || ());
+                    comm.send_compressed(to, round, vec![0u8; 500], 2000);
+                    let got = comm.recv(from, round);
+                    comm.compute(step(OpKind::Hpr), got.len() * 4, || ());
                 }
-                comm.advance_labeled(OpKind::Cpt, 1e-4, "advance");
+                comm.advance(step(OpKind::Cpt), 1e-4);
             });
         for o in &report.outcomes {
             let trace = report.trace_of(o.rank).expect("traced run returns events");
@@ -448,9 +451,9 @@ mod tests {
     fn reset_clock_clears_trace() {
         let report =
             SimBuilder::new(1).timing(modeled()).trace(TraceConfig::default()).run(|comm| {
-                comm.compute(OpKind::Cpr, 1_000_000, || ());
+                comm.compute(step(OpKind::Cpr), 1_000_000, || ());
                 comm.reset_clock();
-                comm.compute(OpKind::Dpr, 1_000_000, || ());
+                comm.compute(step(OpKind::Dpr), 1_000_000, || ());
             });
         let trace = report.trace_of(0).unwrap();
         assert_eq!(trace.events.len(), 1);
@@ -571,7 +574,7 @@ mod tests {
                 sim = sim.faults(p);
             }
             let report = sim.run(|comm| {
-                comm.compute(OpKind::Cpt, 30_000_000_000, || ());
+                comm.compute(step(OpKind::Cpt), 30_000_000_000, || ());
                 comm.elapsed()
             });
             (*report.value(0), *report.value(1))
@@ -615,7 +618,7 @@ mod tests {
                     let from = (comm.rank() + n - 1) % n;
                     for round in 0..4u64 {
                         let got = comm.sendrecv(to, round, vec![comm.rank() as u8; 2048], from);
-                        comm.compute(OpKind::Cpt, got.len(), || ());
+                        comm.compute(step(OpKind::Cpt), got.len(), || ());
                     }
                 })
                 .expect_clean()

@@ -10,7 +10,7 @@ use crate::config::{ComputeTiming, NetConfig};
 use crate::engine;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::topology::Topology;
-use crate::trace::{Event, RankTrace, TraceConfig};
+use crate::trace::{Class, Event, RankTrace, TraceConfig};
 
 /// Result of one rank's participation in a [`SimBuilder::run`].
 #[derive(Debug, Clone)]
@@ -58,7 +58,8 @@ pub struct RunStats {
 /// What a traced run did, counted in one pass over its flight-recorder
 /// traces ([`RunReport::tally`]). Only [`Tally::crashes`] reads the traces
 /// of ranks that died ([`RankPanic::trace`]); every other field counts the
-/// completed ranks. Every field is 0 on an untraced run.
+/// completed ranks; the marker counts read [`Class`], never a name. Every
+/// field is 0 on an untraced run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
     /// Messages sent (`Send` events).
@@ -67,19 +68,19 @@ pub struct Tally {
     pub wire_bytes: u64,
     /// Uncompressed-equivalent bytes those messages represented.
     pub logical_bytes: u64,
-    /// Frames the resilient transport resent (`res:retransmit` markers).
+    /// Frames the resilient transport resent ([`Class::Retransmit`]).
     pub retransmits: u64,
-    /// Receive timeouts it charged (`res:timeout` markers).
+    /// Receive timeouts it charged ([`Class::Timeout`]).
     pub timeouts: u64,
     /// Segments it fell back to an uncompressed resend for
-    /// (`res:degraded-segment` markers).
+    /// ([`Class::DegradedSegment`]).
     pub degraded_segments: u64,
-    /// Membership repairs (`rec:recovery` markers).
+    /// Membership repairs ([`Class::Repair`]).
     pub recoveries: u64,
-    /// Highest committed membership epoch (`rec:epoch` values).
+    /// Highest committed membership epoch ([`Class::Epoch`] values).
     pub epoch: u64,
-    /// Largest survivor count a committed view reported (`rec:survivors`
-    /// values).
+    /// Largest survivor count a committed view reported
+    /// ([`Class::Survivors`] values).
     pub survivors: u64,
     /// Messages the fault plan dropped.
     pub drops: u64,
@@ -217,14 +218,14 @@ impl<R> RunReport<R> {
                     t.logical_bytes += logical_bytes as u64;
                 }
                 Event::Recv { .. } => {}
-                Event::Compute { label, bytes, .. } => match label {
-                    "res:retransmit" => t.retransmits += 1,
-                    "res:timeout" => t.timeouts += 1,
-                    "res:degraded-segment" => t.degraded_segments += 1,
-                    "rec:recovery" => t.recoveries += 1,
-                    "rec:epoch" => t.epoch = t.epoch.max(bytes as u64),
-                    "rec:survivors" => t.survivors = t.survivors.max(bytes as u64),
-                    _ => {}
+                Event::Compute { class, bytes, .. } => match class {
+                    Class::Retransmit => t.retransmits += 1,
+                    Class::Timeout => t.timeouts += 1,
+                    Class::DegradedSegment => t.degraded_segments += 1,
+                    Class::Repair => t.recoveries += 1,
+                    Class::Epoch => t.epoch = t.epoch.max(bytes as u64),
+                    Class::Survivors => t.survivors = t.survivors.max(bytes as u64),
+                    Class::Step | Class::Resilience | Class::Recovery => {}
                 },
                 Event::Fault { kind, .. } => match kind {
                     FaultKind::Drop => t.drops += 1,
@@ -271,14 +272,15 @@ impl<R> RunReport<R> {
 /// timing, optional tracing/faults/topology, and the execution engine.
 ///
 /// ```
-/// use netsim::{OpKind, SimBuilder};
+/// use netsim::{Class, Label, OpKind, SimBuilder};
 ///
+/// const ADD: Label = Label { name: "add", kind: OpKind::Cpt, class: Class::Step };
 /// let report = SimBuilder::new(4).run(|comm| {
 ///     let rank = comm.rank();
 ///     let to = (rank + 1) % comm.size();
 ///     let from = (rank + comm.size() - 1) % comm.size();
 ///     let got = comm.sendrecv(to, 0, vec![rank as u8], from);
-///     comm.compute(OpKind::Cpt, 1, || got[0] as usize + rank)
+///     comm.compute(ADD, 1, || got[0] as usize + rank)
 /// });
 /// assert_eq!(report.outcomes.len(), 4);
 /// assert!(report.stats.makespan > 0.0);

@@ -31,6 +31,59 @@ pub(crate) const TRACE_CAPACITY: usize = 1024;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {}
 
+/// A step label: what a charge is called, where its time goes and what the
+/// reports make of it. [`crate::Comm::compute`], [`crate::Comm::advance`]
+/// and [`crate::Comm::mark`] each take one; netsim reads its `class`, never
+/// its `name`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Label {
+    /// Name on the event (e.g. `"hz:homomorphic-sum"`).
+    pub name: &'static str,
+    /// Cost bucket of the charged seconds.
+    pub kind: OpKind,
+    /// What the reports make of the charge.
+    pub class: Class,
+}
+
+/// What the reports make of a charge: an ordinary step, a charge of one of
+/// the two fault-handling layers, or a marker [`crate::Tally`] counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Class {
+    /// Filed on the critical path under its kind.
+    Step,
+    /// A resilient-transport charge: [`crate::PathBuckets::resilience`], and
+    /// a Chrome instant when it takes no time. `Retransmit`, `Timeout` and
+    /// `DegradedSegment` are of this family.
+    Resilience,
+    /// A crash-recovery charge: [`crate::PathBuckets::recovery`]. `Repair`,
+    /// `Epoch` and `Survivors` are of this family.
+    Recovery,
+    /// Counted as [`crate::Tally::retransmits`].
+    Retransmit,
+    /// Counted as [`crate::Tally::timeouts`].
+    Timeout,
+    /// Counted as [`crate::Tally::degraded_segments`].
+    DegradedSegment,
+    /// Counted as [`crate::Tally::recoveries`].
+    Repair,
+    /// Its value is a committed [`crate::Tally::epoch`].
+    Epoch,
+    /// Its value is a committed [`crate::Tally::survivors`] count.
+    Survivors,
+}
+
+impl Class {
+    /// [`Class::Step`], [`Class::Resilience`] or [`Class::Recovery`]: the
+    /// class itself, or the layer a marker counts for.
+    pub fn family(self) -> Class {
+        match self {
+            Class::Retransmit | Class::Timeout | Class::DegradedSegment => Class::Resilience,
+            Class::Repair | Class::Epoch | Class::Survivors => Class::Recovery,
+            class => class,
+        }
+    }
+}
+
 /// One structured event on a rank's virtual timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -72,19 +125,21 @@ pub enum Event {
         /// Blocking wait charged to the `mpi` bucket.
         wait_secs: f64,
     },
-    /// A compute kernel (or an analytic [`crate::Comm::advance_labeled`] charge).
+    /// A charge of [`crate::Comm::compute`], [`crate::Comm::advance`] or
+    /// [`crate::Comm::mark`], its [`Label`] spelled out.
     Compute {
         /// Start time (virtual seconds).
         t: f64,
         /// Cost bucket.
         kind: OpKind,
-        /// Uncompressed-equivalent bytes the kernel touched.
+        /// Uncompressed-equivalent bytes the kernel touched (a mark's value).
         bytes: usize,
         /// Charged duration.
         secs: f64,
-        /// Pipeline-step label (e.g. `"hz:homomorphic-sum"`); empty when the
-        /// call site did not label itself.
+        /// Pipeline-step name (e.g. `"hz:homomorphic-sum"`).
         label: &'static str,
+        /// What the reports make of it.
+        class: Class,
     },
     /// A fault injected by the cluster's [`crate::FaultPlan`], recorded on
     /// the *sending* rank at zero duration (the fault itself costs nothing;
@@ -158,20 +213,6 @@ impl RankTrace {
         b
     }
 
-    /// Sum of charged compute seconds for one bucket (send injection counts
-    /// toward [`OpKind::Other`]).
-    pub fn seconds(&self, kind: OpKind) -> f64 {
-        let mut total = 0.0;
-        for ev in &self.events {
-            match *ev {
-                Event::Compute { kind: k, secs, .. } if k == kind => total += secs,
-                Event::Send { inject_secs, .. } if kind == OpKind::Other => total += inject_secs,
-                _ => {}
-            }
-        }
-        total
-    }
-
     /// Sum of blocking receive waits (the `mpi` bucket).
     pub fn wait_seconds(&self) -> f64 {
         self.events
@@ -192,8 +233,8 @@ impl RankTrace {
 /// Export traces as Chrome trace-event JSON (the format `chrome://tracing`
 /// and [Perfetto](https://ui.perfetto.dev) load). One *pid* per rank; every
 /// recorded duration becomes one `traceEvents` entry ("X" complete events),
-/// plus one `process_name` metadata entry per rank. [`Event::Fault`]s and the
-/// resilient transport's zero-duration `res:*` markers render as **instant
+/// plus one `process_name` metadata entry per rank. [`Event::Fault`]s and
+/// zero-duration [`Class::Resilience`]-family charges render as **instant
 /// events** (`ph: "i"`) under their own `fault` / `resilience` categories,
 /// so chaos runs are visually debuggable rather than merely countable.
 ///
@@ -214,8 +255,8 @@ pub fn chrome_trace(traces: &[RankTrace], critpath: Option<&CriticalPath>) -> St
             ("args", Json::obj(vec![("name", Json::Str(format!("rank {}", trace.rank)))])),
         ]));
         for (idx, ev) in trace.events.iter().enumerate() {
-            // zero-cost annotations (injected faults, res:* markers) become
-            // instant events with a dedicated category
+            // zero-cost annotations (injected faults, resilience markers)
+            // become instant events with a dedicated category
             let instant = match *ev {
                 Event::Fault { kind, to, tag, detail, .. } => Some((
                     format!("fault:{}", kind.name()),
@@ -226,7 +267,9 @@ pub fn chrome_trace(traces: &[RankTrace], critpath: Option<&CriticalPath>) -> St
                         ("detail", Json::Num(detail)),
                     ]),
                 )),
-                Event::Compute { secs, label, .. } if secs == 0.0 && label.starts_with("res:") => {
+                Event::Compute { secs, label, class, .. }
+                    if secs == 0.0 && class.family() == Class::Resilience =>
+                {
                     Some((label.to_string(), "resilience", Json::obj(vec![])))
                 }
                 _ => None,
@@ -269,7 +312,7 @@ pub fn chrome_trace(traces: &[RankTrace], critpath: Option<&CriticalPath>) -> St
                     ]),
                 ),
                 Event::Compute { kind, bytes, label, .. } => (
-                    if label.is_empty() { kind.name().to_string() } else { label.to_string() },
+                    label.to_string(),
                     kind.name(),
                     Json::obj(vec![("bytes", Json::Num(bytes as f64))]),
                 ),
@@ -305,10 +348,9 @@ pub fn chrome_trace(traces: &[RankTrace], critpath: Option<&CriticalPath>) -> St
         ]));
         for el in &cp.elements {
             let (name, args) = match el.span {
-                SpanKind::Compute { rank, kind, label } => (
-                    if label.is_empty() { kind.name().to_string() } else { label.to_string() },
-                    Json::obj(vec![("rank", Json::Num(rank as f64))]),
-                ),
+                SpanKind::Compute { rank, label } => {
+                    (label.name.to_string(), Json::obj(vec![("rank", Json::Num(rank as f64))]))
+                }
                 SpanKind::Inject { rank, to, tag, tier } => {
                     let mut fields =
                         vec![("rank", Json::Num(rank as f64)), ("tag", Json::Num(tag as f64))];
@@ -427,14 +469,26 @@ fn fmt_secs(secs: f64) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A unit test's ordinary step of `kind`, named after it.
+    pub(crate) fn step(kind: OpKind) -> Label {
+        Label { name: kind.name(), kind, class: Class::Step }
+    }
 
     fn sample_trace() -> RankTrace {
         RankTrace {
             rank: 1,
             events: vec![
-                Event::Compute { t: 0.0, kind: OpKind::Cpr, bytes: 100, secs: 0.4, label: "x:cpr" },
+                Event::Compute {
+                    t: 0.0,
+                    kind: OpKind::Cpr,
+                    bytes: 100,
+                    secs: 0.4,
+                    label: "x:cpr",
+                    class: Class::Step,
+                },
                 Event::Send {
                     t: 0.4,
                     to: 0,
@@ -445,7 +499,14 @@ mod tests {
                     tier: LinkTier::Flat,
                 },
                 Event::Recv { t: 0.5, from: 0, tag: 7, wire_bytes: 30, wait_secs: 0.5 },
-                Event::Compute { t: 1.0, kind: OpKind::Hpr, bytes: 100, secs: 1.0, label: "" },
+                Event::Compute {
+                    t: 1.0,
+                    kind: OpKind::Hpr,
+                    bytes: 100,
+                    secs: 1.0,
+                    label: "x:hpr",
+                    class: Class::Step,
+                },
             ],
         }
     }
@@ -458,7 +519,6 @@ mod tests {
         assert_eq!(b.hpr, 1.0);
         assert_eq!(b.other, 0.1);
         assert_eq!(b.mpi, 0.5);
-        assert_eq!(t.seconds(OpKind::Other), 0.1);
         assert_eq!(t.wait_seconds(), 0.5);
         assert_eq!(t.end_time(), 2.0);
     }
@@ -505,6 +565,41 @@ mod tests {
         assert!(text.contains("fault:drop") && text.contains("fault:corrupt"), "{text}");
         Json::parse(&text).expect("chrome trace with faults parses");
         assert!(ascii_timeline(&[t], 20).contains("legend:"));
+    }
+
+    #[test]
+    fn the_class_rides_in_the_event_without_growing_it() {
+        assert_eq!(std::mem::size_of::<Event>(), 56);
+    }
+
+    /// A zero-second charge of the resilience family is a Chrome instant in
+    /// category `resilience`; a zero-second recovery marker stays a slice.
+    #[test]
+    fn zero_second_charges_render_by_class() {
+        let marker = |label, class| Event::Compute {
+            t: 2.0,
+            kind: OpKind::Other,
+            bytes: 0,
+            secs: 0.0,
+            label,
+            class,
+        };
+        let mut t = sample_trace();
+        t.events.push(marker("m:retransmit", Class::Retransmit));
+        t.events.push(marker("m:backoff", Class::Resilience));
+        t.events.push(marker("m:epoch", Class::Epoch));
+        t.events.push(marker("m:step", Class::Step));
+        let doc = Json::parse(&chrome_trace(&[t], None)).expect("chrome trace parses");
+        let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
+        let shape = |name: &str| {
+            let e = events.iter().find(|e| e.get("name").and_then(|n| n.as_str()) == Some(name));
+            let field = |key| e.and_then(|e| e.get(key)).and_then(|v| v.as_str());
+            (field("ph"), field("cat"))
+        };
+        assert_eq!(shape("m:retransmit"), (Some("i"), Some("resilience")));
+        assert_eq!(shape("m:backoff"), (Some("i"), Some("resilience")));
+        assert_eq!(shape("m:epoch"), (Some("X"), Some("other")));
+        assert_eq!(shape("m:step"), (Some("X"), Some("other")));
     }
 
     #[test]

@@ -260,7 +260,9 @@ impl Default for Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{ComputeTiming, SimBuilder};
+    use netsim::{Class, ComputeTiming, Label, SimBuilder};
+
+    const CPR: Label = Label { name: "cpr", kind: OpKind::Cpr, class: Class::Step };
 
     #[test]
     fn paper_prior_matches_paper_ordering() {
@@ -296,7 +298,7 @@ mod tests {
             .timing(ComputeTiming::Modeled(ThroughputModel::new(true_gbps, 10.0, 50.0, 20.0, 40.0)))
             .trace(netsim::TraceConfig::default())
             .run(|comm| {
-                comm.compute(OpKind::Cpr, 1 << 20, || ());
+                comm.compute(CPR, 1 << 20, || ());
                 let n = comm.size();
                 comm.sendrecv(
                     (comm.rank() + 1) % n,
@@ -329,7 +331,7 @@ mod tests {
         let report = SimBuilder::new(2)
             .timing(ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0)))
             .run(|comm| {
-                comm.compute(OpKind::Cpr, 1 << 20, || ());
+                comm.compute(CPR, 1 << 20, || ());
             });
         c.absorb_run(Flavor::Hzccl, Mode::SingleThread, &report);
         assert_eq!(c, snapshot, "no trace, no update");

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
 # Per-crate size trend (ROADMAP items 5, 3c and 8a): total Rust lines, and over
-# the non-test lines (everything up to a file's first `#[cfg(test)]`) the
-# line count, `pub` items, `pub` items named nowhere outside their crate,
+# the non-test lines the line count, `pub` items, `pub` items named nowhere outside their crate,
 # `unsafe` occurrences, thread-spawning sites (`thread::scope` /
 # `thread::spawn`) and virtual clusters built (`SimBuilder::new` outside
 # comments), so a new one of any is noticed: outside netsim and core the `sim`
 # column is 1, `suite::run_case`. The last row is the `hzc` CLI (`src/bin/hzc`).
+#
+# Test lines are item-scoped: a `#[cfg(test)]` attribute excludes itself and
+# the one item it annotates, up to that item's outermost closing brace (or its
+# `;`, for an item without a body); code after the item counts again. Braces
+# in string and char literals and `//` comments are ignored, so the count is
+# grep-level too.
 #
 # `unnamed` is a grep-level count: a `pub` item (a line the `pub` regex
 # matches) whose identifier appears as a whole word in no `.rs` file outside
@@ -38,12 +43,14 @@ for dir in "$root"/crates/*/ "$root"/src/bin/hzc/ "$root"/tests/ "$root"/example
     find "$dir" -name '*.rs' -exec grep -ohE '[A-Za-z_][A-Za-z0-9_]*' {} + | sort -u | sed "s|^|$tag |"
 done >"$tmp/words"
 for dir in "$root"/crates/*/ "$root"/src/bin/hzc/; do
+    [ -d "$dir" ] || continue
     files=$(find "$dir" -name '*.rs' | sort)
     [ -n "$files" ] || continue
     # One row of counters per crate, and one `crate item dir identifier` line
     # per name each `pub` item declares.
     # shellcheck disable=SC2086
-    awk -v crate="$(basename "$dir")" -v tag="${dir#"$root"/}" -v names="$tmp/names" '
+    awk -v crate="$(basename "$dir")" -v tag="${dir#"$root"/}" -v names="$tmp/names" -v q="'" '
+        BEGIN { charlit = q "([^" q "\\\\]|\\\\.)" q }
         function declare(text,    n, parts, i, w) {
             gsub(/[{};]/, ",", text)
             n = split(text, parts, ",")
@@ -54,9 +61,34 @@ for dir in "$root"/crates/*/ "$root"/src/bin/hzc/; do
                 if (w != "" && w != "self") print crate, pubs, tag, w >> names
             }
         }
-        FNR == 1 { in_tests = 0 }
+        # Scan one line of a `#[cfg(test)]` item (string and char literals
+        # and `//` comments dropped) and clear `skip` where the item ends:
+        # its outermost closing brace, or a `;` outside any bracket before
+        # it opened one.
+        function scan(text,    i, c) {
+            gsub(/"([^"\\]|\\.)*"/, "", text)
+            gsub(charlit, "", text)
+            sub(/\/\/.*/, "", text)
+            for (i = 1; i <= length(text); i++) {
+                c = substr(text, i, 1)
+                if (c == "{") { depth++; opened = 1 }
+                else if (c == "}") { if (--depth == 0 && opened) { skip = 0; return } }
+                else if (c == "(" || c == "[") nest++
+                else if (c == ")" || c == "]") nest--
+                else if (c == ";" && !opened && nest == 0) { skip = 0; return }
+            }
+        }
+        FNR == 1 { skip = 0 }
         { total++ }
-        !in_tests {
+        !skip && /^[[:space:]]*#\[cfg\(test\)\]/ {
+            skip = 1; depth = 0; nest = 0; opened = 0
+            rest = $0
+            sub(/^[[:space:]]*#\[cfg\(test\)\]/, "", rest)
+            scan(rest)
+            next
+        }
+        skip { scan($0); next }
+        {
             code++
             if (in_use) {
                 declare($0)
@@ -81,7 +113,6 @@ for dir in "$root"/crates/*/ "$root"/src/bin/hzc/; do
             if ($0 ~ /thread::(scope|spawn)/) spawns++
             if ($0 ~ /SimBuilder::new/ && $0 !~ /^[[:space:]]*\/\//) sims++
         }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
         END { printf "%s %d %d %d %d %d %d\n", crate, total, code, pubs + 0, unsafes, spawns, sims }
     ' $files
 done >"$tmp/rows"

@@ -310,13 +310,7 @@ fn print_slack(cp: &netsim::CriticalPath, traces: &[netsim::RankTrace]) {
 /// Short human label for one trace event (slack listing).
 fn event_name(ev: &netsim::Event) -> String {
     match ev {
-        netsim::Event::Compute { kind, label, .. } => {
-            if label.is_empty() {
-                kind.name().to_string()
-            } else {
-                (*label).to_string()
-            }
-        }
+        netsim::Event::Compute { label, .. } => (*label).to_string(),
         netsim::Event::Send { to, tag, .. } => format!("send->r{to} tag {tag}"),
         netsim::Event::Recv { from, tag, .. } => format!("recv<-r{from} tag {tag}"),
         netsim::Event::Fault { kind, .. } => format!("fault:{}", kind.name()),
