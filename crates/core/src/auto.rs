@@ -24,11 +24,10 @@ use crate::collectives::Result;
 use crate::config::CollectiveConfig;
 use crate::labels;
 use crate::pipeline::TAG_PLAN;
-use crate::rd;
 use crate::ring::{self, Over, Verb};
 use fzlight::{Config as FzConfig, ErrorBound};
 use netsim::{Comm, Topology};
-use tuner::{Algo, Decision, Engine, Flavor, Op, Plan, ScenarioSpec};
+use tuner::{Algo, Decision, Engine, Op, Plan, ScenarioSpec};
 
 /// Elements probe-compressed to estimate the scenario's compression ratio.
 /// 16 Ki `f32` (64 KiB) keeps the probe ~1% of a megabyte-class message
@@ -159,18 +158,12 @@ pub fn run_planned(
 ) -> Result<Vec<f32>> {
     let pcfg = cfg_for(plan, cfg);
     let topo = topology.filter(|t| plan.hierarchical && t.nranks() == comm.size());
-    // recursive-doubling schedules have no resilient framing: under a
-    // resilience policy an rd plan degrades to the ring schedule of the
-    // same flavour rather than running unprotected
-    if op == Op::Allreduce && plan.algo == Algo::Rd && topo.is_none() && pcfg.res.is_none() {
-        match plan.flavor {
-            Flavor::Mpi => return Ok(rd::allreduce_rd(comm, data, pcfg.mode.threads())),
-            Flavor::Hzccl => return Ok(rd::allreduce_rd_hz(comm, data, &pcfg)?),
-            Flavor::CColl => {}
-        }
-    }
     let verb = Verb::of(op, root, data.len());
-    let over = topo.map_or(Over::Flat, Over::Tiers);
+    let over = match (topo, plan.algo) {
+        (Some(topo), _) => Over::Tiers(topo),
+        (None, Algo::Rd) if verb == Verb::Allreduce => Over::Doubling,
+        (None, _) => Over::Flat,
+    };
     ring::run(comm, verb, plan.flavor, data, &pcfg, plan.segments, over)
 }
 
@@ -242,7 +235,7 @@ mod tests {
     use super::*;
     use crate::config::Mode;
     use netsim::{ComputeTiming, SimBuilder};
-    use tuner::DecisionSource;
+    use tuner::{DecisionSource, Flavor};
 
     fn engine() -> Engine {
         Engine::paper()
@@ -316,6 +309,54 @@ mod tests {
         assert_eq!(outcomes[0].value.plan.algo, Algo::Rd);
         let (_, d) = outcomes[0].value.detail.as_ref().unwrap();
         assert_eq!(d.source, DecisionSource::SmallMessage);
+    }
+
+    /// An rd plan under a resilience policy runs recursive doubling framed
+    /// — its hops are the ring's — where it used to run the ring in its
+    /// place: in every flavour by plan, and as auto's pick.
+    #[test]
+    fn rd_picks_run_framed_under_resilience() {
+        use crate::pipeline::decode_tag;
+        use crate::resilient::Resilience;
+        use netsim::{Event, FaultPlan, RunReport, TraceConfig};
+        let (nranks, n, eb) = (5, 256, 1e-4);
+        let base = CollectiveConfig::new(eb, Mode::SingleThread);
+        let cfg = CollectiveConfig { res: Some(Resilience::default()), ..base };
+        let lossy = || {
+            let sim = SimBuilder::new(nranks).timing(modeled()).trace(TraceConfig::default());
+            sim.faults(FaultPlan::new(3).with_drop(0.1))
+        };
+        // the phases of every data message sent, and the retransmits
+        let wire = |report: &RunReport<Vec<f32>>| {
+            let events = report.traces.iter().flat_map(|t| &t.events);
+            let sends = events.filter_map(|e| match e {
+                Event::Send { tag, .. } => decode_tag(*tag).filter(|t| !t.ctrl),
+                _ => None,
+            });
+            let phases: std::collections::BTreeSet<&str> = sends.map(|t| t.phase).collect();
+            (phases.into_iter().collect::<Vec<_>>(), report.tally().retransmits > 0)
+        };
+        let exact = exact_sum(nranks, n);
+        for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
+            let plan = Plan::serial(flavor, Algo::Rd, Mode::SingleThread, 32);
+            let report = lossy().run(|comm| {
+                let data = field(comm.rank(), n);
+                run_planned(comm, Op::Allreduce, 0, &data, &cfg, &plan, None).expect("rd")
+            });
+            assert_eq!(wire(&report), (vec!["fold", "rd"], true), "{}", plan.label());
+            let tol = crate::error_bounds::ccoll_allreduce(nranks, eb) + 1e-6;
+            for v in report.values() {
+                assert!(v.iter().zip(&exact).all(|(a, b)| ((a - b).abs() as f64) <= tol));
+            }
+        }
+        // the auto collective takes the small-message shortcut, framed
+        let report = lossy().run(|comm| {
+            let data = field(comm.rank(), n);
+            let out = run(comm, Op::Allreduce, 0, &data, &cfg, &engine(), None).expect("auto");
+            assert_eq!(out.plan.algo, Algo::Rd);
+            out.value
+        });
+        assert_eq!(wire(&report), (vec!["fold", "plan", "rd"], true));
     }
 
     #[test]

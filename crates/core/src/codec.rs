@@ -15,6 +15,10 @@
 //! | fold | unpack into the spent accumulator + sum (`mpi:reduce`, CPT) | decompress into it + sum (DPR + CPT) | homomorphic sum (`hz:homomorphic-sum`, HPR) |
 //! | install | unpack into the output | decompress into it (DPR) | decompress into it (`hz:*-decompress`, DPR) |
 //! | degraded arrival | same bytes | raw values, no DPR | recompress (`res:recompress`) |
+//! | merge a running sum ([`crate::rd`]) | unpack + sum | decompress + sum | homomorphic sum, running sum first |
+//! | labels on [`crate::rd`] | `rd:pack` / `rd:unpack` / `rd:reduce` | `rd:compress` / `rd:decompress` / `rd:reduce` | `rd:compress` / `rd:decompress` / `rd:homomorphic-sum` |
+//!
+//! The labels are data ([`Steps`], from the table in `ring::run`).
 //!
 //! So a Reduce_scatter costs `(N-1)·CPT` plus full-size traffic raw,
 //! `(N-1)(CPR + DPR + CPT)` under decompression-operation-compression, and
@@ -31,17 +35,18 @@
 
 use crate::chunks::{f32_to_bytes, read_f32s, write_f32s};
 use crate::config::CollectiveConfig;
-use crate::labels::{
-    CCOLL_COMPRESS, CCOLL_DECOMPRESS, CCOLL_REDUCE, HIER_REDUCE, HZ_COMPRESS_ALL,
-    HZ_COMPRESS_SEGMENT, HZ_FINAL_DECOMPRESS, HZ_HOMOMORPHIC_SUM, MPI_PACK, MPI_REDUCE, MPI_UNPACK,
-    RES_DEGRADE_DECOMPRESS, RES_RECOMPRESS,
-};
+use crate::labels::{HIER_REDUCE, HZ_COMPRESS_ALL, RES_DEGRADE_DECOMPRESS, RES_RECOMPRESS};
 use crate::resilient::{PayloadKind, Wire};
 use fzlight::{compress_resolved, CompressedStream, Result};
 use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
 use netsim::{Comm, Label};
 use ompszp::OszpStream;
 use std::ops::Range;
+
+/// A codec's step labels, `[encode, decode, combine]`: what it charges to
+/// pack or compress, to unpack or decompress, and to reduce (values or
+/// streams). Each schedule names its own (`ring::run`).
+pub(crate) type Steps = [Label; 3];
 
 /// The per-step operator of a ring collective over `data`, this rank's
 /// input. Ranges are absolute element ranges of `data`. A codec holds no
@@ -107,6 +112,10 @@ pub(crate) trait SegCodec {
         spent: Option<Self::Acc>,
     ) -> Result<(Self::Acc, Vec<u8>)>;
 
+    /// Fold a received payload of the whole vector into `acc`, a running
+    /// sum like it (recursive doubling). The consumed wire buffer comes back.
+    fn merge(&self, comm: &mut Comm, wire: Wire, acc: Self::Acc) -> Result<(Self::Acc, Vec<u8>)>;
+
     /// Raw f32 bytes of an accumulator whose framed send ran out of retries.
     fn degrade(&self, comm: &mut Comm, acc: &Self::Acc) -> Vec<u8>;
 
@@ -157,10 +166,10 @@ pub(crate) trait Format {
 
 /// Raw little-endian `f32`s: the identity compressor of the MPI baseline.
 pub(crate) struct Raw {
-    /// Charge the f32↔bytes staging copies (`mpi:pack` / `mpi:unpack`).
-    /// Node-local exchange is shared memory, where the byte view of a
+    /// `[pack, unpack]` labels of the f32↔bytes staging copies, or `None`:
+    /// node-local exchange is shared memory, where the byte view of a
     /// buffer is a reinterpretation and costs nothing.
-    staged: bool,
+    staged: Option<[Label; 2]>,
 }
 
 impl Format for Raw {
@@ -172,20 +181,18 @@ impl Format for Raw {
 
     fn pack(&self, comm: &mut Comm, vals: &[f32], mut buf: Vec<u8>) -> Result<Vec<u8>> {
         buf.resize(vals.len() * 4, 0);
-        if self.staged {
-            let dst = &mut buf[..];
-            comm.compute(MPI_PACK, dst.len(), || write_f32s(vals, dst));
-        } else {
-            write_f32s(vals, &mut buf);
+        let dst = &mut buf[..];
+        match self.staged {
+            Some([pack, _]) => comm.compute(pack, dst.len(), || write_f32s(vals, dst)),
+            None => write_f32s(vals, dst),
         }
         Ok(buf)
     }
 
     fn unpack(&self, comm: &mut Comm, (wire, _): Wire, dst: &mut [f32]) -> Result<Vec<u8>> {
-        if self.staged {
-            comm.compute(MPI_UNPACK, wire.len(), || read_f32s(&wire, dst))?;
-        } else {
-            read_f32s(&wire, dst)?;
+        match self.staged {
+            Some([_, unpack]) => comm.compute(unpack, wire.len(), || read_f32s(&wire, dst))?,
+            None => read_f32s(&wire, dst)?,
         }
         Ok(wire)
     }
@@ -253,27 +260,28 @@ pub(crate) struct DocCodec<F> {
 }
 
 impl DocCodec<Raw> {
-    /// The flat (and inter-node) MPI ring: NIC staging copies are charged.
-    pub(crate) fn mpi(threads: usize) -> DocCodec<Raw> {
-        DocCodec { fmt: Raw { staged: true }, threads, reduce_label: MPI_REDUCE, verbatim: false }
+    /// The flat (and inter-node) MPI schedules: staging copies are charged.
+    pub(crate) fn mpi(cfg: &CollectiveConfig, [pack, unpack, reduce]: Steps) -> DocCodec<Raw> {
+        let fmt = Raw { staged: Some([pack, unpack]) };
+        DocCodec { fmt, threads: cfg.mode.threads(), reduce_label: reduce, verbatim: false }
     }
 
     /// The intra-node tier of the hierarchical schedule: the summation is
     /// the only compute charge.
     pub(crate) fn shared_memory(threads: usize) -> DocCodec<Raw> {
-        DocCodec { fmt: Raw { staged: false }, reduce_label: HIER_REDUCE, ..DocCodec::mpi(threads) }
+        DocCodec { fmt: Raw { staged: None }, threads, reduce_label: HIER_REDUCE, verbatim: false }
     }
 }
 
 impl DocCodec<Oszp> {
-    pub(crate) fn ccoll(cfg: &CollectiveConfig) -> DocCodec<Oszp> {
+    pub(crate) fn ccoll(cfg: &CollectiveConfig, [compress, decompress, reduce]: Steps) -> Self {
         let ocfg = ompszp::Config::new(ompszp::ErrorBound::Abs(cfg.eb))
             .with_block_len(cfg.block_len)
             .with_threads(cfg.mode.threads());
         DocCodec {
-            fmt: Oszp { cfg: ocfg, labels: [CCOLL_COMPRESS, CCOLL_DECOMPRESS] },
+            fmt: Oszp { cfg: ocfg, labels: [compress, decompress] },
             threads: cfg.mode.threads(),
-            reduce_label: CCOLL_REDUCE,
+            reduce_label: reduce,
             verbatim: true,
         }
     }
@@ -284,13 +292,8 @@ impl DocCodec<Oszp> {
     #[cfg(test)]
     pub(crate) fn p2p(cfg: &CollectiveConfig) -> DocCodec<Oszp> {
         use crate::labels::{P2P_COMPRESS, P2P_DECOMPRESS, P2P_REDUCE};
-        let ccoll = DocCodec::ccoll(cfg);
-        DocCodec {
-            fmt: Oszp { labels: [P2P_COMPRESS, P2P_DECOMPRESS], ..ccoll.fmt },
-            reduce_label: P2P_REDUCE,
-            verbatim: false,
-            ..ccoll
-        }
+        let steps = [P2P_COMPRESS, P2P_DECOMPRESS, P2P_REDUCE];
+        DocCodec { verbatim: false, ..DocCodec::ccoll(cfg, steps) }
     }
 }
 
@@ -340,6 +343,11 @@ impl<F: Format> SegCodec for DocCodec<F> {
         Ok((acc, wire))
     }
 
+    fn merge(&self, comm: &mut Comm, wire: Wire, acc: Vec<f32>) -> Result<(Vec<f32>, Vec<u8>)> {
+        // values commute: the running sum is the own contribution of a fold
+        self.fold(comm, wire, &acc, &(0..acc.len()), None, None)
+    }
+
     fn degrade(&self, _: &mut Comm, acc: &Vec<f32>) -> Vec<u8> {
         // the raw accumulator is the last good state
         f32_to_bytes(acc)
@@ -374,32 +382,34 @@ pub(crate) struct HzCodec {
     eb: f64,
     block_len: usize,
     threads: usize,
-    pack_label: Label,
-    install_label: Label,
+    steps: Steps,
 }
 
 impl HzCodec {
-    /// `pack_label` / `install_label` name the verb-specific CPR and DPR
-    /// steps (`hz:bcast-compress`, `hz:root-decompress`, …).
-    pub(crate) fn new(cfg: &CollectiveConfig, pack_label: Label, install_label: Label) -> HzCodec {
-        HzCodec {
-            eb: cfg.eb,
-            block_len: cfg.block_len,
-            threads: cfg.mode.threads(),
-            pack_label,
-            install_label,
-        }
-    }
-
-    /// The codec of the reducing verbs outside Reduce-to-root.
-    pub(crate) fn reducing(cfg: &CollectiveConfig) -> HzCodec {
-        HzCodec::new(cfg, HZ_COMPRESS_SEGMENT, HZ_FINAL_DECOMPRESS)
+    /// `steps` name the verb's CPR, DPR and HPR steps
+    /// (`hz:bcast-compress`, `hz:root-decompress`, …).
+    pub(crate) fn new(cfg: &CollectiveConfig, steps: Steps) -> HzCodec {
+        HzCodec { eb: cfg.eb, block_len: cfg.block_len, threads: cfg.mode.threads(), steps }
     }
 
     fn compress(&self, comm: &mut Comm, vals: &[f32], label: Label) -> Result<CompressedStream> {
         comm.compute(label, vals.len() * 4, || {
             compress_resolved(vals, self.eb, self.block_len, self.threads)
         })
+    }
+
+    /// The stream a received payload carries: parsed in the buffer it came
+    /// in, or — a degraded hop delivered raw f32s — recompressed (at most
+    /// one extra quantization of error) so the homomorphic sum proceeds.
+    fn receive(&self, comm: &mut Comm, (wire, kind): Wire, n: usize) -> Result<CompressedStream> {
+        match kind {
+            PayloadKind::Opaque => CompressedStream::from_bytes(wire),
+            PayloadKind::RawF32 => {
+                let mut vals = vec![0f32; n];
+                read_f32s(&wire, &mut vals)?;
+                self.compress(comm, &vals, RES_RECOMPRESS)
+            }
+        }
     }
 }
 
@@ -422,7 +432,7 @@ impl SegCodec for HzCodec {
         data: &[f32],
         rng: &Range<usize>,
     ) -> Result<Option<CompressedStream>> {
-        self.compress(comm, &data[rng.clone()], HZ_COMPRESS_SEGMENT).map(Some)
+        self.compress(comm, &data[rng.clone()], self.steps[0]).map(Some)
     }
 
     fn prime(
@@ -460,26 +470,23 @@ impl SegCodec for HzCodec {
     fn fold(
         &self,
         comm: &mut Comm,
-        (wire, kind): Wire,
+        wire: Wire,
         _: &[f32],
         rng: &Range<usize>,
         operand: Option<&CompressedStream>,
         _: Option<CompressedStream>,
     ) -> Result<(CompressedStream, Vec<u8>)> {
-        let received = match kind {
-            PayloadKind::Opaque => CompressedStream::from_bytes(wire)?,
-            // a degraded hop delivered raw f32s: recompress (at most one
-            // extra quantization of error) so the homomorphic sum proceeds
-            PayloadKind::RawF32 => {
-                let mut vals = vec![0f32; rng.len()];
-                read_f32s(&wire, &mut vals)?;
-                self.compress(comm, &vals, RES_RECOMPRESS)?
-            }
-        };
+        let received = self.receive(comm, wire, rng.len())?;
         let operand = operand.expect("hZCCL reduces compressed operands");
         // reduce two compressed segments directly, no decompression
-        let sum = comm
-            .compute(HZ_HOMOMORPHIC_SUM, rng.len() * 4, || homomorphic_sum(&received, operand))?;
+        let sum =
+            comm.compute(self.steps[2], rng.len() * 4, || homomorphic_sum(&received, operand))?;
+        Ok((sum, received.into_bytes()))
+    }
+
+    fn merge(&self, comm: &mut Comm, wire: Wire, acc: Self::Acc) -> Result<(Self::Acc, Vec<u8>)> {
+        let received = self.receive(comm, wire, acc.n())?;
+        let sum = comm.compute(self.steps[2], acc.n() * 4, || homomorphic_sum(&acc, &received))?;
         Ok((sum, received.into_bytes()))
     }
 
@@ -495,7 +502,7 @@ impl SegCodec for HzCodec {
     }
 
     fn pack(&self, comm: &mut Comm, vals: &[f32], _: Vec<u8>) -> Result<Vec<u8>> {
-        Ok(self.compress(comm, vals, self.pack_label)?.into_bytes())
+        Ok(self.compress(comm, vals, self.steps[0])?.into_bytes())
     }
 
     fn install(
@@ -508,7 +515,7 @@ impl SegCodec for HzCodec {
         match kind {
             PayloadKind::Opaque => {
                 let stream = CompressedStream::from_bytes(wire)?;
-                comm.compute(self.install_label, dst.len() * 4, || {
+                comm.compute(self.steps[1], dst.len() * 4, || {
                     fzlight::decompress_into(&stream, dst)
                 })?;
                 Ok(stream.into_bytes())

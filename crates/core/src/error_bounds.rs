@@ -19,7 +19,8 @@
 //!   (fresh quantization of the incoming term plus re-quantization of the
 //!   accumulated value), giving `<= (2N-1)*eb` after `N-1` rounds.
 //! * **C-Coll Allreduce** — one more compression/decompression pair in the
-//!   Allgather stage: `<= 2N*eb`.
+//!   Allgather stage: `<= 2N*eb`. Its recursive doubling stays inside it:
+//!   `e_k <= 2*e_{k-1} + eb` per round, `<= 2P*eb` over a `P`-rank core.
 //! * **CPR-P2P Allreduce** — additionally re-quantizes on every Allgather
 //!   forwarding hop: `<= (3N-2)*eb` (the Reduce_scatter bound plus up to
 //!   `N-1` further re-quantizations of the final value).

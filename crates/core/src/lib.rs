@@ -26,8 +26,8 @@
 //! ([`CollectiveOpts::with_segments`]), framed over the resilient transport
 //! ([`Resilience`]), two-tier over a node ring and a leader ring
 //! (`hierarchy.rs`), and — one attempt per epoch of a recovery loop — over a
-//! shrinking membership (`membership.rs`). [`rd`] adds a recursive-doubling Allreduce
-//! (with homomorphic reduction) for the latency-bound small-message regime,
+//! shrinking membership (`membership.rs`). [`rd`] runs its hops and codecs as a
+//! recursive-doubling Allreduce for the latency-bound small-message regime,
 //! and [`error_bounds`] states the analytic worst-case error of each
 //! workflow.
 //!

@@ -7,18 +7,20 @@
 //! Non-power-of-two rank counts use the standard fold/unfold: the first
 //! `2*r` ranks (where `r = N - 2^floor(log2 N)`) pre-combine pairwise so a
 //! power-of-two core runs the doubling, then results are forwarded back.
+//!
+//! The schedule has no wire of its own: its exchanges are the ring's
+//! `Hop`s and its arithmetic is the flavour's `SegCodec` over the whole
+//! vector as one segment, so it runs in every flavour, plain or framed,
+//! reached through `ring::run` as `Over::Doubling`.
 
+use crate::codec::SegCodec;
+use crate::collectives::Result;
 use crate::config::CollectiveConfig;
-use crate::labels;
 use crate::pipeline::{TAG_FOLD, TAG_RD};
-use fzlight::{compress_resolved, decompress, CompressedStream, Result};
-use hzdyn::{doc::reduce_in_place, homomorphic_sum, ReduceOp};
+use crate::resilient::{Hop, Resilience};
+use crate::ring::{self, Over, Ran, Verb};
 use netsim::Comm;
-
-/// Largest power of two `<= n`.
-fn pow2_floor(n: usize) -> usize {
-    1 << (usize::BITS - 1 - n.leading_zeros())
-}
+use tuner::Flavor;
 
 /// Plan of the fold/unfold for non-power-of-two counts.
 ///
@@ -32,7 +34,7 @@ struct RdPlan {
 
 impl RdPlan {
     fn new(n: usize) -> RdPlan {
-        let pow2 = pow2_floor(n);
+        let pow2 = 1 << n.ilog2();
         RdPlan { pow2, rem: n - pow2 }
     }
 
@@ -40,11 +42,7 @@ impl RdPlan {
     /// out after the pre-combine.
     fn core_id(&self, rank: usize) -> Option<usize> {
         if rank < 2 * self.rem {
-            if rank % 2 == 1 {
-                Some(rank / 2)
-            } else {
-                None
-            }
+            (rank % 2 == 1).then_some(rank / 2)
         } else {
             Some(rank - self.rem)
         }
@@ -60,104 +58,79 @@ impl RdPlan {
     }
 }
 
-/// Fold, double, unfold, over an accumulator `A` and the three things a
-/// flavour does with it: `pack` it into wire bytes, `merge` received wire
-/// bytes into it (or, with no accumulator, adopt them as one), and `finish`
-/// it into values. Every message is one whole accumulator standing for
-/// `bytes` raw bytes.
-fn schedule<A>(
+/// Fold, double, unfold: `Allreduce(sum)` of the whole vector as one
+/// segment of `codec`, every exchange a [`Hop`] (plain, or framed under
+/// `res`). Each rank prepares its own operand once, every doubling round
+/// exchanges running sums and merges them, and each rank settles the result
+/// once — for hZCCL `1·CPR + log2(N)·HPR + 1·DPR` per rank.
+pub(crate) fn allreduce<C: SegCodec>(
     comm: &mut Comm,
-    mut acc: A,
-    bytes: usize,
-    pack: impl Fn(&mut Comm, &A) -> Vec<u8>,
-    merge: impl Fn(&mut Comm, Option<A>, Vec<u8>) -> Result<A>,
-    finish: impl Fn(&mut Comm, A) -> Result<Vec<f32>>,
-) -> Result<Vec<f32>> {
-    let r = comm.rank();
-    if comm.size() == 1 {
-        return finish(comm, acc);
-    }
+    codec: &C,
+    data: &[f32],
+    res: Option<&Resilience>,
+) -> Ran<Vec<f32>> {
+    let (r, all, bytes) = (comm.rank(), 0..data.len(), data.len() * 4);
     let plan = RdPlan::new(comm.size());
-
+    let operand = codec.operand(comm, data, &all)?;
+    let mut acc = codec.seed(data, &all, operand);
+    let mut spare = Vec::new();
     // fold: even partners send their vector to the odd ones and wait for
     // the result
-    if r < 2 * plan.rem {
-        if r.is_multiple_of(2) {
-            let payload = pack(comm, &acc);
-            comm.send_compressed(r + 1, TAG_FOLD, payload, bytes);
-            let got = comm.recv(r + 1, TAG_FOLD + 1);
-            let result = merge(comm, None, got)?;
-            return finish(comm, result);
-        }
-        let got = comm.recv(r - 1, TAG_FOLD);
-        acc = merge(comm, Some(acc), got)?;
+    let (folded, partner) = (r < 2 * plan.rem, r ^ 1);
+    let fold = Hop::new(partner, partner, res);
+    if folded && r.is_multiple_of(2) {
+        let wire = (codec.encode(comm, &acc, spare)?, C::WIRE);
+        fold.send_to(comm, partner, TAG_FOLD, wire, bytes, |c| codec.degrade(c, &acc))?;
+        let (wire, kind) = fold.recv_from(comm, partner, TAG_FOLD + 1, C::WIRE)?;
+        let mut out = vec![0f32; data.len()];
+        codec.install(comm, wire, kind, &mut out)?;
+        return Ok(out);
+    }
+    if folded {
+        let got = fold.recv_from(comm, partner, TAG_FOLD, C::WIRE)?;
+        (acc, spare) = codec.merge(comm, got, acc)?;
     }
     let core = plan.core_id(r).expect("folded ranks returned above");
 
-    // doubling over the power-of-two core
+    // doubling over the power-of-two core: one paired exchange per round
     let mut mask = 1usize;
     while mask < plan.pow2 {
         let peer = plan.core_to_rank(core ^ mask);
-        let (payload, tag) = (pack(comm, &acc), TAG_RD + mask as u64);
-        comm.send_compressed(peer, tag, payload, bytes);
-        let got = comm.recv(peer, tag);
-        acc = merge(comm, Some(acc), got)?;
+        let (mut hop, tag) = (Hop::new(peer, peer, res), TAG_RD + mask as u64);
+        let wire = (codec.encode(comm, &acc, spare)?, C::WIRE);
+        hop.send(comm, tag, wire, bytes, true)?;
+        let got = hop.recv(comm, tag, C::WIRE, |c| codec.degrade(c, &acc))?;
+        (acc, spare) = codec.merge(comm, got, acc)?;
         mask <<= 1;
     }
 
-    // unfold: odd partners return the result to the even ones
-    if r < 2 * plan.rem {
-        let payload = pack(comm, &acc);
-        comm.send_compressed(r - 1, TAG_FOLD + 1, payload, bytes);
+    // unfold: odd partners return the result to the even ones; the output
+    // is allocated only once no message buffer is held
+    if folded {
+        let wire = (codec.encode(comm, &acc, spare)?, C::WIRE);
+        fold.send_to(comm, partner, TAG_FOLD + 1, wire, bytes, |c| codec.degrade(c, &acc))?;
+    } else {
+        drop(spare);
     }
-    finish(comm, acc)
+    let mut out = vec![0f32; data.len()];
+    if let Some(wire) = codec.handoff(acc, &mut out) {
+        codec.install(comm, wire, C::WIRE, &mut out)?;
+    }
+    Ok(out)
 }
 
-/// Recursive-doubling `Allreduce(sum)` on raw values (MPI baseline).
-pub fn allreduce_rd(comm: &mut Comm, data: &[f32], cpt_threads: usize) -> Vec<f32> {
-    let pack = |comm: &mut Comm, acc: &Vec<f32>| {
-        comm.compute(labels::RD_PACK, acc.len() * 4, || crate::chunks::f32_to_bytes(acc))
-    };
-    let merge = |comm: &mut Comm, acc: Option<Vec<f32>>, got: Vec<u8>| {
-        let mut vals = vec![0f32; data.len()];
-        comm.compute(labels::RD_UNPACK, got.len(), || crate::chunks::read_f32s(&got, &mut vals))?;
-        let Some(mut acc) = acc else { return Ok(vals) };
-        comm.compute(labels::RD_REDUCE, acc.len() * 4, || {
-            reduce_in_place(&mut acc, &vals, ReduceOp::Sum, cpt_threads)
-        });
-        Ok(acc)
-    };
-    schedule(comm, data.to_vec(), data.len() * 4, pack, merge, |_, acc| Ok(acc))
-        .expect("every rank reduces a vector of the same length")
-}
-
-/// Recursive-doubling `Allreduce(sum)` with homomorphic reduction: each rank
-/// compresses once, every doubling round exchanges compressed vectors and
-/// reduces them with `hZ-dynamic`, and each rank decompresses once at the
-/// end — `1·CPR + log2(N)·HPR + 1·DPR` per rank.
+/// Recursive-doubling hZCCL `Allreduce(sum)`: the plan `hzccl::auto` runs
+/// for an hZCCL rd pick, callable directly.
 pub fn allreduce_rd_hz(comm: &mut Comm, data: &[f32], cfg: &CollectiveConfig) -> Result<Vec<f32>> {
-    let bytes = data.len() * 4;
-    let acc = comm.compute(labels::RD_COMPRESS, bytes, || {
-        compress_resolved(data, cfg.eb, cfg.block_len, cfg.mode.threads())
-    })?;
-    let pack = |_: &mut Comm, acc: &CompressedStream| acc.as_bytes().to_vec();
-    let merge = |comm: &mut Comm, acc: Option<CompressedStream>, got: Vec<u8>| {
-        let other = CompressedStream::from_bytes(got)?;
-        let Some(acc) = acc else { return Ok(other) };
-        comm.compute(labels::RD_HOMOMORPHIC_SUM, bytes, || homomorphic_sum(&acc, &other))
-    };
-    schedule(comm, acc, bytes, pack, merge, |comm, acc| {
-        comm.compute(labels::RD_DECOMPRESS, bytes, || decompress(&acc))
-    })
+    ring::run(comm, Verb::Allreduce, Flavor::Hzccl, data, cfg, 1, Over::Doubling)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Mode;
-    use crate::ring::{Over, Verb};
-    use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
-    use tuner::Flavor;
+    use crate::error_bounds;
+    use netsim::{ComputeTiming, FaultPlan, SimBuilder, ThroughputModel, TraceConfig};
 
     fn modeled() -> ComputeTiming {
         ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0))
@@ -177,6 +150,18 @@ mod tests {
         acc
     }
 
+    /// `Allreduce(sum)` over `over` in `flavor`'s workflow.
+    fn allreduce_over(
+        comm: &mut Comm,
+        flavor: Flavor,
+        cfg: &CollectiveConfig,
+        n: usize,
+        over: Over<'_>,
+    ) -> Vec<f32> {
+        let data = field(comm.rank(), n);
+        ring::run(comm, Verb::Allreduce, flavor, &data, cfg, 1, over).expect("allreduce")
+    }
+
     #[test]
     fn plan_covers_power_of_two_and_odd_counts() {
         for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 16, 31] {
@@ -193,114 +178,84 @@ mod tests {
         }
     }
 
+    /// Raw sums to f32 rounding; the compressed flavours within their
+    /// Allreduce bounds (C-Coll re-quantizes its running sum once per
+    /// round, inside `2N·eb`: `error_bounds`).
     #[test]
-    fn rd_matches_direct_sum_for_all_counts() {
-        for nranks in [1usize, 2, 3, 4, 5, 7, 8, 11, 16] {
-            let n = 300;
-            let cluster = SimBuilder::new(nranks).timing(modeled());
-            let outcomes = cluster
-                .run(|comm| {
-                    let data = field(comm.rank(), n);
-                    allreduce_rd(comm, &data, 1)
-                })
-                .expect_clean()
-                .outcomes;
-            let expect = direct_sum(nranks, n);
-            for (r, o) in outcomes.iter().enumerate() {
-                for (i, (a, b)) in o.value.iter().zip(&expect).enumerate() {
-                    assert!((a - b).abs() <= 1e-3, "nranks={nranks} rank={r} at {i}: {a} vs {b}");
+    fn rd_is_correct_in_every_flavour_for_all_counts() {
+        let eb = 1e-4;
+        let cfg = CollectiveConfig::new(eb, Mode::SingleThread);
+        for nranks in [1usize, 2, 3, 4, 5, 7, 8, 11, 13, 16] {
+            let (n, expect) = (300, direct_sum(nranks, 300));
+            for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
+                let tol = match flavor {
+                    Flavor::Mpi => 1e-3,
+                    Flavor::CColl => error_bounds::ccoll_allreduce(nranks, eb) + 1e-6,
+                    Flavor::Hzccl => error_bounds::hzccl_allreduce(nranks, eb) + 1e-6,
+                };
+                let cluster = SimBuilder::new(nranks).timing(modeled());
+                let outcomes = cluster
+                    .run(|comm| allreduce_over(comm, flavor, &cfg, n, Over::Doubling))
+                    .expect_clean()
+                    .outcomes;
+                for (r, o) in outcomes.iter().enumerate() {
+                    for (i, (a, b)) in o.value.iter().zip(&expect).enumerate() {
+                        let what = format!("{flavor:?} nranks={nranks} rank={r} at {i}");
+                        assert!(((a - b).abs() as f64) <= tol, "{what}: {a} vs {b}");
+                    }
                 }
             }
         }
     }
 
+    /// Both schedules sum the same quantization integers (in different
+    /// orders, but integer addition is associative), so hZCCL's recursive
+    /// doubling reconstructs the flat S = 1 ring's result bit for bit, on
+    /// every rank, in either thread mode — and framed too, while every hop
+    /// delivers its stream within `max_retries` (no degraded segment).
     #[test]
-    fn rd_hz_is_error_bounded_for_all_counts() {
-        let eb = 1e-4;
-        let cfg = CollectiveConfig::new(eb, Mode::SingleThread);
-        for nranks in [1usize, 2, 3, 5, 8, 13] {
-            let n = 400;
-            let cluster = SimBuilder::new(nranks).timing(modeled());
-            let outcomes = cluster
-                .run(|comm| {
-                    let data = field(comm.rank(), n);
-                    allreduce_rd_hz(comm, &data, &cfg).expect("rd hz")
-                })
-                .expect_clean()
-                .outcomes;
-            let expect = direct_sum(nranks, n);
-            let tol = nranks as f64 * eb + 1e-6;
-            for o in &outcomes {
-                for (i, (a, b)) in o.value.iter().zip(&expect).enumerate() {
-                    assert!(((a - b).abs() as f64) <= tol, "nranks={nranks} at {i}: {a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rd_hz_agrees_with_ring_hz_on_integers() {
-        let eb = 1e-4;
-        let cfg = CollectiveConfig::new(eb, Mode::SingleThread);
-        let nranks = 6;
+    fn rd_hz_is_the_flat_ring_bit_for_bit() {
         let n = 600;
-        let cluster = SimBuilder::new(nranks).timing(modeled());
-        let ring = cluster
-            .run(|comm| {
-                let data = field(comm.rank(), n);
-                crate::ring::run(comm, Verb::Allreduce, Flavor::Hzccl, &data, &cfg, 1, Over::Flat)
-                    .expect("ring")
-            })
-            .expect_clean()
-            .outcomes;
-        let rd = cluster
-            .run(|comm| {
-                let data = field(comm.rank(), n);
-                allreduce_rd_hz(comm, &data, &cfg).expect("rd")
-            })
-            .expect_clean()
-            .outcomes;
-        // both sum the same quantization integers (in different orders, but
-        // integer addition is associative) => identical reconstructions
-        assert_eq!(ring[0].value, rd[0].value);
+        let mut retransmits = 0;
+        for nranks in [1usize, 2, 3, 5, 8] {
+            for mode in [Mode::SingleThread, Mode::MultiThread(4)] {
+                let cfg = CollectiveConfig::new(1e-4, mode);
+                let cluster = SimBuilder::new(nranks).timing(modeled());
+                let ring = cluster
+                    .run(|comm| allreduce_over(comm, Flavor::Hzccl, &cfg, n, Over::Flat))
+                    .values();
+                for framed in [false, true] {
+                    let what = format!("r{nranks} {mode:?} framed={framed}");
+                    let res = Resilience::default();
+                    let cfg = CollectiveConfig { res: framed.then_some(res), ..cfg };
+                    let mut sim =
+                        SimBuilder::new(nranks).timing(modeled()).trace(TraceConfig::default());
+                    if framed {
+                        sim = sim.faults(FaultPlan::new(11).with_drop(0.1).with_corrupt(0.05));
+                    }
+                    let report = sim
+                        .run(|comm| allreduce_over(comm, Flavor::Hzccl, &cfg, n, Over::Doubling));
+                    let tally = report.tally();
+                    assert_eq!(tally.degraded_segments, 0, "{what}");
+                    retransmits += tally.retransmits;
+                    assert_eq!(report.values(), ring, "{what}");
+                }
+            }
+        }
+        assert!(retransmits > 0, "the framed cases never lost a frame");
     }
 
     #[test]
     fn rd_beats_ring_for_tiny_messages_in_virtual_time() {
         // latency-bound regime: log2(N) rounds beat 2(N-1) rounds
-        let nranks = 16;
         let n = 64; // 256 B per rank
         let cfg = CollectiveConfig::new(1e-4, Mode::SingleThread);
-        let cluster = SimBuilder::new(nranks).timing(modeled());
-        let t_ring = {
-            let s = cluster
-                .run(|comm| {
-                    let data = field(comm.rank(), n);
-                    crate::ring::run(
-                        comm,
-                        Verb::Allreduce,
-                        Flavor::Hzccl,
-                        &data,
-                        &cfg,
-                        1,
-                        Over::Flat,
-                    )
-                    .expect("ring");
-                })
-                .expect_clean()
-                .stats;
-            s.makespan
+        let makespan = |over: fn() -> Over<'static>| {
+            let cluster = SimBuilder::new(16).timing(modeled());
+            let run = cluster.run(|comm| allreduce_over(comm, Flavor::Hzccl, &cfg, n, over()));
+            run.expect_clean().stats.makespan
         };
-        let t_rd = {
-            let s = cluster
-                .run(|comm| {
-                    let data = field(comm.rank(), n);
-                    allreduce_rd_hz(comm, &data, &cfg).expect("rd");
-                })
-                .expect_clean()
-                .stats;
-            s.makespan
-        };
+        let (t_ring, t_rd) = (makespan(|| Over::Flat), makespan(|| Over::Doubling));
         assert!(t_rd < t_ring, "rd {t_rd} vs ring {t_ring}");
     }
 }

@@ -13,6 +13,9 @@
 //!   [`Ring::survivors`], one attempt per membership epoch: an interrupted
 //!   hop ends a loop with a typed [`Stop`], which its recovery loop answers.
 //!
+//! Recursive doubling ([`crate::rd`]) is the one other loop, over the same
+//! [`Hop`] and [`SegCodec`], reached through [`run`] as [`Over::Doubling`].
+//!
 //! ## Segments and the two schedules
 //!
 //! Every chunk is cut into block-aligned segments
@@ -25,7 +28,7 @@
 //! each at one site below — see DESIGN.md §4.3 for the table.
 
 use crate::chunks::f32_to_bytes;
-use crate::codec::{DocCodec, HzCodec, SegCodec};
+use crate::codec::{DocCodec, HzCodec, SegCodec, Steps};
 use crate::collectives;
 use crate::config::CollectiveConfig;
 use crate::hierarchy;
@@ -35,6 +38,7 @@ use crate::pipeline::{
     epoch_tag, seg_count, seg_range, seg_tag, TAG_AG, TAG_GATHER, TAG_HAG, TAG_HRING, TAG_HRS,
     TAG_RS, TAG_SCATTER,
 };
+use crate::rd;
 use crate::resilient::{Hop, Interrupt, Resilience, Wire};
 use crate::survivable;
 use fzlight::Result;
@@ -82,6 +86,9 @@ pub(crate) enum Over<'a> {
     /// one until an attempt commits (`crate::survivable`; Allreduce and
     /// Reduce_scatter only) — the committed view is left behind.
     Survivors(&'a mut View),
+    /// No ring: recursive doubling over the whole communicator (Allreduce
+    /// only).
+    Doubling,
 }
 
 /// What a ring loop returns.
@@ -657,6 +664,10 @@ fn run_with<C: SegCodec>(
             debug_assert!(matches!(verb, Verb::Allreduce | Verb::ReduceScatter));
             return survivable::recover(comm, codec, data, res, verb == Verb::Allreduce, view);
         }
+        Over::Doubling => {
+            debug_assert_eq!(verb, Verb::Allreduce, "only Allreduce has a doubling schedule");
+            return Ok(rd::allreduce(comm, codec, data, res)?);
+        }
     }
     // A framed hop is one stop-and-wait exchange, posted when its receive
     // runs and over when both directions are ACKed: segments could overlap
@@ -708,8 +719,26 @@ fn run_with<C: SegCodec>(
     Ok(ran?)
 }
 
+/// The step labels `flavor`'s codec charges for `verb` on the ring, or on
+/// recursive doubling (`rd`): `[encode, decode, combine]`.
+fn steps(flavor: Flavor, verb: Verb, rd: bool) -> Steps {
+    use labels::*;
+    let hz = |encode, decode| [encode, decode, HZ_HOMOMORPHIC_SUM];
+    match (flavor, rd, verb) {
+        (Flavor::Mpi, false, _) => [MPI_PACK, MPI_UNPACK, MPI_REDUCE],
+        (Flavor::Mpi, true, _) => [RD_PACK, RD_UNPACK, RD_REDUCE],
+        (Flavor::CColl, false, _) => [CCOLL_COMPRESS, CCOLL_DECOMPRESS, CCOLL_REDUCE],
+        (Flavor::CColl, true, _) => [RD_COMPRESS, RD_DECOMPRESS, RD_REDUCE],
+        (Flavor::Hzccl, true, _) => [RD_COMPRESS, RD_DECOMPRESS, RD_HOMOMORPHIC_SUM],
+        (Flavor::Hzccl, false, Verb::Reduce { .. }) => hz(HZ_COMPRESS_SEGMENT, HZ_ROOT_DECOMPRESS),
+        (Flavor::Hzccl, false, Verb::Bcast { .. }) => hz(HZ_BCAST_COMPRESS, HZ_BCAST_DECOMPRESS),
+        (Flavor::Hzccl, false, _) => hz(HZ_COMPRESS_SEGMENT, HZ_FINAL_DECOMPRESS),
+    }
+}
+
 /// The one verb × flavour dispatch: run `verb` in `flavor`'s workflow at
-/// the requested `segments` count over the ring(s) `over` names.
+/// the requested `segments` count over the ring(s) — or the doubling —
+/// `over` names.
 pub(crate) fn run(
     comm: &mut Comm,
     verb: Verb,
@@ -719,24 +748,13 @@ pub(crate) fn run(
     segments: usize,
     over: Over<'_>,
 ) -> collectives::Result<Vec<f32>> {
+    let steps = steps(flavor, verb, matches!(over, Over::Doubling));
     match flavor {
-        Flavor::Mpi => {
-            let codec = DocCodec::mpi(cfg.mode.threads());
-            run_with(comm, codec, verb, data, cfg, segments, over)
+        Flavor::Mpi => run_with(comm, DocCodec::mpi(cfg, steps), verb, data, cfg, segments, over),
+        Flavor::CColl => {
+            run_with(comm, DocCodec::ccoll(cfg, steps), verb, data, cfg, segments, over)
         }
-        Flavor::CColl => run_with(comm, DocCodec::ccoll(cfg), verb, data, cfg, segments, over),
-        Flavor::Hzccl => {
-            let codec = match verb {
-                Verb::Reduce { .. } => {
-                    HzCodec::new(cfg, labels::HZ_COMPRESS_SEGMENT, labels::HZ_ROOT_DECOMPRESS)
-                }
-                Verb::Bcast { .. } => {
-                    HzCodec::new(cfg, labels::HZ_BCAST_COMPRESS, labels::HZ_BCAST_DECOMPRESS)
-                }
-                _ => HzCodec::reducing(cfg),
-            };
-            run_with(comm, codec, verb, data, cfg, segments, over)
-        }
+        Flavor::Hzccl => run_with(comm, HzCodec::new(cfg, steps), verb, data, cfg, segments, over),
     }
 }
 

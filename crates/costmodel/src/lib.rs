@@ -73,7 +73,7 @@ pub enum Algo {
     /// Bandwidth-optimal ring (2(N-1) chunk rounds).
     Ring,
     /// Latency-optimal recursive doubling (ceil(log2 N) full-vector rounds);
-    /// only `Allreduce` has one, and only under `Mpi` and `Hzccl`.
+    /// only `Allreduce` has one, in every flavour.
     Rd,
 }
 
@@ -136,23 +136,22 @@ struct Row {
     /// What a later phase pays to put the reduced chunk on the wire: a raw
     /// partial sum is encoded, a stream ships as it is.
     ship: Kernels,
-    /// One recursive-doubling round over the *full* vector. `None`: no such
-    /// schedule — the flavour is priced (and run) as its ring.
-    rd: Option<Kernels>,
+    /// One recursive-doubling round over the *full* vector.
+    rd: Kernels,
 }
 
 /// Indexed by `Flavor as usize`.
 const TABLE: [Row; 3] = [
-    Row { compressed: false, rs: [&[], &[Cpt], &[]], ship: &[], rd: Some(&[Cpt]) },
-    Row { compressed: true, rs: [&[], &[Cpr, Dpr, Cpt], &[]], ship: &[Cpr], rd: None },
-    Row { compressed: true, rs: [&[Cpr], &[Cpr, Hpr], &[Dpr]], ship: &[], rd: Some(&[Hpr]) },
+    Row { compressed: false, rs: [&[], &[Cpt], &[]], ship: &[], rd: &[Cpt] },
+    Row { compressed: true, rs: [&[], &[Cpr, Dpr, Cpt], &[]], ship: &[Cpr], rd: &[Cpr, Dpr, Cpt] },
+    Row { compressed: true, rs: [&[Cpr], &[Cpr, Hpr], &[Dpr]], ship: &[], rd: &[Hpr] },
 ];
 
 /// Predicted completion time of `op` in `flavor`'s workflow on `s`:
 ///
 /// * `Algo::Ring` at `segments` segments per ring step (1 = the paper's
 ///   phase-serial schedule): the one ring formula over the cost table;
-/// * `Algo::Rd`: recursive doubling, where the flavour's Allreduce has one;
+/// * `Algo::Rd`: recursive doubling, the Allreduce's other schedule;
 /// * `topology` given: the two-tier Allreduce — `flavor`'s phase-serial ring
 ///   among the node leaders between two raw intra-node phases; `op`, `algo`
 ///   and `segments` do not apply, as in `hzccl::hierarchy`.
@@ -166,8 +165,8 @@ pub fn predict(
 ) -> f64 {
     let row = &TABLE[flavor as usize];
     let Some(topo) = topology else {
-        return match (algo, op, row.rd) {
-            (Algo::Rd, Op::Allreduce, Some(round)) => recursive_doubling(s, row, round),
+        return match (algo, op) {
+            (Algo::Rd, Op::Allreduce) => recursive_doubling(s, row),
             _ => ring(s, op, row, segments),
         };
     };
@@ -213,17 +212,20 @@ fn ring(s: &Scenario, op: Op, row: &Row, segments: usize) -> f64 {
 
 /// `ceil(log2 N)` rounds, each exchanging the *full* vector and folding it,
 /// plus one exchange + fold and one exchange (unfold) more when `N` is not
-/// a power of two (mirrors `hzccl::rd::RdPlan`).
-fn recursive_doubling(s: &Scenario, row: &Row, round: Kernels) -> f64 {
+/// a power of two (mirrors `hzccl::rd::RdPlan`). A raw partial sum is
+/// encoded to unfold and decoded where it lands (C-Coll: CPR + DPR); a
+/// stream's decode there is the close every rank pays.
+fn recursive_doubling(s: &Scenario, row: &Row) -> f64 {
     let full = s.message_bytes as f64;
     let [open, _, close] = row.rs;
     let wire = s.net.latency_s + s.ser(full, row.compressed);
-    let step = wire + s.cost(round, full);
+    let step = wire + s.cost(row.rd, full);
     let pow2 = 1usize << s.nranks.ilog2(); // the core the other ranks fold into
     let mut t = s.cost(open, full) + pow2.trailing_zeros() as f64 * step + s.cost(close, full);
     if pow2 != s.nranks {
+        let land: Kernels = if row.ship.is_empty() { &[] } else { &[Dpr] };
         t += step;
-        t += wire;
+        t += wire + s.cost(row.ship, full) + s.cost(land, full);
     }
     t
 }
@@ -463,10 +465,12 @@ mod tests {
             // same α count, smaller slope; and 64x smaller per-round chunks
             // dwarf the ring's extra latency at 646 MB
             ("rd: hz < mpi", rd(&s, Hzccl), rd(&m, Mpi)),
+            ("rd: hz < ccoll", rd(&s, Hzccl), rd(&c, CColl)),
             ("hz: ring < rd", ar(&s, Hzccl), rd(&s, Hzccl)),
             // off a power of two, rd pays the fold/unfold surcharge
             ("rd mpi: 64 < 63 ranks", rd(&own(Mpi, &p64), Mpi), rd(&own(Mpi, &p63), Mpi)),
             ("rd hz: 64 < 63 ranks", rd(&p64, Hzccl), rd(&p63, Hzccl)),
+            ("rd ccoll: 64 < 63 ranks", rd(&own(CColl, &p64), CColl), rd(&own(CColl, &p63), CColl)),
         ]);
         // speedups in the paper's ballpark (1.4x-2.7x for ST)
         let speedup = ar(&s, Mpi) / ar(&s, Hzccl);

@@ -108,7 +108,9 @@ impl Engine {
         let mut out = Vec::new();
         for hierarchical in [false, true].into_iter().filter(|&h| !h || two_tier) {
             for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
-                // recursive doubling: a flat Allreduce schedule, not C-Coll's
+                // recursive doubling: a flat Allreduce schedule. C-Coll's runs
+                // by plan only: offering it would change the candidate set
+                // every tuned cache and sweep was measured over
                 let rd = allreduce && !hierarchical && flavor != Flavor::CColl;
                 let algos: &[Algo] = if rd { &[Algo::Ring, Algo::Rd] } else { &[Algo::Ring] };
                 let compressed = flavor != Flavor::Mpi;
@@ -339,6 +341,7 @@ mod tests {
             assert!(plans.iter().all(|p| p.algo == Algo::Ring), "{op:?} is ring-only");
         }
         let ar = engine.candidates(&spec(1 << 16, 8, 5.0));
+        // C-Coll's recursive doubling runs by plan only
         assert!(!ar.iter().any(|p| p.flavor == Flavor::CColl && p.algo == Algo::Rd));
         assert!(ar.iter().any(|p| p.flavor == Flavor::Hzccl && p.algo == Algo::Rd));
         assert!(ar.iter().any(|p| p.flavor == Flavor::Mpi && p.algo == Algo::Rd));

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Per-crate size trend (ROADMAP items 5, 3c and 8a): total Rust lines, and over
+# Per-crate size trend and the `pub`/`unnamed` ratchet: total Rust lines, and over
 # the non-test lines the line count, `pub` items, `pub` items named nowhere outside their crate,
 # `unsafe` occurrences, thread-spawning sites (`thread::scope` /
 # `thread::spawn`) and virtual clusters built (`SimBuilder::new` outside
@@ -25,8 +25,8 @@
 # prints the same table and exits non-zero when a crate's `pub`, `unnamed`,
 # `unsafe`, `spawn` or `sim` counter is above the committed baseline (`crate
 # pub unnamed unsafe spawn sim` per line; a crate the baseline does not list is
-# held to zero) — ROADMAP 3(c) and 8(a): CI fails when a count rises. Lower the
-# baseline when a count falls.
+# held to zero) — the `pub`/`unnamed` ratchet: CI fails when a count rises.
+# Lower the baseline when a count falls.
 set -euo pipefail
 baseline=""
 if [ "${1:-}" = --check ]; then

@@ -1,10 +1,11 @@
 //! Cost-model predictions pinned bit for bit. `cost_predictions.tsv` holds
 //! `tuner::Engine::predict` as `f64` bits for every `(op, flavour,
-//! algorithm)` the tuner can emit × `S ∈ {1,2,4,8,64}` × flat and two-tier
-//! fabrics × three calibrations × two message sizes. It was generated before
-//! `costmodel`'s per-`(op, flavour)` closed forms were folded into one
-//! `predict` and is committed unchanged, so a change to the cost table or to
-//! the one ring formula that moves a prediction fails here.
+//! algorithm)` the tuner can emit, and C-Coll's recursive doubling, ×
+//! `S ∈ {1,2,4,8,64}` × flat and two-tier fabrics × three calibrations × two
+//! message sizes. It was generated before `costmodel`'s per-`(op, flavour)`
+//! closed forms were folded into one `predict` and is committed unchanged
+//! (the C-Coll rd rows came later; the header says when), so a change to the
+//! cost table or to the one ring formula that moves a prediction fails here.
 //!
 //! Where the parent evaluated a *serial* closed form — a flat ring plan at
 //! `S = 1`, and the inner ring of every hierarchical plan — the fold
@@ -48,11 +49,11 @@ fn fabrics() -> Vec<(&'static str, usize, Option<Topology>)> {
     ]
 }
 
-/// The schedules `Engine::candidates` can offer for `(op, flavor)`:
-/// `(algorithm, hierarchical)`.
-fn shapes(op: Op, flavor: Flavor, two_tier: bool) -> Vec<(Algo, bool)> {
+/// The schedules `Engine::candidates` can offer for `op`, and C-Coll's
+/// recursive doubling, which runs by plan only: `(algorithm, hierarchical)`.
+fn shapes(op: Op, two_tier: bool) -> Vec<(Algo, bool)> {
     let mut shapes = vec![(Algo::Ring, false)];
-    if op == Op::Allreduce && flavor != Flavor::CColl {
+    if op == Op::Allreduce {
         shapes.push((Algo::Rd, false));
     }
     if op == Op::Allreduce && two_tier {
@@ -73,7 +74,7 @@ fn rows() -> Vec<(String, f64)> {
             {
                 let mut spec = ScenarioSpec::new(op, kb << 8, nranks, 1e-4, 32, ratio);
                 spec.topology = topology;
-                for (algo, hierarchical) in shapes(op, flavor, topology.is_some()) {
+                for (algo, hierarchical) in shapes(op, topology.is_some()) {
                     let plan =
                         Plan { flavor, algo, mode, block_len: 32, segments: 1, hierarchical };
                     let id = format!("{cal}/{fabric}/kb{kb}/{}/{}", op.name(), plan.label());

@@ -138,67 +138,137 @@ fn use_names(tree: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every name a crate declares `pub` before its files' first `#[cfg(test)]`.
+/// A `#[cfg(test)]` item being skipped, as `scripts/loc.sh` skips it: from
+/// the attribute to the item's outermost closing brace, or to its `;` when
+/// it has no body. String and char literals and `//` comments are not read.
+#[derive(Default)]
+struct TestItem {
+    depth: isize,
+    nest: isize,
+    opened: bool,
+}
+
+impl TestItem {
+    /// Scan one line of the item; true when the item ends on it.
+    fn ends(&mut self, line: &str) -> bool {
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => {
+                    while let Some(c) = chars.next() {
+                        match c {
+                            '\\' => drop(chars.next()),
+                            '"' => break,
+                            _ => {}
+                        }
+                    }
+                }
+                // `'x'` and `'\x'` are char literals, `'a` a lifetime
+                '\'' => {
+                    let mut ahead = chars.clone();
+                    let quoted = match ahead.next() {
+                        Some('\\') => ahead.next().is_some() && ahead.next() == Some('\''),
+                        Some('\'') | None => false,
+                        Some(_) => ahead.next() == Some('\''),
+                    };
+                    if quoted {
+                        chars = ahead;
+                    }
+                }
+                '/' if chars.peek() == Some(&'/') => break,
+                '{' => (self.depth, self.opened) = (self.depth + 1, true),
+                '}' => {
+                    self.depth -= 1;
+                    if self.depth == 0 && self.opened {
+                        return true;
+                    }
+                }
+                '(' | '[' => self.nest += 1,
+                ')' | ']' => self.nest -= 1,
+                ';' if !self.opened && self.nest == 0 => return true,
+                _ => {}
+            }
+        }
+        false
+    }
+}
+
+/// Every name a crate declares `pub` outside its `#[cfg(test)]` items.
 fn pub_names(crate_dir: &str) -> BTreeSet<String> {
     let mut files = Vec::new();
     rs_files(&root().join(crate_dir).join("src"), &mut files);
     let mut names = BTreeSet::new();
     for file in files {
-        let text = std::fs::read_to_string(&file).unwrap();
-        let (mut in_enum, mut in_use) = (false, None::<String>);
-        for line in text.lines() {
-            let t = line.trim_start();
-            if t.starts_with("#[cfg(test)]") {
-                break;
+        names.extend(file_pub_names(&std::fs::read_to_string(&file).unwrap()));
+    }
+    names
+}
+
+/// Every name one source file declares `pub` outside its `#[cfg(test)]`
+/// items.
+fn file_pub_names(text: &str) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    let (mut in_enum, mut in_use, mut test_item) = (false, None::<String>, None::<TestItem>);
+    for line in text.lines() {
+        let t = line.trim_start();
+        if let Some(item) = &mut test_item {
+            if item.ends(t) {
+                test_item = None;
             }
-            if let Some(tree) = &mut in_use {
-                tree.push_str(t);
-                if t.contains(';') {
-                    names.extend(use_names(tree));
-                    in_use = None;
-                }
-                continue;
+            continue;
+        }
+        if let Some(rest) = t.strip_prefix("#[cfg(test)]") {
+            let mut item = TestItem::default();
+            test_item = (!item.ends(rest)).then_some(item);
+            continue;
+        }
+        if let Some(tree) = &mut in_use {
+            tree.push_str(t);
+            if t.contains(';') {
+                names.extend(use_names(tree));
+                in_use = None;
             }
-            if in_enum {
-                if line.starts_with('}') {
-                    in_enum = false;
-                } else if let Some(variant) = line.strip_prefix("    ") {
-                    if variant.starts_with(|c: char| c.is_ascii_uppercase()) {
-                        names.insert(ident(variant).to_string());
-                    }
+            continue;
+        }
+        if in_enum {
+            if line.starts_with('}') {
+                in_enum = false;
+            } else if let Some(variant) = line.strip_prefix("    ") {
+                if variant.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    names.insert(ident(variant).to_string());
                 }
             }
-            let Some(rest) = t.strip_prefix("pub ") else { continue };
-            let words: Vec<&str> = rest.split_whitespace().collect();
-            let qualifiers = words.iter().take_while(|w| ["const", "unsafe", "async"].contains(w));
-            let at = if words.get(qualifiers.count()) == Some(&"fn") {
-                words.iter().position(|w| *w == "fn").unwrap()
-            } else {
-                0
-            };
-            match words.get(at).copied() {
-                Some("use") => {
-                    let tree = rest["use".len()..].to_string();
-                    if tree.contains(';') {
-                        names.extend(use_names(&tree));
-                    } else {
-                        in_use = Some(tree);
-                    }
+        }
+        let Some(rest) = t.strip_prefix("pub ") else { continue };
+        let words: Vec<&str> = rest.split_whitespace().collect();
+        let qualifiers = words.iter().take_while(|w| ["const", "unsafe", "async"].contains(w));
+        let at = if words.get(qualifiers.count()) == Some(&"fn") {
+            words.iter().position(|w| *w == "fn").unwrap()
+        } else {
+            0
+        };
+        match words.get(at).copied() {
+            Some("use") => {
+                let tree = rest["use".len()..].to_string();
+                if tree.contains(';') {
+                    names.extend(use_names(&tree));
+                } else {
+                    in_use = Some(tree);
                 }
-                Some(
-                    kw @ ("fn" | "struct" | "enum" | "trait" | "const" | "static" | "type" | "mod"),
-                ) => {
-                    if let Some(name) = words.get(at + 1) {
-                        names.insert(ident(name).to_string());
-                    }
-                    in_enum = kw == "enum" && t.trim_end().ends_with('{');
-                }
-                // a field: `pub name: Type`
-                Some(field) if field.ends_with(':') => {
-                    names.insert(ident(field).to_string());
-                }
-                _ => {}
             }
+            Some(
+                kw @ ("fn" | "struct" | "enum" | "trait" | "const" | "static" | "type" | "mod"),
+            ) => {
+                if let Some(name) = words.get(at + 1) {
+                    names.insert(ident(name).to_string());
+                }
+                in_enum = kw == "enum" && t.trim_end().ends_with('{');
+            }
+            // a field: `pub name: Type`
+            Some(field) if field.ends_with(':') => {
+                names.insert(ident(field).to_string());
+            }
+            _ => {}
         }
     }
     names
@@ -266,6 +336,13 @@ fn the_checks_read_declarations_and_paths_as_written() {
         assert!(netsim.contains(name), "{name} missing from netsim's pub names");
     }
     assert!(pub_names("crates/fzlight").contains("Mismatch"), "a pub enum's variant");
+    // a `#[cfg(test)]` item hides itself only, braces in its literals and
+    // comments included, not the `pub` items after it
+    let fixture = "pub fn before() {}\n#[cfg(test)]\nfn helper(c: char) -> bool {\n    \
+                   c == '}' || c == '\\'' || \"}\".contains(c) // }\n}\n#[cfg(test)]\nuse std::fmt;\n\
+                   pub struct After;\n#[cfg(test)]\nmod tests {\n    pub fn hidden() {}\n}\n";
+    let names = file_pub_names(fixture);
+    assert_eq!(names, ["After", "before"].map(String::from).into(), "{names:?}");
     for name in ["json", "critpath", "parse_value"] {
         assert!(!netsim.contains(name), "{name} is not pub in netsim");
     }

@@ -22,13 +22,13 @@
 
 use hzccl::chunks::node_chunks;
 use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
-use hzccl::{Mode, Resilience, Variant};
+use hzccl::{CollectiveConfig, Mode, Resilience, Variant};
 use hzccl_bench::suite::{run_case, CaseSpec, Runner, SuiteConfig};
 use netsim::{
     ComputeTiming, FaultPlan, Json, RunReport, SimBuilder, SimEngine, ThroughputModel, Topology,
     TraceConfig,
 };
-use tuner::Op;
+use tuner::{Algo, Op, Plan};
 
 const GOLDENS: &str = include_str!("ring_goldens.tsv");
 const EB: f64 = 1e-4;
@@ -42,8 +42,9 @@ enum Verb {
     Reduce,
     Bcast,
     Allgather,
-    /// Recursive-doubling allreduce (`hzccl::rd`), outside `collectives`.
-    Rd(Variant),
+    /// Recursive-doubling allreduce: a plan only `hzccl::auto` runs,
+    /// framed under the given policy.
+    Rd(Variant, Option<Resilience>),
 }
 
 impl Verb {
@@ -57,7 +58,7 @@ impl Verb {
             Verb::Reduce => "reduce",
             Verb::Bcast => "bcast",
             Verb::Allgather => "allgather",
-            Verb::Rd(_) => "rd",
+            Verb::Rd(..) => "rd",
         }
     }
 }
@@ -198,12 +199,21 @@ fn cases() -> Vec<Case> {
             });
         }
     }
-    // recursive doubling: a count that folds and a power of two
-    for variant in [Variant::Mpi, Variant::Hzccl] {
+    // recursive doubling: a count that folds and a power of two, and the
+    // folding count framed under loss
+    for variant in FLAVOURS {
         for ranks in [5usize, 8] {
             let id = format!("rd/{}/r{ranks}", variant.name());
-            out.push(plain(id, Verb::Rd(variant), opts_for(variant), ranks, ELEMS));
+            out.push(plain(id, Verb::Rd(variant, None), opts_for(variant), ranks, ELEMS));
         }
+    }
+    for variant in [Variant::Hzccl, Variant::Mpi] {
+        let id = format!("rd/{}/r5/framed", variant.name());
+        let verb = Verb::Rd(variant, Some(Resilience::default()));
+        out.push(Case {
+            faults: Some(FaultPlan::new(0).with_drop(0.02).with_corrupt(0.01)),
+            ..plain(id, verb, opts_for(variant), 5, ELEMS)
+        });
     }
     out
 }
@@ -250,10 +260,10 @@ fn digest(case: &Case, engine: SimEngine) -> (u64, u64, u64) {
             (Verb::ReduceScatter, true) => {
                 collectives::reduce_scatter_recoverable(comm, &data, opts).map(|p| p.value)
             }
-            (Verb::Rd(Variant::Mpi), false) => Ok(hzccl::rd::allreduce_rd(comm, &data, 1)),
-            (Verb::Rd(_), false) => {
-                let cfg = hzccl::CollectiveConfig::new(EB, Mode::SingleThread);
-                Ok(hzccl::rd::allreduce_rd_hz(comm, &data, &cfg).expect("rd runs"))
+            (Verb::Rd(variant, res), false) => {
+                let cfg = CollectiveConfig { res, ..CollectiveConfig::new(EB, Mode::SingleThread) };
+                let plan = Plan::serial(variant.flavor(), Algo::Rd, cfg.mode, cfg.block_len);
+                hzccl::auto::run_planned(comm, Op::Allreduce, 0, &data, &cfg, &plan, None)
             }
             _ => unreachable!("only allreduce and reduce_scatter are recoverable"),
         }
