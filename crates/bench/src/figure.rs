@@ -12,6 +12,7 @@ use crate::suite::{self, CaseSpec, Fields, Runner, SuiteConfig, Timing};
 use crate::{kernels, Knobs, Table};
 use costmodel::Scenario;
 use datasets::{App, Quality};
+use hzccl::error_bounds::{self, Call};
 use hzccl::{Mode, Variant};
 use netsim::{Breakdown, NetConfig};
 use std::io::{self, Write};
@@ -161,6 +162,8 @@ struct Run {
     who: String,
     /// Rank 0's result.
     value: Vec<f32>,
+    /// What ran, for its error bound.
+    call: Option<Call>,
 }
 
 /// One row's operating point.
@@ -258,6 +261,7 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
             breakdown: done.result.breakdown,
             who: spec.runner.name(),
             value: done.report.outcomes.swap_remove(0).value.result.value,
+            call: done.call,
         }
     };
     let spec_at = |op: Op, (_, runner, mode): &Series, p: &Point| CaseSpec {
@@ -340,6 +344,7 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
                         breakdown: auto.breakdown,
                         who: String::new(),
                         value: Vec::new(),
+                        call: None,
                     };
                     vec![bound(best), bound(worst), auto]
                 }
@@ -362,7 +367,8 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
             }
             if let Extra::Stack(i, _) = fig.extra {
                 let fields = suite::rank_fields(&spec_at(op, &series[i], p), &cfg);
-                stacked = Some((fields, runs[i].value.clone()));
+                let call = runs[i].call.expect("a flavour stacks");
+                stacked = Some((fields, runs[i].value.clone(), call));
             }
             first.get_or_insert(runs);
         }
@@ -371,7 +377,7 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
         }
     }
 
-    if let (Extra::Stack(_, images), Some((fields, stacked))) = (fig.extra, &stacked) {
+    if let (Extra::Stack(_, images), Some((fields, stacked, call))) = (fig.extra, &stacked) {
         // exact f32 stacking, in rank order
         let exact: Vec<f32> = (0..msg).map(|i| fields.iter().map(|f| f[i]).sum::<f32>()).collect();
         let q = Quality::compare(&exact, stacked);
@@ -380,7 +386,10 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
             std::fs::create_dir_all(dir)?;
             datasets::save_pgm(&dir.join("stack_mpi.pgm"), &exact, side, side)?;
             datasets::save_pgm(&dir.join("stack_hzccl.pgm"), stacked, side, side)?;
-            let bound = ranks as f64 * base_cfg.eb;
+            let at = |i: usize| fields.iter().map(|f| f64::from(f[i]).abs()).sum::<f64>();
+            let peak = (0..msg).map(at).fold(0.0, f64::max);
+            let (bound, representation) = error_bounds::bound(call, base_cfg.eb, peak);
+            let within = q.max_abs_err <= bound + representation;
             writeln!(
                 out,
                 "wrote {}/stack_mpi.pgm and stack_hzccl.pgm ({side}x{side})\n\
@@ -390,7 +399,7 @@ pub fn render(fig: &Figure, knobs: &Knobs, out: &mut dyn Write) -> io::Result<()
                 q.psnr,
                 q.nrmse,
                 q.max_abs_err,
-                if q.max_abs_err <= bound * 1.01 { "WITHIN BOUND" } else { "EXCEEDED" }
+                if within { "WITHIN BOUND" } else { "EXCEEDED" }
             )?;
         } else {
             writeln!(

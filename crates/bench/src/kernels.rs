@@ -21,8 +21,10 @@ pub fn kernels(mt_threads: usize) -> [(&'static str, Variant, Mode); 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hzccl::collectives::{allreduce, CollectiveOpts};
+    use hzccl::collectives::{allreduce, CollectiveOpts, RecoveryPolicy};
+    use hzccl::error_bounds::{bound, Call};
     use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
+    use tuner::{Algo, Op, Plan};
 
     #[test]
     fn all_kernels_produce_bounded_allreduce() {
@@ -33,12 +35,10 @@ mod tests {
         let field = |rank: usize| -> Vec<f32> {
             (0..n).map(|i| ((i as f32) * 0.05).cos() * (rank + 1) as f32).collect()
         };
-        let mut expect = vec![0f32; n];
-        for r in 0..nranks {
-            for (a, b) in expect.iter_mut().zip(field(r)) {
-                *a += b;
-            }
-        }
+        let exact: Vec<f64> =
+            (0..n).map(|i| (0..nranks).map(|r| f64::from(field(r)[i])).sum()).collect();
+        let at = |i: usize| (0..nranks).map(|r| f64::from(field(r)[i]).abs()).sum::<f64>();
+        let peak = (0..n).map(at).fold(0.0, f64::max);
         for (label, variant, mode) in kernels(2) {
             let opts = CollectiveOpts::for_variant(variant, eb).with_mode(mode);
             let outcomes = SimBuilder::new(nranks)
@@ -46,10 +46,21 @@ mod tests {
                 .run(|comm| allreduce(comm, &field(comm.rank()), &opts).expect("kernel allreduce"))
                 .expect_clean()
                 .outcomes;
-            let tol = if variant == Variant::Mpi { 1e-5 } else { 2.0 * nranks as f64 * eb };
+            let plan = Plan::serial(variant.flavor(), Algo::Ring, mode, fzlight::DEFAULT_BLOCK_LEN);
+            let policy = RecoveryPolicy::FailFast;
+            let call = Call {
+                op: Op::Allreduce,
+                plan,
+                policy,
+                degraded: 0,
+                launched: nranks,
+                contributors: nranks,
+            };
+            let (quantization, representation) = bound(&call, eb, peak);
             for o in outcomes {
-                for (a, b) in o.value.iter().zip(&expect) {
-                    assert!(((a - b).abs() as f64) <= tol + 1e-9, "{label}: {a} vs {b}");
+                for (a, b) in o.value.iter().zip(&exact) {
+                    let err = (f64::from(*a) - b).abs();
+                    assert!(err <= quantization + representation, "{label}: {a} vs {b}");
                 }
             }
         }

@@ -15,6 +15,7 @@
 //! `BENCH_results.json` at the repo root.
 
 use hzccl::collectives::{self, CollectiveOpts, PartialResult, RecoveryPolicy};
+use hzccl::error_bounds::Call;
 use hzccl::{auto, CollectiveConfig, Mode, Resilience, Variant};
 use netsim::{
     ComputeTiming, CriticalPath, FaultPlan, NetConfig, RunReport, SimBuilder, SimEngine,
@@ -252,6 +253,11 @@ pub struct CaseRun {
     pub result: CaseResult,
     /// Per-rank values, fates, stats and flight-recorder traces.
     pub report: RunReport<RankOut>,
+    /// What ran, as [`hzccl::error_bounds::bound`] reads it: the plan (a static
+    /// flavour's, the given one, or the one Auto agreed on), the policy, the
+    /// degraded segments and the contributors. `None` for the fusion
+    /// ablation, which no bound describes.
+    pub call: Option<Call>,
 }
 
 /// Per-rank observation of the stacking use case: the shared scene plus
@@ -393,6 +399,27 @@ pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
 
     let latencies: Vec<f64> = report.outcomes.iter().map(|o| o.elapsed).collect();
     let tally = report.tally();
+    let plan = match spec.runner {
+        Runner::Plan(plan) => Some(plan),
+        // the decider — rank 0, where run_case roots the rooted ops
+        Runner::Variant(Variant::Auto) => {
+            report.value(0).detail.as_ref().map(|(_, decision)| decision.plan)
+        }
+        Runner::Variant(v) => Some(Plan {
+            segments: spec.segments,
+            hierarchical: op == Op::Allreduce && topo.is_some_and(|t| t.nodes > 1 && t.ppn > 1),
+            ..Plan::serial(v.flavor(), tuner::Algo::Ring, spec.mode, fzlight::DEFAULT_BLOCK_LEN)
+        }),
+        Runner::Unfused => None,
+    };
+    let call = plan.map(|plan| Call {
+        op,
+        plan,
+        policy: spec.recovery,
+        degraded: tally.degraded_segments,
+        launched: spec.ranks,
+        contributors: report.outcomes[0].value.result.contributors.len(),
+    });
     let result = CaseResult {
         virtual_secs: report.stats.makespan,
         wire_bytes: tally.wire_bytes,
@@ -402,7 +429,7 @@ pub fn run_case(spec: &CaseSpec, cfg: &SuiteConfig) -> CaseRun {
         latency_p50: log2_quantile(&latencies, 0.5),
         latency_p99: log2_quantile(&latencies, 0.99),
     };
-    CaseRun { result, report }
+    CaseRun { result, report, call }
 }
 
 /// The `p`-quantile (`p` in `[0, 1]`) of `samples` as a log2-bucketed

@@ -553,6 +553,22 @@ mod tests {
         acc
     }
 
+    fn fields(nranks: usize, n: usize) -> Vec<Vec<f32>> {
+        (0..nranks).map(|r| field(r, n)).collect()
+    }
+
+    /// The bound of `op` over `fields` in `opts`' flavour
+    /// (`crate::error_bounds`). These verbs do not return Auto's plan, so
+    /// Auto takes its widest candidate's: C-Coll's ring.
+    fn tol(op: Op, opts: &CollectiveOpts, fields: &[Vec<f32>]) -> f64 {
+        let flavor = match opts.variant() {
+            Variant::Auto => tuner::Flavor::CColl,
+            v => v.flavor(),
+        };
+        let call = crate::error_bounds::ring(op, flavor, fields.len());
+        crate::error_bounds::tolerance(&call, opts.eb, fields)
+    }
+
     fn all_opts() -> Vec<CollectiveOpts> {
         vec![
             CollectiveOpts::mpi(),
@@ -578,7 +594,7 @@ mod tests {
                     })
                     .expect_clean()
                     .outcomes;
-                let tol = if opts.variant() == Variant::Mpi { 1e-4 } else { 0.01 };
+                let tol = tol(Op::Allreduce, &opts, &fields(nranks, n));
                 for o in &outcomes {
                     // C-Coll's Allgather keeps the own chunk raw (no
                     // quantization roundtrip), so its ranks agree only
@@ -588,7 +604,7 @@ mod tests {
                     }
                     for (a, b) in o.value.iter().zip(&expect) {
                         assert!(
-                            (a - b).abs() <= tol,
+                            ((a - b).abs() as f64) <= tol,
                             "{:?} segments={segments}: {a} vs {b}",
                             opts.variant()
                         );
@@ -614,11 +630,13 @@ mod tests {
                 })
                 .expect_clean()
                 .outcomes;
+            let tol = tol(Op::Reduce, &opts, &fields(nranks, n));
             for (r, o) in outcomes.iter().enumerate() {
                 if r == root {
                     assert_eq!(o.value.len(), n, "{:?}", opts.variant());
                     for (a, b) in o.value.iter().zip(&expect) {
-                        assert!((a - b).abs() <= 0.01, "{:?}: {a} vs {b}", opts.variant());
+                        let v = opts.variant();
+                        assert!(((a - b).abs() as f64) <= tol, "{v:?}: {a} vs {b}");
                     }
                 } else {
                     assert!(o.value.is_empty(), "{:?}: non-root must get vec![]", opts.variant());
@@ -644,9 +662,11 @@ mod tests {
                 })
                 .expect_clean()
                 .outcomes;
+            let tol = tol(Op::Bcast, &opts, std::slice::from_ref(&base));
             for o in &outcomes {
                 for (a, b) in o.value.iter().zip(&base) {
-                    assert!((a - b).abs() <= 1e-3 + 1e-6, "{:?}: {a} vs {b}", opts.variant());
+                    let v = opts.variant();
+                    assert!(((a - b).abs() as f64) <= tol, "{v:?}: {a} vs {b}");
                 }
             }
         }
@@ -667,10 +687,11 @@ mod tests {
                 })
                 .expect_clean()
                 .outcomes;
+            let tol = tol(Op::ReduceScatter, &opts, &fields(nranks, n));
             for (r, o) in outcomes.iter().enumerate() {
                 assert_eq!(o.value.len(), chunks[r].len());
                 for (a, b) in o.value.iter().zip(&expect[chunks[r].clone()]) {
-                    assert!((a - b).abs() <= 0.01, "{a} vs {b}");
+                    assert!(((a - b).abs() as f64) <= tol, "{a} vs {b}");
                 }
             }
         }

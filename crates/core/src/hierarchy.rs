@@ -138,13 +138,11 @@ mod tests {
                     })
                     .expect_clean()
                     .outcomes;
-                // one quantization per compressed hop on the inter tier;
-                // f32 association differences add a small float slack
-                let tol = match flavor {
-                    Flavor::Mpi => 1e-3,
-                    Flavor::Hzccl => nranks as f64 * eb + 1e-3,
-                    Flavor::CColl => 2.0 * nranks as f64 * eb + 1e-3,
-                };
+                // the flavour's two-tier bound (`crate::error_bounds`)
+                let fields: Vec<Vec<f32>> = (0..nranks).map(|r| field(r, n)).collect();
+                let mut call = crate::error_bounds::ring(tuner::Op::Allreduce, flavor, nranks);
+                call.plan.hierarchical = true;
+                let tol = crate::error_bounds::tolerance(&call, eb, &fields);
                 for o in &outcomes {
                     assert_eq!(o.value.len(), n);
                     for (i, (a, b)) in o.value.iter().zip(&expect).enumerate() {

@@ -178,21 +178,19 @@ mod tests {
         }
     }
 
-    /// Raw sums to f32 rounding; the compressed flavours within their
-    /// Allreduce bounds (C-Coll re-quantizes its running sum once per
-    /// round, inside `2N·eb`: `error_bounds`).
+    /// Every flavour within its recursive-doubling bound (`error_bounds`:
+    /// C-Coll re-quantizes its running sum once per round).
     #[test]
     fn rd_is_correct_in_every_flavour_for_all_counts() {
         let eb = 1e-4;
         let cfg = CollectiveConfig::new(eb, Mode::SingleThread);
         for nranks in [1usize, 2, 3, 4, 5, 7, 8, 11, 13, 16] {
             let (n, expect) = (300, direct_sum(nranks, 300));
+            let fields: Vec<Vec<f32>> = (0..nranks).map(|r| field(r, n)).collect();
             for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
-                let tol = match flavor {
-                    Flavor::Mpi => 1e-3,
-                    Flavor::CColl => error_bounds::ccoll_allreduce(nranks, eb) + 1e-6,
-                    Flavor::Hzccl => error_bounds::hzccl_allreduce(nranks, eb) + 1e-6,
-                };
+                let mut call = error_bounds::ring(tuner::Op::Allreduce, flavor, nranks);
+                call.plan.algo = tuner::Algo::Rd;
+                let tol = error_bounds::tolerance(&call, eb, &fields);
                 let cluster = SimBuilder::new(nranks).timing(modeled());
                 let outcomes = cluster
                     .run(|comm| allreduce_over(comm, flavor, &cfg, n, Over::Doubling))

@@ -39,11 +39,11 @@
 //! invokes the schedule-supplied fallback (e.g. "decompress my own stream"
 //! or "re-serialize the raw accumulator"), sends the raw f32 bytes as a
 //! [`PayloadKind::RawF32`] frame on the reliable channel, and marks the
-//! segment degraded (`hz_degraded_segments_total`). A payload that is
-//! already raw is simply resent reliably. Either way the collective
-//! completes instead of aborting — at worst one extra quantization step of
-//! error on the degraded segment (see DESIGN.md "Fault model and
-//! resilience").
+//! segment degraded (the `res:degraded-segment` label, counted by
+//! `netsim::Tally::degraded_segments`). A payload that is already raw is
+//! simply resent reliably. Either way the collective completes instead of
+//! aborting — at worst one extra quantization of error per degraded
+//! segment, the `D` of `crate::error_bounds::bound`.
 //!
 //! A ring reaches the wire through one `Hop`, so the transport is a
 //! property of the ring, not of the call site. A plain hop is exactly the
@@ -94,7 +94,7 @@ fn backoff(retry: u32) -> f64 {
 /// What a data frame's payload contains, so a receiver knows how to
 /// interpret a degraded (fallback) delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PayloadKind {
+pub(crate) enum PayloadKind {
     /// Schedule-native bytes (a compressed stream, packed floats, …).
     Opaque,
     /// Raw little-endian `f32`s — the degradation format.

@@ -808,13 +808,15 @@ mod tests {
         acc
     }
 
-    /// Worst-case error of a reduction over `nranks` (error_bounds.rs), with
-    /// the f32 slack of the final store.
-    fn reduce_tol(flavor: Flavor, nranks: usize) -> f64 {
-        match flavor {
-            Flavor::Mpi => 0.0,
-            Flavor::CColl => crate::error_bounds::ccoll_allreduce(nranks, EB) + 1e-6,
-            Flavor::Hzccl => crate::error_bounds::hzccl_allreduce(nranks, EB) + 1e-6,
+    /// The bound of a flat `op` over `fields` (`crate::error_bounds`) — 0 for
+    /// the raw ring, whose sums of these fields are exact.
+    fn tol(op: Op, flavor: Flavor, fields: &[Vec<f32>]) -> f64 {
+        let call = crate::error_bounds::ring(op, flavor, fields.len());
+        let bounded = flavor != Flavor::Mpi;
+        if bounded {
+            crate::error_bounds::tolerance(&call, EB, fields)
+        } else {
+            0.0
         }
     }
 
@@ -883,11 +885,13 @@ mod tests {
                 (8, Mode::SingleThread),
             ] {
                 let sum = direct_sum(flavor, nranks, n);
+                let fields: Vec<Vec<f32>> = (0..nranks).map(|r| field(flavor, r, n)).collect();
                 let chunks = node_chunks(n, nranks);
                 let root = 2 % nranks;
-                let tol = reduce_tol(flavor, nranks);
-                // moving data quantizes it at most once (plus the f32 store)
-                let move_tol = if flavor == Flavor::Mpi { 0.0 } else { EB + 2e-6 };
+                let reduce_tol = |op| tol(op, flavor, &fields);
+                // an allgather moves the sum's chunks as a bcast moves the root's vector
+                let bcast_tol = tol(Op::Bcast, flavor, &fields[root..=root]);
+                let gather_tol = tol(Op::Bcast, flavor, std::slice::from_ref(&sum));
                 for segments in [1usize, 4] {
                     let what = format!("{flavor:?} r{nranks} s{segments}");
                     let go = |verb: Verb| {
@@ -906,14 +910,17 @@ mod tests {
                         })
                     };
                     for o in go(Verb::Allreduce) {
+                        let tol = reduce_tol(Op::Allreduce);
                         assert_close(&o.value, &sum, tol, &format!("allreduce {what}"));
                     }
                     for (r, o) in go(Verb::ReduceScatter).iter().enumerate() {
                         let want = &sum[chunks[r].clone()];
+                        let tol = reduce_tol(Op::ReduceScatter);
                         assert_close(&o.value, want, tol, &format!("reduce_scatter {what}"));
                     }
                     for (r, o) in go(Verb::Reduce { root }).iter().enumerate() {
                         if r == root {
+                            let tol = reduce_tol(Op::Reduce);
                             assert_close(&o.value, &sum, tol, &format!("reduce {what}"));
                         } else {
                             assert!(o.value.is_empty(), "reduce {what}: rank {r} holds a result");
@@ -921,10 +928,10 @@ mod tests {
                     }
                     let base = field(flavor, root, n);
                     for o in go(Verb::Bcast { root, total_len: n }) {
-                        assert_close(&o.value, &base, move_tol, &format!("bcast {what}"));
+                        assert_close(&o.value, &base, bcast_tol, &format!("bcast {what}"));
                     }
                     for o in go(Verb::Allgather { total_len: n }) {
-                        assert_close(&o.value, &sum, move_tol, &format!("allgather {what}"));
+                        assert_close(&o.value, &sum, gather_tol, &format!("allgather {what}"));
                     }
                 }
             }
@@ -1036,17 +1043,14 @@ mod tests {
         for flavor in FLAVOURS {
             for segments in [1usize, 4] {
                 let want = field(flavor, 0, 256);
-                let verbs = [
-                    Verb::Allreduce,
-                    Verb::ReduceScatter,
-                    Verb::Reduce { root: 0 },
-                    Verb::Bcast { root: 0, total_len: 256 },
-                ];
-                for verb in verbs {
+                for op in [Op::Allreduce, Op::ReduceScatter, Op::Reduce, Op::Bcast] {
+                    let verb = Verb::of(op, 0, want.len());
                     let outcomes = sim(1, |comm| {
                         run_flavor(comm, verb, flavor, &want, Mode::SingleThread, segments)
                     });
-                    let tol = if flavor == Flavor::Hzccl { EB + 1e-9 } else { 0.0 };
+                    // only hZCCL quantizes a lone rank's vector
+                    let hz = flavor == Flavor::Hzccl;
+                    let tol = if hz { tol(op, flavor, std::slice::from_ref(&want)) } else { 0.0 };
                     assert_close(&outcomes[0].value, &want, tol, &format!("{flavor:?} {verb:?}"));
                 }
             }
@@ -1074,7 +1078,8 @@ mod tests {
             allreduce_p2p(comm, &data, &cfg).expect("p2p allreduce")
         });
         // per-hop recompression: every one of the 2(N-1) hops can re-quantize
-        let tol = crate::error_bounds::p2p_allreduce(nranks, EB) + 1e-6;
+        let fields: Vec<Vec<f32>> = (0..nranks).map(|r| field(Flavor::CColl, r, n)).collect();
+        let tol = crate::error_bounds::p2p_tolerance(EB, &fields);
         for o in outcomes {
             assert_close(&o.value, &direct_sum(Flavor::CColl, nranks, n), tol, "p2p");
         }

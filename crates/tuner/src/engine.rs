@@ -108,10 +108,8 @@ impl Engine {
         let mut out = Vec::new();
         for hierarchical in [false, true].into_iter().filter(|&h| !h || two_tier) {
             for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
-                // recursive doubling: a flat Allreduce schedule. C-Coll's runs
-                // by plan only: offering it would change the candidate set
-                // every tuned cache and sweep was measured over
-                let rd = allreduce && !hierarchical && flavor != Flavor::CColl;
+                // recursive doubling: a flat Allreduce schedule
+                let rd = allreduce && !hierarchical;
                 let algos: &[Algo] = if rd { &[Algo::Ring, Algo::Rd] } else { &[Algo::Ring] };
                 let compressed = flavor != Flavor::Mpi;
                 for &algo in algos {
@@ -340,11 +338,11 @@ mod tests {
             let plans = engine.candidates(&ScenarioSpec::new(op, 1 << 16, 8, 1e-4, 32, 5.0));
             assert!(plans.iter().all(|p| p.algo == Algo::Ring), "{op:?} is ring-only");
         }
+        // every flavour's recursive doubling is a flat Allreduce candidate
         let ar = engine.candidates(&spec(1 << 16, 8, 5.0));
-        // C-Coll's recursive doubling runs by plan only
-        assert!(!ar.iter().any(|p| p.flavor == Flavor::CColl && p.algo == Algo::Rd));
-        assert!(ar.iter().any(|p| p.flavor == Flavor::Hzccl && p.algo == Algo::Rd));
-        assert!(ar.iter().any(|p| p.flavor == Flavor::Mpi && p.algo == Algo::Rd));
+        for flavor in [Flavor::Mpi, Flavor::CColl, Flavor::Hzccl] {
+            assert!(ar.iter().any(|p| p.flavor == flavor && p.algo == Algo::Rd), "{flavor:?}");
+        }
     }
 
     #[test]

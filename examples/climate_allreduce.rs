@@ -8,9 +8,11 @@
 //! ```
 
 use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
+use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
+use hzccl::error_bounds::{bound, Call};
 use hzccl::{CollectiveConfig, Mode};
 use netsim::SimBuilder;
+use tuner::{Algo, Flavor, Op, Plan};
 
 const RANKS: usize = 16;
 const ELEMS: usize = 1 << 21; // 8 MiB per rank
@@ -61,7 +63,7 @@ fn main() {
         (report.value(0).clone(), stats.makespan)
     };
 
-    let (exact, t_mpi) = run("MPI (no compression)", hz_timing, &CollectiveOpts::mpi());
+    let (_, t_mpi) = run("MPI (no compression)", hz_timing, &CollectiveOpts::mpi());
     let (ccoll_out, t_ccoll) =
         run("C-Coll (DOC)", doc_timing, &CollectiveOpts::ccoll(EB).with_mode(mode));
     let (hz_out, t_hz) =
@@ -81,14 +83,34 @@ fn main() {
     );
 
     // accuracy: both compressed paths stay within their analytic bounds
-    let max_err = |out: &[f32]| {
-        out.iter().zip(&exact).map(|(a, b)| (a - b).abs() as f64).fold(0.0f64, f64::max)
+    // (`hzccl::error_bounds`) of the exact sum
+    let exact: Vec<f64> =
+        (0..ELEMS).map(|i| fields.iter().map(|f| f64::from(f[i])).sum()).collect();
+    let at = |i: usize| fields.iter().map(|f| f64::from(f[i]).abs()).sum::<f64>();
+    let peak = (0..ELEMS).map(at).fold(0.0, f64::max);
+    let bound_of = |flavor: Flavor| {
+        let plan = Plan::serial(flavor, Algo::Ring, mode, cfg.block_len);
+        let policy = RecoveryPolicy::FailFast;
+        let call = Call {
+            op: Op::Allreduce,
+            plan,
+            policy,
+            degraded: 0,
+            launched: RANKS,
+            contributors: RANKS,
+        };
+        let (quantization, representation) = bound(&call, EB, peak);
+        quantization + representation
     };
+    let max_err = |out: &[f32]| {
+        out.iter().zip(&exact).map(|(a, b)| (f64::from(*a) - b).abs()).fold(0.0f64, f64::max)
+    };
+    let (ccoll_bound, hz_bound) = (bound_of(Flavor::CColl), bound_of(Flavor::Hzccl));
     println!(
-        "max abs error vs exact: C-Coll {:.2e}, hZCCL {:.2e} (N*eb = {:.0e})",
+        "max abs error vs exact: C-Coll {:.2e} (bound {ccoll_bound:.1e}), hZCCL {:.2e} (bound {hz_bound:.1e})",
         max_err(&ccoll_out),
         max_err(&hz_out),
-        RANKS as f64 * EB
     );
-    assert!(max_err(&hz_out) <= RANKS as f64 * EB * 1.01);
+    assert!(max_err(&ccoll_out) <= ccoll_bound);
+    assert!(max_err(&hz_out) <= hz_bound);
 }

@@ -9,10 +9,12 @@
 //! ```
 
 use datasets::{save_pgm, App, Quality};
-use hzccl::collectives::{self, CollectiveOpts};
+use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
+use hzccl::error_bounds::{bound, Call};
 use hzccl::Mode;
 use netsim::{ComputeTiming, SimBuilder, ThroughputModel};
 use std::path::Path;
+use tuner::{Algo, Flavor, Op, Plan};
 
 const SIDE: usize = 512;
 const RANKS: usize = 32;
@@ -39,7 +41,8 @@ fn main() {
 
     // modeled compute timing so the virtual-time comparison is deterministic
     let timing = ComputeTiming::Modeled(ThroughputModel::new(2.0, 4.0, 20.0, 10.0, 20.0));
-    let hz_opts = CollectiveOpts::hz(EB).with_mode(Mode::MultiThread(2));
+    let mode = Mode::MultiThread(2);
+    let hz_opts = CollectiveOpts::hz(EB).with_mode(mode);
 
     // --- baseline: uncompressed MPI stacking
     let cluster = SimBuilder::new(RANKS).timing(timing);
@@ -70,7 +73,14 @@ fn main() {
 
     let q = Quality::compare(&mpi_image, &hz_image);
     println!("hZCCL vs exact stack: PSNR {:.2} dB, NRMSE {:.2e}", q.psnr, q.nrmse);
-    assert!(q.max_abs_err <= RANKS as f64 * EB * 1.01, "stacking must stay error-bounded");
+    // the stack stays within hZCCL's bound (`hzccl::error_bounds`)
+    let plan = Plan::serial(Flavor::Hzccl, Algo::Ring, mode, fzlight::DEFAULT_BLOCK_LEN);
+    let policy = RecoveryPolicy::FailFast;
+    let call =
+        Call { op: Op::Allreduce, plan, policy, degraded: 0, launched: RANKS, contributors: RANKS };
+    let at = |i: usize| observations.iter().map(|o| f64::from(o[i]).abs()).sum::<f64>();
+    let (quantization, representation) = bound(&call, EB, (0..n).map(at).fold(0.0, f64::max));
+    assert!(q.max_abs_err <= quantization + representation, "stacking must stay error-bounded");
 
     let dir = Path::new("target/image_stacking");
     std::fs::create_dir_all(dir).expect("mkdir");

@@ -14,7 +14,9 @@
 
 use datasets::App;
 use hzccl::collectives::{allreduce_recoverable, CollectiveOpts, RecoveryPolicy};
+use hzccl::error_bounds::{bound, Call};
 use netsim::{FaultPlan, SimBuilder, TraceConfig};
+use tuner::{Algo, Flavor, Mode, Op, Plan};
 
 fn main() {
     let nranks = 8;
@@ -47,9 +49,19 @@ fn main() {
     assert_eq!(part.contributors, vec![0, 1, 2, 4, 5, 7]);
     assert!(part.epoch >= 1, "at least one membership repair happened");
 
-    // the survivor sum respects the shrink error bound against exact f64
+    // the survivor sum respects its error bound (`hzccl::error_bounds`)
+    // against exact f64
     let m = part.contributors.len();
-    let tol = hzccl::error_bounds::shrink_allreduce(m, eb);
+    let plan =
+        Plan::serial(Flavor::Hzccl, Algo::Ring, Mode::SingleThread, fzlight::DEFAULT_BLOCK_LEN);
+    let (policy, degraded) = (RecoveryPolicy::Shrink, 0);
+    let call =
+        Call { op: Op::Allreduce, plan, policy, degraded, launched: nranks, contributors: m };
+    let at =
+        |i: usize| part.contributors.iter().map(|&r| f64::from(fields[r][i]).abs()).sum::<f64>();
+    let peak = (0..n).map(at).fold(0.0, f64::max);
+    let (quantization, representation) = bound(&call, eb, peak);
+    let tol = quantization + representation;
     let max_err = part
         .value
         .iter()

@@ -9,9 +9,12 @@
 
 use datasets::App;
 use fzlight::{Config, ErrorBound};
-use hzccl::collectives::{self, CollectiveOpts};
+use hzccl::chunks::node_chunks;
+use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
+use hzccl::error_bounds::{bound, Call};
 use hzccl::{CollectiveConfig, Mode};
 use netsim::{ComputeTiming, SimBuilder};
+use tuner::{Algo, Flavor, Op, Plan};
 
 const RANKS: usize = 32;
 const ELEMS: usize = 1 << 21; // 8 MiB per rank
@@ -63,30 +66,39 @@ fn main() {
         t_ccoll / t_hz
     );
 
-    // 3. Correctness: hZCCL's chunk equals MPI's within N*eb.
+    // 3. Correctness: every rank's hZCCL chunk is within hZCCL's bound
+    // (`hzccl::error_bounds`) of the exact sum.
     let cluster = SimBuilder::new(RANKS).timing(hz_timing);
-    let exact = cluster
-        .run(|comm| {
-            collectives::reduce_scatter(comm, &fields[comm.rank()], &CollectiveOpts::mpi())
-                .expect("mpi")
-        })
-        .expect_clean()
-        .outcomes;
     let approx = cluster
         .run(|comm| {
             collectives::reduce_scatter(comm, &fields[comm.rank()], &hz_opts).expect("hzccl")
         })
         .expect_clean()
         .outcomes;
+    let exact: Vec<f64> =
+        (0..ELEMS).map(|i| fields.iter().map(|f| f64::from(f[i])).sum()).collect();
+    let at = |i: usize| fields.iter().map(|f| f64::from(f[i]).abs()).sum::<f64>();
+    let peak = (0..ELEMS).map(at).fold(0.0, f64::max);
+    let plan = Plan::serial(Flavor::Hzccl, Algo::Ring, mode, cfg.block_len);
+    let policy = RecoveryPolicy::FailFast;
+    let call = Call {
+        op: Op::ReduceScatter,
+        plan,
+        policy,
+        degraded: 0,
+        launched: RANKS,
+        contributors: RANKS,
+    };
+    let (quantization, representation) = bound(&call, EB, peak);
     let mut worst = 0f64;
-    for (e, a) in exact.iter().zip(&approx) {
-        for (x, y) in e.value.iter().zip(&a.value) {
-            worst = worst.max((x - y).abs() as f64);
+    for (a, chunk) in approx.iter().zip(node_chunks(ELEMS, RANKS)) {
+        for (x, y) in a.value.iter().zip(&exact[chunk]) {
+            worst = worst.max((f64::from(*x) - y).abs());
         }
     }
     println!(
-        "max abs error vs exact reduction: {worst:.2e} (bound N*eb = {:.0e})",
-        RANKS as f64 * EB
+        "max abs error vs exact reduction: {worst:.2e} (bound {:.1e})",
+        quantization + representation
     );
-    assert!(worst <= RANKS as f64 * EB * 1.01);
+    assert!(worst <= quantization + representation);
 }

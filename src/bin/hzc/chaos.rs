@@ -4,22 +4,38 @@
 //! [`suite::run_case`]; the oracles are the suite's.
 
 use crate::{app_flag, eb_flag, f64_list_flag, flag, has_flag, Args};
+use hzccl::chunks::node_chunks;
 use hzccl::collectives::RecoveryPolicy;
+use hzccl::error_bounds::bound;
 use hzccl::{Resilience, Variant};
-use hzccl_bench::suite::{self, CaseSpec, Runner, SuiteConfig};
+use hzccl_bench::suite::{self, CaseRun, CaseSpec, Runner, SuiteConfig};
 use netsim::FaultPlan;
 use tuner::Op;
 
+/// The static flavours: the crash gate's (a shrinking policy refuses Auto).
 const VARIANTS: [Variant; 3] = [Variant::Mpi, Variant::CColl, Variant::Hzccl];
 
-/// For every drop rate × variant × op the sweep runs a fault-free baseline
-/// on the stock (unframed) path, then the same collective under a seeded
-/// [`netsim::FaultPlan`] with the resilient transport enabled, and checks the
-/// results agree — bit-for-bit for `mpi` (retransmission is exact on raw
-/// floats), within the compression error budget for `ccoll`/`hz` (a
-/// degraded segment may re-quantize once). Retransmit/timeout/degraded
-/// counters come from the flight recorder; exits nonzero if any run
-/// diverges or if faults were injected but the transport never retried.
+/// `max_i Σ_{r ∈ rs} |x_r[i]|`, the peak partial sum [`bound`] reads.
+fn peak(fields: &[Vec<f32>], rs: &[usize]) -> f64 {
+    let at = |i: usize| rs.iter().map(|&r| f64::from(fields[r][i]).abs()).sum::<f64>();
+    (0..fields[0].len()).map(at).fold(0.0, f64::max)
+}
+
+/// The bound of what `run` ran over these inputs, summed.
+fn tolerance(run: &CaseRun, eb: f64, fields: &[Vec<f32>], contributors: &[usize]) -> f64 {
+    let call = run.call.expect("a flavour or a plan ran");
+    let (quantization, representation) = bound(&call, eb, peak(fields, contributors));
+    quantization + representation
+}
+
+/// For every drop rate × flavour (Auto included) × op the sweep runs the
+/// collective under a seeded [`netsim::FaultPlan`] with the resilient
+/// transport enabled and checks every rank's result against the exact
+/// (`f64`) sum, within the bound of what ran
+/// ([`hzccl::error_bounds::bound`]: the plan Auto agreed on, the segments
+/// the transport degraded). Retransmit/timeout/degraded counters come from
+/// the flight recorder; exits nonzero if any run leaves its bound or if
+/// faults were injected but the transport never retried.
 pub(crate) fn chaos(args: &Args) -> Result<(), String> {
     let ranks: usize = flag(args, "--ranks")?.unwrap_or(8);
     if ranks == 0 {
@@ -54,31 +70,33 @@ pub(crate) fn chaos(args: &Args) -> Result<(), String> {
     // drops and corruptions actually injected: a rate that fired on no
     // message (one rank, or too few messages) asks nothing of the transport
     let mut lost = 0u64;
+    let everyone: Vec<usize> = (0..ranks).collect();
     for &drop in &drops {
-        for variant in VARIANTS {
+        for variant in VARIANTS.into_iter().chain([Variant::Auto]) {
             for op in [Op::Allreduce, Op::ReduceScatter] {
-                // fault-free baseline on the stock (unframed) path
-                let clean = CaseSpec::new(op, Runner::Variant(variant), ranks, kb);
                 let plan = FaultPlan::new(seed).with_drop(drop).with_corrupt(corrupt);
-                let faulty = CaseSpec {
+                let spec = CaseSpec {
                     faults: Some(plan.with_jitter(jitter)),
                     resilience: Some(Resilience::default()),
-                    ..clean.clone()
+                    ..CaseSpec::new(op, Runner::Variant(variant), ranks, kb)
                 };
-                let (baseline, faulty) =
-                    (suite::run_case(&clean, &cfg), suite::run_case(&faulty, &cfg));
-
+                let run = suite::run_case(&spec, &cfg);
+                let fields = suite::rank_fields(&spec, &cfg);
+                let exact = suite::survivor_sum(&fields, &everyone);
+                let chunks = node_chunks(exact.len(), ranks);
                 let mut max_err = 0f64;
-                for (b, f) in baseline.report.outcomes.iter().zip(&faulty.report.outcomes) {
-                    for (x, y) in b.value.result.value.iter().zip(&f.value.result.value) {
-                        max_err = max_err.max((x - y).abs() as f64);
+                for o in &run.report.outcomes {
+                    // a reduce_scatter rank holds its own chunk
+                    let want = match op {
+                        Op::ReduceScatter => &exact[chunks[o.rank].clone()],
+                        _ => &exact[..],
+                    };
+                    for (x, y) in o.value.result.value.iter().zip(want) {
+                        max_err = max_err.max((f64::from(*x) - y).abs());
                     }
                 }
-                // mpi retransmits raw floats verbatim; the compressed
-                // flavours may re-quantize each degraded segment once
-                let mpi = variant == Variant::Mpi;
-                let tol = if mpi { 0.0 } else { (2.0 * ranks as f64 + 2.0) * eb };
-                let tally = faulty.report.tally();
+                let tol = tolerance(&run, eb, &fields, &everyone);
+                let tally = run.report.tally();
                 let lost_here = tally.drops + tally.corruptions;
                 lost += lost_here;
                 total_retrans += tally.retransmits;
@@ -92,7 +110,7 @@ pub(crate) fn chaos(args: &Args) -> Result<(), String> {
                     tally.timeouts,
                     tally.degraded_segments,
                     lost_here + tally.jitters,
-                    faulty.result.virtual_secs,
+                    run.result.virtual_secs,
                     max_err,
                     if ok { "" } else { "  DIVERGED" }
                 );
@@ -124,8 +142,9 @@ pub(crate) fn chaos(args: &Args) -> Result<(), String> {
 /// the seeded crash plan, and gates on survivor-sum correctness: `mpi`
 /// must reproduce the survivable ring's reduction order bit-for-bit
 /// ([`suite::mpi_survivor_sum`]), the compressed flavours must agree
-/// bitwise across survivors and stay within `(2m+2)·eb` of the exact f64
-/// survivor sum ([`suite::survivor_sum`]). The recovery columns (committed
+/// bitwise across survivors and stay within their bound
+/// ([`hzccl::error_bounds::bound`]) of the exact f64 survivor sum
+/// ([`suite::survivor_sum`]). The recovery columns (committed
 /// epoch, repairs, survivors) are the run's [`netsim::Tally`]; any
 /// divergence exits nonzero. Hangs are the caller's job (`tests/cli.rs`
 /// gives the gate 300 s).
@@ -248,7 +267,7 @@ fn crash_gate(cfg: &SuiteConfig, ranks: usize, kb: usize, rates: &[f64]) -> Resu
                     }
                 }
             }
-            let tol = if mpi { 0.0 } else { hzccl::error_bounds::shrink_allreduce(m, eb) };
+            let tol = if mpi { 0.0 } else { tolerance(&run, eb, &fields, &survivors) };
             if max_err > tol {
                 errs.push(format!("max_err {max_err:e} exceeds tol {tol:e}"));
             }

@@ -86,7 +86,7 @@ fn auto_tracks_best_static_within_5pct_across_the_sweep() {
             let cluster = SimBuilder::new(nranks).net(NetConfig::default()).timing(timing);
             let stats = cluster
                 .run(|comm| {
-                    let mut session = auto::Session::new();
+                    let mut session = auto::Session::default();
                     session
                         .run(comm, Op::Allreduce, 0, &fields[comm.rank()], &cfg, &engine)
                         .expect("cold");

@@ -6,10 +6,12 @@
 use hzccl::collectives::{
     allreduce, allreduce_recoverable, reduce_scatter, CollectiveOpts, RecoveryPolicy,
 };
-use hzccl::{error_bounds, Mode, Resilience, Variant};
+use hzccl::error_bounds::{bound, Call};
+use hzccl::{Mode, Resilience, Variant};
 use netsim::{
     ComputeTiming, FaultPlan, LinkFault, SimBuilder, ThroughputModel, Topology, TraceConfig,
 };
+use tuner::{Algo, Op, Plan};
 
 fn modeled() -> ComputeTiming {
     ComputeTiming::Modeled(ThroughputModel::new(5.0, 10.0, 50.0, 20.0, 40.0))
@@ -21,6 +23,30 @@ fn field(rank: usize, n: usize) -> Vec<f32> {
 
 fn opts_for(variant: Variant, eb: f64) -> CollectiveOpts {
     CollectiveOpts::for_variant(variant, eb).with_mode(Mode::SingleThread)
+}
+
+/// The exact sum of every rank's `field`, and its error bound
+/// (`hzccl::error_bounds`) for `variant`'s ring — two-tier if
+/// `hierarchical` — running `op` with `degraded` segments sent raw.
+fn exact_and_bound(
+    op: Op,
+    variant: Variant,
+    hierarchical: bool,
+    degraded: u64,
+    (nranks, n, eb): (usize, usize, f64),
+) -> (Vec<f64>, f64) {
+    let fields: Vec<Vec<f32>> = (0..nranks).map(|r| field(r, n)).collect();
+    let exact = (0..n).map(|i| fields.iter().map(|f| f64::from(f[i])).sum()).collect();
+    let at = |i: usize| fields.iter().map(|f| f64::from(f[i]).abs()).sum::<f64>();
+    let peak = (0..n).map(at).fold(0.0, f64::max);
+    let plan = Plan {
+        hierarchical,
+        ..Plan::serial(variant.flavor(), Algo::Ring, Mode::SingleThread, fzlight::DEFAULT_BLOCK_LEN)
+    };
+    let policy = RecoveryPolicy::FailFast;
+    let call = Call { op, plan, policy, degraded, launched: nranks, contributors: nranks };
+    let (quantization, representation) = bound(&call, eb, peak);
+    (exact, quantization + representation)
 }
 
 /// Same-seed fault plans replay bit-identically: two runs of the same
@@ -96,17 +122,18 @@ fn soak_drop_and_corruption_across_flavours() {
     let n = 4096;
     let nranks = 8;
     let eb = 1e-4;
+    let chunks = hzccl::chunks::node_chunks(n, nranks);
     let mut total_retrans = 0u64;
     for drop in [0.01, 0.05] {
         for variant in [Variant::Mpi, Variant::CColl, Variant::Hzccl] {
-            for op in ["allreduce", "reduce_scatter"] {
+            for op in [Op::Allreduce, Op::ReduceScatter] {
                 let opts = opts_for(variant, eb);
                 let run_one = |cluster: &SimBuilder, opts: &CollectiveOpts| {
                     cluster
                         .run(|comm| {
                             let data = field(comm.rank(), n);
                             match op {
-                                "allreduce" => allreduce(comm, &data, opts).expect("allreduce"),
+                                Op::Allreduce => allreduce(comm, &data, opts).expect("allreduce"),
                                 _ => reduce_scatter(comm, &data, opts).expect("reduce_scatter"),
                             }
                         })
@@ -120,16 +147,22 @@ fn soak_drop_and_corruption_across_flavours() {
                     .faults(plan);
                 let faulty =
                     run_one(&cluster, &opts.clone().with_resilience(Resilience::default()));
-                let tol = match variant {
-                    Variant::Mpi => 0.0,
-                    _ => (2.0 * nranks as f64 + 2.0) * eb,
-                };
+                // framing moves bytes, not values, until a segment degrades
+                let degraded = faulty.tally().degraded_segments;
+                let (exact, tol) = exact_and_bound(op, variant, false, degraded, (nranks, n, eb));
                 for (b, f) in baseline.outcomes.iter().zip(&faulty.outcomes) {
-                    assert_eq!(b.value.len(), f.value.len());
-                    for (x, y) in b.value.iter().zip(&f.value) {
+                    if degraded == 0 {
+                        assert_eq!(b.value, f.value, "{op:?}/{variant:?} drop={drop}");
+                    }
+                    let want = match op {
+                        Op::ReduceScatter => &exact[chunks[f.rank].clone()],
+                        _ => &exact[..],
+                    };
+                    assert_eq!(want.len(), f.value.len());
+                    for (x, y) in f.value.iter().zip(want) {
                         assert!(
-                            ((x - y).abs() as f64) <= tol,
-                            "{op}/{variant:?} drop={drop}: {x} vs {y} (tol {tol:e})"
+                            (f64::from(*x) - y).abs() <= tol,
+                            "{op:?}/{variant:?} drop={drop}: {x} vs {y} (tol {tol:e})"
                         );
                     }
                 }
@@ -150,8 +183,6 @@ fn framed_hierarchical_allreduce_survives_loss() {
     let (n, eb) = (4096, 1e-4);
     let topo = Topology::paper(2, 3);
     let nranks = topo.nranks();
-    let exact: Vec<f64> =
-        (0..n).map(|i| (0..nranks).map(|r| f64::from(field(r, n)[i])).sum()).collect();
     for variant in [Variant::Mpi, Variant::CColl, Variant::Hzccl] {
         let opts = opts_for(variant, eb).with_topology(topo);
         let run_one = |cluster: SimBuilder, opts: &CollectiveOpts| {
@@ -166,19 +197,18 @@ fn framed_hierarchical_allreduce_survives_loss() {
         let plan = FaultPlan::new(7).with_drop(0.2).with_corrupt(0.05);
         let framed = opts.clone().with_resilience(Resilience::default());
         let faulty = run_one(SimBuilder::new(nranks).faults(plan), &framed);
-        assert!(faulty.tally().retransmits > 0, "{variant:?}");
-        let bound = match variant {
-            Variant::Mpi => 0.0,
-            Variant::CColl => error_bounds::ccoll_allreduce(nranks, eb),
-            _ => error_bounds::hzccl_allreduce(nranks, eb),
-        };
+        let tally = faulty.tally();
+        assert!(tally.retransmits > 0, "{variant:?}");
+        let degraded = tally.degraded_segments;
+        let (exact, bound) =
+            exact_and_bound(Op::Allreduce, variant, true, degraded, (nranks, n, eb));
         for (b, f) in baseline.outcomes.iter().zip(&faulty.outcomes) {
             if variant == Variant::Mpi {
                 assert_eq!(b.value, f.value, "raw floats retransmit verbatim");
             }
             for (got, want) in f.value.iter().zip(&exact) {
                 let err = (f64::from(*got) - want).abs();
-                assert!(err <= bound + 1e-5, "{variant:?}: {got} vs {want} (bound {bound:e})");
+                assert!(err <= bound, "{variant:?}: {got} vs {want} (bound {bound:e})");
             }
         }
     }
@@ -243,19 +273,18 @@ fn dead_link_degrades_gracefully_instead_of_aborting() {
         let cluster =
             SimBuilder::new(nranks).timing(modeled()).trace(TraceConfig::default()).faults(plan);
         let faulty = run_one(&cluster, &opts.clone().with_resilience(Resilience::default()));
-        assert!(
-            faulty.tally().degraded_segments > 0,
-            "{variant:?}: a 100%-loss link must exhaust retries and degrade"
-        );
-        // every degraded hop may re-quantize once on the compressed flavours
-        let tol = match variant {
-            Variant::Mpi => 0.0,
-            _ => (2.0 * nranks as f64 + 2.0) * eb,
-        };
+        let degraded = faulty.tally().degraded_segments;
+        assert!(degraded > 0, "{variant:?}: a 100%-loss link must exhaust retries and degrade");
+        // a degraded hz segment re-quantizes once where it is summed again
+        let (exact, tol) =
+            exact_and_bound(Op::Allreduce, variant, false, degraded, (nranks, n, eb));
         for (b, f) in baseline.outcomes.iter().zip(&faulty.outcomes) {
-            for (x, y) in b.value.iter().zip(&f.value) {
+            if variant == Variant::Mpi {
+                assert_eq!(b.value, f.value, "raw floats resend verbatim");
+            }
+            for (y, x) in f.value.iter().zip(&exact) {
                 assert!(
-                    ((x - y).abs() as f64) <= tol,
+                    (f64::from(*y) - x).abs() <= tol,
                     "{variant:?}: degraded result {y} strayed from {x} (tol {tol:e})"
                 );
             }

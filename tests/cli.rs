@@ -434,15 +434,19 @@ fn auto_ignores_cached_plans_outside_the_candidate_set() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The fault-injection soak: every resilient flavour completes under 5 %
-/// drop, matches its fault-free baseline (the command exits nonzero
-/// otherwise), and the transport really retransmits.
+/// The fault-injection soak: every resilient flavour, Auto included,
+/// completes under 5 % drop within its error bound of the exact sum (the
+/// command exits nonzero otherwise), and the transport really retransmits.
 #[test]
 fn chaos_soak_passes_and_retransmits() {
     let out =
         hzc().args(["chaos", "--seed", "7", "--drop", "0.05", "--ranks", "8"]).output().unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    for op in ["allreduce", "reduce_scatter"] {
+        let auto = |l: &&str| l.split_whitespace().take(3).eq(["0.05", op, "auto"]);
+        assert!(stdout.lines().any(|l| auto(&l)), "no auto {op} row:\n{stdout}");
+    }
     let passed = stdout
         .lines()
         .find_map(|l| l.strip_prefix("chaos soak passed ("))

@@ -2,7 +2,8 @@
 //! breakdown accounting, and the virtual-time orderings the paper reports.
 
 use datasets::App;
-use hzccl::collectives::{self, CollectiveOpts};
+use hzccl::collectives::{self, CollectiveOpts, RecoveryPolicy};
+use hzccl::error_bounds::{bound, Call};
 use hzccl::Mode;
 use hzccl::Variant;
 use hzccl_bench::kernels;
@@ -18,6 +19,25 @@ fn fields(nranks: usize, n: usize) -> Vec<Vec<f32>> {
     (0..nranks).map(|r| base.iter().map(|&v| v * (1.0 + 0.001 * r as f32)).collect()).collect()
 }
 
+/// The exact sum of `data` and the bound (`hzccl::error_bounds`) of the plain
+/// hZCCL ring running `op` over it in `mode`.
+fn exact_and_bound(op: tuner::Op, mode: Mode, data: &[Vec<f32>], eb: f64) -> (Vec<f64>, f64) {
+    let n = data[0].len();
+    let exact = (0..n).map(|i| data.iter().map(|f| f64::from(f[i])).sum()).collect();
+    let at = |i: usize| data.iter().map(|f| f64::from(f[i]).abs()).sum::<f64>();
+    let peak = (0..n).map(at).fold(0.0, f64::max);
+    let plan = tuner::Plan::serial(
+        tuner::Flavor::Hzccl,
+        tuner::Algo::Ring,
+        mode,
+        fzlight::DEFAULT_BLOCK_LEN,
+    );
+    let (policy, nranks) = (RecoveryPolicy::FailFast, data.len());
+    let call = Call { op, plan, policy, degraded: 0, launched: nranks, contributors: nranks };
+    let (quantization, representation) = bound(&call, eb, peak);
+    (exact, quantization + representation)
+}
+
 #[test]
 fn sixty_four_rank_allreduce_is_consistent_everywhere() {
     let nranks = 64;
@@ -30,17 +50,12 @@ fn sixty_four_rank_allreduce_is_consistent_everywhere() {
         .expect_clean()
         .outcomes;
     // all ranks identical, and error-bounded against the exact sum
-    let exact: Vec<f64> = (0..n).map(|i| data.iter().map(|f| f[i] as f64).sum()).collect();
-    let tol = nranks as f64 * 1e-4 + 1e-6;
+    let (exact, tol) = exact_and_bound(tuner::Op::Allreduce, Mode::SingleThread, &data, 1e-4);
     for o in &outcomes {
         assert_eq!(o.value, outcomes[0].value);
     }
     for (i, v) in outcomes[0].value.iter().enumerate() {
-        assert!(
-            ((*v as f64) - exact[i]).abs() <= tol + exact[i].abs() * 1e-6,
-            "at {i}: {v} vs {}",
-            exact[i]
-        );
+        assert!(((*v as f64) - exact[i]).abs() <= tol, "at {i}: {v} vs {}", exact[i]);
     }
 }
 
@@ -106,12 +121,9 @@ fn reduce_scatter_chunks_reassemble_to_the_full_sum() {
         .outcomes;
     let gathered: Vec<f32> = outcomes.iter().flat_map(|o| o.value.clone()).collect();
     assert_eq!(gathered.len(), n);
-    let exact: Vec<f64> = (0..n).map(|i| data.iter().map(|f| f[i] as f64).sum()).collect();
+    let (exact, tol) = exact_and_bound(tuner::Op::ReduceScatter, Mode::MultiThread(2), &data, 1e-4);
     for (i, v) in gathered.iter().enumerate() {
-        assert!(
-            ((*v as f64) - exact[i]).abs() <= nranks as f64 * 1e-4 + exact[i].abs() * 1e-6,
-            "at {i}"
-        );
+        assert!(((*v as f64) - exact[i]).abs() <= tol, "at {i}");
     }
 }
 
